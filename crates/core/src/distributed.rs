@@ -93,8 +93,7 @@ pub struct DisPcaOutput {
 pub(crate) fn local_svd_summary(data: &Matrix, t: usize) -> Result<(Vec<f64>, Matrix)> {
     let max_rank = data.rows().min(data.cols());
     let t = t.min(max_rank);
-    let s = svd::thin_svd(data)?.truncate(t)?;
-    Ok((s.singular_values, s.v))
+    Ok(svd::top_right_singular(data, t)?)
 }
 
 /// The canonical `next_2_power` pairwise merge schedule over `m` leaves:
@@ -175,8 +174,8 @@ pub(crate) fn dispca_merge_pair(
 ) -> Result<(Vec<f64>, Matrix)> {
     let y = scaled_stack(&a.0, &a.1).vstack(&scaled_stack(&b.0, &b.1))?;
     let rank = t.min(y.rows().min(y.cols()));
-    let s = svd::thin_svd(&y)?.truncate(rank)?;
-    wire_roundtrip_summary(s.singular_values, s.v, precision)
+    let (sv, v) = svd::top_right_singular(&y, rank)?;
+    wire_roundtrip_summary(sv, v, precision)
 }
 
 /// Folds the summaries along [`merge_schedule`] down to a single summary.
@@ -218,7 +217,7 @@ pub(crate) fn dispca_global_basis(
     let (sv, v) = dispca_fold(summaries, t, precision)?;
     let y = scaled_stack(&sv, &v);
     let global_rank = t.min(y.rows().min(y.cols()));
-    Ok(svd::thin_svd(&y)?.truncate(global_rank)?.v)
+    Ok(svd::top_right_singular(&y, global_rank)?.1)
 }
 
 /// Merges two encoded-and-decoded summary messages of the same kind —

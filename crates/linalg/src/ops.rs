@@ -10,10 +10,11 @@ use crate::{LinalgError, Matrix, Result};
 /// Minimum number of multiply-adds before a kernel bothers spawning threads.
 const PAR_FLOPS_THRESHOLD: usize = 1 << 22;
 
-/// Fixed row-chunk granularity of the [`matmul_transa`] accumulation
-/// fold. A constant (rather than `n / workers`) keeps the fold graph —
-/// and therefore the floating-point rounding — independent of the
-/// worker count, the same discipline as the sharded Lloyd update.
+/// Fixed row-chunk granularity of the [`chunked_row_sum`] accumulation
+/// fold behind [`matmul_transa`] and [`gram`]. A constant (rather than
+/// `n / workers`) keeps the fold graph — and therefore the
+/// floating-point rounding — independent of the worker count, the same
+/// discipline as the sharded Lloyd update.
 const ACCUM_CHUNK: usize = 1024;
 
 /// Computes the product `A · B`.
@@ -145,11 +146,8 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 
 /// Computes `Aᵀ · B`.
 ///
-/// The rank-1 accumulation over rows is sharded into fixed
-/// [`ACCUM_CHUNK`]-row chunks whose partial products are computed on up
-/// to [`parallel::worker_count`] scoped workers and folded in chunk
-/// order — chunk boundaries and fold order depend only on `n`, so the
-/// result is **bitwise invariant across worker counts**.
+/// The rank-1 accumulation over rows runs through [`chunked_row_sum`],
+/// so the result is **bitwise invariant across worker counts**.
 ///
 /// # Errors
 ///
@@ -163,49 +161,86 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Result<Matrix> {
         });
     }
     let (n, da, db) = (a.rows(), a.cols(), b.cols());
+    // Rank-1 partials accumulated in row order within each chunk:
+    // cache friendly for both operands.
+    let sum = chunked_row_sum(n, da * db, n * da * db, |p, i| {
+        let brow = b.row(i);
+        for (j, &aij) in a.row(i).iter().enumerate() {
+            if aij == 0.0 {
+                continue;
+            }
+            let prow = &mut p[j * db..(j + 1) * db];
+            for (pv, &bv) in prow.iter_mut().zip(brow) {
+                *pv += aij * bv;
+            }
+        }
+    });
+    Ok(Matrix::from_vec(da, db, sum))
+}
+
+/// Computes the Gram matrix `Aᵀ · A` (symmetric `d × d`).
+///
+/// Bitwise equal to `matmul_transa(a, a)` for finite input, at about half
+/// its work: the row partials accumulate only the upper triangle, fold
+/// over the same chunks, and the folded upper triangle is mirrored once.
+/// The lower element `(l, j)` of the full product adds `a_il·a_ij` where
+/// the upper `(j, l)` adds `a_ij·a_il`: IEEE multiplication commutes, and
+/// the products that only one of the two zero-skips drops are exact
+/// zeros, which leave a sum started at `+0` unchanged. Bitwise invariant
+/// across worker counts.
+pub fn gram(a: &Matrix) -> Matrix {
+    let (n, d) = a.shape();
+    let mut c = chunked_row_sum(n, d * d, n * d * d, |p, i| {
+        let arow = a.row(i);
+        for (j, &aij) in arow.iter().enumerate() {
+            if aij == 0.0 {
+                continue;
+            }
+            let prow = &mut p[j * d + j..(j + 1) * d];
+            for (pv, &al) in prow.iter_mut().zip(&arow[j..]) {
+                *pv += aij * al;
+            }
+        }
+    });
+    for j in 0..d {
+        for l in j + 1..d {
+            c[l * d + j] = c[j * d + l];
+        }
+    }
+    Matrix::from_vec(d, d, c)
+}
+
+/// Sums per-row contributions into a `len`-element accumulator:
+/// `add_row(partial, i)` adds row `i` into the partial of its fixed
+/// [`ACCUM_CHUNK`]-row chunk, the partials are computed on up to
+/// [`parallel::worker_count`] scoped workers once `flops` reaches the
+/// parallel threshold, and they fold in chunk order. Chunk boundaries
+/// and fold order depend only on `n`, so the sum is bitwise invariant
+/// across worker counts.
+fn chunked_row_sum<F>(n: usize, len: usize, flops: usize, add_row: F) -> Vec<f64>
+where
+    F: Fn(&mut [f64], usize) + Sync,
+{
     let n_chunks = n.div_ceil(ACCUM_CHUNK).max(1);
-    let workers = if n * da * db >= PAR_FLOPS_THRESHOLD {
+    let workers = if flops >= PAR_FLOPS_THRESHOLD {
         parallel::worker_count().min(n_chunks)
     } else {
         1
     };
-    // Per-chunk rank-1 partials, accumulated in row order within the
-    // chunk: cache friendly for both operands.
     let partials = parallel::par_map_indices_in(n_chunks, workers, |chunk| {
-        let start = chunk * ACCUM_CHUNK;
-        let end = (start + ACCUM_CHUNK).min(n);
-        let mut p = vec![0.0f64; da * db];
-        for i in start..end {
-            let arow = a.row(i);
-            let brow = b.row(i);
-            for (j, &aij) in arow.iter().enumerate() {
-                if aij == 0.0 {
-                    continue;
-                }
-                let prow = &mut p[j * db..(j + 1) * db];
-                for (pv, &bv) in prow.iter_mut().zip(brow) {
-                    *pv += aij * bv;
-                }
-            }
+        let mut p = vec![0.0f64; len];
+        for i in chunk * ACCUM_CHUNK..((chunk + 1) * ACCUM_CHUNK).min(n) {
+            add_row(&mut p, i);
         }
         p
     });
-    let mut c = Matrix::zeros(da, db);
-    let cs = c.as_mut_slice();
+    let mut sum = vec![0.0f64; len];
     for p in partials {
-        for (cv, pv) in cs.iter_mut().zip(&p) {
-            *cv += pv;
+        for (sv, pv) in sum.iter_mut().zip(&p) {
+            *sv += pv;
         }
     }
-    Ok(c)
-}
-
-/// Computes the Gram matrix `Aᵀ · A` (symmetric `d × d`) via the
-/// sharded [`matmul_transa`] fold (bitwise invariant across worker
-/// counts).
-pub fn gram(a: &Matrix) -> Matrix {
-    // Unwrap is fine: shapes always agree with themselves.
-    matmul_transa(a, a).expect("gram: self shapes agree")
+    sum
 }
 
 /// Computes the outer Gram matrix `A · Aᵀ` (symmetric `n × n`).
@@ -436,6 +471,28 @@ mod tests {
             assert!(gram(&a) == gram_ref, "{workers} workers");
         }
         parallel::set_worker_count(0);
+    }
+
+    #[test]
+    fn gram_is_bitwise_matmul_transa() {
+        // Sparse rows (many exact zeros, some of them -0.0), a row of
+        // zeros, and row counts spanning one to three accumulation
+        // chunks, at one and several workers.
+        for (n, d) in [(1, 1), (5, 3), (300, 17), (1024, 9), (2500, 48)] {
+            let mut a = Matrix::from_fn(n, d, |i, j| match (i * 7 + j * 5) % 6 {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                k => ((i * 13 + j * 3) % 29) as f64 * 0.37 - 5.0 + k as f64 * 1e-3,
+            });
+            a.row_mut(n / 2).fill(0.0);
+            let want = matmul_transa(&a, &a).unwrap();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for workers in [1, 2, 4] {
+                parallel::set_worker_count(workers);
+                assert_eq!(bits(&gram(&a)), bits(&want), "{n}x{d}, {workers} workers");
+            }
+            parallel::set_worker_count(0);
+        }
     }
 
     #[test]

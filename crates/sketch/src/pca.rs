@@ -51,13 +51,12 @@ impl Pca {
             });
         }
         let t = t.min(data.rows()).min(data.cols());
-        let s = svd::thin_svd(data)?;
-        let trunc = s.truncate(t)?;
-        let captured: f64 = trunc.singular_values.iter().map(|v| v * v).sum();
+        let (singular_values, components) = svd::top_right_singular(data, t)?;
+        let captured: f64 = singular_values.iter().map(|v| v * v).sum();
         let residual_sq = (data.frobenius_norm_sq() - captured).max(0.0);
         Ok(Pca {
-            components: trunc.v,
-            singular_values: trunc.singular_values,
+            components,
+            singular_values,
             residual_sq,
         })
     }
