@@ -642,14 +642,22 @@ impl Command {
     /// # Errors
     ///
     /// [`NetError::Transport`] on truncated or trailing bytes,
-    /// [`NetError::ProtocolViolation`] on an unknown tag.
+    /// [`NetError::ProtocolViolation`] on an unknown tag or a stage index
+    /// above `u32::MAX`.
     pub fn decode(buf: &[u8]) -> Result<Command> {
         let mut r = ByteReader::new(buf, "command decode");
         let cmd = match r.u8()? {
             CMD_DESCRIBE => Command::Describe,
-            CMD_STAGE => Command::Stage {
-                index: r.u64()? as u32,
-            },
+            CMD_STAGE => {
+                let index = r.u64()?;
+                Command::Stage {
+                    index: u32::try_from(index).map_err(|_| NetError::ProtocolViolation {
+                        context: "command decode",
+                        expected: "a stage index of at most u32::MAX",
+                        got: format!("stage index {index}"),
+                    })?,
+                }
+            }
             CMD_DELIVER => Command::Deliver {
                 payload: r.payload()?,
             },
@@ -1500,6 +1508,28 @@ mod tests {
             Command::decode(&buf),
             Err(NetError::Transport { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_stage_index_is_a_typed_error() {
+        let frame = |index: u64| {
+            let mut buf = vec![CMD_STAGE];
+            buf.extend_from_slice(&index.to_be_bytes());
+            buf
+        };
+        assert_eq!(
+            Command::decode(&frame(u64::from(u32::MAX))).unwrap(),
+            Command::Stage { index: u32::MAX }
+        );
+        for index in [(1u64 << 32) + 1, 1 << 32, u64::MAX] {
+            assert!(
+                matches!(
+                    Command::decode(&frame(index)),
+                    Err(NetError::ProtocolViolation { .. })
+                ),
+                "stage index {index}"
+            );
+        }
     }
 
     #[test]
