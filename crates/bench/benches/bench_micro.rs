@@ -412,60 +412,6 @@ fn transb_speedups_json(results: &[BenchResult]) -> Json {
     Json::Arr(rows)
 }
 
-/// Protocol-mode wall-clock and bytes-on-wire: the same pipeline over
-/// the in-process simulation engine and over the server-driven channel
-/// protocol (driver thread + one executor thread per shard), so the
-/// perf trajectory captures what dropping the replication costs or
-/// saves. Outputs are asserted bit-identical before timings are
-/// recorded.
-fn protocol_json(scale: &PerfScale) -> Json {
-    use ekm_data::partition::partition_uniform;
-    let raw = GaussianMixture::new(scale.pipeline_n, scale.pipeline_d, 4)
-        .with_separation(4.0)
-        .with_seed(37)
-        .generate()
-        .expect("synthetic workload")
-        .points;
-    let data = normalize_paper(&raw).0;
-    let params = SummaryParams::practical(4, scale.pipeline_n, scale.pipeline_d).with_seed(17);
-    let mut rows = Vec::new();
-    println!("group protocol (simulation engine vs server-driven channel backend)");
-    for (list, m) in [("jl,fss,qt:8", 1usize), ("jl,stream,qt", 4)] {
-        let pipe = StagePipeline::from_names(list, params.clone()).expect("stage list");
-        let shards = if m == 1 {
-            vec![data.clone()]
-        } else {
-            partition_uniform(&data, m, params.seed).expect("shards")
-        };
-        let mut net = Network::new(m);
-        let t0 = Instant::now();
-        let sim = pipe.run_shards(&shards, &mut net).expect("simulated run");
-        let sim_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let proto = pipe.run_channel(shards).expect("protocol run");
-        let proto_s = t1.elapsed().as_secs_f64();
-        assert!(
-            sim.centers.approx_eq(&proto.centers, 0.0) && sim.uplink_bits == proto.uplink_bits,
-            "protocol run diverged from the simulation"
-        );
-        let wire_bytes = (proto.uplink_bits + proto.downlink_bits).div_ceil(8);
-        println!(
-            "  {:<28} m={m} {sim_s:>9.4}s simulated {proto_s:>9.4}s protocol  {wire_bytes} wire bytes",
-            pipe.name()
-        );
-        rows.push(Json::Obj(vec![
-            ("stages".into(), Json::Str(list.into())),
-            ("sources".into(), Json::Int(m as u64)),
-            ("simulated_s".into(), Json::Num(sim_s)),
-            ("protocol_s".into(), Json::Num(proto_s)),
-            ("uplink_bits".into(), Json::Int(proto.uplink_bits)),
-            ("downlink_bits".into(), Json::Int(proto.downlink_bits)),
-            ("wire_bytes".into(), Json::Int(wire_bytes)),
-        ]));
-    }
-    Json::Arr(rows)
-}
-
 /// The sleep-poll reactor parks this long when nothing moved — the
 /// wakeup-latency floor every command round used to pay, and the
 /// baseline the epoll reactor is measured against. Mirrors
@@ -631,7 +577,6 @@ fn main() {
 
     let tile_sweep = tile_sweep_json(scale);
     let (pipelines, cache_stats) = pipelines_json(scale);
-    let protocol = protocol_json(scale);
     let reactor = reactor_json(scale);
     let doc = Json::Obj(vec![
         ("schema".into(), Json::Str("ekm-bench-micro/v3".into())),
@@ -643,7 +588,6 @@ fn main() {
         ("transb_speedups".into(), transb_speedups_json(&results)),
         ("tile_sweep".into(), tile_sweep),
         ("pipelines".into(), pipelines),
-        ("protocol".into(), protocol),
         ("reactor".into(), reactor),
         ("stage_cache".into(), cache_stats),
     ]);

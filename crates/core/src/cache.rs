@@ -2,27 +2,25 @@
 //!
 //! `ekm sweep` runs many stage compositions over the *same* dataset, and
 //! compositions routinely share a prefix — e.g. `jl,fss` under every QT
-//! width. The engine's source-side stages (`jl`, `fss`, `stream`) are
-//! pure, seed-deterministic functions of (stage config, shared
-//! parameters, upstream summary state), so their outputs can be memoized
-//! across pipelines: a [`StageCache`] maps a 64-bit key — stage config ⊕
-//! parameter knobs ⊕ a fingerprint of every upstream bit the stage can
-//! observe — to the snapshot of the state the stage produced.
+//! width. The source-local stages (`jl`, `fss`, `stream`) are pure,
+//! seed-deterministic functions of (stage config, shared parameters,
+//! the source's position, the source's upstream state), so each
+//! [`crate::SourceExecutor`] can memoize them across pipelines: a
+//! [`StageCache`] maps a 64-bit key — stage config ⊕ parameter knobs ⊕
+//! source id and count ⊕ a fingerprint of every upstream bit the stage
+//! can observe — to the snapshot of the state the stage produced.
 //!
 //! Cache hits are **bit-identical to a cold run by construction**: the
 //! key covers all inputs of the stage's computation, the snapshot stores
-//! the complete post-stage state delta (including the deterministic
-//! operation count), and the interactive stages (`dispca`, `disss`) and
-//! the transmission phase are never cached — their traffic must flow
-//! through the live [`ekm_net::Transport`], which keeps the bit ledger
-//! of a cached sweep identical to an uncached one.
+//! the complete post-stage executor state (including the deterministic
+//! operation count the executor reports), and the interactive stages
+//! (`dispca`, `disss`) and the transmission phase are never cached —
+//! their traffic always flows through the live protocol, which keeps
+//! the bit ledger of a cached sweep identical to an uncached one.
 
-use crate::projection::MaybeProjection;
+use crate::stage::JlBook;
 use ekm_linalg::Matrix;
-use ekm_sketch::JlKind;
 use std::collections::HashMap;
-use std::path::PathBuf;
-
 /// Incremental FNV-1a 64-bit hasher — deterministic across runs and
 /// platforms, used for both stage keys and data fingerprints.
 #[derive(Debug, Clone)]
@@ -78,25 +76,22 @@ impl Fnv {
     }
 }
 
-/// The complete state delta a cached stage replays on a hit: the fields
-/// the source-side stages overwrite wholesale, the projection a DR stage
-/// appends, the positional JL bookkeeping, and the deterministic
-/// operation count the stage would have charged.
+/// One source's complete executor state after a cached stage, plus the
+/// deterministic operation count and the seconds the cold run reported
+/// for it — what a hit replays.
 #[derive(Debug, Clone)]
 pub(crate) struct StageSnapshot {
-    pub parts: Vec<Matrix>,
-    pub weights: Option<Vec<Vec<f64>>>,
-    pub deltas: Vec<f64>,
+    pub part: Matrix,
+    pub weights: Option<Vec<f64>>,
+    pub delta: f64,
     pub basis: Option<Matrix>,
-    pub source_basis: Option<Matrix>,
     pub basis_shared: bool,
-    pub appended_projections: Vec<MaybeProjection>,
-    pub jl: crate::engine::JlBook,
-    pub ops_delta: u64,
-    /// Per-source compute seconds the cold run charged for this stage,
-    /// replayed on a hit so cached sweeps report comparable source
-    /// timings (the deterministic `ops_delta` is the exact counterpart).
-    pub seconds_delta: f64,
+    pub jl: JlBook,
+    pub ops: u64,
+    /// Compute seconds the cold run reported, replayed on a hit so
+    /// cached sweeps report comparable source timings (`ops` is the
+    /// exact counterpart).
+    pub seconds: f64,
 }
 
 impl StageSnapshot {
@@ -105,239 +100,32 @@ impl StageSnapshot {
     /// charged a small flat overhead.
     fn approx_bytes(&self) -> usize {
         let matrix_bytes = |m: &Matrix| m.rows() * m.cols() * 8 + 64;
-        let mut bytes = 128;
-        bytes += self.parts.iter().map(&matrix_bytes).sum::<usize>();
-        if let Some(all) = &self.weights {
-            bytes += all.iter().map(|w| w.len() * 8 + 24).sum::<usize>();
+        let mut bytes = 128 + matrix_bytes(&self.part);
+        if let Some(w) = &self.weights {
+            bytes += w.len() * 8 + 24;
         }
-        bytes += self.deltas.len() * 8;
-        for b in [&self.basis, &self.source_basis].into_iter().flatten() {
+        if let Some(b) = &self.basis {
             bytes += matrix_bytes(b);
         }
-        for pi in &self.appended_projections {
-            if let MaybeProjection::Jl(p) = pi {
-                bytes += p.source_dim() * p.target_dim() * 8 + 64;
-            }
-        }
         bytes
-    }
-
-    /// Serializes the snapshot for the disk tier. Floats travel as raw
-    /// bit patterns (`f64::to_bits`), and a JL projection travels as its
-    /// regeneration parameters — kind, dims, seed — because
-    /// [`MaybeProjection::generate`] rebuilds the same matrix bit for
-    /// bit, which keeps spilled entries byte-exact and small.
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.approx_bytes() + 64);
-        v.extend_from_slice(&SPILL_MAGIC.to_le_bytes());
-        v.push(SPILL_VERSION);
-        put_u32(&mut v, self.parts.len() as u32);
-        for m in &self.parts {
-            put_matrix(&mut v, m);
-        }
-        match &self.weights {
-            None => v.push(0),
-            Some(all) => {
-                v.push(1);
-                put_u32(&mut v, all.len() as u32);
-                for w in all {
-                    put_f64s(&mut v, w);
-                }
-            }
-        }
-        put_f64s(&mut v, &self.deltas);
-        for basis in [&self.basis, &self.source_basis] {
-            match basis {
-                None => v.push(0),
-                Some(m) => {
-                    v.push(1);
-                    put_matrix(&mut v, m);
-                }
-            }
-        }
-        v.push(u8::from(self.basis_shared));
-        put_u32(&mut v, self.appended_projections.len() as u32);
-        for pi in &self.appended_projections {
-            match pi {
-                MaybeProjection::Identity { dim } => {
-                    v.push(0);
-                    put_u32(&mut v, *dim as u32);
-                }
-                MaybeProjection::Jl(p) => {
-                    v.push(1);
-                    v.push(match p.kind() {
-                        JlKind::Gaussian => 0,
-                        JlKind::Achlioptas => 1,
-                    });
-                    put_u32(&mut v, p.source_dim() as u32);
-                    put_u32(&mut v, p.target_dim() as u32);
-                    v.extend_from_slice(&p.seed().to_le_bytes());
-                }
-            }
-        }
-        put_u32(&mut v, self.jl.jl_count as u32);
-        v.push(u8::from(self.jl.jl_after_used));
-        v.push(u8::from(self.jl.any_reduction));
-        v.extend_from_slice(&self.ops_delta.to_le_bytes());
-        v.extend_from_slice(&self.seconds_delta.to_bits().to_le_bytes());
-        v
-    }
-
-    /// Inverse of [`StageSnapshot::to_bytes`]. `None` on any torn or
-    /// foreign content — the caller treats that as a cache miss.
-    fn from_bytes(buf: &[u8]) -> Option<StageSnapshot> {
-        let mut r = Rd { b: buf };
-        if r.u32()? != SPILL_MAGIC || r.u8()? != SPILL_VERSION {
-            return None;
-        }
-        let parts = (0..r.u32()?)
-            .map(|_| r.matrix())
-            .collect::<Option<Vec<_>>>()?;
-        let weights = match r.u8()? {
-            0 => None,
-            _ => Some(
-                (0..r.u32()?)
-                    .map(|_| r.f64s())
-                    .collect::<Option<Vec<_>>>()?,
-            ),
-        };
-        let deltas = r.f64s()?;
-        let mut bases = [None, None];
-        for b in &mut bases {
-            if r.u8()? != 0 {
-                *b = Some(r.matrix()?);
-            }
-        }
-        let [basis, source_basis] = bases;
-        let basis_shared = r.u8()? != 0;
-        let appended_projections = (0..r.u32()?)
-            .map(|_| match r.u8()? {
-                0 => Some(MaybeProjection::Identity {
-                    dim: r.u32()? as usize,
-                }),
-                1 => {
-                    let kind = match r.u8()? {
-                        0 => JlKind::Gaussian,
-                        1 => JlKind::Achlioptas,
-                        _ => return None,
-                    };
-                    let (source, target) = (r.u32()? as usize, r.u32()? as usize);
-                    let seed = r.u64()?;
-                    Some(MaybeProjection::generate(kind, source, target, seed))
-                }
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let jl = crate::engine::JlBook {
-            jl_count: r.u32()? as usize,
-            jl_after_used: r.u8()? != 0,
-            any_reduction: r.u8()? != 0,
-        };
-        let ops_delta = r.u64()?;
-        let seconds_delta = f64::from_bits(r.u64()?);
-        if !r.b.is_empty() {
-            return None; // trailing garbage: not our file
-        }
-        Some(StageSnapshot {
-            parts,
-            weights,
-            deltas,
-            basis,
-            source_basis,
-            basis_shared,
-            appended_projections,
-            jl,
-            ops_delta,
-            seconds_delta,
-        })
-    }
-}
-
-/// `"EKSC"` — marks spill files; anything else is treated as a miss.
-const SPILL_MAGIC: u32 = 0x454b_5343;
-const SPILL_VERSION: u8 = 1;
-
-fn put_u32(v: &mut Vec<u8>, x: u32) {
-    v.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_f64s(v: &mut Vec<u8>, xs: &[f64]) {
-    put_u32(v, xs.len() as u32);
-    for x in xs {
-        v.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-}
-
-fn put_matrix(v: &mut Vec<u8>, m: &Matrix) {
-    put_u32(v, m.rows() as u32);
-    put_u32(v, m.cols() as u32);
-    for x in m.as_slice() {
-        v.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-}
-
-/// Bounds-checked little-endian reader over a spill file's bytes.
-struct Rd<'a> {
-    b: &'a [u8],
-}
-
-impl Rd<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        if self.b.len() < n {
-            return None;
-        }
-        let (head, tail) = self.b.split_at(n);
-        self.b = tail;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn f64s(&mut self) -> Option<Vec<f64>> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n * 8)?;
-        Some(
-            raw.chunks_exact(8)
-                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-                .collect(),
-        )
-    }
-
-    fn matrix(&mut self) -> Option<Matrix> {
-        let rows = self.u32()? as usize;
-        let cols = self.u32()? as usize;
-        let raw = self.take(rows.checked_mul(cols)?.checked_mul(8)?)?;
-        let data = raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-            .collect();
-        Some(Matrix::from_vec(rows, cols, data))
     }
 }
 
 /// Memoized per-stage outputs, shared across the pipelines of a sweep.
 ///
 /// Create one cache, pass it to every
-/// [`StagePipeline::run_cached`](crate::engine::StagePipeline::run_cached) /
-/// [`run_shards_cached`](crate::engine::StagePipeline::run_shards_cached)
+/// [`StagePipeline::run_cached`](crate::StagePipeline::run_cached) /
+/// [`run_shards_cached`](crate::StagePipeline::run_shards_cached)
 /// call of the sweep, and shared prefixes are computed once; outputs and
-/// bit accounting are bit-identical to uncached runs.
+/// bit accounting are bit-identical to uncached runs. Every executor
+/// looks up its own shard, so a run over `m` sources counts `m` lookups
+/// per cacheable stage.
 ///
 /// # Example
 ///
 /// ```
 /// use ekm_core::cache::StageCache;
-/// use ekm_core::engine::StagePipeline;
+/// use ekm_core::StagePipeline;
 /// use ekm_core::params::SummaryParams;
 /// use ekm_net::Network;
 /// use ekm_linalg::Matrix;
@@ -366,77 +154,6 @@ pub struct StageCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Optional spill-on-evict disk tier under the LRU.
-    disk: Option<DiskTier>,
-    disk_hits: u64,
-    spills: u64,
-}
-
-/// The disk tier's ledger: one `{key:016x}` file per spilled snapshot,
-/// bounded by its own byte budget with oldest-spill eviction.
-#[derive(Debug)]
-struct DiskTier {
-    dir: PathBuf,
-    budget: usize,
-    held: usize,
-    /// key → (file bytes, spill recency).
-    files: HashMap<u64, (usize, u64)>,
-}
-
-impl DiskTier {
-    fn path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}"))
-    }
-
-    fn remove(&mut self, key: u64) {
-        if let Some((bytes, _)) = self.files.remove(&key) {
-            self.held -= bytes;
-            let _ = std::fs::remove_file(self.path(key));
-        }
-    }
-
-    /// Writes `key`'s snapshot bytes, then drops oldest spills until the
-    /// disk budget holds. A write failure (full disk, bad permissions)
-    /// silently skips the spill — the tier is an accelerator, never a
-    /// correctness dependency.
-    fn spill(&mut self, key: u64, bytes: &[u8], tick: u64) -> bool {
-        if bytes.len() > self.budget {
-            return false;
-        }
-        if std::fs::write(self.path(key), bytes).is_err() {
-            return false;
-        }
-        if let Some((old, _)) = self.files.insert(key, (bytes.len(), tick)) {
-            self.held -= old;
-        }
-        self.held += bytes.len();
-        while self.held > self.budget && self.files.len() > 1 {
-            let victim = self
-                .files
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, (_, at))| *at)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(v) => self.remove(v),
-                None => break,
-            }
-        }
-        true
-    }
-
-    fn load(&mut self, key: u64) -> Option<StageSnapshot> {
-        if !self.files.contains_key(&key) {
-            return None;
-        }
-        let parsed = std::fs::read(self.path(key))
-            .ok()
-            .and_then(|buf| StageSnapshot::from_bytes(&buf));
-        // Promote on hit, discard on corruption: either way the file's
-        // disk residency ends here.
-        self.remove(key);
-        parsed
-    }
 }
 
 #[derive(Debug)]
@@ -463,48 +180,6 @@ impl StageCache {
         }
     }
 
-    /// Attaches a disk tier under the LRU: entries evicted from memory
-    /// are spilled to `{key:016x}` files in `dir` (bounded by `budget`
-    /// bytes, oldest spill dropped first), and a memory miss consults
-    /// the directory before declaring a miss — a hit is promoted back
-    /// into memory and its file deleted. Existing spill files in `dir`
-    /// warm-start the tier, so a sweep can resume a previous session's
-    /// cache.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures creating or scanning `dir`.
-    pub fn with_disk_tier(
-        mut self,
-        dir: impl Into<PathBuf>,
-        budget: usize,
-    ) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let mut tier = DiskTier {
-            dir,
-            budget,
-            held: 0,
-            files: HashMap::new(),
-        };
-        for entry in std::fs::read_dir(&tier.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.len() != 16 {
-                continue;
-            }
-            let Ok(key) = u64::from_str_radix(name, 16) else {
-                continue;
-            };
-            let bytes = entry.metadata()?.len() as usize;
-            tier.held += bytes;
-            tier.files.insert(key, (bytes, 0));
-        }
-        self.disk = Some(tier);
-        Ok(self)
-    }
-
     /// Number of stage executions answered from the cache.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -519,17 +194,6 @@ impl StageCache {
     /// Number of entries evicted to stay under the byte budget.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Number of lookups answered from the disk tier (always 0 without
-    /// [`StageCache::with_disk_tier`]).
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits
-    }
-
-    /// Number of evicted snapshots spilled to the disk tier.
-    pub fn spills(&self) -> u64 {
-        self.spills
     }
 
     /// Approximate bytes of snapshot data currently held.
@@ -576,23 +240,6 @@ impl StageCache {
             self.hits += 1;
             return Some(entry.snapshot.clone());
         }
-        // Memory miss: consult the disk tier and promote on a hit.
-        if let Some(snapshot) = self.disk.as_mut().and_then(|d| d.load(key)) {
-            self.hits += 1;
-            self.disk_hits += 1;
-            let bytes = snapshot.approx_bytes();
-            self.entries.insert(
-                key,
-                CacheEntry {
-                    snapshot: snapshot.clone(),
-                    bytes,
-                    last_used: tick,
-                },
-            );
-            self.held_bytes += bytes;
-            self.enforce_budget(key);
-            return Some(snapshot);
-        }
         self.misses += 1;
         None
     }
@@ -614,8 +261,7 @@ impl StageCache {
         self.enforce_budget(key);
     }
 
-    /// Evicts least-recently-used entries until the budget holds,
-    /// spilling each victim to the disk tier when one is attached.
+    /// Evicts least-recently-used entries until the budget holds.
     /// `just_stored` is never evicted in its own store (otherwise a
     /// snapshot above the budget would thrash forever).
     fn enforce_budget(&mut self, just_stored: u64) {
@@ -631,12 +277,6 @@ impl StageCache {
             if let Some(entry) = self.entries.remove(&victim) {
                 self.held_bytes -= entry.bytes;
                 self.evictions += 1;
-                if let Some(disk) = &mut self.disk {
-                    let tick = self.tick;
-                    if disk.spill(victim, &entry.snapshot.to_bytes(), tick) {
-                        self.spills += 1;
-                    }
-                }
             }
         }
     }
@@ -677,16 +317,14 @@ mod tests {
 
     fn snapshot(rows: usize) -> StageSnapshot {
         StageSnapshot {
-            parts: vec![Matrix::zeros(rows, 8)],
+            part: Matrix::zeros(rows, 8),
             weights: None,
-            deltas: vec![],
+            delta: 0.0,
             basis: None,
-            source_basis: None,
             basis_shared: false,
-            appended_projections: vec![],
-            jl: crate::engine::JlBook::default(),
-            ops_delta: 3,
-            seconds_delta: 0.0,
+            jl: JlBook::default(),
+            ops: 3,
+            seconds: 0.0,
         }
     }
 
@@ -745,170 +383,5 @@ mod tests {
         }
         assert_eq!(cache.len(), 64);
         assert_eq!(cache.evictions(), 0);
-    }
-
-    fn scratch_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "ekm-cache-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn rich_snapshot() -> StageSnapshot {
-        StageSnapshot {
-            parts: vec![Matrix::from_fn(9, 5, |i, j| (i * 7 + j) as f64 * 0.31)],
-            weights: Some(vec![vec![1.5, 2.5], vec![0.25]]),
-            deltas: vec![0.125, -0.5],
-            basis: Some(Matrix::from_fn(5, 2, |i, j| (i + j) as f64 * 1.75)),
-            source_basis: None,
-            basis_shared: true,
-            appended_projections: vec![
-                MaybeProjection::Identity { dim: 5 },
-                MaybeProjection::generate(JlKind::Gaussian, 10, 4, 99),
-                MaybeProjection::generate(JlKind::Achlioptas, 8, 3, 7),
-            ],
-            jl: crate::engine::JlBook {
-                jl_count: 2,
-                jl_after_used: true,
-                any_reduction: true,
-            },
-            ops_delta: 12345,
-            seconds_delta: 0.75,
-        }
-    }
-
-    fn assert_snapshot_bits_eq(a: &StageSnapshot, b: &StageSnapshot) {
-        let bits = |m: &Matrix| {
-            (
-                m.shape(),
-                m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(a.parts.len(), b.parts.len());
-        for (x, y) in a.parts.iter().zip(&b.parts) {
-            assert_eq!(bits(x), bits(y));
-        }
-        assert_eq!(a.weights, b.weights);
-        assert_eq!(
-            a.deltas.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.deltas.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        for (x, y) in [(&a.basis, &b.basis), (&a.source_basis, &b.source_basis)] {
-            assert_eq!(x.is_some(), y.is_some());
-            if let (Some(x), Some(y)) = (x, y) {
-                assert_eq!(bits(x), bits(y));
-            }
-        }
-        assert_eq!(a.basis_shared, b.basis_shared);
-        assert_eq!(a.appended_projections.len(), b.appended_projections.len());
-        for (x, y) in a.appended_projections.iter().zip(&b.appended_projections) {
-            match (x, y) {
-                (MaybeProjection::Identity { dim: dx }, MaybeProjection::Identity { dim: dy }) => {
-                    assert_eq!(dx, dy)
-                }
-                (MaybeProjection::Jl(px), MaybeProjection::Jl(py)) => {
-                    assert_eq!(bits(px.matrix()), bits(py.matrix()), "regen diverged")
-                }
-                _ => panic!("projection kinds diverge"),
-            }
-        }
-        assert_eq!(a.jl, b.jl);
-        assert_eq!(a.ops_delta, b.ops_delta);
-        assert_eq!(a.seconds_delta.to_bits(), b.seconds_delta.to_bits());
-    }
-
-    #[test]
-    fn snapshot_disk_codec_is_bit_exact() {
-        let snap = rich_snapshot();
-        let restored = StageSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_snapshot_bits_eq(&snap, &restored);
-        assert!(StageSnapshot::from_bytes(b"junk").is_none());
-        let mut torn = snap.to_bytes();
-        torn.truncate(torn.len() / 2);
-        assert!(StageSnapshot::from_bytes(&torn).is_none());
-    }
-
-    #[test]
-    fn eviction_spills_to_disk_and_lookup_promotes() {
-        let dir = scratch_dir("spill");
-        // Room for the big snapshot alone: storing it evicts the rich one.
-        let one = snapshot(100).approx_bytes();
-        let mut cache = StageCache::with_budget(one)
-            .with_disk_tier(&dir, 1 << 20)
-            .unwrap();
-        cache.store(1, rich_snapshot());
-        cache.store(2, snapshot(100));
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.spills(), 1);
-        assert!(dir.join(format!("{:016x}", 1u64)).exists());
-        // The spilled entry is still a hit — promoted back and its file
-        // reclaimed.
-        let restored = cache.lookup(1).expect("disk tier answers");
-        assert_snapshot_bits_eq(&rich_snapshot(), &restored);
-        assert_eq!(cache.disk_hits(), 1);
-        assert_eq!(cache.misses(), 0);
-        assert!(!dir.join(format!("{:016x}", 1u64)).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_spill_file_is_a_miss_and_reclaimed() {
-        let dir = scratch_dir("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{:016x}", 9u64)), b"garbage").unwrap();
-        let mut cache = StageCache::new().with_disk_tier(&dir, 1 << 20).unwrap();
-        assert!(cache.lookup(9).is_none());
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.disk_hits(), 0);
-        assert!(!dir.join(format!("{:016x}", 9u64)).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_tier_warm_starts_from_a_previous_session() {
-        let dir = scratch_dir("warm");
-        let one = snapshot(100).approx_bytes();
-        {
-            let mut cache = StageCache::with_budget(one)
-                .with_disk_tier(&dir, 1 << 20)
-                .unwrap();
-            cache.store(1, rich_snapshot());
-            cache.store(2, snapshot(100));
-            assert_eq!(cache.spills(), 1);
-        }
-        let mut fresh = StageCache::new().with_disk_tier(&dir, 1 << 20).unwrap();
-        let restored = fresh.lookup(1).expect("warm-started spill answers");
-        assert_snapshot_bits_eq(&rich_snapshot(), &restored);
-        assert_eq!(fresh.disk_hits(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_budget_drops_oldest_spills() {
-        let dir = scratch_dir("budget");
-        let one = snapshot(40).approx_bytes();
-        let file = snapshot(40).to_bytes().len();
-        // Memory holds one entry; disk holds two files, not three.
-        let mut cache = StageCache::with_budget(one + one / 2)
-            .with_disk_tier(&dir, 2 * file + file / 2)
-            .unwrap();
-        for key in 1..=4 {
-            cache.store(key, snapshot(40));
-        }
-        assert_eq!(cache.spills(), 3);
-        let on_disk = (1..=4)
-            .filter(|k| dir.join(format!("{k:016x}")).exists())
-            .count();
-        assert_eq!(on_disk, 2, "disk budget keeps two files");
-        assert!(
-            !dir.join(format!("{:016x}", 1u64)).exists(),
-            "oldest spill dropped"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,42 +1,37 @@
 //! Multi-data-source pipelines (paper §5 and the §6 quantized variants).
 //!
-//! * [`dispca`] — distributed PCA \[11\]/\[35\]: each source sends its
-//!   top-`t1` local SVD summary `(Σ_i^{(t1)}, V_i^{(t1)})`; the server
-//!   stacks `Y = [Σ_1V_1ᵀ; …; Σ_mV_mᵀ]`, computes a global SVD, and
-//!   broadcasts the top-`t2` right singular vectors back.
-//! * [`disss`] — distributed sensitivity sampling \[4\]: sources report
-//!   local bicriteria costs, the server allocates the global sample budget
-//!   proportionally, sources reply with D²-sampled points plus their
-//!   bicriteria centers, weighted to match per-cluster counts.
+//! * disPCA (`dispca` stage) — distributed PCA \[11\]/\[35\]: each
+//!   source sends its top-`t1` local SVD summary `(Σ_i^{(t1)},
+//!   V_i^{(t1)})`; the server stacks `Y = [Σ_1V_1ᵀ; …; Σ_mV_mᵀ]`,
+//!   computes a global SVD, and broadcasts the top-`t2` right singular
+//!   vectors back.
+//! * disSS (`disss` stage) — distributed sensitivity sampling \[4\]:
+//!   sources report local bicriteria costs, the server allocates the
+//!   global sample budget proportionally, sources reply with D²-sampled
+//!   points plus their bicriteria centers, weighted to match
+//!   per-cluster counts.
 //! * [`Bklw`] — the state-of-the-art baseline \[27\]: disPCA + disSS.
 //! * [`JlBklw`] — **Algorithm 4**: every source applies the shared-seed JL
 //!   projection first, shrinking the disPCA summaries from `O(kd/ε²)` to
 //!   `O(k·log n/ε⁴)` per source (Theorem 5.4).
 //!
-//! Per-source work in both protocols (local SVDs, bicriteria, sampling,
-//! and the transmissions themselves) executes concurrently on
-//! `std::thread::scope` workers, each charging an independent
-//! [`ekm_net::network::SourceLink`] merged back at the phase barrier —
-//! results and accounting are bit-identical to sequential execution.
-//! The named pipelines are canned stage lists over the generic
-//! [`StagePipeline`] engine, exactly like their centralized siblings.
+//! This module holds the protocols' steps as shared functions: the
+//! source-local ones run in [`crate::executor`], the server folds in
+//! [`crate::driver`]. The named pipelines are canned stage lists over
+//! [`StagePipeline`], exactly like their centralized siblings.
 
-use crate::complexity;
-use crate::engine::{par_map, par_map_sources, StagePipeline};
+use crate::engine::StagePipeline;
 use crate::params::SummaryParams;
-use crate::pipelines::{expect_coreset, quantize_for_wire};
+use crate::pipelines::quantize_for_wire;
 use crate::stage::Stage;
 use crate::{CoreError, Result, RunOutput};
 use ekm_clustering::bicriteria::{bicriteria, BicriteriaConfig};
 use ekm_clustering::cost::assign_with;
-use ekm_coreset::Coreset;
 use ekm_linalg::random::{derive_seed, rng_from_seed, sample_weighted_indices};
-use ekm_linalg::{ops, svd, Matrix};
+use ekm_linalg::{svd, Matrix};
 use ekm_net::messages::Message;
 use ekm_net::wire::{Compute, Precision};
-use ekm_net::{Network, Transport, TransportLink};
-use std::borrow::Borrow;
-use std::time::Instant;
+use ekm_net::Network;
 
 /// A pipeline in the multi-data-source (distributed) setting.
 pub trait DistributedPipeline {
@@ -62,27 +57,6 @@ impl DistributedPipeline for StagePipeline {
     }
 }
 
-/// Output of the disPCA protocol.
-#[derive(Debug, Clone)]
-pub struct DisPcaOutput {
-    /// The global top-`t2` right singular vectors (`d × t2`), held by the
-    /// server and broadcast to the sources.
-    pub basis: Matrix,
-    /// The basis as the sources decoded it from the wire (identical to
-    /// `basis` at full precision; the rounded copy at F32) — what the
-    /// data holders actually possess after the broadcast.
-    pub decoded_basis: Matrix,
-    /// Per-source coordinates of the projected data (`n_i × t2`).
-    pub coords: Vec<Matrix>,
-    /// Max per-source compute seconds.
-    pub source_seconds: f64,
-    /// Server compute seconds.
-    pub server_seconds: f64,
-    /// Deterministic per-source operation count (max over sources per
-    /// phase, summed over phases).
-    pub source_ops: u64,
-}
-
 /// Computes the top-`t` local SVD summary `(σ, V)` of one shard.
 ///
 /// Always the exact (Gram) SVD: disPCA step 1 is "each data source
@@ -101,9 +75,8 @@ pub(crate) fn local_svd_summary(data: &Matrix, t: usize) -> Result<(Vec<f64>, Ma
 /// that is a multiple of `2^(ℓ+1)`, giving `ceil(log2 m)` levels with the
 /// root at position 0. The schedule is order-preserving — folding
 /// concatenative summaries along it yields exactly the position-order
-/// concatenation — and it is shared verbatim by the simulation reference
-/// fold, the star driver fold, and the tree driver, which is what makes
-/// the three bit-identical.
+/// concatenation — and it is shared verbatim by the star driver fold and
+/// the tree driver, which is what makes the two bit-identical.
 pub fn merge_schedule(m: usize) -> Vec<Vec<(usize, usize)>> {
     let mut levels = Vec::new();
     let mut stride = 1;
@@ -205,10 +178,10 @@ pub(crate) fn dispca_fold(
 /// disPCA step 2, the server-side fold: pairwise-merges the summaries
 /// along the canonical [`merge_schedule`], then finalizes the single
 /// folded summary — stack `ΣVᵀ` and take the global top-`t` right
-/// singular vectors. One function, shared by the in-process engine and
-/// the star driver; the tree driver performs the same pairwise merges at
-/// the sources and hands the server the already-folded root, so all
-/// three execution models are bit-identical by construction.
+/// singular vectors. The star driver calls it on every summary; the
+/// tree driver performs the same pairwise merges at the sources and
+/// hands it the already-folded root, so the two topologies are
+/// bit-identical by construction.
 pub(crate) fn dispca_global_basis(
     summaries: &[(Vec<f64>, Matrix)],
     t: usize,
@@ -398,317 +371,6 @@ pub(crate) fn disss_local_sample(
     })
 }
 
-/// Runs the disPCA protocol (paper §5.1, Theorem 5.1) with `t1 = t2 = t`,
-/// sources working concurrently.
-///
-/// # Errors
-///
-/// Propagates SVD and protocol failures; rejects empty shard lists.
-pub fn dispca<T: Transport>(shards: &[Matrix], t: usize, net: &mut T) -> Result<DisPcaOutput> {
-    dispca_opts(shards, t, net, true, Precision::Full)
-}
-
-/// [`dispca`] with explicit control over concurrent per-source execution
-/// (results are bit-identical either way; sequential mode exists for
-/// equivalence tests and debugging) and over the wire precision of the
-/// SVD summaries and the broadcast basis ([`Precision::F32`] halves
-/// them; the sources then project onto the basis exactly as decoded).
-///
-/// # Errors
-///
-/// See [`dispca`].
-pub fn dispca_opts<S: Borrow<Matrix> + Sync, T: Transport>(
-    shards: &[S],
-    t: usize,
-    net: &mut T,
-    parallel: bool,
-    precision: Precision,
-) -> Result<DisPcaOutput> {
-    if shards.is_empty() {
-        return Err(CoreError::InvalidConfig {
-            reason: "no shards",
-        });
-    }
-    if shards.len() > net.sources() {
-        return Err(CoreError::InvalidConfig {
-            reason: "more shards than network sources",
-        });
-    }
-    let d = shards[0].borrow().cols();
-    if shards.iter().any(|s| s.borrow().cols() != d) {
-        return Err(CoreError::InvalidConfig {
-            reason: "shards disagree on dimensionality",
-        });
-    }
-
-    let mut links = net.take_links(shards.len())?;
-
-    // Step 1: local SVDs on concurrent workers, summaries uplinked
-    // through each source's own link.
-    let step1 = par_map_sources(shards, &mut links, parallel, |_i, shard, link| {
-        let t0 = Instant::now();
-        let (sv, v) = local_svd_summary(shard.borrow(), t)?;
-        let secs = t0.elapsed().as_secs_f64();
-        let msg = Message::SvdSummary {
-            singular_values: sv,
-            basis: v,
-            precision,
-        };
-        match link.send_to_server(&msg)? {
-            Message::SvdSummary {
-                singular_values,
-                basis,
-                ..
-            } => Ok(((singular_values, basis), secs)),
-            _ => Err(CoreError::Protocol {
-                reason: "expected svd summary",
-            }),
-        }
-    })?;
-    let mut source_seconds = 0.0f64;
-    let mut summaries = Vec::with_capacity(step1.len());
-    for (summary, secs) in step1 {
-        source_seconds = source_seconds.max(secs);
-        summaries.push(summary);
-    }
-
-    // Step 2: server stacks Y = [Σ_i V_iᵀ] and takes the global SVD.
-    let t1 = Instant::now();
-    let basis = dispca_global_basis(&summaries, t, precision)?; // d × t2
-    let server_seconds = t1.elapsed().as_secs_f64();
-
-    // Step 3: broadcast the basis; each source computes its coordinates
-    // (concurrently — this is the `O(n_i·d·t)` projection). The sources
-    // project onto the basis *as decoded from the wire* — at F32
-    // precision that is the rounded basis, exactly what a real edge
-    // device would hold.
-    let mut decoded_basis = basis.clone();
-    for link in &mut links {
-        let received = link.recv_from_server(&Message::Basis {
-            basis: basis.clone(),
-            precision,
-        })?;
-        if let Message::Basis { basis: b, .. } = received {
-            decoded_basis = b;
-        }
-    }
-    let coords_timed = par_map(shards, parallel, |_i, shard| {
-        let t2 = Instant::now();
-        let c = ops::matmul(shard.borrow(), &decoded_basis)?;
-        Ok((c, t2.elapsed().as_secs_f64()))
-    })?;
-    let mut post_seconds = 0.0f64;
-    let coords = coords_timed
-        .into_iter()
-        .map(|(c, secs)| {
-            post_seconds = post_seconds.max(secs);
-            c
-        })
-        .collect();
-
-    net.absorb_links(links);
-
-    // Local SVD phase + projection phase, each the max over sources.
-    let source_ops = shards
-        .iter()
-        .map(|s| complexity::svd(s.borrow().rows(), d))
-        .max()
-        .unwrap_or(0)
-        + shards
-            .iter()
-            .map(|s| complexity::matmul(s.borrow().rows(), d, basis.cols()))
-            .max()
-            .unwrap_or(0);
-
-    Ok(DisPcaOutput {
-        basis,
-        decoded_basis,
-        coords,
-        source_seconds: source_seconds + post_seconds,
-        server_seconds,
-        source_ops,
-    })
-}
-
-/// Output of the disSS protocol.
-#[derive(Debug, Clone)]
-pub struct DisSsOutput {
-    /// The union coreset assembled at the server (Δ = 0, Theorem 5.2).
-    pub coreset: Coreset,
-    /// Max per-source compute seconds.
-    pub source_seconds: f64,
-    /// Server compute seconds.
-    pub server_seconds: f64,
-    /// Deterministic per-source operation count (max over sources per
-    /// phase, summed over phases).
-    pub source_ops: u64,
-}
-
-/// Runs the disSS protocol (paper §5.1, Theorem 5.2) over per-source
-/// datasets (typically disPCA coordinates), sources working concurrently.
-///
-/// `sample_size` is the *global* budget `s`; the optional quantizer is
-/// applied to the transmitted sample points (the +QT variants of §6).
-///
-/// # Errors
-///
-/// Propagates clustering and protocol failures.
-pub fn disss<T: Transport>(
-    shard_points: &[Matrix],
-    k: usize,
-    sample_size: usize,
-    seed: u64,
-    quantizer: Option<&ekm_quant::RoundingQuantizer>,
-    net: &mut T,
-) -> Result<DisSsOutput> {
-    disss_opts(
-        shard_points,
-        k,
-        sample_size,
-        seed,
-        quantizer,
-        net,
-        true,
-        Precision::Full,
-        Compute::F64,
-    )
-}
-
-/// [`disss`] with explicit control over concurrent per-source execution
-/// (results are bit-identical either way) and over the wire precision of
-/// the sample weights ([`Precision::F32`] halves that payload).
-///
-/// # Errors
-///
-/// See [`disss`].
-#[allow(clippy::too_many_arguments)]
-pub fn disss_opts<S: Borrow<Matrix> + Sync, T: Transport>(
-    shard_points: &[S],
-    k: usize,
-    sample_size: usize,
-    seed: u64,
-    quantizer: Option<&ekm_quant::RoundingQuantizer>,
-    net: &mut T,
-    parallel: bool,
-    precision: Precision,
-    compute: Compute,
-) -> Result<DisSsOutput> {
-    if shard_points.is_empty() {
-        return Err(CoreError::InvalidConfig {
-            reason: "no shards",
-        });
-    }
-    if sample_size == 0 {
-        return Err(CoreError::InvalidConfig {
-            reason: "zero disSS sample budget",
-        });
-    }
-    let m = shard_points.len();
-    if m > net.sources() {
-        return Err(CoreError::InvalidConfig {
-            reason: "more shards than network sources",
-        });
-    }
-    let mut links = net.take_links(m)?;
-
-    // Step 1: local bicriteria solutions + cost reports, concurrently.
-    let step1 = par_map_sources(shard_points, &mut links, parallel, |i, shard, link| {
-        let shard = shard.borrow();
-        let t0 = Instant::now();
-        let bic = disss_local_bicriteria(shard, k, seed, i, compute)?;
-        let secs = t0.elapsed().as_secs_f64();
-        let received = link.send_to_server(&Message::CostReport { cost: bic.cost })?;
-        let cost = match received {
-            Message::CostReport { cost } => cost,
-            _ => {
-                return Err(CoreError::Protocol {
-                    reason: "expected cost report",
-                })
-            }
-        };
-        Ok((bic, cost, secs))
-    })?;
-    let mut source_seconds = 0.0f64;
-    let mut local = Vec::with_capacity(m);
-    let mut reported_costs = Vec::with_capacity(m);
-    for (bic, cost, secs) in step1 {
-        source_seconds = source_seconds.max(secs);
-        reported_costs.push(cost);
-        local.push(bic);
-    }
-
-    // Step 2: server allocates the budget proportionally to cost.
-    let allocations = disss_allocations(&reported_costs, sample_size);
-    for (link, &s_i) in links.iter_mut().zip(&allocations) {
-        link.recv_from_server(&Message::SampleAllocation { size: s_i as u64 })?;
-    }
-
-    // Step 3: each source samples and reports S_i ∪ X_i with weights,
-    // concurrently.
-    let step3 = par_map_sources(shard_points, &mut links, parallel, |i, shard, link| {
-        let shard = shard.borrow();
-        let t0 = Instant::now();
-        let msg = disss_local_sample(
-            shard,
-            &local[i],
-            allocations[i],
-            seed,
-            i,
-            quantizer,
-            precision,
-            compute,
-        )?;
-        let secs = t0.elapsed().as_secs_f64();
-        let received = link.send_to_server(&msg)?;
-        let (pts, w, delta) = expect_coreset(received)?;
-        Ok((
-            Coreset::new(pts, w, delta).map_err(CoreError::Coreset)?,
-            secs,
-        ))
-    })?;
-    let mut parts: Vec<Coreset> = Vec::with_capacity(m);
-    for (part, secs) in step3 {
-        source_seconds = source_seconds.max(secs);
-        parts.push(part);
-    }
-    net.absorb_links(links);
-
-    // Step 4: server merges.
-    let t1 = Instant::now();
-    let coreset = Coreset::merge(parts.iter()).map_err(CoreError::Coreset)?;
-    let server_seconds = t1.elapsed().as_secs_f64();
-
-    // Bicriteria phase + sample/assign phase, each the max over sources
-    // (a source only quantizes its own allocated samples + centers).
-    let d = shard_points[0].borrow().cols();
-    let bicriteria_phase = shard_points
-        .iter()
-        .map(|s| complexity::bicriteria(s.borrow().rows(), d, k))
-        .max()
-        .unwrap_or(0);
-    let sample_phase = shard_points
-        .iter()
-        .zip(&allocations)
-        .map(|(s, &s_i)| {
-            let quant = if quantizer.is_some() {
-                complexity::quantize(s_i + k, d)
-            } else {
-                0
-            };
-            complexity::assign(s.borrow().rows(), d, k) + quant
-        })
-        .max()
-        .unwrap_or(0);
-    let source_ops = bicriteria_phase + sample_phase;
-
-    Ok(DisSsOutput {
-        coreset,
-        source_seconds,
-        server_seconds,
-        source_ops,
-    })
-}
-
 macro_rules! declare_distributed_pipeline {
     ($(#[$meta:meta])* $name:ident, $display:literal, [$($pre:expr),*], [$($post:expr),*]) => {
         $(#[$meta])*
@@ -738,7 +400,7 @@ macro_rules! declare_distributed_pipeline {
                 }
             }
 
-            /// The canned stage list as a reusable engine pipeline.
+            /// The canned stage list as a reusable [`StagePipeline`].
             pub fn into_stage_pipeline(self) -> StagePipeline {
                 self.inner
             }
@@ -794,8 +456,10 @@ mod tests {
     use super::*;
     use ekm_clustering::cost::cost;
     use ekm_clustering::kmeans::KMeans;
+    use ekm_coreset::Coreset;
     use ekm_data::partition::partition_uniform;
     use ekm_data::synth::GaussianMixture;
+    use ekm_linalg::ops;
 
     /// Paper-regime workload: moderate separation, §7.1 normalization
     /// (see the note on the centralized tests' `workload`).
@@ -814,6 +478,53 @@ mod tests {
         partition_uniform(data, m, 99).unwrap()
     }
 
+    /// disPCA steps 1–2 as the executors and the driver run them.
+    fn dispca_basis(parts: &[Matrix], t: usize) -> Matrix {
+        let summaries: Vec<_> = parts
+            .iter()
+            .map(|p| local_svd_summary(p, t).unwrap())
+            .collect();
+        dispca_global_basis(&summaries, t, Precision::Full).unwrap()
+    }
+
+    /// disSS steps 1–4 as the executors and the driver run them.
+    fn disss_coreset(parts: &[Matrix], k: usize, budget: usize, seed: u64) -> Coreset {
+        let bics: Vec<_> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| disss_local_bicriteria(p, k, seed, i, Compute::F64).unwrap())
+            .collect();
+        let costs: Vec<f64> = bics.iter().map(|b| b.cost).collect();
+        let allocations = disss_allocations(&costs, budget);
+        let samples: Vec<Coreset> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let msg = disss_local_sample(
+                    p,
+                    &bics[i],
+                    allocations[i],
+                    seed,
+                    i,
+                    None,
+                    Precision::Full,
+                    Compute::F64,
+                )
+                .unwrap();
+                match msg {
+                    Message::Coreset {
+                        points,
+                        weights,
+                        delta,
+                        ..
+                    } => Coreset::new(points, weights, delta).unwrap(),
+                    other => panic!("expected a coreset, got {}", other.kind()),
+                }
+            })
+            .collect();
+        Coreset::merge(samples.iter()).unwrap()
+    }
+
     #[test]
     fn dispca_basis_is_orthonormal_and_captures_energy() {
         // Strong low-rank structure so a rank-6 basis must capture most
@@ -826,83 +537,29 @@ mod tests {
             .unwrap()
             .points;
         let parts = shards(&data, 5);
-        let mut net = Network::new(5);
-        let out = dispca(&parts, 6, &mut net).unwrap();
-        assert_eq!(out.basis.shape(), (30, 6));
-        let g = ops::gram(&out.basis);
+        let basis = dispca_basis(&parts, 6);
+        assert_eq!(basis.shape(), (30, 6));
+        let g = ops::gram(&basis);
         assert!(g.approx_eq(&Matrix::identity(6), 1e-6));
-        // Projection captures most energy of well-clustered data.
-        let coords_energy: f64 = out.coords.iter().map(|c| c.frobenius_norm_sq()).sum();
+        let coords_energy: f64 = parts
+            .iter()
+            .map(|s| ops::matmul(s, &basis).unwrap().frobenius_norm_sq())
+            .sum();
         let total: f64 = parts.iter().map(|s| s.frobenius_norm_sq()).sum();
         assert!(
             coords_energy / total > 0.8,
             "captured {}",
             coords_energy / total
         );
-        // Uplink includes m SVD summaries; downlink the broadcast basis.
-        assert!(net.stats().total_uplink_bits() > 0);
-        assert!(net.stats().total_downlink_bits() > 0);
-    }
-
-    #[test]
-    fn dispca_parallel_matches_sequential() {
-        let data = workload(400, 25, 12);
-        let parts = shards(&data, 5);
-        let mut net_a = Network::new(5);
-        let a = dispca_opts(&parts, 5, &mut net_a, true, Precision::Full).unwrap();
-        let mut net_b = Network::new(5);
-        let b = dispca_opts(&parts, 5, &mut net_b, false, Precision::Full).unwrap();
-        assert!(a.basis.approx_eq(&b.basis, 0.0));
-        assert_eq!(a.coords.len(), b.coords.len());
-        for (ca, cb) in a.coords.iter().zip(&b.coords) {
-            assert!(ca.approx_eq(cb, 0.0));
-        }
-        assert_eq!(net_a.stats(), net_b.stats());
-    }
-
-    #[test]
-    fn disss_parallel_matches_sequential() {
-        let data = workload(600, 10, 13);
-        let parts = shards(&data, 6);
-        let mut net_a = Network::new(6);
-        let a = disss_opts(
-            &parts,
-            2,
-            80,
-            7,
-            None,
-            &mut net_a,
-            true,
-            Precision::Full,
-            Compute::F64,
-        )
-        .unwrap();
-        let mut net_b = Network::new(6);
-        let b = disss_opts(
-            &parts,
-            2,
-            80,
-            7,
-            None,
-            &mut net_b,
-            false,
-            Precision::Full,
-            Compute::F64,
-        )
-        .unwrap();
-        assert!(a.coreset.points().approx_eq(b.coreset.points(), 0.0));
-        assert_eq!(a.coreset.weights(), b.coreset.weights());
-        assert_eq!(net_a.stats(), net_b.stats());
     }
 
     #[test]
     fn dispca_close_to_centralized_pca() {
         let data = workload(400, 20, 2);
         let parts = shards(&data, 4);
-        let mut net = Network::new(4);
-        let out = dispca(&parts, 5, &mut net).unwrap();
+        let basis = dispca_basis(&parts, 5);
         // Residual energy of the distributed basis vs the centralized one.
-        let coords = ops::matmul(&data, &out.basis).unwrap();
+        let coords = ops::matmul(&data, &basis).unwrap();
         let dist_resid = data.frobenius_norm_sq() - coords.frobenius_norm_sq();
         let pca = ekm_sketch::Pca::fit(&data, 5).unwrap();
         let cent_resid = pca.residual_sq();
@@ -915,27 +572,23 @@ mod tests {
     #[test]
     fn disss_coreset_weight_matches_n() {
         let data = workload(600, 10, 3);
-        let parts = shards(&data, 6);
-        let mut net = Network::new(6);
-        let out = disss(&parts, 2, 80, 7, None, &mut net).unwrap();
+        let coreset = disss_coreset(&shards(&data, 6), 2, 80, 7);
         assert!(
-            (out.coreset.total_weight() - 600.0).abs() < 1e-6,
+            (coreset.total_weight() - 600.0).abs() < 1e-6,
             "Σw = {}",
-            out.coreset.total_weight()
+            coreset.total_weight()
         );
-        assert_eq!(out.coreset.delta(), 0.0);
+        assert_eq!(coreset.delta(), 0.0);
     }
 
     #[test]
     fn disss_coreset_approximates_cost() {
         let data = workload(800, 8, 4);
-        let parts = shards(&data, 4);
-        let mut net = Network::new(4);
-        let out = disss(&parts, 2, 200, 8, None, &mut net).unwrap();
+        let coreset = disss_coreset(&shards(&data, 4), 2, 200, 8);
         for trial in 0..3 {
             let x = ekm_linalg::random::gaussian_matrix(40 + trial, 2, 8, 6.0);
             let truth = cost(&data, &x).unwrap();
-            let approx = out.coreset.cost(&x).unwrap();
+            let approx = coreset.cost(&x).unwrap();
             let ratio = approx / truth;
             assert!((0.6..=1.4).contains(&ratio), "distortion {ratio}");
         }
@@ -1021,13 +674,19 @@ mod tests {
         let p = SummaryParams::practical(2, 100, 10);
         let mut net = Network::new(2);
         assert!(Bklw::new(p.clone()).run(&[], &mut net).is_err());
-        // Shard/network mismatch in dispca.
+        // More shards than the ledger tracks.
         let data = workload(40, 5, 8);
         let parts = shards(&data, 4);
-        assert!(dispca(&parts, 2, &mut net).is_err());
-        // Zero budget in disss.
+        assert!(Bklw::new(p.clone()).run(&parts, &mut net).is_err());
+        // Zero disSS budget.
         let mut net4 = Network::new(4);
-        assert!(disss(&parts, 2, 0, 0, None, &mut net4).is_err());
+        let zero = StagePipeline::new(
+            vec![Stage::DisSs(crate::stage::DisSsStage {
+                sample_size: Some(0),
+            })],
+            p,
+        );
+        assert!(zero.run_shards(&parts, &mut net4).is_err());
     }
 
     #[test]
@@ -1036,9 +695,8 @@ mod tests {
         // still contributes its center with the right weight.
         let a = Matrix::from_fn(50, 3, |_, _| 2.0);
         let b = workload(50, 3, 9);
-        let mut net = Network::new(2);
-        let out = disss(&[a, b], 2, 30, 1, None, &mut net).unwrap();
-        assert!((out.coreset.total_weight() - 100.0).abs() < 1e-6);
+        let coreset = disss_coreset(&[a, b], 2, 30, 1);
+        assert!((coreset.total_weight() - 100.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,46 +1,44 @@
 //! The server-side driver of the server-driven protocol.
 //!
-//! [`run_driver`] executes a [`StagePipeline`] plan against remote
-//! sources over any [`ekm_net::CommandTransport`]: it emits one command
-//! round per protocol phase, folds the responses in **fixed source-id
+//! [`run_driver`] executes a [`StagePipeline`] plan against its sources
+//! over any [`ekm_net::CommandTransport`]: it emits one command round
+//! per protocol phase, folds the responses in **fixed source-id
 //! order**, and performs every server-side computation (the disPCA
 //! global SVD, the disSS budget allocation and merge, the final solve
-//! and center lift) with the same shared functions the in-process
-//! engine uses — so its outputs (centers, digests, [`NetworkStats`],
-//! deterministic op counts) are bit-identical to the simulation.
+//! and center lift) — so its outputs (centers, digests,
+//! [`NetworkStats`], deterministic op counts) are the same on every
+//! transport.
 //!
 //! The driver holds **no shard data**. Its knowledge of the sources is
 //! the control-plane metadata they report (shard shapes, per-phase op
 //! counts) plus the decoded data-plane payloads the paper's protocols
 //! legitimately give the server. JL projections are regenerated from
-//! the shared seed — the driver replicates the same [`JlBook`]
+//! the shared seed — the driver replicates the same `JlBook`
 //! seed-stream bookkeeping as the executors, exactly like the paper's
 //! "shared randomness" remark prescribes.
 //!
-//! [`StagePipeline::run_channel`] wires the driver to in-process
-//! executor threads (one per shard, each owning only its shard); the
+//! The in-process entry points of [`StagePipeline`] wire the driver to
+//! executor threads (one per shard, each holding only its shard); the
 //! event-driven TCP backend ([`ekm_net::event`]) runs the same driver
 //! across real processes.
 
-use crate::engine::JlBook;
-use crate::executor::{state_fingerprint, SourceExecutor, SourceRunReport};
+use crate::executor::state_fingerprint;
 use crate::health::{HealthMachine, RecoveryAction};
 use crate::output::{Degradation, Recovery};
-use crate::params::{replica_holders, replica_origins, Topology};
+use crate::params::{replica_holders, Topology};
 use crate::pipelines::seeds;
 use crate::projection::MaybeProjection;
 use crate::server::{lift_centers_through_basis, solve_weighted_kmeans};
-use crate::stage::{dispca_rank, disss_budget, jl_target_dim, resolve_quantizer, Stage};
+use crate::stage::{dispca_rank, disss_budget, jl_target_dim, resolve_quantizer, JlBook, Stage};
 use crate::{distributed, CoreError, Result, RunOutput, StagePipeline};
 use ekm_coreset::Coreset;
 use ekm_linalg::random::derive_seed;
 use ekm_linalg::Matrix;
 use ekm_net::messages::Message;
 use ekm_net::protocol::{
-    channel_pairs, Command, CommandTransport, DeadlinePolicy, EncodedCommand, Payload, Response,
+    Command, CommandTransport, DeadlinePolicy, EncodedCommand, Payload, Response,
 };
-use ekm_net::{NetError, NetworkStats, RoutingTransport, RunDigest};
-use std::collections::BTreeMap;
+use ekm_net::{NetError, NetworkStats, RunDigest};
 use std::time::Instant;
 
 /// Destructures a `Done` response; maps executor errors and type
@@ -623,8 +621,9 @@ fn tree_gather<T: CommandTransport>(
         .collect()
 }
 
-/// The driver's plan-derived shadow of the distributed state: everything
-/// the engine's `SummaryState` tracks *except* the data.
+/// The driver's plan-derived shadow of the sources' state: the working
+/// dimension, basis and coreset bookkeeping, and the projection chain
+/// the final lift inverts — never the data.
 struct DriverState {
     /// Working-space dimensionality (updated from verified responses).
     cur: usize,
@@ -699,8 +698,8 @@ fn drive<T: CommandTransport>(pipe: &StagePipeline, net: &mut T) -> Result<RunOu
 
     let mut rnet = RoundNet::new(net, params.replication);
 
-    // Round 0: every source describes its shard; the driver performs the
-    // same validation the engine runs on the materialized shards. Loss
+    // Round 0: every source describes its shard, and the driver
+    // validates the shapes before any stage runs. Loss
     // here is unrecoverable — a shard of unknown size cannot be dropped
     // within a quantified bound.
     let describe = EncodedCommand::new(Command::Describe);
@@ -940,8 +939,8 @@ fn run_stage<T: CommandTransport>(
                     }
                 }
             }
-            // Step 2: the global SVD — the same server fold as the
-            // engine's dispca.
+            // Step 2: the global SVD, folded along the canonical merge
+            // schedule.
             let t1 = Instant::now();
             let basis = distributed::dispca_global_basis(&summaries, t, params.precision)?;
             st.server_seconds += t1.elapsed().as_secs_f64();
@@ -1275,182 +1274,5 @@ impl StagePipeline {
     /// See [`run_driver`].
     pub fn run_driver<T: CommandTransport>(&self, net: &mut T) -> Result<RunOutput> {
         run_driver(self, net)
-    }
-
-    /// Runs the pipeline over the in-process channel backend: one
-    /// executor thread per shard — each holding **only its shard** —
-    /// and the driver in the calling thread. Results are bit-identical
-    /// to [`StagePipeline::run_shards`] over the simulation.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_driver`]; executor failures surface as
-    /// [`NetError::RemoteAbort`] with the source's reason.
-    pub fn run_channel(&self, shards: Vec<Matrix>) -> Result<RunOutput> {
-        self.run_channel_detailed(shards).map(|(out, _, _)| out)
-    }
-
-    /// [`StagePipeline::run_channel`] returning the driver's
-    /// [`NetworkStats`] and every executor's [`SourceRunReport`] for
-    /// inspection (equivalence tests, the CLI's accounting lines).
-    ///
-    /// # Errors
-    ///
-    /// See [`StagePipeline::run_channel`].
-    pub fn run_channel_detailed(
-        &self,
-        shards: Vec<Matrix>,
-    ) -> Result<(RunOutput, NetworkStats, Vec<SourceRunReport>)> {
-        if shards.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                reason: "no shards",
-            });
-        }
-        let m = shards.len();
-        let r = self.params().replication;
-        // Cold replica copies handed to each holder, per the canonical
-        // ring assignment (empty at the default replication of 1).
-        let replica_sets: Vec<BTreeMap<usize, Matrix>> = (0..m)
-            .map(|holder| {
-                replica_origins(holder, m, r)
-                    .into_iter()
-                    .map(|o| (o, shards[o].clone()))
-                    .collect()
-            })
-            .collect();
-        let (hub, endpoints) = channel_pairs(m);
-        let mut routed = RoutingTransport::new(hub);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .zip(shards)
-                .zip(replica_sets)
-                .enumerate()
-                .map(|(i, ((mut endpoint, shard), replicas))| {
-                    let stages = self.stages();
-                    let params = self.params();
-                    scope.spawn(move || {
-                        SourceExecutor::new(stages, params, i, m, shard)
-                            .with_replicas(replicas)
-                            .serve(&mut endpoint)
-                    })
-                })
-                .collect();
-            let out = run_driver(self, &mut routed);
-            let reports: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            let out = out?;
-            let mut skipped = vec![false; m];
-            if let Some(deg) = &out.degraded {
-                for &(i, _) in &deg.lost_sources {
-                    skipped[i] = true;
-                }
-            }
-            if let Some(rec) = &out.recovered {
-                for &(i, _) in &rec.promoted {
-                    skipped[i] = true;
-                }
-            }
-            let mut source_reports = Vec::with_capacity(m);
-            for (i, report) in reports.into_iter().enumerate() {
-                match report {
-                    // A dropped source has no run report, and a
-                    // recovered one died mid-run — the degradation or
-                    // recovery record already names it (the promoted
-                    // persona's ledger was verified by the fin round).
-                    _ if skipped[i] => continue,
-                    Ok(Ok(r)) => source_reports.push(r),
-                    Ok(Err(e)) => return Err(e),
-                    Err(_) => {
-                        return Err(CoreError::Protocol {
-                            reason: "executor thread panicked",
-                        })
-                    }
-                }
-            }
-            Ok((out, routed.stats().clone(), source_reports))
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ekm_data::partition::partition_uniform;
-    use ekm_data::synth::GaussianMixture;
-    use ekm_net::Network;
-
-    fn workload(n: usize, d: usize, seed: u64) -> Matrix {
-        let raw = GaussianMixture::new(n, d, 2)
-            .with_separation(4.0)
-            .with_cluster_std(1.0)
-            .with_seed(seed)
-            .generate()
-            .unwrap()
-            .points;
-        ekm_data::normalize::normalize_paper(&raw).0
-    }
-
-    fn assert_equivalent(list: &str, data: &Matrix, m: usize, seed: u64) {
-        let (n, d) = data.shape();
-        let params = crate::SummaryParams::practical(2, n, d).with_seed(seed);
-        let pipe = StagePipeline::from_names(list, params).unwrap();
-        let shards = if m == 1 {
-            vec![data.clone()]
-        } else {
-            partition_uniform(data, m, pipe.params().seed).unwrap()
-        };
-        let mut net = Network::new(m);
-        let sim = pipe.run_shards(&shards, &mut net).unwrap();
-        let (proto, stats, reports) = pipe.run_channel_detailed(shards).unwrap();
-        assert_eq!(net.stats(), &stats, "{list}: NetworkStats");
-        assert_eq!(sim.uplink_bits, proto.uplink_bits, "{list}: uplink");
-        assert_eq!(sim.downlink_bits, proto.downlink_bits, "{list}: downlink");
-        assert_eq!(sim.source_ops, proto.source_ops, "{list}: ops");
-        assert_eq!(sim.summary_points, proto.summary_points, "{list}");
-        for (a, b) in sim.centers.as_slice().iter().zip(proto.centers.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{list}: centers diverge");
-        }
-        assert_eq!(reports.len(), m);
-        for (i, report) in reports.iter().enumerate() {
-            assert_eq!(
-                report.uplink_bits,
-                stats.uplink_bits(i),
-                "{list}: source {i} uplink report"
-            );
-        }
-    }
-
-    #[test]
-    fn channel_protocol_matches_simulation_centralized() {
-        let data = workload(300, 16, 3);
-        for list in ["jl,fss,qt:6", "fss,jl", "qt:8"] {
-            assert_equivalent(list, &data, 1, 11);
-        }
-    }
-
-    #[test]
-    fn channel_protocol_matches_simulation_distributed() {
-        let data = workload(480, 20, 4);
-        for list in ["dispca,disss", "jl,dispca,qt:8,disss", "jl,stream,qt"] {
-            assert_equivalent(list, &data, 4, 13);
-        }
-    }
-
-    #[test]
-    fn driver_validation_matches_engine_errors() {
-        let data = workload(200, 8, 5);
-        let params = crate::SummaryParams::practical(2, 200, 8).with_seed(7);
-        for list in ["fss,fss", "disss,jl", "stream,stream", "fss"] {
-            let pipe = StagePipeline::from_names(list, params.clone()).unwrap();
-            let shards = partition_uniform(&data, 2, 3).unwrap();
-            let mut net = Network::new(2);
-            let sim = pipe.run_shards(&shards, &mut net);
-            let proto = pipe.run_channel(shards);
-            assert!(sim.is_err(), "{list}: engine accepted");
-            assert!(
-                matches!(proto, Err(CoreError::InvalidConfig { .. })),
-                "{list}: driver returned {proto:?}"
-            );
-        }
     }
 }

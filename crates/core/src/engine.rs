@@ -1,9 +1,7 @@
-//! The generic stage engine: one executor for every summary pipeline.
+//! The stage plan and its in-process entry points.
 //!
-//! A [`StagePipeline`] runs an ordered [`Stage`] list over a
-//! [`Network`], threading a summary state through the stages and
-//! finishing with the server solve + center lift that every paper
-//! pipeline shares. The seven paper pipelines are canned stage lists
+//! A [`StagePipeline`] is an ordered [`Stage`] list plus the shared
+//! [`SummaryParams`]. The seven paper pipelines are canned stage lists
 //! (see [`crate::pipelines`] and [`crate::distributed`]); arbitrary
 //! compositions — including ones the paper never evaluated — are just
 //! other lists:
@@ -26,260 +24,35 @@
 //! assert!(out.uplink_bits > 0);
 //! ```
 //!
-//! Multi-source execution is concurrent: per-source stage work (local
-//! SVDs, bicriteria, projections, sampling, transmission) runs on
-//! `std::thread::scope` workers, each owning an independent
-//! [`ekm_net::TransportLink`] whose lock-free counters are merged
-//! at the barrier — so bit accounting stays exact and results are
-//! bit-identical to sequential execution (every source's randomness is
-//! derived from its own seed stream).
-//!
-//! The engine is generic over [`ekm_net::Transport`]: the example above
-//! runs the in-process [`Network`] simulation, and the same pipeline —
-//! same stages, same seeds, bit-identical counters and centers — runs
-//! over the TCP backend ([`ekm_net::tcp`]) across real processes.
+//! Every run takes the same path: the server-side driver
+//! ([`crate::driver`]) executes the plan against one
+//! [`SourceExecutor`] per data source ([`crate::executor`]), each
+//! holding only its own shard. The entry points here wire them up in
+//! process — executor threads over the channel backend
+//! ([`ekm_net::protocol::channel_pairs`]), the driver on the calling
+//! thread — and a single data source is simply a run with one executor.
+//! `ekm serve` and `ekm source` run the same driver and executors
+//! across processes over the event-driven TCP backend
+//! ([`ekm_net::event`]).
 
-use crate::cache::{Fnv, StageCache, StageSnapshot};
-use crate::complexity;
-use crate::params::SummaryParams;
-use crate::pipelines::{expect_basis, expect_coreset, quantize_for_wire, seeds};
-use crate::projection::MaybeProjection;
-use crate::server::{lift_centers_through_basis, solve_weighted_kmeans};
-use crate::stage::{
-    dispca_rank, display_name, disss_budget, fss_dims, jl_target_dim, resolve_quantizer,
-    stream_plan, FssStage, JlStage, Stage, StreamStage,
-};
-use crate::{distributed, CoreError, Result, RunOutput};
-use ekm_coreset::{FssBuilder, StreamingCoreset};
-use ekm_linalg::random::derive_seed;
-use ekm_linalg::{ops, Matrix};
-use ekm_net::messages::Message;
-use ekm_net::{Transport, TransportLink};
-use ekm_quant::RoundingQuantizer;
+use crate::executor::{SourceExecutor, SourceRunReport};
+use crate::params::{replica_origins, SummaryParams};
+use crate::stage::{display_name, Stage};
+use crate::{run_driver, CoreError, Result, RunOutput, StageCache};
+use ekm_linalg::Matrix;
+use ekm_net::protocol::{channel_pairs, CommandTransport};
+use ekm_net::{NetError, Network, NetworkStats, RoutingTransport};
 use std::borrow::Cow;
-use std::time::Instant;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
-/// Positional JL bookkeeping shared by every execution model: the
-/// in-process engine, the server-side driver, and the source-side
-/// executors all evolve an identical copy, so they derive the same seed
-/// streams and positional roles without communicating.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct JlBook {
-    /// Number of JL stages applied so far.
-    pub jl_count: usize,
-    /// Whether the `JL_AFTER` seed stream has been consumed.
-    pub jl_after_used: bool,
-    /// Whether any reduction stage (DR/CR/disPCA/disSS) has run.
-    pub any_reduction: bool,
-}
-
-impl JlBook {
-    /// Allocates the seed stream and positional role for the next JL
-    /// stage: a leading projection plays the paper's "before-CR" role
-    /// (`JL_BEFORE` stream, Lemma 4.1 dimension), later ones the
-    /// "after" role (`JL_AFTER` stream, Lemma 4.2 dimension), and any
-    /// further projections get fresh derived streams.
-    pub fn next_stream(&mut self) -> (u64, bool) {
-        let (stream, before_role) = if !self.any_reduction && self.jl_count == 0 {
-            (seeds::JL_BEFORE, true)
-        } else if !self.jl_after_used {
-            self.jl_after_used = true;
-            (seeds::JL_AFTER, false)
-        } else {
-            (seeds::JL_EXTRA_BASE + self.jl_count as u64, false)
-        };
-        self.jl_count += 1;
-        (stream, before_role)
-    }
-}
-
-/// The state a stage list transforms: per-source working points, the
-/// summary triple once a CR stage has run, the pending basis, and the
-/// projection chain the server will invert. (The bit ledger lives in the
-/// [`Transport`]'s counters and links.)
-///
-/// Crate-private: stages are the only writers, and the engine's public
-/// surface is the stage list itself.
-#[derive(Debug, Clone)]
-pub(crate) struct SummaryState<'a> {
-    /// Per-source working point sets, in the current working space
-    /// (borrowed until the first stage that replaces them).
-    pub parts: Vec<Cow<'a, Matrix>>,
-    /// Per-source coreset weights, parallel to `parts` (set by a CR
-    /// stage: FSS fills one entry, `stream` one per source).
-    pub weights: Option<Vec<Vec<f64>>>,
-    /// Per-source additive coreset constants Δ (parallel to `parts`
-    /// whenever `weights` is set).
-    pub deltas: Vec<f64>,
-    /// The *server's* copy of the working-space basis (FSS basis after
-    /// transmission, disPCA global basis at full precision) — what the
-    /// final center lift goes through.
-    pub basis: Option<Matrix>,
-    /// The *sources'* copy of the same basis — what `lift_out_of_basis`
-    /// re-expands coordinates through. For FSS the two copies are the
-    /// same matrix; after disPCA the sources hold the basis exactly as
-    /// decoded from the wire (at F32 precision, the rounded one — what a
-    /// real edge device would have).
-    pub source_basis: Option<Matrix>,
-    /// Whether the basis is already known to the server (disPCA
-    /// broadcasts it; an FSS basis must be uplinked at transmission).
-    pub basis_shared: bool,
-    /// JL projections applied so far, in application order; the server
-    /// lifts through their pseudo-inverses in reverse.
-    pub projections: Vec<MaybeProjection>,
-    /// Wire quantizer armed by a QT stage, applied to subsequent
-    /// coreset-point transmissions.
-    pub quantizer: Option<RoundingQuantizer>,
-    /// The merged summary once it lives at the server (set by disSS).
-    pub server_summary: Option<(Matrix, Vec<f64>)>,
-    /// Positional JL bookkeeping.
-    jl: JlBook,
-    /// Accumulated per-source compute seconds (max over sources per
-    /// phase, summed over phases).
-    source_seconds: f64,
-    /// Accumulated server compute seconds.
-    server_seconds: f64,
-    /// Accumulated deterministic per-source operation count (max over
-    /// sources per phase, summed over phases — see [`complexity`]).
-    source_ops: u64,
-}
-
-impl<'a> SummaryState<'a> {
-    fn new(parts: Vec<Cow<'a, Matrix>>) -> Self {
-        SummaryState {
-            parts,
-            weights: None,
-            deltas: Vec::new(),
-            basis: None,
-            source_basis: None,
-            basis_shared: false,
-            projections: Vec::new(),
-            quantizer: None,
-            server_summary: None,
-            jl: JlBook::default(),
-            source_seconds: 0.0,
-            server_seconds: 0.0,
-            source_ops: 0,
-        }
-    }
-
-    /// Dimensionality of the current working space.
-    fn dim(&self) -> usize {
-        self.parts.first().map_or(0, |p| p.cols())
-    }
-
-    fn require_source_side(&self) -> Result<()> {
-        if self.server_summary.is_some() {
-            return Err(CoreError::InvalidConfig {
-                reason: "no stage may follow disss: the summary already lives at the server",
-            });
-        }
-        Ok(())
-    }
-
-    /// Re-expresses coordinate parts in their parent space and drops the
-    /// basis (what a stage that needs plain points does first). The
-    /// expansion uses the *sources'* copy of the basis — that is the one
-    /// the data holders actually possess.
-    fn lift_out_of_basis(&mut self) -> Result<()> {
-        if let Some(basis) = self.source_basis.take() {
-            for part in &mut self.parts {
-                *part = Cow::Owned(ops::matmul_transb(part.as_ref(), &basis)?);
-            }
-            self.basis = None;
-            self.basis_shared = false;
-        }
-        Ok(())
-    }
-
-    /// Fingerprint of every upstream bit a source-side stage can
-    /// observe: the working parts, coreset weights/Δs, basis, and the
-    /// positional JL bookkeeping. The armed quantizer and the projection
-    /// chain are deliberately excluded — neither feeds the cacheable
-    /// stages' computation, which is exactly what lets compositions that
-    /// differ only in QT width share a cached prefix.
-    fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_usize(self.parts.len());
-        for part in &self.parts {
-            h.write_matrix(part.as_ref());
-        }
-        match &self.weights {
-            None => h.write_bool(false),
-            Some(all) => {
-                h.write_bool(true);
-                h.write_usize(all.len());
-                for w in all {
-                    h.write_f64s(w);
-                }
-            }
-        }
-        h.write_f64s(&self.deltas);
-        for basis in [&self.basis, &self.source_basis] {
-            match basis {
-                None => h.write_bool(false),
-                Some(b) => {
-                    h.write_bool(true);
-                    h.write_matrix(b);
-                }
-            }
-        }
-        h.write_bool(self.basis_shared);
-        h.write_usize(self.jl.jl_count);
-        h.write_bool(self.jl.jl_after_used);
-        h.write_bool(self.jl.any_reduction);
-        h.finish()
-    }
-
-    /// Replaces the stage-owned state with a cached snapshot (the
-    /// lookup key guarantees the upstream state matches bit for bit).
-    /// The cold run's recorded compute charges — the deterministic op
-    /// count and the wall-clock seconds — are replayed too, so cached
-    /// sweeps report source timings comparable to uncached ones.
-    fn apply_snapshot(&mut self, snap: StageSnapshot) {
-        self.parts = snap.parts.into_iter().map(Cow::Owned).collect();
-        self.weights = snap.weights;
-        self.deltas = snap.deltas;
-        self.basis = snap.basis;
-        self.source_basis = snap.source_basis;
-        self.basis_shared = snap.basis_shared;
-        self.projections.extend(snap.appended_projections);
-        self.jl = snap.jl;
-        self.source_ops += snap.ops_delta;
-        self.source_seconds += snap.seconds_delta;
-    }
-
-    /// Captures the state delta the stage just produced, for storage.
-    fn snapshot(
-        &self,
-        projections_before: usize,
-        ops_before: u64,
-        seconds_before: f64,
-    ) -> StageSnapshot {
-        StageSnapshot {
-            parts: self.parts.iter().map(|p| p.as_ref().clone()).collect(),
-            weights: self.weights.clone(),
-            deltas: self.deltas.clone(),
-            basis: self.basis.clone(),
-            source_basis: self.source_basis.clone(),
-            basis_shared: self.basis_shared,
-            appended_projections: self.projections[projections_before..].to_vec(),
-            jl: self.jl.clone(),
-            ops_delta: self.source_ops - ops_before,
-            seconds_delta: self.source_seconds - seconds_before,
-        }
-    }
-}
-
-/// A summary pipeline as an ordered stage list, executed by the one
-/// generic engine (the unification of the former hand-written
-/// `CentralizedPipeline`/`DistributedPipeline` implementations).
+/// A summary pipeline as an ordered stage list: the plan the driver and
+/// the source executors share, plus a display name.
 #[derive(Debug, Clone)]
 pub struct StagePipeline {
     stages: Vec<Stage>,
     params: SummaryParams,
     name: Option<String>,
-    parallel: bool,
 }
 
 impl StagePipeline {
@@ -289,7 +62,6 @@ impl StagePipeline {
             stages,
             params,
             name: None,
-            parallel: true,
         }
     }
 
@@ -307,13 +79,6 @@ impl StagePipeline {
     /// legend names, e.g. "BKLW" instead of "disPCA+disSS").
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
-        self
-    }
-
-    /// Enables or disables concurrent per-source execution (on by
-    /// default; results are bit-identical either way).
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -341,42 +106,43 @@ impl StagePipeline {
         }
     }
 
-    /// Runs the pipeline on a single data source, charging all traffic
-    /// to source 0 of `net` (any [`Transport`]: the in-process
-    /// simulation or a socket backend).
+    /// Runs the pipeline on a single data source holding `data`, and
+    /// adds the run's traffic to source 0 of `net`.
     ///
     /// # Errors
     ///
     /// Propagates configuration, numeric, and protocol failures.
-    pub fn run<T: Transport>(&self, data: &Matrix, net: &mut T) -> Result<RunOutput> {
-        self.run_parts(vec![Cow::Borrowed(data)], net, None)
+    pub fn run(&self, data: &Matrix, net: &mut Network) -> Result<RunOutput> {
+        self.run_lent(vec![Cow::Borrowed(data)], net, None)
     }
 
     /// Runs the pipeline over per-source shards (one per data source;
-    /// all shards share a dimensionality).
+    /// all shards share a dimensionality), and adds the run's traffic
+    /// to the first `shards.len()` sources of `net`.
     ///
     /// # Errors
     ///
     /// Propagates configuration, numeric, and protocol failures.
-    pub fn run_shards<T: Transport>(&self, shards: &[Matrix], net: &mut T) -> Result<RunOutput> {
-        self.run_parts(shards.iter().map(Cow::Borrowed).collect(), net, None)
+    pub fn run_shards(&self, shards: &[Matrix], net: &mut Network) -> Result<RunOutput> {
+        self.run_lent(shards.iter().map(Cow::Borrowed).collect(), net, None)
     }
 
-    /// [`StagePipeline::run`] with stage-output memoization: source-side
-    /// stage outputs are looked up in (and stored into) `cache`, so
-    /// sweeps whose compositions share a prefix compute it once. Outputs
-    /// and bit accounting are bit-identical to an uncached run.
+    /// [`StagePipeline::run`] with stage-output memoization: every
+    /// executor looks its source-local stage outputs up in (and stores
+    /// them into) `cache`, so sweeps whose compositions share a prefix
+    /// compute it once. Outputs and bit accounting are bit-identical to
+    /// an uncached run.
     ///
     /// # Errors
     ///
     /// Propagates configuration, numeric, and protocol failures.
-    pub fn run_cached<T: Transport>(
+    pub fn run_cached(
         &self,
         data: &Matrix,
-        net: &mut T,
+        net: &mut Network,
         cache: &mut StageCache,
     ) -> Result<RunOutput> {
-        self.run_parts(vec![Cow::Borrowed(data)], net, Some(cache))
+        self.run_lent(vec![Cow::Borrowed(data)], net, Some(cache))
     }
 
     /// [`StagePipeline::run_shards`] with stage-output memoization (see
@@ -385,569 +151,142 @@ impl StagePipeline {
     /// # Errors
     ///
     /// Propagates configuration, numeric, and protocol failures.
-    pub fn run_shards_cached<T: Transport>(
+    pub fn run_shards_cached(
         &self,
         shards: &[Matrix],
-        net: &mut T,
+        net: &mut Network,
         cache: &mut StageCache,
     ) -> Result<RunOutput> {
-        self.run_parts(shards.iter().map(Cow::Borrowed).collect(), net, Some(cache))
+        self.run_lent(shards.iter().map(Cow::Borrowed).collect(), net, Some(cache))
     }
 
-    fn run_parts<T: Transport>(
+    /// Runs the pipeline over owned shards: one executor thread per
+    /// shard — each holding **only its shard** — and the driver in the
+    /// calling thread.
+    ///
+    /// # Errors
+    ///
+    /// See [`run_driver`]; executor failures surface as
+    /// [`NetError::RemoteAbort`] with the source's reason.
+    pub fn run_channel(&self, shards: Vec<Matrix>) -> Result<RunOutput> {
+        self.run_channel_detailed(shards).map(|(out, _, _)| out)
+    }
+
+    /// [`StagePipeline::run_channel`] returning the driver's
+    /// [`NetworkStats`] and every executor's [`SourceRunReport`] for
+    /// inspection (isolation tests, the CLI's accounting lines).
+    ///
+    /// # Errors
+    ///
+    /// See [`StagePipeline::run_channel`].
+    pub fn run_channel_detailed(
         &self,
-        parts: Vec<Cow<'_, Matrix>>,
-        net: &mut T,
+        shards: Vec<Matrix>,
+    ) -> Result<(RunOutput, NetworkStats, Vec<SourceRunReport>)> {
+        self.run_executors(shards.into_iter().map(Cow::Owned).collect(), None)
+    }
+
+    /// The library entry points: executors borrow the caller's shards,
+    /// share the caller's cache, and the run's counters are added into
+    /// the caller's ledger.
+    fn run_lent(
+        &self,
+        shards: Vec<Cow<'_, Matrix>>,
+        net: &mut Network,
         mut cache: Option<&mut StageCache>,
     ) -> Result<RunOutput> {
-        if parts.is_empty() {
+        if shards.len() > net.sources() {
+            return Err(CoreError::Net(NetError::UnknownSource {
+                source: shards.len() - 1,
+                sources: net.sources(),
+            }));
+        }
+        let shared = cache.as_deref_mut().map(|c| Mutex::new(std::mem::take(c)));
+        let run = self.run_executors(shards, shared.as_ref());
+        if let (Some(cache), Some(shared)) = (cache, shared) {
+            // Executors hold the lock only inside the cache's own
+            // consistent-at-every-step methods (see `executor::lock`).
+            *cache = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
+        }
+        let (out, stats, _) = run?;
+        net.absorb(&stats);
+        Ok(out)
+    }
+
+    /// The one in-process run: executor threads over the channel
+    /// backend behind the replica router, the driver on this thread.
+    fn run_executors(
+        &self,
+        shards: Vec<Cow<'_, Matrix>>,
+        cache: Option<&Mutex<StageCache>>,
+    ) -> Result<(RunOutput, NetworkStats, Vec<SourceRunReport>)> {
+        if shards.is_empty() {
             return Err(CoreError::InvalidConfig {
                 reason: "no shards",
             });
         }
-        let d = parts[0].cols();
-        if parts.iter().any(|p| p.cols() != d) {
-            return Err(CoreError::InvalidConfig {
-                reason: "shards disagree on dimensionality",
-            });
-        }
-        let total_n: usize = parts.iter().map(|p| p.rows()).sum();
-        self.params.validate(total_n, d)?;
-
-        let up0 = net.stats().total_uplink_bits();
-        let down0 = net.stats().total_downlink_bits();
-
-        let mut state = SummaryState::new(parts);
-        for stage in &self.stages {
-            // Source-side stages (`jl`, `fss`, `stream`) are pure,
-            // seed-deterministic functions of (config, params, upstream
-            // state) that never touch the transport — exactly the stages
-            // a cache may replay. Interactive stages and everything
-            // after a disSS handoff always run live.
-            let cacheable = matches!(stage, Stage::Dr(_) | Stage::Cr(_) | Stage::Stream(_))
-                && state.server_summary.is_none();
-            if let (true, Some(cache)) = (cacheable, cache.as_deref_mut()) {
-                let key = self.stage_key(stage, state.fingerprint());
-                if let Some(snap) = cache.lookup(key) {
-                    state.apply_snapshot(snap);
-                    continue;
-                }
-                let projections_before = state.projections.len();
-                let ops_before = state.source_ops;
-                let seconds_before = state.source_seconds;
-                self.apply_stage(stage, &mut state, net)?;
-                cache.store(
-                    key,
-                    state.snapshot(projections_before, ops_before, seconds_before),
-                );
-                continue;
-            }
-            self.apply_stage(stage, &mut state, net)?;
-        }
-
-        self.finalize(state, net, up0, down0)
-    }
-
-    /// Key of one cacheable stage execution: the stage configuration,
-    /// every parameter knob its computation reads, and the upstream
-    /// state fingerprint.
-    fn stage_key(&self, stage: &Stage, state_fp: u64) -> u64 {
-        let p = &self.params;
-        let mut h = Fnv::new();
-        h.write_str(&format!("{stage:?}"));
-        h.write_usize(p.k);
-        h.write_u64(p.epsilon.to_bits());
-        h.write_usize(p.coreset_size);
-        h.write_usize(p.pca_dim);
-        h.write_usize(p.jl_dim_before);
-        h.write_usize(p.jl_dim_after);
-        h.write_str(&format!("{:?}", p.jl_kind));
-        h.write_u64(p.seed);
-        h.write_usize(p.stream_leaf_size);
-        h.write_str(p.compute.as_str());
-        h.write_u64(state_fp);
-        h.finish()
-    }
-
-    /// Executes one stage against the summary state.
-    fn apply_stage<T: Transport>(
-        &self,
-        stage: &Stage,
-        state: &mut SummaryState<'_>,
-        net: &mut T,
-    ) -> Result<()> {
-        match stage {
-            Stage::Dr(cfg) => self.apply_jl(cfg, state)?,
-            Stage::Cr(cfg) => self.apply_fss(cfg, state)?,
-            Stage::Stream(cfg) => self.apply_stream(cfg, state)?,
-            Stage::Qt(cfg) => {
-                state.require_source_side()?;
-                state.quantizer = Some(resolve_quantizer(cfg, &self.params)?);
-            }
-            Stage::DisPca(cfg) => {
-                state.require_source_side()?;
-                if state.weights.is_some() {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "dispca after a coreset stage is unsupported",
-                    });
-                }
-                state.lift_out_of_basis()?;
-                let t = dispca_rank(cfg, &self.params, state.dim());
-                let out = distributed::dispca_opts(
-                    &state.parts,
-                    t,
-                    net,
-                    self.parallel,
-                    self.params.precision,
-                )?;
-                state.parts = out.coords.into_iter().map(Cow::Owned).collect();
-                state.basis = Some(out.basis);
-                state.source_basis = Some(out.decoded_basis);
-                state.basis_shared = true;
-                state.jl.any_reduction = true;
-                state.source_seconds += out.source_seconds;
-                state.server_seconds += out.server_seconds;
-                state.source_ops += out.source_ops;
-            }
-            Stage::DisSs(cfg) => {
-                state.require_source_side()?;
-                if state.weights.is_some() {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "disss after a coreset stage is unsupported",
-                    });
-                }
-                let budget = disss_budget(cfg, &self.params);
-                let out = distributed::disss_opts(
-                    &state.parts,
-                    self.params.k,
-                    budget,
-                    derive_seed(self.params.seed, seeds::FSS),
-                    state.quantizer.as_ref(),
-                    net,
-                    self.parallel,
-                    self.params.precision,
-                    self.params.compute,
-                )?;
-                state.server_summary =
-                    Some((out.coreset.points().clone(), out.coreset.weights().to_vec()));
-                state.parts.clear();
-                state.jl.any_reduction = true;
-                state.source_seconds += out.source_seconds;
-                state.server_seconds += out.server_seconds;
-                state.source_ops += out.source_ops;
-            }
-        }
-        Ok(())
-    }
-
-    /// DR stage: seeded JL projection of every part (zero communication;
-    /// source and server regenerate the matrix from the shared seed).
-    fn apply_jl(&self, cfg: &JlStage, state: &mut SummaryState<'_>) -> Result<()> {
-        state.require_source_side()?;
-        state.lift_out_of_basis()?;
-        let cur = state.dim();
-        let (stream, before_role) = state.jl.next_stream();
-        let target = jl_target_dim(cfg, &self.params, cur, before_role);
-        let pi = MaybeProjection::generate(
-            self.params.jl_kind,
-            cur,
-            target,
-            derive_seed(self.params.seed, stream),
-        );
-        let projected = par_map(&state.parts, self.parallel, |_i, part| {
-            let t0 = Instant::now();
-            let p = pi.project(part.as_ref())?;
-            Ok((p, t0.elapsed().as_secs_f64()))
-        })?;
-        state.source_ops += state
-            .parts
-            .iter()
-            .map(|p| complexity::matmul(p.rows(), cur, target))
-            .max()
-            .unwrap_or(0);
-        let mut phase = 0.0f64;
-        state.parts = projected
-            .into_iter()
-            .map(|(p, secs)| {
-                phase = phase.max(secs);
-                Cow::Owned(p)
+        let m = shards.len();
+        let r = self.params.replication;
+        // Cold replica copies handed to each holder, per the canonical
+        // ring assignment (empty at the default replication of 1).
+        let replica_sets: Vec<BTreeMap<usize, Matrix>> = (0..m)
+            .map(|holder| {
+                replica_origins(holder, m, r)
+                    .into_iter()
+                    .map(|o| (o, shards[o].as_ref().clone()))
+                    .collect()
             })
             .collect();
-        state.projections.push(pi);
-        state.jl.any_reduction = true;
-        state.source_seconds += phase;
-        Ok(())
-    }
-
-    /// CR stage: FSS coreset of the (single) source's working points.
-    fn apply_fss(&self, cfg: &FssStage, state: &mut SummaryState<'_>) -> Result<()> {
-        state.require_source_side()?;
-        if state.parts.len() != 1 {
-            return Err(CoreError::InvalidConfig {
-                reason: "fss is a single-source stage (multi-source pipelines use dispca/disss)",
-            });
-        }
-        if state.weights.is_some() {
-            return Err(CoreError::InvalidConfig {
-                reason: "multiple coreset stages in one pipeline",
-            });
-        }
-        let t0 = Instant::now();
-        state.lift_out_of_basis()?;
-        let cur = state.dim();
-        let (t, size) = fss_dims(cfg, &self.params, cur);
-        state.source_ops += complexity::fss(state.parts[0].rows(), cur, self.params.k);
-        let fss = FssBuilder::new(self.params.k)
-            .with_pca_dim(t)
-            .with_sample_size(size)
-            .with_seed(derive_seed(self.params.seed, seeds::FSS))
-            .with_compute(self.params.compute)
-            .build(state.parts[0].as_ref())?;
-        state.parts[0] = Cow::Owned(fss.coordinates().clone());
-        state.weights = Some(vec![fss.weights().to_vec()]);
-        state.deltas = vec![fss.delta()];
-        let basis = fss.basis().clone();
-        state.basis = Some(basis.clone());
-        state.source_basis = Some(basis);
-        state.basis_shared = false;
-        state.jl.any_reduction = true;
-        state.source_seconds += t0.elapsed().as_secs_f64();
-        Ok(())
-    }
-
-    /// Streaming CR stage: every source feeds its shard through a
-    /// merge-and-reduce [`StreamingCoreset`] on the scoped-thread fan-out
-    /// and finalizes a bounded weighted summary. The global sample budget
-    /// is split evenly across the sources (disSS-style), and each
-    /// source's randomness comes from its own derived seed stream, so
-    /// results are bit-identical under any scheduling.
-    fn apply_stream(&self, cfg: &StreamStage, state: &mut SummaryState<'_>) -> Result<()> {
-        state.require_source_side()?;
-        if state.weights.is_some() {
-            return Err(CoreError::InvalidConfig {
-                reason: "multiple coreset stages in one pipeline",
-            });
-        }
-        let m = state.parts.len();
-        let k = self.params.k;
-        let (leaf, per_source) = stream_plan(cfg, &self.params, m);
-        let stream_seed = derive_seed(self.params.seed, seeds::STREAM);
-        let streamed = par_map(&state.parts, self.parallel, |i, part| {
-            let t0 = Instant::now();
-            let mut stream = StreamingCoreset::new(k, leaf, per_source)
-                .with_seed(derive_seed(stream_seed, i as u64))
-                .with_compute(self.params.compute);
-            // push_batch buffers row by row and flushes a leaf whenever
-            // the buffer fills, so one call is bit-identical to feeding
-            // leaf-sized bursts.
-            stream
-                .push_batch(part.as_ref())
-                .map_err(CoreError::Coreset)?;
-            let coreset = stream.finalize_reduced().map_err(CoreError::Coreset)?;
-            Ok((coreset, t0.elapsed().as_secs_f64()))
-        })?;
-        state.source_ops += state
-            .parts
-            .iter()
-            .map(|p| complexity::stream(p.rows(), p.cols(), k, leaf))
-            .max()
-            .unwrap_or(0);
-        let mut phase = 0.0f64;
-        let mut parts = Vec::with_capacity(m);
-        let mut weights = Vec::with_capacity(m);
-        let mut deltas = Vec::with_capacity(m);
-        for (coreset, secs) in streamed {
-            phase = phase.max(secs);
-            let (points, w, delta) = coreset.into_parts();
-            parts.push(Cow::Owned(points));
-            weights.push(w);
-            deltas.push(delta);
-        }
-        state.parts = parts;
-        state.weights = Some(weights);
-        state.deltas = deltas;
-        state.jl.any_reduction = true;
-        state.source_seconds += phase;
-        Ok(())
-    }
-
-    /// Ships whatever the sources still hold to the server and returns
-    /// the (decoded) points and weights the server will cluster.
-    fn transmit<T: Transport>(
-        &self,
-        state: &mut SummaryState,
-        net: &mut T,
-    ) -> Result<(Matrix, Vec<f64>)> {
-        let mut links = net.take_links(state.parts.len())?;
-
-        // An FSS basis travels first (disPCA's was already broadcast).
-        // The source uplinks *its* copy; the server's copy becomes the
-        // decoded one — exactly what it will lift the centers through.
-        if let Some(basis) = &state.source_basis {
-            if !state.basis_shared {
-                let msg = Message::Basis {
-                    basis: basis.clone(),
-                    precision: self.params.precision,
-                };
-                let decoded = expect_basis(links[0].send_to_server(&msg)?)?;
-                state.basis = Some(decoded);
-                state.basis_shared = true;
+        let (hub, endpoints) = channel_pairs(m);
+        let mut routed = RoutingTransport::new(hub);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = endpoints
+                .into_iter()
+                .zip(shards)
+                .zip(replica_sets)
+                .enumerate()
+                .map(|(i, ((mut endpoint, shard), replicas))| {
+                    let mut executor =
+                        SourceExecutor::lending(&self.stages, &self.params, i, m, shard)
+                            .with_replicas(replicas)
+                            .with_cache(cache);
+                    scope.spawn(move || executor.serve(&mut endpoint))
+                })
+                .collect();
+            let out = run_driver(self, &mut routed);
+            let reports: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            let out = out?;
+            let mut skipped = vec![false; m];
+            if let Some(deg) = &out.degraded {
+                for &(i, _) in &deg.lost_sources {
+                    skipped[i] = true;
+                }
             }
-        }
-
-        // Only summary *construction* (quantization, payload assembly)
-        // counts as source compute; the encode/decode round and the
-        // server-side stacking below do not.
-        let result = match state.weights.take() {
-            // Per-source weighted coresets (FSS's single source, or one
-            // streamed summary per source): each source ships its
-            // `(S_i, w_i, Δ_i)` concurrently, and the server stacks the
-            // decoded blocks in source order.
-            Some(all_weights) => {
-                let quantizer = state.quantizer;
-                if quantizer.is_some() {
-                    state.source_ops += state
-                        .parts
-                        .iter()
-                        .map(|p| complexity::quantize(p.rows(), p.cols()))
-                        .max()
-                        .unwrap_or(0);
+            if let Some(rec) = &out.recovered {
+                for &(i, _) in &rec.promoted {
+                    skipped[i] = true;
                 }
-                let deltas = std::mem::take(&mut state.deltas);
-                let aux = self.params.precision;
-                let parts = std::mem::take(&mut state.parts);
-                let decoded = par_map_owned(
-                    parts
-                        .into_iter()
-                        .zip(all_weights)
-                        .zip(links.iter_mut())
-                        .collect(),
-                    self.parallel,
-                    |i, ((part, w), link): ((Cow<'_, Matrix>, Vec<f64>), &mut T::Link)| {
-                        let t0 = Instant::now();
-                        let (wire, precision) =
-                            quantize_for_wire(part.as_ref(), quantizer.as_ref());
-                        let msg = Message::Coreset {
-                            points: wire,
-                            weights: w,
-                            delta: deltas[i],
-                            precision,
-                            weights_precision: aux,
-                        };
-                        let secs = t0.elapsed().as_secs_f64();
-                        let (points, w, _delta) = expect_coreset(link.send_to_server(&msg)?)?;
-                        Ok(((points, w), secs))
-                    },
-                )?;
-                let mut phase = 0.0f64;
-                let mut weights = Vec::new();
-                let mut blocks = Vec::with_capacity(decoded.len());
-                for ((points, w), secs) in decoded {
-                    phase = phase.max(secs);
-                    weights.extend(w);
-                    blocks.push(points);
-                }
-                state.source_seconds += phase;
-                let t1 = Instant::now();
-                let stacked = Matrix::vstack_all(blocks.iter())?;
-                state.server_seconds += t1.elapsed().as_secs_f64();
-                (stacked, weights)
             }
-            // No CR ran: every source ships its working points raw (or
-            // grid-aligned, when a QT stage armed the quantizer), and the
-            // server stacks them with unit weights. The parts are *moved*
-            // into their messages — transmission is their last use.
-            None => {
-                let quantizer = state.quantizer;
-                let aux = self.params.precision;
-                if quantizer.is_some() {
-                    state.source_ops += state
-                        .parts
-                        .iter()
-                        .map(|p| complexity::quantize(p.rows(), p.cols()))
-                        .max()
-                        .unwrap_or(0);
+            let mut source_reports = Vec::with_capacity(m);
+            for (i, report) in reports.into_iter().enumerate() {
+                match report {
+                    // A dropped source has no run report, and a
+                    // recovered one died mid-run — the degradation or
+                    // recovery record already names it (the promoted
+                    // persona's ledger was verified by the fin round).
+                    _ if skipped[i] => continue,
+                    Ok(Ok(r)) => source_reports.push(r),
+                    Ok(Err(e)) => return Err(e),
+                    Err(_) => {
+                        return Err(CoreError::Protocol {
+                            reason: "executor thread panicked",
+                        })
+                    }
                 }
-                let parts = std::mem::take(&mut state.parts);
-                let decoded = par_map_owned(
-                    parts.into_iter().zip(links.iter_mut()).collect(),
-                    self.parallel,
-                    |_i, (part, link): (Cow<'_, Matrix>, &mut T::Link)| {
-                        let t0 = Instant::now();
-                        let msg = match &quantizer {
-                            Some(q) => {
-                                let (wire, precision) = quantize_for_wire(part.as_ref(), Some(q));
-                                Message::Coreset {
-                                    points: wire,
-                                    weights: vec![1.0; part.rows()],
-                                    delta: 0.0,
-                                    precision,
-                                    weights_precision: aux,
-                                }
-                            }
-                            // An owned part moves into its message; only
-                            // still-borrowed inputs (NR) pay the one clone
-                            // the wire inherently needs.
-                            None => Message::RawData {
-                                points: part.into_owned(),
-                            },
-                        };
-                        let secs = t0.elapsed().as_secs_f64();
-                        match link.send_to_server(&msg)? {
-                            Message::RawData { points } => Ok(((points, None), secs)),
-                            Message::Coreset {
-                                points, weights, ..
-                            } => Ok(((points, Some(weights)), secs)),
-                            _ => Err(CoreError::Protocol {
-                                reason: "expected raw data or a coreset",
-                            }),
-                        }
-                    },
-                )?;
-                let mut phase = 0.0f64;
-                let mut weights = Vec::new();
-                let mut blocks = Vec::with_capacity(decoded.len());
-                for ((points, w), secs) in decoded {
-                    phase = phase.max(secs);
-                    weights.extend(w.unwrap_or_else(|| vec![1.0; points.rows()]));
-                    blocks.push(points);
-                }
-                state.source_seconds += phase;
-                let t1 = Instant::now();
-                let stacked = Matrix::vstack_all(blocks.iter())?;
-                state.server_seconds += t1.elapsed().as_secs_f64();
-                (stacked, weights)
             }
-        };
-        net.absorb_links(links);
-        Ok(result)
-    }
-
-    /// The shared tail of every pipeline: weighted k-means at the
-    /// server, then the lift back through basis and projection chain.
-    fn finalize<T: Transport>(
-        &self,
-        mut state: SummaryState<'_>,
-        net: &mut T,
-        up0: u64,
-        down0: u64,
-    ) -> Result<RunOutput> {
-        let (points, weights) = match state.server_summary.take() {
-            Some(summary) => summary,
-            None => self.transmit(&mut state, net)?,
-        };
-
-        let t1 = Instant::now();
-        let centers_summary = solve_weighted_kmeans(
-            &points,
-            &weights,
-            self.params.k,
-            self.params.kmeans_restarts,
-            derive_seed(self.params.seed, seeds::SERVER),
-            self.params.solver_shards,
-            self.params.compute,
-        )?;
-        let mut centers = match &state.basis {
-            Some(basis) => lift_centers_through_basis(&centers_summary, basis)?,
-            None => centers_summary,
-        };
-        for pi in state.projections.iter().rev() {
-            centers = pi.lift(&centers)?;
-        }
-        state.server_seconds += t1.elapsed().as_secs_f64();
-
-        Ok(RunOutput {
-            centers,
-            uplink_bits: net.stats().total_uplink_bits() - up0,
-            downlink_bits: net.stats().total_downlink_bits() - down0,
-            source_seconds: state.source_seconds,
-            server_seconds: state.server_seconds,
-            source_ops: state.source_ops,
-            summary_points: points.rows(),
-            degraded: None,
-            recovered: None,
+            Ok((out, routed.stats().clone(), source_reports))
         })
     }
-}
-
-/// The one chunked scoped-thread mapper every parallel phase goes
-/// through: consumes the items (ownership subsumes the by-ref and
-/// by-mut cases — see [`par_map`] / [`par_map_sources`]), runs one
-/// worker per chunk when `parallel` holds, preserves item order, and
-/// surfaces errors deterministically (the lowest-index failure wins).
-pub(crate) fn par_map_owned<I, T, F>(items: Vec<I>, parallel: bool, f: F) -> Result<Vec<T>>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> Result<T> + Sync,
-{
-    let m = items.len();
-    if !parallel || m <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, it)| f(i, it))
-            .collect();
-    }
-    let chunk = m.div_ceil(ekm_linalg::parallel::worker_count().min(m));
-    let mut slots: Vec<Option<Result<T>>> = (0..m).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let fref = &f;
-        let mut rest_items = items;
-        let mut rest_slots: &mut [Option<Result<T>>] = &mut slots;
-        let mut base = 0;
-        while !rest_items.is_empty() {
-            let take = chunk.min(rest_items.len());
-            let tail = rest_items.split_off(take);
-            let chunk_items = std::mem::replace(&mut rest_items, tail);
-            let (chunk_slots, slot_tail) = std::mem::take(&mut rest_slots).split_at_mut(take);
-            rest_slots = slot_tail;
-            let start = base;
-            base += take;
-            scope.spawn(move || {
-                for (j, (item, slot)) in chunk_items.into_iter().zip(chunk_slots).enumerate() {
-                    *slot = Some(fref(start + j, item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("worker filled every slot"))
-        .collect()
-}
-
-/// [`par_map_owned`] over borrowed items.
-pub(crate) fn par_map<I, T, F>(items: &[I], parallel: bool, f: F) -> Result<Vec<T>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> Result<T> + Sync,
-{
-    par_map_owned(items.iter().collect(), parallel, f)
-}
-
-/// [`par_map`] pairing each source's item with its [`TransportLink`], so
-/// protocol phases can transmit concurrently with exact per-source
-/// accounting (merged by the caller via [`Transport::absorb_links`]).
-pub(crate) fn par_map_sources<I, L, T, F>(
-    parts: &[I],
-    links: &mut [L],
-    parallel: bool,
-    f: F,
-) -> Result<Vec<T>>
-where
-    I: Sync,
-    L: TransportLink + Send,
-    T: Send,
-    F: Fn(usize, &I, &mut L) -> Result<T> + Sync,
-{
-    assert_eq!(parts.len(), links.len(), "one link per source");
-    par_map_owned(
-        parts.iter().zip(links.iter_mut()).collect(),
-        parallel,
-        |i, (part, link)| f(i, part, link),
-    )
 }
 
 #[cfg(test)]
@@ -955,7 +294,6 @@ mod tests {
     use super::*;
     use ekm_data::partition::partition_uniform;
     use ekm_data::synth::GaussianMixture;
-    use ekm_net::Network;
 
     fn workload(n: usize, d: usize, seed: u64) -> Matrix {
         let raw = GaussianMixture::new(n, d, 2)
@@ -1021,6 +359,29 @@ mod tests {
     }
 
     #[test]
+    fn runs_add_into_the_callers_ledger() {
+        let data = workload(400, 10, 4);
+        let shards = partition_uniform(&data, 3, 5).unwrap();
+        let pipe = StagePipeline::from_names("dispca,disss", params(400, 10)).unwrap();
+        let (out, stats, reports) = pipe.run_channel_detailed(shards.clone()).unwrap();
+        let mut net = Network::new(4);
+        pipe.run_shards(&shards, &mut net).unwrap();
+        pipe.run_shards(&shards, &mut net).unwrap();
+        assert_eq!(net.stats().total_uplink_bits(), 2 * out.uplink_bits);
+        assert_eq!(net.stats().total_downlink_bits(), 2 * out.downlink_bits);
+        for (i, report) in reports.iter().enumerate() {
+            assert_eq!(net.stats().uplink_bits(i), 2 * stats.uplink_bits(i));
+            assert_eq!(report.uplink_bits, stats.uplink_bits(i));
+        }
+        assert_eq!(net.stats().uplink_bits(3), 0);
+        // A ledger narrower than the run is refused before any work.
+        assert!(matches!(
+            pipe.run_shards(&shards, &mut Network::new(2)),
+            Err(CoreError::Net(NetError::UnknownSource { .. }))
+        ));
+    }
+
+    #[test]
     fn cached_runs_are_bit_identical_and_reuse_shared_prefixes() {
         let data = workload(500, 24, 21);
         let p = params(500, 24);
@@ -1076,15 +437,16 @@ mod tests {
         assert!(cold.centers.approx_eq(&hot.centers, 0.0));
         assert_eq!(cold.uplink_bits, hot.uplink_bits);
         assert_eq!(net_cold.stats(), net_hot.stats());
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // A second cached run replays both cacheable stages.
+        // Each of the 4 executors looks up its own jl and stream output.
+        assert_eq!((cache.hits(), cache.misses()), (0, 8));
+        // A second cached run replays both cacheable stages everywhere.
         let mut net_again = Network::new(4);
         let again = pipe
             .run_shards_cached(&shards, &mut net_again, &mut cache)
             .unwrap();
         assert!(cold.centers.approx_eq(&again.centers, 0.0));
         assert_eq!(cold.source_ops, again.source_ops);
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert_eq!((cache.hits(), cache.misses()), (8, 8));
     }
 
     #[test]
@@ -1105,25 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_are_bit_identical() {
-        let data = workload(600, 30, 4);
-        let shards = partition_uniform(&data, 6, 9).unwrap();
-        let p = params(600, 30);
-        let stages = Stage::parse_list("jl,dispca,disss").unwrap();
-        let par = StagePipeline::new(stages.clone(), p.clone());
-        let seq = StagePipeline::new(stages, p).with_parallel(false);
-        let mut net_a = Network::new(6);
-        let a = par.run_shards(&shards, &mut net_a).unwrap();
-        let mut net_b = Network::new(6);
-        let b = seq.run_shards(&shards, &mut net_b).unwrap();
-        assert!(a.centers.approx_eq(&b.centers, 0.0));
-        assert_eq!(a.uplink_bits, b.uplink_bits);
-        assert_eq!(a.downlink_bits, b.downlink_bits);
-        assert_eq!(net_a.stats(), net_b.stats());
-    }
-
-    #[test]
-    fn per_source_accounting_is_exact_under_parallelism() {
+    fn per_source_accounting_is_exact() {
         let data = workload(800, 16, 5);
         let shards = partition_uniform(&data, 8, 10).unwrap();
         let p = params(800, 16);
@@ -1152,24 +496,6 @@ mod tests {
         assert!(out.summary_points < 1200 / 2, "{}", out.summary_points);
         assert!((0..4).all(|i| net.stats().uplink_bits(i) > 0));
         assert!(out.source_ops > 0);
-    }
-
-    #[test]
-    fn stream_parallel_and_sequential_bit_identical() {
-        let data = workload(900, 14, 13);
-        let shards = partition_uniform(&data, 3, 5).unwrap();
-        let p = params(900, 14);
-        let stages = Stage::parse_list("stream,jl").unwrap();
-        let par = StagePipeline::new(stages.clone(), p.clone());
-        let seq = StagePipeline::new(stages, p).with_parallel(false);
-        let mut net_a = Network::new(3);
-        let a = par.run_shards(&shards, &mut net_a).unwrap();
-        let mut net_b = Network::new(3);
-        let b = seq.run_shards(&shards, &mut net_b).unwrap();
-        assert!(a.centers.approx_eq(&b.centers, 0.0));
-        assert_eq!(a.uplink_bits, b.uplink_bits);
-        assert_eq!(a.source_ops, b.source_ops);
-        assert_eq!(net_a.stats(), net_b.stats());
     }
 
     #[test]
@@ -1273,26 +599,5 @@ mod tests {
                 .len()
                 == 2
         );
-    }
-
-    #[test]
-    fn par_map_matches_sequential_and_orders_errors() {
-        let items: Vec<Matrix> = (0..7).map(|i| Matrix::zeros(i + 1, 2)).collect();
-        let seq = par_map(&items, false, |i, m| Ok(i + m.rows())).unwrap();
-        let par = par_map(&items, true, |i, m| Ok(i + m.rows())).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(seq, vec![1, 3, 5, 7, 9, 11, 13]);
-
-        let err = par_map(&items, true, |i, _| {
-            if i >= 3 {
-                Err(CoreError::InvalidConfig { reason: "boom" })
-            } else {
-                Ok(i)
-            }
-        });
-        assert!(matches!(
-            err,
-            Err(CoreError::InvalidConfig { reason: "boom" })
-        ));
     }
 }

@@ -11,7 +11,8 @@ pub enum CoreError {
     Clustering(ekm_clustering::ClusteringError),
     /// Coreset construction failed.
     Coreset(ekm_coreset::CoresetError),
-    /// The simulated network failed (wire format bugs surface here).
+    /// The network layer failed (transport, protocol and wire-format
+    /// errors surface here).
     Net(ekm_net::NetError),
     /// Quantization configuration failed.
     Quant(ekm_quant::QuantError),

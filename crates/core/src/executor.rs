@@ -8,24 +8,31 @@
 //! allocation, exactly the messages the paper's protocols send to the
 //! sources.
 //!
-//! Every computation here is the same function the in-process engine
-//! runs for that source (the stage resolution helpers in
-//! [`crate::stage`], the disSS/disPCA local steps in
-//! [`crate::distributed`], the shared [`JlBook`] seed-stream
-//! bookkeeping), so an executor's responses are bit-identical to the
-//! engine's per-source closures by construction — proven end to end by
-//! `tests/transport_equivalence.rs`.
+//! This is the only place a source-side stage runs. Every pipeline —
+//! `ekm run`, `ekm sweep`, the library entry points of
+//! [`crate::StagePipeline`], and `ekm source` across real processes —
+//! computes its per-source work here, resolving each stage with the
+//! shared helpers in [`crate::stage`] (dimensions, seed streams, the
+//! `JlBook`) and the disSS/disPCA local steps in
+//! [`crate::distributed`], so a source's responses depend only on the
+//! plan and its shard. The golden fixtures in `tests/golden/` pin them.
+//!
+//! The source-local stages (`jl`, `fss`, `stream`) are memoized when an
+//! in-process sweep attaches a shared [`StageCache`]: each executor
+//! looks up and stores its own state snapshot, and a hit replays the
+//! recorded operation count and seconds in its `Done` reply.
 
+use crate::cache::{Fnv, StageCache, StageSnapshot};
 use crate::complexity;
 use crate::distributed::{
     disss_local_bicriteria, disss_local_sample, local_svd_summary, merge_summary_messages,
 };
-use crate::engine::JlBook;
 use crate::params::{SummaryParams, Topology};
 use crate::pipelines::{quantize_for_wire, seeds};
 use crate::projection::MaybeProjection;
 use crate::stage::{
-    dispca_rank, disss_budget, fss_dims, jl_target_dim, resolve_quantizer, stream_plan, Stage,
+    dispca_rank, disss_budget, fss_dims, jl_target_dim, resolve_quantizer, stream_plan, FssStage,
+    JlBook, JlStage, Stage, StreamStage,
 };
 use crate::{CoreError, Result};
 use ekm_clustering::bicriteria::BicriteriaSolution;
@@ -35,7 +42,9 @@ use ekm_linalg::{ops, Matrix};
 use ekm_net::messages::Message;
 use ekm_net::protocol::{Command, DeadlinePolicy, Payload, Response, SourceEndpoint};
 use ekm_net::NetError;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// FNV-1a fingerprint of an executor's protocol position: the round
@@ -43,11 +52,19 @@ use std::time::{Duration, Instant};
 /// cross-checks this against its journal-replayed counters before
 /// going live again.
 pub(crate) fn state_fingerprint(round: u64, uplink_bits: u64, downlink_bits: u64) -> u64 {
-    let mut h = crate::cache::Fnv::new();
+    let mut h = Fnv::new();
     h.write_u64(round);
     h.write_u64(uplink_bits);
     h.write_u64(downlink_bits);
     h.finish()
+}
+
+/// Locks the stage cache the executors of a run share. The guard is
+/// only held inside `lookup` and `store`, which leave the cache
+/// consistent at every step, so a poisoned lock still guards a valid
+/// cache.
+fn lock(cache: &Mutex<StageCache>) -> MutexGuard<'_, StageCache> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// What one executor observed over a completed run — its own traffic
@@ -119,7 +136,8 @@ pub struct SourceExecutor<'a> {
     params: &'a SummaryParams,
     id: usize,
     m: usize,
-    part: Matrix,
+    /// The shard, borrowed from the caller until a stage replaces it.
+    part: Cow<'a, Matrix>,
     weights: Option<Vec<f64>>,
     delta: f64,
     basis: Option<Matrix>,
@@ -146,6 +164,9 @@ pub struct SourceExecutor<'a> {
     /// This executor's own finished report, held back while personas
     /// are still answering for their origins.
     finished: Option<SourceRunReport>,
+    /// Stage-output cache shared with the other executors of an
+    /// in-process run.
+    cache: Option<&'a Mutex<StageCache>>,
 }
 
 impl<'a> SourceExecutor<'a> {
@@ -160,6 +181,23 @@ impl<'a> SourceExecutor<'a> {
         id: usize,
         m: usize,
         shard: Matrix,
+    ) -> SourceExecutor<'a> {
+        SourceExecutor::lending(stages, params, id, m, Cow::Owned(shard))
+    }
+
+    /// [`SourceExecutor::new`] over a borrowed or owned shard: the
+    /// in-process entry points lend the caller's matrices instead of
+    /// copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= m` or `m == 0`.
+    pub(crate) fn lending(
+        stages: &'a [Stage],
+        params: &'a SummaryParams,
+        id: usize,
+        m: usize,
+        shard: Cow<'a, Matrix>,
     ) -> SourceExecutor<'a> {
         assert!(m > 0 && id < m, "source id out of range");
         SourceExecutor {
@@ -183,7 +221,16 @@ impl<'a> SourceExecutor<'a> {
             replicas: BTreeMap::new(),
             personas: BTreeMap::new(),
             finished: None,
+            cache: None,
         }
+    }
+
+    /// Memoizes this executor's source-local stages in `cache`, shared
+    /// with the other executors of the run (see [`crate::cache`]).
+    #[must_use]
+    pub(crate) fn with_cache(mut self, cache: Option<&'a Mutex<StageCache>>) -> Self {
+        self.cache = cache;
+        self
     }
 
     /// Arms this executor as a replica holder: `replicas` maps each
@@ -541,11 +588,10 @@ impl<'a> SourceExecutor<'a> {
     }
 
     /// Re-expresses the shard in the basis' parent space and drops the
-    /// basis (identical to the engine's `lift_out_of_basis`, on this
-    /// source's copy of the basis).
+    /// basis (what a stage that needs plain points does first).
     fn lift_out_of_basis(&mut self) -> Result<()> {
         if let Some(basis) = self.basis.take() {
-            self.part = ops::matmul_transb(&self.part, &basis)?;
+            self.part = Cow::Owned(ops::matmul_transb(&self.part, &basis)?);
             self.basis_shared = false;
         }
         Ok(())
@@ -678,82 +724,7 @@ impl<'a> SourceExecutor<'a> {
     fn run_stage(&mut self, stage: &Stage) -> Result<StepOutcome> {
         let k = self.params.k;
         match stage {
-            Stage::Dr(cfg) => {
-                let t0 = Instant::now();
-                self.lift_out_of_basis()?;
-                let cur = self.part.cols();
-                let (stream, before_role) = self.jl.next_stream();
-                let target = jl_target_dim(cfg, self.params, cur, before_role);
-                let pi = MaybeProjection::generate(
-                    self.params.jl_kind,
-                    cur,
-                    target,
-                    derive_seed(self.params.seed, stream),
-                );
-                let ops = complexity::matmul(self.part.rows(), cur, target);
-                self.part = pi.project(&self.part)?;
-                self.jl.any_reduction = true;
-                Ok(StepOutcome::Reply(
-                    self.done(ops, t0.elapsed().as_secs_f64()),
-                ))
-            }
-            Stage::Cr(cfg) => {
-                if self.m != 1 {
-                    return Err(CoreError::InvalidConfig {
-                        reason:
-                            "fss is a single-source stage (multi-source pipelines use dispca/disss)",
-                    });
-                }
-                if self.weights.is_some() {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "multiple coreset stages in one pipeline",
-                    });
-                }
-                let t0 = Instant::now();
-                self.lift_out_of_basis()?;
-                let cur = self.part.cols();
-                let (t, size) = fss_dims(cfg, self.params, cur);
-                let ops = complexity::fss(self.part.rows(), cur, k);
-                let fss = FssBuilder::new(k)
-                    .with_pca_dim(t)
-                    .with_sample_size(size)
-                    .with_seed(derive_seed(self.params.seed, seeds::FSS))
-                    .with_compute(self.params.compute)
-                    .build(&self.part)?;
-                self.part = fss.coordinates().clone();
-                self.weights = Some(fss.weights().to_vec());
-                self.delta = fss.delta();
-                self.basis = Some(fss.basis().clone());
-                self.basis_shared = false;
-                self.jl.any_reduction = true;
-                Ok(StepOutcome::Reply(
-                    self.done(ops, t0.elapsed().as_secs_f64()),
-                ))
-            }
-            Stage::Stream(cfg) => {
-                if self.weights.is_some() {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "multiple coreset stages in one pipeline",
-                    });
-                }
-                let t0 = Instant::now();
-                let (leaf, per_source) = stream_plan(cfg, self.params, self.m);
-                let ops = complexity::stream(self.part.rows(), self.part.cols(), k, leaf);
-                let stream_seed = derive_seed(self.params.seed, seeds::STREAM);
-                let mut stream = StreamingCoreset::new(k, leaf, per_source)
-                    .with_seed(derive_seed(stream_seed, self.id as u64))
-                    .with_compute(self.params.compute);
-                stream.push_batch(&self.part).map_err(CoreError::Coreset)?;
-                let coreset = stream.finalize_reduced().map_err(CoreError::Coreset)?;
-                let (points, w, delta) = coreset.into_parts();
-                self.part = points;
-                self.weights = Some(w);
-                self.delta = delta;
-                self.jl.any_reduction = true;
-                Ok(StepOutcome::Reply(
-                    self.done(ops, t0.elapsed().as_secs_f64()),
-                ))
-            }
+            Stage::Dr(_) | Stage::Cr(_) | Stage::Stream(_) => self.run_local(stage),
             Stage::Qt(cfg) => {
                 self.quantizer = Some(resolve_quantizer(cfg, self.params)?);
                 Ok(StepOutcome::Reply(self.done(0, 0.0)))
@@ -810,6 +781,186 @@ impl<'a> SourceExecutor<'a> {
         }
     }
 
+    /// Runs a source-local stage (`jl`, `fss`, `stream`), through the
+    /// stage cache when one is attached.
+    fn run_local(&mut self, stage: &Stage) -> Result<StepOutcome> {
+        let cached = self.cache.map(|cache| (cache, self.stage_key(stage)));
+        if let Some((cache, key)) = cached {
+            let hit = lock(cache).lookup(key);
+            if let Some(snap) = hit {
+                let (ops, seconds) = (snap.ops, snap.seconds);
+                self.restore(snap);
+                return Ok(StepOutcome::Reply(self.done(ops, seconds)));
+            }
+        }
+        let t0 = Instant::now();
+        let ops = match stage {
+            Stage::Dr(cfg) => self.apply_jl(cfg)?,
+            Stage::Cr(cfg) => self.apply_fss(cfg)?,
+            Stage::Stream(cfg) => self.apply_stream(cfg)?,
+            _ => unreachable!("only source-local stages reach run_local"),
+        };
+        let seconds = t0.elapsed().as_secs_f64();
+        if let Some((cache, key)) = cached {
+            let snap = self.snapshot(ops, seconds);
+            lock(cache).store(key, snap);
+        }
+        Ok(StepOutcome::Reply(self.done(ops, seconds)))
+    }
+
+    /// DR stage: the seeded JL projection of the shard (zero
+    /// communication; the server regenerates the matrix from the shared
+    /// seed to lift the centers back).
+    fn apply_jl(&mut self, cfg: &JlStage) -> Result<u64> {
+        self.lift_out_of_basis()?;
+        let cur = self.part.cols();
+        let (stream, before_role) = self.jl.next_stream();
+        let target = jl_target_dim(cfg, self.params, cur, before_role);
+        let pi = MaybeProjection::generate(
+            self.params.jl_kind,
+            cur,
+            target,
+            derive_seed(self.params.seed, stream),
+        );
+        let ops = complexity::matmul(self.part.rows(), cur, target);
+        self.part = Cow::Owned(pi.project(&self.part)?);
+        self.jl.any_reduction = true;
+        Ok(ops)
+    }
+
+    /// CR stage: the FSS coreset of a single source's shard —
+    /// coordinates, weights and Δ, plus the basis to transmit.
+    fn apply_fss(&mut self, cfg: &FssStage) -> Result<u64> {
+        if self.m != 1 {
+            return Err(CoreError::InvalidConfig {
+                reason: "fss is a single-source stage (multi-source pipelines use dispca/disss)",
+            });
+        }
+        if self.weights.is_some() {
+            return Err(CoreError::InvalidConfig {
+                reason: "multiple coreset stages in one pipeline",
+            });
+        }
+        self.lift_out_of_basis()?;
+        let k = self.params.k;
+        let cur = self.part.cols();
+        let (t, size) = fss_dims(cfg, self.params, cur);
+        let ops = complexity::fss(self.part.rows(), cur, k);
+        let fss = FssBuilder::new(k)
+            .with_pca_dim(t)
+            .with_sample_size(size)
+            .with_seed(derive_seed(self.params.seed, seeds::FSS))
+            .with_compute(self.params.compute)
+            .build(&self.part)?;
+        self.part = Cow::Owned(fss.coordinates().clone());
+        self.weights = Some(fss.weights().to_vec());
+        self.delta = fss.delta();
+        self.basis = Some(fss.basis().clone());
+        self.basis_shared = false;
+        self.jl.any_reduction = true;
+        Ok(ops)
+    }
+
+    /// Streaming CR stage: the shard goes through a merge-and-reduce
+    /// [`StreamingCoreset`] seeded from this source's own stream, with
+    /// the global sample budget split evenly across the sources.
+    fn apply_stream(&mut self, cfg: &StreamStage) -> Result<u64> {
+        if self.weights.is_some() {
+            return Err(CoreError::InvalidConfig {
+                reason: "multiple coreset stages in one pipeline",
+            });
+        }
+        let k = self.params.k;
+        let (leaf, per_source) = stream_plan(cfg, self.params, self.m);
+        let ops = complexity::stream(self.part.rows(), self.part.cols(), k, leaf);
+        let stream_seed = derive_seed(self.params.seed, seeds::STREAM);
+        let mut stream = StreamingCoreset::new(k, leaf, per_source)
+            .with_seed(derive_seed(stream_seed, self.id as u64))
+            .with_compute(self.params.compute);
+        // push_batch buffers row by row and flushes a leaf whenever the
+        // buffer fills, so one call is bit-identical to feeding
+        // leaf-sized bursts.
+        stream.push_batch(&self.part).map_err(CoreError::Coreset)?;
+        let coreset = stream.finalize_reduced().map_err(CoreError::Coreset)?;
+        let (points, w, delta) = coreset.into_parts();
+        self.part = Cow::Owned(points);
+        self.weights = Some(w);
+        self.delta = delta;
+        self.jl.any_reduction = true;
+        Ok(ops)
+    }
+
+    /// Key of one cacheable stage execution on this source: the stage,
+    /// every parameter knob the source-local stages read, the source's
+    /// id and the source count (`stream` seeds from the one and splits
+    /// its budget by the other), and a fingerprint of the state the
+    /// stage starts from. The armed quantizer is deliberately left out
+    /// — no cacheable stage reads it, which is what lets compositions
+    /// that differ only in QT width share a cached prefix.
+    fn stage_key(&self, stage: &Stage) -> u64 {
+        let p = self.params;
+        let mut h = Fnv::new();
+        h.write_str(&format!("{stage:?}"));
+        h.write_usize(p.k);
+        h.write_u64(p.epsilon.to_bits());
+        h.write_usize(p.coreset_size);
+        h.write_usize(p.pca_dim);
+        h.write_usize(p.jl_dim_before);
+        h.write_usize(p.jl_dim_after);
+        h.write_str(&format!("{:?}", p.jl_kind));
+        h.write_u64(p.seed);
+        h.write_usize(p.stream_leaf_size);
+        h.write_str(p.compute.as_str());
+        h.write_usize(self.id);
+        h.write_usize(self.m);
+        h.write_matrix(&self.part);
+        match &self.weights {
+            None => h.write_bool(false),
+            Some(w) => {
+                h.write_bool(true);
+                h.write_f64s(w);
+            }
+        }
+        h.write_u64(self.delta.to_bits());
+        match &self.basis {
+            None => h.write_bool(false),
+            Some(b) => {
+                h.write_bool(true);
+                h.write_matrix(b);
+            }
+        }
+        h.write_bool(self.basis_shared);
+        h.write_usize(self.jl.jl_count);
+        h.write_bool(self.jl.jl_after_used);
+        h.write_bool(self.jl.any_reduction);
+        h.finish()
+    }
+
+    /// The state a cacheable stage just produced, for storage.
+    fn snapshot(&self, ops: u64, seconds: f64) -> StageSnapshot {
+        StageSnapshot {
+            part: self.part.as_ref().clone(),
+            weights: self.weights.clone(),
+            delta: self.delta,
+            basis: self.basis.clone(),
+            basis_shared: self.basis_shared,
+            jl: self.jl.clone(),
+            ops,
+            seconds,
+        }
+    }
+
+    /// Replaces the stage-owned state with a cached snapshot (the key
+    /// guarantees the upstream state matches bit for bit).
+    fn restore(&mut self, snap: StageSnapshot) {
+        self.part = Cow::Owned(snap.part);
+        self.weights = snap.weights;
+        self.delta = snap.delta;
+        self.basis = snap.basis;
+        self.basis_shared = snap.basis_shared;
+        self.jl = snap.jl;
+    }
+
     fn deliver(&mut self, msg: Message) -> Result<StepOutcome> {
         match (self.pending.take(), msg) {
             (Some(PendingDeliver::DispcaBasis), Message::Basis { basis, .. }) => {
@@ -819,7 +970,7 @@ impl<'a> SourceExecutor<'a> {
                 let t0 = Instant::now();
                 let d = self.part.cols();
                 let ops = complexity::matmul(self.part.rows(), d, basis.cols());
-                self.part = ops::matmul(&self.part, &basis)?;
+                self.part = Cow::Owned(ops::matmul(&self.part, &basis)?);
                 self.basis = Some(basis);
                 self.basis_shared = true;
                 self.jl.any_reduction = true;
@@ -847,7 +998,7 @@ impl<'a> SourceExecutor<'a> {
                 }
                 let secs = t0.elapsed().as_secs_f64();
                 // The summary now lives at the server.
-                self.part = Matrix::zeros(0, 0);
+                self.part = Cow::Owned(Matrix::zeros(0, 0));
                 self.handed_off = true;
                 if self.tree_mode() {
                     return self.buffer_leaf(&msg, 0, ops, secs);
@@ -866,8 +1017,8 @@ impl<'a> SourceExecutor<'a> {
         }
     }
 
-    /// The final summary uplink: the same message the engine's transmit
-    /// phase builds for this source.
+    /// The final summary uplink: this source's coreset, its quantized
+    /// points, or its raw points.
     fn transmit(&mut self) -> Result<StepOutcome> {
         let quantizer = self.quantizer;
         let aux = self.params.precision;
@@ -899,20 +1050,23 @@ impl<'a> SourceExecutor<'a> {
                         weights_precision: aux,
                     }
                 }
+                // An owned part moves into its message; only a still
+                // borrowed shard (NR) pays the one clone the wire needs.
                 None => Message::RawData {
-                    points: std::mem::replace(&mut self.part, Matrix::zeros(0, 0)),
+                    points: std::mem::replace(&mut self.part, Cow::Owned(Matrix::zeros(0, 0)))
+                        .into_owned(),
                 },
             },
         };
         let secs = t0.elapsed().as_secs_f64();
         if self.tree_mode() {
             let outcome = self.buffer_leaf(&msg, 0, ops, secs);
-            self.part = Matrix::zeros(0, 0);
+            self.part = Cow::Owned(Matrix::zeros(0, 0));
             return outcome;
         }
         let resp = self.up(&msg, ops, secs);
         // Transmission is the shard's last use.
-        self.part = Matrix::zeros(0, 0);
+        self.part = Cow::Owned(Matrix::zeros(0, 0));
         Ok(StepOutcome::Reply(resp))
     }
 }

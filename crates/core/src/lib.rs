@@ -22,18 +22,27 @@
 //! | [`distributed::Bklw`] | BKLW \[27\] | local SVD summary (`O(kd/ε²)`) + disSS samples |
 //! | [`distributed::JlBklw`] | **Algorithm 4** (JL+BKLW) | same in JL space (`O(k·log n/ε⁴)`) |
 //!
-//! All pipelines run over an [`ekm_net::Network`] whose counters measure
-//! the *actual encoded bits*, and every JL projection is regenerated from
-//! a seed shared between sources and server — never transmitted — exactly
-//! as the paper prescribes (§3.2 Remark).
-//!
-//! Every named pipeline above is a *canned stage list* over the generic
+//! Every pipeline above is a *canned stage list* over
 //! [`engine::StagePipeline`]; arbitrary DR/CR/QT compositions — points in
-//! the §4 "order matters" space the paper never evaluated — run through
-//! the same engine (`StagePipeline::from_names("jl,fss,qt,jl", params)`).
-//! Multi-source stage work executes concurrently with exact per-source
-//! bit accounting.
+//! the §4 "order matters" space the paper never evaluated — are other
+//! lists (`StagePipeline::from_names("jl,fss,qt,jl", params)`).
 //!
+//! # One execution path
+//!
+//! Every run is the server-driven protocol: the [`driver`] holds the
+//! plan and emits command rounds, one [`executor::SourceExecutor`] per
+//! data source holds only its shard and answers them, and every JL
+//! projection is regenerated from a seed shared between sources and
+//! server — never transmitted — exactly as the paper prescribes (§3.2
+//! Remark). The in-process entry points (`StagePipeline::run`,
+//! `run_shards`, `run_cached`, `run_channel`) run the executors on
+//! threads over in-process channels; `ekm serve`/`ekm source` run the
+//! same driver and executors across processes over TCP. A single data
+//! source is simply a run with one executor. Every data-plane payload
+//! is charged its *actual encoded bits* to the run's
+//! [`ekm_net::NetworkStats`], which the library entry points add into
+//! the caller's [`ekm_net::Network`] ledger.
+
 //! # Example
 //!
 //! ```

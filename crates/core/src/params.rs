@@ -104,7 +104,7 @@ pub struct SummaryParams {
     /// over, never the bits it computes.
     pub deadline: DeadlinePolicy,
     /// Aggregation topology of the server-driven protocol (star by
-    /// default; the in-process simulation ignores it). Part of the
+    /// default; tree runs are bit-identical to star). Part of the
     /// handshake/journal fingerprint — a resume cannot silently switch
     /// topologies mid-run.
     pub topology: Topology,

@@ -1,12 +1,12 @@
 //! Single-data-source pipelines (paper §4 and the §6 quantized variants),
-//! as canned stage lists over the generic [`StagePipeline`] engine.
+//! as canned stage lists over [`StagePipeline`].
 //!
-//! Every pipeline plays both roles of the protocol: the *data source* part
-//! builds a summary and sends it over the [`Network`] (whose counters
-//! measure the encoded bits), and the *server* part solves weighted
-//! k-means on what arrives and maps the centers back to the original
-//! space. JL projection matrices are regenerated from the shared seed on
-//! the server side — they are never transmitted.
+//! Every run plays both roles of the protocol: the *data source* builds
+//! a summary and uplinks it (the [`Network`] ledger records the encoded
+//! bits), and the *server* solves weighted k-means on what arrives and
+//! maps the centers back to the original space. JL projection matrices
+//! are regenerated from the shared seed on the server side — they are
+//! never transmitted.
 //!
 //! The named types here are thin constructors kept for the paper-legend
 //! names and for API stability; they all delegate to
@@ -18,9 +18,8 @@
 use crate::engine::StagePipeline;
 use crate::params::SummaryParams;
 use crate::stage::Stage;
-use crate::{CoreError, Result, RunOutput};
+use crate::{Result, RunOutput};
 use ekm_linalg::Matrix;
-use ekm_net::messages::Message;
 use ekm_net::wire::Precision;
 use ekm_net::Network;
 use ekm_quant::RoundingQuantizer;
@@ -86,31 +85,6 @@ pub(crate) fn quantize_for_wire(
     }
 }
 
-/// Destructures a decoded coreset message.
-pub(crate) fn expect_coreset(msg: Message) -> Result<(Matrix, Vec<f64>, f64)> {
-    match msg {
-        Message::Coreset {
-            points,
-            weights,
-            delta,
-            ..
-        } => Ok((points, weights, delta)),
-        _ => Err(CoreError::Protocol {
-            reason: "expected a coreset message",
-        }),
-    }
-}
-
-/// Destructures a decoded basis message.
-pub(crate) fn expect_basis(msg: Message) -> Result<Matrix> {
-    match msg {
-        Message::Basis { basis, .. } => Ok(basis),
-        _ => Err(CoreError::Protocol {
-            reason: "expected a basis message",
-        }),
-    }
-}
-
 macro_rules! declare_centralized_pipeline {
     ($(#[$meta:meta])* $name:ident, [$($stage:expr),*]) => {
         $(#[$meta])*
@@ -129,7 +103,7 @@ macro_rules! declare_centralized_pipeline {
                 }
             }
 
-            /// The canned stage list as a reusable engine pipeline.
+            /// The canned stage list as a reusable [`StagePipeline`].
             pub fn into_stage_pipeline(self) -> StagePipeline {
                 self.inner
             }
@@ -163,7 +137,7 @@ impl NoReduction {
         }
     }
 
-    /// The (empty) stage list as a reusable engine pipeline.
+    /// The (empty) stage list as a reusable [`StagePipeline`].
     pub fn into_stage_pipeline(self) -> StagePipeline {
         self.inner
     }
@@ -215,6 +189,7 @@ declare_centralized_pipeline!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
     use ekm_clustering::cost::cost;
     use ekm_data::synth::GaussianMixture;
 

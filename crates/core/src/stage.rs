@@ -1,4 +1,4 @@
-//! The composable stage vocabulary of the summary engine.
+//! The composable stage vocabulary: the plan every run executes.
 //!
 //! The paper's central observation is that a summary is a *composition*:
 //! dimensionality reduction (DR), cardinality reduction (CR), and
@@ -6,7 +6,10 @@
 //! determines both communication cost and accuracy (§4 "order matters").
 //! Algorithms 1–4 are four points in that composition space; a [`Stage`]
 //! list names an arbitrary point, and
-//! [`StagePipeline`](crate::engine::StagePipeline) executes it.
+//! [`StagePipeline`](crate::StagePipeline) carries it to the driver and
+//! the source executors, which resolve every stage with the helpers
+//! here and so agree on every dimension and seed stream without
+//! communicating.
 //!
 //! | Token | Stage | Effect on the summary state |
 //! |---|---|---|
@@ -18,6 +21,7 @@
 //! | `disss` | [`Stage::DisSs`] | distributed sensitivity sampling: the summary moves to the server |
 
 use crate::params::SummaryParams;
+use crate::pipelines::seeds;
 use crate::{CoreError, Result};
 use ekm_quant::RoundingQuantizer;
 
@@ -268,8 +272,41 @@ pub fn display_name(stages: &[Stage]) -> String {
         .join("+")
 }
 
-/// Resolves a JL stage's target dimension (the one formula the engine,
-/// the server driver, and the source executors must agree on).
+/// Positional JL bookkeeping shared by the driver and every executor:
+/// each evolves an identical copy, so they derive the same seed streams
+/// and positional roles without communicating.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct JlBook {
+    /// Number of JL stages applied so far.
+    pub jl_count: usize,
+    /// Whether the `JL_AFTER` seed stream has been consumed.
+    pub jl_after_used: bool,
+    /// Whether any reduction stage (DR/CR/disPCA/disSS) has run.
+    pub any_reduction: bool,
+}
+
+impl JlBook {
+    /// Allocates the seed stream and positional role for the next JL
+    /// stage: a leading projection plays the paper's "before-CR" role
+    /// (`JL_BEFORE` stream, Lemma 4.1 dimension), later ones the
+    /// "after" role (`JL_AFTER` stream, Lemma 4.2 dimension), and any
+    /// further projections get fresh derived streams.
+    pub fn next_stream(&mut self) -> (u64, bool) {
+        let (stream, before_role) = if !self.any_reduction && self.jl_count == 0 {
+            (seeds::JL_BEFORE, true)
+        } else if !self.jl_after_used {
+            self.jl_after_used = true;
+            (seeds::JL_AFTER, false)
+        } else {
+            (seeds::JL_EXTRA_BASE + self.jl_count as u64, false)
+        };
+        self.jl_count += 1;
+        (stream, before_role)
+    }
+}
+
+/// Resolves a JL stage's target dimension (the one formula the server
+/// driver and the source executors must agree on).
 pub(crate) fn jl_target_dim(
     cfg: &JlStage,
     params: &SummaryParams,

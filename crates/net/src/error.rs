@@ -1,7 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by the simulated network and wire format.
+/// Errors produced by the network layer: transports, protocol frames,
+/// and the wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetError {

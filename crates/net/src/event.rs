@@ -1,29 +1,29 @@
 //! Event-driven `std::net` backend for the server-driven protocol.
 //!
-//! The replicated backend ([`crate::tcp`]) needs one blocking read per
-//! source *in program order*. The server-driven protocol has no such
-//! order: after a command fan-out, responses arrive whenever each source
-//! finishes its local compute. This backend therefore runs the whole
-//! server side in **one thread** with non-blocking sockets, multiplexed
-//! by a readiness [`Reactor`]: `epoll` wakes the thread the moment any
-//! connection has bytes (or the deadline-derived timeout expires), ready
-//! connections are pumped through per-source ring-buffer frame
-//! reassembly ([`crate::frame::FrameAssembler`]) into per-source
-//! inboxes, and [`EventTcpServer::recv`] drains the inbox it was asked
-//! for — so a slow source never blocks the harvest of the others,
-//! without a thread per connection and without the former 200 µs
-//! sleep-poll latency floor. Hosts without epoll (or `--reactor sleep`)
-//! fall back to the classic sweep-and-park loop behind the same
-//! interface.
+//! After a command fan-out, responses arrive whenever each source
+//! finishes its local compute, in no fixed order. This backend therefore
+//! runs the whole server side in **one thread** with non-blocking
+//! sockets, multiplexed by a readiness [`Reactor`]: `epoll` wakes the
+//! thread the moment any connection has bytes (or the deadline-derived
+//! timeout expires), ready connections are pumped through per-source
+//! ring-buffer frame reassembly ([`crate::frame::FrameAssembler`]) into
+//! per-source inboxes, and [`EventTcpServer::recv`] drains the inbox it
+//! was asked for — so a slow source never blocks the harvest of the
+//! others, without a thread per connection and without the former
+//! 200 µs sleep-poll latency floor. Hosts without epoll (or
+//! `--reactor sleep`) fall back to the classic sweep-and-park loop
+//! behind the same interface.
 //!
 //! Sources stay blocking ([`EventTcpSource`]): each one strictly
 //! alternates "read a command, compute, write the response", so there is
 //! nothing for it to multiplex.
 //!
-//! The handshake reuses the replicated backend's hello frame with
-//! distinct role bytes, so a replicated peer connecting to a protocol
-//! server (or vice versa) fails the handshake with a typed error instead
-//! of deadlocking mid-run.
+//! Every connection opens with a hello frame carrying a magic number,
+//! the protocol version, a role byte, the source id and count, and the
+//! run-configuration [`fingerprint`], so a peer launched with a
+//! different configuration fails the handshake with a typed error
+//! instead of diverging mid-run. At shutdown the driver announces the
+//! run's [`RunDigest`] and every source checks its own ledger against it.
 
 use crate::frame::{
     expect_frame, note_single_write_frame, write_frame, FrameAssembler, FrameBuf, FRAME_CMD,
@@ -35,18 +35,132 @@ use crate::protocol::{
     Response, SourceEndpoint,
 };
 use crate::reactor::{park, Event, Reactor, ReactorChoice, ReactorKind};
-use crate::tcp::{configure, decode_hello, encode_hello, transport_err, IO_TIMEOUT};
 use crate::{NetError, Result};
+use ekm_linalg::Matrix;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-/// Hello role byte of a protocol (non-replicated) source.
+const MAGIC: u32 = 0x454B_4D31; // "EKM1"
+const VERSION: u16 = 1;
+/// Hello role byte of a protocol source.
 pub(crate) const ROLE_PROTO_SOURCE: u8 = 2;
-/// Hello role byte of a protocol (non-replicated) server.
+/// Hello role byte of a protocol server.
 pub(crate) const ROLE_PROTO_SERVER: u8 = 3;
+
+/// Per-read/write socket timeout. Generous because legitimate gaps are
+/// compute (a source may run a local SVD between frames), but bounded
+/// so a hung peer fails a CI run instead of wedging it. Alias of
+/// [`DeadlinePolicy::DEFAULT_IO`] so one knob governs every deadline.
+const IO_TIMEOUT: Duration = DeadlinePolicy::DEFAULT_IO;
+
+pub(crate) fn transport_err(context: &'static str, e: std::io::Error) -> NetError {
+    NetError::Transport {
+        context,
+        detail: e.to_string(),
+    }
+}
+
+fn configure(stream: &TcpStream, io: Duration) -> Result<()> {
+    stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(Some(io)))
+        .and_then(|()| stream.set_write_timeout(Some(io)))
+        .map_err(|e| transport_err("socket configuration", e))
+}
+
+/// Hashes a canonical run-configuration string into the fingerprint both
+/// ends present during the handshake (FNV-1a 64). Server and sources must
+/// be launched with equivalent configurations — the fingerprint turns a
+/// mismatch into an immediate handshake error instead of a divergence
+/// mid-run.
+pub fn fingerprint(config: &str) -> u64 {
+    fnv1a(config.as_bytes())
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn encode_hello(role: u8, source_id: u32, sources: u32, fp: u64) -> Vec<u8> {
+    let mut p = Vec::with_capacity(23);
+    p.extend_from_slice(&MAGIC.to_be_bytes());
+    p.extend_from_slice(&VERSION.to_be_bytes());
+    p.push(role);
+    p.extend_from_slice(&source_id.to_be_bytes());
+    p.extend_from_slice(&sources.to_be_bytes());
+    p.extend_from_slice(&fp.to_be_bytes());
+    p
+}
+
+fn decode_hello(payload: &[u8]) -> Result<(u8, u32, u32, u64)> {
+    if payload.len() != 23 {
+        return Err(NetError::Handshake {
+            reason: format!("hello frame of {} bytes (expected 23)", payload.len()),
+        });
+    }
+    let magic = u32::from_be_bytes(payload[0..4].try_into().expect("4 bytes"));
+    let version = u16::from_be_bytes(payload[4..6].try_into().expect("2 bytes"));
+    if magic != MAGIC {
+        return Err(NetError::Handshake {
+            reason: format!("bad magic {magic:#x}"),
+        });
+    }
+    if version != VERSION {
+        return Err(NetError::Handshake {
+            reason: format!("protocol version {version} (expected {VERSION})"),
+        });
+    }
+    let role = payload[6];
+    let source_id = u32::from_be_bytes(payload[7..11].try_into().expect("4 bytes"));
+    let sources = u32::from_be_bytes(payload[11..15].try_into().expect("4 bytes"));
+    let fp = u64::from_be_bytes(payload[15..23].try_into().expect("8 bytes"));
+    Ok((role, source_id, sources, fp))
+}
+
+/// Summary of a completed run, announced at shutdown so both ends verify
+/// they observed the *same* run: total bits each way plus a hash of the
+/// final centers' exact bit patterns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunDigest {
+    /// Total uplink bits over all sources.
+    pub uplink_bits: u64,
+    /// Total downlink bits over all sources.
+    pub downlink_bits: u64,
+    /// FNV-1a hash of the result matrix's shape and `f64` bit patterns.
+    pub centers_hash: u64,
+}
+
+impl RunDigest {
+    /// Builds the digest of a finished run from its final statistics and
+    /// centers.
+    pub fn new(stats: &NetworkStats, centers: &Matrix) -> RunDigest {
+        RunDigest {
+            uplink_bits: stats.total_uplink_bits(),
+            downlink_bits: stats.total_downlink_bits(),
+            centers_hash: hash_matrix(centers),
+        }
+    }
+}
+
+/// FNV-1a over a matrix's shape and raw `f64` bit patterns — equal iff
+/// the matrices are bit-identical (NaN payloads included).
+fn hash_matrix(m: &Matrix) -> u64 {
+    let mut bytes = Vec::with_capacity(16 + m.as_slice().len() * 8);
+    bytes.extend_from_slice(&(m.rows() as u64).to_be_bytes());
+    bytes.extend_from_slice(&(m.cols() as u64).to_be_bytes());
+    for &x in m.as_slice() {
+        bytes.extend_from_slice(&x.to_bits().to_be_bytes());
+    }
+    fnv1a(&bytes)
+}
 
 /// Park between empty cycles of the *sleep* reactor only (the epoll
 /// reactor blocks in the kernel instead). This is the latency floor the
@@ -59,8 +173,9 @@ pub const POLL_BACKOFF: Duration = Duration::from_micros(200);
 /// whatever it left buffered).
 const PUMP_CHUNKS: usize = 32;
 
-/// A bound listener for the protocol backend (two-step construction,
-/// like [`crate::tcp::TcpServerBinding`]).
+/// A bound listener for the protocol backend. The two-step construction
+/// lets a CLI print "listening on …" before blocking in
+/// [`EventServerBinding::accept`].
 #[derive(Debug)]
 pub struct EventServerBinding {
     listener: TcpListener,
@@ -104,10 +219,9 @@ impl EventServerBinding {
     }
 
     /// Accepts and handshakes exactly `sources` protocol sources,
-    /// consuming the listener. Validation matches the replicated
-    /// backend: magic/version, matching source count and configuration
-    /// fingerprint, unique in-range source ids — plus the protocol role
-    /// byte, so a replicated `ekm source` cannot join a protocol run.
+    /// consuming the listener. Validation: magic/version, the source
+    /// role byte, matching source count and configuration fingerprint,
+    /// unique in-range source ids.
     ///
     /// # Errors
     ///
@@ -162,10 +276,7 @@ impl EventServerBinding {
             let (role, source_id, m, got_fp) = decode_hello(&payload)?;
             if role != ROLE_PROTO_SOURCE {
                 return Err(NetError::Handshake {
-                    reason: format!(
-                        "unexpected role {role} in source hello \
-                         (a replicated source cannot join a protocol run)"
-                    ),
+                    reason: format!("unexpected role {role} in source hello"),
                 });
             }
             if m as usize != sources {
@@ -1081,17 +1192,60 @@ mod tests {
     }
 
     #[test]
-    fn replicated_source_cannot_join_a_protocol_run() {
-        use crate::tcp::TcpSource;
+    fn a_foreign_role_fails_the_handshake() {
         let binding = EventServerBinding::bind("127.0.0.1:0").unwrap();
         let addr = binding.local_addr().unwrap();
-        let src = thread::spawn(move || TcpSource::connect(addr, 0, 1, FP, Duration::from_secs(5)));
+        let src = thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let hello = encode_hello(ROLE_PROTO_SERVER, 0, 1, FP);
+            write_frame(&mut stream, FRAME_HELLO, &hello, hello.len() * 8).unwrap();
+        });
         let err = binding.accept(1, FP).unwrap_err();
         assert!(
-            matches!(err, NetError::Handshake { ref reason } if reason.contains("replicated")),
+            matches!(err, NetError::Handshake { ref reason } if reason.contains("role")),
             "{err:?}"
         );
-        assert!(src.join().unwrap().is_err());
+        src.join().unwrap();
+    }
+
+    #[test]
+    fn hello_validation() {
+        assert!(decode_hello(&[0; 5]).is_err());
+        let mut ok = encode_hello(ROLE_PROTO_SOURCE, 1, 4, 9);
+        assert_eq!(decode_hello(&ok).unwrap(), (ROLE_PROTO_SOURCE, 1, 4, 9));
+        ok[0] ^= 0xFF; // corrupt magic
+        assert!(matches!(decode_hello(&ok), Err(NetError::Handshake { .. })));
+    }
+
+    #[test]
+    fn digest_reflects_bit_identity() {
+        let a = Matrix::from_fn(2, 2, |i, j| (i + j) as f64);
+        let mut b = a.clone();
+        let stats = NetworkStats::new(1);
+        assert_eq!(RunDigest::new(&stats, &a), RunDigest::new(&stats, &b));
+        b.as_mut_slice()[0] += 1e-12;
+        assert_ne!(
+            RunDigest::new(&stats, &a).centers_hash,
+            RunDigest::new(&stats, &b).centers_hash
+        );
+    }
+
+    #[test]
+    fn digest_ignores_the_replica_ledger() {
+        // The digest hashes the classic uplink/downlink totals only:
+        // a run that promoted a replica (and paid control-plane bits
+        // for it) must still digest-match its never-failed twin.
+        let centers = Matrix::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
+        let clean = NetworkStats::new(2);
+        let mut failed_over = NetworkStats::new(2);
+        failed_over.charge_promotion(96);
+        failed_over.charge_replay(4096);
+        failed_over.charge_replica_bits(136);
+        assert_eq!(
+            RunDigest::new(&clean, &centers),
+            RunDigest::new(&failed_over, &centers)
+        );
+        assert_eq!(failed_over.replica_bits(), 96 + 4096 + 136);
     }
 
     #[test]

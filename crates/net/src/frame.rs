@@ -5,23 +5,19 @@
 //! because the wire encoding ([`crate::wire`]) is bit-granular and the
 //! paper's communication metric counts bits; a socket transport charges
 //! exactly the `bit_len` it framed, so its accounting is bit-identical to
-//! the in-process simulation by construction.
+//! the in-process channel backend by construction.
 //!
 //! Framing is written against `std::io::{Read, Write}` so the hardening
 //! tests (partial reads, truncation, oversized headers) run against
-//! in-memory streams; the TCP backend ([`crate::tcp`]) reuses it verbatim
-//! over `TcpStream`s.
+//! in-memory streams; the TCP backend ([`crate::event`]) reuses it
+//! verbatim over `TcpStream`s.
 
 use crate::{NetError, Result};
 use std::io::{IoSlice, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Frame kind: one encoded protocol [`crate::messages::Message`].
-pub const FRAME_MSG: u8 = 1;
-/// Frame kind: connection handshake (see [`crate::tcp`]).
+/// Frame kind: connection handshake (see [`crate::event`]).
 pub const FRAME_HELLO: u8 = 2;
-/// Frame kind: end-of-run digest exchange (see [`crate::tcp::RunDigest`]).
-pub const FRAME_FIN: u8 = 3;
 /// Frame kind: one encoded protocol [`crate::protocol::Command`]
 /// (server → source, server-driven protocol).
 pub const FRAME_CMD: u8 = 4;
@@ -424,9 +420,9 @@ mod tests {
     #[test]
     fn roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_MSG, &[0xAB, 0xC0], 11).unwrap();
+        write_frame(&mut buf, FRAME_RESP, &[0xAB, 0xC0], 11).unwrap();
         let (kind, payload, bits) = read_frame(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(kind, FRAME_MSG);
+        assert_eq!(kind, FRAME_RESP);
         assert_eq!(payload, vec![0xAB, 0xC0]);
         assert_eq!(bits, 11);
     }
@@ -434,9 +430,9 @@ mod tests {
     #[test]
     fn empty_payload_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_FIN, &[], 0).unwrap();
+        write_frame(&mut buf, FRAME_CMD, &[], 0).unwrap();
         let (kind, payload, bits) = read_frame(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!((kind, bits), (FRAME_FIN, 0));
+        assert_eq!((kind, bits), (FRAME_CMD, 0));
         assert!(payload.is_empty());
     }
 
@@ -444,10 +440,10 @@ mod tests {
     fn partial_reads_are_reassembled() {
         let mut buf = Vec::new();
         let payload: Vec<u8> = (0..=255).collect();
-        write_frame(&mut buf, FRAME_MSG, &payload, 256 * 8).unwrap();
+        write_frame(&mut buf, FRAME_RESP, &payload, 256 * 8).unwrap();
         let mut r = Trickle(Cursor::new(&buf));
         let (kind, got, bits) = read_frame(&mut r).unwrap();
-        assert_eq!(kind, FRAME_MSG);
+        assert_eq!(kind, FRAME_RESP);
         assert_eq!(got, payload);
         assert_eq!(bits, 256 * 8);
     }
@@ -455,7 +451,7 @@ mod tests {
     #[test]
     fn truncated_header_errors() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_MSG, &[1, 2, 3], 24).unwrap();
+        write_frame(&mut buf, FRAME_RESP, &[1, 2, 3], 24).unwrap();
         for cut in [0, 1, 8] {
             let err = read_frame(&mut Cursor::new(&buf[..cut])).unwrap_err();
             assert!(matches!(err, NetError::Transport { .. }), "cut={cut}");
@@ -465,7 +461,7 @@ mod tests {
     #[test]
     fn truncated_payload_errors() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_MSG, &[1, 2, 3, 4], 32).unwrap();
+        write_frame(&mut buf, FRAME_RESP, &[1, 2, 3, 4], 32).unwrap();
         let err = read_frame(&mut Cursor::new(&buf[..buf.len() - 2])).unwrap_err();
         assert!(matches!(err, NetError::Transport { .. }));
         // Truncation through a trickling reader is detected too.
@@ -475,7 +471,7 @@ mod tests {
 
     #[test]
     fn oversized_header_rejected_without_allocating() {
-        let mut buf = vec![FRAME_MSG];
+        let mut buf = vec![FRAME_RESP];
         buf.extend_from_slice(&u64::MAX.to_be_bytes());
         let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
         match err {
@@ -487,8 +483,8 @@ mod tests {
     #[test]
     fn write_rejects_inconsistent_lengths() {
         let mut buf = Vec::new();
-        assert!(write_frame(&mut buf, FRAME_MSG, &[1, 2], 24).is_err());
-        assert!(write_frame(&mut buf, FRAME_MSG, &[1], (MAX_FRAME_BITS + 1) as usize).is_err());
+        assert!(write_frame(&mut buf, FRAME_RESP, &[1, 2], 24).is_err());
+        assert!(write_frame(&mut buf, FRAME_RESP, &[1], (MAX_FRAME_BITS + 1) as usize).is_err());
         assert!(buf.is_empty(), "nothing written on rejection");
     }
 
@@ -499,10 +495,10 @@ mod tests {
             .unwrap()
             .is_none());
         let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_MSG, &[1, 2, 3], 24).unwrap();
+        write_frame(&mut buf, FRAME_RESP, &[1, 2, 3], 24).unwrap();
         let mut cur = Cursor::new(&buf);
         let (kind, payload, bits) = try_read_frame(&mut cur).unwrap().unwrap();
-        assert_eq!((kind, payload, bits), (FRAME_MSG, vec![1, 2, 3], 24));
+        assert_eq!((kind, payload, bits), (FRAME_RESP, vec![1, 2, 3], 24));
         assert!(try_read_frame(&mut cur).unwrap().is_none());
 
         // Torn header and torn payload are typed errors, not Ok(None).
@@ -519,14 +515,14 @@ mod tests {
     fn frame_buf_matches_write_frame_bytes() {
         let payload = [0xAB, 0xC0];
         let mut streamed = Vec::new();
-        write_frame(&mut streamed, FRAME_MSG, &payload, 11).unwrap();
-        let fb = FrameBuf::new(FRAME_MSG, &payload, 11).unwrap();
+        write_frame(&mut streamed, FRAME_RESP, &payload, 11).unwrap();
+        let fb = FrameBuf::new(FRAME_RESP, &payload, 11).unwrap();
         assert_eq!(fb.bytes(), &streamed[..]);
         assert_eq!(fb.payload(), &payload);
-        assert_eq!(fb.kind(), FRAME_MSG);
+        assert_eq!(fb.kind(), FRAME_RESP);
         // Same validation as the streaming writer.
-        assert!(FrameBuf::new(FRAME_MSG, &payload, 24).is_err());
-        assert!(FrameBuf::new(FRAME_MSG, &[1], (MAX_FRAME_BITS + 1) as usize).is_err());
+        assert!(FrameBuf::new(FRAME_RESP, &payload, 24).is_err());
+        assert!(FrameBuf::new(FRAME_RESP, &[1], (MAX_FRAME_BITS + 1) as usize).is_err());
     }
 
     #[test]
@@ -535,7 +531,7 @@ mod tests {
         let mut buf = Vec::new();
         // Vec's write_vectored appends every slice in one call, so this
         // counts as a single-write frame, exactly like a socket writev.
-        write_frame(&mut buf, FRAME_MSG, &[1, 2, 3], 24).unwrap();
+        write_frame(&mut buf, FRAME_RESP, &[1, 2, 3], 24).unwrap();
         assert!(single_write_frames() > before);
     }
 
@@ -543,7 +539,7 @@ mod tests {
     fn assembler_reassembles_one_byte_at_a_time() {
         let mut wire = Vec::new();
         let payload: Vec<u8> = (0..=255).collect();
-        write_frame(&mut wire, FRAME_MSG, &payload, 256 * 8).unwrap();
+        write_frame(&mut wire, FRAME_RESP, &payload, 256 * 8).unwrap();
         let mut asm = FrameAssembler::new();
         for (i, &byte) in wire.iter().enumerate() {
             assert!(
@@ -554,7 +550,7 @@ mod tests {
             asm.commit(1);
         }
         let (kind, got, bits) = asm.next_frame().unwrap().expect("complete");
-        assert_eq!((kind, bits), (FRAME_MSG, 256 * 8));
+        assert_eq!((kind, bits), (FRAME_RESP, 256 * 8));
         assert_eq!(got, payload);
         assert!(asm.is_empty());
     }
@@ -579,19 +575,19 @@ mod tests {
                 .map(|i| (i as u32 ^ round) as u8)
                 .collect();
             let mut wire = Vec::new();
-            write_frame(&mut wire, FRAME_MSG, &payload, payload.len() * 8).unwrap();
+            write_frame(&mut wire, FRAME_RESP, &payload, payload.len() * 8).unwrap();
             push(&mut asm, &wire);
             let (kind, got, bits) = asm.next_frame().unwrap().expect("complete");
             assert_eq!(
                 (kind, bits),
-                (FRAME_MSG, payload.len() * 8),
+                (FRAME_RESP, payload.len() * 8),
                 "round {round}"
             );
             assert_eq!(got, payload, "round {round}");
         }
         let jumbo: Vec<u8> = (0..64 * 1024).map(|i| i as u8).collect();
         let mut wire = Vec::new();
-        write_frame(&mut wire, FRAME_MSG, &jumbo, jumbo.len() * 8).unwrap();
+        write_frame(&mut wire, FRAME_RESP, &jumbo, jumbo.len() * 8).unwrap();
         push(&mut asm, &wire);
         let (_, got, _) = asm.next_frame().unwrap().expect("complete");
         assert_eq!(got, jumbo);
@@ -601,7 +597,7 @@ mod tests {
     #[test]
     fn assembler_rejects_oversized_header_before_payload() {
         let mut asm = FrameAssembler::new();
-        let mut header = vec![FRAME_MSG];
+        let mut header = vec![FRAME_RESP];
         header.extend_from_slice(&u64::MAX.to_be_bytes());
         asm.spare()[..9].copy_from_slice(&header);
         asm.commit(9);
@@ -616,7 +612,7 @@ mod tests {
     fn expect_frame_checks_kind() {
         let mut buf = Vec::new();
         write_frame(&mut buf, FRAME_HELLO, &[7], 8).unwrap();
-        assert!(expect_frame(&mut Cursor::new(&buf), FRAME_MSG).is_err());
+        assert!(expect_frame(&mut Cursor::new(&buf), FRAME_RESP).is_err());
         let (payload, bits) = expect_frame(&mut Cursor::new(&buf), FRAME_HELLO).unwrap();
         assert_eq!((payload, bits), (vec![7], 8));
     }

@@ -1,4 +1,5 @@
-//! Simulated edge network with exact transmitted-bit accounting.
+//! The edge network of the server-driven protocol, with exact
+//! transmitted-bit accounting.
 //!
 //! The paper's central metric is *communication cost* — how many bits the
 //! data sources push over their wireless uplinks. This crate makes that
@@ -11,32 +12,35 @@
 //! * [`messages`] — the protocol messages exchanged by the paper's
 //!   algorithms (raw data, coresets, SVD summaries for disPCA, cost
 //!   reports and sample allocations for disSS, final centers);
-//! * [`network`] — an in-process star network of `m` data sources and one
-//!   server; every send actually encodes the message, counts its bits, and
-//!   hands the *decoded* message to the receiver, so anything lossy about
-//!   the wire format (quantization) is faithfully reflected in what the
-//!   server computes on;
-//! * [`transport`] — the [`Transport`]/[`TransportLink`] abstraction the
-//!   pipelines run against, implemented by both the in-process [`Network`]
-//!   and the socket backend;
-//! * [`frame`] — length-prefixed framing (bit-exact lengths) for socket
-//!   transports;
-//! * [`tcp`] — the TCP backend: the same protocol bytes over real
-//!   connections, with byte-equality divergence checks proving a socket
-//!   run bit-identical to the simulation.
+//! * [`protocol`] — the command/response vocabulary between the server
+//!   driver and the source executors, the [`CommandTransport`] /
+//!   [`SourceEndpoint`] pair every backend implements, and the
+//!   in-process channel backend;
+//! * [`network`] — the per-source bit ledger ([`NetworkStats`]) every
+//!   backend charges, and the caller-held [`Network`] that totals runs;
+//! * [`frame`] — length-prefixed framing (bit-exact lengths) for sockets;
+//! * [`event`] — the TCP backend: one reactor thread multiplexing every
+//!   source connection, the handshake, and the end-of-run [`RunDigest`];
+//! * [`routing`] — replica failover routing over any backend.
+//!
+//! Every data-plane payload stays in its exact wire encoding end to end,
+//! so anything lossy about the format (quantization, f32 auxiliaries)
+//! shapes the computation identically on every backend.
 //!
 //! # Example
 //!
 //! ```
 //! use ekm_net::messages::Message;
-//! use ekm_net::network::Network;
-//! use ekm_linalg::Matrix;
+//! use ekm_net::protocol::{charge_response, Payload, Response};
+//! use ekm_net::NetworkStats;
 //!
-//! let mut net = Network::new(2);
 //! let msg = Message::CostReport { cost: 42.0 };
-//! let received = net.send_to_server(0, &msg).unwrap();
-//! assert_eq!(received, msg);
-//! assert!(net.stats().uplink_bits(0) > 0);
+//! let payload = Payload::of(&msg);
+//! assert_eq!(payload.decode().unwrap(), msg);
+//! let mut stats = NetworkStats::new(2);
+//! let up = Response::Up { round: 1, payload, ops: 0, seconds: 0.0 };
+//! charge_response(&mut stats, 0, &up).unwrap();
+//! assert!(stats.uplink_bits(0) > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -53,12 +57,10 @@ pub mod network;
 pub mod protocol;
 pub mod reactor;
 pub mod routing;
-pub mod tcp;
-pub mod transport;
 pub mod wire;
 
 pub use error::NetError;
-pub use event::{EventServerBinding, EventTcpServer, EventTcpSource};
+pub use event::{EventServerBinding, EventTcpServer, EventTcpSource, RunDigest};
 pub use frame::FrameBuf;
 pub use network::{Network, NetworkStats};
 pub use protocol::{
@@ -66,8 +68,6 @@ pub use protocol::{
 };
 pub use reactor::{Reactor, ReactorChoice, ReactorKind};
 pub use routing::RoutingTransport;
-pub use tcp::{RunDigest, TcpServer, TcpServerBinding, TcpSource};
-pub use transport::{Transport, TransportLink};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, NetError>;

@@ -1,12 +1,12 @@
-//! The simulated star network: `m` data sources, one edge server.
+//! The run ledger: per-source, per-direction transmitted-bit counters.
 //!
-//! Every send encodes the message, charges its exact bit length to the
-//! right counter, and returns the *decoded* message — so the receiver
-//! computes on exactly what survived the wire format (including
-//! quantization), and communication totals are measured, not estimated.
+//! Every data-plane payload of the server-driven protocol is charged
+//! its exact encoded bit length as it passes through a transport
+//! ([`crate::protocol::charge_command`] / [`crate::protocol::charge_response`]),
+//! so communication totals are measured, not estimated. [`Network`] is
+//! a caller-held ledger that accumulates the [`NetworkStats`] of every
+//! run handed to it.
 
-use crate::messages::Message;
-use crate::{NetError, Result};
 use std::collections::BTreeMap;
 
 /// Per-direction, per-source transmission counters.
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 /// under `--topology tree`: peer-merge payloads relayed through the
 /// server, the single folded root the server actually receives, and the
 /// per-level active sets proving the `O(log s)` round count. They stay
-/// zero/empty on star and simulation runs.
+/// zero/empty on star runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     uplink_bits: Vec<u64>,
@@ -234,122 +234,11 @@ impl NetworkStats {
         }
         per_gather.values().copied().max().unwrap_or(0)
     }
-
-    /// Folds a link's private counters into these statistics.
-    pub(crate) fn merge_link(&mut self, link: SourceLink) {
-        self.uplink_bits[link.source] += link.uplink_bits;
-        self.downlink_bits[link.source] += link.downlink_bits;
-        self.uplink_msgs[link.source] += link.uplink_msgs;
-        self.downlink_msgs[link.source] += link.downlink_msgs;
-        for (kind, bits) in link.uplink_by_kind {
-            *self.uplink_by_kind.entry(kind).or_insert(0) += bits;
-        }
-    }
 }
 
-/// An independent, thread-safe handle for one data source's traffic.
-///
-/// Obtained from [`Transport::take_links`](crate::Transport::take_links).
-/// Each link owns private counters — no locks or atomics are needed
-/// because every worker thread owns its source's link exclusively — and
-/// the owner merges them back into the [`Network`] with
-/// [`Network::absorb`] at the thread-scope barrier. Encoding/decoding is
-/// pure, so links can run concurrently on `std::thread::scope` workers
-/// while accounting stays *exact*: after `absorb`, totals are identical
-/// to what the same sends through [`Network::send_to_server`] /
-/// [`Network::send_to_source`] would have produced.
-///
-/// ```
-/// use ekm_net::{messages::Message, Network, Transport};
-///
-/// let mut net = Network::new(3);
-/// let mut links = net.take_links(3).unwrap();
-/// std::thread::scope(|scope| {
-///     for link in &mut links {
-///         scope.spawn(move || {
-///             link.send_to_server(&Message::CostReport { cost: 1.0 }).unwrap();
-///         });
-///     }
-/// });
-/// net.absorb(links);
-/// assert_eq!(net.stats().total_uplink_messages(), 3);
-/// ```
-#[derive(Debug)]
-pub struct SourceLink {
-    source: usize,
-    uplink_bits: u64,
-    downlink_bits: u64,
-    uplink_msgs: u64,
-    downlink_msgs: u64,
-    uplink_by_kind: BTreeMap<&'static str, u64>,
-}
-
-impl SourceLink {
-    pub(crate) fn new(source: usize) -> Self {
-        SourceLink {
-            source,
-            uplink_bits: 0,
-            downlink_bits: 0,
-            uplink_msgs: 0,
-            downlink_msgs: 0,
-            uplink_by_kind: BTreeMap::new(),
-        }
-    }
-
-    /// The source index this link belongs to.
-    pub fn source(&self) -> usize {
-        self.source
-    }
-
-    /// Uplink bits charged to this link so far (not yet absorbed).
-    pub fn pending_uplink_bits(&self) -> u64 {
-        self.uplink_bits
-    }
-
-    /// Sends `msg` from this source to the server: encodes, charges the
-    /// link's private uplink counters, and returns what the server
-    /// decodes.
-    ///
-    /// # Errors
-    ///
-    /// Decode errors if the message round-trip fails (a bug in the wire
-    /// format — surfaced rather than swallowed).
-    pub fn send_to_server(&mut self, msg: &Message) -> Result<Message> {
-        let (buf, bits) = msg.encode();
-        self.charge_uplink(bits, msg.kind());
-        Message::decode(&buf, bits)
-    }
-
-    /// Charges one uplink message of `bits` to this link's counters
-    /// (shared with the socket-backed links, which charge the bytes that
-    /// actually crossed the wire).
-    pub(crate) fn charge_uplink(&mut self, bits: usize, kind: &'static str) {
-        self.uplink_bits += bits as u64;
-        self.uplink_msgs += 1;
-        *self.uplink_by_kind.entry(kind).or_insert(0) += bits as u64;
-    }
-
-    /// Charges one downlink message of `bits` to this link's counters.
-    pub(crate) fn charge_downlink(&mut self, bits: usize) {
-        self.downlink_bits += bits as u64;
-        self.downlink_msgs += 1;
-    }
-
-    /// Delivers `msg` from the server to this source, charging the
-    /// link's private downlink counters, and returns what the source
-    /// decodes.
-    ///
-    /// # Errors
-    ///
-    /// See [`SourceLink::send_to_server`].
-    pub fn recv_from_server(&mut self, msg: &Message) -> Result<Message> {
-        let (buf, bits) = msg.encode();
-        self.charge_downlink(bits);
-        Message::decode(&buf, bits)
-    }
-}
-
-/// An in-process star network with exact bit accounting.
+/// A caller-held ledger for `m` data sources: the pipeline entry points
+/// add each run's [`NetworkStats`] into it, so one `Network` can total a
+/// sequence of runs.
 #[derive(Debug, Clone)]
 pub struct Network {
     sources: usize,
@@ -357,7 +246,7 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network with `m` data sources and one server.
+    /// Creates a ledger for `m` data sources and one server.
     ///
     /// # Panics
     ///
@@ -375,64 +264,40 @@ impl Network {
         self.sources
     }
 
-    /// Sends `msg` from source `source` to the server: encodes, charges
-    /// the uplink, and returns what the server decodes.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::UnknownSource`] for an out-of-range source.
-    /// * Decode errors if the message round-trip fails (a bug in the wire
-    ///   format — surfaced rather than swallowed).
-    pub fn send_to_server(&mut self, source: usize, msg: &Message) -> Result<Message> {
-        self.check(source)?;
-        let (buf, bits) = msg.encode();
-        self.stats.charge_uplink(source, bits, msg.kind());
-        Message::decode(&buf, bits)
-    }
-
-    /// Sends `msg` from the server to source `source`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::send_to_server`].
-    pub fn send_to_source(&mut self, source: usize, msg: &Message) -> Result<Message> {
-        self.check(source)?;
-        let (buf, bits) = msg.encode();
-        self.stats.charge_downlink(source, bits);
-        Message::decode(&buf, bits)
-    }
-
-    /// Broadcasts `msg` from the server to every source, charging each
-    /// downlink, and returns the decoded copy each receives.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::send_to_server`].
-    pub fn broadcast_to_sources(&mut self, msg: &Message) -> Result<Vec<Message>> {
-        (0..self.sources)
-            .map(|i| self.send_to_source(i, msg))
-            .collect()
-    }
-
-    /// Merges the counters accumulated on `links` into this network's
-    /// statistics (the "barrier" side of
-    /// [`Transport::take_links`](crate::Transport::take_links)).
+    /// Adds one run's counters into this ledger, source by source
+    /// (merge levels keep their first record, as
+    /// [`NetworkStats::note_merge_level`] does).
     ///
     /// # Panics
     ///
-    /// Panics if a link belongs to a source index outside this network —
-    /// links are only ever minted by [`Network::links`], so this
-    /// indicates links crossed between different networks.
-    pub fn absorb(&mut self, links: impl IntoIterator<Item = SourceLink>) {
-        for link in links {
-            assert!(
-                link.source < self.sources,
-                "absorbed a link for source {} but the network has {}",
-                link.source,
-                self.sources
-            );
-            self.stats.merge_link(link);
+    /// Panics if `run` tracks more sources than this ledger.
+    pub fn absorb(&mut self, run: &NetworkStats) {
+        assert!(
+            run.sources() <= self.sources,
+            "absorbed counters for {} sources into a ledger of {}",
+            run.sources(),
+            self.sources
+        );
+        let stats = &mut self.stats;
+        for i in 0..run.sources() {
+            stats.uplink_bits[i] += run.uplink_bits[i];
+            stats.downlink_bits[i] += run.downlink_bits[i];
+            stats.uplink_msgs[i] += run.uplink_msgs[i];
+            stats.downlink_msgs[i] += run.downlink_msgs[i];
+            stats.relay_bits[i] += run.relay_bits[i];
+            stats.relay_msgs[i] += run.relay_msgs[i];
         }
+        for (kind, bits) in &run.uplink_by_kind {
+            *stats.uplink_by_kind.entry(kind).or_insert(0) += bits;
+        }
+        stats.server_fold_bits += run.server_fold_bits;
+        stats.server_fold_inputs += run.server_fold_inputs;
+        for (&(gather, level), &active) in &run.merge_levels {
+            stats.note_merge_level(gather, level, active);
+        }
+        stats.replica_promotions += run.replica_promotions;
+        stats.replayed_rounds += run.replayed_rounds;
+        stats.replica_bits += run.replica_bits;
     }
 
     /// Read access to the accumulated statistics.
@@ -444,117 +309,58 @@ impl Network {
     pub fn reset_stats(&mut self) {
         self.stats = NetworkStats::new(self.sources);
     }
-
-    fn check(&self, source: usize) -> Result<()> {
-        if source >= self.sources {
-            return Err(NetError::UnknownSource {
-                source,
-                sources: self.sources,
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Transport;
-    use crate::wire::Precision;
-    use ekm_linalg::Matrix;
 
     #[test]
     fn uplink_accounting_exact() {
-        let mut net = Network::new(3);
-        let msg = Message::CostReport { cost: 1.0 };
-        let (_, bits) = msg.encode();
-        net.send_to_server(1, &msg).unwrap();
-        net.send_to_server(1, &msg).unwrap();
-        assert_eq!(net.stats().uplink_bits(1), 2 * bits as u64);
-        assert_eq!(net.stats().uplink_bits(0), 0);
-        assert_eq!(net.stats().total_uplink_bits(), 2 * bits as u64);
-        assert_eq!(net.stats().total_uplink_messages(), 2);
-    }
-
-    #[test]
-    fn downlink_and_broadcast() {
-        let mut net = Network::new(4);
-        let msg = Message::SampleAllocation { size: 9 };
-        let (_, bits) = msg.encode();
-        let received = net.broadcast_to_sources(&msg).unwrap();
-        assert_eq!(received.len(), 4);
-        assert!(received.iter().all(|m| *m == msg));
-        assert_eq!(net.stats().total_downlink_bits(), 4 * bits as u64);
-        assert_eq!(net.stats().total_downlink_messages(), 4);
-        assert_eq!(net.stats().total_uplink_bits(), 0);
-    }
-
-    #[test]
-    fn decoded_message_matches_sent() {
-        let mut net = Network::new(1);
-        let msg = Message::Coreset {
-            points: Matrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64 * 0.25),
-            weights: vec![1.0, 2.0, 3.0],
-            delta: 0.5,
-            precision: Precision::Full,
-            weights_precision: Precision::Full,
-        };
-        let received = net.send_to_server(0, &msg).unwrap();
-        assert_eq!(received, msg);
-    }
-
-    #[test]
-    fn unknown_source_rejected() {
-        let mut net = Network::new(2);
-        let msg = Message::CostReport { cost: 0.0 };
-        assert!(matches!(
-            net.send_to_server(2, &msg),
-            Err(NetError::UnknownSource {
-                source: 2,
-                sources: 2
-            })
-        ));
-        assert!(net.send_to_source(5, &msg).is_err());
+        let mut stats = NetworkStats::new(3);
+        stats.charge_uplink(1, 40, "cost-report");
+        stats.charge_uplink(1, 40, "cost-report");
+        assert_eq!(stats.uplink_bits(1), 80);
+        assert_eq!(stats.uplink_bits(0), 0);
+        assert_eq!(stats.total_uplink_bits(), 80);
+        assert_eq!(stats.total_uplink_messages(), 2);
+        assert_eq!(stats.uplink_bits_by_kind()["cost-report"], 80);
     }
 
     #[test]
     fn normalized_uplink_metric() {
-        let mut net = Network::new(1);
-        // Send the full "raw dataset": 10×4 doubles.
-        let points = Matrix::from_fn(10, 4, |i, j| (i + j) as f64);
-        net.send_to_server(0, &Message::RawData { points }).unwrap();
-        let norm = net.stats().normalized_uplink(10, 4);
-        // Overhead: 8-bit tag + two 32-bit shape fields over 2560 data bits.
+        let mut stats = NetworkStats::new(1);
+        // The full "raw dataset" of 10×4 doubles plus 72 bits of framing.
+        stats.charge_uplink(0, 10 * 4 * 64 + 72, "raw-data");
+        let norm = stats.normalized_uplink(10, 4);
         assert!(norm > 1.0 && norm < 1.05, "normalized {norm}");
     }
 
     #[test]
-    fn reset_clears_counters() {
-        let mut net = Network::new(2);
-        net.send_to_server(0, &Message::CostReport { cost: 1.0 })
-            .unwrap();
+    fn absorb_adds_every_counter_source_by_source() {
+        let mut run = NetworkStats::new(2);
+        run.charge_uplink(0, 10, "coreset");
+        run.charge_uplink(1, 7, "cost-report");
+        run.charge_downlink(1, 3);
+        run.charge_relay(1, 5);
+        run.note_merge_level(1, 0, 2);
+        run.charge_promotion(9);
+        let mut net = Network::new(3);
+        net.absorb(&run);
+        net.absorb(&run);
+        let stats = net.stats();
+        assert_eq!(stats.uplink_bits(0), 20);
+        assert_eq!(stats.uplink_bits(1), 14);
+        assert_eq!(stats.uplink_bits(2), 0);
+        assert_eq!(stats.downlink_bits(1), 6);
+        assert_eq!(stats.total_uplink_messages(), 4);
+        assert_eq!(stats.uplink_bits_by_kind()["coreset"], 20);
+        assert_eq!(stats.relay_bits(1), 10);
+        assert_eq!(stats.merge_levels()[&(1, 0)], 2);
+        assert_eq!(stats.replica_promotions(), 2);
         net.reset_stats();
         assert_eq!(net.stats().total_uplink_bits(), 0);
-        assert_eq!(net.stats().sources(), 2);
-    }
-
-    #[test]
-    fn per_kind_breakdown_tracks_uplink() {
-        let mut net = Network::new(2);
-        let report = Message::CostReport { cost: 1.0 };
-        let raw = Message::RawData {
-            points: Matrix::from_fn(3, 2, |i, j| (i + j) as f64),
-        };
-        net.send_to_server(0, &report).unwrap();
-        net.send_to_server(1, &report).unwrap();
-        net.send_to_server(0, &raw).unwrap();
-        let by_kind = net.stats().uplink_bits_by_kind();
-        let (_, report_bits) = report.encode();
-        let (_, raw_bits) = raw.encode();
-        assert_eq!(by_kind["cost-report"], 2 * report_bits as u64);
-        assert_eq!(by_kind["raw-data"], raw_bits as u64);
-        let total: u64 = by_kind.values().sum();
-        assert_eq!(total, net.stats().total_uplink_bits());
+        assert_eq!(net.stats().sources(), 3);
     }
 
     #[test]
@@ -564,80 +370,8 @@ mod tests {
     }
 
     #[test]
-    fn links_match_sequential_accounting_exactly() {
-        let msgs: Vec<Message> = (0..4)
-            .map(|i| Message::Coreset {
-                points: Matrix::from_fn(3 + i, 2, |r, c| (r * 2 + c + i) as f64 * 0.5),
-                weights: vec![1.0; 3 + i],
-                delta: i as f64,
-                precision: Precision::Full,
-                weights_precision: Precision::Full,
-            })
-            .collect();
-
-        // Sequential reference.
-        let mut seq = Network::new(4);
-        for (i, msg) in msgs.iter().enumerate() {
-            seq.send_to_server(i, msg).unwrap();
-            seq.send_to_source(i, &Message::SampleAllocation { size: i as u64 })
-                .unwrap();
-        }
-
-        // Concurrent links merged at the barrier.
-        let mut par = Network::new(4);
-        let mut links = par.take_links(4).unwrap();
-        std::thread::scope(|scope| {
-            for (link, msg) in links.iter_mut().zip(&msgs) {
-                scope.spawn(move || {
-                    let i = link.source();
-                    let received = link.send_to_server(msg).unwrap();
-                    assert_eq!(&received, msg);
-                    link.recv_from_server(&Message::SampleAllocation { size: i as u64 })
-                        .unwrap();
-                });
-            }
-        });
-        par.absorb(links);
-
-        assert_eq!(par.stats(), seq.stats());
-    }
-
-    #[test]
-    fn link_counters_are_private_until_absorbed() {
-        let mut net = Network::new(2);
-        let mut links = net.take_links(2).unwrap();
-        links[1]
-            .send_to_server(&Message::CostReport { cost: 2.0 })
-            .unwrap();
-        assert_eq!(net.stats().total_uplink_bits(), 0);
-        assert!(links[1].pending_uplink_bits() > 0);
-        assert_eq!(links[0].pending_uplink_bits(), 0);
-        net.absorb(links);
-        assert_eq!(net.stats().uplink_bits(0), 0);
-        assert!(net.stats().uplink_bits(1) > 0);
-        assert_eq!(net.stats().total_uplink_messages(), 1);
-    }
-
-    #[test]
-    fn absorb_accumulates_by_kind() {
-        let mut net = Network::new(1);
-        let report = Message::CostReport { cost: 1.0 };
-        net.send_to_server(0, &report).unwrap();
-        let mut links = net.take_links(1).unwrap();
-        links[0].send_to_server(&report).unwrap();
-        net.absorb(links);
-        let (_, bits) = report.encode();
-        assert_eq!(
-            net.stats().uplink_bits_by_kind()["cost-report"],
-            2 * bits as u64
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "absorbed a link")]
-    fn absorbing_foreign_links_panics() {
-        let mut big = Network::new(5);
-        let mut small = Network::new(2);
-        small.absorb(big.take_links(5).unwrap());
+    #[should_panic(expected = "absorbed counters")]
+    fn absorbing_a_wider_run_panics() {
+        Network::new(2).absorb(&NetworkStats::new(5));
     }
 }

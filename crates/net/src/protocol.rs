@@ -1,12 +1,9 @@
-//! The server-driven protocol: command/response frames for the
-//! non-replicated execution model.
+//! The server-driven protocol: the command/response frames of the
+//! paper's deployment model, and the one execution model of every run.
 //!
-//! The replicated SPMD backend ([`crate::tcp`]) runs the *whole*
-//! deterministic pipeline in every process and verifies byte equality.
-//! This module defines the vocabulary of the paper's actual deployment
-//! model instead: one **server driver** owns the stage plan and emits
-//! [`Command`]s; each **source executor** holds *only its own shard*,
-//! answers with [`Response`]s, and never observes another source's data.
+//! One **server driver** owns the stage plan and emits [`Command`]s;
+//! each **source executor** holds *only its own shard*, answers with
+//! [`Response`]s, and never observes another source's data.
 //!
 //! Two planes travel over one connection:
 //!
@@ -14,12 +11,11 @@
 //!   per-phase op counts and timings, the final counter report. Control
 //!   frames are *not* charged to the [`NetworkStats`]: they carry plan
 //!   coordination the paper's model treats as shared configuration.
-//! * the **data plane** — the exact [`Message`] encodings of the
-//!   in-process simulation, wrapped as [`Payload`]s inside
-//!   [`Command::Deliver`] (downlink) and [`Response::Up`] (uplink).
-//!   Every payload is charged its exact encoded bit length under its
-//!   message kind, so a protocol run's `NetworkStats` is bit-identical
-//!   to the simulation by construction.
+//! * the **data plane** — the exact [`Message`] encodings, wrapped as
+//!   [`Payload`]s inside [`Command::Deliver`] (downlink) and
+//!   [`Response::Up`] (uplink). Every payload is charged its exact
+//!   encoded bit length under its message kind, so a run's
+//!   `NetworkStats` is bit-identical on every backend by construction.
 //!
 //! Payloads stay *encoded* end to end — even the in-process channel
 //! backend hands the receiver the encoded bytes to decode — so anything
@@ -29,7 +25,8 @@
 //! Backends:
 //!
 //! * [`channel_pairs`] — in-process mpsc channels, one executor thread
-//!   per source (what `ekm run` uses);
+//!   per source (what `ekm run`, `ekm sweep` and the library entry
+//!   points use);
 //! * [`crate::event`] — a non-blocking `std::net` backend whose server
 //!   multiplexes every source connection in one poll loop.
 
@@ -45,9 +42,8 @@ use std::time::Duration;
 /// source lost ([`Response::SourceLost`]).
 ///
 /// Both the in-process channel backend and the event-driven TCP backend
-/// derive their timeouts from this policy, and the legacy replicated
-/// backend's `IO_TIMEOUT` is an alias of [`DeadlinePolicy::DEFAULT_IO`] —
-/// so one knob (`ekm serve --deadline-ms`) governs every transport.
+/// derive their timeouts from this policy — so one knob
+/// (`ekm serve --deadline-ms`) governs every transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlinePolicy {
     /// Per-read/write socket deadline.
@@ -58,8 +54,7 @@ pub struct DeadlinePolicy {
 }
 
 impl DeadlinePolicy {
-    /// Default per-read/write socket deadline (the former hard-coded
-    /// `tcp::IO_TIMEOUT`).
+    /// Default per-read/write socket deadline.
     pub const DEFAULT_IO: Duration = Duration::from_secs(120);
 
     /// Default command-round deadline (the former hard-coded
@@ -418,6 +413,18 @@ const RESP_PROMOTED: u8 = 8;
 const RESP_REPLAYED: u8 = 9;
 const RESP_FORWARDED: u8 = 10;
 
+/// The wrapper a command frame is nested in while decoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wrapping {
+    /// The outermost frame.
+    None,
+    /// Inside a [`Command::Forward`]: a reissue or replay may follow.
+    Forward,
+    /// Inside a [`Command::Reissue`] or [`Command::Replay`]: only a
+    /// plain command may follow.
+    Retry,
+}
+
 /// Encoded overhead of a [`Command::Forward`] / [`Response::Forwarded`]
 /// wrapper around its carried frame (tag + origin + length prefix),
 /// charged to the replica-plane ledger.
@@ -467,7 +474,7 @@ impl<'a> ByteReader<'a> {
     }
 
     fn u64(&mut self) -> Result<u64> {
-        let end = self.pos + 8;
+        let end = self.pos.checked_add(8).ok_or_else(|| self.short())?;
         let slice = self.buf.get(self.pos..end).ok_or_else(|| self.short())?;
         self.pos = end;
         Ok(u64::from_be_bytes(slice.try_into().expect("8 bytes")))
@@ -477,22 +484,28 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn bytes(&mut self, len: usize) -> Result<Vec<u8>> {
-        let end = self.pos + len;
+    fn bytes(&mut self, len: usize) -> Result<&'a [u8]> {
+        let end = self.pos.checked_add(len).ok_or_else(|| self.short())?;
         let slice = self.buf.get(self.pos..end).ok_or_else(|| self.short())?;
         self.pos = end;
-        Ok(slice.to_vec())
+        Ok(slice)
+    }
+
+    /// A length-prefixed inner frame, borrowed from the outer one.
+    fn frame(&mut self) -> Result<&'a [u8]> {
+        let len = self.u64()?;
+        self.bytes(usize::try_from(len).map_err(|_| self.short())?)
     }
 
     fn payload(&mut self) -> Result<Payload> {
         let bits = self.u64()?;
         let bytes = self.bytes((bits as usize).div_ceil(8))?;
-        Ok(Payload::from_encoded(bytes, bits))
+        Ok(Payload::from_encoded(bytes.to_vec(), bits))
     }
 
     fn string(&mut self) -> Result<String> {
         let len = self.u64()? as usize;
-        String::from_utf8(self.bytes(len)?).map_err(|_| NetError::Transport {
+        String::from_utf8(self.bytes(len)?.to_vec()).map_err(|_| NetError::Transport {
             context: self.context,
             detail: "non-utf8 reason string".to_string(),
         })
@@ -639,14 +652,37 @@ impl Command {
 
     /// Decodes a command frame.
     ///
+    /// Wrappers nest only as the driver, the journal and the routing
+    /// layer emit them: at most one [`Command::Forward`] around at most
+    /// one [`Command::Reissue`] or [`Command::Replay`]. Decoding stops at
+    /// the first wrapper outside that grammar, so a hostile frame cannot
+    /// drive the decoder deeper than three levels.
+    ///
     /// # Errors
     ///
     /// [`NetError::Transport`] on truncated or trailing bytes,
-    /// [`NetError::ProtocolViolation`] on an unknown tag or a stage index
-    /// above `u32::MAX`.
+    /// [`NetError::ProtocolViolation`] on an unknown tag, a stage index
+    /// above `u32::MAX`, or wrappers nested outside the grammar.
     pub fn decode(buf: &[u8]) -> Result<Command> {
+        Command::decode_in(buf, Wrapping::None)
+    }
+
+    fn decode_in(buf: &[u8], outer: Wrapping) -> Result<Command> {
         let mut r = ByteReader::new(buf, "command decode");
-        let cmd = match r.u8()? {
+        let tag = r.u8()?;
+        let nested_too_deep = match tag {
+            CMD_FORWARD => outer != Wrapping::None,
+            CMD_REISSUE | CMD_REPLAY => outer == Wrapping::Retry,
+            _ => false,
+        };
+        if nested_too_deep {
+            return Err(NetError::ProtocolViolation {
+                context: "command decode",
+                expected: "at most one forward around one reissue or replay",
+                got: format!("tag {tag} nested inside a wrapper"),
+            });
+        }
+        let cmd = match tag {
             CMD_DESCRIBE => Command::Describe,
             CMD_STAGE => {
                 let index = r.u64()?;
@@ -672,37 +708,21 @@ impl Command {
                 reason: r.string()?,
             },
             CMD_DEADLINE => Command::Deadline { ms: r.u64()? },
-            CMD_REISSUE => {
-                let round = r.u64()?;
-                let len = r.u64()? as usize;
-                let inner = r.bytes(len)?;
-                Command::Reissue {
-                    round,
-                    cmd: Box::new(Command::decode(&inner)?),
-                }
-            }
+            CMD_REISSUE => Command::Reissue {
+                round: r.u64()?,
+                cmd: Box::new(Command::decode_in(r.frame()?, Wrapping::Retry)?),
+            },
             CMD_RESUME => Command::Resume { round: r.u64()? },
             CMD_PROMOTE => Command::Promote { origin: r.u64()? },
-            CMD_REPLAY => {
-                let origin = r.u64()?;
-                let round = r.u64()?;
-                let len = r.u64()? as usize;
-                let inner = r.bytes(len)?;
-                Command::Replay {
-                    origin,
-                    round,
-                    cmd: Box::new(Command::decode(&inner)?),
-                }
-            }
-            CMD_FORWARD => {
-                let origin = r.u64()?;
-                let len = r.u64()? as usize;
-                let inner = r.bytes(len)?;
-                Command::Forward {
-                    origin,
-                    cmd: Box::new(Command::decode(&inner)?),
-                }
-            }
+            CMD_REPLAY => Command::Replay {
+                origin: r.u64()?,
+                round: r.u64()?,
+                cmd: Box::new(Command::decode_in(r.frame()?, Wrapping::Retry)?),
+            },
+            CMD_FORWARD => Command::Forward {
+                origin: r.u64()?,
+                cmd: Box::new(Command::decode_in(r.frame()?, Wrapping::Forward)?),
+            },
             CMD_MERGE_WITH => {
                 let gather = r.u8()?;
                 let level = r.u64()?;
@@ -861,14 +881,27 @@ impl Response {
         buf
     }
 
-    /// Decodes a response frame.
+    /// Decodes a response frame. A [`Response::Forwarded`] carries one
+    /// plain response, never another wrapper.
     ///
     /// # Errors
     ///
     /// See [`Command::decode`].
     pub fn decode(buf: &[u8]) -> Result<Response> {
+        Response::decode_in(buf, false)
+    }
+
+    fn decode_in(buf: &[u8], forwarded: bool) -> Result<Response> {
         let mut r = ByteReader::new(buf, "response decode");
-        let resp = match r.u8()? {
+        let tag = r.u8()?;
+        if forwarded && tag == RESP_FORWARDED {
+            return Err(NetError::ProtocolViolation {
+                context: "response decode",
+                expected: "one forwarded wrapper around a plain response",
+                got: "a forwarded response nested inside another".to_string(),
+            });
+        }
+        let resp = match tag {
             RESP_DONE => Response::Done {
                 round: r.u64()?,
                 rows: r.u64()?,
@@ -906,15 +939,10 @@ impl Response {
                 round: r.u64()?,
                 fingerprint: r.u64()?,
             },
-            RESP_FORWARDED => {
-                let origin = r.u64()?;
-                let len = r.u64()? as usize;
-                let inner = r.bytes(len)?;
-                Response::Forwarded {
-                    origin,
-                    resp: Box::new(Response::decode(&inner)?),
-                }
-            }
+            RESP_FORWARDED => Response::Forwarded {
+                origin: r.u64()?,
+                resp: Box::new(Response::decode_in(r.frame()?, true)?),
+            },
             RESP_MERGED => {
                 let round = r.u64()?;
                 let leaf_bits = r.u64()?;
@@ -1504,6 +1532,132 @@ mod tests {
         // Trailing garbage.
         let mut buf = Command::Describe.encode();
         buf.push(0);
+        assert!(matches!(
+            Command::decode(&buf),
+            Err(NetError::Transport { .. })
+        ));
+    }
+
+    /// `depth` copies of a 17-byte wrapper header (`tag`, origin 0, the
+    /// inner length) around `base`, built in one pass: encoding a
+    /// 20,000-deep `Box` chain would itself recurse that deep.
+    fn nested_frame(tag: u8, depth: usize, base: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(depth * 17 + base.len());
+        for level in 0..depth {
+            buf.push(tag);
+            buf.extend_from_slice(&0u64.to_be_bytes());
+            let inner = (depth - 1 - level) * 17 + base.len();
+            buf.extend_from_slice(&(inner as u64).to_be_bytes());
+        }
+        buf.extend_from_slice(base);
+        buf
+    }
+
+    #[test]
+    fn hostile_wrapper_nesting_is_a_typed_error_not_a_stack_overflow() {
+        // A spawned thread runs on the default (small) stack: unbounded
+        // recursion through 20,000 wrappers would abort it.
+        let verdicts = std::thread::spawn(|| {
+            let commands = nested_frame(CMD_FORWARD, 20_000, &Command::Describe.encode());
+            let done = Response::Done {
+                round: 1,
+                rows: 1,
+                cols: 1,
+                ops: 0,
+                seconds: 0.0,
+            };
+            let responses = nested_frame(RESP_FORWARDED, 20_000, &done.encode());
+            (Command::decode(&commands), Response::decode(&responses))
+        })
+        .join()
+        .expect("decoding must not overflow the stack");
+        assert!(
+            matches!(verdicts.0, Err(NetError::ProtocolViolation { .. })),
+            "{:?}",
+            verdicts.0
+        );
+        assert!(
+            matches!(verdicts.1, Err(NetError::ProtocolViolation { .. })),
+            "{:?}",
+            verdicts.1
+        );
+    }
+
+    #[test]
+    fn wrappers_nest_only_as_the_driver_and_routing_emit_them() {
+        let stage = || Box::new(Command::Stage { index: 2 });
+        let reissue = Command::Reissue {
+            round: 3,
+            cmd: stage(),
+        };
+        let replay = Command::Replay {
+            origin: 1,
+            round: 3,
+            cmd: stage(),
+        };
+        // Forward(Reissue|Replay(cmd)) is the deepest legal shape.
+        for inner in [
+            reissue.clone(),
+            replay.clone(),
+            Command::Resume { round: 2 },
+        ] {
+            let cmd = Command::Forward {
+                origin: 1,
+                cmd: Box::new(inner),
+            };
+            assert_eq!(Command::decode(&cmd.encode()).unwrap(), cmd);
+        }
+        let forward = Command::Forward {
+            origin: 1,
+            cmd: stage(),
+        };
+        for illegal in [
+            Command::Forward {
+                origin: 2,
+                cmd: Box::new(forward.clone()),
+            },
+            Command::Reissue {
+                round: 4,
+                cmd: Box::new(reissue.clone()),
+            },
+            Command::Replay {
+                origin: 1,
+                round: 4,
+                cmd: Box::new(forward),
+            },
+            Command::Reissue {
+                round: 4,
+                cmd: Box::new(replay),
+            },
+        ] {
+            assert!(
+                matches!(
+                    Command::decode(&illegal.encode()),
+                    Err(NetError::ProtocolViolation { .. })
+                ),
+                "{illegal:?}"
+            );
+        }
+        let forwarded = Response::Forwarded {
+            origin: 1,
+            resp: Box::new(Response::Forwarded {
+                origin: 2,
+                resp: Box::new(Response::Err {
+                    reason: "x".to_string(),
+                }),
+            }),
+        };
+        assert!(matches!(
+            Response::decode(&forwarded.encode()),
+            Err(NetError::ProtocolViolation { .. })
+        ));
+    }
+
+    #[test]
+    fn oversized_inner_lengths_are_truncation_errors() {
+        let mut buf = vec![CMD_FORWARD];
+        buf.extend_from_slice(&0u64.to_be_bytes());
+        buf.extend_from_slice(&u64::MAX.to_be_bytes());
         assert!(matches!(
             Command::decode(&buf),
             Err(NetError::Transport { .. })

@@ -33,7 +33,7 @@
 //! their exact typed semantics (`SourceLost`, reissue, promote) with no
 //! spin-sleep anywhere on the hot path.
 
-use crate::tcp::transport_err;
+use crate::event::transport_err;
 use crate::Result;
 use std::io;
 use std::os::fd::RawFd;

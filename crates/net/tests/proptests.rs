@@ -3,11 +3,12 @@
 use ekm_linalg::Matrix;
 use ekm_net::bitstream::{BitReader, BitWriter};
 use ekm_net::messages::Message;
+use ekm_net::protocol::{charge_response, Payload, Response};
 use ekm_net::wire::{
     decode_f64, decode_f64_slice, decode_matrix, encode_f64, encode_f64_slice, encode_matrix,
     Precision,
 };
-use ekm_net::Network;
+use ekm_net::NetworkStats;
 use ekm_quant::RoundingQuantizer;
 use proptest::prelude::*;
 
@@ -182,18 +183,20 @@ proptest! {
         }
     }
 
-    /// The network charges exactly the encoded size and delivers exactly
-    /// the decoded message.
+    /// An uplink is charged exactly the encoded size, and its payload
+    /// decodes to exactly the sent message.
     #[test]
     fn network_charges_encoded_bits(points in small_matrix(), sources in 1usize..5) {
-        let mut net = Network::new(sources);
+        let mut stats = NetworkStats::new(sources);
         let msg = Message::RawData { points };
         let (_, bits) = msg.encode();
         let src = sources - 1;
-        let received = net.send_to_server(src, &msg).unwrap();
-        prop_assert_eq!(received, msg);
-        prop_assert_eq!(net.stats().uplink_bits(src), bits as u64);
-        prop_assert_eq!(net.stats().total_uplink_bits(), bits as u64);
+        let payload = Payload::of(&msg);
+        prop_assert_eq!(payload.decode().unwrap(), msg);
+        let up = Response::Up { round: 1, payload, ops: 0, seconds: 0.0 };
+        charge_response(&mut stats, src, &up).unwrap();
+        prop_assert_eq!(stats.uplink_bits(src), bits as u64);
+        prop_assert_eq!(stats.total_uplink_bits(), bits as u64);
     }
 
     /// Quantized *vectors* round-trip losslessly at every mantissa width

@@ -6,7 +6,7 @@
 //! They cooperate with the edge server through the disPCA + disSS
 //! protocols — either directly (BKLW) or after a shared-seed JL projection
 //! (Algorithm 4, JL+BKLW) — and the example prints the per-source and
-//! total traffic measured by the simulated network, bit by bit.
+//! total traffic the run's ledger measured, bit by bit.
 
 use edge_kmeans::data::mnist_like::MnistLike;
 use edge_kmeans::data::normalize::normalize_paper;

@@ -128,8 +128,6 @@ if fresh:
 assert doc["kernels"], "no kernel timings recorded"
 assert doc["assign_speedups"], "no assignment speedups recorded"
 assert doc["transb_speedups"], "no matmul_transb speedups recorded"
-assert doc["protocol"], "no protocol-mode timings recorded"
-assert all(r["wire_bytes"] > 0 for r in doc["protocol"])
 assert doc["stage_cache"]["hits"] > 0, "stage cache never hit"
 if schema in ("ekm-bench-micro/v2", "ekm-bench-micro/v3"):
     for k in doc["kernels"]:

@@ -4,16 +4,17 @@
 # process exits cleanly and that the run's accounting holds. Run
 # locally or from the CI `distributed-e2e` matrix:
 #
-#   cargo build --release && scripts/distributed_e2e.sh [core|streaming|non-replicated|faults|tree|replica|all]
+#   cargo build --release && scripts/distributed_e2e.sh [core|streaming|faults|tree|replica|all]
 #
-# `core` and `streaming` run in the replicated SPMD debug mode
-# (`--replicated-check`): every process recomputes the full run and the
-# transport verifies byte equality frame by frame — the strongest
-# equivalence proof. `non-replicated` runs the default server-driven
-# protocol — sources hold only their shard, the server drives the plan
-# over one event-driven thread — and asserts the uplink bits equal the
-# in-process simulation's (`ekm run`) while no divergence-check
-# machinery ran. `faults` is the fault-injection suite: it kills a
+# Every round runs the server-driven protocol: sources hold only their
+# shard, the server drives the plan over one event-driven thread, every
+# source's counters are cross-checked by the server at shutdown, and
+# the round's uplink bits must equal the in-process `ekm run` of the
+# same configuration. `core` covers a named distributed pipeline, a
+# quantized `--stages` composition and a centralized pipeline, then
+# checks that `--reactor sleep` and `--reactor epoll` agree bit for
+# bit. `streaming` covers the per-source merge-and-reduce pipelines.
+# `faults` is the fault-injection suite: it kills a
 # source mid-stage and asserts the degraded run stays within the
 # documented cost-ratio bound, then kills the server mid-round and
 # asserts `--resume` replays the journal to bit-identical centers and
@@ -47,26 +48,19 @@ else
     trap 'rm -rf "$LOGDIR"' EXIT
 fi
 
-# run_round <label> <mode> <sources> <flags...>
-#   mode: "replicated" adds --replicated-check and asserts the digest
-#   verification lines; "protocol" runs the server-driven default and
-#   asserts the accounting lines plus bit-equality with `ekm run`.
+# run_round <label> <sources> <flags...>
+#   One serve + <sources> source processes; asserts the accounting lines
+#   and bit-equality of the uplink with `ekm run`.
 run_round() {
     local label=$1
-    shift
-    local mode=$1
     shift
     local sources=$1
     shift
     local common=("$@")
-    local mode_flags=()
-    if [[ "$mode" == "replicated" ]]; then
-        mode_flags=(--replicated-check)
-    fi
 
-    echo "=== ${label} [${mode}]: ${common[*]} (${sources} sources) ==="
+    echo "=== ${label}: ${common[*]} (${sources} sources) ==="
     timeout --kill-after=10 "$ROUND_TIMEOUT" \
-        "$BIN" serve --listen "$ADDR" --sources "$sources" "${mode_flags[@]}" \
+        "$BIN" serve --listen "$ADDR" --sources "$sources" \
         "${common[@]}" >"$LOGDIR/serve.log" 2>&1 &
     local serve_pid=$!
 
@@ -74,7 +68,7 @@ run_round() {
     for ((i = 0; i < sources; i++)); do
         timeout --kill-after=10 "$ROUND_TIMEOUT" \
             "$BIN" source --connect "$ADDR" --source-id "$i" --sources "$sources" \
-            "${mode_flags[@]}" "${common[@]}" >"$LOGDIR/source-$i.log" 2>&1 &
+            "${common[@]}" >"$LOGDIR/source-$i.log" 2>&1 &
         src_pids+=($!)
     done
 
@@ -109,66 +103,45 @@ run_round() {
         echo "FAIL: server reported no uplink bits"
         exit 1
     fi
-
-    if [[ "$mode" == "replicated" ]]; then
-        # …and every process must have verified the shared digest.
-        if ! grep -q "verified bit-identical" "$LOGDIR/serve.log"; then
-            echo "FAIL: server did not verify the run digest"
-            exit 1
-        fi
-        for ((i = 0; i < sources; i++)); do
-            if ! grep -q "verified bit-identical" "$LOGDIR/source-$i.log"; then
-                echo "FAIL: source $i did not verify the run digest"
-                exit 1
-            fi
-        done
-    else
-        # …the server must have driven the protocol without any
-        # replication or divergence-check machinery…
-        if ! grep -q "server-driven protocol" "$LOGDIR/serve.log"; then
-            echo "FAIL: server did not run the server-driven protocol"
-            exit 1
-        fi
-        if grep -qi "replicated\|bit-identical across" "$LOGDIR/serve.log"; then
-            echo "FAIL: divergence-check machinery ran in protocol mode"
-            exit 1
-        fi
-        if ! grep -q "per-source counters verified" "$LOGDIR/serve.log"; then
-            echo "FAIL: server did not verify the per-source counters"
-            exit 1
-        fi
-        for ((i = 0; i < sources; i++)); do
-            if ! grep -q "counters verified by the server" "$LOGDIR/source-$i.log"; then
-                echo "FAIL: source $i did not complete the protocol"
-                exit 1
-            fi
-        done
-        # …and the bits on the wire must equal the in-process
-        # simulation's for the same configuration.
-        timeout --kill-after=10 "$ROUND_TIMEOUT" \
-            "$BIN" run --sources "$sources" "${common[@]}" \
-            >"$LOGDIR/run.log" 2>&1
-        local sim_bits
-        sim_bits=$(sed -n 's/^total uplink-bits \([0-9]*\)$/\1/p' "$LOGDIR/run.log")
-        if [[ "$bits" != "$sim_bits" ]]; then
-            echo "FAIL: protocol uplink ${bits} bits != simulation ${sim_bits} bits"
-            exit 1
-        fi
-        echo "OK: protocol uplink matches the simulation (${bits} bits)"
+    # …the server must have driven the protocol and cross-checked every
+    # source's own counters…
+    if ! grep -q "server-driven protocol" "$LOGDIR/serve.log"; then
+        echo "FAIL: server did not run the server-driven protocol"
+        exit 1
     fi
-    echo "OK: ${label} transmitted ${bits} uplink bits"
+    if ! grep -q "per-source counters verified" "$LOGDIR/serve.log"; then
+        echo "FAIL: server did not verify the per-source counters"
+        exit 1
+    fi
+    for ((i = 0; i < sources; i++)); do
+        if ! grep -q "counters verified by the server" "$LOGDIR/source-$i.log"; then
+            echo "FAIL: source $i did not complete the protocol"
+            exit 1
+        fi
+    done
+    # …and the bits on the wire must equal the in-process run's for the
+    # same configuration.
+    timeout --kill-after=10 "$ROUND_TIMEOUT" \
+        "$BIN" run --sources "$sources" "${common[@]}" \
+        >"$LOGDIR/run.log" 2>&1
+    local run_bits
+    run_bits=$(sed -n 's/^total uplink-bits \([0-9]*\)$/\1/p' "$LOGDIR/run.log")
+    if [[ "$bits" != "$run_bits" ]]; then
+        echo "FAIL: TCP uplink ${bits} bits != in-process ${run_bits} bits"
+        exit 1
+    fi
+    echo "OK: ${label} transmitted ${bits} uplink bits, matching the in-process run"
 }
 
 # core: a named distributed pipeline (Algorithm 4), a quantized
 # arbitrary --stages composition, and a centralized pipeline over a
-# single remote source — all in the replicated debug mode, which proves
-# byte equality frame by frame.
+# single remote source.
 if [[ "$SUITE" == "core" || "$SUITE" == "all" ]]; then
-    run_round "jl-bklw" replicated 3 \
+    run_round "jl-bklw" 3 \
         --pipeline jl-bklw --dataset mixture --n 600 --d 40 --k 2 --seed 7
-    run_round "stages" replicated 2 \
+    run_round "stages" 2 \
         --stages dispca,jl,qt:8,disss --dataset mixture --n 400 --d 30 --k 2 --seed 11
-    run_round "centralized" replicated 1 \
+    run_round "centralized" 1 \
         --pipeline jl-fss-jl --dataset mnist-like --n 500 --d 196 --k 2 --seed 5
 
     # reactor: the epoll readiness backend must be a pure scheduling
@@ -183,7 +156,7 @@ if [[ "$SUITE" == "core" || "$SUITE" == "all" ]]; then
     # --reactor, keeping the logs apart so the legs can be compared.
     run_reactor_leg() {
         local rx=$1
-        echo "=== reactor-${rx} [protocol]: ${RXCOMMON[*]} (${RXSOURCES} sources, --reactor ${rx}) ==="
+        echo "=== reactor-${rx}: ${RXCOMMON[*]} (${RXSOURCES} sources, --reactor ${rx}) ==="
         timeout --kill-after=10 "$ROUND_TIMEOUT" \
             "$BIN" serve --listen "$ADDR" --sources "$RXSOURCES" "${RXCOMMON[@]}" \
             --reactor "$rx" --centers-out "$LOGDIR/reactor-$rx-centers.txt" \
@@ -255,26 +228,12 @@ fi
 # processes — composed with DR/QT, with an explicit leaf size, and with
 # the F32 auxiliary-payload precision.
 if [[ "$SUITE" == "streaming" || "$SUITE" == "all" ]]; then
-    run_round "stream" replicated 3 \
+    run_round "stream" 3 \
         --stages jl,stream,qt:8 --dataset mixture --n 900 --d 40 --k 2 --seed 13
-    run_round "stream-leaf" replicated 2 \
+    run_round "stream-leaf" 2 \
         --stages stream,jl --leaf-size 128 --dataset mnist-like --n 600 --d 196 --k 2 --seed 17
-    run_round "stream-f32" replicated 2 \
+    run_round "stream-f32" 2 \
         --stages jl,stream --precision f32 --dataset mixture --n 500 --d 30 --k 2 --seed 19
-fi
-
-# non-replicated: the server-driven protocol across real processes.
-# Sources hold only their shard; the round asserts the uplink bits
-# match the in-process simulation and that no divergence checks ran.
-if [[ "$SUITE" == "non-replicated" || "$SUITE" == "all" ]]; then
-    run_round "proto-jl-bklw" protocol 3 \
-        --pipeline jl-bklw --dataset mixture --n 600 --d 40 --k 2 --seed 7
-    run_round "proto-stages" protocol 2 \
-        --stages dispca,jl,qt:8,disss --dataset mixture --n 400 --d 30 --k 2 --seed 11
-    run_round "proto-stream" protocol 3 \
-        --stages jl,stream,qt:8 --dataset mixture --n 900 --d 40 --k 2 --seed 13
-    run_round "proto-centralized" protocol 1 \
-        --pipeline jl-fss-jl --dataset mnist-like --n 500 --d 196 --k 2 --seed 5
 fi
 
 # faults: the fault-injection suite over the server-driven protocol.
@@ -318,7 +277,7 @@ if [[ "$SUITE" == "faults" || "$SUITE" == "all" ]]; then
     grep -q "rows dropped, cost-ratio bound" "$LOGDIR/fault-serve.log" \
         || { echo "FAIL: serve did not report the degradation bound"; exit 1; }
 
-    # Clean twin via the in-process simulation (bit-identical to the
+    # Clean twin via the in-process run (bit-identical to the TCP
     # protocol for the same flags), then score both center sets on the
     # full dataset and hold the ratio to the documented bound.
     timeout --kill-after=10 "$ROUND_TIMEOUT" \

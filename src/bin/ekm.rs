@@ -24,12 +24,11 @@ use edge_kmeans::data::neurips_like::NeurIpsLike;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::partition::partition_uniform;
 use edge_kmeans::data::synth::GaussianMixture;
-use edge_kmeans::net::event::{EventServerBinding, EventTcpServer, EventTcpSource};
+use edge_kmeans::net::event::{self, EventServerBinding, EventTcpServer, EventTcpSource};
 use edge_kmeans::net::protocol::{Command, DeadlinePolicy, Response, SourceEndpoint};
 use edge_kmeans::net::reactor::{ReactorChoice, ReactorKind};
-use edge_kmeans::net::tcp::{self, RunDigest, TcpServerBinding, TcpSource};
 use edge_kmeans::net::wire::{Compute, Precision};
-use edge_kmeans::net::{CommandTransport, NetError, NetworkStats, RoutingTransport, Transport};
+use edge_kmeans::net::{CommandTransport, NetError, NetworkStats, RoutingTransport, RunDigest};
 use edge_kmeans::prelude::*;
 use std::collections::HashMap;
 use std::path::Path;
@@ -52,9 +51,7 @@ COMMANDS:
     serve    run the server of a distributed deployment over real TCP:
              drives the server-side protocol over every connected source
              process (event-driven, one thread) — the sources hold the
-             data, the server holds the plan; with --replicated-check it
-             instead runs the replicated SPMD debug mode with per-frame
-             byte-equality divergence checks
+             data, the server holds the plan
     source   run one data-source process of a distributed deployment
              (launch with the same dataset/pipeline flags as the server);
              in the default protocol mode the process keeps only its own
@@ -91,9 +88,6 @@ FLAGS (with defaults):
     --leaf-size <int>   stream stage leaf-buffer size [2x coreset size]
     --threads <int>     cap worker threads (sharded solve, per-source
                         fan-out); 0 follows the hardware        [0]
-    --parallel <on|off> run: the server-driven channel backend (one
-                        executor thread per source) vs the sequential
-                        in-process simulation — bit-identical   [on]
     --topology <t>      star | tree: summary aggregation of the
                         server-driven protocol — star uplinks every
                         summary to the server, tree pairwise-merges
@@ -108,9 +102,6 @@ FLAGS (with defaults):
     --no-cache          sweep: disable the stage-output cache
     --cache-budget <b>  sweep: bound the stage cache to ~b bytes with
                         least-recently-used eviction
-    --replicated-check  serve/source: replicated SPMD debug mode (every
-                        process recomputes the full run; per-frame
-                        byte-equality divergence checks)
     --y0 <float>        qtopt error budget                     [2.0]
 
 FAULT TOLERANCE (serve/source, protocol mode):
@@ -131,8 +122,6 @@ FAULT TOLERANCE (serve/source, protocol mode):
     --centers-out <f>   run/serve: save the centers losslessly (hex-
                         encoded f64 bits), for `ekm eval` comparisons
     --centers <file>    eval: the saved centers to score
-    --cache-dir <dir>   sweep: disk tier under the stage cache — evicted
-                        snapshots spill to files and come back as hits
     --reconnect <secs>  source: keep reconnecting for this long when the
                         server vanishes mid-run (crash recovery window)
     --crash-after-commands <n>  serve: exit(42) after n journaled
@@ -159,7 +148,7 @@ EXAMPLES:
 ";
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["no-cache", "replicated-check", "resume"];
+const BOOLEAN_FLAGS: &[&str] = &["no-cache", "resume"];
 
 /// Valid `--pipeline` names, for dispatch and error messages.
 const PIPELINES: &[&str] = &[
@@ -433,11 +422,6 @@ fn select_pipelines(
     params: &SummaryParams,
     sweep: bool,
 ) -> Result<Vec<StagePipeline>, String> {
-    let parallel = match args.get_str("parallel", "on").as_str() {
-        "on" | "true" | "1" => true,
-        "off" | "false" | "0" => false,
-        other => return Err(format!("--parallel expects on|off, got '{other}'")),
-    };
     let stages_flag = args.flags.get("stages");
     if args.flags.contains_key("pipeline") && stages_flag.is_some() {
         return Err("--pipeline and --stages are mutually exclusive".into());
@@ -468,10 +452,7 @@ fn select_pipelines(
             params,
         )?);
     }
-    Ok(pipelines
-        .into_iter()
-        .map(|p| p.with_parallel(parallel))
-        .collect())
+    Ok(pipelines)
 }
 
 /// Builds a `--stages` composition, honoring `--quantize` the way the
@@ -504,24 +485,18 @@ fn report_line(
     Ok(())
 }
 
-/// The per-source shards a pipeline runs over.
-fn shard_data(pipe: &StagePipeline, data: &Matrix, sources: usize) -> Result<Vec<Matrix>, String> {
-    if pipe.is_distributed() {
-        partition_uniform(data, sources, pipe.params().seed).map_err(|e| e.to_string())
-    } else {
-        Ok(vec![data.clone()])
-    }
-}
-
-fn run_one(
+/// Runs one pipeline in process: one executor thread per source, each
+/// holding only its shard (borrowed, never copied), the driver folding
+/// their responses on this thread.
+fn run_pipe(
     pipe: &StagePipeline,
     data: &Matrix,
     sources: usize,
-    reference_cost: f64,
     cache: Option<&mut StageCache>,
-) -> Result<(), String> {
-    let out = if pipe.is_distributed() {
-        let shards = shard_data(pipe, data, sources)?;
+) -> Result<RunOutput, String> {
+    Ok(if pipe.is_distributed() {
+        let shards =
+            partition_uniform(data, sources, pipe.params().seed).map_err(|e| e.to_string())?;
         let mut net = Network::new(sources);
         match cache {
             Some(cache) => pipe.run_shards_cached(&shards, &mut net, cache),
@@ -535,8 +510,7 @@ fn run_one(
             None => pipe.run(data, &mut net),
         }
         .map_err(|e| e.to_string())?
-    };
-    report_line(pipe, data, &out, reference_cost)
+    })
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
@@ -549,20 +523,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     println!("dataset {n} x {d}, k = {}", params.k);
     let reference = evaluation::reference(&data, params.k, 5, 1).map_err(|e| e.to_string())?;
     println!("reference cost: {:.4}\n", reference.cost);
-    let parallel = args.get_str("parallel", "on") != "off";
-    let out = if parallel {
-        // The server-driven channel backend: one executor thread per
-        // source, each holding only its shard; the driver folds their
-        // responses — bit-identical to the in-process simulation.
-        let shards = shard_data(pipe, &data, sources)?;
-        pipe.run_channel(shards).map_err(|e| e.to_string())?
-    } else {
-        // Sequential in-process simulation (the debugging reference).
-        let shards = shard_data(pipe, &data, sources)?;
-        let mut net = Network::new(shards.len());
-        pipe.run_shards(&shards, &mut net)
-            .map_err(|e| e.to_string())?
-    };
+    let out = run_pipe(pipe, &data, sources, None)?;
     report_line(pipe, &data, &out, reference.cost)?;
     println!("total uplink-bits {}", out.uplink_bits);
     if let Some(path) = args.flags.get("centers-out") {
@@ -596,17 +557,11 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    // The cache-tier flags shape a cache that --no-cache removes:
-    // honoring one silently would surprise, so the combination is a
-    // usage error — rejected before any dataset work.
-    if args.flags.contains_key("no-cache") {
-        for conflicting in ["cache-budget", "cache-dir"] {
-            if args.flags.contains_key(conflicting) {
-                return Err(format!(
-                    "--{conflicting} conflicts with --no-cache: the stage cache is disabled"
-                ));
-            }
-        }
+    // --cache-budget shapes a cache that --no-cache removes: honoring
+    // one silently would surprise, so the combination is a usage error —
+    // rejected before any dataset work.
+    if args.flags.contains_key("no-cache") && args.flags.contains_key("cache-budget") {
+        return Err("--cache-budget conflicts with --no-cache: the stage cache is disabled".into());
     }
     let data = build_dataset(args)?;
     let (n, d) = data.shape();
@@ -630,23 +585,13 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     } else {
         Some(StageCache::new())
     };
-    if let Some(dir) = args.flags.get("cache-dir") {
-        let Some(memory) = cache.take() else {
-            return Err("--cache-dir conflicts with --no-cache".into());
-        };
-        // Entries the memory budget evicts spill to FNV-keyed files
-        // under `dir` instead of being recomputed; 256 MiB on disk.
-        cache = Some(
-            memory
-                .with_disk_tier(Path::new(dir), 256 << 20)
-                .map_err(|e| format!("--cache-dir {dir}: {e}"))?,
-        );
-    }
     // Keep sweeping after a failure so the table stays comparable, but
     // report every failure and exit nonzero if any pipeline failed.
     let mut failures = Vec::new();
     for pipe in &pipelines {
-        if let Err(e) = run_one(pipe, &data, sources, reference.cost, cache.as_mut()) {
+        let run = run_pipe(pipe, &data, sources, cache.as_mut())
+            .and_then(|out| report_line(pipe, &data, &out, reference.cost));
+        if let Err(e) = run {
             eprintln!("{:<14} error: {e}", pipe.name());
             failures.push(pipe.name());
         }
@@ -662,13 +607,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             cache.held_bytes(),
             cache.hit_rate()
         );
-        if args.flags.contains_key("cache-dir") {
-            println!(
-                "disk tier: {} spills, {} disk hits",
-                cache.spills(),
-                cache.disk_hits()
-            );
-        }
     }
     if failures.is_empty() {
         Ok(())
@@ -690,8 +628,6 @@ struct DistRun {
     parts: Vec<Matrix>,
     m: usize,
     fingerprint: u64,
-    n: usize,
-    d: usize,
 }
 
 /// The `--reactor` choice for the event backend. Validated wherever the
@@ -707,9 +643,7 @@ fn reactor_choice(args: &Args) -> Result<ReactorChoice, String> {
 }
 
 /// The canonical configuration string hashed into the handshake
-/// fingerprint. Covers every flag that affects the run's bits;
-/// `--parallel` is deliberately excluded (results are bit-identical
-/// either way, so the two ends may schedule differently).
+/// fingerprint. Covers every flag that affects the run's bits.
 fn canonical_config(args: &Args, m: usize) -> Result<String, String> {
     Ok(format!(
         "dataset={};n={};d={};k={};seed={};pipeline={};stages={};quantize={};\
@@ -730,8 +664,9 @@ fn canonical_config(args: &Args, m: usize) -> Result<String, String> {
     ))
 }
 
-/// Builds the deterministic run both `ekm serve` and `ekm source`
-/// replicate: same dataset, same shards, same pipeline, same seeds.
+/// What an `ekm source` process derives from the shared CLI flags: the
+/// plan, every source's shard (it keeps its own plus the replica
+/// shards its ring position assigns it), and the handshake fingerprint.
 fn prepare_dist_run(args: &Args) -> Result<DistRun, String> {
     let data = build_dataset(args)?;
     let (n, d) = data.shape();
@@ -750,20 +685,18 @@ fn prepare_dist_run(args: &Args) -> Result<DistRun, String> {
         // whole dataset.
         (vec![data], 1)
     };
-    let fingerprint = tcp::fingerprint(&canonical_config(args, m)?);
+    let fingerprint = event::fingerprint(&canonical_config(args, m)?);
     Ok(DistRun {
         pipe,
         parts,
         m,
         fingerprint,
-        n,
-        d,
     })
 }
 
-/// What the *server* of a non-replicated deployment derives from the
-/// shared CLI flags: the plan, the source count, and the handshake
-/// fingerprint — never the data.
+/// What the *server* of a deployment derives from the shared CLI flags:
+/// the plan, the source count, and the handshake fingerprint — never the
+/// data.
 struct DistPlan {
     pipe: StagePipeline,
     m: usize,
@@ -797,7 +730,7 @@ fn prepare_dist_plan(args: &Args) -> Result<DistPlan, String> {
         .next()
         .expect("one pipeline selected");
     let m = if pipe.is_distributed() { sources } else { 1 };
-    let fingerprint = tcp::fingerprint(&canonical_config(args, m)?);
+    let fingerprint = event::fingerprint(&canonical_config(args, m)?);
     Ok(DistPlan {
         pipe,
         m,
@@ -814,9 +747,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .ok_or("serve needs --listen <addr>")?
         .clone();
     // Fail fast on inconsistent fault-tolerance flags before binding
-    // the listener — and before the replicated-check dispatch, so
-    // `serve --replicated-check --resume` is the same usage error as
-    // `serve --resume` instead of silently dropping the flag.
+    // the listener.
     if !args.flags.contains_key("journal") {
         if args.flags.contains_key("resume") {
             return Err("--resume needs --journal <path>".into());
@@ -825,25 +756,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             return Err("--crash-after-commands needs --journal <path>".into());
         }
     }
-    if args.flags.contains_key("replicated-check") {
-        // The SPMD debug mode recomputes the full run on every process:
-        // there is no journal to replay and no shard to re-home, so the
-        // protocol-mode fault-tolerance flags are usage errors here.
-        if args.flags.contains_key("journal") {
-            return Err(
-                "--journal needs the server-driven protocol mode (drop --replicated-check)".into(),
-            );
-        }
-        if args.get_usize("replication", 1)? > 1 {
-            return Err(
-                "--replication needs the server-driven protocol mode (drop --replicated-check)"
-                    .into(),
-            );
-        }
-        return cmd_serve_replicated(args, &addr);
-    }
-    // Default: the server-driven protocol. This process never builds
-    // the dataset — it owns the plan, the sources own their shards.
+    // This process never builds the dataset — it owns the plan, the
+    // sources own their shards.
     let reactor = reactor_choice(args)?;
     let plan = prepare_dist_plan(args)?;
     let binding = EventServerBinding::bind(addr.as_str())
@@ -935,7 +849,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         );
     }
     println!(
-        "digest {:#018x}: per-source counters verified across {} source(s), no replication",
+        "digest {:#018x}: per-source counters verified across {} source(s)",
         digest.centers_hash, plan.m
     );
     if let Some(path) = args.flags.get("centers-out") {
@@ -999,48 +913,6 @@ fn drive_accepted(
     Ok((out, stats))
 }
 
-/// The replicated SPMD debug fallback: every process recomputes the
-/// full deterministic run and the transport verifies byte equality
-/// frame by frame.
-fn cmd_serve_replicated(args: &Args, addr: &str) -> Result<(), String> {
-    let run = prepare_dist_run(args)?;
-    let binding = TcpServerBinding::bind(addr).map_err(|e| e.to_string())?;
-    println!(
-        "listening on {} for {} source(s), pipeline {} [config {:#018x}, replicated check]",
-        binding.local_addr().map_err(|e| e.to_string())?,
-        run.m,
-        run.pipe.name(),
-        run.fingerprint
-    );
-    let mut net = binding
-        .accept(run.m, run.fingerprint)
-        .map_err(|e| e.to_string())?;
-    println!("all {} source(s) connected; running", run.m);
-    let out = run
-        .pipe
-        .run_shards(&run.parts, &mut net)
-        .map_err(|e| e.to_string())?;
-    let digest = RunDigest::new(net.stats(), &out.centers);
-    net.finish(digest).map_err(|e| e.to_string())?;
-    println!(
-        "{} complete: centers {}x{}, comm {:.3e}, summary {} pts",
-        run.pipe.name(),
-        out.centers.rows(),
-        out.centers.cols(),
-        out.normalized_comm(run.n, run.d),
-        out.summary_points
-    );
-    for i in 0..run.m {
-        println!("source {i} uplink-bits {}", net.stats().uplink_bits(i));
-    }
-    println!("total uplink-bits {}", out.uplink_bits);
-    println!(
-        "digest {:#018x}: verified bit-identical across all {} process(es)",
-        digest.centers_hash, run.m
-    );
-    Ok(())
-}
-
 fn cmd_source(args: &Args) -> Result<(), String> {
     let addr = args
         .flags
@@ -1062,33 +934,8 @@ fn cmd_source(args: &Args) -> Result<(), String> {
             run.m
         ));
     }
-    if args.flags.contains_key("replicated-check") {
-        let mut net = TcpSource::connect(
-            addr.as_str(),
-            id,
-            run.m,
-            run.fingerprint,
-            Duration::from_secs(30),
-        )
-        .map_err(|e| e.to_string())?;
-        let out = run
-            .pipe
-            .run_shards(&run.parts, &mut net)
-            .map_err(|e| e.to_string())?;
-        let digest = RunDigest::new(net.stats(), &out.centers);
-        net.finish(digest).map_err(|e| e.to_string())?;
-        println!(
-            "source {id}: {} verified bit-identical with server \
-             (own uplink-bits {}, digest {:#018x})",
-            run.pipe.name(),
-            net.stats().uplink_bits(id),
-            digest.centers_hash
-        );
-        return Ok(());
-    }
-    // Default: protocol mode — keep this source's shard (plus the cold
-    // replica shards its ring position assigns it) and answer the
-    // server's commands.
+    // Keep this source's shard (plus the cold replica shards its ring
+    // position assigns it) and answer the server's commands.
     let replication = run.pipe.params().replication;
     let replicas: std::collections::BTreeMap<usize, Matrix> =
         edge_kmeans::core::params::replica_origins(id, run.m, replication)
@@ -1448,7 +1295,7 @@ mod tests {
     #[test]
     fn fingerprint_covers_precision_and_leaf_size() {
         let base = args(&["serve", "--n", "500"]).unwrap();
-        let fp = |a: &Args| tcp::fingerprint(&canonical_config(a, 2).unwrap());
+        let fp = |a: &Args| event::fingerprint(&canonical_config(a, 2).unwrap());
         let f32p = args(&["serve", "--n", "500", "--precision", "f32"]).unwrap();
         assert_ne!(fp(&base), fp(&f32p));
         let leaf = args(&["serve", "--n", "500", "--leaf-size", "64"]).unwrap();
@@ -1473,7 +1320,7 @@ mod tests {
         // Both ends must agree on the topology: a tree server would
         // issue MergeWith rounds a star source rejects, so it is part
         // of the handshake (and journal-resume) fingerprint.
-        let fp = |a: &Args| tcp::fingerprint(&canonical_config(a, 3).unwrap());
+        let fp = |a: &Args| event::fingerprint(&canonical_config(a, 3).unwrap());
         let star = args(&["serve", "--n", "500"]).unwrap();
         let tree = args(&["serve", "--n", "500", "--topology", "tree"]).unwrap();
         assert_ne!(fp(&star), fp(&tree));
@@ -1488,10 +1335,6 @@ mod tests {
         let a = args(&["sweep", "--no-cache", "--cache-budget", "1000"]).unwrap();
         let err = cmd_sweep(&a).unwrap_err();
         assert!(err.contains("--cache-budget"), "{err}");
-        assert!(err.contains("--no-cache"), "{err}");
-        let a = args(&["sweep", "--no-cache", "--cache-dir", "/tmp/x"]).unwrap();
-        let err = cmd_sweep(&a).unwrap_err();
-        assert!(err.contains("--cache-dir"), "{err}");
         assert!(err.contains("--no-cache"), "{err}");
     }
 
@@ -1510,13 +1353,13 @@ mod tests {
     #[test]
     fn fingerprint_covers_run_shaping_flags_only() {
         let base = args(&["serve", "--n", "500", "--seed", "7"]).unwrap();
-        let fp = |a: &Args| tcp::fingerprint(&canonical_config(a, 3).unwrap());
+        let fp = |a: &Args| event::fingerprint(&canonical_config(a, 3).unwrap());
         // A different seed changes the fingerprint…
         let other = args(&["serve", "--n", "500", "--seed", "8"]).unwrap();
         assert_ne!(fp(&base), fp(&other));
-        // …but --parallel does not (results are bit-identical either way).
-        let par = args(&["serve", "--n", "500", "--seed", "7", "--parallel", "off"]).unwrap();
-        assert_eq!(fp(&base), fp(&par));
+        // …but where the centers are saved does not.
+        let saved = args(&["serve", "--n", "500", "--seed", "7", "--centers-out", "c"]).unwrap();
+        assert_eq!(fp(&base), fp(&saved));
     }
 
     #[test]
@@ -1551,18 +1394,6 @@ mod tests {
         let run = prepare_dist_run(&a).unwrap();
         assert_eq!((run.m, run.parts.len()), (1, 1));
         assert_eq!(run.parts[0].rows(), 90);
-    }
-
-    #[test]
-    fn parallel_flag_parses() {
-        for (v, ok) in [("on", true), ("off", true), ("1", true), ("maybe", false)] {
-            let a = args(&["run", "--parallel", v]).unwrap();
-            assert_eq!(
-                select_pipelines(&a, &test_params(), false).is_ok(),
-                ok,
-                "{v}"
-            );
-        }
     }
 
     #[test]
@@ -1605,7 +1436,7 @@ mod tests {
         // The reactor schedules wakeups, never the bits: an epoll
         // server must handshake with a source launched before the flag
         // existed, so it stays out of the fingerprint.
-        let fp = |a: &Args| tcp::fingerprint(&canonical_config(a, 3).unwrap());
+        let fp = |a: &Args| event::fingerprint(&canonical_config(a, 3).unwrap());
         let base = args(&["serve", "--n", "500"]).unwrap();
         let sleep = args(&["serve", "--n", "500", "--reactor", "sleep"]).unwrap();
         assert_eq!(fp(&base), fp(&sleep));
@@ -1617,7 +1448,7 @@ mod tests {
         // the run's bits — a resumed driver must present the same
         // handshake fingerprint as the one that crashed.
         let base = args(&["serve", "--n", "500"]).unwrap();
-        let fp = |a: &Args| tcp::fingerprint(&canonical_config(a, 3).unwrap());
+        let fp = |a: &Args| event::fingerprint(&canonical_config(a, 3).unwrap());
         let faulty = args(&[
             "serve",
             "--n",
@@ -1675,51 +1506,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_without_journal_fails_fast_under_replicated_check_too() {
-        // The --replicated-check dispatch used to return before the
-        // fault-tolerance flag validation, so `serve --replicated-check
-        // --resume` silently dropped --resume and ran a fresh replicated
-        // run. It is the same usage error as plain `serve --resume`,
-        // rejected before any listener binds or dataset builds.
-        let a = args(&[
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--replicated-check",
-            "--resume",
-        ])
-        .unwrap();
-        let err = cmd_serve(&a).unwrap_err();
-        assert!(err.contains("--resume"), "{err}");
-        assert!(err.contains("--journal"), "{err}");
-        // And the flags replicated-check mode cannot honor at all are
-        // rejected, not ignored.
-        let a = args(&[
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--replicated-check",
-            "--journal",
-            "run.journal",
-        ])
-        .unwrap();
-        let err = cmd_serve(&a).unwrap_err();
-        assert!(err.contains("--replicated-check"), "{err}");
-        let a = args(&[
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--replicated-check",
-            "--replication",
-            "2",
-        ])
-        .unwrap();
-        let err = cmd_serve(&a).unwrap_err();
-        assert!(err.contains("--replication"), "{err}");
-        assert!(err.contains("--replicated-check"), "{err}");
-    }
-
-    #[test]
     fn replication_flag_reaches_params_and_rejects_zero() {
         let a = args(&["serve", "--replication", "2"]).unwrap();
         assert_eq!(build_params(&a, 100, 10).unwrap().replication, 2);
@@ -1736,7 +1522,7 @@ mod tests {
     fn replication_is_part_of_the_fingerprint() {
         // The replica ring shapes which process must hold which cold
         // shard, so both ends have to agree on r before any data moves.
-        let fp = |a: &Args| tcp::fingerprint(&canonical_config(a, 3).unwrap());
+        let fp = |a: &Args| event::fingerprint(&canonical_config(a, 3).unwrap());
         let base = args(&["serve", "--n", "500"]).unwrap();
         let replicated = args(&["serve", "--n", "500", "--replication", "2"]).unwrap();
         assert_ne!(fp(&base), fp(&replicated));

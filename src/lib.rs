@@ -23,7 +23,7 @@
 //! | [`sketch`] | JL projections, PCA, target-dimension formulas |
 //! | [`coreset`] | ε-coresets, sensitivity sampling, FSS |
 //! | [`quant`] | the rounding quantizer Γ and the §6.3 optimizer |
-//! | [`net`] | bit-exact edge network: transport abstraction, in-process simulation, TCP backend |
+//! | [`net`] | bit-exact edge network: wire format, the server-driven protocol, in-process and TCP backends |
 //! | [`data`] | MNIST-like / NeurIPS-like workloads, normalization |
 //! | [`core`] | Algorithms 1–4, FSS, BKLW, and the +QT variants |
 //!
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use ekm_coreset::{Coreset, FssBuilder};
     pub use ekm_linalg::Matrix;
     pub use ekm_net::wire::Precision;
-    pub use ekm_net::{Network, Transport, TransportLink};
+    pub use ekm_net::Network;
     pub use ekm_quant::{QtOptimizer, RoundingQuantizer};
     pub use ekm_sketch::{JlKind, JlProjection, Pca};
 }

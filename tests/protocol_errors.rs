@@ -324,8 +324,8 @@ fn event_tcp_stale_fingerprint_fails_handshake() {
 
 #[test]
 fn driver_validation_aborts_sources_with_the_reason() {
-    // `fss` over two sources is invalid; the driver must fail with the
-    // engine's error and the executors must be told to abort (typed
+    // `fss` over two sources is invalid; the driver must fail with a
+    // configuration error and the executors must be told to abort (typed
     // RemoteAbort), not left waiting.
     let pipe = pipeline("fss", 200, 8);
     let data = workload(200, 8, 6);

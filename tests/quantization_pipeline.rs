@@ -227,7 +227,7 @@ fn eq14_error_bound_holds_on_pipeline_payloads() {
 
 #[test]
 fn wire_payload_is_exactly_representable() {
-    // decode(encode(Γ(x))) == Γ(x) bit for bit, through the real network.
+    // decode(encode(Γ(x))) == Γ(x) bit for bit, through the wire payload.
     let data = workload(300, 8, 11);
     let q = RoundingQuantizer::new(7).unwrap();
     let quantized = q.quantize_matrix(&data);
@@ -238,8 +238,9 @@ fn wire_payload_is_exactly_representable() {
         precision: edge_kmeans::net::wire::Precision::Quantized { s: 7 },
         weights_precision: edge_kmeans::net::wire::Precision::Full,
     };
-    let mut net = Network::new(1);
-    let received = net.send_to_server(0, &msg).unwrap();
+    let received = edge_kmeans::net::protocol::Payload::of(&msg)
+        .decode()
+        .unwrap();
     match received {
         edge_kmeans::net::messages::Message::Coreset { points, .. } => {
             assert!(points.approx_eq(&quantized, 0.0), "wire not bit-exact");

@@ -8,8 +8,8 @@
 use edge_kmeans::data::mnist_like::MnistLike;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::partition::partition_uniform;
-use edge_kmeans::net::tcp::RunDigest;
 use edge_kmeans::net::NetworkStats;
+use edge_kmeans::net::RunDigest;
 use edge_kmeans::prelude::*;
 
 const SOURCES: usize = 4;
@@ -124,8 +124,10 @@ fn cached_sweep_covers_streaming_shards() {
     let cached = sweep(&lists, &data, Some(&mut cache));
     let uncached = sweep(&lists, &data, None);
     assert_rows_identical(&cached, &uncached);
-    assert_eq!(cache.misses(), 2, "jl, stream");
-    assert_eq!(cache.hits(), 4);
+    // Every executor looks up its own shard: jl and stream miss once per
+    // source, then both hit per source in the two later compositions.
+    assert_eq!(cache.misses(), 2 * SOURCES as u64, "jl, stream per source");
+    assert_eq!(cache.hits(), 4 * SOURCES as u64);
 }
 
 #[test]

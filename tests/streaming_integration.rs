@@ -1,10 +1,11 @@
 //! Integration: streaming collection composed with the paper's
-//! DR/CR/QT summary machinery, end to end over the simulated network.
+//! DR/CR/QT summary machinery, end to end through the protocol.
 
 use edge_kmeans::coreset::StreamingCoreset;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::synth::GaussianMixture;
 use edge_kmeans::net::messages::Message;
+use edge_kmeans::net::protocol::Payload;
 use edge_kmeans::net::wire::Precision;
 use edge_kmeans::prelude::*;
 
@@ -134,8 +135,8 @@ fn stream_then_ship_then_solve() {
         precision: Precision::Quantized { s: 12 },
         weights_precision: Precision::Full,
     };
-    let mut net = Network::new(1);
-    let received = net.send_to_server(0, &msg).unwrap();
+    let payload = Payload::of(&msg);
+    let received = payload.decode().unwrap();
 
     // Server: solve in projected space, lift with the shared-seed Π⁺.
     let (points, weights) = match received {
@@ -159,7 +160,7 @@ fn stream_then_ship_then_solve() {
     assert!(nc < 1.5, "stream+DR+QT normalized cost {nc}");
 
     // And the message was genuinely small: well under 5% of raw bits.
-    let norm_comm = net.stats().normalized_uplink(n, d);
+    let norm_comm = payload.bits() as f64 / (n * d * 64) as f64;
     assert!(norm_comm < 0.05, "normalized comm {norm_comm}");
 }
 

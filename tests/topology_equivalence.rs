@@ -1,11 +1,11 @@
 //! Aggregation-topology equivalence: `--topology tree` must be a pure
 //! placement change. For every source count (including non-powers of
 //! two) and pipeline, the tree run's centers, run digest, and classic
-//! per-source ledgers are bit-identical to the star run and the
-//! in-process simulation — the pairwise reduction follows the same
-//! canonical merge schedule the server's fold uses, and every merge
-//! output is wire-roundtripped, so where the fold *runs* cannot change
-//! what it computes. The tree's own physical counters then prove the
+//! per-source ledgers are bit-identical to the star run and to the
+//! library run (`run_shards`) — the pairwise reduction follows the
+//! same canonical merge schedule the server's fold uses, and every
+//! merge output is wire-roundtripped, so where the fold *runs* cannot
+//! change what it computes. The tree's own physical counters then prove the
 //! headline: `ceil(log2 s) + 1` merge rounds and a single server-side
 //! fold input per gather, with the star-only counters staying zero.
 //!

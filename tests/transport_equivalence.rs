@@ -1,32 +1,26 @@
-//! Transport-equivalence tests: every execution model of a pipeline
-//! must be indistinguishable from the in-process `Network` simulation —
-//! the same `NetworkStats` to the bit (total, per-source, per message
-//! kind), bit-identical centers, and equal deterministic op counts —
-//! for every named paper pipeline and for arbitrary `--stages`
-//! compositions. Three models are proven here:
+//! Transport-equivalence tests: a pipeline run over the event-driven
+//! TCP backend (`ekm_net::event`) — the driver on real loopback sockets,
+//! one executor per source holding only its shard — must be
+//! indistinguishable from the in-process run: the same `NetworkStats` to
+//! the bit (total, per source, per message kind), bit-identical centers,
+//! and equal deterministic op counts, for every named paper pipeline and
+//! for arbitrary `--stages` compositions. The reference is
+//! `StagePipeline::run_shards` over a `Network` ledger (executor threads
+//! borrowing the caller's shards); `run_channel_detailed`, whose
+//! executors own theirs, must match it as well.
 //!
-//! * the replicated loopback-TCP backend (`tcp::TcpServer`/`TcpSource`,
-//!   the `--replicated-check` debug mode), which additionally verifies
-//!   byte equality frame by frame at runtime;
-//! * the **server-driven channel backend** (`run_channel`): a driver
-//!   thread plus one executor thread per source, each holding only its
-//!   shard;
-//! * the **event-driven TCP protocol backend** (`ekm_net::event`): the
-//!   same driver/executors over real non-blocking sockets, the server
-//!   multiplexing every connection in one thread.
-//!
-//! The non-replicated models also prove *isolation*: a source's entire
+//! Both protocol backends also prove *isolation*: a source's entire
 //! downlink is the basis broadcast and the sample allocation — it never
 //! receives any other source's shard (asserted on the bytes and message
-//! kinds each executor observed).
+//! kinds each executor observed). `tests/golden/` pins the results of
+//! these configurations themselves.
 
 use edge_kmeans::core::executor::SourceExecutor;
 use edge_kmeans::data::mnist_like::MnistLike;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::partition::partition_uniform;
 use edge_kmeans::net::event::{EventServerBinding, EventTcpSource};
-use edge_kmeans::net::tcp::{RunDigest, TcpServerBinding, TcpSource};
-use edge_kmeans::net::{CommandTransport, NetworkStats, Transport};
+use edge_kmeans::net::{CommandTransport, NetworkStats};
 use edge_kmeans::prelude::*;
 use std::time::Duration;
 
@@ -39,8 +33,8 @@ fn workload(seed: u64) -> Matrix {
 }
 
 /// `EKM_COMPUTE=f32` reruns the whole equivalence matrix under the f32
-/// distance kernels: transports must agree with the simulation at either
-/// compute precision (f64 stays the default leg).
+/// distance kernels: transports must agree with the reference run at
+/// either compute precision (f64 stays the default leg).
 fn params(data: &Matrix) -> SummaryParams {
     let (n, d) = data.shape();
     let mut p = SummaryParams::practical(2, n, d).with_seed(23);
@@ -61,103 +55,11 @@ fn shards(pipe: &StagePipeline, data: &Matrix) -> (Vec<Matrix>, usize) {
     }
 }
 
-/// Runs `pipe` over the in-process simulation.
-fn run_simulated(pipe: &StagePipeline, parts: &[Matrix], m: usize) -> (RunOutput, NetworkStats) {
+/// The reference run: `pipe` in process over a `Network` ledger.
+fn run_reference(pipe: &StagePipeline, parts: &[Matrix], m: usize) -> (RunOutput, NetworkStats) {
     let mut net = Network::new(m);
     let out = pipe.run_shards(parts, &mut net).unwrap();
     (out, net.stats().clone())
-}
-
-/// Runs `pipe` over loopback TCP: one server transport plus `m` source
-/// transports, each on its own thread with its own connection, all
-/// finishing with the digest exchange. Returns the server's view and
-/// every source process's statistics.
-fn run_tcp(
-    pipe: &StagePipeline,
-    parts: &[Matrix],
-    m: usize,
-) -> (RunOutput, NetworkStats, Vec<NetworkStats>) {
-    let binding = TcpServerBinding::bind("127.0.0.1:0").unwrap();
-    let addr = binding.local_addr().unwrap();
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| {
-            let mut net = binding.accept(m, FP).unwrap();
-            let out = pipe.run_shards(parts, &mut net).unwrap();
-            let digest = RunDigest::new(net.stats(), &out.centers);
-            net.finish(digest).unwrap();
-            (out, net.stats().clone())
-        });
-        let sources: Vec<_> = (0..m)
-            .map(|i| {
-                scope.spawn(move || {
-                    let mut net =
-                        TcpSource::connect(addr, i, m, FP, Duration::from_secs(20)).unwrap();
-                    let out = pipe.run_shards(parts, &mut net).unwrap();
-                    let digest = RunDigest::new(net.stats(), &out.centers);
-                    net.finish(digest).unwrap();
-                    net.stats().clone()
-                })
-            })
-            .collect();
-        let (out, stats) = server.join().unwrap();
-        let source_stats = sources.into_iter().map(|s| s.join().unwrap()).collect();
-        (out, stats, source_stats)
-    })
-}
-
-/// The core assertion: TCP and simulation agree exactly.
-fn assert_transport_equivalent(label: &str, pipe: &StagePipeline, data: &Matrix) {
-    let (parts, m) = shards(pipe, data);
-    let (sim_out, sim_stats) = run_simulated(pipe, &parts, m);
-    let (tcp_out, tcp_stats, source_stats) = run_tcp(pipe, &parts, m);
-
-    assert_eq!(
-        tcp_stats, sim_stats,
-        "{label}: server NetworkStats differ from the simulation"
-    );
-    assert_eq!(tcp_out.uplink_bits, sim_out.uplink_bits, "{label}: uplink");
-    assert_eq!(
-        tcp_out.downlink_bits, sim_out.downlink_bits,
-        "{label}: downlink"
-    );
-    assert_eq!(
-        tcp_out.summary_points, sim_out.summary_points,
-        "{label}: summary size"
-    );
-    assert_eq!(
-        tcp_out.source_ops, sim_out.source_ops,
-        "{label}: operation counts"
-    );
-    for i in 0..m {
-        assert_eq!(
-            tcp_stats.uplink_bits(i),
-            sim_stats.uplink_bits(i),
-            "{label}: per-source bits, source {i}"
-        );
-    }
-    assert_eq!(
-        tcp_stats.uplink_bits_by_kind(),
-        sim_stats.uplink_bits_by_kind(),
-        "{label}: by-kind breakdown"
-    );
-    // Centers bit-identical, not approximately equal.
-    assert_eq!(tcp_out.centers.shape(), sim_out.centers.shape(), "{label}");
-    for (a, b) in tcp_out
-        .centers
-        .as_slice()
-        .iter()
-        .zip(sim_out.centers.as_slice())
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "{label}: centers diverge");
-    }
-    // Every source process observed the same totals as the server (its
-    // local echoes replicate the other sources exactly).
-    for (i, s) in source_stats.iter().enumerate() {
-        assert_eq!(
-            s, &sim_stats,
-            "{label}: source process {i} stats differ from the simulation"
-        );
-    }
 }
 
 /// Runs `pipe` over the event-driven TCP protocol backend: the driver
@@ -191,9 +93,9 @@ fn run_event_tcp(
     })
 }
 
-/// The non-replicated assertion: protocol outputs equal the simulation
-/// bit for bit, and every source saw only control traffic plus the two
-/// legitimate downlink payloads.
+/// Protocol outputs equal the reference run bit for bit, and every
+/// source saw only control traffic plus the two legitimate downlink
+/// payloads.
 fn assert_protocol_equivalent(
     label: &str,
     pipe: &StagePipeline,
@@ -201,7 +103,7 @@ fn assert_protocol_equivalent(
     run: impl FnOnce(Vec<Matrix>) -> (RunOutput, NetworkStats, Vec<SourceRunReport>),
 ) {
     let (parts, m) = shards(pipe, data);
-    let (sim_out, sim_stats) = run_simulated(pipe, &parts, m);
+    let (ref_out, ref_stats) = run_reference(pipe, &parts, m);
     let shard_bits: Vec<u64> = parts
         .iter()
         .map(|p| (p.rows() * p.cols() * 64) as u64)
@@ -209,24 +111,24 @@ fn assert_protocol_equivalent(
     let (out, stats, reports) = run(parts);
 
     assert_eq!(
-        stats, sim_stats,
-        "{label}: driver NetworkStats differ from the simulation"
+        stats, ref_stats,
+        "{label}: driver NetworkStats differ from the reference run"
     );
-    assert_eq!(out.uplink_bits, sim_out.uplink_bits, "{label}: uplink");
+    assert_eq!(out.uplink_bits, ref_out.uplink_bits, "{label}: uplink");
     assert_eq!(
-        out.downlink_bits, sim_out.downlink_bits,
+        out.downlink_bits, ref_out.downlink_bits,
         "{label}: downlink"
     );
-    assert_eq!(out.source_ops, sim_out.source_ops, "{label}: op counts");
+    assert_eq!(out.source_ops, ref_out.source_ops, "{label}: op counts");
     assert_eq!(
-        out.summary_points, sim_out.summary_points,
+        out.summary_points, ref_out.summary_points,
         "{label}: summary size"
     );
     for (a, b) in out
         .centers
         .as_slice()
         .iter()
-        .zip(sim_out.centers.as_slice())
+        .zip(ref_out.centers.as_slice())
     {
         assert_eq!(a.to_bits(), b.to_bits(), "{label}: centers diverge");
     }
@@ -234,15 +136,15 @@ fn assert_protocol_equivalent(
     assert_eq!(reports.len(), m);
     for (i, report) in reports.iter().enumerate() {
         // Per-source accounting: what the executor observed equals the
-        // driver's ledger and the simulation's.
+        // driver's ledger and the reference run's.
         assert_eq!(
             report.uplink_bits,
-            sim_stats.uplink_bits(i),
+            ref_stats.uplink_bits(i),
             "{label}: source {i} uplink"
         );
         assert_eq!(
             report.downlink_bits,
-            sim_stats.downlink_bits(i),
+            ref_stats.downlink_bits(i),
             "{label}: source {i} downlink"
         );
         // Isolation: the only data-plane payloads a source ever
@@ -267,6 +169,11 @@ fn assert_protocol_equivalent(
             }
         }
     }
+}
+
+/// The event-TCP run of `pipe` against the reference run.
+fn assert_transport_equivalent(label: &str, pipe: &StagePipeline, data: &Matrix) {
+    assert_protocol_equivalent(label, pipe, data, |parts| run_event_tcp(pipe, parts));
 }
 
 fn named(name: &str, p: &SummaryParams) -> StagePipeline {
@@ -327,7 +234,7 @@ fn arbitrary_stage_compositions_are_transport_equivalent() {
 #[test]
 fn streaming_compositions_are_transport_equivalent() {
     // Per-source merge-and-reduce summaries over loopback TCP are
-    // byte-identical to the in-process runs, composed with DR before and
+    // bit-identical to the in-process runs, composed with DR before and
     // DR/QT after, with and without quantization.
     let data = workload(6);
     let p = params(&data);
@@ -341,7 +248,7 @@ fn streaming_compositions_are_transport_equivalent() {
 #[test]
 fn f32_aux_precision_is_transport_equivalent() {
     // The F32 wire variant changes the payloads (and the bits), so it
-    // must survive the byte-equality divergence checks too.
+    // must survive the real wire too.
     let data = workload(7);
     let p = params(&data).with_precision(edge_kmeans::net::wire::Precision::F32);
     for name in ["FSS", "JL+FSS", "BKLW"] {
@@ -420,40 +327,4 @@ fn event_tcp_protocol_matches_simulation_for_stage_compositions() {
             run_event_tcp(&pipe, parts)
         });
     }
-}
-
-#[test]
-fn sequential_and_parallel_tcp_runs_are_equivalent_too() {
-    // The divergence checks must hold regardless of worker scheduling on
-    // either end: run the server parallel and the sources sequential.
-    let data = workload(5);
-    let pipe = StagePipeline::from_names("dispca,disss", params(&data)).unwrap();
-    let (parts, m) = shards(&pipe, &data);
-    let sequential = pipe.clone().with_parallel(false);
-
-    let binding = TcpServerBinding::bind("127.0.0.1:0").unwrap();
-    let addr = binding.local_addr().unwrap();
-    let (out, stats) = std::thread::scope(|scope| {
-        let server = scope.spawn(|| {
-            let mut net = binding.accept(m, FP).unwrap();
-            let out = pipe.run_shards(&parts, &mut net).unwrap();
-            let digest = RunDigest::new(net.stats(), &out.centers);
-            net.finish(digest).unwrap();
-            (out, net.stats().clone())
-        });
-        for i in 0..m {
-            let seq = &sequential;
-            let parts = &parts;
-            scope.spawn(move || {
-                let mut net = TcpSource::connect(addr, i, m, FP, Duration::from_secs(20)).unwrap();
-                let out = seq.run_shards(parts, &mut net).unwrap();
-                let digest = RunDigest::new(net.stats(), &out.centers);
-                net.finish(digest).unwrap();
-            });
-        }
-        server.join().unwrap()
-    });
-    let (sim_out, sim_stats) = run_simulated(&pipe, &parts, m);
-    assert_eq!(stats, sim_stats);
-    assert_eq!(out.uplink_bits, sim_out.uplink_bits);
 }
