@@ -119,7 +119,9 @@ impl StageSnapshot {
 /// call of the sweep, and shared prefixes are computed once; outputs and
 /// bit accounting are bit-identical to uncached runs. Every executor
 /// looks up its own shard, so a run over `m` sources counts `m` lookups
-/// per cacheable stage.
+/// per cacheable stage. Those executors run concurrently, so under a
+/// byte budget the eviction order (and with it the hit count) of a
+/// multi-source run can vary from run to run; the outputs cannot.
 ///
 /// # Example
 ///
