@@ -94,8 +94,8 @@ pub struct Event {
 }
 
 /// The single sleep used by every backoff/park site in this crate: the
-/// sleep reactor's empty-cycle park, connect-retry backoff in the event
-/// and replicated backends. Keeping it here means "where do we still
+/// sleep reactor's empty-cycle park and the event backend's
+/// connect-retry backoff. Keeping it here means "where do we still
 /// sleep?" has a one-line answer.
 pub fn park(d: Duration) {
     std::thread::sleep(d);

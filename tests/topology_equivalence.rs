@@ -88,13 +88,13 @@ fn assert_tree_matches(list: &str, m: usize) {
         partition_uniform(&data, m, pipe.params().seed).unwrap()
     };
     let mut net = Network::new(m);
-    let sim = pipe.run_shards(&shards, &mut net).unwrap();
+    let library = pipe.run_shards(&shards, &mut net).unwrap();
 
     let (star, star_stats) = run_topology(list, &data, m, Topology::Star);
     let (tree, tree_stats) = run_topology(list, &data, m, Topology::Tree);
 
-    // Centers: bit-identical across all three execution models.
-    for ((a, b), c) in sim
+    // Centers: bit-identical across the library run, star, and tree.
+    for ((a, b), c) in library
         .centers
         .as_slice()
         .iter()
@@ -109,9 +109,9 @@ fn assert_tree_matches(list: &str, m: usize) {
     let tree_digest = RunDigest::new(&tree_stats, &tree.centers);
     assert_eq!(star_digest, tree_digest, "{list}/{m}: digest");
     assert_eq!(
-        RunDigest::new(net.stats(), &sim.centers),
+        RunDigest::new(net.stats(), &library.centers),
         tree_digest,
-        "{list}/{m}: sim digest"
+        "{list}/{m}: library digest"
     );
     // Classic ledgers: identical per source and per message kind.
     for i in 0..m {
@@ -136,14 +136,14 @@ fn assert_tree_matches(list: &str, m: usize) {
         tree_stats.total_uplink_messages(),
         "{list}/{m}: uplink messages"
     );
-    assert_eq!(sim.uplink_bits, tree.uplink_bits, "{list}/{m}: uplink");
+    assert_eq!(library.uplink_bits, tree.uplink_bits, "{list}/{m}: uplink");
     assert_eq!(
-        sim.downlink_bits, tree.downlink_bits,
+        library.downlink_bits, tree.downlink_bits,
         "{list}/{m}: downlink"
     );
-    assert_eq!(sim.source_ops, star.source_ops, "{list}/{m}: star ops");
-    assert_eq!(sim.source_ops, tree.source_ops, "{list}/{m}: tree ops");
-    assert_eq!(sim.summary_points, tree.summary_points, "{list}/{m}");
+    assert_eq!(library.source_ops, star.source_ops, "{list}/{m}: star ops");
+    assert_eq!(library.source_ops, tree.source_ops, "{list}/{m}: tree ops");
+    assert_eq!(library.summary_points, tree.summary_points, "{list}/{m}");
 
     // The star run never touches the tree-only physical counters.
     assert_eq!(star_stats.total_relay_bits(), 0, "{list}/{m}");
