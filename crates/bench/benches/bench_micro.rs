@@ -27,7 +27,7 @@ use ekm_data::normalize::normalize_paper;
 use ekm_data::synth::GaussianMixture;
 use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::random::gaussian_matrix;
-use ekm_linalg::{distance, ops, parallel, qr, svd, Matrix};
+use ekm_linalg::{distance, ops, parallel, pinv, qr, svd, Matrix};
 use ekm_net::event::{EventServerBinding, EventTcpSource};
 use ekm_net::protocol::{Command, Response, SourceEndpoint};
 use ekm_net::reactor::{Reactor, ReactorChoice, ReactorKind};
@@ -98,6 +98,23 @@ fn bench_linalg(c: &mut Criterion) {
         bench.iter(|| {
             svd::truncated_svd(black_box(&data), 8, &svd::TruncatedSvdOptions::default()).unwrap()
         })
+    });
+    // The paper's MNIST shapes (d = 784, d' = 392): Π alone is 2.4 MB,
+    // more than a core's L2, as in the central JL product, its Gram and
+    // the pseudo-inverse behind the center lift. Few samples, so the
+    // smoke run stays short.
+    g.sample_size(5);
+    let points = gaussian_matrix(9, 2_000, 784, 1.0);
+    let pi = gaussian_matrix(10, 784, 392, 1.0);
+    g.bench_function("matmul_2000x784x392", |bench| {
+        bench.iter(|| ops::matmul(black_box(&points), black_box(&pi)).unwrap())
+    });
+    let projected = gaussian_matrix(11, 2_000, 392, 1.0);
+    g.bench_function("gram_2000x392", |bench| {
+        bench.iter(|| ops::gram(black_box(&projected)))
+    });
+    g.bench_function("pinv_784x392", |bench| {
+        bench.iter(|| pinv::pinv(black_box(&pi)).unwrap())
     });
     g.finish();
 }
@@ -170,7 +187,7 @@ fn assign_scalar_seq(points: &Matrix, centers: &Matrix) -> (Vec<usize>, Vec<f64>
         .unzip()
 }
 
-/// The reduction-form `A·Bᵀ` the tiled kernel replaced: one serial dot
+/// The reduction-form `A·Bᵀ` the blocked kernel replaced: one serial dot
 /// per output element, parallelized over rows of `A`.
 fn matmul_transb_reduction(a: &Matrix, b: &Matrix) -> Matrix {
     let (n, m) = (a.rows(), b.rows());
@@ -190,7 +207,8 @@ fn matmul_transb_reduction(a: &Matrix, b: &Matrix) -> Matrix {
 /// outer-Gram shape the SVD route hits.
 const TRANSB_SIZES: &[(usize, usize, usize)] = &[(4_000, 16, 196), (1_000, 48, 1_000)];
 
-/// Tiled i-k-j `matmul_transb` vs the reduction-form dot kernel.
+/// `matmul_transb` (the `tiled` rows, now the register-blocked kernel)
+/// vs the reduction-form dot kernel.
 fn bench_transb(c: &mut Criterion) {
     let mut g = c.benchmark_group("transb");
     g.sample_size(10);

@@ -294,6 +294,30 @@ fn load_lossy(path: &Path) -> Result<(JournalHeader, Vec<JournalEntry>, u64)> {
     Ok((header, entries, good as u64))
 }
 
+/// Fails on the first record that names a source id outside the
+/// journal's `m` sources. A corrupt or hand-made journal must be a typed
+/// error, not an out-of-bounds index during replay or an id handed to
+/// the accept loop.
+fn check_source_ids(entries: &[JournalEntry], m: usize) -> Result<()> {
+    for (k, e) in entries.iter().enumerate() {
+        // Every record names two ids; one-id records repeat theirs.
+        let (kind, ids) = match *e {
+            JournalEntry::Cmd { source, .. } => ("command", [("source", source); 2]),
+            JournalEntry::Resp { source, .. } => ("response", [("source", source); 2]),
+            JournalEntry::Lost { source, .. } => ("loss", [("source", source); 2]),
+            JournalEntry::Promoted { origin, host } => {
+                ("promotion", [("origin", origin), ("host", host)])
+            }
+        };
+        if let Some((field, id)) = ids.into_iter().find(|&(_, id)| id as usize >= m) {
+            return Err(journal_io(format!(
+                "journal record {k} ({kind}) names {field} {id}, but the journal drove {m} sources"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Scans a journal for origins absorbed by a successful replica
 /// promotion, without replaying it. A resumed `ekm serve` accepts
 /// handshakes only from the survivors: a promoted origin's owner is
@@ -306,10 +330,12 @@ fn load_lossy(path: &Path) -> Result<(JournalHeader, Vec<JournalEntry>, u64)> {
 ///
 /// # Errors
 ///
-/// [`CoreError::Journal`] when the file is missing or its header is
-/// corrupt or from a different configuration of the tool.
+/// [`CoreError::Journal`] when the file is missing, its header is
+/// corrupt or from a different configuration of the tool, or a record
+/// names a source id outside the header's source count.
 pub fn absorbed_origins(path: &Path) -> Result<Vec<usize>> {
-    let (_, entries, _) = load_lossy(path)?;
+    let (header, entries, _) = load_lossy(path)?;
+    check_source_ids(&entries, header.sources as usize)?;
     let mut origins = Vec::new();
     for (k, e) in entries.iter().enumerate() {
         if let JournalEntry::Promoted { origin, host } = e {
@@ -415,8 +441,8 @@ impl<T: CommandTransport> JournalingTransport<T> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Journal`] on an unreadable file or a header
-    /// mismatch.
+    /// [`CoreError::Journal`] on an unreadable file, a header
+    /// mismatch, or a record naming a source id outside the run.
     pub fn resume(inner: T, path: &Path, fingerprint: u64) -> Result<Self> {
         let m = inner.sources();
         let (header, entries, good) = load_lossy(path)?;
@@ -431,6 +457,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
                 "journal fingerprint does not match this configuration".to_string(),
             ));
         }
+        check_source_ids(&entries, m)?;
         let file = OpenOptions::new()
             .append(true)
             .open(path)
@@ -1236,6 +1263,89 @@ mod tests {
             read_header(&mut not_a_journal),
             Err(CoreError::Journal { .. })
         ));
+    }
+
+    /// A transport that only knows its source count: a rejected journal
+    /// must fail `resume` before any wire I/O.
+    struct Offline(NetworkStats);
+
+    impl CommandTransport for Offline {
+        fn sources(&self) -> usize {
+            self.0.sources()
+        }
+        fn send(&mut self, _: usize, _: &Command) -> std::result::Result<(), NetError> {
+            unreachable!("resume must not send")
+        }
+        fn recv(&mut self, _: usize) -> std::result::Result<Response, NetError> {
+            unreachable!("resume must not receive")
+        }
+        fn stats(&self) -> &NetworkStats {
+            &self.0
+        }
+    }
+
+    #[test]
+    fn out_of_range_ids_are_typed_errors() {
+        let cmd = |source| JournalEntry::Cmd {
+            source,
+            bytes: Command::Describe.encode(),
+        };
+        let resp = JournalEntry::Resp {
+            source: 2,
+            bytes: Response::Done {
+                round: 1,
+                rows: 1,
+                cols: 1,
+                ops: 1,
+                seconds: 0.0,
+            }
+            .encode(),
+        };
+        let lost = JournalEntry::Lost {
+            source: 9,
+            via_send: false,
+            reason: "gone".to_string(),
+        };
+        let cases = [
+            (cmd(5), "(command) names source 5"),
+            (resp, "(response) names source 2"),
+            (lost, "(loss) names source 9"),
+            (
+                JournalEntry::Promoted { origin: 3, host: 0 },
+                "(promotion) names origin 3",
+            ),
+            (
+                JournalEntry::Promoted { origin: 0, host: 7 },
+                "(promotion) names host 7",
+            ),
+        ];
+        for (case, (bad, want)) in cases.into_iter().enumerate() {
+            let path = std::env::temp_dir()
+                .join(format!("ekm-bad-ids-{}-{case}.journal", std::process::id()));
+            let mut buf = Vec::new();
+            write_header(
+                &mut buf,
+                &JournalHeader {
+                    sources: 2,
+                    fingerprint: 7,
+                },
+            )
+            .unwrap();
+            for e in [cmd(1), bad] {
+                e.write_to(&mut buf).unwrap();
+            }
+            std::fs::write(&path, &buf).unwrap();
+            let resumed = JournalingTransport::resume(Offline(NetworkStats::new(2)), &path, 7);
+            for got in [absorbed_origins(&path).err(), resumed.err()] {
+                match got {
+                    Some(CoreError::Journal { reason }) => {
+                        assert!(reason.contains(&format!("record 1 {want}")), "{reason}")
+                    }
+                    other => panic!("case {case}: {other:?}"),
+                }
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

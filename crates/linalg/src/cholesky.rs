@@ -104,7 +104,15 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Solves `A·X = B` column by column.
+    /// Solves `A·X = B` for every column of `B` at once.
+    ///
+    /// Forward and back substitution run once across all right-hand
+    /// sides: row `i` of `Y` (then `X`) is updated as a vector, one
+    /// `l_ik·Y_k` subtraction per earlier row `k`, then divided by `l_ii`.
+    /// Each element gets exactly [`solve_vec`](Self::solve_vec)'s
+    /// operations in its order, so column `j` of the result is bitwise
+    /// `solve_vec` of column `j` of `B`. A row update is independent
+    /// across the right-hand sides, so it vectorizes.
     ///
     /// # Errors
     ///
@@ -119,15 +127,43 @@ impl Cholesky {
                 rhs: b.shape(),
             });
         }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve_vec(&col)?;
-            for i in 0..n {
-                out[(i, j)] = x[i];
+        let c = b.cols();
+        let mut x = b.clone();
+        if c == 0 {
+            return Ok(x);
+        }
+        let xs = x.as_mut_slice();
+        // Forward: L·Y = B; row i of the copy of B becomes row i of Y.
+        for i in 0..n {
+            let (done, rest) = xs.split_at_mut(i * c);
+            let yi = &mut rest[..c];
+            let li = self.l.row(i);
+            for (&lik, yk) in li.iter().zip(done.chunks_exact(c)) {
+                for (v, &y) in yi.iter_mut().zip(yk) {
+                    *v -= lik * y;
+                }
+            }
+            let lii = li[i];
+            for v in yi.iter_mut() {
+                *v /= lii;
             }
         }
-        Ok(out)
+        // Backward: Lᵀ·X = Y, from the last row up.
+        for i in (0..n).rev() {
+            let (head, done) = xs.split_at_mut((i + 1) * c);
+            let xi = &mut head[i * c..];
+            for (k, xk) in (i + 1..n).zip(done.chunks_exact(c)) {
+                let lki = self.l[(k, i)];
+                for (v, &x) in xi.iter_mut().zip(xk) {
+                    *v -= lki * x;
+                }
+            }
+            let lii = self.l[(i, i)];
+            for v in xi.iter_mut() {
+                *v /= lii;
+            }
+        }
+        Ok(x)
     }
 }
 
@@ -136,6 +172,26 @@ mod tests {
     use super::*;
     use crate::ops;
     use crate::random::gaussian_matrix;
+    use proptest::prelude::*;
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The column-by-column loop [`Cholesky::solve_matrix`] ran before
+    /// it substituted all right-hand sides at once, kept as the
+    /// reference it must match bit for bit.
+    fn reference_solve_matrix(ch: &Cholesky, b: &Matrix) -> Matrix {
+        let n = ch.l().rows();
+        let mut out = Matrix::zeros(n, b.cols());
+        for j in 0..b.cols() {
+            let x = ch.solve_vec(&b.col(j)).unwrap();
+            for i in 0..n {
+                out[(i, j)] = x[i];
+            }
+        }
+        out
+    }
 
     fn random_spd(seed: u64, n: usize) -> Matrix {
         let g = gaussian_matrix(seed, n + 4, n, 1.0);
@@ -185,6 +241,47 @@ mod tests {
         let x = ch.solve_matrix(&b).unwrap();
         let ax = ops::matmul(&a, &x).unwrap();
         assert!(ax.approx_eq(&b, 1e-8));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn solve_matrix_is_bitwise_per_column_solve_vec(
+            n in 1usize..=40,
+            cols in 1usize..=24,
+            seed in 0u64..10_000,
+        ) {
+            let ch = Cholesky::factor(&random_spd(seed, n)).unwrap();
+            // Exact zeros (some -0.0) in B, as in a transposed sparse Π.
+            let g = gaussian_matrix(seed + 1, n, cols, 1.0);
+            let b = Matrix::from_fn(n, cols, |i, j| match (i * 5 + j * 3) % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => g[(i, j)],
+            });
+            prop_assert_eq!(bits(&ch.solve_matrix(&b).unwrap()), bits(&reference_solve_matrix(&ch, &b)));
+        }
+    }
+
+    #[test]
+    fn single_right_hand_side_is_solve_vec() {
+        let ch = Cholesky::factor(&random_spd(9, 13)).unwrap();
+        let b: Vec<f64> = (0..13).map(|i| (i as f64 * 0.7).sin()).collect();
+        let x = ch
+            .solve_matrix(&Matrix::from_vec(13, 1, b.clone()))
+            .unwrap();
+        let want: Vec<u64> = ch
+            .solve_vec(&b)
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits(&x), want);
+        assert_eq!(
+            ch.solve_matrix(&Matrix::zeros(13, 0)).unwrap().shape(),
+            (13, 0)
+        );
     }
 
     #[test]

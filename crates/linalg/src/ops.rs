@@ -1,8 +1,39 @@
 //! Matrix products and related kernels.
 //!
-//! All kernels use cache-friendly `i-k-j` loop ordering on the row-major
-//! [`Matrix`] layout and switch to scoped-thread row parallelism above a size
-//! threshold (see [`crate::parallel`]).
+//! # Register-blocked products
+//!
+//! [`matmul`] and [`matmul_transb`] run one micro-kernel. The right
+//! operand is packed once into column panels of `k × W` (`B` for
+//! `matmul`, `Bᵀ` for `matmul_transb`; W = [`PANEL_WIDTH`]), and each
+//! kernel call holds the outputs of R = [`KERNEL_ROWS`] rows of `A`
+//! times one panel in registers while it walks `k`: one load of a panel
+//! row feeds R rows, and one broadcast of `a_ik` feeds W columns. Rows
+//! of `A` are split across scoped workers above a size threshold (see
+//! [`crate::parallel`]). [`gram`] adds [`GRAM_ROWS`] rows per pass over
+//! each chunk's partial instead of one, and
+//! [`Cholesky::solve_matrix`](crate::cholesky::Cholesky::solve_matrix)
+//! substitutes across all right-hand sides at once.
+//!
+//! # Bit identity
+//!
+//! Blocking only decides which independent outputs share a load. Every
+//! output element still gets exactly the floating-point operations of
+//! the plain `i-k-j` loop, in its order: an accumulator starts at `+0`
+//! and adds `a_ik·b_kj` for `k` ascending (in [`gram`], row `i`'s term
+//! before row `i+1`'s, over the same fixed chunks and fold). R, W,
+//! [`GRAM_ROWS`] and the worker count are therefore results-neutral.
+//!
+//! The zero skip is per block: a k-step is skipped only when `a_ik` is
+//! zero in all R rows, which keeps the saving on all-zero columns such
+//! as normalized MNIST's border pixels. Inside a mixed block a zero
+//! `a_ik` adds `a_ik·b_kj = ±0`. A sum is `−0` only when both addends
+//! are (round-to-nearest gives `x + (−x) = +0`), so an accumulator that
+//! starts at `+0` never becomes `−0`, and adding `±0` leaves it bitwise
+//! unchanged, exactly as skipping would.
+//! That needs a finite `b_kj`, since `0·∞` is NaN: the kernels are
+//! bitwise the plain loop for finite right operands, and every caller
+//! passes one (JL matrices, PCA bases, eigenvectors, pseudo-inverses;
+//! finite data for [`gram`]).
 
 use crate::parallel;
 use crate::{LinalgError, Matrix, Result};
@@ -17,7 +48,27 @@ const PAR_FLOPS_THRESHOLD: usize = 1 << 22;
 /// discipline as the sharded Lloyd update.
 const ACCUM_CHUNK: usize = 1024;
 
+/// Rows of `A` per micro-kernel call (R). The `R × W` accumulator block
+/// is 96 doubles: 24 of the 32 vector registers of an AVX-512 core, at
+/// the 256-bit width LLVM picks there. Taller or wider blocks spill and
+/// run slower than the plain loop. An AVX2-only core (16 registers)
+/// spills this block too, yet a haswell-codegen build still ran the
+/// 10000×784×392 product twice as fast as the plain loop.
+/// Results-neutral.
+const KERNEL_ROWS: usize = 6;
+
+/// Columns per packed panel of the right operand (W). Results-neutral.
+const PANEL_WIDTH: usize = 16;
+
+/// Rows of `A` [`gram`] adds per pass over a chunk's partial.
+/// Results-neutral.
+const GRAM_ROWS: usize = 8;
+
 /// Computes the product `A · B`.
+///
+/// Register-blocked (see the module docs): bitwise the plain `i-k-j`
+/// loop with its `a_ik == 0` skip for finite `B`, and bitwise invariant
+/// across worker counts.
 ///
 /// # Errors
 ///
@@ -39,53 +90,20 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(n, m);
-    let flops = n * k * m;
     let bs = b.as_slice();
-    parallel::for_each_row_chunk(
-        c.as_mut_slice(),
-        m,
-        flops >= PAR_FLOPS_THRESHOLD,
-        |row_start, rows_chunk| {
-            for (local_i, crow) in rows_chunk.chunks_exact_mut(m).enumerate() {
-                let i = row_start + local_i;
-                let arow = a.row(i);
-                for (kk, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &bs[kk * m..(kk + 1) * m];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += aik * bv;
-                    }
-                }
-            }
-        },
-    );
-    Ok(c)
+    let m = b.cols();
+    let panels = Panels::pack(b.rows(), m, |kk, j| bs[kk * m + j]);
+    Ok(panels.product(a))
 }
 
-/// Rows of `B` per transposed tile in [`matmul_transb`]: the tile
-/// (`TRANSB_TILE × k` doubles) stays cache-resident while the rows of
-/// `A` stream against it — the same discipline as the blocked distance
-/// kernel's center tiles.
-const TRANSB_TILE: usize = 32;
-
-/// Computes `A · Bᵀ` without materializing the full transpose.
+/// Computes `A · Bᵀ` without materializing the transpose.
 ///
-/// The kernel tiles the rows of `B`, transposes each tile once into a
-/// contiguous `k × tile` buffer, and runs the inner loop in `i-k-j`
-/// order against it: every output column in the tile owns an
-/// independent accumulator, so there is no per-element reduction chain
-/// and the `j` loop vectorizes like the dense [`matmul`] kernel. This
-/// is the product behind every center lift (`X = X'·Vᵀ`, the
-/// `lift_out_of_basis` re-expansions, the pseudo-inverse lifts), which
-/// previously ran the reduction-form [`dot`].
-///
-/// Each output element is accumulated over `k` in a fixed order that
-/// depends only on the shapes, and parallelism only partitions rows of
-/// `A` — results are **bitwise invariant across worker counts**.
+/// Packs `Bᵀ` straight into the panels of [`matmul`] and runs the same
+/// micro-kernel, so each output element adds `a_ik·b_jk` for `k`
+/// ascending. This is the product behind every center lift (`X = X'·Vᵀ`,
+/// the `lift_out_of_basis` re-expansions, the pseudo-inverse lifts).
+/// Bitwise the plain loop for finite `B`, and bitwise invariant across
+/// worker counts.
 ///
 /// # Errors
 ///
@@ -98,50 +116,119 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let (n, k, m) = (a.rows(), a.cols(), b.rows());
-    let mut c = Matrix::zeros(n, m);
-    // Transpose B tile by tile: tile t holds B's rows [t·T, t·T+width)
-    // as `width` contiguous columns per dimension, so the inner j loop
-    // below is unit-stride.
-    let tiles: Vec<Vec<f64>> = (0..m.div_ceil(TRANSB_TILE))
-        .map(|t| {
-            let start = t * TRANSB_TILE;
-            let width = TRANSB_TILE.min(m - start);
-            let mut buf = vec![0.0f64; k * width];
-            for (jj, j) in (start..start + width).enumerate() {
-                for (kk, &bv) in b.row(j).iter().enumerate() {
-                    buf[kk * width + jj] = bv;
-                }
+    let bs = b.as_slice();
+    let k = b.cols();
+    let panels = Panels::pack(k, b.rows(), |kk, j| bs[j * k + kk]);
+    Ok(panels.product(a))
+}
+
+/// A `k × m` right operand packed into `⌈m / W⌉` column panels of
+/// `k × W` each, row-major within a panel and zero-padded past column
+/// `m`, so the micro-kernel reads one contiguous W-wide row per k-step.
+struct Panels {
+    k: usize,
+    m: usize,
+    data: Vec<f64>,
+}
+
+impl Panels {
+    /// Packs the operand whose element `(kk, j)` is `at(kk, j)`.
+    fn pack(k: usize, m: usize, at: impl Fn(usize, usize) -> f64) -> Panels {
+        let count = m.div_ceil(PANEL_WIDTH);
+        let mut data = Vec::with_capacity(count * k * PANEL_WIDTH);
+        for p in 0..count {
+            let cols = p * PANEL_WIDTH..m.min((p + 1) * PANEL_WIDTH);
+            for kk in 0..k {
+                let end = data.len() + PANEL_WIDTH;
+                data.extend(cols.clone().map(|j| at(kk, j)));
+                data.resize(end, 0.0);
             }
-            buf
-        })
-        .collect();
-    let flops = n * k * m;
-    parallel::for_each_row_chunk(
-        c.as_mut_slice(),
-        m,
-        flops >= PAR_FLOPS_THRESHOLD,
-        |row_start, rows_chunk| {
-            for (local_i, crow) in rows_chunk.chunks_exact_mut(m).enumerate() {
-                let arow = a.row(row_start + local_i);
-                for (t, tile) in tiles.iter().enumerate() {
-                    let start = t * TRANSB_TILE;
-                    let width = TRANSB_TILE.min(m - start);
-                    let cslice = &mut crow[start..start + width];
-                    for (kk, &aik) in arow.iter().enumerate() {
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let trow = &tile[kk * width..(kk + 1) * width];
-                        for (cv, &bv) in cslice.iter_mut().zip(trow) {
-                            *cv += aik * bv;
+        }
+        Panels { k, m, data }
+    }
+
+    /// `A ·` (this operand), one R-row block of `A` at a time against
+    /// every panel; workers take disjoint row ranges.
+    fn product(&self, a: &Matrix) -> Matrix {
+        let (n, k, m) = (a.rows(), self.k, self.m);
+        debug_assert_eq!(a.cols(), k);
+        let mut c = Matrix::zeros(n, m);
+        if k == 0 {
+            return c;
+        }
+        parallel::for_each_row_chunk(
+            c.as_mut_slice(),
+            m,
+            n * k * m >= PAR_FLOPS_THRESHOLD,
+            |row_start, rows_chunk| {
+                let mut steps = Vec::with_capacity(k);
+                let mut coefs = Vec::with_capacity(k);
+                for (blk, cblock) in rows_chunk.chunks_mut(KERNEL_ROWS * m).enumerate() {
+                    let first = row_start + blk * KERNEL_ROWS;
+                    pack_block(a, first, cblock.len() / m, &mut steps, &mut coefs);
+                    for (p, panel) in self.data.chunks_exact(k * PANEL_WIDTH).enumerate() {
+                        let acc = micro_kernel(&steps, &coefs, panel);
+                        let col = p * PANEL_WIDTH;
+                        let width = PANEL_WIDTH.min(m - col);
+                        for (crow, arow) in cblock.chunks_exact_mut(m).zip(&acc) {
+                            crow[col..col + width].copy_from_slice(&arow[..width]);
                         }
                     }
                 }
+            },
+        );
+        c
+    }
+}
+
+/// Gathers rows `first..first + rows` of `A` (`rows ≤ R`) column by
+/// column: `steps` receives, in ascending order, every `k` at which one
+/// of the rows is nonzero, and `coefs` that column's R values, padded
+/// with `+0` past `rows`.
+fn pack_block(
+    a: &Matrix,
+    first: usize,
+    rows: usize,
+    steps: &mut Vec<usize>,
+    coefs: &mut Vec<[f64; KERNEL_ROWS]>,
+) {
+    steps.clear();
+    coefs.clear();
+    let mut block = [&[][..]; KERNEL_ROWS];
+    for (r, slot) in block.iter_mut().enumerate().take(rows) {
+        *slot = a.row(first + r);
+    }
+    for kk in 0..a.cols() {
+        let mut col = [0.0; KERNEL_ROWS];
+        for (v, row) in col.iter_mut().zip(&block[..rows]) {
+            *v = row[kk];
+        }
+        if col.iter().any(|&v| v != 0.0) {
+            steps.push(kk);
+            coefs.push(col);
+        }
+    }
+}
+
+/// The `R × W` outputs of one row block against one panel: each
+/// accumulator starts at `+0` and adds `a_ik·b_kj` over `steps` in
+/// ascending `k`.
+fn micro_kernel(
+    steps: &[usize],
+    coefs: &[[f64; KERNEL_ROWS]],
+    panel: &[f64],
+) -> [[f64; PANEL_WIDTH]; KERNEL_ROWS] {
+    let (rows, _) = panel.as_chunks::<PANEL_WIDTH>();
+    let mut acc = [[0.0f64; PANEL_WIDTH]; KERNEL_ROWS];
+    for (&kk, col) in steps.iter().zip(coefs) {
+        let brow = &rows[kk];
+        for (accrow, &aik) in acc.iter_mut().zip(col) {
+            for (cv, &bv) in accrow.iter_mut().zip(brow) {
+                *cv += aik * bv;
             }
-        },
-    );
-    Ok(c)
+        }
+    }
+    acc
 }
 
 /// Computes `Aᵀ · B`.
@@ -163,15 +250,17 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     let (n, da, db) = (a.rows(), a.cols(), b.cols());
     // Rank-1 partials accumulated in row order within each chunk:
     // cache friendly for both operands.
-    let sum = chunked_row_sum(n, da * db, n * da * db, |p, i| {
-        let brow = b.row(i);
-        for (j, &aij) in a.row(i).iter().enumerate() {
-            if aij == 0.0 {
-                continue;
-            }
-            let prow = &mut p[j * db..(j + 1) * db];
-            for (pv, &bv) in prow.iter_mut().zip(brow) {
-                *pv += aij * bv;
+    let sum = chunked_row_sum(n, da * db, n * da * db, |p, rows| {
+        for i in rows {
+            let brow = b.row(i);
+            for (j, &aij) in a.row(i).iter().enumerate() {
+                if aij == 0.0 {
+                    continue;
+                }
+                let prow = &mut p[j * db..(j + 1) * db];
+                for (pv, &bv) in prow.iter_mut().zip(brow) {
+                    *pv += aij * bv;
+                }
             }
         }
     });
@@ -186,20 +275,23 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// The lower element `(l, j)` of the full product adds `a_il·a_ij` where
 /// the upper `(j, l)` adds `a_ij·a_il`: IEEE multiplication commutes, and
 /// the products that only one of the two zero-skips drops are exact
-/// zeros, which leave a sum started at `+0` unchanged. Bitwise invariant
-/// across worker counts.
+/// zeros, which leave a sum started at `+0` unchanged.
+///
+/// Within a chunk, [`GRAM_ROWS`] rows share each pass over the partial:
+/// every partial element adds their terms in row order, and row `j` of
+/// the partial is skipped only when `a_ij` is zero in all of them (see
+/// the module docs). Bitwise invariant across worker counts.
 pub fn gram(a: &Matrix) -> Matrix {
     let (n, d) = a.shape();
-    let mut c = chunked_row_sum(n, d * d, n * d * d, |p, i| {
-        let arow = a.row(i);
-        for (j, &aij) in arow.iter().enumerate() {
-            if aij == 0.0 {
-                continue;
+    let zeros = vec![0.0; d];
+    let mut c = chunked_row_sum(n, d * d, n * d * d, |p, rows| {
+        let end = rows.end;
+        for i in rows.step_by(GRAM_ROWS) {
+            let mut block = [&zeros[..]; GRAM_ROWS];
+            for (r, slot) in block.iter_mut().enumerate().take(end - i) {
+                *slot = a.row(i + r);
             }
-            let prow = &mut p[j * d + j..(j + 1) * d];
-            for (pv, &al) in prow.iter_mut().zip(&arow[j..]) {
-                *pv += aij * al;
-            }
+            gram_block(p, d, &block);
         }
     });
     for j in 0..d {
@@ -210,16 +302,36 @@ pub fn gram(a: &Matrix) -> Matrix {
     Matrix::from_vec(d, d, c)
 }
 
+/// Adds `block`'s rows (padded with zero rows) into the upper triangle
+/// of the `d × d` partial `p`, element by element in row order.
+fn gram_block(p: &mut [f64], d: usize, block: &[&[f64]; GRAM_ROWS]) {
+    for j in 0..d {
+        let coef: [f64; GRAM_ROWS] = std::array::from_fn(|r| block[r][j]);
+        if coef.iter().all(|&v| v == 0.0) {
+            continue;
+        }
+        let prow = &mut p[j * d + j..(j + 1) * d];
+        let tails: [&[f64]; GRAM_ROWS] = std::array::from_fn(|r| &block[r][j..d]);
+        for (l, pv) in prow.iter_mut().enumerate() {
+            let mut v = *pv;
+            for (&arj, tail) in coef.iter().zip(&tails) {
+                v += arj * tail[l];
+            }
+            *pv = v;
+        }
+    }
+}
+
 /// Sums per-row contributions into a `len`-element accumulator:
-/// `add_row(partial, i)` adds row `i` into the partial of its fixed
-/// [`ACCUM_CHUNK`]-row chunk, the partials are computed on up to
+/// `add_rows(partial, rows)` adds a fixed [`ACCUM_CHUNK`]-row chunk
+/// into its own zeroed partial, the partials are computed on up to
 /// [`parallel::worker_count`] scoped workers once `flops` reaches the
 /// parallel threshold, and they fold in chunk order. Chunk boundaries
 /// and fold order depend only on `n`, so the sum is bitwise invariant
 /// across worker counts.
-fn chunked_row_sum<F>(n: usize, len: usize, flops: usize, add_row: F) -> Vec<f64>
+fn chunked_row_sum<F>(n: usize, len: usize, flops: usize, add_rows: F) -> Vec<f64>
 where
-    F: Fn(&mut [f64], usize) + Sync,
+    F: Fn(&mut [f64], std::ops::Range<usize>) + Sync,
 {
     let n_chunks = n.div_ceil(ACCUM_CHUNK).max(1);
     let workers = if flops >= PAR_FLOPS_THRESHOLD {
@@ -229,9 +341,10 @@ where
     };
     let partials = parallel::par_map_indices_in(n_chunks, workers, |chunk| {
         let mut p = vec![0.0f64; len];
-        for i in chunk * ACCUM_CHUNK..((chunk + 1) * ACCUM_CHUNK).min(n) {
-            add_row(&mut p, i);
-        }
+        add_rows(
+            &mut p,
+            chunk * ACCUM_CHUNK..((chunk + 1) * ACCUM_CHUNK).min(n),
+        );
         p
     });
     let mut sum = vec![0.0f64; len];
@@ -318,9 +431,211 @@ pub fn norm(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::gaussian_matrix;
+    use proptest::prelude::*;
 
     fn mat(rows: &[&[f64]]) -> Matrix {
         Matrix::from_rows(&rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The `i-k-j` loop [`matmul`] ran before register blocking, kept as
+    /// the reference the kernel must match bit for bit.
+    fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let (n, m) = (a.rows(), b.cols());
+        let mut c = Matrix::zeros(n, m);
+        let bs = b.as_slice();
+        for i in 0..n {
+            let crow = c.row_mut(i);
+            for (kk, &aik) in a.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                let brow = &bs[kk * m..(kk + 1) * m];
+                for (cv, &bv) in crow.iter_mut().zip(brow) {
+                    *cv += aik * bv;
+                }
+            }
+        }
+        c
+    }
+
+    /// The tiled loop [`matmul_transb`] ran before it shared the
+    /// micro-kernel: 32-row tiles of `B` transposed once, `i-k-j` inside.
+    fn reference_matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
+        const TILE: usize = 32;
+        let (n, k, m) = (a.rows(), a.cols(), b.rows());
+        let mut c = Matrix::zeros(n, m);
+        let tiles: Vec<Vec<f64>> = (0..m.div_ceil(TILE))
+            .map(|t| {
+                let start = t * TILE;
+                let width = TILE.min(m - start);
+                let mut buf = vec![0.0f64; k * width];
+                for (jj, j) in (start..start + width).enumerate() {
+                    for (kk, &bv) in b.row(j).iter().enumerate() {
+                        buf[kk * width + jj] = bv;
+                    }
+                }
+                buf
+            })
+            .collect();
+        for i in 0..n {
+            let arow = a.row(i);
+            let crow = c.row_mut(i);
+            for (t, tile) in tiles.iter().enumerate() {
+                let start = t * TILE;
+                let width = TILE.min(m - start);
+                let cslice = &mut crow[start..start + width];
+                for (kk, &aik) in arow.iter().enumerate() {
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let trow = &tile[kk * width..(kk + 1) * width];
+                    for (cv, &bv) in cslice.iter_mut().zip(trow) {
+                        *cv += aik * bv;
+                    }
+                }
+            }
+        }
+        c
+    }
+
+    /// The one-row-per-pass [`gram`] loop, over the same chunk fold.
+    fn reference_gram(a: &Matrix) -> Matrix {
+        let (n, d) = a.shape();
+        let mut c = chunked_row_sum(n, d * d, n * d * d, |p, rows| {
+            for i in rows {
+                let arow = a.row(i);
+                for (j, &aij) in arow.iter().enumerate() {
+                    if aij == 0.0 {
+                        continue;
+                    }
+                    let prow = &mut p[j * d + j..(j + 1) * d];
+                    for (pv, &al) in prow.iter_mut().zip(&arow[j..]) {
+                        *pv += aij * al;
+                    }
+                }
+            }
+        });
+        for j in 0..d {
+            for l in j + 1..d {
+                c[l * d + j] = c[j * d + l];
+            }
+        }
+        Matrix::from_vec(d, d, c)
+    }
+
+    /// Row and column counts straddling the register block's height R
+    /// and width W.
+    fn straddling_dims() -> [usize; 12] {
+        let (r, w) = (KERNEL_ROWS, PANEL_WIDTH);
+        [
+            1,
+            2,
+            r - 1,
+            r,
+            r + 1,
+            2 * r + 1,
+            w - 1,
+            w,
+            w + 1,
+            2 * w - 1,
+            2 * w + 1,
+            3 * r + w,
+        ]
+    }
+
+    /// A Gaussian `rows × cols` test matrix with exact zeros, half of
+    /// them `-0.0`, placed by `kind`: 0 none; 1 scattered; 2 whole rows
+    /// and whole columns; 3 staggered within each R-row block, so that
+    /// some k-steps are zero in every row of a block and others in only
+    /// some of its rows.
+    fn case(rows: usize, cols: usize, kind: u8, seed: u64) -> Matrix {
+        let g = gaussian_matrix(seed, rows, cols, 1.0);
+        Matrix::from_fn(rows, cols, |i, j| {
+            let zero = match kind {
+                1 => (i * 7 + j * 3 + seed as usize).is_multiple_of(3),
+                2 => i % 3 == 1 || j % 4 == 2,
+                3 => i % KERNEL_ROWS <= j % (KERNEL_ROWS + 2),
+                _ => false,
+            };
+            match (zero, (i + j) % 2) {
+                (false, _) => g[(i, j)],
+                (true, 0) => 0.0,
+                (true, _) => -0.0,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn products_are_bitwise_the_reference(
+            ni in 0usize..12,
+            k in 0usize..=40,
+            mi in 0usize..12,
+            kind in 0u8..4,
+            seed in 0u64..10_000,
+        ) {
+            let dims = straddling_dims();
+            let (n, m) = (dims[ni], dims[mi]);
+            let a = case(n, k, kind, seed);
+            let b = case(k, m, kind % 2, seed + 1);
+            prop_assert_eq!(
+                bits(&matmul(&a, &b).unwrap()),
+                bits(&reference_matmul(&a, &b)),
+                "matmul {}x{}x{} kind={}", n, k, m, kind
+            );
+            let bt = b.transpose();
+            prop_assert_eq!(
+                bits(&matmul_transb(&a, &bt).unwrap()),
+                bits(&reference_matmul_transb(&a, &bt)),
+                "matmul_transb {}x{}x{} kind={}", n, k, m, kind
+            );
+        }
+
+        #[test]
+        fn gram_is_bitwise_the_reference(
+            ni in 0usize..10,
+            d in 0usize..=24,
+            kind in 0u8..4,
+            seed in 0u64..10_000,
+        ) {
+            // Straddling GRAM_ROWS and one to three ACCUM_CHUNK chunks.
+            let (g, c) = (GRAM_ROWS, ACCUM_CHUNK);
+            let n = [1, g - 1, g, g + 1, 3 * g + 5, c - 1, c, c + 1, 2 * c + g + 3, 3 * c][ni];
+            let a = case(n, d, kind, seed);
+            prop_assert_eq!(bits(&gram(&a)), bits(&reference_gram(&a)), "{}x{} kind={}", n, d, kind);
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_are_bitwise_the_reference_at_every_worker_count() {
+        // Past PAR_FLOPS_THRESHOLD (1001·70·77 ≈ 5.4M, 2500·48·48 ≈ 5.8M),
+        // ragged against R, W and GRAM_ROWS, with partly zero blocks.
+        let a = case(1001, 70, 3, 11);
+        let b = case(70, 77, 1, 12);
+        let bt = b.transpose();
+        let g = case(2500, 48, 3, 13);
+        let want = [
+            bits(&reference_matmul(&a, &b)),
+            bits(&reference_matmul_transb(&a, &bt)),
+            bits(&reference_gram(&g)),
+        ];
+        for workers in [1, 2, 4, 8] {
+            parallel::set_worker_count(workers);
+            let got = [
+                bits(&matmul(&a, &b).unwrap()),
+                bits(&matmul_transb(&a, &bt).unwrap()),
+                bits(&gram(&g)),
+            ];
+            assert!(got == want, "{workers} workers");
+        }
+        parallel::set_worker_count(0);
     }
 
     #[test]
@@ -415,32 +730,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transb_bitwise_invariant_across_worker_counts() {
-        // Several tiles wide and past the parallel threshold:
-        // 2000 · 40 · 96 ≈ 7.7M ≥ 2^22, 96 columns = 3 tiles.
-        let a = Matrix::from_fn(2000, 40, |i, j| {
-            (((i * 17 + j * 5) % 101) as f64 - 50.0) * 0.03
-        });
-        let b = Matrix::from_fn(96, 40, |i, j| {
-            (((i * 7 + j * 13) % 83) as f64 - 41.0) * 0.04
-        });
-        parallel::set_worker_count(1);
-        let reference = matmul_transb(&a, &b).unwrap();
-        for workers in [2, 4, 8] {
-            parallel::set_worker_count(workers);
-            assert!(
-                matmul_transb(&a, &b).unwrap() == reference,
-                "{workers} workers"
-            );
-        }
-        parallel::set_worker_count(0);
-    }
-
-    #[test]
     fn matmul_transb_ragged_tile_widths() {
-        // Column counts straddling the tile width, including the ragged
-        // last tile.
-        for m in [1usize, 31, 32, 33, 63, 65] {
+        // Column counts straddling the panel width, including the ragged
+        // last panel.
+        for m in [1usize, 15, 16, 17, 31, 32, 33, 63, 65] {
             let a = Matrix::from_fn(7, 19, |i, j| (i as f64 - j as f64) * 0.5);
             let b = Matrix::from_fn(m, 19, |i, j| ((i + 2 * j) % 11) as f64 * 0.25);
             let got = matmul_transb(&a, &b).unwrap();

@@ -125,6 +125,12 @@ if fresh:
     computes = {k["compute"] for k in doc["kernels"]
                 if k["name"].startswith("distance/assign_blocked")}
     assert computes == {"f64", "f32"}, computes
+    # The dense kernels at the paper's MNIST shapes must stay in the
+    # trajectory: the JL product, its Gram, and the pseudo-inverse.
+    names = {k["name"] for k in doc["kernels"]}
+    for row in ("linalg/matmul_2000x784x392", "linalg/gram_2000x392",
+                "linalg/pinv_784x392"):
+        assert row in names, f"kernel row {row} missing"
 assert doc["kernels"], "no kernel timings recorded"
 assert doc["assign_speedups"], "no assignment speedups recorded"
 assert doc["transb_speedups"], "no matmul_transb speedups recorded"
@@ -144,7 +150,7 @@ if schema in ("ekm-bench-micro/v2", "ekm-bench-micro/v3"):
 reactor_note = ""
 if schema == "ekm-bench-micro/v3":
     # Event-backend reactor: both backends measured over real loopback
-    # rounds, the zero-copy wire path engaged (every counted frame saved
+    # rounds, the single-write wire path engaged (every counted frame saved
     # one header write syscall), and — when the host granted an epoll
     # instance — the epoll median at least 5x under the 200 us
     # sleep-poll park floor. An epoll-less host (sandbox, non-Linux)
