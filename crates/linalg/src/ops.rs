@@ -4,12 +4,12 @@
 //!
 //! [`matmul`] and [`matmul_transb`] run one micro-kernel. The right
 //! operand is packed once into column panels of `k × W` (`B` for
-//! `matmul`, `Bᵀ` for `matmul_transb`; W = [`PANEL_WIDTH`]), and each
-//! kernel call holds the outputs of R = [`KERNEL_ROWS`] rows of `A`
+//! `matmul`, `Bᵀ` for `matmul_transb`; W = `PANEL_WIDTH`), and each
+//! kernel call holds the outputs of R = `KERNEL_ROWS` rows of `A`
 //! times one panel in registers while it walks `k`: one load of a panel
 //! row feeds R rows, and one broadcast of `a_ik` feeds W columns. Rows
 //! of `A` are split across scoped workers above a size threshold (see
-//! [`crate::parallel`]). [`gram`] adds [`GRAM_ROWS`] rows per pass over
+//! [`crate::parallel`]). [`gram`] adds `GRAM_ROWS` rows per pass over
 //! each chunk's partial instead of one, and
 //! [`Cholesky::solve_matrix`](crate::cholesky::Cholesky::solve_matrix)
 //! substitutes across all right-hand sides at once.
@@ -21,7 +21,7 @@
 //! the plain `i-k-j` loop, in its order: an accumulator starts at `+0`
 //! and adds `a_ik·b_kj` for `k` ascending (in [`gram`], row `i`'s term
 //! before row `i+1`'s, over the same fixed chunks and fold). R, W,
-//! [`GRAM_ROWS`] and the worker count are therefore results-neutral.
+//! `GRAM_ROWS` and the worker count are therefore results-neutral.
 //!
 //! The zero skip is per block: a k-step is skipped only when `a_ik` is
 //! zero in all R rows, which keeps the saving on all-zero columns such
@@ -277,7 +277,7 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// the products that only one of the two zero-skips drops are exact
 /// zeros, which leave a sum started at `+0` unchanged.
 ///
-/// Within a chunk, [`GRAM_ROWS`] rows share each pass over the partial:
+/// Within a chunk, `GRAM_ROWS` rows share each pass over the partial:
 /// every partial element adds their terms in row order, and row `j` of
 /// the partial is skipped only when `a_ij` is zero in all of them (see
 /// the module docs). Bitwise invariant across worker counts.
