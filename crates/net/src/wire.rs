@@ -167,14 +167,32 @@ pub fn encode_f64_slice(w: &mut BitWriter, xs: &[f64], precision: Precision) {
 ///
 /// # Errors
 ///
-/// Returns [`NetError::UnexpectedEnd`] on truncated payloads.
+/// * [`NetError::UnexpectedEnd`] on truncated payloads.
+/// * [`NetError::MalformedMessage`] if the length field claims more
+///   values than the payload holds.
 pub fn decode_f64_slice(r: &mut BitReader<'_>, precision: Precision) -> Result<Vec<f64>> {
     let len = decode_len(r)?;
-    let mut out = Vec::with_capacity(len.min(1 << 24));
+    check_run(r, len, precision, "slice longer than payload")?;
+    let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         out.push(decode_f64(r, precision)?);
     }
     Ok(out)
+}
+
+/// Rejects a run of `count` scalars that the rest of the stream cannot
+/// hold, before anything is allocated for it. The bound divides instead
+/// of multiplying, so no claimed count can overflow it.
+fn check_run(
+    r: &BitReader<'_>,
+    count: usize,
+    precision: Precision,
+    reason: &'static str,
+) -> Result<()> {
+    if count > r.remaining() / precision.bits_per_scalar() as usize {
+        return Err(NetError::MalformedMessage { reason });
+    }
+    Ok(())
 }
 
 /// Encodes a matrix (shape-prefixed, row-major entries).
@@ -198,13 +216,7 @@ pub fn decode_matrix(r: &mut BitReader<'_>, precision: Precision) -> Result<Matr
     let total = rows.checked_mul(cols).ok_or(NetError::MalformedMessage {
         reason: "matrix shape overflow",
     })?;
-    // A decoded entry takes ≥ 13 bits; anything claiming more entries than
-    // the stream could hold is malformed.
-    if (total as u64) * 13 > r.remaining() as u64 + 64 {
-        return Err(NetError::MalformedMessage {
-            reason: "matrix larger than payload",
-        });
-    }
+    check_run(r, total, precision, "matrix larger than payload")?;
     let mut data = Vec::with_capacity(total);
     for _ in 0..total {
         data.push(decode_f64(r, precision)?);
@@ -398,6 +410,59 @@ mod tests {
             decode_matrix(&mut r, Precision::Full),
             Err(NetError::MalformedMessage { .. })
         ));
+    }
+
+    /// A `RawData` payload of `bytes` bytes claiming a `rows × cols`
+    /// matrix, zero-filled after its shape.
+    fn raw_data_claim(rows: u32, cols: u32, bytes: usize) -> (Vec<u8>, usize) {
+        let mut w = BitWriter::new();
+        w.write_bits(1, 8); // raw-data tag
+        encode_len(&mut w, rows as usize);
+        encode_len(&mut w, cols as usize);
+        for _ in 9..bytes {
+            w.write_bits(0, 8);
+        }
+        w.finish()
+    }
+
+    fn assert_malformed_everywhere(buf: Vec<u8>, bits: usize) {
+        use crate::messages::Message;
+        use crate::protocol::Payload;
+        assert!(matches!(
+            Message::decode(&buf, bits),
+            Err(NetError::MalformedMessage { .. })
+        ));
+        assert!(matches!(
+            Payload::from_encoded(buf, bits as u64).decode(),
+            Err(NetError::MalformedMessage { .. })
+        ));
+    }
+
+    #[test]
+    fn shape_claims_that_overflow_a_size_product_are_malformed() {
+        // 13 × (1,546,420,032 × 917,590,489) wraps a u64 to 31,808, which
+        // an overflowing guard compared with the 32,000 remaining bits.
+        let (buf, bits) = raw_data_claim(1_546_420_032, 917_590_489, 4_009);
+        assert_eq!((buf.len(), bits), (4_009, 32_072));
+        assert_malformed_everywhere(buf, bits);
+        // (2³²−1)² fits a u64, but 13 times it does not.
+        let (buf, bits) = raw_data_claim(u32::MAX, u32::MAX, 4_009);
+        assert_malformed_everywhere(buf, bits);
+    }
+
+    #[test]
+    fn slice_length_claims_beyond_the_payload_are_malformed() {
+        // A 118-bit coreset: 0×0 points, then a weights length of 2³²−1.
+        let mut w = BitWriter::new();
+        w.write_bits(2, 8); // coreset tag
+        Precision::Full.encode(&mut w);
+        Precision::Full.encode(&mut w);
+        encode_len(&mut w, 0);
+        encode_len(&mut w, 0);
+        encode_len(&mut w, u32::MAX as usize);
+        let (buf, bits) = w.finish();
+        assert_eq!(bits, 118);
+        assert_malformed_everywhere(buf, bits);
     }
 
     #[test]
