@@ -56,6 +56,8 @@ pub mod messages;
 pub mod network;
 pub mod protocol;
 pub mod reactor;
+#[cfg(test)]
+mod reference;
 pub mod routing;
 pub mod wire;
 

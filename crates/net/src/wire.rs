@@ -5,6 +5,22 @@
 //! paper §6.1). The quantized decoder zero-fills the dropped significand
 //! bits, so `decode(encode(Γ(x))) == Γ(x)` exactly for the rounding
 //! quantizer Γ with the same `s`.
+//!
+//! Sign, exponent and the top `s` significand bits are, in that order,
+//! exactly the top `12 + s` bits of the IEEE-754 pattern, so a quantized
+//! scalar is one field: `x.to_bits() >> (52 − s)` on the way out,
+//! `f64::from_bits(field << (52 − s))` on the way in. Every precision is
+//! therefore one [`BitWriter::write_bits`] or [`BitReader::read_bits`]
+//! of 64, 32 or `12 + s` bits per scalar.
+//!
+//! Vectors and matrices are runs of such fields behind a 32-bit length
+//! or two 32-bit shape fields. The encoders reserve the run's exact bit
+//! count and match the precision once, outside the loop. The decoders
+//! first check the claimed count against the bits that remain, by
+//! division so no claim can overflow the bound, and reject a run that
+//! cannot fit as [`NetError::MalformedMessage`] before allocating
+//! anything for it; then they read the whole run in one loop and
+//! reserve exactly its length.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::{NetError, Result};
@@ -100,22 +116,15 @@ impl Precision {
     }
 }
 
+/// Bits a quantized scalar's IEEE-754 pattern drops: its field is the
+/// pattern shifted right by this much.
+fn dropped_bits(s: u32) -> u32 {
+    STORED_SIGNIFICAND_BITS - s
+}
+
 /// Encodes one `f64` at the given precision.
 pub fn encode_f64(w: &mut BitWriter, x: f64, precision: Precision) {
-    match precision {
-        Precision::Full => w.write_bits(x.to_bits(), 64),
-        Precision::F32 => w.write_bits((x as f32).to_bits() as u64, 32),
-        Precision::Quantized { s } => {
-            let bits = x.to_bits();
-            let sign = bits >> 63;
-            let exponent = (bits >> STORED_SIGNIFICAND_BITS) & ((1u64 << EXPONENT_BITS) - 1);
-            let mantissa_top =
-                (bits & ((1u64 << STORED_SIGNIFICAND_BITS) - 1)) >> (STORED_SIGNIFICAND_BITS - s);
-            w.write_bits(sign, 1);
-            w.write_bits(exponent, EXPONENT_BITS);
-            w.write_bits(mantissa_top, s);
-        }
-    }
+    encode_run(w, &[x], precision);
 }
 
 /// Decodes one `f64` encoded at the given precision.
@@ -124,19 +133,59 @@ pub fn encode_f64(w: &mut BitWriter, x: f64, precision: Precision) {
 ///
 /// Returns [`NetError::UnexpectedEnd`] on truncated payloads.
 pub fn decode_f64(r: &mut BitReader<'_>, precision: Precision) -> Result<f64> {
-    match precision {
-        Precision::Full => Ok(f64::from_bits(r.read_bits(64)?)),
-        Precision::F32 => Ok(f32::from_bits(r.read_bits(32)? as u32) as f64),
+    Ok(match precision {
+        Precision::Full => f64::from_bits(r.read_bits(64)?),
+        Precision::F32 => f32::from_bits(r.read_bits(32)? as u32) as f64,
         Precision::Quantized { s } => {
-            let sign = r.read_bits(1)?;
-            let exponent = r.read_bits(EXPONENT_BITS)?;
-            let mantissa_top = r.read_bits(s)?;
-            let bits = (sign << 63)
-                | (exponent << STORED_SIGNIFICAND_BITS)
-                | (mantissa_top << (STORED_SIGNIFICAND_BITS - s));
-            Ok(f64::from_bits(bits))
+            let shift = dropped_bits(s);
+            f64::from_bits(r.read_bits(64 - shift)? << shift)
+        }
+    })
+}
+
+/// Encodes a run of scalars, one field each, matching the precision
+/// once.
+fn encode_run(w: &mut BitWriter, xs: &[f64], precision: Precision) {
+    match precision {
+        Precision::Full => xs.iter().for_each(|x| w.write_bits(x.to_bits(), 64)),
+        Precision::F32 => xs
+            .iter()
+            .for_each(|&x| w.write_bits((x as f32).to_bits() as u64, 32)),
+        Precision::Quantized { s } => {
+            let shift = dropped_bits(s);
+            xs.iter()
+                .for_each(|x| w.write_bits(x.to_bits() >> shift, 64 - shift));
         }
     }
+}
+
+/// Decodes a run of `count` scalars after checking, once, that the rest
+/// of the stream holds them; the result is allocated at exactly `count`
+/// values.
+///
+/// # Errors
+///
+/// Returns [`NetError::MalformedMessage`] (with `reason`) if the run
+/// cannot fit.
+fn decode_run(
+    r: &mut BitReader<'_>,
+    count: usize,
+    precision: Precision,
+    reason: &'static str,
+) -> Result<Vec<f64>> {
+    let bits = precision.bits_per_scalar();
+    if count > r.remaining() / bits as usize {
+        return Err(NetError::MalformedMessage { reason });
+    }
+    let fields = r.read_run(bits, count)?;
+    Ok(match precision {
+        Precision::Full => fields.map(f64::from_bits).collect(),
+        Precision::F32 => fields.map(|f| f32::from_bits(f as u32) as f64).collect(),
+        Precision::Quantized { s } => {
+            let shift = dropped_bits(s);
+            fields.map(|f| f64::from_bits(f << shift)).collect()
+        }
+    })
 }
 
 /// Encodes a `u64` length/count field (fixed 32 bits — ample for our
@@ -157,10 +206,9 @@ pub fn decode_len(r: &mut BitReader<'_>) -> Result<usize> {
 
 /// Encodes a slice of `f64` (length-prefixed).
 pub fn encode_f64_slice(w: &mut BitWriter, xs: &[f64], precision: Precision) {
+    w.reserve(32 + xs.len() * precision.bits_per_scalar() as usize);
     encode_len(w, xs.len());
-    for &x in xs {
-        encode_f64(w, x, precision);
-    }
+    encode_run(w, xs, precision);
 }
 
 /// Decodes a slice of `f64`.
@@ -172,36 +220,15 @@ pub fn encode_f64_slice(w: &mut BitWriter, xs: &[f64], precision: Precision) {
 ///   values than the payload holds.
 pub fn decode_f64_slice(r: &mut BitReader<'_>, precision: Precision) -> Result<Vec<f64>> {
     let len = decode_len(r)?;
-    check_run(r, len, precision, "slice longer than payload")?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(decode_f64(r, precision)?);
-    }
-    Ok(out)
-}
-
-/// Rejects a run of `count` scalars that the rest of the stream cannot
-/// hold, before anything is allocated for it. The bound divides instead
-/// of multiplying, so no claimed count can overflow it.
-fn check_run(
-    r: &BitReader<'_>,
-    count: usize,
-    precision: Precision,
-    reason: &'static str,
-) -> Result<()> {
-    if count > r.remaining() / precision.bits_per_scalar() as usize {
-        return Err(NetError::MalformedMessage { reason });
-    }
-    Ok(())
+    decode_run(r, len, precision, "slice longer than payload")
 }
 
 /// Encodes a matrix (shape-prefixed, row-major entries).
 pub fn encode_matrix(w: &mut BitWriter, m: &Matrix, precision: Precision) {
+    w.reserve(64 + m.as_slice().len() * precision.bits_per_scalar() as usize);
     encode_len(w, m.rows());
     encode_len(w, m.cols());
-    for &x in m.as_slice() {
-        encode_f64(w, x, precision);
-    }
+    encode_run(w, m.as_slice(), precision);
 }
 
 /// Decodes a matrix.
@@ -216,18 +243,156 @@ pub fn decode_matrix(r: &mut BitReader<'_>, precision: Precision) -> Result<Matr
     let total = rows.checked_mul(cols).ok_or(NetError::MalformedMessage {
         reason: "matrix shape overflow",
     })?;
-    check_run(r, total, precision, "matrix larger than payload")?;
-    let mut data = Vec::with_capacity(total);
-    for _ in 0..total {
-        data.push(decode_f64(r, precision)?);
-    }
+    let data = decode_run(r, total, precision, "matrix larger than payload")?;
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, RefReader, RefWriter};
     use ekm_quant::RoundingQuantizer;
+    use proptest::prelude::*;
+
+    /// Values whose bit patterns stress a field codec: NaNs, ±0, ±∞,
+    /// subnormals and the extremes of the normal range.
+    const SPECIALS: [f64; 12] = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -2.2e-308,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1.0,
+    ];
+
+    fn scalar() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            proptest::num::f64::ANY,
+            (0usize..SPECIALS.len()).prop_map(|i| SPECIALS[i]),
+            -1.0e3f64..1.0e3,
+        ]
+    }
+
+    /// A `rows × cols` matrix (either may be 0) preceded by a lead-in of
+    /// 0..=7 bits, so runs start at every byte offset.
+    fn case() -> impl Strategy<Value = (u32, Matrix)> {
+        (0u32..8, 0usize..6, 0usize..6).prop_flat_map(|(lead, rows, cols)| {
+            proptest::collection::vec(scalar(), rows * cols)
+                .prop_map(move |data| (lead, Matrix::from_vec(rows, cols, data)))
+        })
+    }
+
+    /// Full, F32 and every quantized width.
+    fn precisions() -> impl Iterator<Item = Precision> {
+        [Precision::Full, Precision::F32]
+            .into_iter()
+            .chain((1..=STORED_SIGNIFICAND_BITS).map(|s| Precision::Quantized { s }))
+    }
+
+    fn encode_both(lead: u32, m: &Matrix, p: Precision) -> ((Vec<u8>, usize), (Vec<u8>, usize)) {
+        let mut w = BitWriter::new();
+        let mut reference = RefWriter::new();
+        w.write_bits(u64::MAX, lead);
+        reference.write_bits(u64::MAX, lead);
+        encode_matrix(&mut w, m, p);
+        reference::encode_matrix(&mut reference, m, p);
+        encode_f64_slice(&mut w, m.as_slice(), p);
+        reference::encode_f64_slice(&mut reference, m.as_slice(), p);
+        encode_f64(&mut w, m.as_slice().first().copied().unwrap_or(-0.0), p);
+        reference::encode_f64(
+            &mut reference,
+            m.as_slice().first().copied().unwrap_or(-0.0),
+            p,
+        );
+        (w.finish(), reference.finish())
+    }
+
+    /// Decodes the [`encode_both`] layout with the production decoders
+    /// and with the reference, returning each side's values as bit
+    /// patterns, or whether it erred.
+    fn decode_both(buf: &[u8], bits: usize, lead: u32, p: Precision) -> [Option<Vec<u64>>; 2] {
+        let mut r = BitReader::new(buf, bits);
+        let ours = (|| {
+            r.read_bits(lead)?;
+            let m = decode_matrix(&mut r, p)?;
+            let xs = decode_f64_slice(&mut r, p)?;
+            let x = decode_f64(&mut r, p)?;
+            Ok::<_, NetError>((m.shape(), m.into_vec(), xs, x))
+        })();
+        let mut r = RefReader::new(buf, bits);
+        let theirs = (|| {
+            r.read_bits(lead)?;
+            let m = reference::decode_matrix(&mut r, p)?;
+            let xs = reference::decode_f64_slice(&mut r, p)?;
+            let x = reference::decode_f64(&mut r, p)?;
+            Ok::<_, NetError>((m.shape(), m.into_vec(), xs, x))
+        })();
+        [ours, theirs].map(|res| {
+            res.ok().map(|((rows, cols), m, xs, x)| {
+                let mut out = vec![rows as u64, cols as u64];
+                out.extend(m.iter().chain(&xs).chain([&x]).map(|v| v.to_bits()));
+                out
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The matrix, slice and scalar encoders write the reference's
+        /// bytes and bit length at every precision and start offset.
+        #[test]
+        fn encoders_are_bytewise_the_reference((lead, m) in case()) {
+            for p in precisions() {
+                let (ours, theirs) = encode_both(lead, &m, p);
+                prop_assert_eq!(ours, theirs, "{:?}", p);
+            }
+        }
+
+        /// On valid encodings the decoders return the reference's values
+        /// bit for bit; cut anywhere, they err exactly where it does.
+        #[test]
+        fn decoders_are_the_reference_on_valid_and_truncated_input((lead, m) in case()) {
+            for p in precisions() {
+                let ((buf, bits), _) = encode_both(lead, &m, p);
+                let [ours, theirs] = decode_both(&buf, bits, lead, p);
+                prop_assert!(ours.is_some());
+                prop_assert_eq!(&ours, &theirs, "{:?}", p);
+                for cut in (0..bits).step_by(1 + bits / 97) {
+                    let [ours, theirs] = decode_both(&buf, cut, lead, p);
+                    prop_assert_eq!(ours, theirs, "{:?} cut at {}", p, cut);
+                }
+            }
+        }
+
+        /// Arbitrary bytes decode to the reference's values or fail
+        /// where it fails, both raw and behind a small claimed shape
+        /// that the bytes may or may not hold.
+        #[test]
+        fn decoders_are_the_reference_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+            (lead, rows, cols) in (0u32..8, 0u64..4, 0u64..4),
+        ) {
+            let mut w = BitWriter::new();
+            w.write_bits(0, lead);
+            w.write_bits(rows, 32);
+            w.write_bits(cols, 32);
+            bytes.iter().for_each(|&b| w.write_bits(b.into(), 8));
+            let (shaped, shaped_bits) = w.finish();
+            for p in precisions() {
+                let [ours, theirs] = decode_both(&bytes, bytes.len() * 8, lead, p);
+                prop_assert_eq!(ours, theirs, "{:?}", p);
+                let [ours, theirs] = decode_both(&shaped, shaped_bits, lead, p);
+                prop_assert_eq!(ours, theirs, "{:?} behind {}x{}", p, rows, cols);
+            }
+        }
+    }
 
     #[test]
     fn compute_descriptor_parses_both_ways() {
