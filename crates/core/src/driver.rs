@@ -1143,7 +1143,7 @@ fn finalize<T: CommandTransport>(
             let mut secs = 0.0f64;
             let mut fold_block = |msg: Message, weights: &mut Vec<f64>| match msg {
                 Message::RawData { points } => {
-                    weights.extend(vec![1.0; points.rows()]);
+                    weights.resize(weights.len() + points.rows(), 1.0);
                     blocks.push(points);
                     Ok(())
                 }
@@ -1182,7 +1182,7 @@ fn finalize<T: CommandTransport>(
             st.source_ops += ops;
             st.source_seconds += secs;
             let t1 = Instant::now();
-            let stacked = Matrix::vstack_all(blocks.iter())?;
+            let stacked = Matrix::vstack_all(blocks)?;
             st.server_seconds += t1.elapsed().as_secs_f64();
             (stacked, weights)
         }

@@ -159,7 +159,7 @@ impl Coreset {
                 reason: "merge of zero coresets",
             });
         }
-        let points = Matrix::vstack_all(parts.iter().map(|c| &c.points))?;
+        let points = Matrix::vstack_all(parts.iter().map(|c| c.points.clone()))?;
         let mut weights = Vec::with_capacity(points.rows());
         let mut delta = 0.0;
         for part in &parts {

@@ -385,16 +385,46 @@ impl Matrix {
         })
     }
 
-    /// Stacks several matrices vertically; empty inputs are skipped.
+    /// Stacks several matrices vertically, taking them by value; empty
+    /// inputs are skipped.
+    ///
+    /// The result is what folding [`vstack`](Matrix::vstack) over the
+    /// parts from a `0 × 0` start gives, shape and error included: with
+    /// no non-empty part it is the last part (or `0 × 0`), and a part
+    /// whose width differs from the rows stacked so far is reported
+    /// against them. A lone non-empty part is moved, not copied; several
+    /// are stacked into the first one's buffer, grown once to the total,
+    /// so each part is copied at most once.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if the non-empty matrices
     /// disagree on column counts.
-    pub fn vstack_all<'a, I: IntoIterator<Item = &'a Matrix>>(parts: I) -> crate::Result<Matrix> {
+    pub fn vstack_all<I: IntoIterator<Item = Matrix>>(parts: I) -> crate::Result<Matrix> {
+        let parts: Vec<Matrix> = parts.into_iter().collect();
+        let total: usize = parts
+            .iter()
+            .filter(|p| !p.is_empty())
+            .map(|p| p.data.len())
+            .sum();
         let mut acc = Matrix::zeros(0, 0);
         for p in parts {
-            acc = acc.vstack(p)?;
+            if acc.is_empty() {
+                acc = p;
+                if !acc.is_empty() {
+                    acc.data.reserve_exact(total - acc.data.len());
+                }
+            } else if !p.is_empty() {
+                if p.cols != acc.cols {
+                    return Err(LinalgError::DimensionMismatch {
+                        op: "vstack",
+                        lhs: acc.shape(),
+                        rhs: p.shape(),
+                    });
+                }
+                acc.data.extend_from_slice(&p.data);
+                acc.rows += p.rows;
+            }
         }
         Ok(acc)
     }
@@ -683,8 +713,64 @@ mod tests {
         let v = a.vstack(&b).unwrap();
         assert_eq!(v.shape(), (3, 2));
         assert_eq!(v.row(2), &[5.0, 6.0]);
-        let all = Matrix::vstack_all([&a, &b, &Matrix::zeros(0, 0)]).unwrap();
+        let all = Matrix::vstack_all([a, b, Matrix::zeros(0, 0)]).unwrap();
         assert_eq!(all.shape(), (3, 2));
+    }
+
+    /// The fold `vstack_all` replaced: one `vstack` per part, from 0 × 0.
+    fn reference_vstack_all(parts: &[Matrix]) -> crate::Result<Matrix> {
+        let mut acc = Matrix::zeros(0, 0);
+        for p in parts {
+            acc = acc.vstack(p)?;
+        }
+        Ok(acc)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Stacking 1..=4 blocks by value gives the fold's shape, bits
+        /// and errors, with empty blocks of every shape and widths that
+        /// may disagree.
+        #[test]
+        fn vstack_all_is_the_vstack_fold(
+            shapes in proptest::collection::vec((0usize..4, 0usize..4), 1..=4),
+            seed in 0u64..1_000,
+        ) {
+            let parts: Vec<Matrix> = shapes
+                .iter()
+                .enumerate()
+                .map(|(b, &(r, c))| {
+                    Matrix::from_fn(r, c, |i, j| {
+                        // Signed zeros and NaNs travel by bit pattern.
+                        match (seed as usize + b + i * c + j) % 5 {
+                            0 => -0.0,
+                            1 => f64::NAN,
+                            _ => (seed * 31 + (b * 16 + i * c + j) as u64) as f64 * 0.37,
+                        }
+                    })
+                })
+                .collect();
+            let expected = reference_vstack_all(&parts);
+            match (Matrix::vstack_all(parts), expected) {
+                (Ok(got), Ok(want)) => {
+                    proptest::prop_assert_eq!(got.shape(), want.shape());
+                    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(&got), bits(&want));
+                }
+                (got, want) => proptest::prop_assert_eq!(got.err(), want.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn vstack_all_moves_a_lone_block() {
+        let block = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
+        let ptr = block.as_slice().as_ptr();
+        let stacked =
+            Matrix::vstack_all([Matrix::zeros(0, 4), block, Matrix::zeros(2, 0)]).unwrap();
+        assert_eq!(stacked.shape(), (3, 4));
+        assert_eq!(stacked.as_slice().as_ptr(), ptr);
     }
 
     #[test]
