@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
 //! dense kernels (matmul/QR/SVD), clustering (Lloyd, k-means++), DR (JL
-//! apply), CR (sensitivity sampling / FSS), and the blocked distance
-//! engine vs the scalar assignment path it replaced.
+//! apply), CR (sensitivity sampling / FSS), the blocked distance engine
+//! vs the scalar assignment path it replaced, and the serve-path upload:
+//! the quantized coreset codec and the reassembly of its frame.
 //!
 //! Besides the printed lines, the run emits the machine-readable
 //! `BENCH_micro.json` at the workspace root (see
@@ -29,9 +30,14 @@ use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::random::gaussian_matrix;
 use ekm_linalg::{distance, ops, parallel, pinv, qr, svd, Matrix};
 use ekm_net::event::{EventServerBinding, EventTcpSource};
-use ekm_net::protocol::{Command, Response, SourceEndpoint};
+use ekm_net::frame::{FrameAssembler, FRAME_RESP};
+use ekm_net::messages::Message;
+use ekm_net::protocol::{Command, Payload, Response, SourceEndpoint};
 use ekm_net::reactor::{Reactor, ReactorChoice, ReactorKind};
+use ekm_net::wire::Precision;
+use ekm_net::FrameBuf;
 use ekm_net::{CommandTransport, Network};
+use ekm_quant::RoundingQuantizer;
 use ekm_sketch::{JlKind, JlProjection};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -165,6 +171,59 @@ fn bench_coreset(c: &mut Criterion) {
                 .with_seed(1)
                 .build(black_box(&data))
                 .unwrap()
+        })
+    });
+    g.finish();
+}
+
+/// The serve-path upload of a 10000 × 784 source quantized at s = 8:
+/// its coreset message encoded and decoded, and its response frame
+/// reassembled from 64 KiB socket reads.
+fn bench_wire(c: &mut Criterion) {
+    let (n, d, s) = (10_000, 784, 8);
+    let points = RoundingQuantizer::new(s)
+        .expect("s in range")
+        .quantize_matrix(&gaussian_matrix(23, n, d, 1.0));
+    let msg = Message::Coreset {
+        points,
+        weights: vec![1.0; n],
+        delta: 0.0,
+        precision: Precision::Quantized { s },
+        weights_precision: Precision::Full,
+    };
+    let mut g = c.benchmark_group("wire");
+    g.sample_size(5);
+    g.bench_function("encode_q8_10000x784", |bench| {
+        bench.iter(|| black_box(&msg).encode())
+    });
+    let (buf, bits) = msg.encode();
+    g.bench_function("decode_q8_10000x784", |bench| {
+        bench.iter(|| Message::decode(black_box(&buf), bits).unwrap())
+    });
+    g.finish();
+
+    let body = Response::Up {
+        round: 1,
+        payload: Payload::of(&msg),
+        ops: 0,
+        seconds: 0.0,
+    }
+    .encode();
+    let frame = FrameBuf::new(FRAME_RESP, &body, body.len() * 8).expect("frame");
+    let mut g = c.benchmark_group("frame");
+    g.sample_size(5);
+    g.bench_function("reassemble_upload_qt", |bench| {
+        bench.iter(|| {
+            let mut asm = FrameAssembler::new();
+            let mut wire = black_box(frame.bytes());
+            while !wire.is_empty() {
+                let spare = asm.spare();
+                let n = spare.len().min(64 << 10).min(wire.len());
+                spare[..n].copy_from_slice(&wire[..n]);
+                asm.commit(n);
+                wire = &wire[n..];
+            }
+            asm.next_frame().unwrap().expect("whole frame")
         })
     });
     g.finish();
@@ -591,6 +650,7 @@ fn main() {
     bench_coreset(&mut c);
     bench_transb(&mut c);
     bench_distance(&mut c, scale);
+    bench_wire(&mut c);
     let results = criterion::take_results();
 
     let tile_sweep = tile_sweep_json(scale);

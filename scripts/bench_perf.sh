@@ -131,6 +131,11 @@ if fresh:
     for row in ("linalg/matmul_2000x784x392", "linalg/gram_2000x392",
                 "linalg/pinv_784x392"):
         assert row in names, f"kernel row {row} missing"
+    # The serve-path upload layers: the quantized coreset codec and the
+    # reassembly of its frame.
+    for row in ("wire/encode_q8_10000x784", "wire/decode_q8_10000x784",
+                "frame/reassemble_upload_qt"):
+        assert row in names, f"codec/frame row {row} missing"
 assert doc["kernels"], "no kernel timings recorded"
 assert doc["assign_speedups"], "no assignment speedups recorded"
 assert doc["transb_speedups"], "no matmul_transb speedups recorded"
