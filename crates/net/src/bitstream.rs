@@ -10,8 +10,8 @@
 //! * [`BitWriter`] collects bits MSB-first in a 64-bit accumulator and
 //!   appends it to the buffer as one big-endian word each time it fills;
 //!   [`BitWriter::finish`] appends only the bytes the pending bits touch,
-//!   zero-padded, so the buffer is always `⌈bit_len / 8⌉` bytes. A run
-//!   encoder that knows its exact size reserves the buffer up front.
+//!   zero-padded, so the buffer is always `⌈bit_len / 8⌉` bytes. A
+//!   writer made for an encoding of known size allocates it once.
 //! * [`BitReader::read_bits`] loads the big-endian 64-bit window that
 //!   starts at the byte holding the read position and shifts the field
 //!   out of it: any width 0..=64 at any bit offset. A 64-bit field at a
@@ -70,11 +70,14 @@ impl BitWriter {
         self.buf.len() * 8 + self.acc_bits as usize
     }
 
-    /// Reserves buffer room for exactly `bits` more bits, so a run whose
-    /// size is known in advance is written without reallocating.
-    pub(crate) fn reserve(&mut self, bits: usize) {
-        let words = (self.bit_len() + bits).div_ceil(64);
-        self.buf.reserve_exact(words * 8 - self.buf.len());
+    /// Creates an empty writer with room for exactly `bits` bits, so an
+    /// encoding whose size is known in advance is written without
+    /// reallocating.
+    pub(crate) fn with_capacity(bits: usize) -> Self {
+        BitWriter {
+            buf: Vec::with_capacity(bits.div_ceil(64) * 8),
+            ..BitWriter::default()
+        }
     }
 
     /// Appends the low `n` bits of `value` (MSB of those `n` first).

@@ -92,9 +92,54 @@ const TAG_ALLOC: u8 = 6;
 const TAG_CENTERS: u8 = 7;
 
 impl Message {
+    /// Exact encoded length in bits, known from the shapes alone, so
+    /// [`Message::encode`] writes into one allocation of the final size.
+    fn encoded_bits(&self) -> usize {
+        // Tag, precision descriptor, length and shape widths.
+        const TAG: usize = 8;
+        const PRECISION: usize = 7;
+        const LEN: usize = 32;
+        const SHAPE: usize = 2 * LEN;
+        let run = |len: usize, p: Precision| len * p.bits_per_scalar() as usize;
+        let full = |len: usize| run(len, Precision::Full);
+        TAG + match self {
+            Message::RawData { points } => SHAPE + full(points.as_slice().len()),
+            Message::Coreset {
+                points,
+                weights,
+                precision,
+                weights_precision,
+                ..
+            } => {
+                2 * PRECISION
+                    + SHAPE
+                    + run(points.as_slice().len(), *precision)
+                    + LEN
+                    + run(weights.len(), *weights_precision)
+                    + full(1)
+            }
+            Message::SvdSummary {
+                singular_values,
+                basis,
+                precision,
+            } => {
+                PRECISION
+                    + LEN
+                    + run(singular_values.len(), *precision)
+                    + SHAPE
+                    + run(basis.as_slice().len(), *precision)
+            }
+            Message::Basis { basis, precision } => {
+                PRECISION + SHAPE + run(basis.as_slice().len(), *precision)
+            }
+            Message::CostReport { .. } | Message::SampleAllocation { .. } => full(1),
+            Message::Centers { centers } => SHAPE + full(centers.as_slice().len()),
+        }
+    }
+
     /// Encodes the message, returning the payload and its exact bit length.
     pub fn encode(&self) -> (Vec<u8>, usize) {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(self.encoded_bits());
         match self {
             Message::RawData { points } => {
                 w.write_bits(TAG_RAW as u64, 8);
@@ -142,6 +187,7 @@ impl Message {
                 encode_matrix(&mut w, centers, Precision::Full);
             }
         }
+        debug_assert_eq!(w.bit_len(), self.encoded_bits());
         w.finish()
     }
 
@@ -418,6 +464,47 @@ mod tests {
                 }
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn encoded_bits_is_the_encoded_length() {
+        let basis = Matrix::from_fn(5, 3, |i, j| (i + j) as f64);
+        for p in [
+            Precision::Full,
+            Precision::F32,
+            Precision::Quantized { s: 7 },
+        ] {
+            for msg in [
+                Message::RawData {
+                    points: basis.clone(),
+                },
+                Message::Coreset {
+                    points: basis.clone(),
+                    weights: vec![1.0; 5],
+                    delta: 0.5,
+                    precision: p,
+                    weights_precision: Precision::F32,
+                },
+                Message::SvdSummary {
+                    singular_values: vec![2.0; 3],
+                    basis: basis.clone(),
+                    precision: p,
+                },
+                Message::Basis {
+                    basis: basis.clone(),
+                    precision: p,
+                },
+                Message::CostReport { cost: 1.0 },
+                Message::SampleAllocation { size: 3 },
+                Message::Centers {
+                    centers: Matrix::zeros(0, 4),
+                },
+            ] {
+                let (buf, bits) = msg.encode();
+                assert_eq!(bits, msg.encoded_bits(), "{msg:?}");
+                assert_eq!(buf.len(), bits.div_ceil(8));
+            }
         }
     }
 

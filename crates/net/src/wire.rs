@@ -14,8 +14,9 @@
 //! of 64, 32 or `12 + s` bits per scalar.
 //!
 //! Vectors and matrices are runs of such fields behind a 32-bit length
-//! or two 32-bit shape fields. The encoders reserve the run's exact bit
-//! count and match the precision once, outside the loop. The decoders
+//! or two 32-bit shape fields. The encoders match the precision once,
+//! outside the loop, and a message is encoded into one buffer of its
+//! exact size (`Message::encode` knows it from the shapes). The decoders
 //! first check the claimed count against the bits that remain, by
 //! division so no claim can overflow the bound, and reject a run that
 //! cannot fit as [`NetError::MalformedMessage`] before allocating
@@ -206,7 +207,6 @@ pub fn decode_len(r: &mut BitReader<'_>) -> Result<usize> {
 
 /// Encodes a slice of `f64` (length-prefixed).
 pub fn encode_f64_slice(w: &mut BitWriter, xs: &[f64], precision: Precision) {
-    w.reserve(32 + xs.len() * precision.bits_per_scalar() as usize);
     encode_len(w, xs.len());
     encode_run(w, xs, precision);
 }
@@ -225,7 +225,6 @@ pub fn decode_f64_slice(r: &mut BitReader<'_>, precision: Precision) -> Result<V
 
 /// Encodes a matrix (shape-prefixed, row-major entries).
 pub fn encode_matrix(w: &mut BitWriter, m: &Matrix, precision: Precision) {
-    w.reserve(64 + m.as_slice().len() * precision.bits_per_scalar() as usize);
     encode_len(w, m.rows());
     encode_len(w, m.cols());
     encode_run(w, m.as_slice(), precision);
