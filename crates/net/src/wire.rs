@@ -160,9 +160,9 @@ fn encode_run(w: &mut BitWriter, xs: &[f64], precision: Precision) {
     }
 }
 
-/// Decodes a run of `count` scalars after checking, once, that the rest
-/// of the stream holds them; the result is allocated at exactly `count`
-/// values.
+/// Decodes a run of `count` scalars. [`BitReader::read_run`] checks
+/// once, by division, that the rest of the stream holds them, before
+/// the result is allocated at exactly `count` values.
 ///
 /// # Errors
 ///
@@ -174,11 +174,9 @@ fn decode_run(
     precision: Precision,
     reason: &'static str,
 ) -> Result<Vec<f64>> {
-    let bits = precision.bits_per_scalar();
-    if count > r.remaining() / bits as usize {
-        return Err(NetError::MalformedMessage { reason });
-    }
-    let fields = r.read_run(bits, count)?;
+    let fields = r
+        .read_run(precision.bits_per_scalar(), count)
+        .map_err(|_| NetError::MalformedMessage { reason })?;
     Ok(match precision {
         Precision::Full => fields.map(f64::from_bits).collect(),
         Precision::F32 => fields.map(|f| f32::from_bits(f as u32) as f64).collect(),
