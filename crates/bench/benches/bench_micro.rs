@@ -379,7 +379,8 @@ fn median_of(results: &[BenchResult], name: &str) -> Option<f64> {
 
 /// Kernel timings + op counts as JSON rows (v2: each entry carries its
 /// compute precision and the worker count it ran under; the `_seq`
-/// variants are single-threaded by construction).
+/// variants and the `wire/` and `frame/` rows are single-threaded by
+/// construction).
 fn kernels_json(results: &[BenchResult]) -> Json {
     Json::Arr(
         results
@@ -390,7 +391,10 @@ fn kernels_json(results: &[BenchResult]) -> Json {
                 } else {
                     "f64"
                 };
-                let workers = if r.name.contains("scalar_seq") {
+                let workers = if r.name.contains("scalar_seq")
+                    || r.name.starts_with("wire/")
+                    || r.name.starts_with("frame/")
+                {
                     1
                 } else {
                     parallel::worker_count()
