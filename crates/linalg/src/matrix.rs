@@ -755,7 +755,8 @@ mod tests {
             match (Matrix::vstack_all(parts), expected) {
                 (Ok(got), Ok(want)) => {
                     proptest::prop_assert_eq!(got.shape(), want.shape());
-                    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     proptest::prop_assert_eq!(bits(&got), bits(&want));
                 }
                 (got, want) => proptest::prop_assert_eq!(got.err(), want.err()),

@@ -28,11 +28,6 @@
 
 use crate::{NetError, Result};
 
-/// The low `n` bits of `value`, for `n ∈ 1..=64`.
-fn low_bits(value: u64, n: u32) -> u64 {
-    value & (u64::MAX >> (64 - n))
-}
-
 /// An MSB-first bit writer.
 ///
 /// # Example
@@ -91,7 +86,7 @@ impl BitWriter {
         if n == 0 {
             return;
         }
-        let value = low_bits(value, n);
+        let value = value & (u64::MAX >> (64 - n));
         let free = 64 - self.acc_bits;
         if n < free {
             self.acc |= value << (free - n);
