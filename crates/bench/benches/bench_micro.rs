@@ -28,7 +28,7 @@ use ekm_data::normalize::normalize_paper;
 use ekm_data::synth::GaussianMixture;
 use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::random::gaussian_matrix;
-use ekm_linalg::{distance, ops, parallel, pinv, qr, svd, Matrix};
+use ekm_linalg::{distance, ops, parallel, pinv, svd, Matrix};
 use ekm_net::event::{EventServerBinding, EventTcpSource};
 use ekm_net::frame::{FrameAssembler, FRAME_RESP};
 use ekm_net::messages::Message;
@@ -92,18 +92,9 @@ fn bench_linalg(c: &mut Criterion) {
     g.bench_function("gram_4000x48", |bench| {
         bench.iter(|| ops::gram(black_box(&wide)))
     });
-    let tall = gaussian_matrix(3, 512, 32, 1.0);
-    g.bench_function("qr_512x32", |bench| {
-        bench.iter(|| qr::qr(black_box(&tall)).unwrap())
-    });
     let data = gaussian_matrix(4, 400, 64, 1.0);
     g.bench_function("thin_svd_400x64", |bench| {
         bench.iter(|| svd::thin_svd(black_box(&data)).unwrap())
-    });
-    g.bench_function("truncated_svd_400x64_t8", |bench| {
-        bench.iter(|| {
-            svd::truncated_svd(black_box(&data), 8, &svd::TruncatedSvdOptions::default()).unwrap()
-        })
     });
     // The paper's MNIST shapes (d = 784, d' = 392): Π alone is 2.4 MB,
     // more than a core's L2, as in the central JL product, its Gram and

@@ -17,10 +17,10 @@
 use ekm_bench::config::{monte_carlo_runs, Scale};
 use ekm_bench::datasets::mnist_workload;
 use ekm_bench::report;
-use ekm_bench::runner::{make_reference, run_centralized_mc, MonteCarlo};
-use ekm_core::distributed::{Bklw, BklwJl, DistributedPipeline, JlBklw};
+use ekm_bench::runner::{make_reference, run_mc, Factory, MonteCarlo};
+use ekm_core::distributed::{Bklw, BklwJl, JlBklw};
 use ekm_core::params::SummaryParams;
-use ekm_core::pipelines::{CentralizedPipeline, JlFssJl};
+use ekm_core::pipelines::JlFssJl;
 use ekm_coreset::sensitivity::WeightMode;
 use ekm_coreset::SensitivitySampler;
 use ekm_linalg::Matrix;
@@ -28,6 +28,7 @@ use ekm_sketch::JlKind;
 
 fn jl_kind_ablation(data: &Matrix, mc: usize) {
     let (n, d) = data.shape();
+    let single_source = std::slice::from_ref(data);
     let reference = make_reference(data, 2);
     let base = SummaryParams::practical(2, n, d);
     let mut results: Vec<MonteCarlo> = Vec::new();
@@ -36,8 +37,8 @@ fn jl_kind_ablation(data: &Matrix, mc: usize) {
         ("achlioptas", JlKind::Achlioptas),
     ] {
         let params = base.clone().with_jl_kind(kind);
-        let mut mc_run = run_centralized_mc(data, &reference, mc, &params, |p| {
-            Box::new(JlFssJl::new(p)) as Box<dyn CentralizedPipeline>
+        let mut mc_run = run_mc(data, single_source, &reference, mc, &params, |p| {
+            JlFssJl::new(p).into_stage_pipeline()
         });
         mc_run.name = format!("JL+FSS+JL[{label}]");
         results.push(mc_run);
@@ -82,6 +83,7 @@ fn weight_mode_ablation(data: &Matrix) {
 
 fn second_projection_ablation(data: &Matrix, mc: usize) {
     let (n, d) = data.shape();
+    let single_source = std::slice::from_ref(data);
     let reference = make_reference(data, 2);
     let base = SummaryParams::practical(2, n, d);
     let dims = [8usize, 16, 32, 64, 128];
@@ -89,8 +91,8 @@ fn second_projection_ablation(data: &Matrix, mc: usize) {
     let mut rows = Vec::new();
     for &d2 in &dims {
         let params = base.clone().with_jl_dim_after(d2);
-        let mc_run = run_centralized_mc(data, &reference, mc, &params, |p| {
-            Box::new(JlFssJl::new(p)) as Box<dyn CentralizedPipeline>
+        let mc_run = run_mc(data, single_source, &reference, mc, &params, |p| {
+            JlFssJl::new(p).into_stage_pipeline()
         });
         rows.push((
             d2 as f64,
@@ -111,22 +113,20 @@ fn second_projection_ablation(data: &Matrix, mc: usize) {
 }
 
 fn jl_placement_ablation(data: &Matrix, mc: usize) {
-    use ekm_bench::runner::run_distributed_mc;
     use ekm_data::partition::partition_uniform;
 
     let (n, d) = data.shape();
     let shards = partition_uniform(data, 10, 0xAB1).expect("partition");
     let reference = make_reference(data, 2);
     let base = SummaryParams::practical(2, n, d);
-    type Factory = fn(SummaryParams) -> Box<dyn DistributedPipeline>;
-    let factories: Vec<Factory> = vec![
-        |p| Box::new(Bklw::new(p)),
-        |p| Box::new(JlBklw::new(p)),
-        |p| Box::new(BklwJl::new(p)),
+    let factories: [Factory; 3] = [
+        |p| Bklw::new(p).into_stage_pipeline(),
+        |p| JlBklw::new(p).into_stage_pipeline(),
+        |p| BklwJl::new(p).into_stage_pipeline(),
     ];
     let results: Vec<MonteCarlo> = factories
         .into_iter()
-        .map(|f| run_distributed_mc(data, &shards, &reference, mc, &base, f))
+        .map(|f| run_mc(data, &shards, &reference, mc, &base, f))
         .collect();
     let refs: Vec<&MonteCarlo> = results.iter().collect();
     report::print_mean_table(

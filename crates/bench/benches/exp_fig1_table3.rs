@@ -13,9 +13,9 @@
 use ekm_bench::config::{monte_carlo_runs, Scale};
 use ekm_bench::datasets::{mnist_workload, neurips_workload, Workload};
 use ekm_bench::report;
-use ekm_bench::runner::{make_reference, run_centralized_mc, MonteCarlo};
+use ekm_bench::runner::{make_reference, run_mc, Factory, MonteCarlo};
 use ekm_core::params::SummaryParams;
-use ekm_core::pipelines::{CentralizedPipeline, Fss, FssJl, JlFss, JlFssJl};
+use ekm_core::pipelines::{Fss, FssJl, JlFss, JlFssJl};
 
 fn run_dataset(workload: &Workload, mc: usize) -> Vec<MonteCarlo> {
     let data = &workload.data;
@@ -28,16 +28,15 @@ fn run_dataset(workload: &Workload, mc: usize) -> Vec<MonteCarlo> {
     println!("reference k-means cost: {:.4}", reference.cost);
     let params = SummaryParams::practical(2, n, d);
 
-    type Factory = fn(SummaryParams) -> Box<dyn CentralizedPipeline>;
-    let factories: Vec<Factory> = vec![
-        |p| Box::new(Fss::new(p)),
-        |p| Box::new(JlFss::new(p)),
-        |p| Box::new(FssJl::new(p)),
-        |p| Box::new(JlFssJl::new(p)),
+    let factories: [Factory; 4] = [
+        |p| Fss::new(p).into_stage_pipeline(),
+        |p| JlFss::new(p).into_stage_pipeline(),
+        |p| FssJl::new(p).into_stage_pipeline(),
+        |p| JlFssJl::new(p).into_stage_pipeline(),
     ];
     factories
         .into_iter()
-        .map(|f| run_centralized_mc(data, &reference, mc, &params, f))
+        .map(|f| run_mc(data, std::slice::from_ref(data), &reference, mc, &params, f))
         .collect()
 }
 

@@ -9,8 +9,8 @@
 use ekm_bench::config::{monte_carlo_runs, Scale, DISTRIBUTED_SOURCES};
 use ekm_bench::datasets::{mnist_workload, neurips_workload, Workload};
 use ekm_bench::report;
-use ekm_bench::runner::{make_reference, run_distributed_mc, MonteCarlo};
-use ekm_core::distributed::{Bklw, DistributedPipeline, JlBklw};
+use ekm_bench::runner::{make_reference, run_mc, Factory, MonteCarlo};
+use ekm_core::distributed::{Bklw, JlBklw};
 use ekm_core::params::SummaryParams;
 use ekm_data::partition::partition_uniform;
 
@@ -26,11 +26,13 @@ fn run_dataset(workload: &Workload, mc: usize) -> Vec<MonteCarlo> {
     println!("reference k-means cost: {:.4}", reference.cost);
     let params = SummaryParams::practical(2, n, d);
 
-    type Factory = fn(SummaryParams) -> Box<dyn DistributedPipeline>;
-    let factories: Vec<Factory> = vec![|p| Box::new(Bklw::new(p)), |p| Box::new(JlBklw::new(p))];
+    let factories: [Factory; 2] = [
+        |p| Bklw::new(p).into_stage_pipeline(),
+        |p| JlBklw::new(p).into_stage_pipeline(),
+    ];
     factories
         .into_iter()
-        .map(|f| run_distributed_mc(data, &shards, &reference, mc, &params, f))
+        .map(|f| run_mc(data, &shards, &reference, mc, &params, f))
         .collect()
 }
 

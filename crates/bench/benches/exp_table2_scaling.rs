@@ -22,9 +22,11 @@
 //! theorems state their bounds.
 
 use ekm_bench::report;
-use ekm_core::distributed::{Bklw, DistributedPipeline, JlBklw};
+use ekm_bench::runner::Factory;
+use ekm_core::distributed::{Bklw, JlBklw};
 use ekm_core::params::SummaryParams;
-use ekm_core::pipelines::{CentralizedPipeline, Fss, FssJl, JlFss, JlFssJl};
+use ekm_core::pipelines::{Fss, FssJl, JlFss, JlFssJl};
+use ekm_core::{RunOutput, StagePipeline};
 use ekm_data::normalize::normalize_paper;
 use ekm_data::partition::partition_uniform;
 use ekm_data::synth::GaussianMixture;
@@ -51,69 +53,38 @@ fn fixed_params(seed: u64) -> SummaryParams {
         .with_seed(seed)
 }
 
-type CentralizedFactory = Box<dyn Fn(SummaryParams) -> Box<dyn CentralizedPipeline>>;
-type DistributedFactory = Box<dyn Fn(SummaryParams) -> Box<dyn DistributedPipeline>>;
+/// The algorithms of Table 2, in column order.
+const ALGORITHMS: [(&str, Factory); 6] = [
+    ("FSS", |p| Fss::new(p).into_stage_pipeline()),
+    ("JL+FSS", |p| JlFss::new(p).into_stage_pipeline()),
+    ("FSS+JL", |p| FssJl::new(p).into_stage_pipeline()),
+    ("JL+FSS+JL", |p| JlFssJl::new(p).into_stage_pipeline()),
+    ("BKLW", |p| Bklw::new(p).into_stage_pipeline()),
+    ("JL+BKLW", |p| JlBklw::new(p).into_stage_pipeline()),
+];
 
-fn centralized_algorithms() -> Vec<(String, CentralizedFactory)> {
-    vec![
-        (
-            "FSS".into(),
-            Box::new(|p| Box::new(Fss::new(p)) as Box<dyn CentralizedPipeline>),
-        ),
-        (
-            "JL+FSS".into(),
-            Box::new(|p| Box::new(JlFss::new(p)) as Box<dyn CentralizedPipeline>),
-        ),
-        (
-            "FSS+JL".into(),
-            Box::new(|p| Box::new(FssJl::new(p)) as Box<dyn CentralizedPipeline>),
-        ),
-        (
-            "JL+FSS+JL".into(),
-            Box::new(|p| Box::new(JlFssJl::new(p)) as Box<dyn CentralizedPipeline>),
-        ),
-    ]
-}
-
-fn distributed_algorithms() -> Vec<(String, DistributedFactory)> {
-    vec![
-        (
-            "BKLW".into(),
-            Box::new(|p| Box::new(Bklw::new(p)) as Box<dyn DistributedPipeline>),
-        ),
-        (
-            "JL+BKLW".into(),
-            Box::new(|p| Box::new(JlBklw::new(p)) as Box<dyn DistributedPipeline>),
-        ),
-    ]
+/// Runs `pipe` on `data` as one source, or split over five sources when
+/// the pipeline is a multi-source one.
+fn run(pipe: &StagePipeline, data: Matrix) -> RunOutput {
+    let shards = if pipe.is_distributed() {
+        partition_uniform(&data, 5, 3).expect("partition")
+    } else {
+        vec![data]
+    };
+    let mut net = Network::new(shards.len());
+    pipe.run_shards(&shards, &mut net).expect("run")
 }
 
 fn sweep_dimension() {
     let n = 1_500;
     let dims = [64usize, 128, 256, 512];
-    let mut columns: Vec<String> = Vec::new();
+    let columns: Vec<String> = ALGORITHMS.iter().map(|(name, _)| (*name).into()).collect();
     let mut bit_rows: Vec<(f64, Vec<f64>)> = dims.iter().map(|&d| (d as f64, vec![])).collect();
     let mut time_rows: Vec<(f64, Vec<f64>)> = dims.iter().map(|&d| (d as f64, vec![])).collect();
 
-    for (name, factory) in centralized_algorithms() {
-        columns.push(name);
+    for (_, factory) in ALGORITHMS {
         for (row, &d) in dims.iter().enumerate() {
-            let data = workload(n, d, 7 + d as u64);
-            let mut net = Network::new(1);
-            let out = factory(fixed_params(1)).run(&data, &mut net).expect("run");
-            bit_rows[row].1.push(out.uplink_bits as f64);
-            time_rows[row].1.push(out.source_seconds);
-        }
-    }
-    for (name, factory) in distributed_algorithms() {
-        columns.push(name);
-        for (row, &d) in dims.iter().enumerate() {
-            let data = workload(n, d, 7 + d as u64);
-            let shards = partition_uniform(&data, 5, 3).expect("partition");
-            let mut net = Network::new(5);
-            let out = factory(fixed_params(1))
-                .run(&shards, &mut net)
-                .expect("run");
+            let out = run(&factory(fixed_params(1)), workload(n, d, 7 + d as u64));
             bit_rows[row].1.push(out.uplink_bits as f64);
             time_rows[row].1.push(out.source_seconds);
         }
@@ -145,29 +116,13 @@ fn sweep_dimension() {
 fn sweep_cardinality() {
     let d = 128;
     let ns = [1_000usize, 2_000, 4_000, 8_000];
-    let mut columns: Vec<String> = Vec::new();
+    let columns: Vec<String> = ALGORITHMS.iter().map(|(name, _)| (*name).into()).collect();
     let mut bit_rows: Vec<(f64, Vec<f64>)> = ns.iter().map(|&n| (n as f64, vec![])).collect();
     let mut time_rows: Vec<(f64, Vec<f64>)> = ns.iter().map(|&n| (n as f64, vec![])).collect();
 
-    for (name, factory) in centralized_algorithms() {
-        columns.push(name);
+    for (_, factory) in ALGORITHMS {
         for (row, &n) in ns.iter().enumerate() {
-            let data = workload(n, d, 11 + n as u64);
-            let mut net = Network::new(1);
-            let out = factory(fixed_params(2)).run(&data, &mut net).expect("run");
-            bit_rows[row].1.push(out.uplink_bits as f64);
-            time_rows[row].1.push(out.source_seconds);
-        }
-    }
-    for (name, factory) in distributed_algorithms() {
-        columns.push(name);
-        for (row, &n) in ns.iter().enumerate() {
-            let data = workload(n, d, 11 + n as u64);
-            let shards = partition_uniform(&data, 5, 3).expect("partition");
-            let mut net = Network::new(5);
-            let out = factory(fixed_params(2))
-                .run(&shards, &mut net)
-                .expect("run");
+            let out = run(&factory(fixed_params(2)), workload(n, d, 11 + n as u64));
             bit_rows[row].1.push(out.uplink_bits as f64);
             time_rows[row].1.push(out.source_seconds);
         }

@@ -9,10 +9,9 @@
 
 use crate::config::monte_carlo_runs;
 use crate::report;
-use crate::runner::{make_reference, run_centralized_mc, run_distributed_mc};
-use ekm_core::distributed::{Bklw, DistributedPipeline, JlBklw};
+use crate::runner::{make_reference, run_mc, Factory};
 use ekm_core::params::SummaryParams;
-use ekm_core::pipelines::{CentralizedPipeline, Fss, FssJl, JlFss, JlFssJl};
+use ekm_core::pipelines::{Bklw, Fss, FssJl, JlBklw, JlFss, JlFssJl};
 use ekm_linalg::Matrix;
 use ekm_quant::RoundingQuantizer;
 
@@ -35,41 +34,18 @@ fn with_quantizer(base: &SummaryParams, s: u32) -> SummaryParams {
 /// three panels.
 pub fn run_centralized_sweep(experiment: &str, dataset_name: &str, data: &Matrix) {
     let (n, d) = data.shape();
-    let mc = monte_carlo_runs(3);
-    report::banner(&format!(
-        "{experiment}: single-source DR+CR+QT sweep on {dataset_name} ({n} x {d}), {mc} MC runs"
-    ));
-    let reference = make_reference(data, 2);
-    let base = SummaryParams::practical(2, n, d);
-
-    type Factory = fn(SummaryParams) -> Box<dyn CentralizedPipeline>;
-    let algorithms: Vec<(&str, Factory)> = vec![
-        ("FSS+QT", |p| Box::new(Fss::new(p))),
-        ("JL+FSS+QT", |p| Box::new(JlFss::new(p))),
-        ("FSS+JL+QT", |p| Box::new(FssJl::new(p))),
-        ("JL+FSS+JL+QT", |p| Box::new(JlFssJl::new(p))),
-    ];
-
-    let columns: Vec<String> = algorithms.iter().map(|(name, _)| (*name).into()).collect();
-    let mut cost_rows = Vec::new();
-    let mut comm_rows = Vec::new();
-    let mut time_rows = Vec::new();
-    for &s in &default_grid() {
-        let mut costs = Vec::new();
-        let mut comms = Vec::new();
-        let mut times = Vec::new();
-        for (_, factory) in &algorithms {
-            let params = with_quantizer(&base, s);
-            let mc_result = run_centralized_mc(data, &reference, mc, &params, factory);
-            costs.push(mc_result.mean(|t| t.normalized_cost));
-            comms.push(mc_result.mean(|t| t.normalized_comm));
-            times.push(mc_result.mean(|t| t.source_seconds));
-        }
-        cost_rows.push((s as f64, costs));
-        comm_rows.push((s as f64, comms));
-        time_rows.push((s as f64, times));
-    }
-    print_panels(experiment, &columns, &cost_rows, &comm_rows, &time_rows);
+    run_sweep(
+        experiment,
+        &format!("single-source DR+CR+QT sweep on {dataset_name} ({n} x {d})"),
+        data,
+        std::slice::from_ref(data),
+        &[
+            ("FSS+QT", |p| Fss::new(p).into_stage_pipeline()),
+            ("JL+FSS+QT", |p| JlFss::new(p).into_stage_pipeline()),
+            ("FSS+JL+QT", |p| FssJl::new(p).into_stage_pipeline()),
+            ("JL+FSS+JL+QT", |p| JlFssJl::new(p).into_stage_pipeline()),
+        ],
+    );
 }
 
 /// Runs the multi-source sweep (Figures 5 and 6).
@@ -80,19 +56,35 @@ pub fn run_distributed_sweep(
     shards: &[Matrix],
 ) {
     let (n, d) = data.shape();
+    run_sweep(
+        experiment,
+        &format!(
+            "multi-source DR+CR+QT sweep on {dataset_name} ({n} x {d}, m = {})",
+            shards.len()
+        ),
+        data,
+        shards,
+        &[
+            ("BKLW+QT", |p| Bklw::new(p).into_stage_pipeline()),
+            ("JL+BKLW+QT", |p| JlBklw::new(p).into_stage_pipeline()),
+        ],
+    );
+}
+
+/// Sweeps every algorithm over [`default_grid`] on `shards` and prints
+/// the three panels.
+fn run_sweep(
+    experiment: &str,
+    setting: &str,
+    data: &Matrix,
+    shards: &[Matrix],
+    algorithms: &[(&str, Factory)],
+) {
+    let (n, d) = data.shape();
     let mc = monte_carlo_runs(3);
-    report::banner(&format!(
-        "{experiment}: multi-source DR+CR+QT sweep on {dataset_name} ({n} x {d}, m = {}), {mc} MC runs",
-        shards.len()
-    ));
+    report::banner(&format!("{experiment}: {setting}, {mc} MC runs"));
     let reference = make_reference(data, 2);
     let base = SummaryParams::practical(2, n, d);
-
-    type Factory = fn(SummaryParams) -> Box<dyn DistributedPipeline>;
-    let algorithms: Vec<(&str, Factory)> = vec![
-        ("BKLW+QT", |p| Box::new(Bklw::new(p))),
-        ("JL+BKLW+QT", |p| Box::new(JlBklw::new(p))),
-    ];
 
     let columns: Vec<String> = algorithms.iter().map(|(name, _)| (*name).into()).collect();
     let mut cost_rows = Vec::new();
@@ -102,9 +94,9 @@ pub fn run_distributed_sweep(
         let mut costs = Vec::new();
         let mut comms = Vec::new();
         let mut times = Vec::new();
-        for (_, factory) in &algorithms {
+        for &(_, factory) in algorithms {
             let params = with_quantizer(&base, s);
-            let mc_result = run_distributed_mc(data, shards, &reference, mc, &params, factory);
+            let mc_result = run_mc(data, shards, &reference, mc, &params, factory);
             costs.push(mc_result.mean(|t| t.normalized_cost));
             comms.push(mc_result.mean(|t| t.normalized_comm));
             times.push(mc_result.mean(|t| t.source_seconds));

@@ -1,9 +1,8 @@
-//! Monte-Carlo trial runners for centralized and distributed pipelines.
+//! The Monte-Carlo trial runner for every pipeline series.
 
-use ekm_core::distributed::DistributedPipeline;
 use ekm_core::evaluation::{normalized_cost, reference, Reference};
 use ekm_core::params::SummaryParams;
-use ekm_core::pipelines::CentralizedPipeline;
+use ekm_core::StagePipeline;
 use ekm_linalg::Matrix;
 use ekm_net::Network;
 
@@ -51,81 +50,57 @@ pub fn make_reference(data: &Matrix, k: usize) -> Reference {
     reference(data, k, 5, 0xEC0).expect("reference solve")
 }
 
-/// Runs `mc` Monte-Carlo trials of a centralized pipeline built per-seed
-/// by `factory`.
-pub fn run_centralized_mc<F>(
-    data: &Matrix,
-    reference: &Reference,
-    mc: usize,
-    base_params: &SummaryParams,
-    factory: F,
-) -> MonteCarlo
-where
-    F: Fn(SummaryParams) -> Box<dyn CentralizedPipeline>,
-{
-    let (n, d) = data.shape();
-    let mut trials = Vec::with_capacity(mc);
-    let mut name = String::new();
-    for run in 0..mc {
-        let params = base_params.clone().with_seed(0x5EED + 7919 * run as u64);
-        let pipe = factory(params);
-        if run == 0 {
-            name = pipe.name();
-        }
-        let mut net = Network::new(1);
-        let out = pipe.run(data, &mut net).expect("pipeline run");
-        trials.push(TrialMetrics {
-            normalized_cost: normalized_cost(data, &out.centers, reference.cost)
-                .expect("cost evaluation"),
-            normalized_comm: out.normalized_comm(n, d),
-            source_seconds: out.source_seconds,
-            server_seconds: out.server_seconds,
-        });
-    }
-    MonteCarlo { name, trials }
-}
+/// Builds one trial's pipeline from its seeded parameters.
+pub type Factory = fn(SummaryParams) -> StagePipeline;
 
-/// Runs `mc` Monte-Carlo trials of a distributed pipeline over `shards`.
-pub fn run_distributed_mc<F>(
+/// Runs `mc` Monte-Carlo trials of the pipeline `factory` builds, over
+/// `shards` (one per data source; a single-source series passes the
+/// whole dataset as its one shard), scoring each against `data`.
+///
+/// Trial `r` runs at seed `0x5EED + 7919·r`, or `0xD157 + 104729·r` for
+/// a multi-source pipeline.
+pub fn run_mc(
     data: &Matrix,
     shards: &[Matrix],
     reference: &Reference,
     mc: usize,
     base_params: &SummaryParams,
-    factory: F,
-) -> MonteCarlo
-where
-    F: Fn(SummaryParams) -> Box<dyn DistributedPipeline>,
-{
+    factory: Factory,
+) -> MonteCarlo {
     let (n, d) = data.shape();
-    let mut trials = Vec::with_capacity(mc);
-    let mut name = String::new();
-    for run in 0..mc {
-        let params = base_params.clone().with_seed(0xD157 + 104729 * run as u64);
-        let pipe = factory(params);
-        if run == 0 {
-            name = pipe.name();
-        }
-        let mut net = Network::new(shards.len());
-        let out = pipe.run(shards, &mut net).expect("pipeline run");
-        trials.push(TrialMetrics {
-            normalized_cost: normalized_cost(data, &out.centers, reference.cost)
-                .expect("cost evaluation"),
-            normalized_comm: out.normalized_comm(n, d),
-            source_seconds: out.source_seconds,
-            server_seconds: out.server_seconds,
-        });
+    let probe = factory(base_params.clone());
+    let (seed, stride) = if probe.is_distributed() {
+        (0xD157, 104729)
+    } else {
+        (0x5EED, 7919)
+    };
+    let trials = (0..mc as u64)
+        .map(|run| {
+            let pipe = factory(base_params.clone().with_seed(seed + stride * run));
+            let mut net = Network::new(shards.len());
+            let out = pipe.run_shards(shards, &mut net).expect("pipeline run");
+            TrialMetrics {
+                normalized_cost: normalized_cost(data, &out.centers, reference.cost)
+                    .expect("cost evaluation"),
+                normalized_comm: out.normalized_comm(n, d),
+                source_seconds: out.source_seconds,
+                server_seconds: out.server_seconds,
+            }
+        })
+        .collect();
+    MonteCarlo {
+        name: probe.name(),
+        trials,
     }
-    MonteCarlo { name, trials }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ekm_core::pipelines::JlFss;
+    use ekm_core::pipelines::{Bklw, JlFss};
 
     #[test]
-    fn centralized_mc_collects_trials() {
+    fn mc_collects_single_and_multi_source_trials() {
         let raw = ekm_data::synth::GaussianMixture::new(300, 20, 2)
             .with_separation(4.0)
             .with_seed(1)
@@ -135,11 +110,21 @@ mod tests {
         let data = ekm_data::normalize::normalize_paper(&raw).0;
         let reference = make_reference(&data, 2);
         let params = SummaryParams::practical(2, 300, 20);
-        let mc = run_centralized_mc(&data, &reference, 3, &params, |p| Box::new(JlFss::new(p)));
-        assert_eq!(mc.trials.len(), 3);
-        assert_eq!(mc.name, "JL+FSS");
-        assert!(mc.mean(|t| t.normalized_cost) > 0.5);
-        let sorted = mc.sorted(|t| t.normalized_cost);
-        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+        let shards = ekm_data::partition::partition_uniform(&data, 3, 7).unwrap();
+        for (shards, factory, name) in [
+            (
+                std::slice::from_ref(&data),
+                (|p| JlFss::new(p).into_stage_pipeline()) as Factory,
+                "JL+FSS",
+            ),
+            (&shards[..], |p| Bklw::new(p).into_stage_pipeline(), "BKLW"),
+        ] {
+            let mc = run_mc(&data, shards, &reference, 3, &params, factory);
+            assert_eq!(mc.trials.len(), 3);
+            assert_eq!(mc.name, name);
+            assert!(mc.mean(|t| t.normalized_cost) > 0.5, "{name}");
+            let sorted = mc.sorted(|t| t.normalized_cost);
+            assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+        }
     }
 }

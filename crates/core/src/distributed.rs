@@ -1,4 +1,5 @@
-//! Multi-data-source pipelines (paper §5 and the §6 quantized variants).
+//! The multi-data-source protocols (paper §5) behind the BKLW
+//! pipelines.
 //!
 //! * disPCA (`dispca` stage) — distributed PCA \[11\]/\[35\]: each
 //!   source sends its top-`t1` local SVD summary `(Σ_i^{(t1)},
@@ -14,48 +15,23 @@
 //! * [`JlBklw`] — **Algorithm 4**: every source applies the shared-seed JL
 //!   projection first, shrinking the disPCA summaries from `O(kd/ε²)` to
 //!   `O(k·log n/ε⁴)` per source (Theorem 5.4).
+//! * [`BklwJl`] — the §5.2 variant with JL after disPCA.
 //!
 //! This module holds the protocols' steps as shared functions: the
 //! source-local ones run in [`crate::executor`], the server folds in
-//! [`crate::driver`]. The named pipelines are canned stage lists over
-//! [`StagePipeline`], exactly like their centralized siblings.
+//! [`crate::driver`]. The three named pipelines are rows of the table in
+//! [`crate::pipelines`], re-exported here.
 
-use crate::engine::StagePipeline;
-use crate::params::SummaryParams;
+pub use crate::pipelines::{Bklw, BklwJl, JlBklw};
+
 use crate::pipelines::quantize_for_wire;
-use crate::stage::Stage;
-use crate::{CoreError, Result, RunOutput};
+use crate::{CoreError, Result};
 use ekm_clustering::bicriteria::{bicriteria, BicriteriaConfig};
 use ekm_clustering::cost::assign_with;
 use ekm_linalg::random::{derive_seed, rng_from_seed, sample_weighted_indices};
 use ekm_linalg::{svd, Matrix};
 use ekm_net::messages::Message;
 use ekm_net::wire::{Compute, Precision};
-use ekm_net::Network;
-
-/// A pipeline in the multi-data-source (distributed) setting.
-pub trait DistributedPipeline {
-    /// Human-readable name matching the paper's legends.
-    fn name(&self) -> String;
-
-    /// Runs the protocol over the shards (one per data source, rows are
-    /// points; all shards share a dimensionality).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, numeric, and protocol failures.
-    fn run(&self, shards: &[Matrix], net: &mut Network) -> Result<RunOutput>;
-}
-
-impl DistributedPipeline for StagePipeline {
-    fn name(&self) -> String {
-        StagePipeline::name(self)
-    }
-
-    fn run(&self, shards: &[Matrix], net: &mut Network) -> Result<RunOutput> {
-        StagePipeline::run_shards(self, shards, net)
-    }
-}
 
 /// Computes the top-`t` local SVD summary `(σ, V)` of one shard.
 ///
@@ -371,95 +347,19 @@ pub(crate) fn disss_local_sample(
     })
 }
 
-macro_rules! declare_distributed_pipeline {
-    ($(#[$meta:meta])* $name:ident, $display:literal, [$($pre:expr),*], [$($post:expr),*]) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            inner: StagePipeline,
-        }
-
-        impl $name {
-            /// Creates the pipeline with the given parameters (a
-            /// quantizer in `params` quantizes the disSS sample
-            /// transmissions, the `+QT` variants of §6).
-            pub fn new(params: SummaryParams) -> Self {
-                let mut stages: Vec<Stage> = vec![$($pre),*];
-                $(stages.push($post);)*
-                stages.push(Stage::disss());
-                // One shared rule (stage::with_default_qt) arms the QT
-                // stage before disSS, where the wire quantization lands.
-                let stages = crate::stage::with_default_qt(stages, &params);
-                let display = if params.quantizer.is_some() {
-                    concat!($display, "+QT").to_string()
-                } else {
-                    $display.to_string()
-                };
-                $name {
-                    inner: StagePipeline::new(stages, params).with_name(display),
-                }
-            }
-
-            /// The canned stage list as a reusable [`StagePipeline`].
-            pub fn into_stage_pipeline(self) -> StagePipeline {
-                self.inner
-            }
-        }
-
-        impl DistributedPipeline for $name {
-            fn name(&self) -> String {
-                self.inner.name()
-            }
-
-            fn run(&self, shards: &[Matrix], net: &mut Network) -> Result<RunOutput> {
-                self.inner.run_shards(shards, net)
-            }
-        }
-    };
-}
-
-declare_distributed_pipeline!(
-    /// The BKLW baseline \[27\]: disPCA followed by disSS, k-means at the
-    /// server on the union coreset, centers lifted through the global
-    /// basis.
-    Bklw,
-    "BKLW",
-    [Stage::dispca()],
-    []
-);
-
-declare_distributed_pipeline!(
-    /// **Algorithm 4** (JL+BKLW): shared-seed JL projection at every
-    /// source, then BKLW in the projected space (Theorem 5.4).
-    JlBklw,
-    "JL+BKLW",
-    [Stage::jl(), Stage::dispca()],
-    []
-);
-
-declare_distributed_pipeline!(
-    /// The §5.2 thought-experiment: JL applied *after* BKLW (the
-    /// distributed counterpart of Algorithm 2). The paper argues — and
-    /// this implementation verifies empirically (see the ablation bench)
-    /// — that it is **not competitive**: the disPCA summaries already
-    /// cost `O(mkd/ε²)`, so the late projection cannot improve the
-    /// communication order, while its distortion adds to the
-    /// approximation error.
-    BklwJl,
-    "BKLW+JL",
-    [Stage::dispca()],
-    [Stage::jl()]
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StagePipeline;
+    use crate::params::SummaryParams;
+    use crate::stage::Stage;
     use ekm_clustering::cost::cost;
     use ekm_clustering::kmeans::KMeans;
     use ekm_coreset::Coreset;
     use ekm_data::partition::partition_uniform;
     use ekm_data::synth::GaussianMixture;
     use ekm_linalg::ops;
+    use ekm_net::Network;
 
     /// Paper-regime workload: moderate separation, §7.1 normalization
     /// (see the note on the centralized tests' `workload`).
@@ -607,13 +507,13 @@ mod tests {
             (
                 "BKLW",
                 Bklw::new(SummaryParams::practical(2, 900, 60).with_seed(3))
-                    .run(&parts, &mut Network::new(10))
+                    .run_shards(&parts, &mut Network::new(10))
                     .unwrap(),
             ),
             (
                 "JL+BKLW",
                 JlBklw::new(SummaryParams::practical(2, 900, 60).with_seed(3))
-                    .run(&parts, &mut Network::new(10))
+                    .run_shards(&parts, &mut Network::new(10))
                     .unwrap(),
             ),
         ] {
@@ -630,9 +530,11 @@ mod tests {
         let parts = shards(&data, 5);
         let params = SummaryParams::practical(2, 600, 300).with_seed(4);
         let mut net1 = Network::new(5);
-        let bklw = Bklw::new(params.clone()).run(&parts, &mut net1).unwrap();
+        let bklw = Bklw::new(params.clone())
+            .run_shards(&parts, &mut net1)
+            .unwrap();
         let mut net2 = Network::new(5);
-        let jl = JlBklw::new(params).run(&parts, &mut net2).unwrap();
+        let jl = JlBklw::new(params).run_shards(&parts, &mut net2).unwrap();
         assert!(
             jl.uplink_bits < bklw.uplink_bits,
             "JL+BKLW {} vs BKLW {}",
@@ -648,10 +550,12 @@ mod tests {
         let base = SummaryParams::practical(2, 500, 40).with_seed(5);
         let q = ekm_quant::RoundingQuantizer::new(8).unwrap();
         let mut net1 = Network::new(5);
-        let plain = Bklw::new(base.clone()).run(&parts, &mut net1).unwrap();
+        let plain = Bklw::new(base.clone())
+            .run_shards(&parts, &mut net1)
+            .unwrap();
         let mut net2 = Network::new(5);
         let quant = Bklw::new(base.with_quantizer(q))
-            .run(&parts, &mut net2)
+            .run_shards(&parts, &mut net2)
             .unwrap();
         assert!(quant.uplink_bits < plain.uplink_bits);
         let c_plain = cost(&data, &plain.centers).unwrap();
@@ -673,11 +577,11 @@ mod tests {
     fn config_errors() {
         let p = SummaryParams::practical(2, 100, 10);
         let mut net = Network::new(2);
-        assert!(Bklw::new(p.clone()).run(&[], &mut net).is_err());
+        assert!(Bklw::new(p.clone()).run_shards(&[], &mut net).is_err());
         // More shards than the ledger tracks.
         let data = workload(40, 5, 8);
         let parts = shards(&data, 4);
-        assert!(Bklw::new(p.clone()).run(&parts, &mut net).is_err());
+        assert!(Bklw::new(p.clone()).run_shards(&parts, &mut net).is_err());
         // Zero disSS budget.
         let mut net4 = Network::new(4);
         let zero = StagePipeline::new(
@@ -705,10 +609,10 @@ mod tests {
         let parts = shards(&data, 3);
         let params = SummaryParams::practical(2, 300, 20).with_seed(21);
         let a = JlBklw::new(params.clone())
-            .run(&parts, &mut Network::new(3))
+            .run_shards(&parts, &mut Network::new(3))
             .unwrap();
         let b = JlBklw::new(params)
-            .run(&parts, &mut Network::new(3))
+            .run_shards(&parts, &mut Network::new(3))
             .unwrap();
         assert!(a.centers.approx_eq(&b.centers, 0.0));
         assert_eq!(a.uplink_bits, b.uplink_bits);
@@ -723,10 +627,10 @@ mod tests {
         let parts = shards(&data, 5);
         let params = SummaryParams::practical(2, 600, 80).with_seed(13);
         let plain = Bklw::new(params.clone())
-            .run(&parts, &mut Network::new(5))
+            .run_shards(&parts, &mut Network::new(5))
             .unwrap();
         let after = BklwJl::new(params)
-            .run(&parts, &mut Network::new(5))
+            .run_shards(&parts, &mut Network::new(5))
             .unwrap();
         assert_eq!(after.centers.shape(), (2, 80));
         assert!(after.centers.as_slice().iter().all(|v| v.is_finite()));

@@ -621,6 +621,46 @@ fn tree_gather<T: CommandTransport>(
         .collect()
 }
 
+/// Collects one summary phase from `responders` and hands every decoded
+/// summary to `fold`, in source order. Over the star each responder
+/// answers with its summary; in the tree topology (with more than one
+/// source) each acknowledges with a `Done` and [`tree_gather`] reduces
+/// the buffered summaries pairwise, handing `fold` the root's (plus any
+/// stranded ones). Returns the largest ops and seconds reported.
+fn gather_summaries<T: CommandTransport>(
+    net: &mut RoundNet<'_, T>,
+    topology: Topology,
+    responders: impl IntoIterator<Item = usize>,
+    gather: u8,
+    context: &'static str,
+    mut fold: impl FnMut(Message) -> Result<()>,
+) -> Result<(u64, f64)> {
+    let tree = topology == Topology::Tree && net.inner.sources() > 1;
+    let mut holders = Vec::new();
+    let mut ops = 0u64;
+    let mut secs = 0.0f64;
+    for i in responders {
+        let Some(resp) = net.recv(i)? else { continue };
+        if tree {
+            let (_, _, o, s) = expect_done(resp, context)?;
+            ops = ops.max(o);
+            secs = secs.max(s);
+            holders.push(i);
+        } else {
+            let (payload, o, s) = expect_up(resp, context)?;
+            ops = ops.max(o);
+            secs = secs.max(s);
+            fold(payload.decode().map_err(CoreError::Net)?)?;
+        }
+    }
+    if tree {
+        for msg in tree_gather(net, &holders, gather)? {
+            fold(msg)?;
+        }
+    }
+    Ok((ops, secs))
+}
+
 /// The driver's plan-derived shadow of the sources' state: the working
 /// dimension, basis and coreset bookkeeping, and the projection chain
 /// the final lift inverts — never the data.
@@ -892,53 +932,26 @@ fn run_stage<T: CommandTransport>(
                 net.send_enc(i, &stage_enc)?;
             }
             let mut summaries = Vec::with_capacity(m);
-            let mut ops1 = 0u64;
-            let mut secs1 = 0.0f64;
-            if params.topology == Topology::Tree && m > 1 {
-                // Tree topology: sources buffer their summaries behind a
-                // plain acknowledgement; the reduction happens pairwise.
-                let mut holders = Vec::with_capacity(m);
-                for i in 0..m {
-                    let Some(resp) = net.recv(i)? else { continue };
-                    let (_, _, o, s) = expect_done(resp, "dispca summary")?;
-                    ops1 = ops1.max(o);
-                    secs1 = secs1.max(s);
-                    holders.push(i);
-                }
-                for msg in tree_gather(net, &holders, GATHER_DISPCA)? {
-                    match msg {
-                        Message::SvdSummary {
-                            singular_values,
-                            basis,
-                            ..
-                        } => summaries.push((singular_values, basis)),
-                        _ => {
-                            return Err(CoreError::Protocol {
-                                reason: "expected svd summary",
-                            })
-                        }
+            let (ops1, secs1) = gather_summaries(
+                net,
+                params.topology,
+                0..m,
+                GATHER_DISPCA,
+                "dispca summary",
+                |msg| match msg {
+                    Message::SvdSummary {
+                        singular_values,
+                        basis,
+                        ..
+                    } => {
+                        summaries.push((singular_values, basis));
+                        Ok(())
                     }
-                }
-            } else {
-                for i in 0..m {
-                    let Some(resp) = net.recv(i)? else { continue };
-                    let (payload, o, s) = expect_up(resp, "dispca summary")?;
-                    ops1 = ops1.max(o);
-                    secs1 = secs1.max(s);
-                    match payload.decode().map_err(CoreError::Net)? {
-                        Message::SvdSummary {
-                            singular_values,
-                            basis,
-                            ..
-                        } => summaries.push((singular_values, basis)),
-                        _ => {
-                            return Err(CoreError::Protocol {
-                                reason: "expected svd summary",
-                            })
-                        }
-                    }
-                }
-            }
+                    _ => Err(CoreError::Protocol {
+                        reason: "expected svd summary",
+                    }),
+                },
+            )?;
             // Step 2: the global SVD, folded along the canonical merge
             // schedule.
             let t1 = Instant::now();
@@ -1027,57 +1040,29 @@ fn run_stage<T: CommandTransport>(
             }
             // Step 3: weighted samples, merged in source order.
             let mut parts = Vec::with_capacity(m);
-            let mut ops2 = 0u64;
-            let mut secs2 = 0.0f64;
-            if params.topology == Topology::Tree && m > 1 {
-                let mut holders = Vec::with_capacity(responders.len());
-                for &i in &responders {
-                    let Some(resp) = net.recv(i)? else { continue };
-                    let (_, _, o, s) = expect_done(resp, "disss sample")?;
-                    ops2 = ops2.max(o);
-                    secs2 = secs2.max(s);
-                    holders.push(i);
-                }
-                for msg in tree_gather(net, &holders, GATHER_DISSS)? {
-                    match msg {
-                        Message::Coreset {
-                            points,
-                            weights,
-                            delta,
-                            ..
-                        } => parts.push(
+            let (ops2, secs2) = gather_summaries(
+                net,
+                params.topology,
+                responders,
+                GATHER_DISSS,
+                "disss sample",
+                |msg| match msg {
+                    Message::Coreset {
+                        points,
+                        weights,
+                        delta,
+                        ..
+                    } => {
+                        parts.push(
                             Coreset::new(points, weights, delta).map_err(CoreError::Coreset)?,
-                        ),
-                        _ => {
-                            return Err(CoreError::Protocol {
-                                reason: "expected a coreset message",
-                            })
-                        }
+                        );
+                        Ok(())
                     }
-                }
-            } else {
-                for &i in &responders {
-                    let Some(resp) = net.recv(i)? else { continue };
-                    let (payload, o, s) = expect_up(resp, "disss sample")?;
-                    ops2 = ops2.max(o);
-                    secs2 = secs2.max(s);
-                    match payload.decode().map_err(CoreError::Net)? {
-                        Message::Coreset {
-                            points,
-                            weights,
-                            delta,
-                            ..
-                        } => parts.push(
-                            Coreset::new(points, weights, delta).map_err(CoreError::Coreset)?,
-                        ),
-                        _ => {
-                            return Err(CoreError::Protocol {
-                                reason: "expected a coreset message",
-                            })
-                        }
-                    }
-                }
-            }
+                    _ => Err(CoreError::Protocol {
+                        reason: "expected a coreset message",
+                    }),
+                },
+            )?;
             let t1 = Instant::now();
             let merged = Coreset::merge(parts.iter()).map_err(CoreError::Coreset)?;
             st.server_seconds += t1.elapsed().as_secs_f64();
@@ -1139,46 +1124,30 @@ fn finalize<T: CommandTransport>(
             }
             let mut blocks = Vec::with_capacity(m);
             let mut weights = Vec::new();
-            let mut ops = 0u64;
-            let mut secs = 0.0f64;
-            let mut fold_block = |msg: Message, weights: &mut Vec<f64>| match msg {
-                Message::RawData { points } => {
-                    weights.resize(weights.len() + points.rows(), 1.0);
-                    blocks.push(points);
-                    Ok(())
-                }
-                Message::Coreset {
-                    points, weights: w, ..
-                } => {
-                    weights.extend(w);
-                    blocks.push(points);
-                    Ok(())
-                }
-                _ => Err(CoreError::Protocol {
-                    reason: "expected raw data or a coreset",
-                }),
-            };
-            if params.topology == Topology::Tree && m > 1 {
-                let mut holders = Vec::with_capacity(m);
-                for i in 0..m {
-                    let Some(resp) = net.recv(i)? else { continue };
-                    let (_, _, o, s) = expect_done(resp, "summary transmit")?;
-                    ops = ops.max(o);
-                    secs = secs.max(s);
-                    holders.push(i);
-                }
-                for msg in tree_gather(net, &holders, GATHER_TRANSMIT)? {
-                    fold_block(msg, &mut weights)?;
-                }
-            } else {
-                for i in 0..m {
-                    let Some(resp) = net.recv(i)? else { continue };
-                    let (payload, o, s) = expect_up(resp, "summary transmit")?;
-                    ops = ops.max(o);
-                    secs = secs.max(s);
-                    fold_block(payload.decode().map_err(CoreError::Net)?, &mut weights)?;
-                }
-            }
+            let (ops, secs) = gather_summaries(
+                net,
+                params.topology,
+                0..m,
+                GATHER_TRANSMIT,
+                "summary transmit",
+                |msg| match msg {
+                    Message::RawData { points } => {
+                        weights.resize(weights.len() + points.rows(), 1.0);
+                        blocks.push(points);
+                        Ok(())
+                    }
+                    Message::Coreset {
+                        points, weights: w, ..
+                    } => {
+                        weights.extend(w);
+                        blocks.push(points);
+                        Ok(())
+                    }
+                    _ => Err(CoreError::Protocol {
+                        reason: "expected raw data or a coreset",
+                    }),
+                },
+            )?;
             st.source_ops += ops;
             st.source_seconds += secs;
             let t1 = Instant::now();

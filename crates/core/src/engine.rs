@@ -1,10 +1,9 @@
 //! The stage plan and its in-process entry points.
 //!
 //! A [`StagePipeline`] is an ordered [`Stage`] list plus the shared
-//! [`SummaryParams`]. The seven paper pipelines are canned stage lists
-//! (see [`crate::pipelines`] and [`crate::distributed`]); arbitrary
-//! compositions — including ones the paper never evaluated — are just
-//! other lists:
+//! [`SummaryParams`]. The eight paper pipelines are rows of one table of
+//! stage lists ([`crate::pipelines::named`]); arbitrary compositions —
+//! including ones the paper never evaluated — are just other lists:
 //!
 //! ```
 //! use ekm_core::engine::StagePipeline;
@@ -75,7 +74,7 @@ impl StagePipeline {
         Ok(StagePipeline::new(Stage::parse_list(list)?, params))
     }
 
-    /// Overrides the display name (the canned paper pipelines use their
+    /// Overrides the display name (the paper pipelines use their
     /// legend names, e.g. "BKLW" instead of "disPCA+disSS").
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());

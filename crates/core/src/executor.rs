@@ -530,25 +530,21 @@ impl<'a> SourceExecutor<'a> {
         }
     }
 
-    /// Whether summary uplinks go through the pairwise reduction tree
-    /// instead of straight to the server (a single source is its own
-    /// root, so it always stars).
-    fn tree_mode(&self) -> bool {
-        self.params.topology == Topology::Tree && self.m > 1
-    }
-
-    /// Tree-mode counterpart of [`Self::up`]: books the summary's wire
-    /// size into this source's classic uplink ledger (so the ledgers
-    /// match the star run bit for bit), then holds the *decoded* copy
-    /// back for the merge rounds and acknowledges the stage with a
-    /// plain `Done`.
-    fn buffer_leaf(
+    /// Sends a summary toward the server: straight up over the star
+    /// (see [`Self::up`]), or — in the tree topology with more than one
+    /// source (a single source is its own root, so it always stars) —
+    /// held back for the pairwise merge rounds behind a plain `Done`.
+    fn emit_summary(
         &mut self,
         msg: &Message,
         rank: usize,
         ops: u64,
         seconds: f64,
     ) -> Result<StepOutcome> {
+        let tree = self.params.topology == Topology::Tree && self.m > 1;
+        if !tree {
+            return Ok(StepOutcome::Reply(self.up(msg, ops, seconds)));
+        }
         let payload = Payload::of(msg);
         // The leaf's bits are booked when they are *reported* (the first
         // `Merged` response of the gather), not here: the server charges
@@ -748,10 +744,7 @@ impl<'a> SourceExecutor<'a> {
                     precision: self.params.precision,
                 };
                 self.pending = Some(PendingDeliver::DispcaBasis);
-                if self.tree_mode() {
-                    return self.buffer_leaf(&msg, t, ops, secs);
-                }
-                Ok(StepOutcome::Reply(self.up(&msg, ops, secs)))
+                self.emit_summary(&msg, t, ops, secs)
             }
             Stage::DisSs(cfg) => {
                 if self.weights.is_some() {
@@ -1000,10 +993,7 @@ impl<'a> SourceExecutor<'a> {
                 // The summary now lives at the server.
                 self.part = Cow::Owned(Matrix::zeros(0, 0));
                 self.handed_off = true;
-                if self.tree_mode() {
-                    return self.buffer_leaf(&msg, 0, ops, secs);
-                }
-                Ok(StepOutcome::Reply(self.up(&msg, ops, secs)))
+                self.emit_summary(&msg, 0, ops, secs)
             }
             (pending, msg) => Err(CoreError::Net(NetError::ProtocolViolation {
                 context: "deliver payload",
@@ -1059,14 +1049,9 @@ impl<'a> SourceExecutor<'a> {
             },
         };
         let secs = t0.elapsed().as_secs_f64();
-        if self.tree_mode() {
-            let outcome = self.buffer_leaf(&msg, 0, ops, secs);
-            self.part = Cow::Owned(Matrix::zeros(0, 0));
-            return outcome;
-        }
-        let resp = self.up(&msg, ops, secs);
+        let outcome = self.emit_summary(&msg, 0, ops, secs);
         // Transmission is the shard's last use.
         self.part = Cow::Owned(Matrix::zeros(0, 0));
-        Ok(StepOutcome::Reply(resp))
+        outcome
     }
 }

@@ -5,6 +5,11 @@
 //!
 //! # The pipelines
 //!
+//! The paper's eight pipelines are one table of stage lists
+//! ([`pipelines::named`], with the `--pipeline` names in
+//! [`pipelines::NAMES`]), each also a legend type that derefs to its
+//! [`engine::StagePipeline`].
+//!
 //! Single data source (§4):
 //!
 //! | Pipeline | Paper | Summary sent to the server |
@@ -21,11 +26,11 @@
 //! |---|---|---|
 //! | [`distributed::Bklw`] | BKLW \[27\] | local SVD summary (`O(kd/ε²)`) + disSS samples |
 //! | [`distributed::JlBklw`] | **Algorithm 4** (JL+BKLW) | same in JL space (`O(k·log n/ε⁴)`) |
+//! | [`distributed::BklwJl`] | the §5.2 variant (BKLW+JL) | BKLW's summaries, JL-projected samples |
 //!
-//! Every pipeline above is a *canned stage list* over
-//! [`engine::StagePipeline`]; arbitrary DR/CR/QT compositions — points in
-//! the §4 "order matters" space the paper never evaluated — are other
-//! lists (`StagePipeline::from_names("jl,fss,qt,jl", params)`).
+//! Arbitrary DR/CR/QT compositions — points in the §4 "order matters"
+//! space the paper never evaluated — are other stage lists
+//! (`StagePipeline::from_names("jl,fss,qt,jl", params)`).
 //!
 //! # One execution path
 //!
@@ -47,7 +52,7 @@
 //!
 //! ```
 //! use ekm_core::params::SummaryParams;
-//! use ekm_core::pipelines::{CentralizedPipeline, JlFss, NoReduction};
+//! use ekm_core::pipelines::JlFss;
 //! use ekm_net::Network;
 //! use ekm_linalg::Matrix;
 //!

@@ -1,28 +1,29 @@
-//! Single-data-source pipelines (paper §4 and the §6 quantized variants),
-//! as canned stage lists over [`StagePipeline`].
+//! The paper's eight pipelines (§4, §5 and the §6 `+QT` variants), as
+//! one table of stage lists over [`StagePipeline`].
 //!
-//! Every run plays both roles of the protocol: the *data source* builds
-//! a summary and uplinks it (the [`Network`] ledger records the encoded
-//! bits), and the *server* solves weighted k-means on what arrives and
-//! maps the centers back to the original space. JL projection matrices
-//! are regenerated from the shared seed on the server side — they are
-//! never transmitted.
+//! Every run plays both roles of the protocol: the *data sources* build
+//! summaries and uplink them (the [`ekm_net::Network`] ledger records
+//! the encoded bits), and the *server* solves weighted k-means on what
+//! arrives and maps the centers back to the original space. JL
+//! projection matrices are regenerated from the shared seed on the
+//! server side — they are never transmitted.
 //!
-//! The named types here are thin constructors kept for the paper-legend
-//! names and for API stability; they all delegate to
-//! [`crate::engine::StagePipeline`], so `JlFssJl::new(p)` and
-//! `StagePipeline::from_names("jl,fss,jl", p)` are the same pipeline —
-//! bit-identical uplink and identical centers (asserted by the
-//! `stage_equivalence` integration tests).
+//! [`named`] builds any of them from its `--pipeline` name in [`NAMES`]
+//! ("nr", "jl-fss-jl", "bklw", …), and each has a legend type
+//! ([`NoReduction`], [`JlFssJl`], [`Bklw`], …) declared from the same
+//! table that derefs to its [`StagePipeline`]. So `JlFssJl::new(p)`,
+//! `named("jl-fss-jl", p)` and `StagePipeline::from_names("jl,fss,jl", p)`
+//! are the same pipeline — bit-identical uplink and identical centers
+//! (asserted by the `stage_equivalence` integration tests). The
+//! multi-source types are also exported from [`crate::distributed`].
 
 use crate::engine::StagePipeline;
 use crate::params::SummaryParams;
-use crate::stage::Stage;
-use crate::{Result, RunOutput};
+use crate::stage::{with_default_qt, Stage};
 use ekm_linalg::Matrix;
 use ekm_net::wire::Precision;
-use ekm_net::Network;
 use ekm_quant::RoundingQuantizer;
+use std::ops::Deref;
 
 /// Seed streams derived from the shared seed (source and server derive
 /// identical values).
@@ -44,30 +45,6 @@ pub(crate) mod seeds {
     pub const JL_EXTRA_BASE: u64 = 32;
 }
 
-/// A pipeline in the single-data-source (centralized) setting.
-pub trait CentralizedPipeline {
-    /// Human-readable name matching the paper's legends ("JL+FSS", …).
-    fn name(&self) -> String;
-
-    /// Runs the full source → server protocol on `data`, charging all
-    /// traffic to source 0 of `net`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, numeric, and protocol failures.
-    fn run(&self, data: &Matrix, net: &mut Network) -> Result<RunOutput>;
-}
-
-impl CentralizedPipeline for StagePipeline {
-    fn name(&self) -> String {
-        StagePipeline::name(self)
-    }
-
-    fn run(&self, data: &Matrix, net: &mut Network) -> Result<RunOutput> {
-        StagePipeline::run(self, data, net)
-    }
-}
-
 /// Quantizes points for the wire if a quantizer is configured; returns the
 /// payload and its [`Precision`].
 pub(crate) fn quantize_for_wire(
@@ -85,106 +62,111 @@ pub(crate) fn quantize_for_wire(
     }
 }
 
-macro_rules! declare_centralized_pipeline {
-    ($(#[$meta:meta])* $name:ident, [$($stage:expr),*]) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            inner: StagePipeline,
-        }
+/// Builds the paper pipeline called `name` (one of [`NAMES`]) under its
+/// legend name ("JL+FSS", "BKLW", …), or `None` for any other name.
+///
+/// A quantizer in `params` arms the `+QT` wire stage (before disSS in
+/// the multi-source pipelines; see [`with_default_qt`]) and appends
+/// "+QT" to the name — except in NR, which ships the raw data whatever
+/// the parameters say.
+pub fn named(name: &str, params: SummaryParams) -> Option<StagePipeline> {
+    let &(_, legend, stages) = TABLE.iter().find(|row| row.0 == name)?;
+    let mut stages: Vec<Stage> = stages.iter().map(|stage| stage()).collect();
+    let mut legend = legend.to_string();
+    if !stages.is_empty() && params.quantizer.is_some() {
+        stages = with_default_qt(stages, &params);
+        legend.push_str("+QT");
+    }
+    Some(StagePipeline::new(stages, params).with_name(legend))
+}
 
-        impl $name {
-            /// Creates the pipeline with the given parameters (a
-            /// quantizer in `params` adds the `+QT` wire stage).
-            pub fn new(params: SummaryParams) -> Self {
-                let stages = crate::stage::with_default_qt(vec![$($stage),*], &params);
-                $name {
-                    inner: StagePipeline::new(stages, params),
+/// Declares the table behind [`named`] and [`NAMES`], and one legend
+/// type per row.
+macro_rules! paper_pipelines {
+    ($($(#[$doc:meta])* $ty:ident = $name:literal, $legend:literal, [$($stage:ident),*];)*) => {
+        /// Every paper pipeline's name, legend name and stage list.
+        const TABLE: &[(&str, &str, &[fn() -> Stage])] =
+            &[$(($name, $legend, &[$(Stage::$stage),*])),*];
+
+        /// The `--pipeline` names of the paper's pipelines, in table order.
+        pub const NAMES: &[&str] = &[$($name),*];
+
+        $(
+            $(#[$doc])*
+            ///
+            /// Derefs to its [`StagePipeline`] (see [`named`]).
+            #[derive(Debug, Clone)]
+            pub struct $ty(StagePipeline);
+
+            impl $ty {
+                /// Creates the pipeline with the given parameters (a
+                /// quantizer in `params` adds the `+QT` wire stage).
+                pub fn new(params: SummaryParams) -> Self {
+                    $ty(named($name, params).expect("every legend type has a table row"))
+                }
+
+                /// The pipeline as a reusable [`StagePipeline`].
+                pub fn into_stage_pipeline(self) -> StagePipeline {
+                    self.0
                 }
             }
 
-            /// The canned stage list as a reusable [`StagePipeline`].
-            pub fn into_stage_pipeline(self) -> StagePipeline {
-                self.inner
-            }
-        }
+            impl Deref for $ty {
+                type Target = StagePipeline;
 
-        impl CentralizedPipeline for $name {
-            fn name(&self) -> String {
-                self.inner.name()
+                fn deref(&self) -> &StagePipeline {
+                    &self.0
+                }
             }
-
-            fn run(&self, data: &Matrix, net: &mut Network) -> Result<RunOutput> {
-                self.inner.run(data, net)
-            }
-        }
+        )*
     };
 }
 
-/// The "no reduction" baseline: ship the raw dataset, solve at the
-/// server. (Ignores any configured quantizer, like the paper's NR —
-/// only `k`, `kmeans_restarts`, and `seed` matter.)
-#[derive(Debug, Clone)]
-pub struct NoReduction {
-    inner: StagePipeline,
-}
+paper_pipelines! {
+    /// The "no reduction" baseline: ship the raw dataset, solve at the
+    /// server. (Ignores any configured quantizer, like the paper's NR —
+    /// only `k`, `kmeans_restarts`, and `seed` matter.)
+    NoReduction = "nr", "NR", [];
 
-impl NoReduction {
-    /// Creates the baseline with the given parameters.
-    pub fn new(params: SummaryParams) -> Self {
-        NoReduction {
-            inner: StagePipeline::new(Vec::new(), params),
-        }
-    }
-
-    /// The (empty) stage list as a reusable [`StagePipeline`].
-    pub fn into_stage_pipeline(self) -> StagePipeline {
-        self.inner
-    }
-}
-
-impl CentralizedPipeline for NoReduction {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn run(&self, data: &Matrix, net: &mut Network) -> Result<RunOutput> {
-        self.inner.run(data, net)
-    }
-}
-
-declare_centralized_pipeline!(
     /// The FSS baseline \[11\]: PCA-subspace coreset, transmitted as
     /// coordinates **plus the subspace basis** (the `O(kd/ε²)`
     /// communication cost of Theorem 4.1).
-    Fss,
-    [Stage::fss()]
-);
+    Fss = "fss", "FSS", [fss];
 
-declare_centralized_pipeline!(
     /// **Algorithm 1** (JL+FSS): JL projection first, then FSS in the
     /// projected space. Communication `O(k·log n/ε⁴)`, source complexity
     /// `Õ(nd/ε²)` (Theorem 4.2).
-    JlFss,
-    [Stage::jl(), Stage::fss()]
-);
+    JlFss = "jl-fss", "JL+FSS", [jl, fss];
 
-declare_centralized_pipeline!(
     /// **Algorithm 2** (FSS+JL): FSS in the original space, then JL
     /// projection of the coreset points. Communication `Õ(k³/ε⁶)` (no
     /// basis, no `log n`), source complexity `O(nd·min(n,d))`
     /// (Theorem 4.3).
-    FssJl,
-    [Stage::fss(), Stage::jl()]
-);
+    FssJl = "fss-jl", "FSS+JL", [fss, jl];
 
-declare_centralized_pipeline!(
     /// **Algorithm 3** (JL+FSS+JL): JL before *and* after FSS — the
     /// communication of Algorithm 2 at the complexity of Algorithm 1
     /// (Theorem 4.4).
-    JlFssJl,
-    [Stage::jl(), Stage::fss(), Stage::jl()]
-);
+    JlFssJl = "jl-fss-jl", "JL+FSS+JL", [jl, fss, jl];
+
+    /// The BKLW baseline \[27\]: disPCA followed by disSS, k-means at the
+    /// server on the union coreset, centers lifted through the global
+    /// basis.
+    Bklw = "bklw", "BKLW", [dispca, disss];
+
+    /// **Algorithm 4** (JL+BKLW): shared-seed JL projection at every
+    /// source, then BKLW in the projected space (Theorem 5.4).
+    JlBklw = "jl-bklw", "JL+BKLW", [jl, dispca, disss];
+
+    /// The §5.2 thought-experiment: JL applied *after* BKLW (the
+    /// distributed counterpart of Algorithm 2). The paper argues — and
+    /// this implementation verifies empirically (see the ablation bench)
+    /// — that it is **not competitive**: the disPCA summaries already
+    /// cost `O(mkd/ε²)`, so the late projection cannot improve the
+    /// communication order, while its distortion adds to the
+    /// approximation error.
+    BklwJl = "bklw-jl", "BKLW+JL", [dispca, jl, disss];
+}
 
 #[cfg(test)]
 mod tests {
@@ -192,6 +174,7 @@ mod tests {
     use crate::CoreError;
     use ekm_clustering::cost::cost;
     use ekm_data::synth::GaussianMixture;
+    use ekm_net::Network;
 
     /// A paper-regime workload: moderately separated mixture, normalized
     /// to zero mean / [-1, 1] exactly as §7.1 prescribes. (The JL-based
@@ -213,13 +196,11 @@ mod tests {
         SummaryParams::practical(2, n, d).with_seed(11)
     }
 
-    fn all_pipelines(p: &SummaryParams) -> Vec<Box<dyn CentralizedPipeline>> {
-        vec![
-            Box::new(Fss::new(p.clone())),
-            Box::new(JlFss::new(p.clone())),
-            Box::new(FssJl::new(p.clone())),
-            Box::new(JlFssJl::new(p.clone())),
-        ]
+    fn all_pipelines(p: &SummaryParams) -> Vec<StagePipeline> {
+        ["fss", "jl-fss", "fss-jl", "jl-fss-jl"]
+            .into_iter()
+            .map(|name| named(name, p.clone()).unwrap())
+            .collect()
     }
 
     #[test]
@@ -292,14 +273,33 @@ mod tests {
     #[test]
     fn pipeline_names() {
         let p = params(100, 10);
-        assert_eq!(NoReduction::new(p.clone()).name(), "NR");
-        assert_eq!(Fss::new(p.clone()).name(), "FSS");
-        assert_eq!(JlFss::new(p.clone()).name(), "JL+FSS");
-        assert_eq!(FssJl::new(p.clone()).name(), "FSS+JL");
-        assert_eq!(JlFssJl::new(p.clone()).name(), "JL+FSS+JL");
         let q = RoundingQuantizer::new(4).unwrap();
+        let legends = [
+            "NR",
+            "FSS",
+            "JL+FSS",
+            "FSS+JL",
+            "JL+FSS+JL",
+            "BKLW",
+            "JL+BKLW",
+            "BKLW+JL",
+        ];
+        assert_eq!(NAMES.len(), legends.len());
+        for (&name, legend) in NAMES.iter().zip(legends) {
+            assert_eq!(named(name, p.clone()).unwrap().name(), legend);
+            let quantized = named(name, p.clone().with_quantizer(q)).unwrap();
+            if name == "nr" {
+                // The unreduced baseline ships the raw data regardless.
+                assert_eq!(quantized.name(), "NR");
+                assert!(quantized.stages().is_empty());
+            } else {
+                assert_eq!(quantized.name(), format!("{legend}+QT"));
+            }
+        }
         assert_eq!(Fss::new(p.clone().with_quantizer(q)).name(), "FSS+QT");
-        assert_eq!(JlFssJl::new(p.with_quantizer(q)).name(), "JL+FSS+JL+QT");
+        assert_eq!(JlFssJl::new(p.clone()).name(), "JL+FSS+JL");
+        assert!(named("jlfss", p.clone()).is_none());
+        assert!(named("jl,fss", p).is_none());
     }
 
     #[test]

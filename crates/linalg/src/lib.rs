@@ -5,9 +5,8 @@
 //!
 //! * basic operations: products, Gram matrices, transposes ([`ops`]),
 //! * blocked pairwise-distance / nearest-center kernels ([`distance`]),
-//! * Householder QR ([`qr`]),
 //! * a cyclic Jacobi eigensolver for symmetric matrices ([`eig`]),
-//! * thin and randomized truncated SVD ([`svd`]),
+//! * thin and top-`t` SVD ([`svd`]),
 //! * Cholesky factorization and SPD solves ([`cholesky`]),
 //! * Moore–Penrose pseudo-inverse ([`pinv`]) used to invert JL projections,
 //! * seeded Gaussian / Rademacher sampling ([`random`]) used to build
@@ -39,7 +38,6 @@ pub mod matrix;
 pub mod ops;
 pub mod parallel;
 pub mod pinv;
-pub mod qr;
 pub mod random;
 pub mod svd;
 

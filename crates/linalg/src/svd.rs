@@ -1,4 +1,4 @@
-//! Thin and randomized truncated singular value decompositions.
+//! Thin and top-`t` singular value decompositions.
 //!
 //! FSS and disPCA need the top-`t` singular values and right singular
 //! vectors of a dataset matrix `A ∈ R^{n×d}` (rows are points):
@@ -9,13 +9,9 @@
 //!   paper charges FSS/BKLW with (Theorems 4.3 / 5.3). It forms σ and
 //!   `V_t` only, never the left factor;
 //! * [`thin_svd`] — the same route with all `min(n,d)` triples including
-//!   `U`, for the pseudo-inverse;
-//! * [`truncated_svd`] — randomized subspace iteration computing only the
-//!   top-`t` triple; timed in `bench_micro`, called by no pipeline, since
-//!   the paper charges FSS/BKLW for the exact SVD.
+//!   `U`, for the pseudo-inverse.
 
-use crate::random::gaussian_matrix;
-use crate::{eig, ops, qr, LinalgError, Matrix, Result};
+use crate::{eig, ops, LinalgError, Matrix, Result};
 
 /// A (possibly truncated) singular value decomposition `A ≈ U · diag(σ) · Vᵀ`.
 #[derive(Debug, Clone)]
@@ -187,81 +183,6 @@ fn left_vectors_from_right(a: &Matrix, v: &Matrix, sigmas: &[f64]) -> Result<Mat
     Ok(scale_cols(&av, &inv))
 }
 
-/// Options for [`truncated_svd`].
-#[derive(Debug, Clone)]
-pub struct TruncatedSvdOptions {
-    /// Oversampling columns added to the sketch (default 8).
-    pub oversample: usize,
-    /// Power/subspace iterations (default 2); more improves accuracy when
-    /// the spectrum decays slowly.
-    pub power_iterations: usize,
-    /// Seed for the random test matrix.
-    pub seed: u64,
-}
-
-impl Default for TruncatedSvdOptions {
-    fn default() -> Self {
-        TruncatedSvdOptions {
-            oversample: 8,
-            power_iterations: 2,
-            seed: 0x5eed_5eed,
-        }
-    }
-}
-
-/// Computes an approximate top-`t` SVD of `a` by randomized subspace
-/// iteration (Halko–Martinsson–Tropp style).
-///
-/// # Errors
-///
-/// * [`LinalgError::EmptyMatrix`] for an empty input.
-/// * [`LinalgError::RankOutOfRange`] if `t == 0` or `t > min(n, d)`.
-///
-/// # Example
-///
-/// ```
-/// use ekm_linalg::{Matrix, svd};
-/// let a = Matrix::from_fn(40, 10, |i, j| ((i + 1) * (j + 1)) as f64); // rank 1
-/// let s = svd::truncated_svd(&a, 1, &svd::TruncatedSvdOptions::default()).unwrap();
-/// let back = s.reconstruct().unwrap();
-/// assert!(back.approx_eq(&a, 1e-6 * a.frobenius_norm()));
-/// ```
-pub fn truncated_svd(a: &Matrix, t: usize, opts: &TruncatedSvdOptions) -> Result<Svd> {
-    if a.is_empty() {
-        return Err(LinalgError::EmptyMatrix {
-            op: "truncated_svd",
-        });
-    }
-    let (n, d) = a.shape();
-    let max_rank = n.min(d);
-    if t == 0 || t > max_rank {
-        return Err(LinalgError::RankOutOfRange {
-            requested: t,
-            available: max_rank,
-        });
-    }
-    let sketch = (t + opts.oversample).min(max_rank);
-
-    // Range finder: Y = A·G, orthonormalize, then power iterations.
-    let g = gaussian_matrix(opts.seed, d, sketch, 1.0);
-    let mut q = qr::orthonormalize(&ops::matmul(a, &g)?)?;
-    for _ in 0..opts.power_iterations {
-        let z = qr::orthonormalize(&ops::matmul_transa(a, &q)?)?; // d × s
-        q = qr::orthonormalize(&ops::matmul(a, &z)?)?; // n × s
-    }
-
-    // Project: B = Qᵀ A  (s × d) and take its thin SVD.
-    let b = ops::matmul_transa(&q, a)?;
-    let sb = thin_svd(&b)?;
-    let u = ops::matmul(&q, &sb.u)?;
-    let full = Svd {
-        u,
-        singular_values: sb.singular_values,
-        v: sb.v,
-    };
-    full.truncate(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,36 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_svd_matches_thin_on_low_rank() {
-        let a = low_rank(48, 50, 30, 4);
-        let tr = truncated_svd(&a, 4, &TruncatedSvdOptions::default()).unwrap();
-        let back = tr.reconstruct().unwrap();
-        assert!(
-            back.approx_eq(&a, 1e-6 * a.frobenius_norm().max(1.0)),
-            "randomized reconstruction off"
-        );
-    }
-
-    #[test]
-    fn truncated_svd_top_value_close() {
-        let a = gaussian_matrix(49, 60, 40, 1.0);
-        let exact = thin_svd(&a).unwrap();
-        let approx = truncated_svd(&a, 5, &TruncatedSvdOptions::default()).unwrap();
-        for i in 0..5 {
-            let rel = (approx.singular_values[i] - exact.singular_values[i]).abs()
-                / exact.singular_values[i];
-            assert!(rel < 0.05, "σ_{i} rel err {rel}");
-        }
-    }
-
-    #[test]
-    fn truncated_svd_bad_rank_errors() {
-        let a = gaussian_matrix(50, 5, 5, 1.0);
-        assert!(truncated_svd(&a, 0, &TruncatedSvdOptions::default()).is_err());
-        assert!(truncated_svd(&a, 6, &TruncatedSvdOptions::default()).is_err());
-    }
-
-    #[test]
     fn top_right_singular_projection_captures_energy() {
         let a = low_rank(51, 40, 12, 2);
         let (_, v) = top_right_singular(&a, 2).unwrap();
@@ -420,7 +311,6 @@ mod tests {
     #[test]
     fn empty_inputs_error() {
         assert!(thin_svd(&Matrix::zeros(0, 3)).is_err());
-        assert!(truncated_svd(&Matrix::zeros(0, 3), 1, &TruncatedSvdOptions::default()).is_err());
     }
 
     #[test]

@@ -29,11 +29,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = SummaryParams::practical(k, n, d).with_seed(9);
 
     for pipeline in [
-        Box::new(Bklw::new(params.clone())) as Box<dyn DistributedPipeline>,
-        Box::new(JlBklw::new(params.clone())),
+        Bklw::new(params.clone()).into_stage_pipeline(),
+        JlBklw::new(params.clone()).into_stage_pipeline(),
     ] {
         let mut net = Network::new(m);
-        let out = pipeline.run(&shards, &mut net)?;
+        let out = pipeline.run_shards(&shards, &mut net)?;
         let nc = evaluation::normalized_cost(&dataset, &out.centers, reference.cost)?;
         println!("=== {} ===", pipeline.name());
         println!("  normalized k-means cost : {nc:.4}");

@@ -22,12 +22,11 @@ fn run_all(dataset: &Matrix, label: &str) -> Result<(), Box<dyn std::error::Erro
         "{:<12} {:>11} {:>13} {:>12}",
         "pipeline", "norm. cost", "norm. comm", "source (s)"
     );
-    let pipelines: Vec<Box<dyn CentralizedPipeline>> = vec![
-        Box::new(JlFss::new(params.clone())),
-        Box::new(FssJl::new(params.clone())),
-        Box::new(JlFssJl::new(params.clone())),
-    ];
-    for pipe in pipelines {
+    for pipe in [
+        JlFss::new(params.clone()).into_stage_pipeline(),
+        FssJl::new(params.clone()).into_stage_pipeline(),
+        JlFssJl::new(params.clone()).into_stage_pipeline(),
+    ] {
         let mut net = Network::new(1);
         let out = pipe.run(dataset, &mut net)?;
         let nc = evaluation::normalized_cost(dataset, &out.centers, reference.cost)?;

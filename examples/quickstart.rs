@@ -38,12 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<12} {:>12} {:>12} {:>12} {:>10}",
         "pipeline", "norm. cost", "norm. comm", "source (s)", "summary"
     );
-    let pipelines: Vec<Box<dyn CentralizedPipeline>> = vec![
-        Box::new(NoReduction::new(params.clone())),
-        Box::new(Fss::new(params.clone())),
-        Box::new(JlFss::new(params.clone())),
-        Box::new(FssJl::new(params.clone())),
-        Box::new(JlFssJl::new(params.clone())),
+    let pipelines = [
+        NoReduction::new(params.clone()).into_stage_pipeline(),
+        Fss::new(params.clone()).into_stage_pipeline(),
+        JlFss::new(params.clone()).into_stage_pipeline(),
+        FssJl::new(params.clone()).into_stage_pipeline(),
+        JlFssJl::new(params.clone()).into_stage_pipeline(),
     ];
     let mut net = Network::new(1);
     for pipe in pipelines {

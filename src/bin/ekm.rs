@@ -18,6 +18,7 @@
 use edge_kmeans::clustering::lower_bound::cost_lower_bound;
 use edge_kmeans::core::executor::SourceExecutor;
 use edge_kmeans::core::journal::JournalingTransport;
+use edge_kmeans::core::pipelines;
 use edge_kmeans::core::CoreError;
 use edge_kmeans::data::mnist_like::MnistLike;
 use edge_kmeans::data::neurips_like::NeurIpsLike;
@@ -149,18 +150,6 @@ EXAMPLES:
 
 /// Flags that take no value.
 const BOOLEAN_FLAGS: &[&str] = &["no-cache", "resume"];
-
-/// Valid `--pipeline` names, for dispatch and error messages.
-const PIPELINES: &[&str] = &[
-    "nr",
-    "fss",
-    "jl-fss",
-    "fss-jl",
-    "jl-fss-jl",
-    "bklw",
-    "jl-bklw",
-    "bklw-jl",
-];
 
 #[derive(Debug)]
 struct Args {
@@ -392,25 +381,14 @@ fn read_centers(path: &str) -> Result<Matrix, String> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-/// Resolves a `--pipeline` name to its canned stage list.
+/// Resolves a `--pipeline` name to its stage list.
 fn resolve_named(name: &str, params: &SummaryParams) -> Result<StagePipeline, String> {
-    let p = params.clone();
-    Ok(match name {
-        "nr" => NoReduction::new(p).into_stage_pipeline(),
-        "fss" => Fss::new(p).into_stage_pipeline(),
-        "jl-fss" => JlFss::new(p).into_stage_pipeline(),
-        "fss-jl" => FssJl::new(p).into_stage_pipeline(),
-        "jl-fss-jl" => JlFssJl::new(p).into_stage_pipeline(),
-        "bklw" => Bklw::new(p).into_stage_pipeline(),
-        "jl-bklw" => JlBklw::new(p).into_stage_pipeline(),
-        "bklw-jl" => BklwJl::new(p).into_stage_pipeline(),
-        other => {
-            return Err(format!(
-                "unknown pipeline '{other}' (valid pipelines: {}; or use --stages with: {})",
-                PIPELINES.join(", "),
-                Stage::vocabulary()
-            ))
-        }
+    pipelines::named(name, params.clone()).ok_or_else(|| {
+        format!(
+            "unknown pipeline '{name}' (valid pipelines: {}; or use --stages with: {})",
+            pipelines::NAMES.join(", "),
+            Stage::vocabulary()
+        )
     })
 }
 
@@ -426,33 +404,26 @@ fn select_pipelines(
     if args.flags.contains_key("pipeline") && stages_flag.is_some() {
         return Err("--pipeline and --stages are mutually exclusive".into());
     }
-    let mut pipelines = Vec::new();
+    let mut pipes = Vec::new();
     if sweep {
-        for name in [
-            "nr",
-            "fss",
-            "jl-fss",
-            "fss-jl",
-            "jl-fss-jl",
-            "bklw",
-            "jl-bklw",
-        ] {
-            pipelines.push(resolve_named(name, params)?);
+        // Every paper pipeline but the §5.2 variant the paper dismisses.
+        for name in pipelines::NAMES.iter().filter(|&&name| name != "bklw-jl") {
+            pipes.push(resolve_named(name, params)?);
         }
         if let Some(lists) = stages_flag {
             for list in lists.split(';').filter(|l| !l.trim().is_empty()) {
-                pipelines.push(composition_from(list, params)?);
+                pipes.push(composition_from(list, params)?);
             }
         }
     } else if let Some(list) = stages_flag {
-        pipelines.push(composition_from(list, params)?);
+        pipes.push(composition_from(list, params)?);
     } else {
-        pipelines.push(resolve_named(
+        pipes.push(resolve_named(
             &args.get_str("pipeline", "jl-fss-jl"),
             params,
         )?);
     }
-    Ok(pipelines)
+    Ok(pipes)
 }
 
 /// Builds a `--stages` composition, honoring `--quantize` the way the
@@ -1159,7 +1130,7 @@ mod tests {
 
     #[test]
     fn every_named_pipeline_resolves() {
-        for name in PIPELINES {
+        for name in pipelines::NAMES {
             let pipe = resolve_named(name, &test_params()).unwrap();
             assert!(!pipe.name().is_empty(), "{name}");
         }

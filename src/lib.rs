@@ -18,7 +18,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`linalg`] | dense matrices, QR, eigen/SVD, Cholesky, pseudo-inverse |
+//! | [`linalg`] | dense matrices, eigen/SVD, Cholesky, pseudo-inverse |
 //! | [`clustering`] | weighted Lloyd/k-means++, bicriteria approximation |
 //! | [`sketch`] | JL projections, PCA, target-dimension formulas |
 //! | [`coreset`] | ε-coresets, sensitivity sampling, FSS |
@@ -67,10 +67,9 @@ pub use ekm_sketch as sketch;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use ekm_clustering::kmeans::KMeans;
-    pub use ekm_core::distributed::{Bklw, BklwJl, DistributedPipeline, JlBklw};
     pub use ekm_core::evaluation;
     pub use ekm_core::params::{SummaryParams, Topology};
-    pub use ekm_core::pipelines::{CentralizedPipeline, Fss, FssJl, JlFss, JlFssJl, NoReduction};
+    pub use ekm_core::pipelines::{Bklw, BklwJl, Fss, FssJl, JlBklw, JlFss, JlFssJl, NoReduction};
     pub use ekm_core::{
         RunOutput, SourceExecutor, SourceRunReport, Stage, StageCache, StagePipeline,
     };

@@ -16,12 +16,12 @@ fn neurips_like_small(n: usize, d: usize, seed: u64) -> Matrix {
     normalize_paper(&ds.points).0
 }
 
-fn pipelines(p: &SummaryParams) -> Vec<Box<dyn CentralizedPipeline>> {
+fn pipelines(p: &SummaryParams) -> Vec<StagePipeline> {
     vec![
-        Box::new(Fss::new(p.clone())),
-        Box::new(JlFss::new(p.clone())),
-        Box::new(FssJl::new(p.clone())),
-        Box::new(JlFssJl::new(p.clone())),
+        Fss::new(p.clone()).into_stage_pipeline(),
+        JlFss::new(p.clone()).into_stage_pipeline(),
+        FssJl::new(p.clone()).into_stage_pipeline(),
+        JlFssJl::new(p.clone()).into_stage_pipeline(),
     ]
 }
 

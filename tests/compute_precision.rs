@@ -9,6 +9,7 @@
 //! twin, and a cost-ratio bound against the X* proxy. `EKM_SCALE=full`
 //! grows the workload to the paper-adjacent shape.
 
+use edge_kmeans::core::pipelines;
 use edge_kmeans::data::mnist_like::MnistLike;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::partition::partition_uniform;
@@ -16,18 +17,6 @@ use edge_kmeans::net::wire::Compute;
 use edge_kmeans::prelude::*;
 
 const SOURCES: usize = 4;
-
-/// All eight named pipelines of the paper's experiment grid.
-const NAMED: &[&str] = &[
-    "NR",
-    "FSS",
-    "JL+FSS",
-    "FSS+JL",
-    "JL+FSS+JL",
-    "BKLW",
-    "JL+BKLW",
-    "BKLW+JL",
-];
 
 fn scale() -> (usize, usize) {
     if std::env::var("EKM_SCALE").is_ok_and(|v| v.eq_ignore_ascii_case("full")) {
@@ -43,27 +32,13 @@ fn workload(seed: u64) -> Matrix {
     normalize_paper(&ds.points).0
 }
 
-fn named(name: &str, p: SummaryParams) -> StagePipeline {
-    match name {
-        "NR" => NoReduction::new(p).into_stage_pipeline(),
-        "FSS" => Fss::new(p).into_stage_pipeline(),
-        "JL+FSS" => JlFss::new(p).into_stage_pipeline(),
-        "FSS+JL" => FssJl::new(p).into_stage_pipeline(),
-        "JL+FSS+JL" => JlFssJl::new(p).into_stage_pipeline(),
-        "BKLW" => Bklw::new(p).into_stage_pipeline(),
-        "JL+BKLW" => JlBklw::new(p).into_stage_pipeline(),
-        "BKLW+JL" => BklwJl::new(p).into_stage_pipeline(),
-        other => panic!("unknown pipeline {other}"),
-    }
-}
-
 /// Runs a named pipeline end to end at the given compute precision.
 fn run_at(name: &str, data: &Matrix, compute: Compute) -> RunOutput {
     let (n, d) = data.shape();
     let params = SummaryParams::practical(2, n, d)
         .with_seed(23)
         .with_compute(compute);
-    let pipe = named(name, params);
+    let pipe = pipelines::named(name, params).unwrap();
     if pipe.is_distributed() {
         let parts = partition_uniform(data, SOURCES, pipe.params().seed).unwrap();
         let mut net = Network::new(SOURCES);
@@ -91,7 +66,7 @@ fn relative_center_perturbation(a: &Matrix, b: &Matrix) -> f64 {
 fn f32_compute_contract_holds_on_all_named_pipelines() {
     let data = workload(41);
     let reference = evaluation::reference(&data, 2, 5, 1).unwrap();
-    for name in NAMED {
+    for name in pipelines::NAMES {
         let full = run_at(name, &data, Compute::F64);
         let single = run_at(name, &data, Compute::F32);
         // f32 only changes kernel arithmetic, never what goes on the wire
@@ -118,10 +93,10 @@ fn f64_compute_is_the_default_bit_for_bit() {
     // default: explicit and implicit spellings must agree bitwise.
     let data = workload(43);
     let (n, d) = data.shape();
-    for name in ["JL+FSS+JL", "BKLW"] {
+    for name in ["jl-fss-jl", "bklw"] {
         let explicit = run_at(name, &data, Compute::F64);
         let params = SummaryParams::practical(2, n, d).with_seed(23);
-        let pipe = named(name, params);
+        let pipe = pipelines::named(name, params).unwrap();
         let implicit = if pipe.is_distributed() {
             let parts = partition_uniform(&data, SOURCES, pipe.params().seed).unwrap();
             let mut net = Network::new(SOURCES);
@@ -143,7 +118,7 @@ fn f32_compute_is_deterministic() {
     // Lower precision must not mean lower reproducibility: f32 runs are
     // bit-identical on rerun, like everything else in the repo.
     let data = workload(47);
-    for name in ["JL+FSS", "BKLW+JL"] {
+    for name in ["jl-fss", "bklw-jl"] {
         let a = run_at(name, &data, Compute::F32);
         let b = run_at(name, &data, Compute::F32);
         assert!(

@@ -20,11 +20,11 @@ fn figure2_regime_both_pipelines_close_to_reference() {
     let reference = evaluation::reference(&data, 2, 5, 1).unwrap();
     let params = SummaryParams::practical(2, n, d).with_seed(4);
     for pipe in [
-        Box::new(Bklw::new(params.clone())) as Box<dyn DistributedPipeline>,
-        Box::new(JlBklw::new(params.clone())),
+        Bklw::new(params.clone()).into_stage_pipeline(),
+        JlBklw::new(params.clone()).into_stage_pipeline(),
     ] {
         let mut net = Network::new(10);
-        let out = pipe.run(&shards, &mut net).unwrap();
+        let out = pipe.run_shards(&shards, &mut net).unwrap();
         let nc = evaluation::normalized_cost(&data, &out.centers, reference.cost).unwrap();
         // Paper Fig. 2: both land within ~2-10% of optimal.
         assert!(nc < 1.25, "{}: normalized cost {nc}", pipe.name());
@@ -39,9 +39,11 @@ fn table4_shape_jl_bklw_cheaper_than_bklw() {
     let shards = partition_uniform(&data, 10, 5).unwrap();
     let params = SummaryParams::practical(2, n, d).with_seed(6);
     let mut net1 = Network::new(10);
-    let bklw = Bklw::new(params.clone()).run(&shards, &mut net1).unwrap();
+    let bklw = Bklw::new(params.clone())
+        .run_shards(&shards, &mut net1)
+        .unwrap();
     let mut net2 = Network::new(10);
-    let jl = JlBklw::new(params).run(&shards, &mut net2).unwrap();
+    let jl = JlBklw::new(params).run_shards(&shards, &mut net2).unwrap();
     let c_bklw = bklw.normalized_comm(n, d);
     let c_jl = jl.normalized_comm(n, d);
     assert!(c_bklw < 0.5, "BKLW comm {c_bklw} not a reduction");
@@ -58,7 +60,7 @@ fn every_source_participates_in_uplink() {
     let shards = partition_uniform(&data, 10, 7).unwrap();
     let params = SummaryParams::practical(2, n, d).with_seed(8);
     let mut net = Network::new(10);
-    let _ = JlBklw::new(params).run(&shards, &mut net).unwrap();
+    let _ = JlBklw::new(params).run_shards(&shards, &mut net).unwrap();
     for i in 0..10 {
         assert!(net.stats().uplink_bits(i) > 0, "source {i} sent nothing");
         assert!(
@@ -81,7 +83,7 @@ fn skewed_shards_still_work() {
     let reference = evaluation::reference(&data, 2, 5, 2).unwrap();
     let params = SummaryParams::practical(2, n, d).with_seed(10);
     let mut net = Network::new(10);
-    let out = JlBklw::new(params).run(&shards, &mut net).unwrap();
+    let out = JlBklw::new(params).run_shards(&shards, &mut net).unwrap();
     let nc = evaluation::normalized_cost(&data, &out.centers, reference.cost).unwrap();
     assert!(nc < 1.3, "skewed-shard normalized cost {nc}");
 }
@@ -101,7 +103,7 @@ fn distributed_matches_centralized_quality() {
 
     let shards = partition_uniform(&data, 10, 12).unwrap();
     let mut net10 = Network::new(10);
-    let dist = JlBklw::new(params).run(&shards, &mut net10).unwrap();
+    let dist = JlBklw::new(params).run_shards(&shards, &mut net10).unwrap();
     let nc_dist = evaluation::normalized_cost(&data, &dist.centers, reference.cost).unwrap();
 
     assert!(
@@ -120,10 +122,12 @@ fn quantized_distributed_pipelines() {
     let base = SummaryParams::practical(2, n, d).with_seed(14);
 
     let mut net1 = Network::new(10);
-    let plain = JlBklw::new(base.clone()).run(&shards, &mut net1).unwrap();
+    let plain = JlBklw::new(base.clone())
+        .run_shards(&shards, &mut net1)
+        .unwrap();
     let mut net2 = Network::new(10);
     let quant = JlBklw::new(base.with_quantizer(q))
-        .run(&shards, &mut net2)
+        .run_shards(&shards, &mut net2)
         .unwrap();
 
     assert!(

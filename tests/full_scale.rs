@@ -31,8 +31,8 @@ fn paper_scale_mnist_single_source() {
 
     let mut net = Network::new(1);
     for pipe in [
-        Box::new(JlFss::new(params.clone())) as Box<dyn CentralizedPipeline>,
-        Box::new(JlFssJl::new(params.clone())),
+        JlFss::new(params.clone()).into_stage_pipeline(),
+        JlFssJl::new(params.clone()).into_stage_pipeline(),
     ] {
         let out = pipe.run(&data, &mut net).unwrap();
         let nc = evaluation::normalized_cost(&data, &out.centers, reference.cost).unwrap();
@@ -60,7 +60,7 @@ fn paper_scale_distributed() {
     let params = SummaryParams::practical(2, n, d).with_seed(5);
 
     let mut net = Network::new(10);
-    let out = JlBklw::new(params).run(&shards, &mut net).unwrap();
+    let out = JlBklw::new(params).run_shards(&shards, &mut net).unwrap();
     let nc = evaluation::normalized_cost(&data, &out.centers, reference.cost).unwrap();
     let comm = out.normalized_comm(n, d);
     println!("JL+BKLW @ paper scale: cost {nc:.4}, comm {comm:.3e}");

@@ -26,6 +26,7 @@
 //! would read now: a change meant to move results commits that text,
 //! and the diff shows in review what moved.
 
+use edge_kmeans::core::pipelines;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::partition::partition_uniform;
 use edge_kmeans::data::synth::GaussianMixture;
@@ -65,28 +66,12 @@ fn dataset() -> Matrix {
 /// `ekm run --dataset mixture --n 1500 --d 96 --k 2 --sources 4` builds.
 fn cases() -> Vec<(String, StagePipeline)> {
     let base = SummaryParams::practical(K, N, D).with_seed(SEED);
-    let named = |name: &str, p: SummaryParams| match name {
-        "nr" => NoReduction::new(p).into_stage_pipeline(),
-        "fss" => Fss::new(p).into_stage_pipeline(),
-        "jl-fss" => JlFss::new(p).into_stage_pipeline(),
-        "fss-jl" => FssJl::new(p).into_stage_pipeline(),
-        "jl-fss-jl" => JlFssJl::new(p).into_stage_pipeline(),
-        "bklw" => Bklw::new(p).into_stage_pipeline(),
-        "jl-bklw" => JlBklw::new(p).into_stage_pipeline(),
-        "bklw-jl" => BklwJl::new(p).into_stage_pipeline(),
-        list => StagePipeline::from_names(list, p).unwrap(),
+    let named = |name: &str, p: SummaryParams| {
+        pipelines::named(name, p.clone())
+            .unwrap_or_else(|| StagePipeline::from_names(name, p).unwrap())
     };
     let mut cases = Vec::new();
-    for name in [
-        "nr",
-        "fss",
-        "jl-fss",
-        "fss-jl",
-        "jl-fss-jl",
-        "bklw",
-        "jl-bklw",
-        "bklw-jl",
-    ] {
+    for name in pipelines::NAMES {
         cases.push((name.to_string(), named(name, base.clone())));
     }
     let quantized = base

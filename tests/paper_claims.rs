@@ -99,9 +99,11 @@ fn observation_2_proposed_beat_baselines() {
     // Distributed: Algorithm 4 vs the BKLW baseline.
     let shards = partition_uniform(&data, 10, 5).unwrap();
     let mut net_a = Network::new(10);
-    let bklw = Bklw::new(params.clone()).run(&shards, &mut net_a).unwrap();
+    let bklw = Bklw::new(params.clone())
+        .run_shards(&shards, &mut net_a)
+        .unwrap();
     let mut net_b = Network::new(10);
-    let alg4 = JlBklw::new(params).run(&shards, &mut net_b).unwrap();
+    let alg4 = JlBklw::new(params).run_shards(&shards, &mut net_b).unwrap();
     let nc_bklw = evaluation::normalized_cost(&data, &bklw.centers, reference.cost).unwrap();
     let nc_alg4 = evaluation::normalized_cost(&data, &alg4.centers, reference.cost).unwrap();
     assert!(

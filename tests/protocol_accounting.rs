@@ -94,7 +94,7 @@ fn distributed_total_is_sum_of_sources() {
     let shards = partition_uniform(&data, 5, 8).unwrap();
     let params = SummaryParams::practical(2, n, d).with_seed(9);
     let mut net = Network::new(5);
-    let out = Bklw::new(params).run(&shards, &mut net).unwrap();
+    let out = Bklw::new(params).run_shards(&shards, &mut net).unwrap();
     let per_source: u64 = (0..5).map(|i| net.stats().uplink_bits(i)).sum();
     assert_eq!(out.uplink_bits, per_source);
 }
@@ -126,7 +126,7 @@ fn downlink_only_in_distributed_protocols() {
     // Distributed ones do (basis broadcast + allocations).
     let shards = partition_uniform(&data, 4, 13).unwrap();
     let mut net4 = Network::new(4);
-    let out = Bklw::new(params).run(&shards, &mut net4).unwrap();
+    let out = Bklw::new(params).run_shards(&shards, &mut net4).unwrap();
     assert!(out.downlink_bits > 0);
 }
 
@@ -140,7 +140,9 @@ fn bklw_uplink_dominated_by_svd_summaries() {
     let shards = partition_uniform(&data, 5, 16).unwrap();
     let params = SummaryParams::practical(2, n, d).with_seed(17);
     let mut net = Network::new(5);
-    let out = Bklw::new(params.clone()).run(&shards, &mut net).unwrap();
+    let out = Bklw::new(params.clone())
+        .run_shards(&shards, &mut net)
+        .unwrap();
     let by_kind = net.stats().uplink_bits_by_kind();
     let svd = by_kind["svd-summary"];
     let coreset = by_kind["coreset"];
@@ -155,7 +157,7 @@ fn bklw_uplink_dominated_by_svd_summaries() {
 
     // And JL+BKLW shrinks precisely the svd-summary term.
     let mut net2 = Network::new(5);
-    let _ = JlBklw::new(params).run(&shards, &mut net2).unwrap();
+    let _ = JlBklw::new(params).run_shards(&shards, &mut net2).unwrap();
     let svd_jl = net2.stats().uplink_bits_by_kind()["svd-summary"];
     assert!(
         svd_jl < svd,

@@ -15,10 +15,11 @@ use edge_kmeans::core::CoreError;
 use edge_kmeans::data::partition::partition_uniform;
 use edge_kmeans::data::synth::GaussianMixture;
 use edge_kmeans::net::event::{EventServerBinding, EventTcpSource};
+use edge_kmeans::net::messages::Message;
 use edge_kmeans::net::protocol::{
     channel_pairs, Command, CommandTransport, DeadlinePolicy, Response, SourceEndpoint,
 };
-use edge_kmeans::net::NetError;
+use edge_kmeans::net::{NetError, Payload};
 use edge_kmeans::prelude::*;
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -246,9 +247,7 @@ fn executor_rejects_mismatched_deliver_payload() {
         hub.send(
             0,
             &Command::Deliver {
-                payload: edge_kmeans::net::Payload::of(
-                    &edge_kmeans::net::messages::Message::SampleAllocation { size: 3 },
-                ),
+                payload: Payload::of(&Message::SampleAllocation { size: 3 }),
             },
         )
         .unwrap();
@@ -357,6 +356,110 @@ fn driver_validation_aborts_sources_with_the_reason() {
             }
         }
     });
+}
+
+/// A source endpoint that swaps the payload of its `nth` summary-carrying
+/// response of kind `carrier` (an `Up`, or a `Merged` surrendering its
+/// buffer) for a cost report: a well-formed message of the wrong kind.
+struct WrongKind<E> {
+    inner: E,
+    carrier: &'static str,
+    nth: usize,
+    seen: usize,
+}
+
+impl<E: SourceEndpoint> SourceEndpoint for WrongKind<E> {
+    fn recv_command(&mut self) -> Result<Command, NetError> {
+        self.inner.recv_command()
+    }
+
+    fn send_response(&mut self, mut resp: Response) -> Result<(), NetError> {
+        let carrier = resp.name() == self.carrier;
+        if let Response::Up { payload, .. }
+        | Response::Merged {
+            payload: Some(payload),
+            ..
+        } = &mut resp
+        {
+            if carrier {
+                self.seen += 1;
+                if self.seen == self.nth {
+                    *payload = Payload::of(&Message::CostReport { cost: 1.0 });
+                }
+            }
+        }
+        self.inner.send_response(resp)
+    }
+}
+
+#[test]
+fn a_summary_of_the_wrong_kind_is_a_typed_protocol_error() {
+    let data = workload(200, 12, 7);
+    let shards = partition_uniform(&data, 2, 3).unwrap();
+    // (stages, topology, the response carrying the summary, which of
+    // source 0's to swap, the driver's reason). The third `Up` of
+    // dispca,disss is the disSS sample, after the SVD summary and the
+    // cost report; under the tree topology source 0 is the root, and
+    // its one surrendered buffer is the folded tree. A run in which the
+    // carrier never comes completes, and `unwrap_err` fails the case.
+    for (list, topology, carrier, nth, reason) in [
+        (
+            "dispca,disss",
+            Topology::Star,
+            "up",
+            1,
+            "expected svd summary",
+        ),
+        (
+            "dispca,disss",
+            Topology::Star,
+            "up",
+            3,
+            "expected a coreset message",
+        ),
+        (
+            "jl",
+            Topology::Star,
+            "up",
+            1,
+            "expected raw data or a coreset",
+        ),
+        (
+            "jl,stream",
+            Topology::Tree,
+            "merged",
+            1,
+            "expected raw data or a coreset",
+        ),
+    ] {
+        let params = SummaryParams::practical(2, 200, 12)
+            .with_seed(5)
+            .with_topology(topology);
+        let pipe = StagePipeline::from_names(list, params).unwrap();
+        let (mut hub, endpoints) = channel_pairs(2);
+        let err = std::thread::scope(|scope| {
+            for (i, (inner, shard)) in endpoints.into_iter().zip(&shards).enumerate() {
+                let (stages, params) = (pipe.stages(), pipe.params());
+                let nth = if i == 0 { nth } else { 0 };
+                scope.spawn(move || {
+                    let mut endpoint = WrongKind {
+                        inner,
+                        carrier,
+                        nth,
+                        seen: 0,
+                    };
+                    // The driver aborts the run, so the executor fails too.
+                    let _ = SourceExecutor::new(stages, params, i, 2, shard.clone())
+                        .serve(&mut endpoint);
+                });
+            }
+            pipe.run_driver(&mut hub).unwrap_err()
+        });
+        assert!(
+            matches!(err, CoreError::Protocol { reason: r } if r == reason),
+            "{list} ({topology:?}), {carrier} {nth}: {err:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

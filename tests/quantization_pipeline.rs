@@ -66,11 +66,11 @@ fn all_quantized_pipeline_variants_run() {
     let params = SummaryParams::practical(2, n, d)
         .with_seed(6)
         .with_quantizer(q);
-    let variants: Vec<Box<dyn CentralizedPipeline>> = vec![
-        Box::new(Fss::new(params.clone())),
-        Box::new(JlFss::new(params.clone())),
-        Box::new(FssJl::new(params.clone())),
-        Box::new(JlFssJl::new(params.clone())),
+    let variants = [
+        Fss::new(params.clone()).into_stage_pipeline(),
+        JlFss::new(params.clone()).into_stage_pipeline(),
+        FssJl::new(params.clone()).into_stage_pipeline(),
+        JlFssJl::new(params.clone()).into_stage_pipeline(),
     ];
     for pipe in variants {
         let mut net = Network::new(1);
@@ -185,11 +185,11 @@ fn f32_aux_precision_shrinks_distributed_svd_summaries() {
 
     let mut net_full = Network::new(5);
     let full = Bklw::new(params.clone())
-        .run(&shards, &mut net_full)
+        .run_shards(&shards, &mut net_full)
         .unwrap();
     let mut net_single = Network::new(5);
     let single = Bklw::new(params.with_precision(Precision::F32))
-        .run(&shards, &mut net_single)
+        .run_shards(&shards, &mut net_single)
         .unwrap();
 
     let svd_full = net_full.stats().uplink_bits_by_kind()["svd-summary"];

@@ -16,6 +16,7 @@
 //! these configurations themselves.
 
 use edge_kmeans::core::executor::SourceExecutor;
+use edge_kmeans::core::pipelines;
 use edge_kmeans::data::mnist_like::MnistLike;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::partition::partition_uniform;
@@ -177,25 +178,14 @@ fn assert_transport_equivalent(label: &str, pipe: &StagePipeline, data: &Matrix)
 }
 
 fn named(name: &str, p: &SummaryParams) -> StagePipeline {
-    let p = p.clone();
-    match name {
-        "NR" => NoReduction::new(p).into_stage_pipeline(),
-        "FSS" => Fss::new(p).into_stage_pipeline(),
-        "JL+FSS" => JlFss::new(p).into_stage_pipeline(),
-        "FSS+JL" => FssJl::new(p).into_stage_pipeline(),
-        "JL+FSS+JL" => JlFssJl::new(p).into_stage_pipeline(),
-        "BKLW" => Bklw::new(p).into_stage_pipeline(),
-        "JL+BKLW" => JlBklw::new(p).into_stage_pipeline(),
-        "BKLW+JL" => BklwJl::new(p).into_stage_pipeline(),
-        other => panic!("unknown pipeline {other}"),
-    }
+    pipelines::named(name, p.clone()).unwrap()
 }
 
 #[test]
 fn centralized_named_pipelines_are_transport_equivalent() {
     let data = workload(1);
     let p = params(&data);
-    for name in ["NR", "FSS", "JL+FSS", "FSS+JL", "JL+FSS+JL"] {
+    for name in ["nr", "fss", "jl-fss", "fss-jl", "jl-fss-jl"] {
         assert_transport_equivalent(name, &named(name, &p), &data);
     }
 }
@@ -204,7 +194,7 @@ fn centralized_named_pipelines_are_transport_equivalent() {
 fn distributed_named_pipelines_are_transport_equivalent() {
     let data = workload(2);
     let p = params(&data);
-    for name in ["BKLW", "JL+BKLW", "BKLW+JL"] {
+    for name in ["bklw", "jl-bklw", "bklw-jl"] {
         assert_transport_equivalent(name, &named(name, &p), &data);
     }
 }
@@ -214,8 +204,8 @@ fn quantized_pipelines_are_transport_equivalent() {
     let data = workload(3);
     let q = RoundingQuantizer::new(8).unwrap();
     let p = params(&data).with_quantizer(q);
-    for name in ["JL+FSS+JL", "BKLW"] {
-        assert_transport_equivalent(&format!("{name}+QT"), &named(name, &p), &data);
+    for name in ["jl-fss-jl", "bklw"] {
+        assert_transport_equivalent(&format!("{name}+qt8"), &named(name, &p), &data);
     }
 }
 
@@ -251,7 +241,7 @@ fn f32_aux_precision_is_transport_equivalent() {
     // must survive the real wire too.
     let data = workload(7);
     let p = params(&data).with_precision(edge_kmeans::net::wire::Precision::F32);
-    for name in ["FSS", "JL+FSS", "BKLW"] {
+    for name in ["fss", "jl-fss", "bklw"] {
         assert_transport_equivalent(&format!("{name}/f32"), &named(name, &p), &data);
     }
 }
@@ -260,16 +250,7 @@ fn f32_aux_precision_is_transport_equivalent() {
 fn channel_protocol_matches_simulation_for_named_pipelines() {
     let data = workload(8);
     let p = params(&data);
-    for name in [
-        "NR",
-        "FSS",
-        "JL+FSS",
-        "FSS+JL",
-        "JL+FSS+JL",
-        "BKLW",
-        "JL+BKLW",
-        "BKLW+JL",
-    ] {
+    for name in pipelines::NAMES {
         let pipe = named(name, &p);
         assert_protocol_equivalent(&format!("channel/{name}"), &pipe, &data, |parts| {
             let (out, stats, reports) = pipe.run_channel_detailed(parts).unwrap();
@@ -308,7 +289,7 @@ fn channel_protocol_matches_simulation_for_stage_compositions() {
 fn event_tcp_protocol_matches_simulation_for_named_pipelines() {
     let data = workload(10);
     let p = params(&data);
-    for name in ["NR", "JL+FSS+JL", "BKLW", "JL+BKLW"] {
+    for name in ["nr", "jl-fss-jl", "bklw", "jl-bklw"] {
         let pipe = named(name, &p);
         assert_protocol_equivalent(&format!("event-tcp/{name}"), &pipe, &data, |parts| {
             run_event_tcp(&pipe, parts)
