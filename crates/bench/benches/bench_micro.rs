@@ -28,7 +28,7 @@ use ekm_data::normalize::normalize_paper;
 use ekm_data::synth::GaussianMixture;
 use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::random::gaussian_matrix;
-use ekm_linalg::{distance, ops, parallel, pinv, svd, Matrix};
+use ekm_linalg::{ops, parallel, pinv, svd, Matrix};
 use ekm_net::event::{EventServerBinding, EventTcpSource};
 use ekm_net::frame::{FrameAssembler, FRAME_RESP};
 use ekm_net::messages::Message;
@@ -295,19 +295,20 @@ fn bench_distance(c: &mut Criterion, scale: &PerfScale) {
                 bench.iter(|| assign_scalar_par(black_box(&points), black_box(&centers)))
             });
         }
+        // A one-shot f64 assignment, row norms included, as `cost::assign`
+        // runs it.
         g.bench_function(format!("assign_blocked/{id}"), |bench| {
-            bench
-                .iter(|| distance::assign_blocked(black_box(&points), black_box(&centers)).unwrap())
+            bench.iter(|| {
+                DistanceEngine::new(black_box(&points), Compute::F64)
+                    .assign(black_box(&centers))
+                    .unwrap()
+            })
         });
         // The f32 compute path amortizes the precision conversion in the
         // engine (one per solve in production), so only the kernel is timed.
         let engine32 = DistanceEngine::new(&points, Compute::F32);
         g.bench_function(format!("assign_blocked_f32/{id}"), |bench| {
             bench.iter(|| engine32.assign(black_box(&centers)).unwrap())
-        });
-        g.bench_function(format!("sq_dists_block/{id}"), |bench| {
-            bench
-                .iter(|| distance::sq_dists_block(black_box(&points), black_box(&centers)).unwrap())
         });
     }
     g.finish();
@@ -336,14 +337,9 @@ fn tile_sweep_json(scale: &PerfScale) -> Json {
             for _ in 0..4 {
                 let t0 = Instant::now();
                 black_box(
-                    distance::assign_blocked_with_tiles(
-                        &points,
-                        &centers,
-                        workers,
-                        center_tile,
-                        point_block,
-                    )
-                    .unwrap(),
+                    DistanceEngine::new(&points, Compute::F64)
+                        .assign_with_tiles(&centers, workers, center_tile, point_block)
+                        .unwrap(),
                 );
                 best = best.min(t0.elapsed().as_secs_f64() * 1e9);
             }

@@ -6,7 +6,7 @@
 
 use crate::{ClusteringError, Result};
 use ekm_linalg::distance::{Compute, DistanceEngine};
-use ekm_linalg::{distance, ops, Matrix};
+use ekm_linalg::{ops, Matrix};
 
 /// A nearest-center assignment of every point.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,60 +61,26 @@ impl Assignment {
     }
 }
 
-/// Assigns every row of `points` to its nearest row of `centers`.
+/// Assigns every row of `points` to its nearest row of `centers`, in
+/// `f64` compute.
 ///
-/// Runs the blocked norm-expansion kernel
-/// ([`ekm_linalg::distance::assign_blocked`]): the labels and distances
-/// are written directly into their vectors — no intermediate pair list —
-/// and results are bit-identical at every worker count. Ties break
-/// toward the lower center index, like [`nearest_center`].
+/// Builds a one-shot [`DistanceEngine`]; repeated assignments against the
+/// same points (or `f32` compute) should build one engine and call
+/// [`assign_engine`]. Ties break toward the lower center index, like
+/// [`nearest_center`].
 ///
 /// # Errors
 ///
-/// * [`ClusteringError::EmptyInput`] if either matrix is empty.
-/// * [`ClusteringError::Linalg`] on dimension mismatch.
+/// See [`assign_engine`].
 pub fn assign(points: &Matrix, centers: &Matrix) -> Result<Assignment> {
-    if points.is_empty() || centers.is_empty() {
-        return Err(ClusteringError::EmptyInput);
-    }
-    if points.cols() != centers.cols() {
-        return Err(ClusteringError::Linalg(
-            ekm_linalg::LinalgError::DimensionMismatch {
-                op: "assign",
-                lhs: points.shape(),
-                rhs: centers.shape(),
-            },
-        ));
-    }
-    let (labels, distances_sq) =
-        distance::assign_blocked(points, centers).map_err(ClusteringError::Linalg)?;
-    Ok(Assignment {
-        labels,
-        distances_sq,
-    })
-}
-
-/// [`assign`] with an explicit compute precision.
-///
-/// `Compute::F64` is bit-identical to [`assign`]. `Compute::F32` runs the
-/// distance kernel in single precision (distances widened back to `f64`);
-/// labels may differ near exact ties. Repeated assignments against the same
-/// points should build one [`DistanceEngine`] and call [`assign_engine`].
-///
-/// # Errors
-///
-/// See [`assign`].
-pub fn assign_with(points: &Matrix, centers: &Matrix, compute: Compute) -> Result<Assignment> {
-    match compute {
-        Compute::F64 => assign(points, centers),
-        Compute::F32 => assign_engine(&DistanceEngine::new(points, compute), centers),
-    }
+    assign_engine(&DistanceEngine::new(points, Compute::F64), centers)
 }
 
 /// Assigns the engine's points to their nearest rows of `centers`, in the
-/// engine's compute precision. This is the iteration-friendly form of
-/// [`assign_with`]: the point norms (and the f32 mirror of the points, if
-/// any) are paid once at engine construction instead of per call.
+/// engine's compute precision. The point norms (and the f32 mirror of the
+/// points, if any) are paid once at engine construction instead of per
+/// call; the labels and distances are written directly into their
+/// vectors, bit-identical at every worker count.
 ///
 /// # Errors
 ///
@@ -124,15 +90,7 @@ pub fn assign_engine(engine: &DistanceEngine<'_>, centers: &Matrix) -> Result<As
     if engine.points().is_empty() || centers.is_empty() {
         return Err(ClusteringError::EmptyInput);
     }
-    if engine.points().cols() != centers.cols() {
-        return Err(ClusteringError::Linalg(
-            ekm_linalg::LinalgError::DimensionMismatch {
-                op: "assign",
-                lhs: engine.points().shape(),
-                rhs: centers.shape(),
-            },
-        ));
-    }
+    // The engine rejects a dimension mismatch itself.
     let (labels, distances_sq) = engine.assign(centers).map_err(ClusteringError::Linalg)?;
     Ok(Assignment {
         labels,
@@ -183,35 +141,6 @@ pub fn weighted_cost(points: &Matrix, weights: &[f64], centers: &Matrix) -> Resu
         });
     }
     Ok(assign(points, centers)?.weighted_cost(weights))
-}
-
-/// [`weighted_cost`] with an explicit compute precision.
-///
-/// # Errors
-///
-/// See [`weighted_cost`].
-pub fn weighted_cost_with(
-    points: &Matrix,
-    weights: &[f64],
-    centers: &Matrix,
-    compute: Compute,
-) -> Result<f64> {
-    if weights.len() != points.rows() {
-        return Err(ClusteringError::InvalidWeights {
-            reason: "length differs from point count",
-        });
-    }
-    Ok(assign_with(points, centers, compute)?.weighted_cost(weights))
-}
-
-/// Squared distance from every point to its nearest center (the D² vector
-/// driving k-means++ and adaptive sampling).
-///
-/// # Errors
-///
-/// Propagates errors from [`assign`].
-pub fn min_sq_dists(points: &Matrix, centers: &Matrix) -> Result<Vec<f64>> {
-    Ok(assign(points, centers)?.distances_sq)
 }
 
 /// Validates a weight vector: right length, finite, nonnegative, not all
@@ -285,13 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn min_sq_dists_matches_assignment() {
-        let (p, c) = simple();
-        let d = min_sq_dists(&p, &c).unwrap();
-        assert_eq!(d, assign(&p, &c).unwrap().distances_sq);
-    }
-
-    #[test]
     fn cluster_sizes_and_weights() {
         let (p, c) = simple();
         let a = assign(&p, &c).unwrap();
@@ -333,20 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn assign_with_f64_is_bitwise_assign() {
-        let (p, c) = simple();
-        let a = assign(&p, &c).unwrap();
-        let b = assign_with(&p, &c, Compute::F64).unwrap();
-        assert_eq!(a, b);
-        let engine = DistanceEngine::new(&p, Compute::F64);
-        assert_eq!(a, assign_engine(&engine, &c).unwrap());
-    }
-
-    #[test]
-    fn assign_with_f32_close_to_f64() {
+    fn assign_engine_f32_close_to_f64() {
         let (p, c) = simple();
         let a64 = assign(&p, &c).unwrap();
-        let a32 = assign_with(&p, &c, Compute::F32).unwrap();
+        let a32 = assign_engine(&DistanceEngine::new(&p, Compute::F32), &c).unwrap();
         assert_eq!(a64.labels, a32.labels);
         for (x, y) in a64.distances_sq.iter().zip(&a32.distances_sq) {
             assert!((x - y).abs() <= 1e-5 * (1.0 + x.abs()));
@@ -355,7 +267,7 @@ mod tests {
 
     #[test]
     fn assign_engine_rejects_bad_inputs() {
-        let (p, c) = simple();
+        let (p, _) = simple();
         let engine = DistanceEngine::new(&p, Compute::F32);
         assert!(matches!(
             assign_engine(&engine, &Matrix::zeros(0, 2)),
@@ -365,7 +277,6 @@ mod tests {
             assign_engine(&engine, &Matrix::zeros(1, 3)),
             Err(ClusteringError::Linalg(_))
         ));
-        assert!((weighted_cost_with(&p, &[1.0; 4], &c, Compute::F32).unwrap() - 1.0).abs() < 1e-5);
     }
 
     #[test]

@@ -9,15 +9,18 @@
 use crate::cost::validate_weights;
 use crate::{ClusteringError, Result};
 use ekm_linalg::distance::{Compute, DistanceEngine};
-use ekm_linalg::{distance, Matrix};
+use ekm_linalg::Matrix;
 use rand::Rng;
 
-/// Selects `k` initial center indices by weighted k-means++.
+/// Selects `k` initial center indices by weighted k-means++, running the
+/// D² refresh in `compute` precision.
 ///
 /// The first center is drawn with probability proportional to the weights;
 /// each subsequent center with probability proportional to
 /// `w(p) · D²(p)` where `D(p)` is the distance to the nearest center chosen
-/// so far. Zero-weight points are never selected.
+/// so far. Zero-weight points are never selected. `Compute::F32` may select
+/// different indices than `Compute::F64`, but is still deterministic for a
+/// fixed seed.
 ///
 /// # Errors
 ///
@@ -26,25 +29,6 @@ use rand::Rng;
 ///   positive-weight points.
 /// * [`ClusteringError::InvalidWeights`] for malformed weights.
 pub fn kmeanspp_indices<R: Rng + ?Sized>(
-    rng: &mut R,
-    points: &Matrix,
-    weights: &[f64],
-    k: usize,
-) -> Result<Vec<usize>> {
-    kmeanspp_indices_with(rng, points, weights, k, Compute::F64)
-}
-
-/// [`kmeanspp_indices`] with an explicit compute precision.
-///
-/// `Compute::F64` reproduces [`kmeanspp_indices`] bit for bit (including
-/// the RNG stream). `Compute::F32` runs the D² refresh in single
-/// precision; the selected indices may differ from the f64 path, but the
-/// procedure is still deterministic for a fixed seed.
-///
-/// # Errors
-///
-/// See [`kmeanspp_indices`].
-pub fn kmeanspp_indices_with<R: Rng + ?Sized>(
     rng: &mut R,
     points: &Matrix,
     weights: &[f64],
@@ -113,23 +97,9 @@ pub fn kmeanspp_centers<R: Rng + ?Sized>(
     points: &Matrix,
     weights: &[f64],
     k: usize,
-) -> Result<Matrix> {
-    kmeanspp_centers_with(rng, points, weights, k, Compute::F64)
-}
-
-/// [`kmeanspp_centers`] with an explicit compute precision.
-///
-/// # Errors
-///
-/// See [`kmeanspp_indices`].
-pub fn kmeanspp_centers_with<R: Rng + ?Sized>(
-    rng: &mut R,
-    points: &Matrix,
-    weights: &[f64],
-    k: usize,
     compute: Compute,
 ) -> Result<Matrix> {
-    let idx = kmeanspp_indices_with(rng, points, weights, k, compute)?;
+    let idx = kmeanspp_indices(rng, points, weights, k, compute)?;
     Ok(points.select_rows(&idx))
 }
 
@@ -156,7 +126,8 @@ pub fn d2_sample_batch<R: Rng + ?Sized>(
     validate_weights(weights, points.rows())?;
     let d2 = match centers {
         Some(c) if !c.is_empty() => {
-            let (_, d2) = distance::assign_blocked(points, c).map_err(ClusteringError::Linalg)?;
+            let engine = DistanceEngine::new(points, Compute::F64);
+            let (_, d2) = engine.assign(c).map_err(ClusteringError::Linalg)?;
             Some(d2)
         }
         _ => None,
@@ -244,7 +215,7 @@ mod tests {
         let p = two_blob_points();
         let w = vec![1.0; 100];
         let mut rng = rng_from_seed(1);
-        let idx = kmeanspp_indices(&mut rng, &p, &w, 2).unwrap();
+        let idx = kmeanspp_indices(&mut rng, &p, &w, 2, Compute::F64).unwrap();
         assert_eq!(idx.len(), 2);
         assert_ne!(idx[0], idx[1]);
     }
@@ -257,7 +228,7 @@ mod tests {
         let w = vec![1.0; 100];
         for seed in 0..20 {
             let mut rng = rng_from_seed(seed);
-            let idx = kmeanspp_indices(&mut rng, &p, &w, 2).unwrap();
+            let idx = kmeanspp_indices(&mut rng, &p, &w, 2, Compute::F64).unwrap();
             let blob = |i: usize| usize::from(i >= 50);
             assert_ne!(blob(idx[0]), blob(idx[1]), "seed {seed}");
         }
@@ -271,7 +242,7 @@ mod tests {
             *wv = 1.0;
         }
         let mut rng = rng_from_seed(3);
-        let idx = kmeanspp_indices(&mut rng, &p, &w, 3).unwrap();
+        let idx = kmeanspp_indices(&mut rng, &p, &w, 3, Compute::F64).unwrap();
         assert!(idx.iter().all(|&i| i < 10));
     }
 
@@ -281,10 +252,10 @@ mod tests {
         let w = vec![1.0; 100];
         let mut rng = rng_from_seed(4);
         assert!(matches!(
-            kmeanspp_indices(&mut rng, &p, &w, 0),
+            kmeanspp_indices(&mut rng, &p, &w, 0, Compute::F64),
             Err(ClusteringError::InvalidK { .. })
         ));
-        assert!(kmeanspp_indices(&mut rng, &p, &w, 101).is_err());
+        assert!(kmeanspp_indices(&mut rng, &p, &w, 101, Compute::F64).is_err());
     }
 
     #[test]
@@ -294,7 +265,7 @@ mod tests {
         let p = Matrix::from_rows(&vec![vec![1.0]; 5]);
         let w = vec![1.0; 5];
         let mut rng = rng_from_seed(5);
-        let idx = kmeanspp_indices(&mut rng, &p, &w, 3).unwrap();
+        let idx = kmeanspp_indices(&mut rng, &p, &w, 3, Compute::F64).unwrap();
         assert_eq!(idx.len(), 3);
     }
 
@@ -303,7 +274,7 @@ mod tests {
         let p = two_blob_points();
         let w = vec![1.0; 100];
         let mut rng = rng_from_seed(6);
-        let c = kmeanspp_centers(&mut rng, &p, &w, 4).unwrap();
+        let c = kmeanspp_centers(&mut rng, &p, &w, 4, Compute::F64).unwrap();
         assert_eq!(c.shape(), (4, 2));
     }
 
@@ -349,26 +320,13 @@ mod tests {
     }
 
     #[test]
-    fn compute_f64_variant_is_the_default_path() {
-        let p = two_blob_points();
-        let w = vec![1.0; 100];
-        for seed in 0..10 {
-            let mut a = rng_from_seed(seed);
-            let mut b = rng_from_seed(seed);
-            let idx = kmeanspp_indices(&mut a, &p, &w, 5).unwrap();
-            let idx64 = kmeanspp_indices_with(&mut b, &p, &w, 5, Compute::F64).unwrap();
-            assert_eq!(idx, idx64, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn compute_f32_variant_is_deterministic_and_valid() {
         let p = two_blob_points();
         let w = vec![1.0; 100];
         let mut a = rng_from_seed(17);
         let mut b = rng_from_seed(17);
-        let x = kmeanspp_indices_with(&mut a, &p, &w, 4, Compute::F32).unwrap();
-        let y = kmeanspp_indices_with(&mut b, &p, &w, 4, Compute::F32).unwrap();
+        let x = kmeanspp_indices(&mut a, &p, &w, 4, Compute::F32).unwrap();
+        let y = kmeanspp_indices(&mut b, &p, &w, 4, Compute::F32).unwrap();
         assert_eq!(x, y);
         assert_eq!(x.len(), 4);
         let mut sorted = x.clone();
@@ -385,7 +343,7 @@ mod tests {
         let p = two_blob_points();
         let w = vec![1.0; 100];
         let c = Matrix::from_rows(&[vec![0.02, 0.0]]);
-        let d2 = ekm_linalg::distance::assign_blocked(&p, &c).unwrap().1;
+        let d2 = DistanceEngine::new(&p, Compute::F64).assign(&c).unwrap().1;
         let mut a = rng_from_seed(12);
         let mut b = rng_from_seed(12);
         let via_centers = d2_sample_batch(&mut a, &p, &w, Some(&c), 25).unwrap();

@@ -2,7 +2,7 @@
 //! primitive of Algorithms 1–4.
 
 use crate::cost::validate_weights;
-use crate::init::kmeanspp_centers_with;
+use crate::init::kmeanspp_centers;
 use crate::lloyd::{lloyd, LloydConfig};
 use crate::{ClusteringError, Result};
 use ekm_linalg::distance::Compute;
@@ -171,7 +171,7 @@ impl KMeans {
         let mut best: Option<KMeansModel> = None;
         for restart in 0..self.n_init {
             let mut rng = rng_from_seed(derive_seed(self.seed, restart as u64));
-            let init = kmeanspp_centers_with(&mut rng, points, weights, self.k, self.compute)?;
+            let init = kmeanspp_centers(&mut rng, points, weights, self.k, self.compute)?;
             let out = lloyd(points, weights, &init, &config)?;
             let better = best
                 .as_ref()

@@ -27,7 +27,8 @@ pub use crate::pipelines::{Bklw, BklwJl, JlBklw};
 use crate::pipelines::quantize_for_wire;
 use crate::{CoreError, Result};
 use ekm_clustering::bicriteria::{bicriteria, BicriteriaConfig};
-use ekm_clustering::cost::assign_with;
+use ekm_clustering::cost::assign_engine;
+use ekm_linalg::distance::DistanceEngine;
 use ekm_linalg::random::{derive_seed, rng_from_seed, sample_weighted_indices};
 use ekm_linalg::{svd, Matrix};
 use ekm_net::messages::Message;
@@ -288,7 +289,7 @@ pub(crate) fn disss_local_sample(
     precision: Precision,
     compute: Compute,
 ) -> Result<Message> {
-    let a = assign_with(shard, &bic.centers, compute)?;
+    let a = assign_engine(&DistanceEngine::new(shard, compute), &bic.centers)?;
     let n_clusters = bic.centers.rows();
     let cluster_sizes: Vec<f64> = {
         let sizes = a.cluster_sizes(n_clusters);

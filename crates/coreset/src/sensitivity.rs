@@ -21,8 +21,8 @@
 use crate::types::Coreset;
 use crate::{CoresetError, Result};
 use ekm_clustering::bicriteria::{bicriteria, BicriteriaConfig, BicriteriaSolution};
-use ekm_clustering::cost::{assign_with, validate_weights};
-use ekm_linalg::distance::Compute;
+use ekm_clustering::cost::{assign_engine, validate_weights};
+use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::random::{derive_seed, rng_from_seed, sample_weighted_indices};
 use ekm_linalg::Matrix;
 
@@ -165,7 +165,7 @@ impl SensitivitySampler {
 
         // One blocked-kernel assignment serves the cluster weights, the
         // total cost, and the per-point sensitivity terms below.
-        let a = assign_with(points, &bic.centers, self.compute)?;
+        let a = assign_engine(&DistanceEngine::new(points, self.compute), &bic.centers)?;
         let n_clusters = bic.centers.rows();
         let cluster_w = a.cluster_weights(n_clusters, weights);
         let total_cost = a.weighted_cost(weights);

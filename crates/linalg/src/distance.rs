@@ -21,17 +21,17 @@
 //! dimension, and each group is reduced with a fixed `[T; LANES]`
 //! accumulator array that lives in registers for the whole dimension
 //! walk. Every accumulator receives its products strictly left to right
-//! over the dimensions — the same association as [`serial_dot`] — and a
+//! over the dimensions — the same association as `serial_dot` — and a
 //! lane is one center, so no horizontal sum ever mixes accumulation
 //! orders. The compiler turns the 8-wide lane loop into plain vector
 //! FMA-free SIMD in both `f64` and `f32`; the `f32` path doubles the
 //! effective vector width and halves memory traffic.
 //!
 //! The kernel is generic over the [`Element`] scalar trait so one tiled
-//! implementation serves both precisions; [`Compute`] selects the path
-//! and [`DistanceEngine`] owns the prepared (possibly converted) points
-//! so per-call conversion cost is paid once per dataset, not per
-//! iteration.
+//! implementation serves both precisions. [`DistanceEngine`] is the one
+//! way in: it owns the points prepared in the [`Compute`] precision it
+//! was built for, so per-call conversion cost is paid once per dataset,
+//! not per iteration.
 //!
 //! # Determinism
 //!
@@ -40,11 +40,11 @@
 //! is computed by an identical sequence of floating-point operations —
 //! the lane-group walk is fixed by the center count alone, and the
 //! parallel split only partitions *which thread* computes which point,
-//! never the per-point operation order. `*_in` variants take an explicit
-//! worker count so tests can assert the invariance without touching the
-//! process-wide override. Tile sizes ([`CENTER_TILE`], [`POINT_BLOCK`])
-//! only reorder *independent* per-point work and never change any
-//! accumulation order, so retuning them is results-neutral.
+//! never the per-point operation order. The engine's `*_in` methods take
+//! an explicit worker count so tests can assert the invariance without
+//! touching the process-wide override. Tile sizes (`CENTER_TILE`,
+//! `POINT_BLOCK`) only reorder *independent* per-point work and never
+//! change any accumulation order, so retuning them is results-neutral.
 //!
 //! # Accuracy domain
 //!
@@ -63,7 +63,7 @@
 //!
 //! Exact self-distance is preserved at any magnitude
 //! (`‖x‖² + ‖x‖² − 2⟨x,x⟩ = 0` exactly because norms and inner products
-//! share one accumulation order — see [`serial_dot`]), and tiny negative
+//! share one accumulation order — see `serial_dot`), and tiny negative
 //! rounding residues are clamped to zero so D² sampling weights stay
 //! valid.
 //!
@@ -175,6 +175,9 @@ pub trait Element:
     /// `max(self, 0)` — clamps the tiny negative residues of the
     /// expansion form so D² weights stay valid.
     fn max_zero(self) -> Self;
+    /// Widens a whole vector to `f64`: moves an `f64` vector, converts an
+    /// `f32` one element by element (exactly, as [`Element::to_f64`]).
+    fn widen(v: Vec<Self>) -> Vec<f64>;
 }
 
 impl Element for f64 {
@@ -194,6 +197,9 @@ impl Element for f64 {
     fn max_zero(self) -> f64 {
         self.max(0.0)
     }
+    fn widen(v: Vec<f64>) -> Vec<f64> {
+        v
+    }
 }
 
 impl Element for f32 {
@@ -212,6 +218,9 @@ impl Element for f32 {
     #[inline]
     fn max_zero(self) -> f32 {
         self.max(0.0)
+    }
+    fn widen(v: Vec<f32>) -> Vec<f64> {
+        v.into_iter().map(f64::from).collect()
     }
 }
 
@@ -234,7 +243,7 @@ fn serial_dot<T: Element>(a: &[T], b: &[T]) -> T {
 /// interleave for instruction-level parallelism — each row's own
 /// accumulation stays strictly left-to-right, so every value is
 /// bit-identical to `serial_dot(r, r)`.
-pub fn row_norms_sq(m: &Matrix) -> Vec<f64> {
+fn row_norms_sq(m: &Matrix) -> Vec<f64> {
     let (n, d) = m.shape();
     let data = m.as_slice();
     let mut out = Vec::with_capacity(n);
@@ -291,15 +300,12 @@ fn auto_workers(n: usize, k: usize) -> usize {
 /// centers `g·LANES .. g·LANES+LANES`. The dimension walk of a group
 /// therefore reads perfectly sequential memory. Padded lanes carry zero
 /// coordinates and an **infinite** norm, so their expanded distance is
-/// `+∞`: they can never win an argmin and are simply not written in the
-/// full-matrix form.
+/// `+∞`: they can never win an argmin or a min-update.
 struct PackedCenters<T> {
     /// Lane strips, `groups × d × LANES` scalars.
     strips: Vec<T>,
     /// `‖c_j‖²` per padded column (`+∞` on padding).
     c2: Vec<T>,
-    /// True center count.
-    k: usize,
     /// Dimensionality.
     d: usize,
 }
@@ -321,7 +327,7 @@ impl<T: Element> PackedCenters<T> {
                 strip[kk * LANES + j % LANES] = v;
             }
         }
-        PackedCenters { strips, c2, k, d }
+        PackedCenters { strips, c2, d }
     }
 
     #[inline]
@@ -417,55 +423,7 @@ fn quad_rows<T>(points: &[T], d: usize, i: usize) -> [&[T]; UNROLL] {
     std::array::from_fn(|p| &points[(i + p) * d..(i + p + 1) * d])
 }
 
-/// Fills `rows` (a contiguous `len × k` block of the output starting at
-/// point `row_start`) with squared distances to every center.
-#[allow(clippy::too_many_arguments)]
-fn dists_range<T: Element>(
-    points: &[T],
-    norms: &[T],
-    packed: &PackedCenters<T>,
-    row_start: usize,
-    rows: &mut [T],
-    center_tile: usize,
-    point_block: usize,
-) {
-    let (k, d) = (packed.k, packed.d);
-    let len = rows.len().checked_div(k).unwrap_or(0);
-    let emit = |rows: &mut [T], local: usize, g: usize, x2: T, dots: &[T; LANES]| {
-        let base = g * LANES;
-        let take = LANES.min(k - base);
-        let orow = &mut rows[local * k + base..local * k + base + take];
-        for ((o, &dot_j), &c2j) in orow
-            .iter_mut()
-            .zip(dots.iter())
-            .zip(&packed.c2[base..base + take])
-        {
-            *o = (x2 + c2j - T::TWO * dot_j).max_zero();
-        }
-    };
-    for_each_tile(len, packed.groups(), center_tile, point_block, |pr, gr| {
-        let mut local = pr.start;
-        while local + UNROLL <= pr.end {
-            let xs = quad_rows(points, d, row_start + local);
-            for g in gr.clone() {
-                let dots = lane_dots4(&xs, packed.strip(g));
-                for (p, dotsp) in dots.iter().enumerate() {
-                    emit(rows, local + p, g, norms[row_start + local + p], dotsp);
-                }
-            }
-            local += UNROLL;
-        }
-        for local in local..pr.end {
-            let x = &points[(row_start + local) * d..(row_start + local + 1) * d];
-            for g in gr.clone() {
-                let dots = lane_dots(x, packed.strip(g));
-                emit(rows, local, g, norms[row_start + local], &dots);
-            }
-        }
-    });
-}
-
-/// Fused argmin over the same tile walk as [`dists_range`]: fills the
+/// Fused argmin over the [`for_each_tile`] walk: fills the
 /// `labels`/`dists` ranges for points `row_start..row_start + len`.
 ///
 /// Lane groups are visited in increasing index order and the best
@@ -607,113 +565,25 @@ fn min_update_range<T: Element>(
     }
 }
 
-/// The full `n × k` matrix of squared distances from every row of
-/// `points` to every row of `centers`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] unless the operands agree
-/// on dimensionality.
-pub fn sq_dists_block(points: &Matrix, centers: &Matrix) -> Result<Matrix> {
-    sq_dists_block_in(points, centers, auto_workers(points.rows(), centers.rows()))
-}
-
-/// [`sq_dists_block`] with an explicit worker count (results are
-/// bit-identical at every count).
-///
-/// # Errors
-///
-/// See [`sq_dists_block`].
-pub fn sq_dists_block_in(points: &Matrix, centers: &Matrix, workers: usize) -> Result<Matrix> {
-    check_shapes("sq_dists_block", points.shape(), centers)?;
-    let (n, k) = (points.rows(), centers.rows());
-    let mut out = Matrix::zeros(n, k);
-    if n == 0 || k == 0 {
-        return Ok(out);
-    }
-    let packed = PackedCenters::<f64>::new(centers);
-    let norms = row_norms_sq(points);
-    parallel::for_each_row_chunk_in(out.as_mut_slice(), k, workers, |row_start, chunk| {
-        dists_range(
-            points.as_slice(),
-            &norms,
-            &packed,
-            row_start,
-            chunk,
-            CENTER_TILE,
-            POINT_BLOCK,
-        );
-    });
-    Ok(out)
-}
-
-/// Nearest-center assignment of every row of `points`: `(labels,
-/// squared distances)`, ties broken toward the lower center index.
-///
-/// This is the fused form of [`sq_dists_block`] — the `n × k` distance
-/// matrix is never materialized; each point's row of distances is
-/// reduced to its argmin on the fly.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] unless the operands agree on
-///   dimensionality.
-/// * [`LinalgError::EmptyMatrix`] if `centers` has no rows (there is no
-///   nearest center to assign).
-pub fn assign_blocked(points: &Matrix, centers: &Matrix) -> Result<(Vec<usize>, Vec<f64>)> {
-    assign_blocked_in(points, centers, auto_workers(points.rows(), centers.rows()))
-}
-
-/// [`assign_blocked`] with an explicit worker count (results are
-/// bit-identical at every count).
-///
-/// # Errors
-///
-/// See [`assign_blocked`].
-pub fn assign_blocked_in(
-    points: &Matrix,
+/// Nearest-center assignment of prepared points against `centers`: the
+/// kernel body shared by both compute precisions. Distances cross back
+/// into `f64` once, at the end.
+fn assign_prepared<T: Element>(
+    points: &[T],
+    norms: &[T],
     centers: &Matrix,
     workers: usize,
-) -> Result<(Vec<usize>, Vec<f64>)> {
-    assign_blocked_with_tiles(points, centers, workers, CENTER_TILE, POINT_BLOCK)
-}
-
-/// [`assign_blocked_in`] with explicit tile sizes — the bench-sweep
-/// entry point behind the `CENTER_TILE`/`POINT_BLOCK` tuning numbers.
-/// Tiles only reorder independent per-point work, so every setting is
-/// bit-identical; not part of the supported API surface.
-///
-/// # Errors
-///
-/// See [`assign_blocked`].
-#[doc(hidden)]
-pub fn assign_blocked_with_tiles(
-    points: &Matrix,
-    centers: &Matrix,
-    workers: usize,
-    center_tile: usize,
-    point_block: usize,
-) -> Result<(Vec<usize>, Vec<f64>)> {
-    check_shapes("assign_blocked", points.shape(), centers)?;
-    if centers.rows() == 0 {
-        return Err(LinalgError::EmptyMatrix {
-            op: "assign_blocked",
-        });
-    }
-    let n = points.rows();
-    let mut labels = vec![0usize; n];
-    let mut dists = vec![0.0f64; n];
-    if n == 0 {
-        return Ok((labels, dists));
-    }
-    let packed = PackedCenters::<f64>::new(centers);
-    let norms = row_norms_sq(points);
+    (center_tile, point_block): (usize, usize),
+) -> (Vec<usize>, Vec<f64>) {
+    let packed = PackedCenters::<T>::new(centers);
+    let mut labels = vec![0usize; norms.len()];
+    let mut dists = vec![T::ZERO; norms.len()];
     // Both output vectors are split at the same fixed boundaries so each
     // worker owns a contiguous (labels, dists) range of the same points.
     parallel::for_each_pair_chunk_in(&mut labels, &mut dists, workers, |start, lchunk, dchunk| {
         assign_range(
-            points.as_slice(),
-            &norms,
+            points,
+            norms,
             &packed,
             start,
             lchunk,
@@ -722,70 +592,23 @@ pub fn assign_blocked_with_tiles(
             point_block,
         );
     });
-    Ok((labels, dists))
+    (labels, T::widen(dists))
 }
 
-/// Batched multi-center D² refresh: folds `min_j ‖x_i − c_j‖²` over the
-/// rows of `centers` into `best[i]`, updating only on a strict
-/// improvement — the replacement for the old serial one-center
-/// `sq_dists_to_row` path of k-means++ seeding, now running through the
-/// same lane-accumulator kernel with the point norms paid once by the
-/// caller (see [`row_norms_sq`]).
-///
-/// An empty `centers` is a no-op. Results are bit-identical at every
-/// worker count.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] unless the operands agree
-/// on dimensionality.
-///
-/// # Panics
-///
-/// Panics if `point_norms_sq` or `best` disagree with `points.rows()`
-/// (callers hold both invariants).
-pub fn min_sq_dists_update(
-    points: &Matrix,
-    point_norms_sq: &[f64],
-    centers: &Matrix,
-    best: &mut [f64],
-) -> Result<()> {
-    min_sq_dists_update_in(
-        points,
-        point_norms_sq,
-        centers,
-        best,
-        auto_workers(points.rows(), centers.rows().max(1)),
-    )
-}
-
-/// [`min_sq_dists_update`] with an explicit worker count.
-///
-/// # Errors
-///
-/// See [`min_sq_dists_update`].
-pub fn min_sq_dists_update_in(
-    points: &Matrix,
-    point_norms_sq: &[f64],
+/// Min-update of `best` against `centers` over prepared points: the
+/// kernel body shared by both compute precisions.
+fn min_update_prepared<T: Element>(
+    points: &[T],
+    norms: &[T],
     centers: &Matrix,
     best: &mut [f64],
     workers: usize,
-) -> Result<()> {
-    check_shapes("min_sq_dists_update", points.shape(), centers)?;
-    assert_eq!(
-        point_norms_sq.len(),
-        points.rows(),
-        "min_sq_dists_update: norm count"
-    );
-    assert_eq!(best.len(), points.rows(), "min_sq_dists_update: best len");
-    if centers.rows() == 0 || points.rows() == 0 {
-        return Ok(());
-    }
-    let packed = PackedCenters::<f64>::new(centers);
+) {
+    let packed = PackedCenters::<T>::new(centers);
     parallel::for_each_row_chunk_in(best, 1, workers, |start, chunk| {
         min_update_range(
-            points.as_slice(),
-            point_norms_sq,
+            points,
+            norms,
             &packed,
             start,
             chunk,
@@ -793,10 +616,9 @@ pub fn min_sq_dists_update_in(
             POINT_BLOCK,
         );
     });
-    Ok(())
 }
 
-/// Prepared-points handle over the kernels: owns the dataset in the
+/// The one way into the distance kernels: owns the dataset in the
 /// chosen [`Compute`] precision (one `f64→f32` conversion for the whole
 /// dataset when `F32`) plus the precomputed row norms, so iteration
 /// loops — Lloyd, k-means++ rounds, bicriteria rounds — pay preparation
@@ -848,92 +670,78 @@ impl<'a> DistanceEngine<'a> {
         &self.norms
     }
 
-    /// Nearest-center assignment against `centers` — the engine-owned
-    /// form of [`assign_blocked`]; identical results (bit-identical in
-    /// `F64`) with the per-dataset preparation amortized.
+    /// Nearest-center assignment of every point: `(labels, squared
+    /// distances)`, ties broken toward the lower center index. The
+    /// `n × k` distance matrix is never materialized; each point's
+    /// distances are reduced to their argmin on the fly.
     ///
     /// # Errors
     ///
-    /// See [`assign_blocked`].
+    /// * [`LinalgError::DimensionMismatch`] unless the points and
+    ///   `centers` agree on dimensionality.
+    /// * [`LinalgError::EmptyMatrix`] if `centers` has no rows (there is
+    ///   no nearest center to assign).
     pub fn assign(&self, centers: &Matrix) -> Result<(Vec<usize>, Vec<f64>)> {
         self.assign_in(centers, auto_workers(self.points.rows(), centers.rows()))
     }
 
-    /// [`DistanceEngine::assign`] with an explicit worker count.
+    /// [`DistanceEngine::assign`] with an explicit worker count (results
+    /// are bit-identical at every count).
     ///
     /// # Errors
     ///
-    /// See [`assign_blocked`].
+    /// See [`DistanceEngine::assign`].
     pub fn assign_in(&self, centers: &Matrix, workers: usize) -> Result<(Vec<usize>, Vec<f64>)> {
-        check_shapes("assign_blocked", self.points.shape(), centers)?;
-        if centers.rows() == 0 {
-            return Err(LinalgError::EmptyMatrix {
-                op: "assign_blocked",
-            });
-        }
-        let n = self.points.rows();
-        let mut labels = vec![0usize; n];
-        let mut dists = vec![0.0f64; n];
-        if n == 0 {
-            return Ok((labels, dists));
-        }
-        match &self.f32_data {
-            None => {
-                let packed = PackedCenters::<f64>::new(centers);
-                parallel::for_each_pair_chunk_in(
-                    &mut labels,
-                    &mut dists,
-                    workers,
-                    |start, lchunk, dchunk| {
-                        assign_range(
-                            self.points.as_slice(),
-                            &self.norms,
-                            &packed,
-                            start,
-                            lchunk,
-                            dchunk,
-                            CENTER_TILE,
-                            POINT_BLOCK,
-                        );
-                    },
-                );
-            }
-            Some((m, norms)) => {
-                let packed = PackedCenters::<f32>::new(centers);
-                let mut d32 = vec![0.0f32; n];
-                parallel::for_each_pair_chunk_in(
-                    &mut labels,
-                    &mut d32,
-                    workers,
-                    |start, lchunk, dchunk| {
-                        assign_range(
-                            m.as_slice(),
-                            norms,
-                            &packed,
-                            start,
-                            lchunk,
-                            dchunk,
-                            CENTER_TILE,
-                            POINT_BLOCK,
-                        );
-                    },
-                );
-                for (o, v) in dists.iter_mut().zip(d32) {
-                    *o = f64::from(v);
-                }
-            }
-        }
-        Ok((labels, dists))
+        self.assign_with_tiles(centers, workers, CENTER_TILE, POINT_BLOCK)
     }
 
-    /// Batched multi-center D² refresh against this engine's points —
-    /// the engine-owned form of [`min_sq_dists_update`]. `best` stays in
-    /// `f64` at every compute precision (distances are widened before
-    /// the strict-improvement compare, so the fold is deterministic).
+    /// [`DistanceEngine::assign_in`] with explicit tile sizes — the
+    /// bench-sweep entry point behind the `CENTER_TILE`/`POINT_BLOCK`
+    /// tuning numbers. Tiles only reorder independent per-point work, so
+    /// every setting is bit-identical; not part of the supported API
+    /// surface.
     ///
     /// # Errors
     ///
-    /// See [`min_sq_dists_update`].
+    /// See [`DistanceEngine::assign`].
+    #[doc(hidden)]
+    pub fn assign_with_tiles(
+        &self,
+        centers: &Matrix,
+        workers: usize,
+        center_tile: usize,
+        point_block: usize,
+    ) -> Result<(Vec<usize>, Vec<f64>)> {
+        check_shapes("assign", self.points.shape(), centers)?;
+        if centers.rows() == 0 {
+            return Err(LinalgError::EmptyMatrix { op: "assign" });
+        }
+        if self.points.rows() == 0 {
+            return Ok((Vec::new(), Vec::new()));
+        }
+        let tiles = (center_tile, point_block);
+        Ok(match &self.f32_data {
+            None => assign_prepared(self.points.as_slice(), &self.norms, centers, workers, tiles),
+            Some((m, norms)) => assign_prepared(m.as_slice(), norms, centers, workers, tiles),
+        })
+    }
+
+    /// Batched multi-center D² refresh: folds `min_j ‖x_i − c_j‖²` over
+    /// the rows of `centers` into `best[i]`, updating only on a strict
+    /// improvement — one k-means++ or bicriteria round. `best` stays in
+    /// `f64` at every compute precision (distances are widened before
+    /// the strict-improvement compare, so the fold is deterministic). An
+    /// empty `centers` is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] unless the points and
+    /// `centers` agree on dimensionality.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `best.len()` differs from the number of points (callers
+    /// hold this invariant).
     pub fn min_update(&self, centers: &Matrix, best: &mut [f64]) -> Result<()> {
         self.min_update_in(
             centers,
@@ -942,50 +750,23 @@ impl<'a> DistanceEngine<'a> {
         )
     }
 
-    /// [`DistanceEngine::min_update`] with an explicit worker count.
+    /// [`DistanceEngine::min_update`] with an explicit worker count
+    /// (results are bit-identical at every count).
     ///
     /// # Errors
     ///
-    /// See [`min_sq_dists_update`].
+    /// See [`DistanceEngine::min_update`].
     pub fn min_update_in(&self, centers: &Matrix, best: &mut [f64], workers: usize) -> Result<()> {
-        check_shapes("min_sq_dists_update", self.points.shape(), centers)?;
-        assert_eq!(
-            best.len(),
-            self.points.rows(),
-            "min_sq_dists_update: best len"
-        );
+        check_shapes("min_update", self.points.shape(), centers)?;
+        assert_eq!(best.len(), self.points.rows(), "min_update: best len");
         if centers.rows() == 0 || self.points.rows() == 0 {
             return Ok(());
         }
         match &self.f32_data {
             None => {
-                let packed = PackedCenters::<f64>::new(centers);
-                parallel::for_each_row_chunk_in(best, 1, workers, |start, chunk| {
-                    min_update_range(
-                        self.points.as_slice(),
-                        &self.norms,
-                        &packed,
-                        start,
-                        chunk,
-                        CENTER_TILE,
-                        POINT_BLOCK,
-                    );
-                });
+                min_update_prepared(self.points.as_slice(), &self.norms, centers, best, workers)
             }
-            Some((m, norms)) => {
-                let packed = PackedCenters::<f32>::new(centers);
-                parallel::for_each_row_chunk_in(best, 1, workers, |start, chunk| {
-                    min_update_range(
-                        m.as_slice(),
-                        norms,
-                        &packed,
-                        start,
-                        chunk,
-                        CENTER_TILE,
-                        POINT_BLOCK,
-                    );
-                });
-            }
+            Some((m, norms)) => min_update_prepared(m.as_slice(), norms, centers, best, workers),
         }
         Ok(())
     }
@@ -1019,6 +800,23 @@ mod tests {
         })
     }
 
+    /// Each row's argmin under a strict `<` in increasing center order, so
+    /// ties break to the lowest center index.
+    fn row_argmin(m: &Matrix) -> (Vec<usize>, Vec<f64>) {
+        m.iter_rows()
+            .map(|row| {
+                let (mut best, mut best_d) = (0usize, f64::INFINITY);
+                for (j, &d) in row.iter().enumerate() {
+                    if d < best_d {
+                        best_d = d;
+                        best = j;
+                    }
+                }
+                (best, best_d)
+            })
+            .unzip()
+    }
+
     #[test]
     fn row_norms_are_bitwise_serial_dots() {
         // The 4-row interleave only reorders *across* rows; each row's
@@ -1039,14 +837,16 @@ mod tests {
     fn matches_naive_within_tolerance() {
         let p = workload(137, 9);
         let c = workload(21, 9);
-        let blocked = sq_dists_block(&p, &c).unwrap();
-        let reference = naive(&p, &c);
-        for i in 0..p.rows() {
-            for j in 0..c.rows() {
-                let (a, b) = (blocked[(i, j)], reference[(i, j)]);
+        let engine = DistanceEngine::new(&p, Compute::F64);
+        let (_, dists) = engine.assign(&c).unwrap();
+        let mut best = vec![f64::INFINITY; p.rows()];
+        engine.min_update(&c, &mut best).unwrap();
+        let (_, reference) = row_argmin(&naive(&p, &c));
+        for (i, &b) in reference.iter().enumerate() {
+            for a in [dists[i], best[i]] {
                 assert!(
                     (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                    "({i},{j}): {a} vs {b}"
+                    "row {i}: {a} vs {b}"
                 );
             }
         }
@@ -1054,42 +854,76 @@ mod tests {
 
     #[test]
     fn lane_kernel_is_bitwise_the_expansion_form() {
-        // Ragged shapes on purpose: k not a multiple of LANES, d not a
-        // multiple of anything, n not a multiple of POINT_BLOCK.
-        for (n, d, k) in [(137, 9, 21), (300, 6, 70), (40, 1, 3), (5, 13, 1)] {
+        // Ragged shapes on purpose: k not a multiple of LANES (70 spans
+        // two center tiles), d not a multiple of anything, n not a
+        // multiple of POINT_BLOCK.
+        for (n, d, k) in [
+            (137, 9, 21),
+            (300, 6, 70),
+            (40, 1, 3),
+            (5, 13, 1),
+            (90, 11, 13),
+        ] {
             let p = workload(n, d);
             let c = workload(k, d);
-            let reference = expansion_reference(&p, &c);
-            assert!(
-                sq_dists_block(&p, &c).unwrap() == reference,
-                "n={n} d={d} k={k}"
-            );
+            let (ref_labels, ref_dists) = row_argmin(&expansion_reference(&p, &c));
+            let engine = DistanceEngine::new(&p, Compute::F64);
+            let (labels, dists) = engine.assign(&c).unwrap();
+            assert_eq!(labels, ref_labels, "n={n} d={d} k={k}");
+            assert!(dists == ref_dists, "n={n} d={d} k={k}");
+            // All centers at once — the bicriteria round shape.
+            let mut batched = vec![f64::INFINITY; n];
+            engine.min_update_in(&c, &mut batched, 4).unwrap();
+            assert!(batched == ref_dists, "batched n={n} d={d} k={k}");
+            // One center at a time — the k-means++ round shape.
+            let mut incremental = vec![f64::INFINITY; n];
+            for j in 0..k {
+                let one = c.select_rows(&[j]);
+                engine.min_update(&one, &mut incremental).unwrap();
+            }
+            assert!(incremental == ref_dists, "incremental n={n} d={d} k={k}");
+        }
+    }
+
+    #[test]
+    fn min_update_keeps_better_entries_and_ignores_empty_batches() {
+        let p = workload(90, 11);
+        let c = workload(13, 11);
+        for compute in [Compute::F64, Compute::F32] {
+            let engine = DistanceEngine::new(&p, compute);
+            let mut best = vec![0.0; p.rows()];
+            engine.min_update(&c, &mut best).unwrap();
+            assert!(best.iter().all(|&b| b == 0.0), "{compute}");
+            let mut best = vec![f64::INFINITY; p.rows()];
+            engine.min_update(&Matrix::zeros(0, 11), &mut best).unwrap();
+            assert!(best.iter().all(|&b| b == f64::INFINITY), "{compute}");
         }
     }
 
     #[test]
     fn self_distance_is_exactly_zero() {
+        // The rows are distinct, so each point's only zero is itself.
         let p = workload(40, 7);
-        let d = sq_dists_block(&p, &p).unwrap();
-        for i in 0..p.rows() {
-            assert_eq!(d[(i, i)], 0.0, "row {i}");
-        }
+        let (labels, dists) = DistanceEngine::new(&p, Compute::F64).assign(&p).unwrap();
+        assert!(dists.iter().all(|&d| d == 0.0), "{dists:?}");
+        assert_eq!(labels, (0..p.rows()).collect::<Vec<_>>());
     }
 
     #[test]
     fn bit_identical_across_worker_counts() {
         let p = workload(700, 13);
         let c = workload(67, 13);
-        let reference = sq_dists_block_in(&p, &c, 1).unwrap();
-        let (rl, rd) = assign_blocked_in(&p, &c, 1).unwrap();
+        let engine = DistanceEngine::new(&p, Compute::F64);
+        let (rl, rd) = engine.assign_in(&c, 1).unwrap();
+        let mut rb = vec![f64::INFINITY; p.rows()];
+        engine.min_update_in(&c, &mut rb, 1).unwrap();
         for workers in [2, 3, 4, 8, 300] {
-            assert!(
-                sq_dists_block_in(&p, &c, workers).unwrap() == reference,
-                "{workers} workers"
-            );
-            let (l, d) = assign_blocked_in(&p, &c, workers).unwrap();
+            let (l, d) = engine.assign_in(&c, workers).unwrap();
             assert_eq!(l, rl, "{workers} workers");
             assert_eq!(d, rd, "{workers} workers");
+            let mut b = vec![f64::INFINITY; p.rows()];
+            engine.min_update_in(&c, &mut b, workers).unwrap();
+            assert_eq!(b, rb, "{workers} workers");
         }
     }
 
@@ -1097,31 +931,12 @@ mod tests {
     fn tile_sizes_are_results_neutral() {
         let p = workload(500, 11);
         let c = workload(53, 11);
-        let (rl, rd) = assign_blocked_in(&p, &c, 1).unwrap();
+        let engine = DistanceEngine::new(&p, Compute::F64);
+        let (rl, rd) = engine.assign_in(&c, 1).unwrap();
         for (ct, pb) in [(8, 32), (16, 1), (64, 4096), (256, 100)] {
-            let (l, d) = assign_blocked_with_tiles(&p, &c, 3, ct, pb).unwrap();
+            let (l, d) = engine.assign_with_tiles(&c, 3, ct, pb).unwrap();
             assert_eq!(l, rl, "tile {ct}/{pb}");
             assert_eq!(d, rd, "tile {ct}/{pb}");
-        }
-    }
-
-    #[test]
-    fn assign_matches_full_matrix_argmin() {
-        let p = workload(300, 6);
-        let c = workload(70, 6); // > 2 center tiles
-        let full = sq_dists_block(&p, &c).unwrap();
-        let (labels, dists) = assign_blocked(&p, &c).unwrap();
-        for i in 0..p.rows() {
-            let row = full.row(i);
-            let (mut best, mut best_d) = (0usize, f64::INFINITY);
-            for (j, &d) in row.iter().enumerate() {
-                if d < best_d {
-                    best_d = d;
-                    best = j;
-                }
-            }
-            assert_eq!(labels[i], best, "row {i}");
-            assert_eq!(dists[i], best_d, "row {i}");
         }
     }
 
@@ -1129,56 +944,19 @@ mod tests {
     fn ties_break_to_first_center() {
         let p = Matrix::from_rows(&[vec![0.0, 0.0]]);
         let c = Matrix::from_rows(&[vec![1.0, 0.0], vec![-1.0, 0.0], vec![0.0, 1.0]]);
-        let (labels, dists) = assign_blocked(&p, &c).unwrap();
+        let (labels, dists) = DistanceEngine::new(&p, Compute::F64).assign(&c).unwrap();
         assert_eq!(labels, vec![0]);
         assert!((dists[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn min_update_matches_block_min_fold() {
-        let p = workload(90, 11);
-        let c = workload(13, 11); // spans two padded lane groups
-        let norms = row_norms_sq(&p);
-        let full = sq_dists_block(&p, &c).unwrap();
-        // One center at a time — the k-means++ round shape.
-        let mut incremental = vec![f64::INFINITY; p.rows()];
-        for j in 0..c.rows() {
-            let one = c.select_rows(&[j]);
-            min_sq_dists_update(&p, &norms, &one, &mut incremental).unwrap();
-        }
-        // All centers at once — the bicriteria round shape.
-        let mut batched = vec![f64::INFINITY; p.rows()];
-        min_sq_dists_update_in(&p, &norms, &c, &mut batched, 4).unwrap();
-        for i in 0..p.rows() {
-            let row_min = full.row(i).iter().copied().fold(f64::INFINITY, f64::min);
-            assert_eq!(incremental[i], row_min, "row {i}");
-            assert_eq!(batched[i], row_min, "row {i}");
-        }
-        // Already-better entries are left untouched.
-        let mut best = vec![0.0; p.rows()];
-        min_sq_dists_update(&p, &norms, &c, &mut best).unwrap();
-        assert!(best.iter().all(|&b| b == 0.0));
-        // Empty center batches are a no-op.
-        min_sq_dists_update(&p, &norms, &Matrix::zeros(0, 11), &mut best).unwrap();
-    }
-
-    #[test]
-    fn engine_f64_is_bitwise_the_free_functions() {
+    fn engine_reports_its_compute_and_norms() {
         let p = workload(210, 10);
-        let c = workload(17, 10);
-        let engine = DistanceEngine::new(&p, Compute::F64);
-        assert_eq!(engine.compute(), Compute::F64);
-        let (rl, rd) = assign_blocked(&p, &c).unwrap();
-        let (el, ed) = engine.assign(&c).unwrap();
-        assert_eq!(el, rl);
-        assert_eq!(ed, rd);
-        let norms = row_norms_sq(&p);
-        assert_eq!(engine.norms(), &norms[..]);
-        let mut b1 = vec![f64::INFINITY; p.rows()];
-        let mut b2 = vec![f64::INFINITY; p.rows()];
-        min_sq_dists_update(&p, &norms, &c, &mut b1).unwrap();
-        engine.min_update(&c, &mut b2).unwrap();
-        assert_eq!(b1, b2);
+        for compute in [Compute::F64, Compute::F32] {
+            let engine = DistanceEngine::new(&p, compute);
+            assert_eq!(engine.compute(), compute);
+            assert_eq!(engine.norms(), &row_norms_sq(&p)[..], "{compute}");
+        }
     }
 
     #[test]
@@ -1186,8 +964,7 @@ mod tests {
         let p = workload(400, 12);
         let c = workload(19, 12);
         let engine = DistanceEngine::new(&p, Compute::F32);
-        assert_eq!(engine.compute(), Compute::F32);
-        let (labels64, dists64) = assign_blocked(&p, &c).unwrap();
+        let (labels64, dists64) = DistanceEngine::new(&p, Compute::F64).assign(&c).unwrap();
         let (labels32, dists32) = engine.assign(&c).unwrap();
         // f32 is an accuracy contract, not bit identity: distances agree
         // to single-precision relative tolerance and labels almost
@@ -1232,37 +1009,35 @@ mod tests {
     fn dimension_mismatch_errors() {
         let p = Matrix::zeros(3, 4);
         let c = Matrix::zeros(2, 5);
-        assert!(sq_dists_block(&p, &c).is_err());
-        assert!(assign_blocked(&p, &c).is_err());
-        let norms = row_norms_sq(&p);
         let mut best = vec![f64::INFINITY; 3];
-        assert!(min_sq_dists_update(&p, &norms, &c, &mut best).is_err());
-        let engine = DistanceEngine::new(&p, Compute::F32);
-        assert!(engine.assign(&c).is_err());
-        assert!(engine.min_update(&c, &mut best).is_err());
+        for compute in [Compute::F64, Compute::F32] {
+            let engine = DistanceEngine::new(&p, compute);
+            assert!(engine.assign(&c).is_err(), "{compute}");
+            assert!(engine.min_update(&c, &mut best).is_err(), "{compute}");
+        }
     }
 
     #[test]
     fn empty_points_ok() {
         let p = Matrix::zeros(0, 3);
         let c = Matrix::from_rows(&[vec![0.0, 0.0, 0.0]]);
-        assert_eq!(sq_dists_block(&p, &c).unwrap().shape(), (0, 1));
-        let (l, d) = assign_blocked(&p, &c).unwrap();
-        assert!(l.is_empty() && d.is_empty());
-        let engine = DistanceEngine::new(&p, Compute::F32);
-        let (l, d) = engine.assign(&c).unwrap();
-        assert!(l.is_empty() && d.is_empty());
+        for compute in [Compute::F64, Compute::F32] {
+            let engine = DistanceEngine::new(&p, compute);
+            let (l, d) = engine.assign(&c).unwrap();
+            assert!(l.is_empty() && d.is_empty(), "{compute}");
+            engine.min_update(&c, &mut []).unwrap();
+        }
     }
 
     #[test]
     fn empty_centers_error_not_panic() {
         let p = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let none = Matrix::zeros(0, 2);
-        assert!(matches!(
-            assign_blocked(&p, &none),
-            Err(LinalgError::EmptyMatrix { .. })
-        ));
-        // The full-matrix form has a natural n × 0 answer instead.
-        assert_eq!(sq_dists_block(&p, &none).unwrap().shape(), (1, 0));
+        for compute in [Compute::F64, Compute::F32] {
+            assert!(matches!(
+                DistanceEngine::new(&p, compute).assign(&none),
+                Err(LinalgError::EmptyMatrix { .. })
+            ));
+        }
     }
 }
