@@ -75,6 +75,24 @@ fn check_lengths(payload: &[u8], bit_len: usize) -> Result<()> {
     Ok(())
 }
 
+/// Parses a 9-byte frame header into `(kind, bit_len)` — the one
+/// header check of every reader.
+///
+/// # Errors
+///
+/// [`NetError::Transport`] if the header claims more than
+/// [`MAX_FRAME_BITS`].
+fn parse_header(header: &[u8; 9]) -> Result<(u8, usize)> {
+    let bit_len = u64::from_be_bytes(header[1..].try_into().expect("8-byte slice"));
+    match usize::try_from(bit_len) {
+        Ok(bits) if bit_len <= MAX_FRAME_BITS => Ok((header[0], bits)),
+        _ => Err(NetError::Transport {
+            context: "frame header read",
+            detail: format!("oversized frame: {bit_len} bits exceeds the {MAX_FRAME_BITS}-bit cap"),
+        }),
+    }
+}
+
 fn encode_header(kind: u8, bit_len: usize) -> [u8; 9] {
     let mut header = [0u8; 9];
     header[0] = kind;
@@ -290,53 +308,33 @@ impl FrameAssembler {
         }
         let mut header = [0u8; 9];
         self.copy_out(0, &mut header);
-        let kind = header[0];
-        let bit_len = u64::from_be_bytes(header[1..].try_into().expect("8-byte slice"));
-        if bit_len > MAX_FRAME_BITS {
-            return Err(NetError::Transport {
-                context: "frame header read",
-                detail: format!(
-                    "oversized frame: {bit_len} bits exceeds the {MAX_FRAME_BITS}-bit cap"
-                ),
-            });
-        }
-        let payload_len = (bit_len as usize).div_ceil(8);
+        let (kind, bit_len) = parse_header(&header)?;
+        let payload_len = bit_len.div_ceil(8);
         if self.len < 9 + payload_len {
             return Ok(None);
         }
         let mut payload = vec![0u8; payload_len];
         self.copy_out(9, &mut payload);
         self.consume(9 + payload_len);
-        Ok(Some((kind, payload, bit_len as usize)))
+        Ok(Some((kind, payload, bit_len)))
     }
 }
 
 /// Reads one frame, returning `(kind, payload, bit_len)`.
 ///
-/// Uses `read_exact`, so partial reads (a slow socket delivering one byte
-/// at a time) are handled; a stream that ends mid-header or mid-payload
-/// surfaces as a truncation error rather than a short buffer.
+/// Partial reads (a slow socket delivering one byte at a time) are
+/// handled; a stream that ends before or inside the frame surfaces as a
+/// truncation error rather than a short buffer.
 ///
 /// # Errors
 ///
 /// [`NetError::Transport`] on truncation, I/O failure, or a header
 /// claiming more than [`MAX_FRAME_BITS`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>, usize)> {
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header)
-        .map_err(|e| io_err("frame header read", e))?;
-    let kind = header[0];
-    let bit_len = u64::from_be_bytes(header[1..].try_into().expect("8-byte slice"));
-    if bit_len > MAX_FRAME_BITS {
-        return Err(NetError::Transport {
-            context: "frame header read",
-            detail: format!("oversized frame: {bit_len} bits exceeds the {MAX_FRAME_BITS}-bit cap"),
-        });
-    }
-    let mut payload = vec![0u8; (bit_len as usize).div_ceil(8)];
-    r.read_exact(&mut payload)
-        .map_err(|e| io_err("frame payload read (truncated frame?)", e))?;
-    Ok((kind, payload, bit_len as usize))
+    try_read_frame(r)?.ok_or_else(|| NetError::Transport {
+        context: "frame header read",
+        detail: "stream ended before a frame header".to_string(),
+    })
 }
 
 /// Reads one frame like [`read_frame`], but distinguishes a *clean* end
@@ -348,6 +346,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>, usize)> {
 /// records is complete, one that ends inside a record was truncated by a
 /// crash mid-append.
 ///
+/// The payload buffer grows only with the bytes that arrive, so a header
+/// alone allocates nothing, whatever length it claims.
+///
 /// # Errors
 ///
 /// [`NetError::Transport`] on a torn frame, I/O failure, or a header
@@ -356,32 +357,36 @@ pub fn try_read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>, usize)>
     let mut header = [0u8; 9];
     let mut filled = 0;
     while filled < header.len() {
-        let n = r
-            .read(&mut header[filled..])
-            .map_err(|e| io_err("frame header read", e))?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None); // clean boundary
+        match r.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None), // clean boundary
+            Ok(0) => {
+                return Err(NetError::Transport {
+                    context: "frame header read",
+                    detail: format!("stream ended {filled} bytes into a 9-byte frame header"),
+                })
             }
-            return Err(NetError::Transport {
-                context: "frame header read",
-                detail: format!("stream ended {filled} bytes into a 9-byte frame header"),
-            });
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err("frame header read", e)),
         }
-        filled += n;
     }
-    let kind = header[0];
-    let bit_len = u64::from_be_bytes(header[1..].try_into().expect("8-byte slice"));
-    if bit_len > MAX_FRAME_BITS {
+    let (kind, bit_len) = parse_header(&header)?;
+    let len = bit_len.div_ceil(8);
+    let mut payload = Vec::new();
+    r.by_ref()
+        .take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(|e| io_err("frame payload read", e))?;
+    if payload.len() < len {
         return Err(NetError::Transport {
-            context: "frame header read",
-            detail: format!("oversized frame: {bit_len} bits exceeds the {MAX_FRAME_BITS}-bit cap"),
+            context: "frame payload read (truncated frame?)",
+            detail: format!(
+                "stream ended {} bytes into a {len}-byte payload",
+                payload.len()
+            ),
         });
     }
-    let mut payload = vec![0u8; (bit_len as usize).div_ceil(8)];
-    r.read_exact(&mut payload)
-        .map_err(|e| io_err("frame payload read (truncated frame?)", e))?;
-    Ok(Some((kind, payload, bit_len as usize)))
+    Ok(Some((kind, payload, bit_len)))
 }
 
 /// Reads one frame and checks its kind.

@@ -1384,137 +1384,6 @@ mod tests {
     }
 
     #[test]
-    fn commands_roundtrip() {
-        for cmd in [
-            Command::Describe,
-            Command::Stage { index: 3 },
-            Command::Deliver { payload: payload() },
-            Command::TransmitBasis,
-            Command::Transmit,
-            Command::Finish {
-                uplink_bits: 10,
-                downlink_bits: 20,
-                centers_hash: 0xFEED,
-            },
-            Command::Abort {
-                reason: "boom".to_string(),
-            },
-            Command::Deadline { ms: 1500 },
-            Command::Reissue {
-                round: 4,
-                cmd: Box::new(Command::Deliver { payload: payload() }),
-            },
-            Command::Resume { round: 9 },
-            Command::Promote { origin: 2 },
-            Command::Replay {
-                origin: 2,
-                round: 3,
-                cmd: Box::new(Command::Deliver { payload: payload() }),
-            },
-            Command::Forward {
-                origin: 2,
-                cmd: Box::new(Command::Stage { index: 1 }),
-            },
-            Command::MergeWith {
-                gather: 1,
-                level: 2,
-                active: 5,
-                payload: None,
-                emit: true,
-                last: false,
-            },
-            Command::MergeWith {
-                gather: 3,
-                level: 0,
-                active: 8,
-                payload: Some(payload()),
-                emit: false,
-                last: true,
-            },
-        ] {
-            assert_eq!(
-                Command::decode(&cmd.encode()).unwrap(),
-                cmd,
-                "{}",
-                cmd.name()
-            );
-        }
-    }
-
-    #[test]
-    fn responses_roundtrip() {
-        for resp in [
-            Response::Done {
-                round: 1,
-                rows: 5,
-                cols: 7,
-                ops: 11,
-                seconds: 0.25,
-            },
-            Response::Up {
-                round: 2,
-                payload: payload(),
-                ops: 3,
-                seconds: 0.5,
-            },
-            Response::Fin {
-                round: 3,
-                uplink_bits: 1,
-                downlink_bits: 2,
-            },
-            Response::Err {
-                reason: "bad".to_string(),
-            },
-            Response::Resumed {
-                round: 6,
-                fingerprint: 0xABCD,
-            },
-            Response::SourceLost {
-                reason: "gone".to_string(),
-            },
-            Response::Promoted {
-                origin: 3,
-                round: 0,
-            },
-            Response::Replayed {
-                origin: 3,
-                round: 4,
-                fingerprint: 0x5EED,
-            },
-            Response::Forwarded {
-                origin: 3,
-                resp: Box::new(Response::Up {
-                    round: 5,
-                    payload: payload(),
-                    ops: 1,
-                    seconds: 0.0,
-                }),
-            },
-            Response::Merged {
-                round: 7,
-                payload: Some(payload()),
-                leaf_bits: 321,
-                leaf_tag: 2,
-                last: true,
-            },
-            Response::Merged {
-                round: 8,
-                payload: None,
-                leaf_bits: 0,
-                leaf_tag: 0,
-                last: false,
-            },
-        ] {
-            assert_eq!(
-                Response::decode(&resp.encode()).unwrap(),
-                resp,
-                "{}",
-                resp.name()
-            );
-        }
-    }
-
-    #[test]
     fn malformed_frames_are_typed_errors() {
         assert!(matches!(
             Command::decode(&[99]),
