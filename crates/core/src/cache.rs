@@ -21,60 +21,6 @@
 use crate::stage::JlBook;
 use ekm_linalg::Matrix;
 use std::collections::HashMap;
-/// Incremental FNV-1a 64-bit hasher — deterministic across runs and
-/// platforms, used for both stage keys and data fingerprints.
-#[derive(Debug, Clone)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub fn new() -> Fnv {
-        Fnv(Self::OFFSET)
-    }
-
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_bytes(&[v as u8]);
-    }
-
-    pub fn write_f64s(&mut self, vs: &[f64]) {
-        self.write_usize(vs.len());
-        for v in vs {
-            self.write_u64(v.to_bits());
-        }
-    }
-
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write_bytes(s.as_bytes());
-    }
-
-    pub fn write_matrix(&mut self, m: &Matrix) {
-        self.write_usize(m.rows());
-        self.write_usize(m.cols());
-        self.write_f64s(m.as_slice());
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// One source's complete executor state after a cached stage, plus the
 /// deterministic operation count and the seconds the cold run reported
@@ -287,35 +233,6 @@ impl StageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_distinguishes_inputs_and_is_stable() {
-        let mut a = Fnv::new();
-        a.write_f64s(&[1.0, 2.0]);
-        let mut b = Fnv::new();
-        b.write_f64s(&[1.0, 2.0]);
-        assert_eq!(a.finish(), b.finish());
-        let mut c = Fnv::new();
-        c.write_f64s(&[2.0, 1.0]);
-        assert_ne!(a.finish(), c.finish());
-        // 0.0 and -0.0 hash differently (bit fingerprint, not value).
-        let mut z = Fnv::new();
-        z.write_f64s(&[0.0]);
-        let mut nz = Fnv::new();
-        nz.write_f64s(&[-0.0]);
-        assert_ne!(z.finish(), nz.finish());
-    }
-
-    #[test]
-    fn fnv_length_prefixing_avoids_concat_collisions() {
-        let mut a = Fnv::new();
-        a.write_str("ab");
-        a.write_str("c");
-        let mut b = Fnv::new();
-        b.write_str("a");
-        b.write_str("bc");
-        assert_ne!(a.finish(), b.finish());
-    }
 
     fn snapshot(rows: usize) -> StageSnapshot {
         StageSnapshot {

@@ -22,7 +22,7 @@
 //! looks up and stores its own state snapshot, and a hit replays the
 //! recorded operation count and seconds in its `Done` reply.
 
-use crate::cache::{Fnv, StageCache, StageSnapshot};
+use crate::cache::{StageCache, StageSnapshot};
 use crate::complexity;
 use crate::distributed::{
     disss_local_bicriteria, disss_local_sample, local_svd_summary, merge_summary_messages,
@@ -39,6 +39,7 @@ use ekm_clustering::bicriteria::BicriteriaSolution;
 use ekm_coreset::{FssBuilder, StreamingCoreset};
 use ekm_linalg::random::derive_seed;
 use ekm_linalg::{ops, Matrix};
+use ekm_net::fnv::Fnv;
 use ekm_net::messages::Message;
 use ekm_net::protocol::{Command, DeadlinePolicy, Payload, Response, SourceEndpoint};
 use ekm_net::NetError;

@@ -25,6 +25,7 @@
 //! instead of diverging mid-run. At shutdown the driver announces the
 //! run's [`RunDigest`] and every source checks its own ledger against it.
 
+use crate::fnv::Fnv;
 use crate::frame::{
     expect_frame, note_single_write_frame, write_frame, FrameAssembler, FrameBuf, FRAME_CMD,
     FRAME_HELLO, FRAME_RESP,
@@ -77,16 +78,9 @@ fn configure(stream: &TcpStream, io: Duration) -> Result<()> {
 /// mismatch into an immediate handshake error instead of a divergence
 /// mid-run.
 pub fn fingerprint(config: &str) -> u64 {
-    fnv1a(config.as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write_bytes(config.as_bytes());
+    h.finish()
 }
 
 fn encode_hello(role: u8, source_id: u32, sources: u32, fp: u64) -> Vec<u8> {
@@ -150,16 +144,17 @@ impl RunDigest {
     }
 }
 
-/// FNV-1a over a matrix's shape and raw `f64` bit patterns — equal iff
-/// the matrices are bit-identical (NaN payloads included).
+/// FNV-1a over a matrix's shape and raw `f64` bit patterns, each as 8
+/// big-endian bytes — equal iff the matrices are bit-identical (NaN
+/// payloads included).
 fn hash_matrix(m: &Matrix) -> u64 {
-    let mut bytes = Vec::with_capacity(16 + m.as_slice().len() * 8);
-    bytes.extend_from_slice(&(m.rows() as u64).to_be_bytes());
-    bytes.extend_from_slice(&(m.cols() as u64).to_be_bytes());
+    let mut h = Fnv::new();
+    h.write_bytes(&(m.rows() as u64).to_be_bytes());
+    h.write_bytes(&(m.cols() as u64).to_be_bytes());
     for &x in m.as_slice() {
-        bytes.extend_from_slice(&x.to_bits().to_be_bytes());
+        h.write_bytes(&x.to_bits().to_be_bytes());
     }
-    fnv1a(&bytes)
+    h.finish()
 }
 
 /// Park between empty cycles of the *sleep* reactor only (the epoll

@@ -19,6 +19,7 @@
 //! * [`network`] — the per-source bit ledger ([`NetworkStats`]) every
 //!   backend charges, and the caller-held [`Network`] that totals runs;
 //! * [`frame`] — length-prefixed framing (bit-exact lengths) for sockets;
+//! * [`fnv`] — the streaming FNV-1a hash behind fingerprints and digests;
 //! * [`event`] — the TCP backend: one reactor thread multiplexing every
 //!   source connection, the handshake, and the end-of-run [`RunDigest`];
 //! * [`routing`] — replica failover routing over any backend.
@@ -51,6 +52,7 @@
 pub mod bitstream;
 mod error;
 pub mod event;
+pub mod fnv;
 pub mod frame;
 pub mod messages;
 pub mod network;
