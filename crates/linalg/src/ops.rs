@@ -233,7 +233,7 @@ fn micro_kernel(
 
 /// Computes `Aᵀ · B`.
 ///
-/// The rank-1 accumulation over rows runs through [`chunked_row_sum`],
+/// The rank-1 accumulation over rows runs through `chunked_row_sum`,
 /// so the result is **bitwise invariant across worker counts**.
 ///
 /// # Errors

@@ -233,7 +233,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::*;
 
-    /// A size specification for [`vec`]: an exact length or a range.
+    /// A size specification for [`vec()`]: an exact length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -279,7 +279,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
