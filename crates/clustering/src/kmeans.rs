@@ -63,14 +63,13 @@ pub struct KMeans {
     tol: f64,
     n_init: usize,
     seed: u64,
-    shards: usize,
     compute: Compute,
 }
 
 impl KMeans {
     /// Creates a configuration for `k` clusters with the defaults
     /// `max_iter = 100`, `tol = 1e-7`, `n_init = 3`, `seed = 0`,
-    /// `shards = 1` (sequential centroid updates), `compute = F64`.
+    /// `compute = F64`.
     pub fn new(k: usize) -> Self {
         KMeans {
             k,
@@ -78,7 +77,6 @@ impl KMeans {
             tol: 1e-7,
             n_init: 3,
             seed: 0,
-            shards: 1,
             compute: Compute::F64,
         }
     }
@@ -104,14 +102,6 @@ impl KMeans {
     /// Sets the RNG seed controlling all restarts.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count of the sharded Lloyd centroid update
-    /// (`0` follows the hardware). Centers are bit-identical at every
-    /// setting — sharding only changes wall-clock time.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -165,7 +155,6 @@ impl KMeans {
         let config = LloydConfig {
             max_iter: self.max_iter,
             tol: self.tol,
-            shards: self.shards,
             compute: self.compute,
         };
         let mut best: Option<KMeansModel> = None;

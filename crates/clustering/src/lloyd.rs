@@ -2,13 +2,13 @@
 //!
 //! The centroid-update step is *sharded*: the points are cut into
 //! fixed-size row chunks, every chunk's partial sums are computed
-//! independently (on up to [`LloydConfig::shards`] scoped worker
-//! threads), and the partials are folded into the global sums in chunk
-//! order. Because the chunk boundaries and the fold order depend only on
-//! the number of points — never on the shard count or the thread
-//! schedule — the result is **bit-identical** at every shard count,
-//! including the sequential `shards = 1` solve (asserted by the
-//! `sharded_lloyd_*` proptests).
+//! independently (on up to [`parallel::worker_count`] scoped worker
+//! threads, which `ekm --threads` caps), and the partials are folded
+//! into the global sums in chunk order. Because the chunk boundaries and
+//! the fold order depend only on the number of points — never on the
+//! worker count or the thread schedule — the result is
+//! **bit-identical** at every worker count, including a single worker
+//! (asserted by the `accumulate_sums_*` proptest).
 
 use crate::cost::{assign_engine, validate_weights, Assignment};
 use crate::{ClusteringError, Result};
@@ -16,9 +16,9 @@ use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::{parallel, Matrix};
 
 /// Fixed row-chunk granularity of the deterministic accumulation tree.
-/// A constant (rather than `n / shards`) is what makes the fold graph —
-/// and therefore the floating-point rounding — independent of the shard
-/// count.
+/// A constant (rather than `n / workers`) is what makes the fold graph —
+/// and therefore the floating-point rounding — independent of the
+/// worker count.
 const ACCUM_CHUNK: usize = 1024;
 
 /// Outcome of running Lloyd's algorithm from a fixed initialization.
@@ -45,11 +45,6 @@ pub struct LloydConfig {
     /// Relative improvement threshold for convergence (default `1e-7`):
     /// stop when `(prev − cur) ≤ tol · prev`.
     pub tol: f64,
-    /// Worker threads for the sharded centroid update: `1` runs on the
-    /// calling thread (the default), `0` follows the hardware via
-    /// [`ekm_linalg::parallel::worker_count`]. Centers are bit-identical
-    /// at every setting.
-    pub shards: usize,
     /// Scalar precision of the assignment kernel (default
     /// [`Compute::F64`]). [`Compute::F32`] trades the f64 bit-for-bit
     /// guarantee for roughly halved memory traffic in the distance step;
@@ -62,18 +57,8 @@ impl Default for LloydConfig {
         LloydConfig {
             max_iter: 100,
             tol: 1e-7,
-            shards: 1,
             compute: Compute::F64,
         }
-    }
-}
-
-/// Resolves the shard knob: 0 = hardware parallelism.
-fn effective_shards(shards: usize) -> usize {
-    if shards == 0 {
-        parallel::worker_count()
-    } else {
-        shards
     }
 }
 
@@ -109,20 +94,20 @@ fn chunk_partial(
 }
 
 /// The sharded centroid-update accumulation: per-chunk partials (chunk
-/// boundaries fixed by `n` alone) computed on up to `shards` workers,
+/// boundaries fixed by `n` alone) computed on up to `workers` threads,
 /// folded into the global sums in chunk order. The computation graph is
-/// identical for every `shards` value, so the result is bit-identical to
+/// identical for every worker count, so the result is bit-identical to
 /// the sequential fold by construction.
 fn accumulate_sums(
     points: &Matrix,
     weights: &[f64],
     labels: &[usize],
     k: usize,
-    shards: usize,
+    workers: usize,
 ) -> (Vec<f64>, Vec<f64>) {
     let d = points.cols();
     let n_chunks = points.rows().div_ceil(ACCUM_CHUNK).max(1);
-    let workers = effective_shards(shards).min(n_chunks);
+    let workers = workers.min(n_chunks);
     let partials = parallel::par_map_indices_in(n_chunks, workers, |c| {
         chunk_partial(points, weights, labels, k, c)
     });
@@ -180,8 +165,14 @@ pub fn lloyd(
 
     for _ in 0..config.max_iter {
         // Update step: weighted centroid per cluster, via the sharded
-        // chunk-partial accumulation (bit-identical at any shard count).
-        let (sums, totals) = accumulate_sums(points, weights, &assignment.labels, k, config.shards);
+        // chunk-partial accumulation (bit-identical at any worker count).
+        let (sums, totals) = accumulate_sums(
+            points,
+            weights,
+            &assignment.labels,
+            k,
+            parallel::worker_count(),
+        );
         for c in 0..k {
             if totals[c] > 0.0 {
                 let inv = 1.0 / totals[c];
@@ -254,6 +245,7 @@ fn worst_point(assignment: &Assignment, weights: &[f64]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn blobs() -> Matrix {
         let mut rows = Vec::new();
@@ -387,5 +379,44 @@ mod tests {
         assert_eq!(out.iterations, 0);
         assert!(!out.converged);
         assert!(out.centers.approx_eq(&init, 0.0));
+    }
+
+    proptest! {
+        // Fewer, heavier cases: each folds up to a few thousand points
+        // eight times.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The sharded centroid accumulation is bit-identical to the
+        /// sequential fold at every tested worker count, on random
+        /// weighted instances spanning several chunks — and invariant to
+        /// thread scheduling (each count runs twice). The rest of a Lloyd
+        /// update is worker-independent, and the assignment kernel's
+        /// worker invariance is proptested in `ekm-linalg`.
+        #[test]
+        fn accumulate_sums_bit_identical_across_workers(
+            (n, d, seed) in (300usize..2600, 1usize..4, 0u64..1000),
+        ) {
+            let points = ekm_linalg::random::gaussian_matrix(seed, n, d, 25.0);
+            // Positive weights with some zeros mixed in.
+            let weights: Vec<f64> = (0..n)
+                .map(|i| match (i + seed as usize) % 7 {
+                    0 => 0.0,
+                    r => r as f64 * 0.5,
+                })
+                .collect();
+            let k = 3;
+            let init = ekm_linalg::random::gaussian_matrix(seed + 1, k, d, 40.0);
+            let labels = crate::cost::assign(&points, &init).unwrap().labels;
+            let bits = |(sums, totals): (Vec<f64>, Vec<f64>)| -> Vec<u64> {
+                sums.iter().chain(&totals).map(|v| v.to_bits()).collect()
+            };
+            let sequential = bits(accumulate_sums(&points, &weights, &labels, k, 1));
+            for workers in [1usize, 2, 4, 8] {
+                for _ in 0..2 {
+                    let sharded = bits(accumulate_sums(&points, &weights, &labels, k, workers));
+                    prop_assert_eq!(&sharded, &sequential);
+                }
+            }
+        }
     }
 }

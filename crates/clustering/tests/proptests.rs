@@ -14,36 +14,6 @@ fn points_strategy(max_n: usize, max_d: usize) -> impl Strategy<Value = Matrix> 
     })
 }
 
-/// A random weighted instance large enough to span several accumulation
-/// chunks, so the sharded update genuinely distributes work.
-fn weighted_instance_strategy() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
-    (300usize..2600, 1usize..4, 0u64..1000).prop_map(|(n, d, seed)| {
-        let points = ekm_linalg::random::gaussian_matrix(seed, n, d, 25.0);
-        // Deterministic positive weights with some zeros mixed in.
-        let weights: Vec<f64> = (0..n)
-            .map(|i| match (i + seed as usize) % 7 {
-                0 => 0.0,
-                r => r as f64 * 0.5,
-            })
-            .collect();
-        (points, weights)
-    })
-}
-
-/// Bitwise equality of two Lloyd outcomes (centers, inertia, labels).
-fn assert_outcome_bits_equal(
-    a: &ekm_clustering::lloyd::LloydOutcome,
-    b: &ekm_clustering::lloyd::LloydOutcome,
-) {
-    assert_eq!(a.iterations, b.iterations);
-    assert_eq!(a.inertia.to_bits(), b.inertia.to_bits());
-    assert_eq!(a.assignment.labels, b.assignment.labels);
-    assert_eq!(a.centers.shape(), b.centers.shape());
-    for (x, y) in a.centers.as_slice().iter().zip(b.centers.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -138,62 +108,5 @@ proptest! {
         let sol = bicriteria(&p, &w, 2, &BicriteriaConfig::default()).unwrap();
         let one = KMeans::new(1).with_seed(1).fit(&p).unwrap();
         prop_assert!(sol.cost <= one.inertia + 1e-9);
-    }
-}
-
-proptest! {
-    // Fewer, heavier cases: each runs ten full Lloyd solves on up to a
-    // few thousand points.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The sharded Lloyd solve is bit-identical to the sequential solve
-    /// at every tested shard count, on random weighted instances — and
-    /// invariant to thread scheduling (each sharded case runs twice).
-    #[test]
-    fn sharded_lloyd_bit_identical_to_sequential(
-        (p, w) in weighted_instance_strategy(),
-        seed in 0u64..100,
-    ) {
-        let k = 3;
-        let init = ekm_linalg::random::gaussian_matrix(seed, k, p.cols(), 40.0);
-        let solve = |shards: usize| {
-            lloyd(&p, &w, &init, &LloydConfig { shards, ..LloydConfig::default() }).unwrap()
-        };
-        let sequential = solve(1);
-        prop_assert!(sequential.inertia.is_finite());
-        for shards in [2usize, 4, 8] {
-            let first = solve(shards);
-            let second = solve(shards);
-            assert_outcome_bits_equal(&sequential, &first);
-            assert_outcome_bits_equal(&first, &second);
-        }
-        // `shards = 0` (hardware auto) is the same computation graph too.
-        assert_outcome_bits_equal(&sequential, &solve(0));
-    }
-
-    /// The same invariance holds through the multi-restart `KMeans`
-    /// driver — the server-side solve the engine actually calls.
-    #[test]
-    fn sharded_kmeans_bit_identical_to_sequential(
-        (p, w) in weighted_instance_strategy(),
-        seed in 0u64..100,
-    ) {
-        let fit = |shards: usize| {
-            KMeans::new(2)
-                .with_n_init(2)
-                .with_seed(seed)
-                .with_shards(shards)
-                .fit_weighted(&p, &w)
-                .unwrap()
-        };
-        let sequential = fit(1);
-        for shards in [2usize, 8] {
-            let model = fit(shards);
-            prop_assert_eq!(model.inertia.to_bits(), sequential.inertia.to_bits());
-            prop_assert_eq!(&model.labels, &sequential.labels);
-            for (x, y) in model.centers.as_slice().iter().zip(sequential.centers.as_slice()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 }

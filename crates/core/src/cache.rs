@@ -6,9 +6,10 @@
 //! seed-deterministic functions of (stage config, shared parameters,
 //! the source's position, the source's upstream state), so each
 //! [`crate::SourceExecutor`] can memoize them across pipelines: a
-//! [`StageCache`] maps a 64-bit key — stage config ⊕ parameter knobs ⊕
-//! source id and count ⊕ a fingerprint of every upstream bit the stage
-//! can observe — to the snapshot of the state the stage produced.
+//! [`StageCache`] maps a 64-bit key — stage config ⊕ the JL seed stream
+//! its plan position gives it ⊕ parameter knobs ⊕ source id and count ⊕
+//! a fingerprint of every upstream bit the stage can observe — to the
+//! snapshot of the state the stage produced.
 //!
 //! Cache hits are **bit-identical to a cold run by construction**: the
 //! key covers all inputs of the stage's computation, the snapshot stores
@@ -18,7 +19,6 @@
 //! their traffic always flows through the live protocol, which keeps
 //! the bit ledger of a cached sweep identical to an uncached one.
 
-use crate::stage::JlBook;
 use ekm_linalg::Matrix;
 use std::collections::HashMap;
 
@@ -31,8 +31,6 @@ pub(crate) struct StageSnapshot {
     pub weights: Option<Vec<f64>>,
     pub delta: f64,
     pub basis: Option<Matrix>,
-    pub basis_shared: bool,
-    pub jl: JlBook,
     pub ops: u64,
     /// Compute seconds the cold run reported, replayed on a hit so
     /// cached sweeps report comparable source timings (`ops` is the
@@ -240,8 +238,6 @@ mod tests {
             weights: None,
             delta: 0.0,
             basis: None,
-            basis_shared: false,
-            jl: JlBook::default(),
             ops: 3,
             seconds: 0.0,
         }

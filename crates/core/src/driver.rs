@@ -13,9 +13,9 @@
 //! the control-plane metadata they report (shard shapes, per-phase op
 //! counts) plus the decoded data-plane payloads the paper's protocols
 //! legitimately give the server. JL projections are regenerated from
-//! the shared seed — the driver replicates the same `JlBook`
-//! seed-stream bookkeeping as the executors, exactly like the paper's
-//! "shared randomness" remark prescribes.
+//! the shared seed, each on the stream its plan position names
+//! (`stage::jl_stream`, which the executors read too), exactly
+//! like the paper's "shared randomness" remark prescribes.
 //!
 //! The in-process entry points of [`StagePipeline`] wire the driver to
 //! executor threads (one per shard, each holding only its shard); the
@@ -29,7 +29,7 @@ use crate::params::{replica_holders, Topology};
 use crate::pipelines::seeds;
 use crate::projection::MaybeProjection;
 use crate::server::{lift_centers_through_basis, solve_weighted_kmeans};
-use crate::stage::{dispca_rank, disss_budget, jl_target_dim, resolve_quantizer, JlBook, Stage};
+use crate::stage::{check_plan, dispca_rank, disss_budget, jl_stream, jl_target_dim, Stage};
 use crate::{distributed, CoreError, Result, RunOutput, StagePipeline};
 use ekm_coreset::Coreset;
 use ekm_linalg::random::derive_seed;
@@ -669,21 +669,14 @@ struct DriverState {
     cur: usize,
     /// Whether the sources hold coordinates inside a basis.
     has_basis: bool,
-    /// Whether the server already holds that basis.
-    basis_shared: bool,
     /// Dimensionality of the basis' parent space.
     basis_parent: usize,
-    /// The server's copy of the basis (disPCA: the full-precision
-    /// global basis; FSS: the decoded uplink), for the final lift.
+    /// The server's copy of that basis (disPCA: the full-precision
+    /// global basis; FSS: the decoded uplink, until which it is `None`),
+    /// for the final lift.
     server_basis: Option<Matrix>,
-    /// Whether a CR stage has produced per-source weighted summaries.
-    weights_mode: bool,
-    /// Whether disSS moved the summary to the server.
-    handed_off: bool,
     /// The merged summary once disSS ran.
     server_summary: Option<(Matrix, Vec<f64>)>,
-    /// Positional JL bookkeeping (identical to every executor's).
-    jl: JlBook,
     /// JL projections in application order, for the final lift.
     projections: Vec<MaybeProjection>,
     source_seconds: f64,
@@ -764,18 +757,15 @@ fn drive<T: CommandTransport>(pipe: &StagePipeline, net: &mut T) -> Result<RunOu
     }
     let total_n: usize = rows.iter().map(|&r| r as usize).sum();
     params.validate(total_n, d)?;
+    check_plan(pipe.stages(), params, m)?;
     rnet.degradable = true;
 
     let mut st = DriverState {
         cur: d,
         has_basis: false,
-        basis_shared: false,
         basis_parent: d,
         server_basis: None,
-        weights_mode: false,
-        handed_off: false,
         server_summary: None,
-        jl: JlBook::default(),
         projections: Vec::new(),
         source_seconds: 0.0,
         server_seconds: 0.0,
@@ -783,12 +773,7 @@ fn drive<T: CommandTransport>(pipe: &StagePipeline, net: &mut T) -> Result<RunOu
     };
 
     for (idx, stage) in pipe.stages().iter().enumerate() {
-        if st.handed_off {
-            return Err(CoreError::InvalidConfig {
-                reason: "no stage may follow disss: the summary already lives at the server",
-            });
-        }
-        run_stage(pipe, &mut rnet, &mut st, idx as u32, stage, m)?;
+        run_stage(pipe, &mut rnet, &mut st, idx, stage, m)?;
     }
 
     finalize(pipe, &mut rnet, st, m, up0, down0, &rows)
@@ -800,7 +785,6 @@ fn drop_basis(st: &mut DriverState) {
     if st.has_basis {
         st.cur = st.basis_parent;
         st.has_basis = false;
-        st.basis_shared = false;
         st.server_basis = None;
     }
 }
@@ -844,19 +828,22 @@ fn local_round<T: CommandTransport>(
     Ok((ops, secs, cols))
 }
 
+/// Runs the plan's stage `index`; [`check_plan`] already vetted the
+/// composition.
 fn run_stage<T: CommandTransport>(
     pipe: &StagePipeline,
     net: &mut RoundNet<'_, T>,
     st: &mut DriverState,
-    idx: u32,
+    index: usize,
     stage: &Stage,
     m: usize,
 ) -> Result<()> {
     let params = pipe.params();
+    let idx = index as u32;
     match stage {
         Stage::Dr(cfg) => {
             drop_basis(st);
-            let (stream, before_role) = st.jl.next_stream();
+            let (stream, before_role) = jl_stream(pipe.stages(), index);
             let target = jl_target_dim(cfg, params, st.cur, before_role);
             let pi = MaybeProjection::generate(
                 params.jl_kind,
@@ -866,24 +853,12 @@ fn run_stage<T: CommandTransport>(
             );
             st.cur = pi.target_dim();
             st.projections.push(pi);
-            st.jl.any_reduction = true;
             let (ops, secs, cols) = local_round(net, idx, m, "jl round")?;
             verify_cols(cols, st.cur, "jl round")?;
             st.source_ops += ops;
             st.source_seconds += secs;
         }
         Stage::Cr(_) => {
-            if m != 1 {
-                return Err(CoreError::InvalidConfig {
-                    reason:
-                        "fss is a single-source stage (multi-source pipelines use dispca/disss)",
-                });
-            }
-            if st.weights_mode {
-                return Err(CoreError::InvalidConfig {
-                    reason: "multiple coreset stages in one pipeline",
-                });
-            }
             drop_basis(st);
             // The resolved dims are the executor's business; the driver
             // only records the space change the response reports.
@@ -891,39 +866,21 @@ fn run_stage<T: CommandTransport>(
             let (ops, secs, cols) = local_round(net, idx, m, "fss round")?;
             st.cur = cols;
             st.has_basis = true;
-            st.basis_shared = false;
-            st.weights_mode = true;
-            st.jl.any_reduction = true;
             st.source_ops += ops;
             st.source_seconds += secs;
         }
-        Stage::Stream(_cfg) => {
-            if st.weights_mode {
-                return Err(CoreError::InvalidConfig {
-                    reason: "multiple coreset stages in one pipeline",
-                });
-            }
+        Stage::Stream(_) => {
             let (ops, secs, cols) = local_round(net, idx, m, "stream round")?;
             verify_cols(cols, st.cur, "stream round")?;
-            st.weights_mode = true;
-            st.jl.any_reduction = true;
             st.source_ops += ops;
             st.source_seconds += secs;
         }
-        Stage::Qt(cfg) => {
-            // Resolve driver-side too, so a bad width fails the run
-            // before any source is commanded.
-            resolve_quantizer(cfg, params)?;
+        Stage::Qt(_) => {
             let (ops, secs, _) = local_round(net, idx, m, "qt round")?;
             st.source_ops += ops;
             st.source_seconds += secs;
         }
         Stage::DisPca(cfg) => {
-            if st.weights_mode {
-                return Err(CoreError::InvalidConfig {
-                    reason: "dispca after a coreset stage is unsupported",
-                });
-            }
             drop_basis(st);
             let t = dispca_rank(cfg, params, st.cur);
             // Step 1: local SVD summaries, folded in source order.
@@ -982,23 +939,11 @@ fn run_stage<T: CommandTransport>(
             st.cur = basis.cols();
             st.server_basis = Some(basis);
             st.has_basis = true;
-            st.basis_shared = true;
-            st.jl.any_reduction = true;
             st.source_ops += ops1 + ops2;
             st.source_seconds += secs1 + secs2;
         }
         Stage::DisSs(cfg) => {
-            if st.weights_mode {
-                return Err(CoreError::InvalidConfig {
-                    reason: "disss after a coreset stage is unsupported",
-                });
-            }
             let budget = disss_budget(cfg, params);
-            if budget == 0 {
-                return Err(CoreError::InvalidConfig {
-                    reason: "zero disSS sample budget",
-                });
-            }
             // Step 1: bicriteria cost reports.
             let stage_enc = EncodedCommand::new(Command::Stage { index: idx });
             for i in 0..m {
@@ -1067,8 +1012,6 @@ fn run_stage<T: CommandTransport>(
             let merged = Coreset::merge(parts.iter()).map_err(CoreError::Coreset)?;
             st.server_seconds += t1.elapsed().as_secs_f64();
             st.server_summary = Some((merged.points().clone(), merged.weights().to_vec()));
-            st.handed_off = true;
-            st.jl.any_reduction = true;
             st.source_ops += ops1 + ops2;
             st.source_seconds += secs1 + secs2;
         }
@@ -1102,7 +1045,7 @@ fn finalize<T: CommandTransport>(
         None => {
             // An FSS basis travels first; the server keeps the decoded
             // copy for the final lift.
-            if st.has_basis && !st.basis_shared {
+            if st.has_basis && st.server_basis.is_none() {
                 net.send(0, &Command::TransmitBasis)?;
                 let resp = net.recv(0)?.ok_or(CoreError::Protocol {
                     reason: "the basis-holding source was lost before transmitting it",
@@ -1116,7 +1059,6 @@ fn finalize<T: CommandTransport>(
                         })
                     }
                 }
-                st.basis_shared = true;
             }
             let transmit = EncodedCommand::new(Command::Transmit);
             for i in 0..m {
@@ -1164,7 +1106,6 @@ fn finalize<T: CommandTransport>(
         params.k,
         params.kmeans_restarts,
         derive_seed(params.seed, seeds::SERVER),
-        params.solver_shards,
         params.compute,
     )?;
     let mut centers = match &st.server_basis {

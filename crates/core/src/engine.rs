@@ -498,76 +498,18 @@ mod tests {
     }
 
     #[test]
-    fn stream_composes_only_with_stages_that_accept_weights() {
+    fn stream_composes_with_stages_that_accept_weights() {
+        // Downstream of the per-source summaries: jl, qt (and both
+        // together). The refused compositions are rows of
+        // `stage::tests::check_plan_states_every_composition_rule`.
         let data = workload(400, 10, 14);
         let shards = partition_uniform(&data, 2, 3).unwrap();
-        // Accepted downstream: jl, qt (and both together).
         for list in ["stream", "stream,jl", "stream,qt", "jl,stream,jl,qt"] {
             let pipe = StagePipeline::from_names(list, params(400, 10)).unwrap();
             let mut net = Network::new(2);
             let out = pipe.run_shards(&shards, &mut net).unwrap();
             assert_eq!(out.centers.shape(), (2, 10), "{list}");
         }
-        // Rejected: a second CR stage or an interactive protocol after
-        // the per-source summaries exist (and stream after fss).
-        for list in [
-            "stream,fss",
-            "fss,stream",
-            "stream,stream",
-            "stream,dispca",
-            "stream,disss",
-            "disss,stream",
-        ] {
-            let pipe = StagePipeline::from_names(list, params(400, 10)).unwrap();
-            let mut net = Network::new(2);
-            assert!(
-                matches!(
-                    pipe.run_shards(&shards, &mut net),
-                    Err(CoreError::InvalidConfig { .. })
-                ),
-                "{list} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn fss_rejects_multiple_sources() {
-        let data = workload(200, 8, 6);
-        let shards = partition_uniform(&data, 2, 3).unwrap();
-        let pipe = StagePipeline::from_names("fss", params(200, 8)).unwrap();
-        let mut net = Network::new(2);
-        assert!(matches!(
-            pipe.run_shards(&shards, &mut net),
-            Err(CoreError::InvalidConfig { .. })
-        ));
-    }
-
-    #[test]
-    fn stages_after_disss_are_rejected() {
-        let data = workload(200, 8, 7);
-        let shards = partition_uniform(&data, 2, 3).unwrap();
-        for list in ["disss,jl", "disss,qt", "disss,fss", "dispca,disss,dispca"] {
-            let pipe = StagePipeline::from_names(list, params(200, 8)).unwrap();
-            let mut net = Network::new(2);
-            assert!(
-                matches!(
-                    pipe.run_shards(&shards, &mut net),
-                    Err(CoreError::InvalidConfig { .. })
-                ),
-                "{list} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn double_coreset_is_rejected() {
-        let data = workload(200, 8, 8);
-        let pipe = StagePipeline::from_names("fss,fss", params(200, 8)).unwrap();
-        let mut net = Network::new(1);
-        assert!(matches!(
-            pipe.run(&data, &mut net),
-            Err(CoreError::InvalidConfig { .. })
-        ));
     }
 
     #[test]

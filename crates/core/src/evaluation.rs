@@ -32,7 +32,7 @@ pub fn reference(data: &Matrix, k: usize, restarts: usize, seed: u64) -> Result<
     let weights = vec![1.0; data.rows()];
     // The X* proxy is always solved in f64: it is the yardstick the
     // f32 compute path's cost-ratio contract is measured against.
-    let centers = solve_weighted_kmeans(data, &weights, k, restarts.max(1), seed, 0, Compute::F64)?;
+    let centers = solve_weighted_kmeans(data, &weights, k, restarts.max(1), seed, Compute::F64)?;
     let cost = ekm_clustering::cost::cost(data, &centers)?;
     Ok(Reference { centers, cost })
 }

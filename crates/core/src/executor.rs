@@ -12,10 +12,16 @@
 //! `ekm run`, `ekm sweep`, the library entry points of
 //! [`crate::StagePipeline`], and `ekm source` across real processes —
 //! computes its per-source work here, resolving each stage with the
-//! shared helpers in [`crate::stage`] (dimensions, seed streams, the
-//! `JlBook`) and the disSS/disPCA local steps in
-//! [`crate::distributed`], so a source's responses depend only on the
-//! plan and its shard. The golden fixtures in `tests/golden/` pin them.
+//! shared helpers in [`crate::stage`] (the composition rules,
+//! dimensions, and JL seed streams read off the plan position) and the
+//! disSS/disPCA local steps in [`crate::distributed`], so a source's
+//! responses depend only on the plan and its shard. The golden fixtures
+//! in `tests/golden/` pin them.
+//!
+//! An executor answers every command through one method,
+//! [`SourceExecutor::handle`], and runs the plan's stages once each, in
+//! plan order; [`SourceExecutor::serve`] is a loop that feeds it from an
+//! endpoint.
 //!
 //! The source-local stages (`jl`, `fss`, `stream`) are memoized when an
 //! in-process sweep attaches a shared [`StageCache`]: each executor
@@ -31,8 +37,8 @@ use crate::params::{SummaryParams, Topology};
 use crate::pipelines::{quantize_for_wire, seeds};
 use crate::projection::MaybeProjection;
 use crate::stage::{
-    dispca_rank, disss_budget, fss_dims, jl_target_dim, resolve_quantizer, stream_plan, FssStage,
-    JlBook, JlStage, Stage, StreamStage,
+    check_plan, dispca_rank, fss_dims, jl_stream, jl_target_dim, resolve_quantizer, stream_plan,
+    FssStage, JlStage, Stage, StreamStage,
 };
 use crate::{CoreError, Result};
 use ekm_clustering::bicriteria::BicriteriaSolution;
@@ -58,6 +64,15 @@ pub(crate) fn state_fingerprint(round: u64, uplink_bits: u64, downlink_bits: u64
     h.write_u64(uplink_bits);
     h.write_u64(downlink_bits);
     h.finish()
+}
+
+/// A command this executor cannot take in its current state.
+fn violation(context: &'static str, expected: &'static str, got: impl Into<String>) -> CoreError {
+    CoreError::Net(NetError::ProtocolViolation {
+        context,
+        expected,
+        got: got.into(),
+    })
 }
 
 /// Locks the stage cache the executors of a run share. The guard is
@@ -102,12 +117,6 @@ enum PendingDeliver {
     DisssAllocation { bic: BicriteriaSolution },
 }
 
-enum StepOutcome {
-    Reply(Response),
-    Finished(Response, SourceRunReport),
-    Aborted(String),
-}
-
 /// A summary held back for the tree topology's pairwise fold instead of
 /// being uplinked directly. The message is the *post-wire* copy (encoded
 /// and decoded once), so merging it with a peer's summary is bit-identical
@@ -142,9 +151,11 @@ pub struct SourceExecutor<'a> {
     weights: Option<Vec<f64>>,
     delta: f64,
     basis: Option<Matrix>,
-    basis_shared: bool,
     quantizer: Option<ekm_quant::RoundingQuantizer>,
-    jl: JlBook,
+    /// Stages run so far: the next `Stage` command must name this index.
+    stages_run: usize,
+    /// Whether disSS moved the summary to the server (nothing is left
+    /// to transmit).
     handed_off: bool,
     pending: Option<PendingDeliver>,
     /// Tree topology only: the summary awaiting pairwise merges.
@@ -162,8 +173,8 @@ pub struct SourceExecutor<'a> {
     /// Live personas for absorbed origins: full executors over the
     /// replica shard, fed by `Replay`/`Forward` wrappers.
     personas: BTreeMap<usize, SourceExecutor<'a>>,
-    /// This executor's own finished report, held back while personas
-    /// are still answering for their origins.
+    /// This executor's report once its own `Finish` ran, held back
+    /// while personas are still answering for their origins.
     finished: Option<SourceRunReport>,
     /// Stage-output cache shared with the other executors of an
     /// in-process run.
@@ -210,9 +221,8 @@ impl<'a> SourceExecutor<'a> {
             weights: None,
             delta: 0.0,
             basis: None,
-            basis_shared: false,
             quantizer: None,
-            jl: JlBook::default(),
+            stages_run: 0,
             handed_off: false,
             pending: None,
             merge: None,
@@ -243,7 +253,10 @@ impl<'a> SourceExecutor<'a> {
         self
     }
 
-    /// Serves commands until the run finishes or fails.
+    /// Serves commands from `endpoint` until the run finishes or fails:
+    /// a loop over [`handle`](Self::handle) that applies `Deadline` to
+    /// the endpoint and sends every response. It returns once this
+    /// source's own `Fin` has been sent and no persona remains.
     ///
     /// Takes `&mut self` so a transport failure leaves the executor's
     /// state intact: a source that loses its server can reconnect and
@@ -253,56 +266,46 @@ impl<'a> SourceExecutor<'a> {
     /// # Errors
     ///
     /// Transport failures, [`NetError::RemoteAbort`] when the driver
-    /// aborts, and local compute/validation failures (which are also
-    /// reported back to the driver as an `Err` response before
-    /// returning).
+    /// aborts, and every other error of [`handle`](Self::handle), which
+    /// is also reported back to the driver as an `Err` response (wrapped
+    /// in `Forwarded` when the command was a `Forward`) before
+    /// returning.
     pub fn serve<E: SourceEndpoint>(&mut self, endpoint: &mut E) -> Result<SourceRunReport> {
         loop {
             let cmd = endpoint.recv_command().map_err(CoreError::Net)?;
-            // The transport-level and failover vocabulary is handled
-            // here, against the endpoint; `execute` sees everything
-            // else (round commands, recovery, aborts).
-            match cmd {
-                Command::Deadline { ms } => {
-                    endpoint.set_deadline(DeadlinePolicy::uniform(Duration::from_millis(ms)));
-                    continue;
-                }
-                Command::Promote { origin } => {
-                    self.promote(origin as usize, endpoint)?;
-                    continue;
-                }
-                Command::Replay { origin, round, cmd } => {
-                    self.replay(origin as usize, round, *cmd, endpoint)?;
-                    continue;
-                }
-                Command::Forward { origin, cmd } => {
-                    if let Some(report) = self.forward(origin as usize, *cmd, endpoint)? {
-                        return Ok(report);
-                    }
-                    continue;
-                }
-                _ => {}
+            if let Command::Deadline { ms } = cmd {
+                endpoint.set_deadline(DeadlinePolicy::uniform(Duration::from_millis(ms)));
             }
-            match self.execute(cmd) {
-                Ok(StepOutcome::Reply(resp)) => {
+            let forwarded = match cmd {
+                Command::Forward { origin, .. } => Some(origin),
+                _ => None,
+            };
+            match self.handle(cmd) {
+                Ok(Some(resp)) => {
+                    // A Fin — this source's own, or the last persona's
+                    // (forwarded) — may end the run.
+                    let fin = matches!(resp, Response::Fin { .. } | Response::Forwarded { .. });
                     endpoint.send_response(resp).map_err(CoreError::Net)?;
-                }
-                Ok(StepOutcome::Finished(resp, report)) => {
-                    endpoint.send_response(resp).map_err(CoreError::Net)?;
-                    if self.personas.is_empty() {
-                        return Ok(report);
+                    if fin && self.personas.is_empty() {
+                        if let Some(report) = self.finished.take() {
+                            return Ok(report);
+                        }
                     }
-                    // Personas still owe rounds for their absorbed
-                    // origins: keep serving until the last finishes.
-                    self.finished = Some(report);
                 }
-                Ok(StepOutcome::Aborted(reason)) => {
-                    return Err(CoreError::Net(NetError::RemoteAbort { reason }));
-                }
+                Ok(None) => {}
+                // The driver's own abort needs no answer.
+                Err(e @ CoreError::Net(NetError::RemoteAbort { .. })) => return Err(e),
                 Err(e) => {
                     // Best-effort: tell the driver why before bailing.
-                    let _ = endpoint.send_response(Response::Err {
+                    let err = Response::Err {
                         reason: e.to_string(),
+                    };
+                    let _ = endpoint.send_response(match forwarded {
+                        Some(origin) => Response::Forwarded {
+                            origin,
+                            resp: Box::new(err),
+                        },
+                        None => err,
                     });
                     return Err(e);
                 }
@@ -310,36 +313,51 @@ impl<'a> SourceExecutor<'a> {
         }
     }
 
-    /// Executes one command against this executor's state — including
-    /// the `Resume`/`Reissue` recovery vocabulary — and returns the
-    /// outcome. Shared between a source's own serve loop and the
-    /// persona dispatch of its replica host.
-    fn execute(&mut self, cmd: Command) -> Result<StepOutcome> {
+    /// The executor's one dispatch: answers a protocol round, a
+    /// `Resume`/`Reissue` recovery command or a `Promote`/`Replay`/
+    /// `Forward` failover command with the response to send, and
+    /// `Deadline` with `None` (the caller applies it to its endpoint).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::RemoteAbort`] for the driver's `Abort`,
+    /// [`NetError::ProtocolViolation`] for a command out of turn (such
+    /// as a stage out of plan order), and local compute or
+    /// `check_plan` failures. The executor is unusable after an error.
+    pub fn handle(&mut self, cmd: Command) -> Result<Option<Response>> {
+        match cmd {
+            Command::Deadline { .. } => Ok(None),
+            Command::Promote { origin } => Ok(Some(self.promote(origin as usize))),
+            Command::Replay { origin, round, cmd } => {
+                self.replay(origin as usize, round, *cmd).map(Some)
+            }
+            Command::Forward { origin, cmd } => self.forward(origin as usize, *cmd).map(Some),
+            cmd => self.execute(cmd).map(Some),
+        }
+    }
+
+    /// Executes one command, `Resume`/`Reissue` included, against this
+    /// executor's own state — for [`handle`](Self::handle) and for a
+    /// replica host's personas.
+    fn execute(&mut self, cmd: Command) -> Result<Response> {
         let cmd = match cmd {
             Command::Resume { .. } => {
-                return Ok(StepOutcome::Reply(Response::Resumed {
+                return Ok(Response::Resumed {
                     round: self.round,
                     fingerprint: self.fingerprint(),
-                }));
+                });
             }
             Command::Reissue { round, cmd: inner } => {
                 if round == self.round {
                     // Already executed: resend the cached response.
-                    let resp = self.last_response.clone().ok_or(CoreError::Net(
-                        NetError::ProtocolViolation {
-                            context: "reissue",
-                            expected: "a cached response for the reissued round",
-                            got: format!("round {round} with no cached response"),
-                        },
-                    ))?;
-                    return Ok(StepOutcome::Reply(resp));
+                    return self.last_response.clone().ok_or_else(|| {
+                        let got = format!("round {round} with no cached response");
+                        violation("reissue", "a cached response for the reissued round", got)
+                    });
                 }
                 if round != self.round + 1 {
-                    return Err(CoreError::Net(NetError::ProtocolViolation {
-                        context: "reissue",
-                        expected: "the current or next round",
-                        got: format!("round {round} at executor round {}", self.round),
-                    }));
+                    let got = format!("round {round} at executor round {}", self.round);
+                    return Err(violation("reissue", "the current or next round", got));
                 }
                 // Never received: execute the carried command fresh.
                 *inner
@@ -350,16 +368,11 @@ impl<'a> SourceExecutor<'a> {
         if is_round {
             self.round += 1;
         }
-        let out = self.step(cmd)?;
+        let resp = self.step(cmd)?;
         if is_round {
-            match &out {
-                StepOutcome::Reply(resp) | StepOutcome::Finished(resp, _) => {
-                    self.last_response = Some(resp.clone());
-                }
-                StepOutcome::Aborted(_) => {}
-            }
+            self.last_response = Some(resp.clone());
         }
-        Ok(out)
+        Ok(resp)
     }
 
     fn fingerprint(&self) -> u64 {
@@ -370,142 +383,80 @@ impl<'a> SourceExecutor<'a> {
         )
     }
 
-    /// Handles [`Command::Promote`]: (re)builds a fresh persona for
+    /// The live persona answering for `origin`.
+    fn persona(&mut self, origin: usize, context: &'static str) -> Result<&mut Self> {
+        self.personas.get_mut(&origin).ok_or_else(|| {
+            let got = format!("no persona for source {origin}");
+            violation(context, "a promoted persona for the origin", got)
+        })
+    }
+
+    /// Answers [`Command::Promote`]: (re)builds a fresh persona for
     /// `origin` from its cold replica shard. Idempotent by reset — a
     /// re-promotion after a driver crash starts the persona over, so
     /// the replay sequence reproduces the same state from any crash
     /// point. A host without the replica answers `Err` (the driver
     /// walks on to the next ring entry) but keeps serving its own
     /// shard.
-    fn promote<E: SourceEndpoint>(&mut self, origin: usize, endpoint: &mut E) -> Result<()> {
+    fn promote(&mut self, origin: usize) -> Response {
         match self.replicas.get(&origin) {
             Some(shard) => {
                 let persona =
                     SourceExecutor::new(self.stages, self.params, origin, self.m, shard.clone());
                 self.personas.insert(origin, persona);
-                endpoint
-                    .send_response(Response::Promoted {
-                        origin: origin as u64,
-                        round: 0,
-                    })
-                    .map_err(CoreError::Net)
+                Response::Promoted {
+                    origin: origin as u64,
+                    round: 0,
+                }
             }
-            None => endpoint
-                .send_response(Response::Err {
-                    reason: format!(
-                        "source {} holds no replica of source {origin}'s shard",
-                        self.id
-                    ),
-                })
-                .map_err(CoreError::Net),
+            None => Response::Err {
+                reason: format!(
+                    "source {} holds no replica of source {origin}'s shard",
+                    self.id
+                ),
+            },
         }
     }
 
-    /// Handles [`Command::Replay`]: the persona re-runs one of the dead
+    /// Answers [`Command::Replay`]: the persona re-runs one of the dead
     /// owner's completed rounds. The persona's response is swallowed —
     /// its bits are booked on the persona's own ledger, reproducing the
     /// owner's exactly — and only a `Replayed` position/fingerprint ack
     /// travels back.
-    fn replay<E: SourceEndpoint>(
-        &mut self,
-        origin: usize,
-        round: u64,
-        cmd: Command,
-        endpoint: &mut E,
-    ) -> Result<()> {
-        let persona =
-            self.personas
-                .get_mut(&origin)
-                .ok_or(CoreError::Net(NetError::ProtocolViolation {
-                    context: "replay",
-                    expected: "a promoted persona for the origin",
-                    got: format!("no persona for source {origin}"),
-                }))?;
+    fn replay(&mut self, origin: usize, round: u64, cmd: Command) -> Result<Response> {
+        let persona = self.persona(origin, "replay")?;
         if round == persona.round + 1 {
-            match persona.execute(cmd) {
-                Ok(StepOutcome::Reply(_) | StepOutcome::Finished(..)) => {}
-                Ok(StepOutcome::Aborted(reason)) => {
-                    return Err(CoreError::Net(NetError::RemoteAbort { reason }));
-                }
-                Err(e) => {
-                    let _ = endpoint.send_response(Response::Err {
-                        reason: e.to_string(),
-                    });
-                    return Err(e);
-                }
-            }
+            persona.execute(cmd)?;
         } else if round != persona.round {
-            return Err(CoreError::Net(NetError::ProtocolViolation {
-                context: "replay",
-                expected: "the persona's current or next round",
-                got: format!("round {round} at persona round {}", persona.round),
-            }));
+            let got = format!("round {round} at persona round {}", persona.round);
+            return Err(violation(
+                "replay",
+                "the persona's current or next round",
+                got,
+            ));
         }
-        let resp = Response::Replayed {
+        Ok(Response::Replayed {
             origin: origin as u64,
             round: persona.round,
             fingerprint: persona.fingerprint(),
-        };
-        endpoint.send_response(resp).map_err(CoreError::Net)
+        })
     }
 
-    /// Handles [`Command::Forward`]: the persona executes the carried
+    /// Answers [`Command::Forward`]: the persona executes the carried
     /// live command and its response travels back wrapped in
-    /// [`Response::Forwarded`]. Returns this executor's own held-back
-    /// report when the last persona finishes after the host's own run
-    /// already did.
-    fn forward<E: SourceEndpoint>(
-        &mut self,
-        origin: usize,
-        cmd: Command,
-        endpoint: &mut E,
-    ) -> Result<Option<SourceRunReport>> {
-        let persona =
-            self.personas
-                .get_mut(&origin)
-                .ok_or(CoreError::Net(NetError::ProtocolViolation {
-                    context: "forward",
-                    expected: "a promoted persona for the origin",
-                    got: format!("no persona for source {origin}"),
-                }))?;
-        match persona.execute(cmd) {
-            Ok(StepOutcome::Reply(resp)) => {
-                endpoint
-                    .send_response(Response::Forwarded {
-                        origin: origin as u64,
-                        resp: Box::new(resp),
-                    })
-                    .map_err(CoreError::Net)?;
-                Ok(None)
-            }
-            Ok(StepOutcome::Finished(resp, _)) => {
-                // The absorbed origin's run is over; its ledger was
-                // already cross-checked by the driver's Fin handling.
-                endpoint
-                    .send_response(Response::Forwarded {
-                        origin: origin as u64,
-                        resp: Box::new(resp),
-                    })
-                    .map_err(CoreError::Net)?;
-                self.personas.remove(&origin);
-                if self.personas.is_empty() {
-                    return Ok(self.finished.take());
-                }
-                Ok(None)
-            }
-            Ok(StepOutcome::Aborted(reason)) => {
-                Err(CoreError::Net(NetError::RemoteAbort { reason }))
-            }
-            Err(e) => {
-                let _ = endpoint.send_response(Response::Forwarded {
-                    origin: origin as u64,
-                    resp: Box::new(Response::Err {
-                        reason: e.to_string(),
-                    }),
-                });
-                Err(e)
-            }
+    /// [`Response::Forwarded`]. A persona whose run finished is dropped
+    /// — its ledger was already cross-checked by the driver's Fin
+    /// handling.
+    fn forward(&mut self, origin: usize, cmd: Command) -> Result<Response> {
+        let persona = self.persona(origin, "forward")?;
+        let resp = persona.execute(cmd)?;
+        if persona.finished.is_some() {
+            self.personas.remove(&origin);
         }
+        Ok(Response::Forwarded {
+            origin: origin as u64,
+            resp: Box::new(resp),
+        })
     }
 
     fn done(&self, ops: u64, seconds: f64) -> Response {
@@ -541,10 +492,10 @@ impl<'a> SourceExecutor<'a> {
         rank: usize,
         ops: u64,
         seconds: f64,
-    ) -> Result<StepOutcome> {
+    ) -> Result<Response> {
         let tree = self.params.topology == Topology::Tree && self.m > 1;
         if !tree {
-            return Ok(StepOutcome::Reply(self.up(msg, ops, seconds)));
+            return Ok(self.up(msg, ops, seconds));
         }
         let payload = Payload::of(msg);
         // The leaf's bits are booked when they are *reported* (the first
@@ -561,25 +512,27 @@ impl<'a> SourceExecutor<'a> {
             rank,
             charged: false,
         });
-        Ok(StepOutcome::Reply(self.done(ops, seconds)))
+        Ok(self.done(ops, seconds))
     }
 
-    fn require_source_side(&self) -> Result<()> {
+    /// Refuses a transmission once disSS moved the summary to the
+    /// server.
+    fn require_summary(&self, context: &'static str) -> Result<()> {
         if self.handed_off {
-            return Err(CoreError::InvalidConfig {
-                reason: "no stage may follow disss: the summary already lives at the server",
-            });
+            let got = "a source whose summary disss moved to the server";
+            return Err(violation(
+                context,
+                "a summary still held at the source",
+                got,
+            ));
         }
         Ok(())
     }
 
     fn require_no_pending(&self) -> Result<()> {
         if self.pending.is_some() {
-            return Err(CoreError::Net(NetError::ProtocolViolation {
-                context: "executor step",
-                expected: "a deliver payload for the pending phase",
-                got: "a different command".to_string(),
-            }));
+            let expected = "a deliver payload for the pending phase";
+            return Err(violation("executor step", expected, "a different command"));
         }
         Ok(())
     }
@@ -589,25 +542,29 @@ impl<'a> SourceExecutor<'a> {
     fn lift_out_of_basis(&mut self) -> Result<()> {
         if let Some(basis) = self.basis.take() {
             self.part = Cow::Owned(ops::matmul_transb(&self.part, &basis)?);
-            self.basis_shared = false;
         }
         Ok(())
     }
 
-    fn step(&mut self, cmd: Command) -> Result<StepOutcome> {
+    fn step(&mut self, cmd: Command) -> Result<Response> {
         match cmd {
-            Command::Describe => Ok(StepOutcome::Reply(self.done(0, 0.0))),
+            Command::Describe => Ok(self.done(0, 0.0)),
             Command::Stage { index } => {
                 self.require_no_pending()?;
-                self.require_source_side()?;
-                let stage = self.stages.get(index as usize).ok_or(CoreError::Net(
-                    NetError::ProtocolViolation {
-                        context: "stage command",
-                        expected: "an index into the shared stage list",
-                        got: format!("stage index {index}"),
-                    },
-                ))?;
-                self.run_stage(stage)
+                // Stages run once each, in plan order — what lets both
+                // ends read every plan fact off the stage's position.
+                let (index, next) = (index as usize, self.stages_run);
+                let Some(stage) = self.stages.get(next).filter(|_| index == next) else {
+                    let got = format!("stage index {index} after {next} stages");
+                    return Err(violation(
+                        "stage command",
+                        "the next stage of the plan",
+                        got,
+                    ));
+                };
+                check_plan(self.stages, self.params, self.m)?;
+                self.stages_run += 1;
+                self.run_stage(index, stage)
             }
             Command::Deliver { payload } => {
                 let msg = payload.decode().map_err(CoreError::Net)?;
@@ -617,7 +574,7 @@ impl<'a> SourceExecutor<'a> {
             }
             Command::TransmitBasis => {
                 self.require_no_pending()?;
-                self.require_source_side()?;
+                self.require_summary("transmit-basis")?;
                 let basis = self.basis.clone().ok_or(CoreError::Protocol {
                     reason: "transmit-basis on a source holding no basis",
                 })?;
@@ -625,12 +582,11 @@ impl<'a> SourceExecutor<'a> {
                     basis,
                     precision: self.params.precision,
                 };
-                self.basis_shared = true;
-                Ok(StepOutcome::Reply(self.up(&msg, 0, 0.0)))
+                Ok(self.up(&msg, 0, 0.0))
             }
             Command::Transmit => {
                 self.require_no_pending()?;
-                self.require_source_side()?;
+                self.require_summary("transmit")?;
                 self.transmit()
             }
             Command::Finish {
@@ -641,12 +597,12 @@ impl<'a> SourceExecutor<'a> {
                 self.report.centers_hash = centers_hash;
                 self.report.server_uplink_bits = uplink_bits;
                 self.report.server_downlink_bits = downlink_bits;
-                let resp = Response::Fin {
+                self.finished = Some(self.report.clone());
+                Ok(Response::Fin {
                     round: self.round,
                     uplink_bits: self.report.uplink_bits,
                     downlink_bits: self.report.downlink_bits,
-                };
-                Ok(StepOutcome::Finished(resp, self.report.clone()))
+                })
             }
             Command::MergeWith {
                 payload,
@@ -664,14 +620,10 @@ impl<'a> SourceExecutor<'a> {
                     leaf_tag,
                     leaf_kind,
                     charged,
-                } = self
-                    .merge
-                    .take()
-                    .ok_or(CoreError::Net(NetError::ProtocolViolation {
-                        context: "merge-with",
-                        expected: "a buffered summary awaiting the tree fold",
-                        got: "no merge buffer on this source".to_string(),
-                    }))?;
+                } = self.merge.take().ok_or_else(|| {
+                    let expected = "a buffered summary awaiting the tree fold";
+                    violation("merge-with", expected, "no merge buffer on this source")
+                })?;
                 if let Some(p) = payload {
                     let peer = p.decode().map_err(CoreError::Net)?;
                     msg = merge_summary_messages(msg, peer, rank, self.params.precision)?;
@@ -701,37 +653,28 @@ impl<'a> SourceExecutor<'a> {
                     });
                     None
                 };
-                Ok(StepOutcome::Reply(Response::Merged {
+                Ok(Response::Merged {
                     round: self.round,
                     payload,
                     leaf_bits,
                     leaf_tag,
                     last,
-                }))
+                })
             }
-            Command::Abort { reason } => Ok(StepOutcome::Aborted(reason)),
-            other => Err(CoreError::Net(NetError::ProtocolViolation {
-                context: "executor step",
-                expected: "a known command",
-                got: other.name().to_string(),
-            })),
+            Command::Abort { reason } => Err(CoreError::Net(NetError::RemoteAbort { reason })),
+            other => Err(violation("executor step", "a known command", other.name())),
         }
     }
 
-    fn run_stage(&mut self, stage: &Stage) -> Result<StepOutcome> {
+    fn run_stage(&mut self, index: usize, stage: &Stage) -> Result<Response> {
         let k = self.params.k;
         match stage {
-            Stage::Dr(_) | Stage::Cr(_) | Stage::Stream(_) => self.run_local(stage),
+            Stage::Dr(_) | Stage::Cr(_) | Stage::Stream(_) => self.run_local(index, stage),
             Stage::Qt(cfg) => {
                 self.quantizer = Some(resolve_quantizer(cfg, self.params)?);
-                Ok(StepOutcome::Reply(self.done(0, 0.0)))
+                Ok(self.done(0, 0.0))
             }
             Stage::DisPca(cfg) => {
-                if self.weights.is_some() {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "dispca after a coreset stage is unsupported",
-                    });
-                }
                 self.lift_out_of_basis()?;
                 let cur = self.part.cols();
                 let t = dispca_rank(cfg, self.params, cur);
@@ -747,17 +690,7 @@ impl<'a> SourceExecutor<'a> {
                 self.pending = Some(PendingDeliver::DispcaBasis);
                 self.emit_summary(&msg, t, ops, secs)
             }
-            Stage::DisSs(cfg) => {
-                if self.weights.is_some() {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "disss after a coreset stage is unsupported",
-                    });
-                }
-                if disss_budget(cfg, self.params) == 0 {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "zero disSS sample budget",
-                    });
-                }
+            Stage::DisSs(_) => {
                 let seed = derive_seed(self.params.seed, seeds::FSS);
                 let t0 = Instant::now();
                 let bic =
@@ -766,30 +699,28 @@ impl<'a> SourceExecutor<'a> {
                 let secs = t0.elapsed().as_secs_f64();
                 let cost = bic.cost;
                 self.pending = Some(PendingDeliver::DisssAllocation { bic });
-                Ok(StepOutcome::Reply(self.up(
-                    &Message::CostReport { cost },
-                    ops,
-                    secs,
-                )))
+                Ok(self.up(&Message::CostReport { cost }, ops, secs))
             }
         }
     }
 
-    /// Runs a source-local stage (`jl`, `fss`, `stream`), through the
-    /// stage cache when one is attached.
-    fn run_local(&mut self, stage: &Stage) -> Result<StepOutcome> {
-        let cached = self.cache.map(|cache| (cache, self.stage_key(stage)));
+    /// Runs the source-local stage `index` (`jl`, `fss`, `stream`),
+    /// through the stage cache when one is attached.
+    fn run_local(&mut self, index: usize, stage: &Stage) -> Result<Response> {
+        let cached = self
+            .cache
+            .map(|cache| (cache, self.stage_key(index, stage)));
         if let Some((cache, key)) = cached {
             let hit = lock(cache).lookup(key);
             if let Some(snap) = hit {
                 let (ops, seconds) = (snap.ops, snap.seconds);
                 self.restore(snap);
-                return Ok(StepOutcome::Reply(self.done(ops, seconds)));
+                return Ok(self.done(ops, seconds));
             }
         }
         let t0 = Instant::now();
         let ops = match stage {
-            Stage::Dr(cfg) => self.apply_jl(cfg)?,
+            Stage::Dr(cfg) => self.apply_jl(index, cfg)?,
             Stage::Cr(cfg) => self.apply_fss(cfg)?,
             Stage::Stream(cfg) => self.apply_stream(cfg)?,
             _ => unreachable!("only source-local stages reach run_local"),
@@ -799,16 +730,16 @@ impl<'a> SourceExecutor<'a> {
             let snap = self.snapshot(ops, seconds);
             lock(cache).store(key, snap);
         }
-        Ok(StepOutcome::Reply(self.done(ops, seconds)))
+        Ok(self.done(ops, seconds))
     }
 
-    /// DR stage: the seeded JL projection of the shard (zero
+    /// DR stage `index`: the seeded JL projection of the shard (zero
     /// communication; the server regenerates the matrix from the shared
     /// seed to lift the centers back).
-    fn apply_jl(&mut self, cfg: &JlStage) -> Result<u64> {
+    fn apply_jl(&mut self, index: usize, cfg: &JlStage) -> Result<u64> {
         self.lift_out_of_basis()?;
         let cur = self.part.cols();
-        let (stream, before_role) = self.jl.next_stream();
+        let (stream, before_role) = jl_stream(self.stages, index);
         let target = jl_target_dim(cfg, self.params, cur, before_role);
         let pi = MaybeProjection::generate(
             self.params.jl_kind,
@@ -818,23 +749,12 @@ impl<'a> SourceExecutor<'a> {
         );
         let ops = complexity::matmul(self.part.rows(), cur, target);
         self.part = Cow::Owned(pi.project(&self.part)?);
-        self.jl.any_reduction = true;
         Ok(ops)
     }
 
     /// CR stage: the FSS coreset of a single source's shard —
     /// coordinates, weights and Δ, plus the basis to transmit.
     fn apply_fss(&mut self, cfg: &FssStage) -> Result<u64> {
-        if self.m != 1 {
-            return Err(CoreError::InvalidConfig {
-                reason: "fss is a single-source stage (multi-source pipelines use dispca/disss)",
-            });
-        }
-        if self.weights.is_some() {
-            return Err(CoreError::InvalidConfig {
-                reason: "multiple coreset stages in one pipeline",
-            });
-        }
         self.lift_out_of_basis()?;
         let k = self.params.k;
         let cur = self.part.cols();
@@ -850,8 +770,6 @@ impl<'a> SourceExecutor<'a> {
         self.weights = Some(fss.weights().to_vec());
         self.delta = fss.delta();
         self.basis = Some(fss.basis().clone());
-        self.basis_shared = false;
-        self.jl.any_reduction = true;
         Ok(ops)
     }
 
@@ -859,11 +777,6 @@ impl<'a> SourceExecutor<'a> {
     /// [`StreamingCoreset`] seeded from this source's own stream, with
     /// the global sample budget split evenly across the sources.
     fn apply_stream(&mut self, cfg: &StreamStage) -> Result<u64> {
-        if self.weights.is_some() {
-            return Err(CoreError::InvalidConfig {
-                reason: "multiple coreset stages in one pipeline",
-            });
-        }
         let k = self.params.k;
         let (leaf, per_source) = stream_plan(cfg, self.params, self.m);
         let ops = complexity::stream(self.part.rows(), self.part.cols(), k, leaf);
@@ -880,18 +793,18 @@ impl<'a> SourceExecutor<'a> {
         self.part = Cow::Owned(points);
         self.weights = Some(w);
         self.delta = delta;
-        self.jl.any_reduction = true;
         Ok(ops)
     }
 
-    /// Key of one cacheable stage execution on this source: the stage,
+    /// Key of one cacheable execution of stage `index` on this source:
+    /// the stage and the JL seed stream and role its position gives it,
     /// every parameter knob the source-local stages read, the source's
     /// id and the source count (`stream` seeds from the one and splits
     /// its budget by the other), and a fingerprint of the state the
     /// stage starts from. The armed quantizer is deliberately left out
     /// — no cacheable stage reads it, which is what lets compositions
     /// that differ only in QT width share a cached prefix.
-    fn stage_key(&self, stage: &Stage) -> u64 {
+    fn stage_key(&self, index: usize, stage: &Stage) -> u64 {
         let p = self.params;
         let mut h = Fnv::new();
         h.write_str(&format!("{stage:?}"));
@@ -923,10 +836,9 @@ impl<'a> SourceExecutor<'a> {
                 h.write_matrix(b);
             }
         }
-        h.write_bool(self.basis_shared);
-        h.write_usize(self.jl.jl_count);
-        h.write_bool(self.jl.jl_after_used);
-        h.write_bool(self.jl.any_reduction);
+        let (stream, before_role) = jl_stream(self.stages, index);
+        h.write_u64(stream);
+        h.write_bool(before_role);
         h.finish()
     }
 
@@ -937,8 +849,6 @@ impl<'a> SourceExecutor<'a> {
             weights: self.weights.clone(),
             delta: self.delta,
             basis: self.basis.clone(),
-            basis_shared: self.basis_shared,
-            jl: self.jl.clone(),
             ops,
             seconds,
         }
@@ -951,11 +861,9 @@ impl<'a> SourceExecutor<'a> {
         self.weights = snap.weights;
         self.delta = snap.delta;
         self.basis = snap.basis;
-        self.basis_shared = snap.basis_shared;
-        self.jl = snap.jl;
     }
 
-    fn deliver(&mut self, msg: Message) -> Result<StepOutcome> {
+    fn deliver(&mut self, msg: Message) -> Result<Response> {
         match (self.pending.take(), msg) {
             (Some(PendingDeliver::DispcaBasis), Message::Basis { basis, .. }) => {
                 // disPCA step 3: project onto the basis *as decoded from
@@ -966,11 +874,7 @@ impl<'a> SourceExecutor<'a> {
                 let ops = complexity::matmul(self.part.rows(), d, basis.cols());
                 self.part = Cow::Owned(ops::matmul(&self.part, &basis)?);
                 self.basis = Some(basis);
-                self.basis_shared = true;
-                self.jl.any_reduction = true;
-                Ok(StepOutcome::Reply(
-                    self.done(ops, t0.elapsed().as_secs_f64()),
-                ))
+                Ok(self.done(ops, t0.elapsed().as_secs_f64()))
             }
             (Some(PendingDeliver::DisssAllocation { bic }), Message::SampleAllocation { size }) => {
                 let s_i = size as usize;
@@ -996,21 +900,20 @@ impl<'a> SourceExecutor<'a> {
                 self.handed_off = true;
                 self.emit_summary(&msg, 0, ops, secs)
             }
-            (pending, msg) => Err(CoreError::Net(NetError::ProtocolViolation {
-                context: "deliver payload",
-                expected: match pending {
+            (pending, msg) => {
+                let expected = match pending {
                     Some(PendingDeliver::DispcaBasis) => "a basis broadcast",
                     Some(PendingDeliver::DisssAllocation { .. }) => "a sample allocation",
                     None => "no downlink payload",
-                },
-                got: msg.kind().to_string(),
-            })),
+                };
+                Err(violation("deliver payload", expected, msg.kind()))
+            }
         }
     }
 
     /// The final summary uplink: this source's coreset, its quantized
     /// points, or its raw points.
-    fn transmit(&mut self) -> Result<StepOutcome> {
+    fn transmit(&mut self) -> Result<Response> {
         let quantizer = self.quantizer;
         let aux = self.params.precision;
         let ops = if quantizer.is_some() {

@@ -85,9 +85,6 @@ pub struct SummaryParams {
     pub kmeans_restarts: usize,
     /// Leaf-buffer size of the `stream` stage's merge-and-reduce tree.
     pub stream_leaf_size: usize,
-    /// Worker threads of the sharded server-side Lloyd solve (`0`
-    /// follows the hardware). Centers are bit-identical at every value.
-    pub solver_shards: usize,
     /// Wire precision of the auxiliary float payloads — bases, coreset
     /// weights, SVD summaries ([`Precision::Full`] by default;
     /// [`Precision::F32`] halves them at a bounded accuracy cost).
@@ -179,7 +176,6 @@ impl SummaryParams {
             // Leaves of a few coresets' worth keep the merge-and-reduce
             // tree shallow without hurting the per-leaf sample quality.
             stream_leaf_size: (2 * coreset_size).max(64),
-            solver_shards: 0,
             precision: Precision::Full,
             compute: Compute::F64,
             deadline: DeadlinePolicy::default(),
@@ -251,12 +247,6 @@ impl SummaryParams {
     /// Sets the `stream` stage's leaf-buffer size.
     pub fn with_stream_leaf_size(mut self, leaf: usize) -> Self {
         self.stream_leaf_size = leaf.max(1);
-        self
-    }
-
-    /// Sets the sharded server solve's worker count (`0` = hardware).
-    pub fn with_solver_shards(mut self, shards: usize) -> Self {
-        self.solver_shards = shards;
         self
     }
 
@@ -401,16 +391,13 @@ mod tests {
     fn stream_solver_and_precision_knobs() {
         let p = SummaryParams::practical(2, 1000, 50);
         assert!(p.stream_leaf_size >= p.coreset_size);
-        assert_eq!(p.solver_shards, 0);
         assert_eq!(p.precision, Precision::Full);
         assert_eq!(p.compute, Compute::F64);
         let p = p
             .with_stream_leaf_size(0)
-            .with_solver_shards(4)
             .with_precision(Precision::F32)
             .with_compute(Compute::F32);
         assert_eq!(p.stream_leaf_size, 1); // clamped
-        assert_eq!(p.solver_shards, 4);
         assert_eq!(p.precision, Precision::F32);
         assert_eq!(p.compute, Compute::F32);
         assert!(p.validate(1000, 50).is_ok());

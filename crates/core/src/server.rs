@@ -10,12 +10,12 @@ use ekm_sketch::JlProjection;
 
 /// Runs the server's `kmeans(S', w, k)` step: multi-restart weighted
 /// k-means++ / Lloyd on the summary points, with the centroid updates
-/// sharded over `shards` worker threads (`0` follows the hardware; the
-/// centers are bit-identical at every setting, so the knob only trades
-/// wall-clock time — the summary can reach ~10⁵ points at full scale).
-/// `compute` selects the distance-kernel precision: `F64` is the
-/// bit-reproducibility reference, `F32` is faster under the accuracy
-/// contract.
+/// sharded over the process's worker threads
+/// ([`ekm_linalg::parallel::worker_count`]; the centers are
+/// bit-identical at every count — the summary can reach ~10⁵ points at
+/// full scale). `compute` selects the distance-kernel precision: `F64`
+/// is the bit-reproducibility reference, `F32` is faster under the
+/// accuracy contract.
 ///
 /// # Errors
 ///
@@ -27,13 +27,11 @@ pub fn solve_weighted_kmeans(
     k: usize,
     restarts: usize,
     seed: u64,
-    shards: usize,
     compute: Compute,
 ) -> Result<Matrix> {
     let model = KMeans::new(k)
         .with_n_init(restarts.max(1))
         .with_seed(derive_seed(seed, 0x5EB))
-        .with_shards(shards)
         .with_compute(compute)
         .fit_weighted(points, weights)?;
     Ok(model.centers)
@@ -80,8 +78,7 @@ mod tests {
             vec![8.2, 8.0],
         ]);
         let centers =
-            solve_weighted_kmeans(&points, &[1.0, 1.0, 1.0, 1.0], 2, 3, 1, 1, Compute::F64)
-                .unwrap();
+            solve_weighted_kmeans(&points, &[1.0, 1.0, 1.0, 1.0], 2, 3, 1, Compute::F64).unwrap();
         assert_eq!(centers.shape(), (2, 2));
         let mut xs: Vec<f64> = (0..2).map(|i| centers[(i, 0)]).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -92,8 +89,7 @@ mod tests {
     #[test]
     fn weights_pull_centers() {
         let points = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
-        let centers =
-            solve_weighted_kmeans(&points, &[3.0, 1.0], 1, 1, 0, 0, Compute::F64).unwrap();
+        let centers = solve_weighted_kmeans(&points, &[3.0, 1.0], 1, 1, 0, Compute::F64).unwrap();
         assert!((centers[(0, 0)] - 0.25).abs() < 1e-9);
     }
 
@@ -131,9 +127,7 @@ mod tests {
 
     #[test]
     fn errors_propagate() {
-        assert!(
-            solve_weighted_kmeans(&Matrix::zeros(0, 2), &[], 1, 1, 0, 1, Compute::F64).is_err()
-        );
+        assert!(solve_weighted_kmeans(&Matrix::zeros(0, 2), &[], 1, 1, 0, Compute::F64).is_err());
         let pi = JlProjection::generate(JlKind::Gaussian, 10, 4, 1);
         // Wrong center dimension for lift.
         assert!(lift_centers(&Matrix::zeros(2, 5), &[&pi]).is_err());

@@ -7,9 +7,10 @@
 //! Algorithms 1–4 are four points in that composition space; a [`Stage`]
 //! list names an arbitrary point, and
 //! [`StagePipeline`](crate::StagePipeline) carries it to the driver and
-//! the source executors, which resolve every stage with the helpers
-//! here and so agree on every dimension and seed stream without
-//! communicating.
+//! the source executors. Both ends read the plan's facts off the list
+//! with the helpers here — the composition rules (`check_plan`), each
+//! JL stage's seed stream and role (read off its position), every
+//! resolved dimension — and so agree on them without communicating.
 //!
 //! | Token | Stage | Effect on the summary state |
 //! |---|---|---|
@@ -272,41 +273,70 @@ pub fn display_name(stages: &[Stage]) -> String {
         .join("+")
 }
 
-/// Positional JL bookkeeping shared by the driver and every executor:
-/// each evolves an identical copy, so they derive the same seed streams
-/// and positional roles without communicating.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct JlBook {
-    /// Number of JL stages applied so far.
-    pub jl_count: usize,
-    /// Whether the `JL_AFTER` seed stream has been consumed.
-    pub jl_after_used: bool,
-    /// Whether any reduction stage (DR/CR/disPCA/disSS) has run.
-    pub any_reduction: bool,
+/// The composition rules, stated once: the driver checks a plan over
+/// `m` data sources before its first stage round, every executor before
+/// it runs a stage. Stages are checked in plan order, so the first
+/// offending one names the error.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidConfig`] for a second coreset stage (`fss` or
+/// `stream`), `fss` over several sources, `dispca`/`disss` after a
+/// coreset stage, any stage after `disss`, or a zero disSS budget; the
+/// quantizer's error for a `qt` stage whose quantizer does not resolve.
+pub(crate) fn check_plan(stages: &[Stage], params: &SummaryParams, m: usize) -> Result<()> {
+    let (mut coreset, mut handed_off) = (false, false);
+    for stage in stages {
+        let broken = match stage {
+            _ if handed_off => {
+                Some("no stage may follow disss: the summary already lives at the server")
+            }
+            Stage::Cr(_) if m != 1 => {
+                Some("fss is a single-source stage (multi-source pipelines use dispca/disss)")
+            }
+            Stage::Cr(_) | Stage::Stream(_) if coreset => {
+                Some("multiple coreset stages in one pipeline")
+            }
+            Stage::DisPca(_) if coreset => Some("dispca after a coreset stage is unsupported"),
+            Stage::DisSs(_) if coreset => Some("disss after a coreset stage is unsupported"),
+            Stage::DisSs(cfg) if disss_budget(cfg, params) == 0 => Some("zero disSS sample budget"),
+            Stage::Qt(cfg) => resolve_quantizer(cfg, params).map(|_| None)?,
+            _ => None,
+        };
+        if let Some(reason) = broken {
+            return Err(CoreError::InvalidConfig { reason });
+        }
+        coreset |= matches!(stage, Stage::Cr(_) | Stage::Stream(_));
+        handed_off |= matches!(stage, Stage::DisSs(_));
+    }
+    Ok(())
 }
 
-impl JlBook {
-    /// Allocates the seed stream and positional role for the next JL
-    /// stage: a leading projection plays the paper's "before-CR" role
-    /// (`JL_BEFORE` stream, Lemma 4.1 dimension), later ones the
-    /// "after" role (`JL_AFTER` stream, Lemma 4.2 dimension), and any
-    /// further projections get fresh derived streams.
-    pub fn next_stream(&mut self) -> (u64, bool) {
-        let (stream, before_role) = if !self.any_reduction && self.jl_count == 0 {
-            (seeds::JL_BEFORE, true)
-        } else if !self.jl_after_used {
-            self.jl_after_used = true;
-            (seeds::JL_AFTER, false)
-        } else {
-            (seeds::JL_EXTRA_BASE + self.jl_count as u64, false)
-        };
-        self.jl_count += 1;
-        (stream, before_role)
+/// The `(seed stream, before_role)` of the JL stage at `index`, read off
+/// the plan: a projection with only `qt` stages before it plays the
+/// paper's "before-CR" role (`JL_BEFORE` stream, Lemma 4.1 dimension),
+/// the next JL stage the "after" role (`JL_AFTER`, Lemma 4.2), and any
+/// further one a stream derived from the number of JL stages before it.
+pub(crate) fn jl_stream(stages: &[Stage], index: usize) -> (u64, bool) {
+    let earlier = &stages[..index];
+    if earlier.iter().all(|s| matches!(s, Stage::Qt(_))) {
+        return (seeds::JL_BEFORE, true);
+    }
+    let jls = earlier.iter().filter(|s| matches!(s, Stage::Dr(_))).count();
+    let leading_jl = matches!(
+        earlier.iter().find(|s| !matches!(s, Stage::Qt(_))),
+        Some(Stage::Dr(_))
+    );
+    if jls == usize::from(leading_jl) {
+        (seeds::JL_AFTER, false)
+    } else {
+        (seeds::JL_EXTRA_BASE + jls as u64, false)
     }
 }
 
 /// Resolves a JL stage's target dimension (the one formula the server
-/// driver and the source executors must agree on).
+/// driver and the source executors must agree on); `before_role` comes
+/// from [`jl_stream`].
 pub(crate) fn jl_target_dim(
     cfg: &JlStage,
     params: &SummaryParams,
@@ -447,6 +477,80 @@ mod tests {
         assert!(!Stage::jl().is_distributed());
         assert!(!Stage::fss().is_distributed());
         assert!(!Stage::qt().is_distributed());
+    }
+
+    #[test]
+    fn check_plan_states_every_composition_rule() {
+        let params = SummaryParams::practical(2, 100, 10);
+        // (stages, sources, the broken rule or None)
+        let table: &[(&str, usize, Option<&str>)] = &[
+            ("jl,fss,qt,jl", 1, None),
+            ("qt:4,fss", 1, None),
+            ("dispca,jl,qt,disss", 3, None),
+            ("stream", 2, None),
+            ("stream,jl", 2, None),
+            ("stream,qt", 2, None),
+            ("jl,stream,jl,qt", 2, None),
+            ("fss", 2, Some("fss is a single-source stage")),
+            ("fss,stream", 2, Some("fss is a single-source stage")),
+            ("stream,fss", 2, Some("fss is a single-source stage")),
+            ("fss,fss", 1, Some("multiple coreset stages")),
+            ("stream,fss", 1, Some("multiple coreset stages")),
+            ("fss,stream", 1, Some("multiple coreset stages")),
+            ("stream,stream", 2, Some("multiple coreset stages")),
+            ("stream,dispca", 2, Some("dispca after a coreset stage")),
+            ("fss,dispca", 1, Some("dispca after a coreset stage")),
+            ("stream,disss", 2, Some("disss after a coreset stage")),
+            ("disss,jl", 2, Some("no stage may follow disss")),
+            ("disss,qt", 2, Some("no stage may follow disss")),
+            ("disss,fss", 2, Some("no stage may follow disss")),
+            ("disss,stream", 2, Some("no stage may follow disss")),
+            ("dispca,disss,dispca", 2, Some("no stage may follow disss")),
+        ];
+        for &(list, m, rule) in table {
+            let stages = Stage::parse_list(list).unwrap();
+            match (check_plan(&stages, &params, m), rule) {
+                (Ok(()), None) => {}
+                (Err(CoreError::InvalidConfig { reason }), Some(rule)) => {
+                    assert!(reason.starts_with(rule), "{list} over {m}: {reason}");
+                }
+                (got, want) => panic!("{list} over {m}: got {got:?}, want {want:?}"),
+            }
+        }
+        // A zero disSS budget is refused; the empty plan is fine.
+        let zero = [Stage::DisSs(DisSsStage {
+            sample_size: Some(0),
+        })];
+        assert!(matches!(
+            check_plan(&zero, &params, 2),
+            Err(CoreError::InvalidConfig { reason }) if reason.starts_with("zero disSS")
+        ));
+        assert!(check_plan(&[], &params, 4).is_ok());
+    }
+
+    #[test]
+    fn jl_streams_are_read_off_the_plan_position() {
+        use seeds::{JL_AFTER, JL_BEFORE, JL_EXTRA_BASE};
+        // (stages, index of a JL stage, its stream and role)
+        let table: &[(&str, usize, (u64, bool))] = &[
+            ("jl", 0, (JL_BEFORE, true)),
+            ("qt,qt:4,jl", 2, (JL_BEFORE, true)),
+            ("jl,fss,jl", 2, (JL_AFTER, false)),
+            ("jl,jl", 1, (JL_AFTER, false)),
+            ("qt,jl,qt,jl", 3, (JL_AFTER, false)),
+            ("fss,jl", 1, (JL_AFTER, false)),
+            ("dispca,jl,disss", 1, (JL_AFTER, false)),
+            ("stream,jl", 1, (JL_AFTER, false)),
+            ("fss,jl,jl", 2, (JL_EXTRA_BASE + 1, false)),
+            ("jl,fss,jl,jl", 3, (JL_EXTRA_BASE + 2, false)),
+            ("jl,jl,jl,jl", 3, (JL_EXTRA_BASE + 3, false)),
+            ("fss,jl,qt,jl,jl", 4, (JL_EXTRA_BASE + 2, false)),
+        ];
+        for &(list, index, want) in table {
+            let stages = Stage::parse_list(list).unwrap();
+            assert!(matches!(stages[index], Stage::Dr(_)), "{list}");
+            assert_eq!(jl_stream(&stages, index), want, "{list} at {index}");
+        }
     }
 
     #[test]

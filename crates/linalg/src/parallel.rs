@@ -169,9 +169,10 @@ where
     par_map_indices_in(n, workers, f)
 }
 
-/// [`par_map_indices`] with an explicit worker count (the sharded-solve
-/// path passes its shard knob here). Results are identical at any count —
-/// each index's computation is independent and lands in its own slot.
+/// [`par_map_indices`] with an explicit worker count (the sharded Lloyd
+/// update passes [`worker_count`] here, its tests fixed counts). Results
+/// are identical at any count — each index's computation is independent
+/// and lands in its own slot.
 pub fn par_map_indices_in<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send + Default + Clone,

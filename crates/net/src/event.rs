@@ -64,6 +64,20 @@ pub(crate) fn transport_err(context: &'static str, e: std::io::Error) -> NetErro
     }
 }
 
+/// The instant `d` from now, or `None` when that lies beyond the
+/// clock's range: such a deadline never expires.
+fn deadline_in(d: Duration) -> Option<Instant> {
+    Instant::now().checked_add(d)
+}
+
+/// Time left until `deadline` — zero once it has passed,
+/// `Duration::MAX` for one that never expires.
+fn time_left(deadline: Option<Instant>) -> Duration {
+    deadline.map_or(Duration::MAX, |d| {
+        d.saturating_duration_since(Instant::now())
+    })
+}
+
 fn configure(stream: &TcpStream, io: Duration) -> Result<()> {
     stream
         .set_nodelay(true)
@@ -509,7 +523,7 @@ impl EventTcpServer {
     /// responses meanwhile), bounded by the I/O deadline. The sleep
     /// fallback parks between probes exactly as the old loop did.
     fn write_frame_to(&mut self, source: usize, buf: &[u8]) -> Result<()> {
-        let deadline = Instant::now() + self.deadline.io;
+        let deadline = deadline_in(self.deadline.io);
         let mut written = 0;
         let mut interest = false;
         let result = loop {
@@ -547,8 +561,8 @@ impl EventTcpServer {
                     written += n;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    let now = Instant::now();
-                    if now >= deadline {
+                    let left = time_left(deadline);
+                    if left.is_zero() {
                         break Err(NetError::Transport {
                             context: "protocol write",
                             detail: "write timed out".to_string(),
@@ -568,7 +582,7 @@ impl EventTcpServer {
                     // pumped on the way (their responses just land in
                     // their inboxes), so a backpressured send cannot
                     // deadlock against a source mid-response.
-                    if let Err(e) = self.sweep(Some(deadline - now)) {
+                    if let Err(e) = self.sweep(Some(left)) {
                         break Err(e);
                     }
                     if self.reactor.kind() == ReactorKind::Sleep {
@@ -610,7 +624,7 @@ impl CommandTransport for EventTcpServer {
 
     fn recv(&mut self, source: usize) -> Result<Response> {
         self.check(source)?;
-        let deadline = Instant::now() + self.deadline.command;
+        let deadline = deadline_in(self.deadline.command);
         loop {
             if let Some(resp) = self.conns[source].inbox.pop_front() {
                 charge_response(&mut self.stats, source, &resp)?;
@@ -623,10 +637,9 @@ impl CommandTransport for EventTcpServer {
                     reason: format!("source {source} disconnected mid-run"),
                 });
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let progress = self.sweep(Some(remaining))?;
+            let progress = self.sweep(Some(time_left(deadline)))?;
             if !progress {
-                if Instant::now() >= deadline {
+                if time_left(deadline).is_zero() {
                     return Ok(Response::SourceLost {
                         reason: format!(
                             "source {source} missed the {:?} command deadline",
@@ -705,13 +718,13 @@ impl EventTcpSource {
         policy: DeadlinePolicy,
     ) -> Result<EventTcpSource> {
         assert!(source_id < sources, "source id out of range");
-        let deadline = Instant::now() + retry_for;
+        let deadline = deadline_in(retry_for);
         let backoff = policy.retry_backoff();
         let mut stream = loop {
             match TcpStream::connect(&addr) {
                 Ok(s) => break s,
                 Err(e) => {
-                    if Instant::now() >= deadline {
+                    if time_left(deadline).is_zero() {
                         return Err(transport_err("connect", e));
                     }
                     park(backoff);
@@ -1158,6 +1171,35 @@ mod tests {
         let err = binding.accept(1, FP).unwrap_err();
         assert!(matches!(err, NetError::Handshake { .. }));
         assert!(src.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn deadlines_beyond_the_clock_never_expire() {
+        // `Duration::MAX` from now overflows `Instant`: the connect
+        // window and the send and receive deadlines must read it as
+        // "never expires", not panic.
+        let binding = EventServerBinding::bind("127.0.0.1:0").unwrap();
+        let addr = binding.local_addr().unwrap();
+        let never = DeadlinePolicy::uniform(Duration::MAX);
+        let server = thread::spawn(move || {
+            let mut server = binding.accept(1, FP).unwrap();
+            server.set_deadline(never);
+            server.send(0, &Command::Describe).unwrap();
+            server.recv(0).unwrap()
+        });
+        let mut ep = EventTcpSource::connect(addr, 0, 1, FP, Duration::MAX).unwrap();
+        ep.set_deadline(never);
+        assert_eq!(ep.recv_command().unwrap(), Command::Describe);
+        ep.send_response(Response::Done {
+            round: 1,
+            rows: 4,
+            cols: 2,
+            ops: 0,
+            seconds: 0.0,
+        })
+        .unwrap();
+        let resp = server.join().unwrap();
+        assert!(matches!(resp, Response::Done { round: 1, .. }), "{resp:?}");
     }
 
     #[test]

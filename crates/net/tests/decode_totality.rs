@@ -9,11 +9,13 @@
 //! and response variant, and of frame streams, each with every bit
 //! flipped in turn (tags, precision descriptors, shape, length and frame
 //! header fields, data) and truncated at every bit or byte. Allocation is
-//! measured by a counting global allocator, which is why this is a test
-//! binary of its own: the counter sees only the decodes made here.
-//! Counts are kept per thread, because the tests of one binary run in
-//! parallel.
+//! measured by the counting global allocator of `support/counting_alloc.rs`,
+//! which the journal decoder's harness in `ekm-core` includes too.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{flipped, hex};
 use ekm_linalg::Matrix;
 use ekm_net::bitstream::BitWriter;
 use ekm_net::frame::{
@@ -26,68 +28,13 @@ use ekm_net::wire::{encode_len, Precision};
 use ekm_net::NetError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Debug;
 use std::io::Read;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The system allocator, counting the bytes each thread requests.
-struct Counting;
-
-thread_local! {
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(bytes: usize) {
-    // A thread being torn down has no counter left; nothing to bound.
-    let _ = REQUESTED.try_with(|r| r.set(r.get() + bytes));
-}
-
-// SAFETY: every method forwards to `System` unchanged; the counter is a
-// const-initialized thread-local `Cell`, so touching it never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn hex(data: &[u8]) -> String {
-    data.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Runs `f`, a decode of `input`, and checks the contract: no panic, and
-/// at most `8 · input.len() + 1024` bytes requested from the allocator.
+/// Runs `f`, a decode of `input`, under the contract: no panic, and at
+/// most `8 · input.len() + 1024` bytes requested from the allocator.
 fn within_bound<T>(what: &str, input: &[u8], f: impl FnOnce() -> T) -> T {
-    let before = REQUESTED.with(Cell::get);
-    let result = catch_unwind(AssertUnwindSafe(f));
-    let requested = REQUESTED.with(Cell::get) - before;
-    let result = result.unwrap_or_else(|_| panic!("{what} panicked on {}", hex(input)));
-    assert!(
-        requested <= 8 * input.len() + 1024,
-        "{what} of {} bytes requested {requested} bytes: {}",
-        input.len(),
-        hex(input)
-    );
-    result
+    counting_alloc::within_bound(what, input, 8, 1024, f)
 }
 
 /// Decodes `bit_len` bits of `data` under the contract, and checks that
@@ -164,13 +111,6 @@ fn messages() -> Vec<Message> {
             precision: p,
         });
     }
-    out
-}
-
-/// Bit `i` (MSB-first) of `buf` flipped.
-fn flipped(buf: &[u8], i: usize) -> Vec<u8> {
-    let mut out = buf.to_vec();
-    out[i / 8] ^= 0x80 >> (i % 8);
     out
 }
 

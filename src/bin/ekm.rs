@@ -302,7 +302,6 @@ fn build_params(args: &Args, n: usize, d: usize) -> Result<SummaryParams, String
         // Caps the sharded server solve and every per-source fan-out;
         // results are bit-identical at any setting.
         edge_kmeans::linalg::parallel::set_worker_count(threads);
-        params = params.with_solver_shards(threads);
     }
     let topology_flag = args.get_str("topology", "star");
     match Topology::parse(&topology_flag) {

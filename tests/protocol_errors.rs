@@ -199,6 +199,58 @@ fn reissue_is_answered_from_the_executor_response_cache() {
 }
 
 #[test]
+fn executor_runs_stages_only_in_plan_order() {
+    // A stage command must name the next stage of the plan: skipping
+    // ahead, repeating a stage or running past the end is a violation,
+    // reported in a best-effort `Err` frame before the executor stops.
+    let pipe = pipeline("jl,qt,fss", 100, 8);
+    let cases: [(&str, &[u32]); 3] = [
+        ("skipped", &[1]),
+        ("repeated", &[0, 0]),
+        ("past the end", &[0, 1, 2, 3]),
+    ];
+    for (name, order) in cases {
+        std::thread::scope(|scope| {
+            // The hub lives in this closure, so a failed assertion hangs
+            // up on the executor instead of leaving it waiting.
+            let (mut hub, mut endpoints) = channel_pairs(1);
+            let mut ep = endpoints.pop().unwrap();
+            let shard = workload(100, 8, 2);
+            let stages = pipe.stages();
+            let params = pipe.params();
+            let handle = scope
+                .spawn(move || SourceExecutor::new(stages, params, 0, 1, shard).serve(&mut ep));
+            hub.send(0, &Command::Describe).unwrap();
+            assert!(matches!(hub.recv(0).unwrap(), Response::Done { .. }));
+            let (&bad, honest) = order.split_last().unwrap();
+            for &index in honest {
+                hub.send(0, &Command::Stage { index }).unwrap();
+                let resp = hub.recv(0).unwrap();
+                assert!(matches!(resp, Response::Done { .. }), "{name}: {resp:?}");
+            }
+            hub.send(0, &Command::Stage { index: bad }).unwrap();
+            match hub.recv(0).unwrap() {
+                Response::Err { reason } => {
+                    assert!(reason.contains("stage command"), "{name}: {reason}");
+                }
+                other => panic!("{name}: expected an err response, got {other:?}"),
+            }
+            let err = handle.join().unwrap().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::Net(NetError::ProtocolViolation {
+                        context: "stage command",
+                        ..
+                    })
+                ),
+                "{name}: {err:?}"
+            );
+        });
+    }
+}
+
+#[test]
 fn channel_response_type_mismatch_is_typed() {
     let pipe = pipeline("jl,fss", 200, 12);
     let (mut hub, mut endpoints) = channel_pairs(1);
