@@ -3,12 +3,13 @@
 //! The centroid-update step is *sharded*: the points are cut into
 //! fixed-size row chunks, every chunk's partial sums are computed
 //! independently (on up to [`parallel::worker_count`] scoped worker
-//! threads, which `ekm --threads` caps), and the partials are folded
-//! into the global sums in chunk order. Because the chunk boundaries and
-//! the fold order depend only on the number of points — never on the
-//! worker count or the thread schedule — the result is
-//! **bit-identical** at every worker count, including a single worker
-//! (asserted by the `accumulate_sums_*` proptest).
+//! threads, which `ekm --threads` caps, once the points hold 2¹⁹
+//! scalars), and the partials are folded into the global sums in chunk
+//! order. Because the chunk boundaries and the fold order depend only on
+//! the number of points — never on the worker count or the thread
+//! schedule — the result is **bit-identical** at every worker count,
+//! including a single worker (asserted by the `accumulate_sums_*`
+//! proptest).
 
 use crate::cost::{assign_engine, validate_weights, Assignment};
 use crate::{ClusteringError, Result};
@@ -20,6 +21,13 @@ use ekm_linalg::{parallel, Matrix};
 /// and therefore the floating-point rounding — independent of the
 /// worker count.
 const ACCUM_CHUNK: usize = 1024;
+
+/// Point scalars (`n · d`) from which the centroid update spreads its
+/// chunks over [`parallel::worker_count`] threads. Below it the update
+/// runs on the calling thread: spawning the workers would cost more than
+/// the fold they share (the accumulation alone breaks even near 2¹⁹
+/// scalars with two workers on a 2-vCPU x86-64 host).
+const PAR_ACCUM_SCALARS: usize = 1 << 19;
 
 /// Outcome of running Lloyd's algorithm from a fixed initialization.
 #[derive(Debug, Clone)]
@@ -162,17 +170,16 @@ pub fn lloyd(
     let mut inertia = assignment.weighted_cost(weights);
     let mut iterations = 0;
     let mut converged = false;
+    let workers = if points.rows().saturating_mul(d) >= PAR_ACCUM_SCALARS {
+        parallel::worker_count()
+    } else {
+        1
+    };
 
     for _ in 0..config.max_iter {
         // Update step: weighted centroid per cluster, via the sharded
         // chunk-partial accumulation (bit-identical at any worker count).
-        let (sums, totals) = accumulate_sums(
-            points,
-            weights,
-            &assignment.labels,
-            k,
-            parallel::worker_count(),
-        );
+        let (sums, totals) = accumulate_sums(points, weights, &assignment.labels, k, workers);
         for c in 0..k {
             if totals[c] > 0.0 {
                 let inv = 1.0 / totals[c];

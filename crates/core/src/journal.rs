@@ -1194,6 +1194,77 @@ impl<T: CommandTransport> CommandTransport for JournalingTransport<T> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn entries_roundtrip_bitwise() {
+        let entries = vec![
+            JournalEntry::Cmd {
+                source: 3,
+                bytes: Command::Describe.encode(),
+            },
+            JournalEntry::Resp {
+                source: 3,
+                bytes: Response::Done {
+                    round: 1,
+                    rows: 10,
+                    cols: 4,
+                    ops: 7,
+                    seconds: 0.5,
+                }
+                .encode(),
+            },
+            JournalEntry::Lost {
+                source: 1,
+                via_send: true,
+                reason: "socket closed".to_string(),
+            },
+        ];
+        let mut buf = Vec::new();
+        for e in &entries {
+            e.write_to(&mut buf).unwrap();
+        }
+        let mut cur = &buf[..];
+        for e in &entries {
+            assert_eq!(read_entry(&mut cur).unwrap().as_ref(), Some(e));
+        }
+        assert_eq!(read_entry(&mut cur).unwrap(), None);
+    }
+
+    #[test]
+    fn torn_tail_is_a_typed_error() {
+        let mut buf = Vec::new();
+        JournalEntry::Lost {
+            source: 0,
+            via_send: false,
+            reason: "x".to_string(),
+        }
+        .write_to(&mut buf)
+        .unwrap();
+        for cut in 1..buf.len() {
+            let mut cur = &buf[..cut];
+            match read_entry(&mut cur) {
+                Err(CoreError::Journal { .. }) => {}
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn header_roundtrip_and_foreign_files_rejected() {
+        let h = JournalHeader {
+            sources: 4,
+            fingerprint: 0xdead_beef,
+        };
+        let mut buf = Vec::new();
+        write_header(&mut buf, &h).unwrap();
+        let mut cur = &buf[..];
+        assert_eq!(read_header(&mut cur).unwrap(), h);
+        let mut not_a_journal = &b"not a journal at all"[..];
+        assert!(matches!(
+            read_header(&mut not_a_journal),
+            Err(CoreError::Journal { .. })
+        ));
+    }
+
     /// A transport that only knows its source count: a rejected journal
     /// must fail `resume` before any wire I/O.
     struct Offline(NetworkStats);

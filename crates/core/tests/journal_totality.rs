@@ -34,6 +34,9 @@ const HEADER: JournalHeader = JournalHeader {
     fingerprint: FP,
 };
 
+/// The header record: a 9-byte frame header and an 18-byte body.
+const HEADER_LEN: usize = 9 + 18;
+
 /// The smallest record: a 9-byte frame header and a 4-byte source id.
 const MIN_RECORD: usize = 9 + 4;
 
@@ -143,12 +146,23 @@ fn every_bit_flip_of_a_valid_journal_is_total() {
 #[test]
 fn every_truncation_of_a_valid_journal_is_total() {
     let (bytes, entries) = valid_journal();
+    // Where each prefix of `entries` ends: the header, then every record.
+    let mut ends = vec![HEADER_LEN];
+    let mut records = Vec::new();
+    for e in &entries {
+        e.write_to(&mut records).unwrap();
+        ends.push(HEADER_LEN + records.len());
+    }
+    assert_eq!(ends.last(), Some(&bytes.len()));
     for cut in 0..bytes.len() {
         // A cut on a record boundary is a shorter journal; anywhere
-        // else the strict read refuses the torn tail.
-        if let Some((_, got)) = decode_all("cut", &bytes[..cut]) {
-            assert!(got.len() < entries.len() && entries.starts_with(&got));
-        }
+        // else the strict read refuses the torn tail (`decode_all`
+        // checks that the refusal is a typed journal error).
+        let want = ends
+            .iter()
+            .position(|&end| end == cut)
+            .map(|kept| (HEADER, entries[..kept].to_vec()));
+        assert_eq!(decode_all("cut", &bytes[..cut]), want, "cut at {cut}");
     }
 }
 
@@ -175,7 +189,7 @@ fn journals_of_minimum_records_stay_within_the_bound() {
         JournalEntry::Promoted { origin: 0, host: 1 },
     ];
     for record in records {
-        let mut bytes = valid[..9 + 18].to_vec();
+        let mut bytes = valid[..HEADER_LEN].to_vec();
         for _ in 0..4097 {
             record.write_to(&mut bytes).unwrap();
         }
@@ -194,7 +208,7 @@ fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
 #[test]
 fn arbitrary_bytes_are_total() {
     let (valid, _) = valid_journal();
-    let header = &valid[..9 + 18];
+    let header = &valid[..HEADER_LEN];
     for case in 0..2_000u64 {
         let seed = derive_seed(0x7074_a117, case);
         let len = (seed % 200) as usize;

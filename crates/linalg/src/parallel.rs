@@ -170,7 +170,8 @@ where
 }
 
 /// [`par_map_indices`] with an explicit worker count (the sharded Lloyd
-/// update passes [`worker_count`] here, its tests fixed counts). Results
+/// update passes one chosen from its input size here, its tests fixed
+/// counts). Results
 /// are identical at any count — each index's computation is independent
 /// and lands in its own slot.
 pub fn par_map_indices_in<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
