@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
-//! dense kernels (matmul/QR/SVD), clustering (Lloyd, k-means++), DR (JL
+//! dense kernels (matmul/Gram/eigen/SVD), clustering (Lloyd, k-means++), DR (JL
 //! apply), CR (sensitivity sampling / FSS), the blocked distance engine
 //! vs the scalar assignment path it replaced, and the serve-path upload:
 //! the quantized coreset codec and the reassembly of its frame.
@@ -28,7 +28,7 @@ use ekm_data::normalize::normalize_paper;
 use ekm_data::synth::GaussianMixture;
 use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::random::gaussian_matrix;
-use ekm_linalg::{ops, parallel, pinv, svd, Matrix};
+use ekm_linalg::{eig, ops, parallel, pinv, svd, Matrix};
 use ekm_net::event::{EventServerBinding, EventTcpSource};
 use ekm_net::frame::{FrameAssembler, FRAME_RESP};
 use ekm_net::messages::Message;
@@ -97,8 +97,8 @@ fn bench_linalg(c: &mut Criterion) {
         bench.iter(|| svd::thin_svd(black_box(&data)).unwrap())
     });
     // The paper's MNIST shapes (d = 784, d' = 392): Π alone is 2.4 MB,
-    // more than a core's L2, as in the central JL product, its Gram and
-    // the pseudo-inverse behind the center lift. Few samples, so the
+    // more than a core's L2, as in the central JL product, its Gram, the
+    // eigenpairs FSS keeps and the pseudo-inverse behind the center lift. Few samples, so the
     // smoke run stays short.
     g.sample_size(5);
     let points = gaussian_matrix(9, 2_000, 784, 1.0);
@@ -109,6 +109,11 @@ fn bench_linalg(c: &mut Criterion) {
     let projected = gaussian_matrix(11, 2_000, 392, 1.0);
     g.bench_function("gram_2000x392", |bench| {
         bench.iter(|| ops::gram(black_box(&projected)))
+    });
+    // FSS's SVD at that shape: the top t = 33 eigenpairs of the Gram.
+    let projected_gram = ops::gram(&projected);
+    g.bench_function("top_eigen_392_t33", |bench| {
+        bench.iter(|| eig::symmetric_top(black_box(&projected_gram), 33).unwrap())
     });
     g.bench_function("pinv_784x392", |bench| {
         bench.iter(|| pinv::pinv(black_box(&pi)).unwrap())

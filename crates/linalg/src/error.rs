@@ -31,6 +31,11 @@ pub enum LinalgError {
         /// Number of iterations performed before giving up.
         iterations: usize,
     },
+    /// An input held a NaN or infinite entry.
+    NonFinite {
+        /// Human-readable name of the failing operation.
+        op: &'static str,
+    },
     /// A requested rank/dimension exceeds what the matrix can provide.
     RankOutOfRange {
         /// The rank that was requested.
@@ -56,6 +61,9 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::ConvergenceFailure { op, iterations } => {
                 write!(f, "{op} failed to converge after {iterations} iterations")
+            }
+            LinalgError::NonFinite { op } => {
+                write!(f, "non-finite entry passed to {op}")
             }
             LinalgError::RankOutOfRange {
                 requested,
@@ -114,6 +122,15 @@ mod tests {
         };
         assert!(e.to_string().contains('9'));
         assert!(e.to_string().contains('4'));
+    }
+
+    #[test]
+    fn display_non_finite() {
+        let e = LinalgError::NonFinite {
+            op: "symmetric_top",
+        };
+        assert!(e.to_string().contains("non-finite"));
+        assert!(e.to_string().contains("symmetric_top"));
     }
 
     #[test]

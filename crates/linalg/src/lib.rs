@@ -5,7 +5,7 @@
 //!
 //! * basic operations: products, Gram matrices, transposes ([`ops`]),
 //! * blocked pairwise-distance / nearest-center kernels ([`distance`]),
-//! * a cyclic Jacobi eigensolver for symmetric matrices ([`eig`]),
+//! * the top-`t` eigenpairs of a symmetric matrix ([`eig`]),
 //! * thin and top-`t` SVD ([`svd`]),
 //! * Cholesky factorization and SPD solves ([`cholesky`]),
 //! * Moore–Penrose pseudo-inverse ([`pinv`]) used to invert JL projections,

@@ -3,13 +3,18 @@
 //! FSS and disPCA need the top-`t` singular values and right singular
 //! vectors of a dataset matrix `A ∈ R^{n×d}` (rows are points):
 //!
-//! * [`top_right_singular`] — what they call: exact (to Jacobi precision)
-//!   via the eigendecomposition of the smaller Gram matrix (`AᵀA` or
-//!   `AAᵀ`), complexity `O(nd·min(n,d))`, exactly the complexity the
-//!   paper charges FSS/BKLW with (Theorems 4.3 / 5.3). It forms σ and
-//!   `V_t` only, never the left factor;
+//! * [`top_right_singular`] — what they call: the `t` leading eigenpairs
+//!   of the smaller Gram matrix (`AᵀA` or `AAᵀ`), found by
+//!   [`eig::symmetric_top`] without computing the rest of the spectrum.
+//!   Forming the Gram matrix is `O(nd·min(n,d))`, exactly the complexity
+//!   the paper charges FSS/BKLW with (Theorems 4.3 / 5.3). It forms σ
+//!   and `V_t` only, never the left factor;
 //! * [`thin_svd`] — the same route with all `min(n,d)` triples including
 //!   `U`, for the pseudo-inverse.
+//!
+//! `symmetric_top(g, t)` is bitwise the first `t` pairs of the full
+//! spectrum, so `top_right_singular(a, t)` is bitwise `thin_svd(a)`
+//! truncated to `t` triples.
 
 use crate::{eig, ops, LinalgError, Matrix, Result};
 
@@ -85,7 +90,8 @@ const SV_RELATIVE_TOL: f64 = 1e-12;
 /// # Errors
 ///
 /// * [`LinalgError::EmptyMatrix`] for an empty input.
-/// * Propagates Jacobi convergence failures.
+/// * Propagates eigensolver failures, including
+///   [`LinalgError::NonFinite`] for a NaN or infinite entry.
 pub fn thin_svd(a: &Matrix) -> Result<Svd> {
     if a.is_empty() {
         return Err(LinalgError::EmptyMatrix { op: "thin_svd" });
@@ -93,7 +99,7 @@ pub fn thin_svd(a: &Matrix) -> Result<Svd> {
     let (n, d) = a.shape();
     if d <= n {
         // Eigen of AᵀA (d×d): A = U Σ Vᵀ with AᵀA = V Σ² Vᵀ.
-        let (sigmas, v) = gram_eigen(&ops::gram(a))?;
+        let (sigmas, v) = gram_eigen(&ops::gram(a), d)?;
         let u = left_vectors_from_right(a, &v, &sigmas)?;
         Ok(Svd {
             u,
@@ -102,7 +108,7 @@ pub fn thin_svd(a: &Matrix) -> Result<Svd> {
         })
     } else {
         // Eigen of AAᵀ (n×n): U from eigenvectors, V = Aᵀ U Σ⁻¹.
-        let (sigmas, u) = gram_eigen(&ops::outer_gram(a))?;
+        let (sigmas, u) = gram_eigen(&ops::outer_gram(a), n)?;
         let v = left_vectors_from_right(&a.transpose(), &u, &sigmas)?;
         Ok(Svd {
             u,
@@ -117,16 +123,17 @@ pub fn thin_svd(a: &Matrix) -> Result<Svd> {
 /// `thin_svd(a)?.truncate(t)`, without forming the left factor.
 ///
 /// This is the primitive FSS and disPCA are built on. The tall route
-/// (`d ≤ n`) truncates the eigendecomposition of `AᵀA`. The wide route
-/// forms `V = Aᵀ·U·Σ⁻¹` from the `t` kept columns of `U` only: each
-/// output column accumulates on its own, so the dropped columns change
-/// no bit of the kept ones.
+/// (`d ≤ n`) takes the top `t` eigenpairs of `AᵀA`. The wide route
+/// takes the top `t` of `AAᵀ` and forms `V = Aᵀ·U·Σ⁻¹` from those `t`
+/// columns of `U`: each output column accumulates on its own, so the
+/// columns never computed change no bit of the kept ones.
 ///
 /// # Errors
 ///
 /// * [`LinalgError::EmptyMatrix`] for an empty input.
 /// * [`LinalgError::RankOutOfRange`] if `t > min(n, d)`.
-/// * Propagates Jacobi convergence failures.
+/// * Propagates eigensolver failures, including
+///   [`LinalgError::NonFinite`] for a NaN or infinite entry.
 ///
 /// # Example
 ///
@@ -151,21 +158,18 @@ pub fn top_right_singular(a: &Matrix, t: usize) -> Result<(Vec<f64>, Matrix)> {
         });
     }
     if d <= n {
-        let (mut sigmas, v) = gram_eigen(&ops::gram(a))?;
-        sigmas.truncate(t);
-        Ok((sigmas, v.first_cols(t)?))
+        gram_eigen(&ops::gram(a), t)
     } else {
-        let (mut sigmas, u) = gram_eigen(&ops::outer_gram(a))?;
-        sigmas.truncate(t);
-        let v = left_vectors_from_right(&a.transpose(), &u.first_cols(t)?, &sigmas)?;
+        let (sigmas, u) = gram_eigen(&ops::outer_gram(a), t)?;
+        let v = left_vectors_from_right(&a.transpose(), &u, &sigmas)?;
         Ok((sigmas, v))
     }
 }
 
-/// Singular values (descending) and eigenvectors of a Gram matrix
-/// `AᵀA` or `AAᵀ`.
-fn gram_eigen(gram: &Matrix) -> Result<(Vec<f64>, Matrix)> {
-    let e = eig::symmetric_eigen(gram)?;
+/// The top `t` singular values (descending) and eigenvectors of a Gram
+/// matrix `AᵀA` or `AAᵀ`.
+fn gram_eigen(gram: &Matrix, t: usize) -> Result<(Vec<f64>, Matrix)> {
+    let e = eig::symmetric_top(gram, t)?;
     let sigmas = e.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
     Ok((sigmas, e.vectors))
 }
@@ -186,6 +190,7 @@ fn left_vectors_from_right(a: &Matrix, v: &Matrix, sigmas: &[f64]) -> Result<Mat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel;
     use crate::random::gaussian_matrix;
 
     fn low_rank(seed: u64, n: usize, d: usize, r: usize) -> Matrix {
@@ -306,6 +311,43 @@ mod tests {
         let a = gaussian_matrix(70, 5, 8, 1.0);
         assert!(top_right_singular(&a, 6).is_err());
         assert!(top_right_singular(&Matrix::zeros(0, 3), 1).is_err());
+    }
+
+    #[test]
+    fn top_right_singular_is_bitwise_stable_across_reruns_and_worker_counts() {
+        // Past the Gram kernels' parallel threshold, on both routes.
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let tall = low_rank(80, 2500, 48, 5)
+            .add(&gaussian_matrix(81, 2500, 48, 0.1))
+            .unwrap();
+        for a in [tall.clone(), tall.transpose()] {
+            parallel::set_worker_count(1);
+            let (want_s, want_v) = top_right_singular(&a, 12).unwrap();
+            for workers in [1, 2, 4] {
+                parallel::set_worker_count(workers);
+                let (s, v) = top_right_singular(&a, 12).unwrap();
+                assert_eq!(bits(&s), bits(&want_s), "{workers} workers");
+                assert_eq!(
+                    bits(v.as_slice()),
+                    bits(want_v.as_slice()),
+                    "{workers} workers"
+                );
+            }
+            parallel::set_worker_count(0);
+        }
+    }
+
+    #[test]
+    fn non_finite_input_is_a_typed_error() {
+        for (n, d) in [(9, 4), (4, 9)] {
+            let mut a = gaussian_matrix(82, n, d, 1.0);
+            a[(1, 2)] = f64::NAN;
+            assert!(matches!(
+                top_right_singular(&a, 2),
+                Err(LinalgError::NonFinite { .. })
+            ));
+            assert!(matches!(thin_svd(&a), Err(LinalgError::NonFinite { .. })));
+        }
     }
 
     #[test]

@@ -126,10 +126,11 @@ if fresh:
                 if k["name"].startswith("distance/assign_blocked")}
     assert computes == {"f64", "f32"}, computes
     # The dense kernels at the paper's MNIST shapes must stay in the
-    # trajectory: the JL product, its Gram, and the pseudo-inverse.
+    # trajectory: the JL product, its Gram, FSS's top-33 eigenpairs of
+    # that Gram, and the pseudo-inverse.
     names = {k["name"] for k in doc["kernels"]}
     for row in ("linalg/matmul_2000x784x392", "linalg/gram_2000x392",
-                "linalg/pinv_784x392"):
+                "linalg/top_eigen_392_t33", "linalg/pinv_784x392"):
         assert row in names, f"kernel row {row} missing"
     # The serve-path upload layers: the quantized coreset codec and the
     # reassembly of its frame.

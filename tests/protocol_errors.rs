@@ -14,6 +14,7 @@ use edge_kmeans::core::journal::{
 use edge_kmeans::core::CoreError;
 use edge_kmeans::data::partition::partition_uniform;
 use edge_kmeans::data::synth::GaussianMixture;
+use edge_kmeans::linalg::LinalgError;
 use edge_kmeans::net::event::{EventServerBinding, EventTcpSource};
 use edge_kmeans::net::messages::Message;
 use edge_kmeans::net::protocol::{
@@ -44,10 +45,12 @@ fn pipeline(list: &str, n: usize, d: usize) -> StagePipeline {
 #[test]
 fn channel_source_disconnect_mid_stage_degrades_the_run() {
     let pipe = pipeline("dispca,disss", 200, 12);
-    let (mut hub, mut endpoints) = channel_pairs(2);
     let data = workload(200, 12, 1);
     let shards = partition_uniform(&data, 2, 3).unwrap();
     let out = std::thread::scope(|scope| {
+        // The hub lives in this closure, so a failed assertion hangs
+        // up on the executors instead of leaving them waiting.
+        let (mut hub, mut endpoints) = channel_pairs(2);
         // Source 0 runs honestly; source 1 answers the describe round,
         // then vanishes mid-stage. The driver completes on source 0 and
         // reports the dropped shard.
@@ -92,8 +95,10 @@ fn missed_deadline_is_reissued_once_then_degraded_around() {
     let pipe = StagePipeline::from_names("dispca,disss", params).unwrap();
     let data = workload(n, d, 4);
     let shards = partition_uniform(&data, 2, 3).unwrap();
-    let (mut hub, mut endpoints) = channel_pairs(2);
     let out = std::thread::scope(|scope| {
+        // The hub lives in this closure, so a failed assertion hangs
+        // up on the executors instead of leaving them waiting.
+        let (mut hub, mut endpoints) = channel_pairs(2);
         let (e1, e0) = (endpoints.pop().unwrap(), endpoints.pop().unwrap());
         let s0 = shards[0].clone();
         let stages = pipe.stages();
@@ -136,9 +141,11 @@ fn missed_deadline_is_reissued_once_then_degraded_around() {
 
 #[test]
 fn reissue_is_answered_from_the_executor_response_cache() {
-    let (mut hub, mut endpoints) = channel_pairs(1);
     let pipe = pipeline("jl,fss", 100, 8);
     std::thread::scope(|scope| {
+        // The hub lives in this closure, so a failed assertion hangs
+        // up on the executors instead of leaving them waiting.
+        let (mut hub, mut endpoints) = channel_pairs(1);
         let shard = workload(100, 8, 2);
         let stages = pipe.stages();
         let params = pipe.params();
@@ -253,8 +260,10 @@ fn executor_runs_stages_only_in_plan_order() {
 #[test]
 fn channel_response_type_mismatch_is_typed() {
     let pipe = pipeline("jl,fss", 200, 12);
-    let (mut hub, mut endpoints) = channel_pairs(1);
     std::thread::scope(|scope| {
+        // The hub lives in this closure, so a failed assertion hangs
+        // up on the executors instead of leaving them waiting.
+        let (mut hub, mut endpoints) = channel_pairs(1);
         let mut ep = endpoints.pop().unwrap();
         scope.spawn(move || {
             // Answer the describe round with a Fin — the wrong type.
@@ -286,9 +295,11 @@ fn channel_response_type_mismatch_is_typed() {
 #[test]
 fn executor_rejects_mismatched_deliver_payload() {
     // A Deliver with no pending interactive phase must be refused.
-    let (mut hub, mut endpoints) = channel_pairs(1);
     let pipe = pipeline("jl,fss", 100, 8);
     std::thread::scope(|scope| {
+        // The hub lives in this closure, so a failed assertion hangs
+        // up on the executors instead of leaving them waiting.
+        let (mut hub, mut endpoints) = channel_pairs(1);
         let shard = workload(100, 8, 2);
         let stages = pipe.stages();
         let params = pipe.params();
@@ -381,8 +392,10 @@ fn driver_validation_aborts_sources_with_the_reason() {
     let pipe = pipeline("fss", 200, 8);
     let data = workload(200, 8, 6);
     let shards = partition_uniform(&data, 2, 5).unwrap();
-    let (mut hub, endpoints) = channel_pairs(2);
     std::thread::scope(|scope| {
+        // The hub lives in this closure, so a failed assertion hangs
+        // up on the executors instead of leaving them waiting.
+        let (mut hub, endpoints) = channel_pairs(2);
         let handles: Vec<_> = endpoints
             .into_iter()
             .zip(shards)
@@ -488,8 +501,10 @@ fn a_summary_of_the_wrong_kind_is_a_typed_protocol_error() {
             .with_seed(5)
             .with_topology(topology);
         let pipe = StagePipeline::from_names(list, params).unwrap();
-        let (mut hub, endpoints) = channel_pairs(2);
         let err = std::thread::scope(|scope| {
+            // The hub lives in this closure, so a failed assertion
+            // hangs up on the executors instead of leaving them waiting.
+            let (mut hub, endpoints) = channel_pairs(2);
             for (i, (inner, shard)) in endpoints.into_iter().zip(&shards).enumerate() {
                 let (stages, params) = (pipe.stages(), pipe.params());
                 let nth = if i == 0 { nth } else { 0 };
@@ -512,6 +527,72 @@ fn a_summary_of_the_wrong_kind_is_a_typed_protocol_error() {
             "{list} ({topology:?}), {carrier} {nth}: {err:?}"
         );
     }
+}
+
+/// A source endpoint that sets the first singular value of its first
+/// `Up` to NaN, when that `Up` carries an SVD summary: a well-formed
+/// summary holding a non-finite value.
+struct NanSummary<E> {
+    inner: E,
+    armed: bool,
+}
+
+impl<E: SourceEndpoint> SourceEndpoint for NanSummary<E> {
+    fn recv_command(&mut self) -> Result<Command, NetError> {
+        self.inner.recv_command()
+    }
+
+    fn send_response(&mut self, mut resp: Response) -> Result<(), NetError> {
+        if let Response::Up { payload, .. } = &mut resp {
+            if std::mem::take(&mut self.armed) {
+                if let Message::SvdSummary {
+                    mut singular_values,
+                    basis,
+                    precision,
+                } = payload.decode()?
+                {
+                    singular_values[0] = f64::NAN;
+                    *payload = Payload::of(&Message::SvdSummary {
+                        singular_values,
+                        basis,
+                        precision,
+                    });
+                }
+            }
+        }
+        self.inner.send_response(resp)
+    }
+}
+
+#[test]
+fn a_non_finite_svd_summary_is_a_typed_error_not_a_panic() {
+    // The server folds source 0's poisoned summary into the global
+    // disPCA basis; the eigensolver must refuse it with a typed error.
+    let pipe = pipeline("dispca,disss", 200, 12);
+    let data = workload(200, 12, 7);
+    let shards = partition_uniform(&data, 2, 3).unwrap();
+    let err = std::thread::scope(|scope| {
+        // The hub lives in this closure, so a failed assertion hangs
+        // up on the executors instead of leaving them waiting.
+        let (mut hub, endpoints) = channel_pairs(2);
+        for (i, (inner, shard)) in endpoints.into_iter().zip(&shards).enumerate() {
+            let (stages, params) = (pipe.stages(), pipe.params());
+            scope.spawn(move || {
+                let mut endpoint = NanSummary {
+                    inner,
+                    armed: i == 0,
+                };
+                // The driver aborts the run, so the executor fails too.
+                let _ =
+                    SourceExecutor::new(stages, params, i, 2, shard.clone()).serve(&mut endpoint);
+            });
+        }
+        pipe.run_driver(&mut hub).unwrap_err()
+    });
+    assert!(
+        matches!(err, CoreError::Linalg(LinalgError::NonFinite { .. })),
+        "{err:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
