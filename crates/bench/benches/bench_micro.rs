@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
-//! dense kernels (matmul/Gram/eigen/SVD), clustering (Lloyd, k-means++), DR (JL
-//! apply), CR (sensitivity sampling / FSS), the blocked distance engine
-//! vs the scalar assignment path it replaced, and the serve-path upload:
-//! the quantized coreset codec and the reassembly of its frame.
+//! dense kernels (matmul/Gram/eigen/SVD), clustering (Lloyd,
+//! k-means++), DR (JL apply), CR (sensitivity sampling / FSS), the
+//! blocked distance engine vs the scalar assignment path it replaced,
+//! and the serve-path upload: the quantized coreset codec and the
+//! reassembly of its frame.
 //!
 //! Besides the printed lines, the run emits the machine-readable
 //! `BENCH_micro.json` at the workspace root (see
@@ -98,8 +99,8 @@ fn bench_linalg(c: &mut Criterion) {
     });
     // The paper's MNIST shapes (d = 784, d' = 392): Π alone is 2.4 MB,
     // more than a core's L2, as in the central JL product, its Gram, the
-    // eigenpairs FSS keeps and the pseudo-inverse behind the center lift. Few samples, so the
-    // smoke run stays short.
+    // eigenpairs FSS keeps and the pseudo-inverse behind the center
+    // lift. Few samples, so the smoke run stays short.
     g.sample_size(5);
     let points = gaussian_matrix(9, 2_000, 784, 1.0);
     let pi = gaussian_matrix(10, 784, 392, 1.0);
