@@ -764,6 +764,28 @@ mod tests {
     }
 
     #[test]
+    fn power_of_two_scaling_is_exact() {
+        // Entries near 1e-301 and 1e301 give the same vectors, bit for
+        // bit, and eigenvalues scaled exactly: no tolerance underflows
+        // and no inverse-iteration solve overflows.
+        for kind in 0..5 {
+            let a = symmetric_case(20, kind, 4);
+            let want = symmetric_top(&a, 7).unwrap();
+            for k in [-1000, -30, 30, 1000] {
+                let s = 2f64.powi(k);
+                let got = symmetric_top(&a.scaled(s), 7).unwrap();
+                let scaled: Vec<f64> = want.values.iter().map(|&l| l * s).collect();
+                assert_eq!(bits(&got.values), bits(&scaled), "kind {kind}, 2^{k}");
+                assert_eq!(
+                    bits(got.vectors.as_slice()),
+                    bits(want.vectors.as_slice()),
+                    "kind {kind}, 2^{k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn signs_put_the_largest_entry_first_positive() {
         for kind in 0..5 {
             let a = symmetric_case(17, kind, 8);
