@@ -106,6 +106,8 @@ pub fn symmetric_top(a: &Matrix, t: usize) -> Result<SymmetricEigen> {
         return Err(LinalgError::NonFinite { op: OP });
     }
     let amax = a.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    // Every tolerance below scales with ‖A‖, so the zero matrix, whose
+    // eigenpairs are (0, unit axes), is answered directly.
     if amax == 0.0 {
         return Ok(SymmetricEigen {
             values: vec![0.0; t],
