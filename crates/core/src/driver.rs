@@ -33,7 +33,7 @@ use crate::stage::{check_plan, dispca_rank, disss_budget, jl_stream, jl_target_d
 use crate::{distributed, CoreError, Result, RunOutput, StagePipeline};
 use ekm_coreset::Coreset;
 use ekm_linalg::random::derive_seed;
-use ekm_linalg::Matrix;
+use ekm_linalg::{LinalgError, Matrix};
 use ekm_net::messages::Message;
 use ekm_net::protocol::{
     Command, CommandTransport, DeadlinePolicy, EncodedCommand, Payload, Response,
@@ -284,46 +284,26 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
     }
 
     /// Promotes `host`'s cold replica of `i`'s shard: arms the routing
-    /// layer, replays the dead owner's *completed* rounds onto the fresh
-    /// persona, verifies the rebuilt state against the server's ledger,
-    /// and reissues the in-flight round through the new route. During
-    /// journal replay only the promotion record is consumed — the
-    /// journal re-fires the recorded wire sequence at reconcile time.
+    /// layer, rebuilds the dead owner's state on the fresh persona
+    /// ([`replay_rounds`]), and reissues the in-flight round through the
+    /// new route. During journal replay only the promotion record is
+    /// consumed — the journal rebuilds the persona through the same
+    /// routine when it goes live.
     fn promote(&mut self, i: usize, host: usize) -> std::result::Result<(), NetError> {
         self.inner.promote(i, host)?;
         if self.inner.replaying() {
             return Ok(());
         }
-        let completed = self.history[i].len().saturating_sub(1);
-        let fingerprint = replay_rounds(
+        let (inflight, answered) = self.history[i].split_last().expect("checked by caller");
+        replay_rounds(
             &mut *self.inner,
             i,
             host,
-            &self.history[i][..completed],
+            answered,
+            Some(inflight),
             &mut self.parked,
         )?;
-        self.replayed_rounds += completed as u64;
-        if completed > 0 {
-            // The persona's rebuilt ledger must match the server's row
-            // for the dead owner — minus the in-flight command, charged
-            // at send time but only reaching the persona via the
-            // reissue below.
-            let inflight = match self.history[i].last() {
-                Some(Command::Deliver { payload }) => payload.bits(),
-                _ => 0,
-            };
-            let want = state_fingerprint(
-                completed as u64,
-                self.stats().uplink_bits(i),
-                self.stats().downlink_bits(i) - inflight,
-            );
-            if fingerprint != want {
-                return Err(NetError::Divergence {
-                    source: i,
-                    direction: "replica replay",
-                });
-            }
-        }
+        self.replayed_rounds += answered.len() as u64;
         self.reissue(i)
     }
 
@@ -390,26 +370,29 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
     }
 }
 
-/// Replays `history` (the dead owner's completed rounds, in order) onto
-/// the persona `host` just built for `origin`, waiting out each
-/// [`Response::Replayed`] acknowledgement before the next round.
-/// Returns the persona's final state fingerprint (trivial when the
-/// history is empty — the persona is still at round zero).
+/// Rebuilds dead source `origin`'s state on the persona `host` just
+/// built for it: replays `answered` (the origin's answered round
+/// commands, in order), waiting out each [`Response::Replayed`]
+/// acknowledgement, then checks the persona's state fingerprint against
+/// `net`'s ledger row for the origin — minus `inflight`, the unanswered
+/// command that was charged when sent but reaches the persona only
+/// through a later reissue. A live promotion ([`RoundNet::promote`]) and
+/// a journal resuming past a journaled one both rebuild through here.
 ///
 /// The host may interleave answers to its *own* in-flight round on the
-/// shared connection; those are parked for the driver's later
-/// [`RoundNet::recv`] rather than dropped. Replay frames are charged to
-/// the run's replica-overhead counters by the transport, never to the
-/// classic ledgers.
-fn replay_rounds<T: CommandTransport>(
+/// shared connection; those are parked for the caller rather than
+/// dropped. Replay frames are charged to the run's replica-overhead
+/// counters by the transport, never to the classic ledgers.
+pub(crate) fn replay_rounds<T: CommandTransport>(
     net: &mut T,
     origin: usize,
     host: usize,
-    history: &[Command],
+    answered: &[Command],
+    inflight: Option<&Command>,
     parked: &mut [std::collections::VecDeque<Response>],
-) -> std::result::Result<u64, NetError> {
+) -> std::result::Result<(), NetError> {
     let mut fingerprint = state_fingerprint(0, 0, 0);
-    for (k, cmd) in history.iter().enumerate() {
+    for (k, cmd) in answered.iter().enumerate() {
         let round = (k + 1) as u64;
         net.send(
             host,
@@ -453,7 +436,26 @@ fn replay_rounds<T: CommandTransport>(
             }
         }
     }
-    Ok(fingerprint)
+    // A persona still at round zero has nothing to check.
+    if answered.is_empty() {
+        return Ok(());
+    }
+    let inflight = match inflight {
+        Some(Command::Deliver { payload }) => payload.bits(),
+        _ => 0,
+    };
+    let want = state_fingerprint(
+        answered.len() as u64,
+        net.stats().uplink_bits(origin),
+        net.stats().downlink_bits(origin) - inflight,
+    );
+    if fingerprint != want {
+        return Err(NetError::Divergence {
+            source: origin,
+            direction: "replica replay",
+        });
+    }
+    Ok(())
 }
 
 /// Gather ids for [`Command::MergeWith`], one per tree-reduced phase.
@@ -1030,6 +1032,21 @@ fn verify_cols(got: usize, expected: usize, context: &'static str) -> Result<()>
     Ok(())
 }
 
+/// Refuses a summary holding a NaN or infinite value before the server
+/// computes with it, as the disPCA fold refuses a non-finite summary.
+/// It stops early only between chunks, so each chunk's scan vectorizes.
+fn check_finite(m: &Matrix, op: &'static str) -> Result<()> {
+    let finite = m
+        .as_slice()
+        .chunks(1024)
+        .all(|c| c.iter().fold(true, |ok, x| ok & x.is_finite()));
+    if finite {
+        Ok(())
+    } else {
+        Err(CoreError::Linalg(LinalgError::NonFinite { op }))
+    }
+}
+
 fn finalize<T: CommandTransport>(
     pipe: &StagePipeline,
     net: &mut RoundNet<'_, T>,
@@ -1052,7 +1069,10 @@ fn finalize<T: CommandTransport>(
                 })?;
                 let (payload, _, _) = expect_up(resp, "basis transmit")?;
                 match payload.decode().map_err(CoreError::Net)? {
-                    Message::Basis { basis, .. } => st.server_basis = Some(basis),
+                    Message::Basis { basis, .. } => {
+                        check_finite(&basis, "the basis lift")?;
+                        st.server_basis = Some(basis);
+                    }
                     _ => {
                         return Err(CoreError::Protocol {
                             reason: "expected a basis message",
@@ -1098,6 +1118,7 @@ fn finalize<T: CommandTransport>(
             (stacked, weights)
         }
     };
+    check_finite(&points, "the server solve")?;
 
     let t1 = Instant::now();
     let centers_summary = solve_weighted_kmeans(

@@ -2,20 +2,22 @@
 //!
 //! [`JournalingTransport`] wraps any [`CommandTransport`] and appends a
 //! length-prefixed record (via [`ekm_net::frame`]) for every *round*
-//! command the driver sends and every response it receives, flushing
-//! before the command touches the wire (write-ahead). Because the
-//! driver's call order is deterministic — seed-derived randomness,
-//! fixed source-id folds, single-threaded — a restarted driver given
-//! the same plan replays the journal to the exact pre-crash state: the
-//! replayed sends are verified byte-for-byte against the journaled
-//! commands (no wire I/O), the replayed receives return the journaled
-//! responses (charged to this transport's own [`NetworkStats`]), and
-//! the first un-journaled operation reconciles with the live executors
-//! via [`Command::Resume`] / [`Command::Reissue`] before going live.
+//! command the driver sends, response it receives, source loss and
+//! replica promotion, flushing before a command touches the wire
+//! (write-ahead). The driver's call order is deterministic (seeded
+//! randomness, fixed source-id folds, one thread), so a restarted driver
+//! given the same plan walks the records to the exact pre-crash state:
+//! its sends are verified byte-for-byte against them with no wire I/O,
+//! and responses, losses and promotions replay as journaled, charged to
+//! this transport's own [`NetworkStats`]. When the records run out, the
+//! transport reconciles with the live executors from what one scan of
+//! the records found, rebuilds each absorbed origin's persona with the
+//! routine a live promotion runs, and goes live.
 //!
 //! Control-plane commands (`Abort`, `Deadline`, `Resume`, `Reissue`)
 //! are never journaled: they shape recovery, not the computation.
 
+use crate::driver::replay_rounds;
 use crate::executor::state_fingerprint;
 use crate::{CoreError, Result};
 use ekm_net::frame::{try_read_frame, write_frame};
@@ -318,15 +320,27 @@ fn check_source_ids(entries: &[JournalEntry], m: usize) -> Result<()> {
     Ok(())
 }
 
+/// Whether record `k` is a failed promotion attempt, by the rule on
+/// [`JournalEntry::Promoted`] — the one statement of it [`scan`] and
+/// [`absorbed_origins`] share.
+fn failed_promotion(records: &[JournalEntry], k: usize) -> bool {
+    let JournalEntry::Promoted { host, .. } = records[k] else {
+        return false;
+    };
+    matches!(
+        records.get(k + 1),
+        Some(JournalEntry::Lost { source, via_send: true, .. }) if *source == host
+    )
+}
+
 /// Scans a journal for origins absorbed by a successful replica
 /// promotion, without replaying it. A resumed `ekm serve` accepts
 /// handshakes only from the survivors: a promoted origin's owner is
 /// dead (that is why it was promoted) and its remaining rounds run
 /// through its host's connection, so waiting for the owner to
-/// reconnect would hang the accept loop forever. A promotion whose
-/// host was lost on the very next record was a failed attempt and does
-/// not count. Tolerates a torn tail exactly like
-/// [`JournalingTransport::resume`].
+/// reconnect would hang the accept loop forever. A failed attempt
+/// (see [`JournalEntry::Promoted`]) does not count. Tolerates a torn tail
+/// exactly like [`JournalingTransport::resume`].
 ///
 /// # Errors
 ///
@@ -336,20 +350,78 @@ fn check_source_ids(entries: &[JournalEntry], m: usize) -> Result<()> {
 pub fn absorbed_origins(path: &Path) -> Result<Vec<usize>> {
     let (header, entries, _) = load_lossy(path)?;
     check_source_ids(&entries, header.sources as usize)?;
+    // Only the records size this list: the header's source count is a
+    // claim, not an allocation budget.
     let mut origins = Vec::new();
     for (k, e) in entries.iter().enumerate() {
-        if let JournalEntry::Promoted { origin, host } = e {
-            let failed = matches!(
-                entries.get(k + 1),
-                Some(JournalEntry::Lost { source, via_send: true, .. }) if source == host
-            );
-            if !failed && !origins.contains(&(*origin as usize)) {
+        if let JournalEntry::Promoted { origin, .. } = e {
+            if !failed_promotion(&entries, k) && !origins.contains(&(*origin as usize)) {
                 origins.push(*origin as usize);
             }
         }
     }
     origins.sort_unstable();
     Ok(origins)
+}
+
+/// What a journal's records establish per source, read off them in one
+/// pass by [`scan`]. A recording transport starts from the scan of no
+/// records, and `resps` keeps counting as live responses are journaled.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Scan {
+    /// Round commands journaled per source.
+    cmds: Vec<u64>,
+    /// Responses journaled per source.
+    resps: Vec<u64>,
+    /// Sources the driver degraded past; reconciliation never contacts
+    /// these.
+    dead: Vec<bool>,
+    /// Each origin's host after its last successful promotion.
+    hosts: Vec<Option<usize>>,
+}
+
+/// Reads the per-source state of `records` over `m` sources, whose ids
+/// [`check_source_ids`] has already bounded by `m`.
+fn scan(records: &[JournalEntry], m: usize) -> Scan {
+    let mut s = Scan {
+        cmds: vec![0; m],
+        resps: vec![0; m],
+        dead: vec![false; m],
+        hosts: vec![None; m],
+    };
+    // A receive-side loss earns one reissue; a second one in a row, or a
+    // send-side loss, escalates past the source.
+    let mut suspect = vec![false; m];
+    for (k, e) in records.iter().enumerate() {
+        match *e {
+            JournalEntry::Cmd { source, .. } => s.cmds[source as usize] += 1,
+            JournalEntry::Resp { source, .. } => {
+                s.resps[source as usize] += 1;
+                suspect[source as usize] = false;
+            }
+            JournalEntry::Lost {
+                source, via_send, ..
+            } => {
+                let i = source as usize;
+                if via_send || suspect[i] {
+                    s.dead[i] = true;
+                } else {
+                    suspect[i] = true;
+                }
+            }
+            JournalEntry::Promoted { origin, host } => {
+                let o = origin as usize;
+                suspect[o] = false;
+                // A failed attempt leaves the origin its previous host,
+                // and dead until a retry succeeds.
+                s.dead[o] = failed_promotion(records, k);
+                if !s.dead[o] {
+                    s.hosts[o] = Some(host as usize);
+                }
+            }
+        }
+    }
+    s
 }
 
 enum Mode {
@@ -377,30 +449,25 @@ pub struct JournalingTransport<T: CommandTransport> {
     writer: BufWriter<File>,
     stats: NetworkStats,
     mode: Mode,
-    queue: VecDeque<JournalEntry>,
-    /// Round commands journaled per source.
-    r_cmd: Vec<u64>,
-    /// Responses journaled per source.
-    r_resp: Vec<u64>,
-    /// Encoded bytes of each source's journaled-but-unanswered command.
-    pending_cmd: Vec<Option<Vec<u8>>>,
-    /// Sources whose journaled loss was final (the driver degraded past
-    /// them); reconciliation never contacts these.
-    dead: Vec<bool>,
-    /// Responses drained — and journaled, and charged — during
-    /// reconciliation, handed to the driver on its next `recv` without
-    /// re-charging.
+    /// The records loaded on resume, released once reconciliation goes
+    /// live (always empty in record mode).
+    records: Vec<JournalEntry>,
+    /// The next record replay consumes.
+    cursor: usize,
+    /// Per-source state, scanned from `records`.
+    scan: Scan,
+    /// Responses drained — and journaled, and charged — out of driver
+    /// order (by replay, or by reconciliation), handed to the driver on
+    /// its next `recv` without re-charging.
     buffered: Vec<VecDeque<Response>>,
-    /// Every journaled round command per source, in order — the replay
-    /// vocabulary for re-firing journaled promotions at reconcile time.
-    /// Populated only on resume.
-    cmd_history: Vec<Vec<Vec<u8>>>,
-    /// Promotions consumed from the journal during replay, re-fired on
-    /// the wire at reconcile time (last host per origin wins).
-    deferred: Vec<(usize, usize)>,
     replayed: usize,
     cmds_appended: u64,
     hook: Option<Box<dyn FnMut(u64) + Send>>,
+}
+
+fn decode_command(bytes: &[u8]) -> std::result::Result<Command, NetError> {
+    Command::decode(bytes)
+        .map_err(|e| jerr("journal replay", format!("corrupt command record: {e}")))
 }
 
 impl<T: CommandTransport> JournalingTransport<T> {
@@ -411,14 +478,13 @@ impl<T: CommandTransport> JournalingTransport<T> {
     ///
     /// [`CoreError::Journal`] when the file cannot be created.
     pub fn record(inner: T, path: &Path, fingerprint: u64) -> Result<Self> {
-        let m = inner.sources();
         let file = File::create(path)
             .map_err(|e| journal_io(format!("cannot create journal {}: {e}", path.display())))?;
         let mut writer = BufWriter::new(file);
         write_header(
             &mut writer,
             &JournalHeader {
-                sources: m as u32,
+                sources: inner.sources() as u32,
                 fingerprint,
             },
         )
@@ -430,7 +496,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
             .get_ref()
             .sync_data()
             .map_err(|e| journal_io(format!("cannot sync journal header: {e}")))?;
-        Ok(Self::build(inner, writer, m, VecDeque::new()))
+        Ok(Self::build(inner, writer, Vec::new(), Mode::Record))
     }
 
     /// Opens an existing journal for deterministic resumption. The file
@@ -465,85 +531,24 @@ impl<T: CommandTransport> JournalingTransport<T> {
         file.set_len(good)
             .map_err(|e| journal_io(format!("cannot truncate journal tail: {e}")))?;
         let writer = BufWriter::new(file);
-        let mut this = Self::build(inner, writer, m, entries.into());
-        this.mode = Mode::Replay;
-        this.replayed = this.queue.len();
-        // Reconstruct the round/response/pending/lost bookkeeping the
-        // crashed driver had accumulated.
-        let mut last_was_lost = vec![false; m];
-        let mut promoted: Vec<Option<usize>> = vec![None; m];
-        // The promotion record immediately preceding, with the origin's
-        // prior host: a send-side host loss right after it marks the
-        // attempt as failed (after a success the next record always
-        // concerns the origin).
-        let mut prev_promo: Option<(usize, usize, Option<usize>)> = None;
-        for e in &this.queue {
-            let mut is_promo = false;
-            match e {
-                JournalEntry::Cmd { source, bytes } => {
-                    let s = *source as usize;
-                    this.r_cmd[s] += 1;
-                    this.pending_cmd[s] = Some(bytes.clone());
-                    this.cmd_history[s].push(bytes.clone());
-                }
-                JournalEntry::Resp { source, .. } => {
-                    let s = *source as usize;
-                    this.r_resp[s] += 1;
-                    this.pending_cmd[s] = None;
-                    last_was_lost[s] = false;
-                }
-                JournalEntry::Lost {
-                    source, via_send, ..
-                } => {
-                    let s = *source as usize;
-                    if let Some((o, h, prior)) = prev_promo {
-                        if *via_send && s == h {
-                            // A failed promotion attempt: the origin
-                            // falls back to whoever held it before.
-                            promoted[o] = prior;
-                            this.dead[o] = true;
-                        }
-                    }
-                    // One recv-side loss is retried (reissued) by the
-                    // driver; a send-side loss or a second recv-side
-                    // loss escalated past this source.
-                    if *via_send || last_was_lost[s] {
-                        this.dead[s] = true;
-                    } else {
-                        last_was_lost[s] = true;
-                    }
-                }
-                JournalEntry::Promoted { origin, host } => {
-                    let o = *origin as usize;
-                    is_promo = true;
-                    prev_promo = Some((o, *host as usize, promoted[o]));
-                    promoted[o] = Some(*host as usize);
-                    this.dead[o] = false;
-                    last_was_lost[o] = false;
-                }
-            }
-            if !is_promo {
-                prev_promo = None;
-            }
-        }
-        Ok(this)
+        Ok(Self::build(inner, writer, entries, Mode::Replay))
     }
 
-    fn build(inner: T, writer: BufWriter<File>, m: usize, queue: VecDeque<JournalEntry>) -> Self {
+    /// The transport over `records`, with their per-source state
+    /// scanned. Per-source state is sized by the live transport's source
+    /// count, never by a header's claim (a resumed header has matched it).
+    fn build(inner: T, writer: BufWriter<File>, records: Vec<JournalEntry>, mode: Mode) -> Self {
+        let m = inner.sources();
         JournalingTransport {
+            stats: NetworkStats::new(m),
+            scan: scan(&records, m),
+            buffered: vec![VecDeque::new(); m],
+            replayed: records.len(),
+            cursor: 0,
+            records,
             inner,
             writer,
-            stats: NetworkStats::new(m),
-            mode: Mode::Record,
-            queue,
-            r_cmd: vec![0; m],
-            r_resp: vec![0; m],
-            pending_cmd: vec![None; m],
-            dead: vec![false; m],
-            buffered: vec![VecDeque::new(); m],
-            cmd_history: vec![Vec::new(); m],
-            deferred: Vec::new(),
-            replayed: 0,
+            mode,
             cmds_appended: 0,
             hook: None,
         }
@@ -607,10 +612,8 @@ impl<T: CommandTransport> JournalingTransport<T> {
             };
             self.append(&JournalEntry::Cmd {
                 source: source as u32,
-                bytes: bytes.clone(),
+                bytes,
             })?;
-            self.r_cmd[source] += 1;
-            self.pending_cmd[source] = Some(bytes);
             self.cmds_appended += 1;
             let n = self.cmds_appended;
             if let Some(hook) = &mut self.hook {
@@ -633,7 +636,6 @@ impl<T: CommandTransport> JournalingTransport<T> {
                     via_send: true,
                     reason: e.to_string(),
                 })?;
-                self.dead[source] = true;
                 Err(e)
             }
         }
@@ -652,8 +654,8 @@ impl<T: CommandTransport> JournalingTransport<T> {
             Response::Resumed { .. } => {}
             // Replica-plane acknowledgements carry no round number, so
             // the stale check below would journal them and desync the
-            // response counts on a later resume: charge-only, and the
-            // matching promotion/replay is re-fired from its own record.
+            // response counts on a later resume: charge-only, and a
+            // resume rebuilds the persona from the command records.
             Response::Promoted { .. } | Response::Replayed { .. } => {
                 charge_response(&mut self.stats, source, &resp)?;
             }
@@ -661,14 +663,13 @@ impl<T: CommandTransport> JournalingTransport<T> {
                 // A duplicate of an already-answered round (surfaced by
                 // a reissue race) is dropped by the driver — journaling
                 // it would desync the counts on a later resume.
-                let stale = matches!(other.round(), Some(r) if r <= self.r_resp[source]);
+                let stale = matches!(other.round(), Some(r) if r <= self.scan.resps[source]);
                 if !stale {
                     self.append(&JournalEntry::Resp {
                         source: source as u32,
                         bytes: other.encode(),
                     })?;
-                    self.r_resp[source] += 1;
-                    self.pending_cmd[source] = None;
+                    self.scan.resps[source] += 1;
                     charge_response(&mut self.stats, source, other)?;
                 }
             }
@@ -676,19 +677,37 @@ impl<T: CommandTransport> JournalingTransport<T> {
         Ok(resp)
     }
 
+    /// Consumes a journaled send-side loss of `source` at the cursor, if
+    /// that is the next record: a journaled send failure replays as the
+    /// same failure.
+    fn replay_send_loss(&mut self, source: usize) -> std::result::Result<(), NetError> {
+        match self.records.get(self.cursor) {
+            Some(JournalEntry::Lost {
+                source: s,
+                via_send: true,
+                reason,
+            }) if *s as usize == source => {
+                self.cursor += 1;
+                Err(jerr("journal replay", reason.clone()))
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn replay_send(&mut self, source: usize, cmd: &Command) -> std::result::Result<(), NetError> {
-        if self.queue.is_empty() {
+        let Some(record) = self.records.get(self.cursor) else {
             self.reconcile()?;
             return self.record_send(source, cmd);
-        }
+        };
         if cmd.is_round() {
-            match self.queue.pop_front() {
-                Some(JournalEntry::Cmd { source: s, bytes })
-                    if s as usize == source && bytes == cmd.encode() =>
+            match record {
+                JournalEntry::Cmd { source: s, bytes }
+                    if *s as usize == source && *bytes == cmd.encode() =>
                 {
+                    self.cursor += 1;
                     charge_command(&mut self.stats, source, cmd)?;
                 }
-                Some(other) => {
+                other => {
                     return Err(jerr(
                         "journal replay",
                         format!(
@@ -698,58 +717,42 @@ impl<T: CommandTransport> JournalingTransport<T> {
                         ),
                     ))
                 }
-                None => unreachable!("queue checked non-empty"),
             }
         }
-        // A journaled send failure replays as the same failure.
-        if matches!(
-            self.queue.front(),
-            Some(JournalEntry::Lost { source: s, via_send: true, .. }) if *s as usize == source
-        ) {
-            let Some(JournalEntry::Lost { reason, .. }) = self.queue.pop_front() else {
-                unreachable!("front matched a lost record");
-            };
-            return Err(jerr("journal replay", reason));
-        }
-        Ok(())
+        self.replay_send_loss(source)
     }
 
     fn replay_recv(&mut self, source: usize) -> std::result::Result<Response, NetError> {
-        loop {
-            if self.queue.is_empty() {
-                self.reconcile()?;
-                if let Some(resp) = self.buffered[source].pop_front() {
-                    return Ok(resp);
-                }
-                return self.record_recv(source);
-            }
-            match self.queue.pop_front() {
-                Some(JournalEntry::Resp { source: s, bytes }) if s as usize == source => {
-                    let resp = Response::decode(&bytes).map_err(|e| {
+        while let Some(record) = self.records.get(self.cursor) {
+            match record {
+                JournalEntry::Resp { source: s, bytes } => {
+                    let s = *s as usize;
+                    let resp = Response::decode(bytes).map_err(|e| {
                         jerr("journal replay", format!("corrupt response record: {e}"))
                     })?;
-                    charge_response(&mut self.stats, source, &resp)?;
-                    return Ok(resp);
-                }
-                Some(JournalEntry::Resp { source: s, bytes }) => {
+                    self.cursor += 1;
+                    charge_response(&mut self.stats, s, &resp)?;
+                    if s == source {
+                        return Ok(resp);
+                    }
                     // Another source's answer, harvested out of driver
                     // order during a live promotion (the host answering
-                    // its own round mid-replay): charge it at the same
-                    // journal position and buffer it for that source's
-                    // own receive.
-                    let s = s as usize;
-                    let resp = Response::decode(&bytes).map_err(|e| {
-                        jerr("journal replay", format!("corrupt response record: {e}"))
-                    })?;
-                    charge_response(&mut self.stats, s, &resp)?;
+                    // its own round mid-replay): charged at the same
+                    // journal position, buffered for that source's own
+                    // receive.
                     self.buffered[s].push_back(resp);
                 }
-                Some(JournalEntry::Lost {
+                JournalEntry::Lost {
                     source: s,
                     via_send: false,
                     reason,
-                }) if s as usize == source => return Ok(Response::SourceLost { reason }),
-                Some(other) => {
+                } if *s as usize == source => {
+                    self.cursor += 1;
+                    return Ok(Response::SourceLost {
+                        reason: reason.clone(),
+                    });
+                }
+                other => {
                     return Err(jerr(
                         "journal replay",
                         format!(
@@ -758,8 +761,12 @@ impl<T: CommandTransport> JournalingTransport<T> {
                         ),
                     ))
                 }
-                None => unreachable!("queue checked non-empty"),
             }
+        }
+        self.reconcile()?;
+        match self.buffered[source].pop_front() {
+            Some(resp) => Ok(resp),
+            None => self.record_recv(source),
         }
     }
 
@@ -771,58 +778,50 @@ impl<T: CommandTransport> JournalingTransport<T> {
             origin: origin as u32,
             host: host as u32,
         })?;
-        match self.inner.promote(origin, host) {
-            Ok(()) => {
-                // A failed reissue may have marked the origin dead on
-                // its way here; the promotion revives it (mirroring the
-                // resume-time bookkeeping).
-                self.dead[origin] = false;
-                // Mirror the Promote/Promoted exchange the routing layer
-                // consumed below this transport's own ledger.
-                charge_command(
-                    &mut self.stats,
-                    host,
-                    &Command::Promote {
-                        origin: origin as u64,
-                    },
-                )?;
-                charge_response(
-                    &mut self.stats,
-                    host,
-                    &Response::Promoted {
-                        origin: origin as u64,
-                        round: 0,
-                    },
-                )?;
-                Ok(())
-            }
-            Err(e) => {
-                self.append(&JournalEntry::Lost {
-                    source: host as u32,
-                    via_send: true,
-                    reason: e.to_string(),
-                })?;
-                self.dead[host] = true;
-                Err(e)
-            }
+        if let Err(e) = self.inner.promote(origin, host) {
+            self.append(&JournalEntry::Lost {
+                source: host as u32,
+                via_send: true,
+                reason: e.to_string(),
+            })?;
+            return Err(e);
         }
+        self.charge_promotion(origin, host)
+    }
+
+    /// Mirrors the Promote/Promoted exchange, which the routing layer
+    /// consumes below this transport, in this transport's own ledger.
+    fn charge_promotion(
+        &mut self,
+        origin: usize,
+        host: usize,
+    ) -> std::result::Result<(), NetError> {
+        let origin = origin as u64;
+        charge_command(&mut self.stats, host, &Command::Promote { origin })?;
+        charge_response(
+            &mut self.stats,
+            host,
+            &Response::Promoted { origin, round: 0 },
+        )
     }
 
     /// Consumes a journaled promotion during replay. A successful one is
-    /// deferred — the wire-level promotion and the replica's round
-    /// replay re-fire at reconcile time — while a journaled failure
-    /// (the host's send-side loss immediately after) fails here exactly
-    /// as it did live, sending the driver's health machine down the
-    /// same escalation path.
+    /// charged; the persona is rebuilt when reconciliation goes live. A
+    /// journaled failure (the host's send-side loss immediately after)
+    /// fails here exactly as it did live, sending the driver's health
+    /// machine down the same escalation path.
     fn replay_promote(&mut self, origin: usize, host: usize) -> std::result::Result<(), NetError> {
-        if self.queue.is_empty() {
+        let Some(record) = self.records.get(self.cursor) else {
             self.reconcile()?;
             return self.record_promote(origin, host);
-        }
-        match self.queue.pop_front() {
-            Some(JournalEntry::Promoted { origin: o, host: h })
-                if o as usize == origin && h as usize == host => {}
-            Some(other) => {
+        };
+        match record {
+            JournalEntry::Promoted { origin: o, host: h }
+                if *o as usize == origin && *h as usize == host =>
+            {
+                self.cursor += 1;
+            }
+            other => {
                 return Err(jerr(
                     "journal replay",
                     format!(
@@ -831,153 +830,25 @@ impl<T: CommandTransport> JournalingTransport<T> {
                     ),
                 ))
             }
-            None => unreachable!("queue checked non-empty"),
         }
-        if matches!(
-            self.queue.front(),
-            Some(JournalEntry::Lost { source: s, via_send: true, .. }) if *s as usize == host
-        ) {
-            let Some(JournalEntry::Lost { reason, .. }) = self.queue.pop_front() else {
-                unreachable!("front matched a lost record");
-            };
-            self.dead[host] = true;
-            return Err(jerr("journal replay", reason));
-        }
-        self.deferred.push((origin, host));
-        charge_command(
-            &mut self.stats,
-            host,
-            &Command::Promote {
-                origin: origin as u64,
-            },
-        )?;
-        charge_response(
-            &mut self.stats,
-            host,
-            &Response::Promoted {
-                origin: origin as u64,
-                round: 0,
-            },
-        )
+        self.replay_send_loss(host)?;
+        self.charge_promotion(origin, host)
     }
 
-    /// Re-fires a journaled promotion on the wire at reconcile time:
-    /// arms the routing layer, replays every *journaled-and-answered*
-    /// round of the origin onto the host's fresh persona, and verifies
-    /// the rebuilt state against the replayed ledger. The host may
-    /// interleave its own pre-crash round answer on the shared
-    /// connection; that is journaled, charged, and buffered exactly as
-    /// reconciliation would have.
-    fn refire_promotion(
-        &mut self,
-        origin: usize,
-        host: usize,
-    ) -> std::result::Result<(), NetError> {
-        self.inner.promote(origin, host)?;
-        let completed = self.r_resp[origin];
-        let mut fingerprint = state_fingerprint(0, 0, 0);
-        for k in 0..completed {
-            let bytes = &self.cmd_history[origin][k as usize];
-            let cmd = Command::decode(bytes)
-                .map_err(|e| jerr("journal replay", format!("corrupt command record: {e}")))?;
-            let round = k + 1;
-            let replay = Command::Replay {
-                origin: origin as u64,
-                round,
-                cmd: Box::new(cmd),
-            };
-            charge_command(&mut self.stats, host, &replay)?;
-            self.inner.send(host, &replay)?;
-            loop {
-                let resp = self.inner.recv(host)?;
-                match resp {
-                    Response::Replayed {
-                        origin: o,
-                        round: r,
-                        fingerprint: f,
-                    } if o as usize == origin && r == round => {
-                        charge_response(
-                            &mut self.stats,
-                            host,
-                            &Response::Replayed {
-                                origin: o,
-                                round: r,
-                                fingerprint: f,
-                            },
-                        )?;
-                        fingerprint = f;
-                        break;
-                    }
-                    Response::SourceLost { reason } => {
-                        return Err(jerr(
-                            "journal replay",
-                            format!("promoted host {host} unreachable during replay: {reason}"),
-                        ))
-                    }
-                    // A stale acknowledgement from a pre-crash partial
-                    // replay: the fresh persona re-produces the same
-                    // deterministic acks, so earlier rounds' duplicates
-                    // are skipped.
-                    Response::Replayed { .. } | Response::Promoted { .. } => {}
-                    resp => match resp.round() {
-                        Some(r) if r > self.r_resp[host] => {
-                            // The host's own pre-crash round answer.
-                            self.append(&JournalEntry::Resp {
-                                source: host as u32,
-                                bytes: resp.encode(),
-                            })?;
-                            charge_response(&mut self.stats, host, &resp)?;
-                            self.r_resp[host] += 1;
-                            self.pending_cmd[host] = None;
-                            self.buffered[host].push_back(resp);
-                        }
-                        Some(_) => {
-                            // A duplicate of an already-journaled answer.
-                        }
-                        None => {
-                            return Err(jerr(
-                                "journal replay",
-                                format!(
-                                    "unexpected {} from host {host} during promotion replay",
-                                    resp.name()
-                                ),
-                            ))
-                        }
-                    },
-                }
-            }
-        }
-        if completed > 0 {
-            // The journaled in-flight command (if any) was charged
-            // during replay but reaches the persona only through the
-            // reconcile reissue; everything else must already match.
-            let inflight = match &self.pending_cmd[origin] {
-                Some(bytes) => match Command::decode(bytes) {
-                    Ok(Command::Deliver { payload }) => payload.bits(),
-                    _ => 0,
-                },
-                None => 0,
-            };
-            let want = state_fingerprint(
-                completed,
-                self.stats.uplink_bits(origin),
-                self.stats.downlink_bits(origin) - inflight,
-            );
-            if fingerprint != want {
-                return Err(jerr(
-                    "journal replay",
-                    format!(
-                        "promoted replica of source {origin} rebuilt fingerprint \
-                         {fingerprint:#x}, the replayed ledger expects {want:#x}"
-                    ),
-                ));
-            }
-        }
-        Ok(())
+    /// Source `i`'s journaled round commands, encoded, in order.
+    fn journaled_commands(&self, i: usize) -> impl DoubleEndedIterator<Item = &[u8]> {
+        self.records.iter().filter_map(move |e| match e {
+            JournalEntry::Cmd { source, bytes } if *source as usize == i => Some(&bytes[..]),
+            _ => None,
+        })
     }
 
-    /// Replay exhausted: bring every surviving executor to the exact
-    /// pre-crash boundary, then go live.
+    /// Replay exhausted: rebuild every live absorbed origin's persona,
+    /// bring every surviving executor to the exact pre-crash boundary,
+    /// then go live. Personas come first, since an absorbed origin
+    /// reconciles through its host's connection: each is promoted onto
+    /// its last host again and rebuilt by [`replay_rounds`] over this
+    /// transport in record mode, as a live promotion rebuilds one.
     ///
     /// Each executor kept its round counter and response cache across
     /// the driver crash. `Resume { round: r }` (with `r` = responses we
@@ -993,25 +864,43 @@ impl<T: CommandTransport> JournalingTransport<T> {
     ///    journaled, charged, and buffered for the driver's next recv.
     /// 3. Pending command the executor never received (the driver died
     ///    between append and send): `Reissue` executes it fresh.
+    ///
+    /// Commands are re-sent from the records, released at the end.
     fn reconcile(&mut self) -> std::result::Result<(), NetError> {
         self.mode = Mode::Record;
-        // Journaled promotions re-fire first (last host per origin
-        // wins): the routes must be armed and the personas rebuilt
-        // before any `Resume` goes out, because an absorbed origin's
-        // reconciliation runs through its host's connection.
-        let deferred = std::mem::take(&mut self.deferred);
-        let mut final_host: Vec<Option<(usize, usize)>> = vec![None; self.inner.sources()];
-        for (origin, host) in deferred {
-            final_host[origin] = Some((origin, host));
+        let m = self.inner.sources();
+        for origin in 0..m {
+            let Some(host) = self.scan.hosts[origin].filter(|_| !self.scan.dead[origin]) else {
+                continue;
+            };
+            self.inner.promote(origin, host)?;
+            let mut answered = self
+                .journaled_commands(origin)
+                .map(decode_command)
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            let inflight = (self.scan.cmds[origin] > self.scan.resps[origin])
+                .then(|| answered.pop())
+                .flatten();
+            // The host's own answers are parked behind those replay
+            // already buffered, and stay there if the rebuild fails.
+            let mut parked = std::mem::replace(&mut self.buffered, vec![VecDeque::new(); m]);
+            let rebuilt = replay_rounds(
+                self,
+                origin,
+                host,
+                &answered,
+                inflight.as_ref(),
+                &mut parked,
+            );
+            self.buffered = parked;
+            rebuilt?;
         }
-        for entry in final_host.into_iter().flatten() {
-            self.refire_promotion(entry.0, entry.1)?;
-        }
-        for i in 0..self.inner.sources() {
-            if !self.dead[i] {
+        for i in 0..m {
+            if !self.scan.dead[i] {
                 self.reconcile_source(i)?;
             }
         }
+        self.records = Vec::new();
         Ok(())
     }
 
@@ -1019,7 +908,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
         self.inner.send(
             i,
             &Command::Resume {
-                round: self.r_resp[i],
+                round: self.scan.resps[i],
             },
         )?;
         let mut awaiting_resumed = true;
@@ -1028,15 +917,15 @@ impl<T: CommandTransport> JournalingTransport<T> {
             match self.inner.recv(i)? {
                 Response::Resumed { round, fingerprint } => {
                     awaiting_resumed = false;
-                    let pending = self.r_cmd[i] > self.r_resp[i];
+                    let pending = self.scan.cmds[i] > self.scan.resps[i];
                     if pending {
-                        if round != self.r_cmd[i] && round != self.r_resp[i] {
+                        if round != self.scan.cmds[i] && round != self.scan.resps[i] {
                             return Err(jerr(
                                 "journal replay",
                                 format!(
                                     "source {i} resumed at round {round}, journal expects \
                                      {} or {}",
-                                    self.r_resp[i], self.r_cmd[i]
+                                    self.scan.resps[i], self.scan.cmds[i]
                                 ),
                             ));
                         }
@@ -1046,27 +935,23 @@ impl<T: CommandTransport> JournalingTransport<T> {
                                 format!("reissue did not resolve source {i}'s pending round"),
                             ));
                         }
-                        let bytes = self.pending_cmd[i]
-                            .clone()
-                            .expect("pending implies a journaled command");
-                        let cmd = Command::decode(&bytes).map_err(|e| {
-                            jerr("journal replay", format!("corrupt command record: {e}"))
-                        })?;
+                        let bytes = self.journaled_commands(i).next_back();
+                        let cmd = decode_command(bytes.expect("pending implies a command"))?;
                         self.inner.send(
                             i,
                             &Command::Reissue {
-                                round: self.r_cmd[i],
+                                round: self.scan.cmds[i],
                                 cmd: Box::new(cmd),
                             },
                         )?;
                         reissued = true;
                     } else {
-                        if round != self.r_resp[i] {
+                        if round != self.scan.resps[i] {
                             return Err(jerr(
                                 "journal replay",
                                 format!(
                                     "source {i} resumed at round {round}, journal holds {}",
-                                    self.r_resp[i]
+                                    self.scan.resps[i]
                                 ),
                             ));
                         }
@@ -1094,7 +979,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
                     ))
                 }
                 resp => match resp.round() {
-                    Some(r) if self.r_cmd[i] > self.r_resp[i] && r == self.r_cmd[i] => {
+                    Some(r) if self.scan.cmds[i] > self.scan.resps[i] && r == self.scan.cmds[i] => {
                         // The pre-crash (or reissued) answer to the
                         // pending round: journal it, charge it now, and
                         // buffer it for the driver.
@@ -1103,8 +988,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
                             bytes: resp.encode(),
                         })?;
                         charge_response(&mut self.stats, i, &resp)?;
-                        self.r_resp[i] += 1;
-                        self.pending_cmd[i] = None;
+                        self.scan.resps[i] += 1;
                         self.buffered[i].push_back(resp);
                         if !awaiting_resumed {
                             // The reissue consumed the first Resumed;
@@ -1113,13 +997,13 @@ impl<T: CommandTransport> JournalingTransport<T> {
                             self.inner.send(
                                 i,
                                 &Command::Resume {
-                                    round: self.r_resp[i],
+                                    round: self.scan.resps[i],
                                 },
                             )?;
                             awaiting_resumed = true;
                         }
                     }
-                    Some(r) if r <= self.r_resp[i] => {
+                    Some(r) if r <= self.scan.resps[i] => {
                         // A duplicate of an already-journaled response.
                     }
                     _ => {
@@ -1361,24 +1245,123 @@ mod tests {
             },
         )
         .unwrap();
-        for e in [
+        let records = [
             // A failed attempt: the host was lost on the very next
             // send, so origin 1 is *not* absorbed by host 2…
-            JournalEntry::Promoted { origin: 1, host: 2 },
-            JournalEntry::Lost {
-                source: 2,
-                via_send: true,
-                reason: "host died mid-promotion".to_string(),
-            },
+            promoted(1, 2),
+            lost(2, true),
             // …but the retry onto host 3 sticks (and host 2's own
             // death later makes origin 2 promotable too).
-            JournalEntry::Promoted { origin: 1, host: 3 },
-            JournalEntry::Promoted { origin: 2, host: 3 },
-        ] {
+            promoted(1, 3),
+            promoted(2, 3),
+        ];
+        for e in &records {
             e.write_to(&mut buf).unwrap();
         }
         std::fs::write(&path, &buf).unwrap();
         assert_eq!(absorbed_origins(&path).unwrap(), vec![1, 2]);
         std::fs::remove_file(&path).unwrap();
+        // The scan agrees: hosts for exactly the absorbed origins, each
+        // the host of its last successful promotion.
+        assert_eq!(scan(&records, 4).hosts, [None, Some(3), Some(3), None]);
+    }
+
+    // The scan reads no record bodies, so these are empty.
+    fn cmd(source: u32) -> JournalEntry {
+        JournalEntry::Cmd {
+            source,
+            bytes: Vec::new(),
+        }
+    }
+
+    fn resp(source: u32) -> JournalEntry {
+        JournalEntry::Resp {
+            source,
+            bytes: Vec::new(),
+        }
+    }
+
+    fn lost(source: u32, via_send: bool) -> JournalEntry {
+        JournalEntry::Lost {
+            source,
+            via_send,
+            reason: "gone".to_string(),
+        }
+    }
+
+    fn promoted(origin: u32, host: u32) -> JournalEntry {
+        JournalEntry::Promoted { origin, host }
+    }
+
+    #[test]
+    fn scan_reads_counts_degradation_and_hosts_off_the_records() {
+        // (records, cmds, resps, dead, hosts) over three sources.
+        let cases = [
+            // One receive-side loss earns a reissue; its answer arrives.
+            (
+                vec![cmd(0), lost(0, false), resp(0)],
+                [1, 0, 0],
+                [1, 0, 0],
+                [false; 3],
+                [None; 3],
+            ),
+            // A second receive-side loss in a row degrades the source.
+            (
+                vec![cmd(0), resp(0), cmd(0), lost(0, false), lost(0, false)],
+                [2, 0, 0],
+                [1, 0, 0],
+                [true, false, false],
+                [None; 3],
+            ),
+            // So does a send-side loss.
+            (
+                vec![cmd(0), cmd(1), lost(1, true)],
+                [1, 1, 0],
+                [0; 3],
+                [false, true, false],
+                [None; 3],
+            ),
+            // A failed promotion, then a retry that sticks: the origin
+            // is live on the retry's host, the failed host degraded.
+            (
+                vec![
+                    cmd(0),
+                    lost(0, false),
+                    lost(0, false),
+                    promoted(0, 1),
+                    lost(1, true),
+                    promoted(0, 2),
+                    resp(0),
+                ],
+                [1, 0, 0],
+                [1, 0, 0],
+                [false, true, false],
+                [Some(2), None, None],
+            ),
+            // A failed promotion with no retry: the origin degraded,
+            // with no host.
+            (
+                vec![
+                    cmd(0),
+                    lost(0, false),
+                    lost(0, false),
+                    promoted(0, 1),
+                    lost(1, true),
+                ],
+                [1, 0, 0],
+                [0; 3],
+                [true, true, false],
+                [None; 3],
+            ),
+        ];
+        for (k, (records, cmds, resps, dead, hosts)) in cases.into_iter().enumerate() {
+            let want = Scan {
+                cmds: cmds.to_vec(),
+                resps: resps.to_vec(),
+                dead: dead.to_vec(),
+                hosts: hosts.to_vec(),
+            };
+            assert_eq!(scan(&records, 3), want, "case {k}");
+        }
     }
 }

@@ -41,41 +41,46 @@ const HEADER_LEN: usize = 9 + 18;
 const MIN_RECORD: usize = 9 + 4;
 
 /// What decoding one record may allocate besides copies of its bytes:
-/// the first allocation of its payload buffer, and its slots in the
-/// doubling vectors the decoders fill — the record list, and `resume`'s
-/// per-source command history — whose reallocations add up to at most
-/// four slots per element.
-const PER_RECORD: usize = 32 + 4 * (size_of::<JournalEntry>() + size_of::<Vec<u8>>());
+/// the first allocation of its payload buffer, and its slot in the
+/// doubling record list every decoder fills, whose reallocations add up
+/// to at most four slots per element.
+const PER_RECORD: usize = 32 + 4 * size_of::<JournalEntry>();
 
-/// The bound per file byte: 8 copies of it (the file read into memory,
-/// the payload buffer with its reallocations (4), the record body, and
-/// the two copies `resume` keeps of a command), plus [`PER_RECORD`]
-/// spread over a minimum-size record — 28 in all on 64-bit targets.
-const PER_BYTE: usize = 8 + PER_RECORD.div_ceil(MIN_RECORD);
+/// The bound per file byte: 6 copies of it (the file read into memory,
+/// the payload buffer with its reallocations (4), and the record body),
+/// plus [`PER_RECORD`] spread over a minimum-size record — 19 in all on
+/// 64-bit targets. `absorbed_origins`' list of origins, at most four
+/// 8-byte slots per 17-byte promotion record, fits in what the longer
+/// record leaves over.
+const PER_BYTE: usize = 6 + PER_RECORD.div_ceil(MIN_RECORD);
 
 /// Allocation independent of the file size: error messages, and the
 /// resumed transport's ledgers and 8 KiB journal write buffer.
 const SLACK: usize = 16 * 1024;
 
+/// What `read_journal` found in a file: its header and records.
+type Decoded = Option<(JournalHeader, Vec<JournalEntry>)>;
+
 /// Feeds `bytes`, as a journal file private to this test (`tag`), to
 /// every decoder under the contract, and checks that every failure is a
-/// typed journal error. Returns what `read_journal` found.
-fn decode_all(tag: &str, bytes: &[u8]) -> Option<(JournalHeader, Vec<JournalEntry>)> {
+/// typed journal error. Returns what `read_journal` found, and the bytes
+/// `read_journal` and `resume` requested.
+fn decode_all(tag: &str, bytes: &[u8]) -> (Decoded, usize, usize) {
     let path = std::env::temp_dir().join(format!(
         "ekm-journal-totality-{}-{tag}.journal",
         std::process::id()
     ));
     std::fs::write(&path, bytes).unwrap();
-    let read = within_bound("read_journal", bytes, PER_BYTE, SLACK, || {
+    let (read, read_bytes) = within_bound("read_journal", bytes, PER_BYTE, SLACK, || {
         read_journal(&path)
     });
-    let absorbed = within_bound("absorbed_origins", bytes, PER_BYTE, SLACK, || {
+    let (absorbed, _) = within_bound("absorbed_origins", bytes, PER_BYTE, SLACK, || {
         absorbed_origins(&path)
     });
     // `resume` consumes its transport (and truncates the file, so it
     // runs last); the channels are built outside the measured region.
     let (hub, _endpoints) = channel_pairs(SOURCES as usize);
-    let resumed = within_bound("resume", bytes, PER_BYTE, SLACK, || {
+    let (resumed, resume_bytes) = within_bound("resume", bytes, PER_BYTE, SLACK, || {
         JournalingTransport::resume(hub, &path, FP)
     });
     std::fs::remove_file(&path).unwrap();
@@ -91,7 +96,7 @@ fn decode_all(tag: &str, bytes: &[u8]) -> Option<(JournalHeader, Vec<JournalEntr
             hex(bytes)
         );
     }
-    read.ok()
+    (read.ok(), read_bytes, resume_bytes)
 }
 
 /// A valid journal over [`SOURCES`] sources holding every record kind.
@@ -137,7 +142,7 @@ fn valid_journal() -> (Vec<u8>, Vec<JournalEntry>) {
 #[test]
 fn every_bit_flip_of_a_valid_journal_is_total() {
     let (bytes, entries) = valid_journal();
-    assert_eq!(decode_all("flip", &bytes), Some((HEADER, entries)));
+    assert_eq!(decode_all("flip", &bytes).0, Some((HEADER, entries)));
     for i in 0..bytes.len() * 8 {
         decode_all("flip", &flipped(&bytes, i));
     }
@@ -162,7 +167,7 @@ fn every_truncation_of_a_valid_journal_is_total() {
             .iter()
             .position(|&end| end == cut)
             .map(|kept| (HEADER, entries[..kept].to_vec()));
-        assert_eq!(decode_all("cut", &bytes[..cut]), want, "cut at {cut}");
+        assert_eq!(decode_all("cut", &bytes[..cut]).0, want, "cut at {cut}");
     }
 }
 
@@ -170,7 +175,7 @@ fn every_truncation_of_a_valid_journal_is_total() {
 fn journals_of_minimum_records_stay_within_the_bound() {
     // Where the per-byte bound bites: thousands of the smallest records,
     // one past a power of two so every doubling vector just grew, all
-    // naming one source so its command history grows with them.
+    // naming one source.
     let (valid, _) = valid_journal();
     let records = [
         JournalEntry::Cmd {
@@ -193,8 +198,15 @@ fn journals_of_minimum_records_stay_within_the_bound() {
         for _ in 0..4097 {
             record.write_to(&mut bytes).unwrap();
         }
-        let decoded = decode_all("minimum", &bytes);
+        let (decoded, read, resumed) = decode_all("minimum", &bytes);
         assert_eq!(decoded.map(|(_, entries)| entries.len()), Some(4097));
+        // `resume` keeps the records `read_journal` returns and nothing
+        // more per record: its per-source state and its write buffer
+        // fit in the slack.
+        assert!(
+            resumed <= read + SLACK,
+            "{record:?}: resume requested {resumed} bytes, read_journal {read}"
+        );
     }
 }
 
@@ -216,7 +228,7 @@ fn arbitrary_bytes_are_total() {
             // Bytes alone: a foreign header, refused.
             0 => {
                 let bytes = random_bytes(seed, len);
-                assert_eq!(decode_all("random", &bytes), None);
+                assert_eq!(decode_all("random", &bytes).0, None);
                 continue;
             }
             // A valid header, then bytes.

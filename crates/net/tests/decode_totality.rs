@@ -34,7 +34,7 @@ use std::io::Read;
 /// Runs `f`, a decode of `input`, under the contract: no panic, and at
 /// most `8 · input.len() + 1024` bytes requested from the allocator.
 fn within_bound<T>(what: &str, input: &[u8], f: impl FnOnce() -> T) -> T {
-    counting_alloc::within_bound(what, input, 8, 1024, f)
+    counting_alloc::within_bound(what, input, 8, 1024, f).0
 }
 
 /// Decodes `bit_len` bits of `data` under the contract, and checks that

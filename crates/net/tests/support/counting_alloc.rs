@@ -62,14 +62,15 @@ pub fn flipped(buf: &[u8], i: usize) -> Vec<u8> {
 
 /// Runs `f`, a decode of `input`, and checks the totality contract: no
 /// panic, and at most `per_byte · input.len() + slack` bytes requested
-/// from the allocator on this thread.
+/// from the allocator on this thread. Returns what `f` returned and the
+/// bytes it requested.
 pub fn within_bound<T>(
     what: &str,
     input: &[u8],
     per_byte: usize,
     slack: usize,
     f: impl FnOnce() -> T,
-) -> T {
+) -> (T, usize) {
     let before = REQUESTED.with(Cell::get);
     let result = catch_unwind(AssertUnwindSafe(f));
     let requested = REQUESTED.with(Cell::get) - before;
@@ -80,5 +81,5 @@ pub fn within_bound<T>(
         input.len(),
         hex(input)
     );
-    result
+    (result, requested)
 }

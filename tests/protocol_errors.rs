@@ -529,9 +529,9 @@ fn a_summary_of_the_wrong_kind_is_a_typed_protocol_error() {
     }
 }
 
-/// A source endpoint that sets the first singular value of its first
-/// `Up` to NaN, when that `Up` carries an SVD summary: a well-formed
-/// summary holding a non-finite value.
+/// A source endpoint that sets the first value of its first `Up` to NaN
+/// — a singular value, a raw or coreset point coordinate, or a basis
+/// entry: a well-formed summary holding a non-finite value.
 struct NanSummary<E> {
     inner: E,
     armed: bool,
@@ -545,19 +545,17 @@ impl<E: SourceEndpoint> SourceEndpoint for NanSummary<E> {
     fn send_response(&mut self, mut resp: Response) -> Result<(), NetError> {
         if let Response::Up { payload, .. } = &mut resp {
             if std::mem::take(&mut self.armed) {
-                if let Message::SvdSummary {
-                    mut singular_values,
-                    basis,
-                    precision,
-                } = payload.decode()?
-                {
-                    singular_values[0] = f64::NAN;
-                    *payload = Payload::of(&Message::SvdSummary {
-                        singular_values,
-                        basis,
-                        precision,
-                    });
+                let mut msg = payload.decode()?;
+                match &mut msg {
+                    Message::SvdSummary {
+                        singular_values, ..
+                    } => singular_values[0] = f64::NAN,
+                    Message::RawData { points }
+                    | Message::Coreset { points, .. }
+                    | Message::Basis { basis: points, .. } => points.as_mut_slice()[0] = f64::NAN,
+                    other => panic!("no value to poison in {other:?}"),
                 }
+                *payload = Payload::of(&msg);
             }
         }
         self.inner.send_response(resp)
@@ -565,34 +563,38 @@ impl<E: SourceEndpoint> SourceEndpoint for NanSummary<E> {
 }
 
 #[test]
-fn a_non_finite_svd_summary_is_a_typed_error_not_a_panic() {
-    // The server folds source 0's poisoned summary into the global
-    // disPCA basis; the eigensolver must refuse it with a typed error.
-    let pipe = pipeline("dispca,disss", 200, 12);
-    let data = workload(200, 12, 7);
-    let shards = partition_uniform(&data, 2, 3).unwrap();
-    let err = std::thread::scope(|scope| {
-        // The hub lives in this closure, so a failed assertion hangs
-        // up on the executors instead of leaving them waiting.
-        let (mut hub, endpoints) = channel_pairs(2);
-        for (i, (inner, shard)) in endpoints.into_iter().zip(&shards).enumerate() {
-            let (stages, params) = (pipe.stages(), pipe.params());
-            scope.spawn(move || {
-                let mut endpoint = NanSummary {
-                    inner,
-                    armed: i == 0,
-                };
-                // The driver aborts the run, so the executor fails too.
-                let _ =
-                    SourceExecutor::new(stages, params, i, 2, shard.clone()).serve(&mut endpoint);
-            });
-        }
-        pipe.run_driver(&mut hub).unwrap_err()
-    });
-    assert!(
-        matches!(err, CoreError::Linalg(LinalgError::NonFinite { .. })),
-        "{err:?}"
-    );
+fn a_non_finite_summary_is_a_typed_error_not_a_panic() {
+    // Source 0's first upload is poisoned: an SVD summary the server
+    // folds into the global disPCA basis (the eigensolver refuses it),
+    // raw points, coreset points, or the FSS basis (the server refuses
+    // those before the solve and the lift).
+    for (list, m) in [("dispca,disss", 2), ("jl", 2), ("jl,stream", 2), ("fss", 1)] {
+        let pipe = pipeline(list, 200, 12);
+        let data = workload(200, 12, 7);
+        let shards = partition_uniform(&data, m, 3).unwrap();
+        let err = std::thread::scope(|scope| {
+            // The hub lives in this closure, so a failed assertion hangs
+            // up on the executors instead of leaving them waiting.
+            let (mut hub, endpoints) = channel_pairs(m);
+            for (i, (inner, shard)) in endpoints.into_iter().zip(&shards).enumerate() {
+                let (stages, params) = (pipe.stages(), pipe.params());
+                scope.spawn(move || {
+                    let mut endpoint = NanSummary {
+                        inner,
+                        armed: i == 0,
+                    };
+                    // The driver aborts the run, so the executor fails too.
+                    let _ = SourceExecutor::new(stages, params, i, m, shard.clone())
+                        .serve(&mut endpoint);
+                });
+            }
+            pipe.run_driver(&mut hub).unwrap_err()
+        });
+        assert!(
+            matches!(err, CoreError::Linalg(LinalgError::NonFinite { .. })),
+            "{list}: {err:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
