@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the performance-critical substrates:
 //! dense kernels (matmul/Gram/eigen/SVD), clustering (Lloyd,
-//! k-means++), DR (JL apply), CR (sensitivity sampling / FSS), the
+//! k-means++, and the `upload-qt` server solve), DR (JL apply), CR
+//! (sensitivity sampling / FSS), the
 //! blocked distance engine vs the scalar assignment path it replaced,
 //! and the serve-path upload: the quantized coreset codec and the
 //! reassembly of its frame.
@@ -132,6 +133,21 @@ fn bench_clustering(c: &mut Criterion) {
                 .with_n_init(1)
                 .with_seed(7)
                 .fit(black_box(&data))
+                .unwrap()
+        })
+    });
+    // The server solve of a one-source `upload-qt` run: three restarts
+    // at k = 2 over a 10000 × 784 summary (62.7 MB, above the 2¹⁹-scalar
+    // line where its passes spread over the workers). Few samples, so
+    // the smoke run stays short.
+    g.sample_size(5);
+    let summary = gaussian_matrix(24, 10_000, 784, 1.0);
+    g.bench_function("kmeans_k2_10000x784_r3", |bench| {
+        bench.iter(|| {
+            KMeans::new(2)
+                .with_n_init(3)
+                .with_seed(7)
+                .fit(black_box(&summary))
                 .unwrap()
         })
     });

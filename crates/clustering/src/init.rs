@@ -1,12 +1,20 @@
-//! k-means++ (D²) seeding, weighted.
+//! k-means++ (D²) seeding, weighted, from one random stream or from
+//! several in lockstep.
 //!
 //! The D² distribution — pick the next center with probability proportional
 //! to (weight ×) squared distance to the current centers — is used three
 //! ways in the paper's stack: as Lloyd seeding, as the inner loop of the
 //! ADK bicriteria approximation, and (via sensitivities) in coreset
 //! sampling.
+//!
+//! There is one seeding loop. [`kmeanspp_indices`] runs it for one
+//! stream, and `KMeans::fit_weighted` for all its restarts at once: each
+//! restart keeps its own stream and draws, and each round's D² refresh
+//! is one grouped pass over the points for the centers every restart
+//! just drew.
 
 use crate::cost::validate_weights;
+use crate::lloyd::Solve;
 use crate::{ClusteringError, Result};
 use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::Matrix;
@@ -25,6 +33,8 @@ use rand::Rng;
 /// # Errors
 ///
 /// * [`ClusteringError::EmptyInput`] for an empty dataset.
+/// * [`ClusteringError::Linalg`] for a non-finite point (see
+///   `KMeans::fit_weighted`).
 /// * [`ClusteringError::InvalidK`] if `k` is 0 or exceeds the number of
 ///   positive-weight points.
 /// * [`ClusteringError::InvalidWeights`] for malformed weights.
@@ -35,54 +45,79 @@ pub fn kmeanspp_indices<R: Rng + ?Sized>(
     k: usize,
     compute: Compute,
 ) -> Result<Vec<usize>> {
-    if points.is_empty() {
-        return Err(ClusteringError::EmptyInput);
-    }
-    let n = points.rows();
-    validate_weights(weights, n)?;
+    let solve = Solve::new(points, weights, compute)?;
+    let mut seeds = kmeanspp_starts(&solve, k, &mut [rng])?;
+    Ok(seeds.pop().expect("one stream gives one seeding"))
+}
+
+/// k-means++ for every stream in `rngs` at once, returning each
+/// stream's `k` indices — bitwise what [`kmeanspp_indices`] draws from
+/// that stream alone.
+///
+/// Every round, each restart draws from its own stream (including the
+/// zero-mass fallback); then one grouped pass over the points measures
+/// the distance to the center each restart just drew (one group per
+/// restart), and each restart folds it into its D² by strict
+/// improvement. No refresh follows the last center: nothing reads it.
+///
+/// # Errors
+///
+/// * [`ClusteringError::InvalidK`] if `k` is 0 or exceeds the number of
+///   positive-weight points.
+/// * [`ClusteringError::InvalidWeights`] if a draw finds no finite mass.
+pub(crate) fn kmeanspp_starts<R: Rng + ?Sized>(
+    solve: &Solve<'_>,
+    k: usize,
+    rngs: &mut [&mut R],
+) -> Result<Vec<Vec<usize>>> {
+    let (points, weights) = (solve.engine.points(), solve.weights);
     let positive = weights.iter().filter(|&&w| w > 0.0).count();
     if k == 0 || k > positive {
         return Err(ClusteringError::InvalidK { k, n: positive });
     }
-
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    // First center: ∝ w.
-    chosen.push(draw_index(rng, weights)?);
-
-    // Maintain D² to the chosen set incrementally through the engine's
-    // batched min-update: the point norms are paid once when the engine
-    // is built, and every round's refresh against the new center runs the
-    // blocked lane kernel instead of a serial per-point loop. Starting
-    // from +∞ and min-updating with the first center yields exactly the
-    // distances-to-first-center vector.
-    let engine = DistanceEngine::new(points, compute);
-    let mut d2 = vec![f64::INFINITY; n];
-    engine
-        .min_update(&points.select_rows(&[chosen[0]]), &mut d2)
-        .map_err(ClusteringError::Linalg)?;
-
-    while chosen.len() < k {
-        let probs: Vec<f64> = d2.iter().zip(weights).map(|(&d, &w)| d * w).collect();
-        let total: f64 = probs.iter().sum();
-        let next = if total > 0.0 {
-            draw_index(rng, &probs)?
-        } else {
-            // All remaining mass at distance zero (duplicate-heavy data):
-            // fall back to weight-proportional sampling among unchosen
-            // positive-weight points.
-            let mut fallback = weights.to_vec();
-            for &c in &chosen {
-                fallback[c] = 0.0;
+    let mut chosen: Vec<Vec<usize>> = vec![Vec::with_capacity(k); rngs.len()];
+    // D² to each restart's chosen set, refreshed after every round
+    // through the engine's grouped pass: starting from +∞, the first
+    // refresh yields exactly the distances to the first center.
+    let mut d2 = vec![vec![f64::INFINITY; points.rows()]; rngs.len()];
+    for round in 0..k {
+        for ((rng, chosen), d2) in rngs.iter_mut().zip(&mut chosen).zip(&d2) {
+            let next = if round == 0 {
+                // First center: ∝ w.
+                draw_index(rng, weights)?
+            } else {
+                let probs: Vec<f64> = d2.iter().zip(weights).map(|(&d, &w)| d * w).collect();
+                let total: f64 = probs.iter().sum();
+                if total > 0.0 {
+                    draw_index(rng, &probs)?
+                } else {
+                    // All remaining mass at distance zero (duplicate-heavy
+                    // data): fall back to weight-proportional sampling
+                    // among unchosen positive-weight points.
+                    let mut fallback = weights.to_vec();
+                    for &c in chosen.iter() {
+                        fallback[c] = 0.0;
+                    }
+                    if fallback.iter().all(|&w| w == 0.0) {
+                        return Err(ClusteringError::InvalidK { k, n: chosen.len() });
+                    }
+                    draw_index(rng, &fallback)?
+                }
+            };
+            chosen.push(next);
+        }
+        if round + 1 == k {
+            break;
+        }
+        let drawn: Vec<usize> = chosen.iter().map(|c| c[round]).collect();
+        let passed = solve.assign(&points.select_rows(&drawn), 1)?;
+        for (d2, (_, dists)) in d2.iter_mut().zip(passed) {
+            for (b, nd) in d2.iter_mut().zip(dists) {
+                if nd < *b {
+                    *b = nd;
+                }
             }
-            if fallback.iter().all(|&w| w == 0.0) {
-                return Err(ClusteringError::InvalidK { k, n: chosen.len() });
-            }
-            draw_index(rng, &fallback)?
-        };
-        chosen.push(next);
-        engine
-            .min_update(&points.select_rows(&[next]), &mut d2)
-            .map_err(ClusteringError::Linalg)?;
+        }
     }
     Ok(chosen)
 }
@@ -195,9 +230,51 @@ fn draw_index<R: Rng + ?Sized>(rng: &mut R, probs: &[f64]) -> Result<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ekm_linalg::random::rng_from_seed;
+
+    /// The per-stream k-means++ loop, the reference the lockstep loop
+    /// must match bit for bit: one stream, its own engine, and a
+    /// `min_update` after every drawn center, the last included.
+    pub(crate) fn reference_kmeanspp_indices<R: Rng + ?Sized>(
+        rng: &mut R,
+        points: &Matrix,
+        weights: &[f64],
+        k: usize,
+        compute: Compute,
+    ) -> Result<Vec<usize>> {
+        let n = points.rows();
+        validate_weights(weights, n)?;
+        let positive = weights.iter().filter(|&&w| w > 0.0).count();
+        if k == 0 || k > positive {
+            return Err(ClusteringError::InvalidK { k, n: positive });
+        }
+        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        chosen.push(draw_index(rng, weights)?);
+        let engine = DistanceEngine::new(points, compute);
+        let mut d2 = vec![f64::INFINITY; n];
+        engine.min_update(&points.select_rows(&[chosen[0]]), &mut d2)?;
+        while chosen.len() < k {
+            let probs: Vec<f64> = d2.iter().zip(weights).map(|(&d, &w)| d * w).collect();
+            let total: f64 = probs.iter().sum();
+            let next = if total > 0.0 {
+                draw_index(rng, &probs)?
+            } else {
+                let mut fallback = weights.to_vec();
+                for &c in &chosen {
+                    fallback[c] = 0.0;
+                }
+                if fallback.iter().all(|&w| w == 0.0) {
+                    return Err(ClusteringError::InvalidK { k, n: chosen.len() });
+                }
+                draw_index(rng, &fallback)?
+            };
+            chosen.push(next);
+            engine.min_update(&points.select_rows(&[next]), &mut d2)?;
+        }
+        Ok(chosen)
+    }
 
     fn two_blob_points() -> Matrix {
         let mut rows = Vec::new();

@@ -1,10 +1,9 @@
 //! Multi-restart k-means driver: the server-side `kmeans(S', w, k)`
 //! primitive of Algorithms 1–4.
 
-use crate::cost::validate_weights;
-use crate::init::kmeanspp_centers;
-use crate::lloyd::{lloyd, LloydConfig};
-use crate::{ClusteringError, Result};
+use crate::init::kmeanspp_starts;
+use crate::lloyd::{lloyd_starts, LloydConfig, LloydOutcome, Solve};
+use crate::Result;
 use ekm_linalg::distance::Compute;
 use ekm_linalg::random::{derive_seed, rng_from_seed};
 use ekm_linalg::Matrix;
@@ -132,59 +131,227 @@ impl KMeans {
     /// Fits weighted k-means: minimizes `Σ w_i · min_x ‖p_i − x‖²`.
     ///
     /// Runs `n_init` k-means++ initializations followed by Lloyd iteration
-    /// and returns the best outcome.
+    /// and returns the best outcome: the first restart with the lowest
+    /// inertia. The restarts run in lockstep over one prepared copy of
+    /// the points: one norm pass per fit, then one pass per k-means++
+    /// round and one per Lloyd iteration for all restarts at once. Each
+    /// restart keeps its own random stream (`derive_seed(seed, restart)`),
+    /// so its result is bitwise that of a fit from its seed alone.
     ///
     /// # Errors
     ///
-    /// * [`ClusteringError::EmptyInput`] for an empty dataset.
-    /// * [`ClusteringError::InvalidK`] if `k` is 0 or exceeds the number of
+    /// * [`ClusteringError::EmptyInput`](crate::ClusteringError::EmptyInput) for an empty dataset.
+    /// * [`ClusteringError::Linalg`](crate::ClusteringError::Linalg) with `LinalgError::NonFinite` if a
+    ///   point holds a NaN or infinite coordinate or its squared norm
+    ///   overflows.
+    /// * [`ClusteringError::InvalidK`](crate::ClusteringError::InvalidK) if `k` is 0 or exceeds the number of
     ///   positive-weight points.
-    /// * [`ClusteringError::InvalidWeights`] for malformed weights.
+    /// * [`ClusteringError::InvalidWeights`](crate::ClusteringError::InvalidWeights) for malformed weights.
     pub fn fit_weighted(&self, points: &Matrix, weights: &[f64]) -> Result<KMeansModel> {
-        if points.is_empty() {
-            return Err(ClusteringError::EmptyInput);
-        }
-        validate_weights(weights, points.rows())?;
-        let positive = weights.iter().filter(|&&w| w > 0.0).count();
-        if self.k == 0 || self.k > positive {
-            return Err(ClusteringError::InvalidK {
-                k: self.k,
-                n: positive,
-            });
-        }
+        let solve = Solve::new(points, weights, self.compute)?;
+        let mut rngs: Vec<_> = (0..self.n_init)
+            .map(|restart| rng_from_seed(derive_seed(self.seed, restart as u64)))
+            .collect();
+        let mut streams: Vec<_> = rngs.iter_mut().collect();
+        let inits = kmeanspp_starts(&solve, self.k, &mut streams)?
+            .iter()
+            .map(|idx| points.select_rows(idx))
+            .collect();
         let config = LloydConfig {
             max_iter: self.max_iter,
             tol: self.tol,
             compute: self.compute,
         };
-        let mut best: Option<KMeansModel> = None;
-        for restart in 0..self.n_init {
-            let mut rng = rng_from_seed(derive_seed(self.seed, restart as u64));
-            let init = kmeanspp_centers(&mut rng, points, weights, self.k, self.compute)?;
-            let out = lloyd(points, weights, &init, &config)?;
-            let better = best
-                .as_ref()
-                .map(|b| out.inertia < b.inertia)
-                .unwrap_or(true);
-            if better {
-                best = Some(KMeansModel {
-                    centers: out.centers,
-                    inertia: out.inertia,
-                    labels: out.assignment.labels,
-                    iterations: out.iterations,
-                    restarts: restart + 1,
-                });
+        let mut best: Option<LloydOutcome> = None;
+        for out in lloyd_starts(&solve, inits, &config)? {
+            if best.as_ref().is_none_or(|b| out.inertia < b.inertia) {
+                best = Some(out);
             }
         }
-        let mut model = best.expect("n_init >= 1 guarantees a model");
-        model.restarts = self.n_init;
-        Ok(model)
+        let best = best.expect("n_init >= 1 guarantees a model");
+        Ok(KMeansModel {
+            centers: best.centers,
+            inertia: best.inertia,
+            labels: best.assignment.labels,
+            iterations: best.iterations,
+            restarts: self.n_init,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::kmeanspp_indices;
+    use crate::init::tests::reference_kmeanspp_indices;
+    use crate::lloyd::lloyd;
+    use crate::lloyd::tests::{assert_same_outcome, reference_lloyd};
+    use crate::ClusteringError;
+    use ekm_linalg::random::gaussian_matrix;
+    use ekm_linalg::LinalgError;
+    use proptest::prelude::*;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs `km` restart by restart through the reference seeding and
+    /// Lloyd loops, then in lockstep at each worker count, and asserts
+    /// that every restart agrees bit for bit — seeds, centers, labels,
+    /// distances, inertia, iterations, convergence — and that
+    /// `fit_weighted` returns the first restart with the lowest inertia.
+    fn assert_lockstep_is_the_per_restart_loop(
+        km: &KMeans,
+        points: &Matrix,
+        weights: &[f64],
+        workers: &[usize],
+    ) {
+        let config = LloydConfig {
+            max_iter: km.max_iter,
+            tol: km.tol,
+            compute: km.compute,
+        };
+        let stream = |r: usize| rng_from_seed(derive_seed(km.seed, r as u64));
+        let want: Vec<(Vec<usize>, LloydOutcome)> = (0..km.n_init)
+            .map(|r| {
+                let seeds =
+                    reference_kmeanspp_indices(&mut stream(r), points, weights, km.k, km.compute)
+                        .unwrap();
+                let init = points.select_rows(&seeds);
+                (
+                    seeds,
+                    reference_lloyd(points, weights, &init, &config).unwrap(),
+                )
+            })
+            .collect();
+        let mut solve = Solve::new(points, weights, km.compute).unwrap();
+        for &w in workers {
+            solve.workers = w;
+            let mut rngs: Vec<_> = (0..km.n_init).map(stream).collect();
+            let mut streams: Vec<_> = rngs.iter_mut().collect();
+            let seeds = kmeanspp_starts(&solve, km.k, &mut streams).unwrap();
+            let inits = seeds.iter().map(|s| points.select_rows(s)).collect();
+            let outs = lloyd_starts(&solve, inits, &config).unwrap();
+            assert_eq!(outs.len(), km.n_init);
+            for (r, ((s, o), (ws, wo))) in seeds.iter().zip(&outs).zip(&want).enumerate() {
+                let context = format!("{km:?} restart {r}, {w} workers");
+                assert_eq!(s, ws, "{context}");
+                assert_same_outcome(o, wo, &context);
+            }
+        }
+        let mut best = &want[0].1;
+        for (_, out) in &want[1..] {
+            if out.inertia < best.inertia {
+                best = out;
+            }
+        }
+        let model = km.fit_weighted(points, weights).unwrap();
+        assert_eq!(
+            bits(model.centers.as_slice()),
+            bits(best.centers.as_slice()),
+            "{km:?}"
+        );
+        assert_eq!(model.labels, best.assignment.labels, "{km:?}");
+        assert_eq!(model.inertia.to_bits(), best.inertia.to_bits(), "{km:?}");
+        assert_eq!(model.iterations, best.iterations, "{km:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Lockstep restarts are bitwise the per-restart loop on three
+        /// kinds of data: separated blobs; duplicate-heavy points (three
+        /// distinct rows, so k > 3 reaches the zero-mass fallback and
+        /// Lloyd repairs the clusters its duplicate seeds leave empty);
+        /// and blobs with a fifth of the weights zero. k = 3 with 3
+        /// restarts puts a group across two lane groups.
+        #[test]
+        fn lockstep_restarts_are_bitwise_the_per_restart_loop(
+            (n, d, k, restarts, seed) in (20usize..1400, 1usize..5, 1usize..10, 1usize..6, 0u64..1000),
+            (kind, cap, f32_compute) in (0usize..3, 0usize..5, 0usize..2),
+        ) {
+            let points = if kind == 1 {
+                Matrix::from_fn(n, d, |i, j| ((i * 7 % 3) * 2 + j) as f64 * 0.5)
+            } else {
+                let noise = gaussian_matrix(seed, n, d, 1.0);
+                Matrix::from_fn(n, d, |i, j| noise[(i, j)] + ((i + j) % 3) as f64 * 6.0)
+            };
+            let weights: Vec<f64> = (0..n)
+                .map(|i| match (kind, i % 5) {
+                    (2, 0) => 0.0,
+                    (_, r) => 1.0 + r as f64 * 0.25,
+                })
+                .collect();
+            let km = KMeans::new(k)
+                .with_n_init(restarts)
+                .with_seed(seed)
+                .with_max_iter([0, 1, 2, 5, 100][cap])
+                .with_compute([Compute::F64, Compute::F32][f32_compute]);
+            assert_lockstep_is_the_per_restart_loop(&km, &points, &weights, &[1, 2]);
+        }
+    }
+
+    #[test]
+    fn lockstep_restarts_agree_at_every_worker_count_above_the_parallel_threshold() {
+        // n·d ≥ 2¹⁹, where a solve's passes spread over its workers; the
+        // golden fixtures (n·d = 144,000) only reach the one-worker path.
+        let (n, d) = (2_100, 256);
+        assert!(n * d >= 1 << 19);
+        let noise = gaussian_matrix(3, n, d, 1.0);
+        let points = Matrix::from_fn(n, d, |i, j| noise[(i, j)] + (i % 3 * (j % 2)) as f64 * 4.0);
+        let weights: Vec<f64> = (0..n).map(|i| (i % 6) as f64 * 0.5).collect();
+        for (k, restarts, compute) in [
+            (2, 3, Compute::F64),
+            (3, 3, Compute::F32),
+            (9, 2, Compute::F64),
+        ] {
+            let km = KMeans::new(k)
+                .with_n_init(restarts)
+                .with_seed(11)
+                .with_max_iter(20)
+                .with_compute(compute);
+            assert_lockstep_is_the_per_restart_loop(&km, &points, &weights, &[1, 2, 4]);
+        }
+    }
+
+    #[test]
+    fn non_finite_points_are_refused() {
+        // Two blobs of 40 points with one coordinate poisoned. Unchecked,
+        // the poisoned row's distances read as 0 (max(NaN, 0) = 0), and a
+        // NaN fit returns Ok with inertia 0 and a NaN center.
+        let blobs = Matrix::from_fn(80, 2, |i, j| {
+            if j == 0 {
+                (i % 2) as f64 * 50.0 + (i % 4) as f64 * 0.1
+            } else {
+                0.0
+            }
+        });
+        let w = vec![1.0; 80];
+        let refused = |e: ClusteringError| {
+            matches!(e, ClusteringError::Linalg(LinalgError::NonFinite { .. }))
+        };
+        for (bad, what) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "+inf"),
+            (f64::NEG_INFINITY, "-inf"),
+            (1e200, "an overflowing norm"),
+        ] {
+            let mut p = blobs.clone();
+            p[(17, 1)] = bad;
+            for compute in [Compute::F64, Compute::F32] {
+                let err = KMeans::new(2).with_compute(compute).fit(&p).unwrap_err();
+                assert!(refused(err), "{what} {compute}");
+            }
+            let init = blobs.select_rows(&[0, 1]);
+            assert!(
+                refused(lloyd(&p, &w, &init, &LloydConfig::default()).unwrap_err()),
+                "{what}"
+            );
+            let mut rng = rng_from_seed(1);
+            let err = kmeanspp_indices(&mut rng, &p, &w, 2, Compute::F64).unwrap_err();
+            assert!(refused(err), "{what}");
+        }
+    }
 
     fn three_blobs(per: usize) -> Matrix {
         let mut rows = Vec::new();

@@ -1,20 +1,25 @@
-//! Weighted Lloyd iteration with empty-cluster repair.
+//! Weighted Lloyd iteration with empty-cluster repair, from one start or
+//! from several in lockstep.
 //!
-//! The centroid-update step is *sharded*: the points are cut into
-//! fixed-size row chunks, every chunk's partial sums are computed
-//! independently (on up to [`parallel::worker_count`] scoped worker
-//! threads, which `ekm --threads` caps, once the points hold 2¹⁹
-//! scalars), and the partials are folded into the global sums in chunk
-//! order. Because the chunk boundaries and the fold order depend only on
-//! the number of points — never on the worker count or the thread
-//! schedule — the result is **bit-identical** at every worker count,
-//! including a single worker (asserted by the `accumulate_sums_*`
-//! proptest).
+//! There is one Lloyd loop. [`lloyd`] runs it from one start, and
+//! `KMeans::fit_weighted` from all its k-means++ restarts at once. Each
+//! iteration updates every live start's centers from its centroid sums
+//! and then makes **one pass over the points for all of them**
+//! ([`DistanceEngine::assign_groups`]): a block of rows is assigned to
+//! every start's centers and, while those rows are in cache, folded into
+//! the per-start sums of its chunk. The chunks are fixed 1024-row runs,
+//! each worker takes whole chunks (on up to [`parallel::worker_count`]
+//! scoped threads, which `ekm --threads` caps, once the points hold 2¹⁹
+//! scalars), a chunk sums its rows in row order, and the chunk sums are
+//! folded in chunk order. The fold graph therefore depends only on the
+//! number of points, so the centers are **bit-identical** at every
+//! worker count, and a start's run is bitwise its run alone: a center's
+//! distance does not depend on which lane it sits in.
 
-use crate::cost::{assign_engine, validate_weights, Assignment};
+use crate::cost::{validate_weights, Assignment};
 use crate::{ClusteringError, Result};
 use ekm_linalg::distance::{Compute, DistanceEngine};
-use ekm_linalg::{parallel, Matrix};
+use ekm_linalg::{parallel, LinalgError, Matrix};
 
 /// Fixed row-chunk granularity of the deterministic accumulation tree.
 /// A constant (rather than `n / workers`) is what makes the fold graph —
@@ -22,10 +27,10 @@ use ekm_linalg::{parallel, Matrix};
 /// worker count.
 const ACCUM_CHUNK: usize = 1024;
 
-/// Point scalars (`n · d`) from which the centroid update spreads its
-/// chunks over [`parallel::worker_count`] threads. Below it the update
-/// runs on the calling thread: spawning the workers would cost more than
-/// the fold they share (the accumulation alone breaks even near 2¹⁹
+/// Point scalars (`n · d`) from which every pass of a solve spreads its
+/// chunks over [`parallel::worker_count`] threads. Below it the passes
+/// run on the calling thread: spawning the workers would cost more than
+/// the pass they share (the accumulation alone breaks even near 2¹⁹
 /// scalars with two workers on a 2-vCPU x86-64 host).
 const PAR_ACCUM_SCALARS: usize = 1 << 19;
 
@@ -70,66 +75,126 @@ impl Default for LloydConfig {
     }
 }
 
-/// Per-chunk partial of the weighted centroid update: `k × d` sums
-/// (row-major) and `k` weight totals, accumulated in row order within
-/// the chunk.
-fn chunk_partial(
-    points: &Matrix,
-    weights: &[f64],
-    labels: &[usize],
-    k: usize,
-    chunk: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let d = points.cols();
-    let n = points.rows();
-    let start = chunk * ACCUM_CHUNK;
-    let end = (start + ACCUM_CHUNK).min(n);
-    let mut sums = vec![0.0f64; k * d];
-    let mut totals = vec![0.0f64; k];
-    for i in start..end {
-        let w = weights[i];
-        if w == 0.0 {
-            continue;
-        }
-        let c = labels[i];
-        totals[c] += w;
-        let srow = &mut sums[c * d..(c + 1) * d];
-        for (s, &v) in srow.iter_mut().zip(points.row(i)) {
-            *s += w * v;
-        }
-    }
-    (sums, totals)
+/// One start's share of a pass: its assignment, its centroid sums
+/// (`k × d`, row-major) and its weight totals.
+type Pass = (Assignment, Vec<f64>, Vec<f64>);
+
+/// What every pass of one solve shares: the points, prepared once
+/// (their norms are the solve's only norm pass), their weights, and the
+/// worker count of every pass.
+pub(crate) struct Solve<'a> {
+    pub(crate) engine: DistanceEngine<'a>,
+    pub(crate) weights: &'a [f64],
+    pub(crate) workers: usize,
 }
 
-/// The sharded centroid-update accumulation: per-chunk partials (chunk
-/// boundaries fixed by `n` alone) computed on up to `workers` threads,
-/// folded into the global sums in chunk order. The computation graph is
-/// identical for every worker count, so the result is bit-identical to
-/// the sequential fold by construction.
-fn accumulate_sums(
-    points: &Matrix,
-    weights: &[f64],
-    labels: &[usize],
-    k: usize,
-    workers: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let d = points.cols();
-    let n_chunks = points.rows().div_ceil(ACCUM_CHUNK).max(1);
-    let workers = workers.min(n_chunks);
-    let partials = parallel::par_map_indices_in(n_chunks, workers, |c| {
-        chunk_partial(points, weights, labels, k, c)
-    });
-    let mut sums = vec![0.0f64; k * d];
-    let mut totals = vec![0.0f64; k];
-    for (psums, ptotals) in partials {
-        for (s, p) in sums.iter_mut().zip(&psums) {
-            *s += p;
+impl<'a> Solve<'a> {
+    /// Prepares `points` for a solve under `compute`.
+    ///
+    /// # Errors
+    ///
+    /// * [`ClusteringError::EmptyInput`] for an empty dataset.
+    /// * [`ClusteringError::Linalg`] with [`LinalgError::NonFinite`] if a
+    ///   point holds a NaN or infinite coordinate or its squared norm
+    ///   overflows: its distances would read as 0 (`max(NaN, 0) = 0`).
+    ///   The engine's norms show it, so the check costs no extra pass.
+    /// * [`ClusteringError::InvalidWeights`] for malformed weights.
+    pub(crate) fn new(
+        points: &'a Matrix,
+        weights: &'a [f64],
+        compute: Compute,
+    ) -> Result<Solve<'a>> {
+        if points.is_empty() {
+            return Err(ClusteringError::EmptyInput);
         }
-        for (t, p) in totals.iter_mut().zip(&ptotals) {
-            *t += p;
+        let engine = DistanceEngine::new(points, compute);
+        if !engine.norms().iter().all(|v| v.is_finite()) {
+            return Err(LinalgError::NonFinite { op: "k-means" }.into());
         }
+        validate_weights(weights, points.rows())?;
+        let workers = if points.rows().saturating_mul(points.cols()) >= PAR_ACCUM_SCALARS {
+            parallel::worker_count()
+        } else {
+            1
+        };
+        Ok(Solve {
+            engine,
+            weights,
+            workers,
+        })
     }
-    (sums, totals)
+
+    /// One grouped pass without a fold: every group's nearest center
+    /// (`centers` stacks groups of `k` rows), as `(labels, distances)`.
+    pub(crate) fn assign(&self, centers: &Matrix, k: usize) -> Result<Vec<(Vec<usize>, Vec<f64>)>> {
+        let no_fold = |_: &mut (), _, _: &[&[usize]]| {};
+        let (groups, _) =
+            self.engine
+                .assign_groups(centers, k, self.workers, ACCUM_CHUNK, || (), no_fold)?;
+        Ok(groups)
+    }
+
+    /// One grouped pass over the points for `starts` (each `k × d`):
+    /// every start's assignment and its centroid sums (`k × d`,
+    /// row-major) and weight totals, accumulated per chunk in row order
+    /// and folded in chunk order.
+    fn assign_and_sum(&self, starts: &[&Matrix]) -> Result<Vec<Pass>> {
+        let (k, d) = starts[0].shape();
+        let width = starts.len() * k;
+        let stacked: Vec<f64> = starts.iter().flat_map(|c| c.as_slice()).copied().collect();
+        let stacked = Matrix::from_vec(width, d, stacked);
+        let (points, weights) = (self.engine.points(), self.weights);
+        let chunk_sums = |(sums, totals): &mut (Vec<f64>, Vec<f64>),
+                          rows: std::ops::Range<usize>,
+                          labels: &[&[usize]]| {
+            for (off, i) in rows.enumerate() {
+                let w = weights[i];
+                if w == 0.0 {
+                    continue;
+                }
+                let x = points.row(i);
+                for (q, l) in labels.iter().enumerate() {
+                    let c = q * k + l[off];
+                    totals[c] += w;
+                    for (s, &v) in sums[c * d..(c + 1) * d].iter_mut().zip(x) {
+                        *s += w * v;
+                    }
+                }
+            }
+        };
+        let (groups, chunks) = self.engine.assign_groups(
+            &stacked,
+            k,
+            self.workers,
+            ACCUM_CHUNK,
+            || (vec![0.0f64; width * d], vec![0.0f64; width]),
+            chunk_sums,
+        )?;
+        let mut sums = vec![0.0f64; width * d];
+        let mut totals = vec![0.0f64; width];
+        for (psums, ptotals) in chunks {
+            for (s, p) in sums.iter_mut().zip(&psums) {
+                *s += p;
+            }
+            for (t, p) in totals.iter_mut().zip(&ptotals) {
+                *t += p;
+            }
+        }
+        Ok(groups
+            .into_iter()
+            .enumerate()
+            .map(|(q, (labels, distances_sq))| {
+                (
+                    Assignment {
+                        labels,
+                        distances_sq,
+                    },
+                    sums[q * k * d..(q + 1) * k * d].to_vec(),
+                    totals[q * k..(q + 1) * k].to_vec(),
+                )
+            })
+            .collect())
+    }
 }
 
 /// Runs weighted Lloyd iteration from the given initial centers.
@@ -142,6 +207,8 @@ fn accumulate_sums(
 /// # Errors
 ///
 /// * [`ClusteringError::EmptyInput`] for an empty dataset.
+/// * [`ClusteringError::Linalg`] for a non-finite point (see
+///   `KMeans::fit_weighted`) or centers of another dimensionality.
 /// * [`ClusteringError::InvalidWeights`] for malformed weights.
 /// * [`ClusteringError::InvalidK`] if `initial_centers` has no rows.
 pub fn lloyd(
@@ -150,86 +217,101 @@ pub fn lloyd(
     initial_centers: &Matrix,
     config: &LloydConfig,
 ) -> Result<LloydOutcome> {
-    if points.is_empty() {
-        return Err(ClusteringError::EmptyInput);
-    }
-    validate_weights(weights, points.rows())?;
+    let solve = Solve::new(points, weights, config.compute)?;
     if initial_centers.rows() == 0 {
         return Err(ClusteringError::InvalidK {
             k: 0,
             n: points.rows(),
         });
     }
-    let k = initial_centers.rows();
-    let d = points.cols();
-    let mut centers = initial_centers.clone();
-    // One engine for the whole solve: point norms (and the f32 mirror,
-    // when `compute = F32`) are prepared once, not per iteration.
-    let engine = DistanceEngine::new(points, config.compute);
-    let mut assignment = assign_engine(&engine, &centers)?;
-    let mut inertia = assignment.weighted_cost(weights);
-    let mut iterations = 0;
-    let mut converged = false;
-    let workers = if points.rows().saturating_mul(d) >= PAR_ACCUM_SCALARS {
-        parallel::worker_count()
+    let mut outs = lloyd_starts(&solve, vec![initial_centers.clone()], config)?;
+    Ok(outs.pop().expect("one start gives one outcome"))
+}
+
+/// Lloyd iteration from every start in `inits` (all `k × d`) in
+/// lockstep: each iteration updates every live start's centers from its
+/// sums and makes one grouped pass for all of them; then each start
+/// repairs its empty clusters (re-passing itself alone), takes its
+/// weighted cost and tests convergence, and a converged start drops
+/// out. Each outcome is bitwise what a run from that start alone gives.
+pub(crate) fn lloyd_starts(
+    solve: &Solve<'_>,
+    inits: Vec<Matrix>,
+    config: &LloydConfig,
+) -> Result<Vec<LloydOutcome>> {
+    let (points, weights) = (solve.engine.points(), solve.weights);
+    let (k, d) = inits[0].shape();
+    let first = solve.assign_and_sum(&inits.iter().collect::<Vec<_>>())?;
+    let mut runs: Vec<(LloydOutcome, Vec<f64>, Vec<f64>)> = inits
+        .into_iter()
+        .zip(first)
+        .map(|(centers, (assignment, sums, totals))| {
+            let inertia = assignment.weighted_cost(weights);
+            let run = LloydOutcome {
+                centers,
+                assignment,
+                inertia,
+                iterations: 0,
+                converged: false,
+            };
+            (run, sums, totals)
+        })
+        .collect();
+    let mut live: Vec<usize> = if config.max_iter > 0 {
+        (0..runs.len()).collect()
     } else {
-        1
+        Vec::new()
     };
-
-    for _ in 0..config.max_iter {
-        // Update step: weighted centroid per cluster, via the sharded
-        // chunk-partial accumulation (bit-identical at any worker count).
-        let (sums, totals) = accumulate_sums(points, weights, &assignment.labels, k, workers);
-        for c in 0..k {
-            if totals[c] > 0.0 {
-                let inv = 1.0 / totals[c];
-                for (j, v) in sums[c * d..(c + 1) * d].iter().enumerate() {
-                    centers[(c, j)] = v * inv;
-                }
-            }
-            // Empty clusters repaired below after distances refresh.
-        }
-
-        let mut new_assignment = assign_engine(&engine, &centers)?;
-
-        // Repair empty clusters: move each to the worst-served point.
-        let mut sizes = new_assignment.cluster_weights(k, weights);
-        let mut repaired = false;
-        for c in 0..k {
-            if sizes[c] == 0.0 {
-                if let Some(worst) = worst_point(&new_assignment, weights) {
-                    for j in 0..d {
-                        centers[(c, j)] = points[(worst, j)];
+    while !live.is_empty() {
+        // Update step: weighted centroid per cluster; an empty cluster
+        // keeps its center until the repair below. The pass replaces the
+        // assignment, so it is released first.
+        for &r in &live {
+            let (run, sums, totals) = &mut runs[r];
+            run.assignment.labels = Vec::new();
+            run.assignment.distances_sq = Vec::new();
+            for c in 0..k {
+                if totals[c] > 0.0 {
+                    let inv = 1.0 / totals[c];
+                    for (j, v) in sums[c * d..(c + 1) * d].iter().enumerate() {
+                        run.centers[(c, j)] = v * inv;
                     }
-                    repaired = true;
                 }
             }
         }
-        if repaired {
-            new_assignment = assign_engine(&engine, &centers)?;
-            sizes = new_assignment.cluster_weights(k, weights);
-            let _ = sizes;
+        let starts: Vec<&Matrix> = live.iter().map(|&r| &runs[r].0.centers).collect();
+        let passed = solve.assign_and_sum(&starts)?;
+        for (&r, mut next) in live.iter().zip(passed) {
+            let (run, sums, totals) = &mut runs[r];
+            // Repair empty clusters: move each to the worst-served point.
+            // A cluster's total is zero exactly when no positive-weight
+            // point is assigned to it.
+            let mut repaired = false;
+            for c in 0..k {
+                if next.2[c] == 0.0 {
+                    if let Some(worst) = worst_point(&next.0, weights) {
+                        run.centers.row_mut(c).copy_from_slice(points.row(worst));
+                        repaired = true;
+                    }
+                }
+            }
+            if repaired {
+                next = solve
+                    .assign_and_sum(&[&run.centers])?
+                    .pop()
+                    .expect("one start gives one pass");
+            }
+            let new_inertia = next.0.weighted_cost(weights);
+            run.iterations += 1;
+            let improved = run.inertia - new_inertia;
+            let prev = run.inertia;
+            (run.assignment, *sums, *totals) = next;
+            run.inertia = new_inertia;
+            run.converged = improved <= config.tol * prev.max(f64::MIN_POSITIVE);
         }
-
-        let new_inertia = new_assignment.weighted_cost(weights);
-        iterations += 1;
-        let improved = inertia - new_inertia;
-        assignment = new_assignment;
-        let prev = inertia;
-        inertia = new_inertia;
-        if improved <= config.tol * prev.max(f64::MIN_POSITIVE) {
-            converged = true;
-            break;
-        }
+        live.retain(|&r| !runs[r].0.converged && runs[r].0.iterations < config.max_iter);
     }
-
-    Ok(LloydOutcome {
-        centers,
-        assignment,
-        inertia,
-        iterations,
-        converged,
-    })
+    Ok(runs.into_iter().map(|(run, _, _)| run).collect())
 }
 
 /// Index of the positive-weight point with the largest weighted distance to
@@ -250,9 +332,132 @@ fn worst_point(assignment: &Assignment, weights: &[f64]) -> Option<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::cost::assign_engine;
     use proptest::prelude::*;
+
+    /// The per-start Lloyd loop, the reference the lockstep loop must
+    /// match bit for bit: one start, its own engine, and two passes per
+    /// iteration — the assignment, then the centroid accumulation over
+    /// fixed chunks (rows in order within a chunk, chunks folded in
+    /// order, as at any worker count).
+    pub(crate) fn reference_lloyd(
+        points: &Matrix,
+        weights: &[f64],
+        initial_centers: &Matrix,
+        config: &LloydConfig,
+    ) -> Result<LloydOutcome> {
+        let (k, d) = initial_centers.shape();
+        let mut centers = initial_centers.clone();
+        let engine = DistanceEngine::new(points, config.compute);
+        let mut assignment = assign_engine(&engine, &centers)?;
+        let mut inertia = assignment.weighted_cost(weights);
+        let mut iterations = 0;
+        let mut converged = false;
+        for _ in 0..config.max_iter {
+            let (sums, totals) = reference_sums(points, weights, &assignment.labels, k);
+            for c in 0..k {
+                if totals[c] > 0.0 {
+                    let inv = 1.0 / totals[c];
+                    for (j, v) in sums[c * d..(c + 1) * d].iter().enumerate() {
+                        centers[(c, j)] = v * inv;
+                    }
+                }
+            }
+            let mut new_assignment = assign_engine(&engine, &centers)?;
+            let sizes = new_assignment.cluster_weights(k, weights);
+            let mut repaired = false;
+            for c in 0..k {
+                if sizes[c] == 0.0 {
+                    if let Some(worst) = worst_point(&new_assignment, weights) {
+                        for j in 0..d {
+                            centers[(c, j)] = points[(worst, j)];
+                        }
+                        repaired = true;
+                    }
+                }
+            }
+            if repaired {
+                new_assignment = assign_engine(&engine, &centers)?;
+            }
+            let new_inertia = new_assignment.weighted_cost(weights);
+            iterations += 1;
+            let improved = inertia - new_inertia;
+            assignment = new_assignment;
+            let prev = inertia;
+            inertia = new_inertia;
+            if improved <= config.tol * prev.max(f64::MIN_POSITIVE) {
+                converged = true;
+                break;
+            }
+        }
+        Ok(LloydOutcome {
+            centers,
+            assignment,
+            inertia,
+            iterations,
+            converged,
+        })
+    }
+
+    /// The centroid sums and weight totals of `labels`, one chunk
+    /// partial at a time in row order, folded in chunk order.
+    fn reference_sums(
+        points: &Matrix,
+        weights: &[f64],
+        labels: &[usize],
+        k: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (n, d) = points.shape();
+        let mut sums = vec![0.0f64; k * d];
+        let mut totals = vec![0.0f64; k];
+        for start in (0..n).step_by(ACCUM_CHUNK) {
+            let mut psums = vec![0.0f64; k * d];
+            let mut ptotals = vec![0.0f64; k];
+            for i in start..(start + ACCUM_CHUNK).min(n) {
+                let w = weights[i];
+                if w == 0.0 {
+                    continue;
+                }
+                let c = labels[i];
+                ptotals[c] += w;
+                for (s, &v) in psums[c * d..(c + 1) * d].iter_mut().zip(points.row(i)) {
+                    *s += w * v;
+                }
+            }
+            for (s, p) in sums.iter_mut().zip(&psums) {
+                *s += p;
+            }
+            for (t, p) in totals.iter_mut().zip(&ptotals) {
+                *t += p;
+            }
+        }
+        (sums, totals)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts two outcomes agree bit for bit: centers, labels,
+    /// distances, inertia, iteration count and convergence.
+    pub(crate) fn assert_same_outcome(got: &LloydOutcome, want: &LloydOutcome, context: &str) {
+        assert_eq!(
+            bits(got.centers.as_slice()),
+            bits(want.centers.as_slice()),
+            "{context}"
+        );
+        assert_eq!(got.assignment.labels, want.assignment.labels, "{context}");
+        assert_eq!(
+            bits(&got.assignment.distances_sq),
+            bits(&want.assignment.distances_sq),
+            "{context}"
+        );
+        assert_eq!(got.inertia.to_bits(), want.inertia.to_bits(), "{context}");
+        assert_eq!(got.iterations, want.iterations, "{context}");
+        assert_eq!(got.converged, want.converged, "{context}");
+    }
 
     fn blobs() -> Matrix {
         let mut rows = Vec::new();
@@ -389,39 +594,55 @@ mod tests {
     }
 
     proptest! {
-        // Fewer, heavier cases: each folds up to a few thousand points
-        // eight times.
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        // Fewer, heavier cases: each runs the reference and then the
+        // lockstep loop at three worker counts.
+        #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// The sharded centroid accumulation is bit-identical to the
-        /// sequential fold at every tested worker count, on random
-        /// weighted instances spanning several chunks — and invariant to
-        /// thread scheduling (each count runs twice). The rest of a Lloyd
-        /// update is worker-independent, and the assignment kernel's
-        /// worker invariance is proptested in `ekm-linalg`.
+        /// The lockstep loop from several starts is, start by start,
+        /// bitwise the two-pass loop from that start alone: centers,
+        /// labels, distances, inertia, iterations and convergence, at
+        /// 1, 2 and 4 workers. The points span one or two 1024-row
+        /// chunks, a seventh of the weights are zero, iteration caps
+        /// include 0, and one start puts a center far from every point,
+        /// so its first update leaves an empty cluster to repair.
         #[test]
-        fn accumulate_sums_bit_identical_across_workers(
-            (n, d, seed) in (300usize..2600, 1usize..4, 0u64..1000),
+        fn lockstep_lloyd_is_bitwise_the_two_pass_loop(
+            (n, d, k, starts, seed) in (40usize..1500, 1usize..6, 1usize..9, 1usize..6, 0u64..1000),
+            (cap, f32_compute) in (0usize..4, 0usize..2),
         ) {
             let points = ekm_linalg::random::gaussian_matrix(seed, n, d, 25.0);
-            // Positive weights with some zeros mixed in.
             let weights: Vec<f64> = (0..n)
                 .map(|i| match (i + seed as usize) % 7 {
                     0 => 0.0,
                     r => r as f64 * 0.5,
                 })
                 .collect();
-            let k = 3;
-            let init = ekm_linalg::random::gaussian_matrix(seed + 1, k, d, 40.0);
-            let labels = crate::cost::assign(&points, &init).unwrap().labels;
-            let bits = |(sums, totals): (Vec<f64>, Vec<f64>)| -> Vec<u64> {
-                sums.iter().chain(&totals).map(|v| v.to_bits()).collect()
+            let inits: Vec<Matrix> = (0..starts)
+                .map(|r| {
+                    let mut c = ekm_linalg::random::gaussian_matrix(seed + 1 + r as u64, k, d, 40.0);
+                    if r == 1 {
+                        c[(k - 1, 0)] = 1.0e6;
+                    }
+                    c
+                })
+                .collect();
+            let config = LloydConfig {
+                max_iter: [0, 1, 3, 100][cap],
+                compute: [Compute::F64, Compute::F32][f32_compute],
+                ..LloydConfig::default()
             };
-            let sequential = bits(accumulate_sums(&points, &weights, &labels, k, 1));
-            for workers in [1usize, 2, 4, 8] {
-                for _ in 0..2 {
-                    let sharded = bits(accumulate_sums(&points, &weights, &labels, k, workers));
-                    prop_assert_eq!(&sharded, &sequential);
+            let want: Vec<LloydOutcome> = inits
+                .iter()
+                .map(|init| reference_lloyd(&points, &weights, init, &config).unwrap())
+                .collect();
+            let mut solve = Solve::new(&points, &weights, config.compute).unwrap();
+            for workers in [1, 2, 4] {
+                solve.workers = workers;
+                let got = lloyd_starts(&solve, inits.clone(), &config).unwrap();
+                prop_assert_eq!(got.len(), starts);
+                for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let context = format!("n={n} d={d} k={k} start {r}/{starts} {config:?} {workers} workers");
+                    assert_same_outcome(g, w, &context);
                 }
             }
         }

@@ -1032,9 +1032,10 @@ fn verify_cols(got: usize, expected: usize, context: &'static str) -> Result<()>
     Ok(())
 }
 
-/// Refuses a summary holding a NaN or infinite value before the server
-/// computes with it, as the disPCA fold refuses a non-finite summary.
-/// It stops early only between chunks, so each chunk's scan vectorizes.
+/// Refuses a basis holding a NaN or infinite value before the server
+/// lifts centers through it, as the disPCA fold refuses a non-finite
+/// summary (the solve refuses non-finite summary points itself). It
+/// stops early only between chunks, so each chunk's scan vectorizes.
 fn check_finite(m: &Matrix, op: &'static str) -> Result<()> {
     let finite = m
         .as_slice()
@@ -1118,8 +1119,8 @@ fn finalize<T: CommandTransport>(
             (stacked, weights)
         }
     };
-    check_finite(&points, "the server solve")?;
-
+    // The solve refuses a summary holding a NaN or infinite value
+    // itself, in the norm pass it makes anyway.
     let t1 = Instant::now();
     let centers_summary = solve_weighted_kmeans(
         &points,

@@ -3,24 +3,30 @@
 
 use crate::{CoreError, Result};
 use ekm_clustering::kmeans::KMeans;
+use ekm_clustering::ClusteringError;
 use ekm_linalg::distance::Compute;
 use ekm_linalg::random::derive_seed;
-use ekm_linalg::{ops, Matrix};
+use ekm_linalg::{ops, LinalgError, Matrix};
 use ekm_sketch::JlProjection;
 
 /// Runs the server's `kmeans(S', w, k)` step: multi-restart weighted
-/// k-means++ / Lloyd on the summary points, with the centroid updates
-/// sharded over the process's worker threads
-/// ([`ekm_linalg::parallel::worker_count`]; the centers are
-/// bit-identical at every count — the summary can reach ~10⁵ points at
-/// full scale). `compute` selects the distance-kernel precision: `F64`
-/// is the bit-reproducibility reference, `F32` is faster under the
-/// accuracy contract.
+/// k-means++ / Lloyd on the summary points. The restarts run in
+/// lockstep, so the solve reads the summary once for its norms, then
+/// once per k-means++ round and once per Lloyd iteration for all
+/// restarts; above 2¹⁹ point scalars each pass spreads over the
+/// process's worker threads ([`ekm_linalg::parallel::worker_count`]),
+/// and the centers are bit-identical at every count — the summary can
+/// reach ~10⁵ points at full scale. `compute` selects the
+/// distance-kernel precision: `F64` is the bit-reproducibility
+/// reference, `F32` is faster under the accuracy contract.
 ///
 /// # Errors
 ///
-/// Propagates clustering failures (empty summary, `k` larger than the
-/// number of positive-weight points, …).
+/// * [`CoreError::Linalg`] with [`LinalgError::NonFinite`] for a
+///   summary holding a NaN or infinite value (the solve finds it in its
+///   norm pass, so the check costs no pass of its own).
+/// * Other clustering failures (empty summary, `k` larger than the
+///   number of positive-weight points, …).
 pub fn solve_weighted_kmeans(
     points: &Matrix,
     weights: &[f64],
@@ -33,7 +39,15 @@ pub fn solve_weighted_kmeans(
         .with_n_init(restarts.max(1))
         .with_seed(derive_seed(seed, 0x5EB))
         .with_compute(compute)
-        .fit_weighted(points, weights)?;
+        .fit_weighted(points, weights)
+        .map_err(|e| match e {
+            ClusteringError::Linalg(LinalgError::NonFinite { .. }) => {
+                CoreError::Linalg(LinalgError::NonFinite {
+                    op: "the server solve",
+                })
+            }
+            e => e.into(),
+        })?;
     Ok(model.centers)
 }
 
@@ -128,6 +142,13 @@ mod tests {
     #[test]
     fn errors_propagate() {
         assert!(solve_weighted_kmeans(&Matrix::zeros(0, 2), &[], 1, 1, 0, Compute::F64).is_err());
+        let poisoned = Matrix::from_rows(&[vec![0.0, 1.0], vec![f64::NAN, 2.0]]);
+        assert!(matches!(
+            solve_weighted_kmeans(&poisoned, &[1.0, 1.0], 1, 2, 0, Compute::F64),
+            Err(CoreError::Linalg(LinalgError::NonFinite {
+                op: "the server solve"
+            }))
+        ));
         let pi = JlProjection::generate(JlKind::Gaussian, 10, 4, 1);
         // Wrong center dimension for lift.
         assert!(lift_centers(&Matrix::zeros(2, 5), &[&pi]).is_err());

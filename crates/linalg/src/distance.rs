@@ -33,18 +33,36 @@
 //! was built for, so per-call conversion cost is paid once per dataset,
 //! not per iteration.
 //!
+//! # Grouped passes
+//!
+//! There is one assignment kernel, and it is grouped:
+//! [`DistanceEngine::assign_groups`] takes `G` stacked groups of `k`
+//! centers — say the `k` centers of each of `G` k-means restarts — and
+//! finds every point's nearest center in each group in one read of the
+//! points. The groups share the lane groups (a group may straddle two),
+//! and each group's argmin walks its own columns in index order with a
+//! strict `<`, so its labels and distances are bitwise what
+//! [`DistanceEngine::assign`] — the one-group call — returns against
+//! that group alone. The pass walks fixed-size row chunks, whole chunks
+//! per worker, and hands each block of rows to a caller's fold right
+//! after assigning it, while the rows are still in cache: the Lloyd
+//! update accumulates its centroid sums there. [`DistanceEngine::min_update`]
+//! is a one-group pass folded into a running minimum.
+//!
 //! # Determinism
 //!
 //! Results are **bit-identical at every worker count** (the same
-//! invariance discipline as the sharded Lloyd fold): each point's result
+//! invariance discipline as the chunked Lloyd fold): each point's result
 //! is computed by an identical sequence of floating-point operations —
 //! the lane-group walk is fixed by the center count alone, and the
 //! parallel split only partitions *which thread* computes which point,
-//! never the per-point operation order. The engine's `*_in` methods take
-//! an explicit worker count so tests can assert the invariance without
-//! touching the process-wide override. Tile sizes (`CENTER_TILE`,
-//! `POINT_BLOCK`) only reorder *independent* per-point work and never
-//! change any accumulation order, so retuning them is results-neutral.
+//! never the per-point operation order. The row norms are per row too,
+//! so the engine's parallel norm pass is bitwise its serial one. The
+//! engine's `*_in` methods and `assign_groups` take an explicit worker
+//! count so tests can assert the invariance without touching the
+//! process-wide override. Tile sizes (`CENTER_TILE`, `POINT_BLOCK`) only
+//! reorder *independent* per-point work and never change any
+//! accumulation order, so retuning them is results-neutral.
 //!
 //! # Accuracy domain
 //!
@@ -76,6 +94,7 @@
 
 use crate::parallel;
 use crate::{LinalgError, Matrix, MatrixF32, Result};
+use std::ops::Range;
 
 /// Centers per lane group: the width of the register-resident
 /// accumulator array in the inner loop. 8 doubles fill four SSE2
@@ -161,8 +180,7 @@ pub trait Element:
 {
     /// Additive identity.
     const ZERO: Self;
-    /// Positive infinity — the argmin carrier and the padded-lane
-    /// center norm (so padding can never win an assignment).
+    /// Positive infinity — the distance every argmin starts from.
     const INFINITY: Self;
     /// The exact constant 2, for the `−2⟨x,c⟩` term (exact in any
     /// binary float, so it introduces no extra rounding).
@@ -175,9 +193,6 @@ pub trait Element:
     /// `max(self, 0)` — clamps the tiny negative residues of the
     /// expansion form so D² weights stay valid.
     fn max_zero(self) -> Self;
-    /// Widens a whole vector to `f64`: moves an `f64` vector, converts an
-    /// `f32` one element by element (exactly, as [`Element::to_f64`]).
-    fn widen(v: Vec<Self>) -> Vec<f64>;
 }
 
 impl Element for f64 {
@@ -196,9 +211,6 @@ impl Element for f64 {
     #[inline]
     fn max_zero(self) -> f64 {
         self.max(0.0)
-    }
-    fn widen(v: Vec<f64>) -> Vec<f64> {
-        v
     }
 }
 
@@ -219,9 +231,6 @@ impl Element for f32 {
     fn max_zero(self) -> f32 {
         self.max(0.0)
     }
-    fn widen(v: Vec<f32>) -> Vec<f64> {
-        v.into_iter().map(f64::from).collect()
-    }
 }
 
 /// Plain left-to-right dot product — the exact accumulation order of
@@ -238,34 +247,44 @@ fn serial_dot<T: Element>(a: &[T], b: &[T]) -> T {
     acc
 }
 
+/// Point scalars (`n · d`) from which [`DistanceEngine::new`] spreads the
+/// norm pass over [`parallel::worker_count`] threads: the threshold of
+/// the Lloyd update's chunked fold in `ekm-clustering`, below which the
+/// spawn costs more than the pass it shares.
+const PAR_SCALARS: usize = 1 << 19;
+
 /// `‖row‖²` for every row, in the kernel's accumulation order (see
-/// [`serial_dot`]). Four rows are processed at a time so their chains
-/// interleave for instruction-level parallelism — each row's own
-/// accumulation stays strictly left-to-right, so every value is
-/// bit-identical to `serial_dot(r, r)`.
-fn row_norms_sq(m: &Matrix) -> Vec<f64> {
-    let (n, d) = m.shape();
-    let data = m.as_slice();
-    let mut out = Vec::with_capacity(n);
-    let mut i = 0;
-    while i + 4 <= n {
-        let (r0, rest) = data[i * d..(i + 4) * d].split_at(d);
-        let (r1, rest) = rest.split_at(d);
-        let (r2, r3) = rest.split_at(d);
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0, 0.0, 0.0);
-        for j in 0..d {
-            a0 += r0[j] * r0[j];
-            a1 += r1[j] * r1[j];
-            a2 += r2[j] * r2[j];
-            a3 += r3[j] * r3[j];
+/// [`serial_dot`]), on up to `workers` threads. Four rows are processed
+/// at a time so their chains interleave for instruction-level
+/// parallelism — each row's own accumulation stays strictly
+/// left-to-right, so every value is bit-identical to `serial_dot(r, r)`
+/// at any worker count.
+fn row_norms_sq(m: &Matrix, workers: usize) -> Vec<f64> {
+    let d = m.cols();
+    let mut norms = vec![0.0; m.rows()];
+    parallel::for_each_row_chunk_in(&mut norms, 1, workers, |start, out| {
+        let data = &m.as_slice()[start * d..];
+        let mut i = 0;
+        while i + 4 <= out.len() {
+            let (r0, rest) = data[i * d..(i + 4) * d].split_at(d);
+            let (r1, rest) = rest.split_at(d);
+            let (r2, r3) = rest.split_at(d);
+            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0, 0.0, 0.0);
+            for j in 0..d {
+                a0 += r0[j] * r0[j];
+                a1 += r1[j] * r1[j];
+                a2 += r2[j] * r2[j];
+                a3 += r3[j] * r3[j];
+            }
+            out[i..i + 4].copy_from_slice(&[a0, a1, a2, a3]);
+            i += 4;
         }
-        out.extend_from_slice(&[a0, a1, a2, a3]);
-        i += 4;
-    }
-    for r in (i..n).map(|i| m.row(i)) {
-        out.push(serial_dot(r, r));
-    }
-    out
+        for (i, o) in out.iter_mut().enumerate().skip(i) {
+            let r = m.row(start + i);
+            *o = serial_dot(r, r);
+        }
+    });
+    norms
 }
 
 /// Validates that `points` and `centers` are non-empty and agree on
@@ -294,28 +313,35 @@ fn auto_workers(n: usize, k: usize) -> usize {
 /// The centers packed for the lane-accumulator kernel, precomputed once
 /// per call and shared read-only by all workers.
 ///
-/// The `k` centers are padded to a multiple of [`LANES`] columns and
-/// stored as one contiguous *strip* per lane group: strip `g` holds
-/// `d` rows of `LANES` scalars, row `kk` being coordinate `kk` of
-/// centers `g·LANES .. g·LANES+LANES`. The dimension walk of a group
+/// The centers are `G` stacked groups of `k` rows (`G = 1` for a plain
+/// assignment). All `G·k` columns are packed together, so a group may
+/// straddle two lane groups, padded to a multiple of [`LANES`] and
+/// stored as one contiguous *strip* per lane group: strip `g` holds `d`
+/// rows of `LANES` scalars, row `kk` being coordinate `kk` of columns
+/// `g·LANES .. g·LANES+LANES`. The dimension walk of a lane group
 /// therefore reads perfectly sequential memory. Padded lanes carry zero
-/// coordinates and an **infinite** norm, so their expanded distance is
-/// `+∞`: they can never win an argmin or a min-update.
+/// coordinates, and the fold never reads them.
 struct PackedCenters<T> {
-    /// Lane strips, `groups × d × LANES` scalars.
+    /// Lane strips, `lane groups × d × LANES` scalars.
     strips: Vec<T>,
-    /// `‖c_j‖²` per padded column (`+∞` on padding).
+    /// `‖c_j‖²` per column, padded to whole lane groups.
     c2: Vec<T>,
+    /// `(group, index within the group)` of each lane group's first column.
+    starts: Vec<(usize, usize)>,
+    /// Columns, without the padding.
+    cols: usize,
     /// Dimensionality.
     d: usize,
+    /// Columns per group.
+    k: usize,
 }
 
 impl<T: Element> PackedCenters<T> {
-    fn new(centers: &Matrix) -> PackedCenters<T> {
-        let (k, d) = centers.shape();
-        let groups = k.div_ceil(LANES);
-        let mut strips = vec![T::ZERO; groups * d * LANES];
-        let mut c2 = vec![T::INFINITY; groups * LANES];
+    fn new(centers: &Matrix, k: usize) -> PackedCenters<T> {
+        let (cols, d) = centers.shape();
+        let lane_groups = cols.div_ceil(LANES);
+        let mut strips = vec![T::ZERO; lane_groups * d * LANES];
+        let mut c2 = vec![T::ZERO; lane_groups * LANES];
         let mut row_t = vec![T::ZERO; d];
         for (j, row) in centers.iter_rows().enumerate() {
             for (t, &v) in row_t.iter_mut().zip(row) {
@@ -327,18 +353,76 @@ impl<T: Element> PackedCenters<T> {
                 strip[kk * LANES + j % LANES] = v;
             }
         }
-        PackedCenters { strips, c2, d }
+        let starts = (0..lane_groups)
+            .map(|g| (g * LANES / k, g * LANES % k))
+            .collect();
+        PackedCenters {
+            strips,
+            c2,
+            starts,
+            cols,
+            d,
+            k,
+        }
     }
 
     #[inline]
-    fn groups(&self) -> usize {
-        self.c2.len() / LANES
+    fn lane_groups(&self) -> usize {
+        self.starts.len()
     }
 
     /// The contiguous `d × LANES` strip of lane group `g`.
     #[inline]
     fn strip(&self, g: usize) -> &[T] {
         &self.strips[g * self.d * LANES..(g + 1) * self.d * LANES]
+    }
+
+    /// Folds lane group `g`'s inner products with a block of points
+    /// (`x2[p] = ‖x_p‖²`) into each group's running best (`labels` and
+    /// `dists`, group-major: slot `q·UNROLL + p`). Columns arrive in
+    /// increasing order and the compare is a strict `<`, so ties break
+    /// to the lowest index within each group, like the scalar
+    /// `nearest_center`.
+    ///
+    /// The lane group is walked one group's run of columns at a time, for
+    /// every point of the block, with that group's bests in fixed-size
+    /// local arrays the compiler keeps in registers; a run that fills
+    /// the lane group walks all [`LANES`] lanes with a fixed trip count.
+    #[inline(always)]
+    fn fold(&self, g: usize, x2: &[T], dots: &[[T; LANES]], labels: &mut [usize], dists: &mut [T]) {
+        let first = g * LANES;
+        let real = LANES.min(self.cols - first);
+        let c2 = &self.c2[first..first + LANES];
+        let (mut q, mut c) = self.starts[g];
+        let mut lane = 0;
+        while lane < real {
+            let run = (self.k - c).min(real - lane);
+            let slots = q * UNROLL..(q + 1) * UNROLL;
+            let mut l = [0usize; UNROLL];
+            let mut b = [T::ZERO; UNROLL];
+            l.copy_from_slice(&labels[slots.clone()]);
+            b.copy_from_slice(&dists[slots.clone()]);
+            let mut walk = |width: usize| {
+                for (p, (dots, &x2)) in dots.iter().zip(x2).enumerate() {
+                    for off in 0..width {
+                        let j = lane + off;
+                        let dist = (x2 + c2[j] - T::TWO * dots[j]).max_zero();
+                        if dist < b[p] {
+                            b[p] = dist;
+                            l[p] = c + off;
+                        }
+                    }
+                }
+            };
+            if run == LANES {
+                walk(LANES);
+            } else {
+                walk(run);
+            }
+            labels[slots.clone()].copy_from_slice(&l);
+            dists[slots].copy_from_slice(&b);
+            (q, c, lane) = (q + 1, 0, lane + run);
+        }
     }
 }
 
@@ -388,234 +472,190 @@ fn lane_dots4<T: Element>(xs: &[&[T]; UNROLL], strip: &[T]) -> [[T; LANES]; UNRO
     acc
 }
 
-/// Shared tile walk of the range kernels: yields `(point_range,
-/// group_range)` tiles in a deterministic order — point blocks outer,
-/// center tiles (runs of whole lane groups) inner. Tiles only reorder
-/// independent per-point work, so the walk never affects results.
-#[inline]
-fn for_each_tile(
-    len: usize,
-    groups: usize,
-    center_tile: usize,
-    point_block: usize,
-    mut f: impl FnMut(std::ops::Range<usize>, std::ops::Range<usize>),
-) {
-    let tile_groups = center_tile.div_ceil(LANES).max(1);
-    let mut block_start = 0;
-    while block_start < len {
-        let block_end = (block_start + point_block).min(len);
-        let mut g0 = 0;
-        loop {
-            let g1 = (g0 + tile_groups).min(groups);
-            f(block_start..block_end, g0..g1);
-            g0 = g1;
-            if g0 >= groups {
-                break;
-            }
-        }
-        block_start = block_end;
-    }
-}
-
 /// Borrows [`UNROLL`] consecutive point rows starting at `i`.
 #[inline]
 fn quad_rows<T>(points: &[T], d: usize, i: usize) -> [&[T]; UNROLL] {
     std::array::from_fn(|p| &points[(i + p) * d..(i + p + 1) * d])
 }
 
-/// Fused argmin over the [`for_each_tile`] walk: fills the
-/// `labels`/`dists` ranges for points `row_start..row_start + len`.
+/// One group's outputs for the rows a worker owns: labels (indices
+/// within the group) and squared distances, in `f64` at every compute
+/// precision.
+struct GroupOut<'a> {
+    labels: &'a mut [usize],
+    dists: &'a mut [f64],
+}
+
+/// The running best of one block of up to [`UNROLL`] points in every
+/// group, group-major: slot `q·UNROLL + p` is point `p` in group `q`.
+struct Best<T> {
+    labels: Vec<usize>,
+    dists: Vec<T>,
+}
+
+impl<T: Element> Best<T> {
+    fn new(groups: usize) -> Best<T> {
+        Best {
+            labels: vec![0; groups * UNROLL],
+            dists: vec![T::ZERO; groups * UNROLL],
+        }
+    }
+
+    /// Reads the running best of `count` points from row `at` of
+    /// `outs`: `(0, +∞)` when `fresh`, i.e. before the first center tile.
+    #[inline]
+    fn load(&mut self, outs: &[GroupOut<'_>], at: usize, count: usize, fresh: bool) {
+        if fresh {
+            self.labels.fill(0);
+            self.dists.fill(T::INFINITY);
+            return;
+        }
+        for (q, o) in outs.iter().enumerate() {
+            let slots = q * UNROLL..q * UNROLL + count;
+            self.labels[slots.clone()].copy_from_slice(&o.labels[at..at + count]);
+            for (b, &d) in self.dists[slots].iter_mut().zip(&o.dists[at..at + count]) {
+                *b = T::from_f64(d);
+            }
+        }
+    }
+
+    /// Writes the running best of `count` points back to row `at` of
+    /// `outs` (a distance crosses into `f64` exactly, so reloading it is
+    /// exact too).
+    #[inline]
+    fn store(&self, outs: &mut [GroupOut<'_>], at: usize, count: usize) {
+        for (q, o) in outs.iter_mut().enumerate() {
+            let slots = q * UNROLL..q * UNROLL + count;
+            o.labels[at..at + count].copy_from_slice(&self.labels[slots.clone()]);
+            for (d, &b) in o.dists[at..at + count].iter_mut().zip(&self.dists[slots]) {
+                *d = b.to_f64();
+            }
+        }
+    }
+}
+
+/// The grouped argmin kernel: every group's nearest center for the
+/// points `rows`, written to `outs` (whose first row is `base`).
 ///
-/// Lane groups are visited in increasing index order and the best
-/// distance is carried across groups with a strict `<`, so ties break to
-/// the lowest center index exactly like the scalar `nearest_center`.
-/// Padded lanes carry an infinite center norm and can never win.
+/// Center tiles (runs of whole lane groups) are visited in increasing
+/// order and each group's best is carried from tile to tile through
+/// `outs`, so every group walks its own columns in index order with a
+/// strict `<`: its labels and distances are bitwise what the kernel
+/// returns against that group alone.
 #[allow(clippy::too_many_arguments)]
-fn assign_range<T: Element>(
+fn assign_block<T: Element>(
     points: &[T],
     norms: &[T],
     packed: &PackedCenters<T>,
-    row_start: usize,
-    labels: &mut [usize],
-    dists: &mut [T],
+    rows: Range<usize>,
+    base: usize,
+    outs: &mut [GroupOut<'_>],
     center_tile: usize,
-    point_block: usize,
+    best: &mut Best<T>,
 ) {
     let d = packed.d;
-    for dv in dists.iter_mut() {
-        *dv = T::INFINITY;
-    }
-    // Folds one group's distances into a point's running argmin: lane
-    // groups arrive in increasing index order and the carried compare is
-    // a strict `<`, so ties break to the lowest center index.
-    let fold = |g: usize, x2: T, dots: &[T; LANES], best: &mut usize, best_d: &mut T| {
-        for (off, (&dot_j, &c2j)) in dots
-            .iter()
-            .zip(&packed.c2[g * LANES..(g + 1) * LANES])
-            .enumerate()
-        {
-            let dist = (x2 + c2j - T::TWO * dot_j).max_zero();
-            if dist < *best_d {
-                *best_d = dist;
-                *best = g * LANES + off;
+    let tile_groups = center_tile.div_ceil(LANES).max(1);
+    let mut g0 = 0;
+    while g0 < packed.lane_groups() {
+        let tile = g0..(g0 + tile_groups).min(packed.lane_groups());
+        let fresh = g0 == 0;
+        let mut i = rows.start;
+        while i + UNROLL <= rows.end {
+            let xs = quad_rows(points, d, i);
+            best.load(outs, i - base, UNROLL, fresh);
+            for g in tile.clone() {
+                let dots = lane_dots4(&xs, packed.strip(g));
+                let x2 = &norms[i..i + UNROLL];
+                packed.fold(g, x2, &dots, &mut best.labels, &mut best.dists);
             }
+            best.store(outs, i - base, UNROLL);
+            i += UNROLL;
         }
-    };
-    for_each_tile(
-        labels.len(),
-        packed.groups(),
-        center_tile,
-        point_block,
-        |pr, gr| {
-            let mut local = pr.start;
-            while local + UNROLL <= pr.end {
-                let xs = quad_rows(points, d, row_start + local);
-                let mut best = [0usize; UNROLL];
-                let mut best_d = [T::ZERO; UNROLL];
-                best.copy_from_slice(&labels[local..local + UNROLL]);
-                best_d.copy_from_slice(&dists[local..local + UNROLL]);
-                for g in gr.clone() {
-                    let dots = lane_dots4(&xs, packed.strip(g));
-                    for p in 0..UNROLL {
-                        let x2 = norms[row_start + local + p];
-                        fold(g, x2, &dots[p], &mut best[p], &mut best_d[p]);
-                    }
-                }
-                labels[local..local + UNROLL].copy_from_slice(&best);
-                dists[local..local + UNROLL].copy_from_slice(&best_d);
-                local += UNROLL;
+        for i in i..rows.end {
+            let x = &points[i * d..(i + 1) * d];
+            best.load(outs, i - base, 1, fresh);
+            for g in tile.clone() {
+                let dots = [lane_dots(x, packed.strip(g))];
+                let x2 = &norms[i..i + 1];
+                packed.fold(g, x2, &dots, &mut best.labels, &mut best.dists);
             }
-            for local in local..pr.end {
-                let x = &points[(row_start + local) * d..(row_start + local + 1) * d];
-                let x2 = norms[row_start + local];
-                let mut best = labels[local];
-                let mut best_d = dists[local];
-                for g in gr.clone() {
-                    let dots = lane_dots(x, packed.strip(g));
-                    fold(g, x2, &dots, &mut best, &mut best_d);
-                }
-                labels[local] = best;
-                dists[local] = best_d;
-            }
-        },
-    );
-}
-
-/// Folds the minimum distance to any packed center into `best`
-/// (an `f64` buffer regardless of compute precision): for each point,
-/// `best[i] ← min(best[i], min_j ‖x_i − c_j‖²)`, updating only on a
-/// strict improvement — the batched multi-center D² refresh behind
-/// k-means++ seeding and bicriteria rounds.
-fn min_update_range<T: Element>(
-    points: &[T],
-    norms: &[T],
-    packed: &PackedCenters<T>,
-    row_start: usize,
-    best: &mut [f64],
-    center_tile: usize,
-    point_block: usize,
-) {
-    let d = packed.d;
-    let mut round: Vec<T> = vec![T::INFINITY; best.len()];
-    let fold = |g: usize, x2: T, dots: &[T; LANES], m: &mut T| {
-        for (&dot_j, &c2j) in dots.iter().zip(&packed.c2[g * LANES..(g + 1) * LANES]) {
-            let dist = (x2 + c2j - T::TWO * dot_j).max_zero();
-            if dist < *m {
-                *m = dist;
-            }
+            best.store(outs, i - base, 1);
         }
-    };
-    for_each_tile(
-        best.len(),
-        packed.groups(),
-        center_tile,
-        point_block,
-        |pr, gr| {
-            let mut local = pr.start;
-            while local + UNROLL <= pr.end {
-                let xs = quad_rows(points, d, row_start + local);
-                let mut m = [T::ZERO; UNROLL];
-                m.copy_from_slice(&round[local..local + UNROLL]);
-                for g in gr.clone() {
-                    let dots = lane_dots4(&xs, packed.strip(g));
-                    for p in 0..UNROLL {
-                        fold(g, norms[row_start + local + p], &dots[p], &mut m[p]);
-                    }
-                }
-                round[local..local + UNROLL].copy_from_slice(&m);
-                local += UNROLL;
-            }
-            for local in local..pr.end {
-                let x = &points[(row_start + local) * d..(row_start + local + 1) * d];
-                let x2 = norms[row_start + local];
-                let mut m = round[local];
-                for g in gr.clone() {
-                    let dots = lane_dots(x, packed.strip(g));
-                    fold(g, x2, &dots, &mut m);
-                }
-                round[local] = m;
-            }
-        },
-    );
-    for (b, m) in best.iter_mut().zip(round) {
-        let nd = m.to_f64();
-        if nd < *b {
-            *b = nd;
-        }
+        g0 = tile.end;
     }
 }
 
-/// Nearest-center assignment of prepared points against `centers`: the
-/// kernel body shared by both compute precisions. Distances cross back
-/// into `f64` once, at the end.
-fn assign_prepared<T: Element>(
+/// Each group's `(labels, squared distances)` and the fold states of a
+/// grouped pass, one per chunk in chunk order.
+type GroupPass<S> = (Vec<(Vec<usize>, Vec<f64>)>, Vec<S>);
+
+/// A grouped pass over prepared points, shared by both compute
+/// precisions (see [`DistanceEngine::assign_groups`]). Chunks of
+/// `chunk_rows` rows are handed out whole, a run of them per worker;
+/// within a chunk, each block of `point_block` rows is assigned against
+/// every center tile and then folded, in row order.
+#[allow(clippy::too_many_arguments)]
+fn assign_prepared<T: Element, S: Send>(
     points: &[T],
     norms: &[T],
     centers: &Matrix,
+    k: usize,
     workers: usize,
+    chunk_rows: usize,
     (center_tile, point_block): (usize, usize),
-) -> (Vec<usize>, Vec<f64>) {
-    let packed = PackedCenters::<T>::new(centers);
-    let mut labels = vec![0usize; norms.len()];
-    let mut dists = vec![T::ZERO; norms.len()];
-    // Both output vectors are split at the same fixed boundaries so each
-    // worker owns a contiguous (labels, dists) range of the same points.
-    parallel::for_each_pair_chunk_in(&mut labels, &mut dists, workers, |start, lchunk, dchunk| {
-        assign_range(
-            points,
-            norms,
-            &packed,
-            start,
-            lchunk,
-            dchunk,
-            center_tile,
-            point_block,
-        );
+    init: &(impl Fn() -> S + Sync),
+    fold: &(impl Fn(&mut S, Range<usize>, &[&[usize]]) + Sync),
+) -> GroupPass<S> {
+    let packed = PackedCenters::<T>::new(centers, k);
+    let (n, groups) = (norms.len(), centers.rows() / k);
+    let (chunk_rows, point_block) = (chunk_rows.max(1), point_block.max(1));
+    let mut labels: Vec<Vec<usize>> = (0..groups).map(|_| vec![0; n]).collect();
+    let mut dists: Vec<Vec<f64>> = (0..groups).map(|_| vec![0.0; n]).collect();
+    let n_chunks = n.div_ceil(chunk_rows);
+    let per_job = (n_chunks.div_ceil(workers.clamp(1, n_chunks.max(1))) * chunk_rows).max(1);
+    // Job `j` owns rows `j·per_job ..` of every group's outputs.
+    let mut jobs: Vec<(usize, Vec<GroupOut<'_>>)> = Vec::new();
+    for (l, dv) in labels.iter_mut().zip(&mut dists) {
+        let cuts = l.chunks_mut(per_job).zip(dv.chunks_mut(per_job));
+        for (j, (labels, dists)) in cuts.enumerate() {
+            if j == jobs.len() {
+                jobs.push((j * per_job, Vec::with_capacity(groups)));
+            }
+            jobs[j].1.push(GroupOut { labels, dists });
+        }
+    }
+    let states = parallel::map_jobs(jobs, |(start, mut outs)| {
+        let end = start + outs[0].labels.len();
+        let mut best = Best::new(groups);
+        let mut states = Vec::new();
+        for c0 in (start..end).step_by(chunk_rows) {
+            let c1 = (c0 + chunk_rows).min(end);
+            let mut state = init();
+            for b0 in (c0..c1).step_by(point_block) {
+                let block = b0..(b0 + point_block).min(c1);
+                assign_block(
+                    points,
+                    norms,
+                    &packed,
+                    block.clone(),
+                    start,
+                    &mut outs,
+                    center_tile,
+                    &mut best,
+                );
+                let local = block.start - start..block.end - start;
+                let block_labels: Vec<&[usize]> =
+                    outs.iter().map(|o| &o.labels[local.clone()]).collect();
+                fold(&mut state, block, &block_labels);
+            }
+            states.push(state);
+        }
+        states
     });
-    (labels, T::widen(dists))
-}
-
-/// Min-update of `best` against `centers` over prepared points: the
-/// kernel body shared by both compute precisions.
-fn min_update_prepared<T: Element>(
-    points: &[T],
-    norms: &[T],
-    centers: &Matrix,
-    best: &mut [f64],
-    workers: usize,
-) {
-    let packed = PackedCenters::<T>::new(centers);
-    parallel::for_each_row_chunk_in(best, 1, workers, |start, chunk| {
-        min_update_range(
-            points,
-            norms,
-            &packed,
-            start,
-            chunk,
-            CENTER_TILE,
-            POINT_BLOCK,
-        );
-    });
+    (
+        labels.into_iter().zip(dists).collect(),
+        states.into_iter().flatten().collect(),
+    )
 }
 
 /// The one way into the distance kernels: owns the dataset in the
@@ -634,7 +674,10 @@ pub struct DistanceEngine<'a> {
 }
 
 impl<'a> DistanceEngine<'a> {
-    /// Prepares `points` for repeated kernel calls under `compute`.
+    /// Prepares `points` for repeated kernel calls under `compute`. The
+    /// `f64` norm pass runs on [`parallel::worker_count`] threads once
+    /// the points hold 2¹⁹ scalars; each row's norm is bitwise the same
+    /// at any count.
     pub fn new(points: &'a Matrix, compute: Compute) -> DistanceEngine<'a> {
         let f32_data = match compute {
             Compute::F64 => None,
@@ -644,9 +687,14 @@ impl<'a> DistanceEngine<'a> {
                 Some((m, norms))
             }
         };
+        let workers = if points.rows().saturating_mul(points.cols()) >= PAR_SCALARS {
+            parallel::worker_count()
+        } else {
+            1
+        };
         DistanceEngine {
             points,
-            norms: row_norms_sq(points),
+            norms: row_norms_sq(points, workers),
             f32_data,
         }
     }
@@ -665,15 +713,78 @@ impl<'a> DistanceEngine<'a> {
         self.points
     }
 
-    /// The precomputed `f64` row norms (`‖x_i‖²` in kernel order).
+    /// The precomputed `f64` row norms (`‖x_i‖²` in kernel order). A
+    /// row holding a NaN or infinite entry, or one whose squared norm
+    /// overflows, has a non-finite norm here.
     pub fn norms(&self) -> &[f64] {
         &self.norms
+    }
+
+    /// Runs a grouped pass in the engine's precision.
+    #[allow(clippy::too_many_arguments)]
+    fn pass<S: Send>(
+        &self,
+        centers: &Matrix,
+        k: usize,
+        workers: usize,
+        chunk_rows: usize,
+        tiles: (usize, usize),
+        init: &(impl Fn() -> S + Sync),
+        fold: &(impl Fn(&mut S, Range<usize>, &[&[usize]]) + Sync),
+    ) -> GroupPass<S> {
+        match &self.f32_data {
+            None => assign_prepared(
+                self.points.as_slice(),
+                &self.norms,
+                centers,
+                k,
+                workers,
+                chunk_rows,
+                tiles,
+                init,
+                fold,
+            ),
+            Some((m, norms)) => assign_prepared(
+                m.as_slice(),
+                norms,
+                centers,
+                k,
+                workers,
+                chunk_rows,
+                tiles,
+                init,
+                fold,
+            ),
+        }
+    }
+
+    /// The one-group pass behind [`DistanceEngine::assign`] and
+    /// [`DistanceEngine::min_update`]: one chunk per worker, no fold.
+    fn assign_one(
+        &self,
+        centers: &Matrix,
+        workers: usize,
+        tiles: (usize, usize),
+    ) -> (Vec<usize>, Vec<f64>) {
+        let chunk_rows = self.points.rows().div_ceil(workers.max(1));
+        let no_fold = |_: &mut (), _: Range<usize>, _: &[&[usize]]| {};
+        let (mut groups, _) = self.pass(
+            centers,
+            centers.rows(),
+            workers,
+            chunk_rows,
+            tiles,
+            &|| (),
+            &no_fold,
+        );
+        groups.pop().expect("a one-group pass returns one group")
     }
 
     /// Nearest-center assignment of every point: `(labels, squared
     /// distances)`, ties broken toward the lower center index. The
     /// `n × k` distance matrix is never materialized; each point's
-    /// distances are reduced to their argmin on the fly.
+    /// distances are reduced to their argmin on the fly. This is the
+    /// one-group call of [`DistanceEngine::assign_groups`].
     ///
     /// # Errors
     ///
@@ -716,21 +827,67 @@ impl<'a> DistanceEngine<'a> {
         if centers.rows() == 0 {
             return Err(LinalgError::EmptyMatrix { op: "assign" });
         }
-        if self.points.rows() == 0 {
-            return Ok((Vec::new(), Vec::new()));
+        Ok(self.assign_one(centers, workers, (center_tile, point_block)))
+    }
+
+    /// Grouped nearest-center assignment: `centers` stacks `G` groups of
+    /// `k` rows, and one pass over the points finds every point's nearest
+    /// center in each group. Returns each group's `(labels, squared
+    /// distances)` — labels index within the group, and both are bitwise
+    /// what [`DistanceEngine::assign`] returns against that group alone —
+    /// and one fold state per chunk, in chunk order.
+    ///
+    /// The points are cut into chunks of `chunk_rows` rows, and each of up
+    /// to `workers` threads takes a run of whole chunks. A chunk's state
+    /// starts as `init()`; right after each block of the chunk's rows is
+    /// assigned, while those rows are still in cache,
+    /// `fold(state, rows, labels)` receives the block's row range and
+    /// each group's labels for it. A chunk's state therefore sees its
+    /// rows in row order at every worker count.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::DimensionMismatch`] unless the points and
+    ///   `centers` agree on dimensionality and `k ≥ 1` divides the
+    ///   number of centers.
+    /// * [`LinalgError::EmptyMatrix`] if `centers` has no rows.
+    pub fn assign_groups<S, I, F>(
+        &self,
+        centers: &Matrix,
+        k: usize,
+        workers: usize,
+        chunk_rows: usize,
+        init: I,
+        fold: F,
+    ) -> Result<GroupPass<S>>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, Range<usize>, &[&[usize]]) + Sync,
+    {
+        check_shapes("assign_groups", self.points.shape(), centers)?;
+        if centers.rows() == 0 {
+            return Err(LinalgError::EmptyMatrix {
+                op: "assign_groups",
+            });
         }
-        let tiles = (center_tile, point_block);
-        Ok(match &self.f32_data {
-            None => assign_prepared(self.points.as_slice(), &self.norms, centers, workers, tiles),
-            Some((m, norms)) => assign_prepared(m.as_slice(), norms, centers, workers, tiles),
-        })
+        if k == 0 || !centers.rows().is_multiple_of(k) {
+            return Err(LinalgError::DimensionMismatch {
+                op: "assign_groups",
+                lhs: centers.shape(),
+                rhs: (k, centers.cols()),
+            });
+        }
+        let tiles = (CENTER_TILE, POINT_BLOCK);
+        Ok(self.pass(centers, k, workers, chunk_rows, tiles, &init, &fold))
     }
 
     /// Batched multi-center D² refresh: folds `min_j ‖x_i − c_j‖²` over
     /// the rows of `centers` into `best[i]`, updating only on a strict
-    /// improvement — one k-means++ or bicriteria round. `best` stays in
-    /// `f64` at every compute precision (distances are widened before
-    /// the strict-improvement compare, so the fold is deterministic). An
+    /// improvement — one bicriteria round. The minimum is the distance
+    /// [`DistanceEngine::assign`] finds. `best` stays in `f64` at every
+    /// compute precision (distances are widened before the
+    /// strict-improvement compare, so the fold is deterministic). An
     /// empty `centers` is a no-op.
     ///
     /// # Errors
@@ -762,11 +919,11 @@ impl<'a> DistanceEngine<'a> {
         if centers.rows() == 0 || self.points.rows() == 0 {
             return Ok(());
         }
-        match &self.f32_data {
-            None => {
-                min_update_prepared(self.points.as_slice(), &self.norms, centers, best, workers)
+        let (_, dists) = self.assign_one(centers, workers, (CENTER_TILE, POINT_BLOCK));
+        for (b, nd) in best.iter_mut().zip(dists) {
+            if nd < *b {
+                *b = nd;
             }
-            Some((m, norms)) => min_update_prepared(m.as_slice(), norms, centers, best, workers),
         }
         Ok(())
     }
@@ -817,18 +974,88 @@ mod tests {
             .unzip()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Rows `q·k .. (q+1)·k` of `centers`: group `q` of a grouped pass.
+    fn group(centers: &Matrix, k: usize, q: usize) -> Matrix {
+        centers.select_rows(&(q * k..(q + 1) * k).collect::<Vec<_>>())
+    }
+
+    /// What one chunk's fold saw: each block's rows and every group's
+    /// labels for them.
+    type Blocks = Vec<(Range<usize>, Vec<Vec<usize>>)>;
+
+    /// A grouped pass of `centers` (groups of `k` rows) with explicit
+    /// workers, chunk size and tiles, whose fold records every block.
+    /// Asserts that each chunk saw exactly its rows, in order, with the
+    /// labels the pass returned, and returns each group's result.
+    fn grouped(
+        engine: &DistanceEngine<'_>,
+        centers: &Matrix,
+        k: usize,
+        workers: usize,
+        chunk_rows: usize,
+        tiles: (usize, usize),
+    ) -> Vec<(Vec<usize>, Vec<f64>)> {
+        let record = |blocks: &mut Blocks, rows: Range<usize>, labels: &[&[usize]]| {
+            blocks.push((rows, labels.iter().map(|l| l.to_vec()).collect()));
+        };
+        let (groups, chunks) =
+            engine.pass(centers, k, workers, chunk_rows, tiles, &Vec::new, &record);
+        let n = engine.points().rows();
+        assert_eq!(groups.len(), centers.rows() / k);
+        assert_eq!(chunks.len(), n.div_ceil(chunk_rows));
+        for (c, blocks) in chunks.iter().enumerate() {
+            let mut next = c * chunk_rows;
+            for (rows, labels) in blocks {
+                assert_eq!(rows.start, next, "chunk {c}");
+                next = rows.end;
+                for (l, (all, _)) in labels.iter().zip(&groups) {
+                    assert_eq!(l[..], all[rows.clone()], "chunk {c}");
+                }
+            }
+            assert_eq!(next, ((c + 1) * chunk_rows).min(n), "chunk {c}");
+        }
+        groups
+    }
+
+    /// Asserts every group of a grouped pass is bitwise
+    /// `assign` against that group alone.
+    fn assert_groups_alone(
+        engine: &DistanceEngine<'_>,
+        centers: &Matrix,
+        k: usize,
+        groups: &[(Vec<usize>, Vec<f64>)],
+        context: &str,
+    ) {
+        for (q, (labels, dists)) in groups.iter().enumerate() {
+            let (rl, rd) = engine.assign_in(&group(centers, k, q), 1).unwrap();
+            assert_eq!(labels, &rl, "{context} group {q}");
+            assert_eq!(bits(dists), bits(&rd), "{context} group {q}");
+        }
+    }
+
     #[test]
     fn row_norms_are_bitwise_serial_dots() {
         // The 4-row interleave only reorders *across* rows; each row's
         // chain must stay exactly serial_dot(r, r). Sizes cover full
         // quads, remainders of 1–3, and degenerate shapes.
-        for (n, d) in [(16, 9), (17, 9), (18, 1), (19, 13), (3, 7), (0, 5)] {
+        // Worker counts cut the rows at other places, and a quad may
+        // straddle a cut.
+        for (n, d) in [(16, 9), (17, 9), (18, 1), (19, 13), (3, 7), (0, 5), (27, 0)] {
             let m = workload(n, d);
-            let fast = row_norms_sq(&m);
-            assert_eq!(fast.len(), n);
-            for (i, &v) in fast.iter().enumerate() {
-                let reference = serial_dot(m.row(i), m.row(i));
-                assert!(v == reference, "row {i} of {n}x{d}: {v} vs {reference}");
+            for workers in [1, 2, 3, 5] {
+                let fast = row_norms_sq(&m, workers);
+                assert_eq!(fast.len(), n);
+                for (i, &v) in fast.iter().enumerate() {
+                    let reference = serial_dot(m.row(i), m.row(i));
+                    assert!(
+                        v.to_bits() == reference.to_bits(),
+                        "row {i} of {n}x{d}, {workers} workers: {v} vs {reference}"
+                    );
+                }
             }
         }
     }
@@ -863,6 +1090,7 @@ mod tests {
             (40, 1, 3),
             (5, 13, 1),
             (90, 11, 13),
+            (70, 5, 3),
         ] {
             let p = workload(n, d);
             let c = workload(k, d);
@@ -882,6 +1110,20 @@ mod tests {
                 engine.min_update(&one, &mut incremental).unwrap();
             }
             assert!(incremental == ref_dists, "incremental n={n} d={d} k={k}");
+            // Groups of k: 3 groups of 3 straddle two lane groups, and
+            // 4 groups of 21 span two center tiles.
+            for groups in [2, 3, 4] {
+                let stacked = Matrix::from_fn(groups * k, d, |i, j| {
+                    (((i * 7 + j * 13) % 37) as f64 - 18.0) * 0.25
+                });
+                let context = format!("n={n} d={d} k={k} groups={groups}");
+                let out = grouped(&engine, &stacked, k, 2, 64, (CENTER_TILE, POINT_BLOCK));
+                for (q, (labels, dists)) in out.iter().enumerate() {
+                    let (rl, rd) = row_argmin(&expansion_reference(&p, &group(&stacked, k, q)));
+                    assert_eq!(labels, &rl, "{context} group {q}");
+                    assert_eq!(bits(dists), bits(&rd), "{context} group {q}");
+                }
+            }
         }
     }
 
@@ -925,6 +1167,19 @@ mod tests {
             engine.min_update_in(&c, &mut b, workers).unwrap();
             assert_eq!(b, rb, "{workers} workers");
         }
+        // Grouped passes: every worker count and chunk size gives each
+        // group what `assign` gives it alone.
+        for (groups, k) in [(3, 3), (5, 2), (4, 9), (2, 67)] {
+            let stacked = workload(groups * k, 13);
+            for workers in [1, 2, 3, 4, 8, 300] {
+                for chunk_rows in [1, 64, 1024] {
+                    let tiles = (CENTER_TILE, POINT_BLOCK);
+                    let out = grouped(&engine, &stacked, k, workers, chunk_rows, tiles);
+                    let context = format!("{groups}x{k}, {workers} workers, chunk {chunk_rows}");
+                    assert_groups_alone(&engine, &stacked, k, &out, &context);
+                }
+            }
+        }
     }
 
     #[test]
@@ -937,6 +1192,14 @@ mod tests {
             let (l, d) = engine.assign_with_tiles(&c, 3, ct, pb).unwrap();
             assert_eq!(l, rl, "tile {ct}/{pb}");
             assert_eq!(d, rd, "tile {ct}/{pb}");
+            // Grouped: a group may straddle a center tile as well as a
+            // lane group.
+            for (groups, k) in [(3, 7), (5, 13), (9, 1)] {
+                let stacked = workload(groups * k, 11);
+                let out = grouped(&engine, &stacked, k, 3, 128, (ct, pb));
+                let context = format!("{groups}x{k}, tile {ct}/{pb}");
+                assert_groups_alone(&engine, &stacked, k, &out, &context);
+            }
         }
     }
 
@@ -955,7 +1218,7 @@ mod tests {
         for compute in [Compute::F64, Compute::F32] {
             let engine = DistanceEngine::new(&p, compute);
             assert_eq!(engine.compute(), compute);
-            assert_eq!(engine.norms(), &row_norms_sq(&p)[..], "{compute}");
+            assert_eq!(engine.norms(), &row_norms_sq(&p, 1)[..], "{compute}");
         }
     }
 
@@ -1010,10 +1273,23 @@ mod tests {
         let p = Matrix::zeros(3, 4);
         let c = Matrix::zeros(2, 5);
         let mut best = vec![f64::INFINITY; 3];
+        let no_fold = |_: &mut (), _: Range<usize>, _: &[&[usize]]| {};
         for compute in [Compute::F64, Compute::F32] {
             let engine = DistanceEngine::new(&p, compute);
             assert!(engine.assign(&c).is_err(), "{compute}");
             assert!(engine.min_update(&c, &mut best).is_err(), "{compute}");
+            assert!(engine.assign_groups(&c, 1, 1, 64, || (), no_fold).is_err());
+            // The group size must divide the stacked centers.
+            let four = Matrix::zeros(4, 4);
+            for k in [0, 3, 5] {
+                assert!(
+                    matches!(
+                        engine.assign_groups(&four, k, 1, 64, || (), no_fold),
+                        Err(LinalgError::DimensionMismatch { .. })
+                    ),
+                    "{compute} k={k}"
+                );
+            }
         }
     }
 
@@ -1034,8 +1310,13 @@ mod tests {
         let p = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let none = Matrix::zeros(0, 2);
         for compute in [Compute::F64, Compute::F32] {
+            let engine = DistanceEngine::new(&p, compute);
             assert!(matches!(
-                DistanceEngine::new(&p, compute).assign(&none),
+                engine.assign(&none),
+                Err(LinalgError::EmptyMatrix { .. })
+            ));
+            assert!(matches!(
+                engine.assign_groups(&none, 1, 1, 64, || (), |_: &mut (), _, _| {}),
                 Err(LinalgError::EmptyMatrix { .. })
             ));
         }

@@ -113,47 +113,32 @@ where
     });
 }
 
-/// Splits two equal-length buffers at the same row boundaries and runs
-/// `f(first_index, a_chunk, b_chunk)` on each pair via scoped threads —
-/// the splitter behind fused assignment (labels + distances written by
-/// the same worker for the same points).
-///
-/// # Panics
-///
-/// Panics if the buffers disagree on length.
-pub fn for_each_pair_chunk_in<A, B, F>(a: &mut [A], b: &mut [B], workers: usize, f: F)
+/// Runs `f` on every job, one scoped thread per job when there are
+/// several, and returns the results in job order — the splitter behind
+/// the grouped distance pass, whose caller first cuts every group's
+/// label and distance vectors at the same row boundaries, so each job
+/// owns one run of rows in every group. Per-job work must be
+/// independent; then any cut is bit-identical.
+pub(crate) fn map_jobs<J, R, F>(jobs: Vec<J>, f: F) -> Vec<R>
 where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+    J: Send,
+    R: Send,
+    F: Fn(J) -> R + Sync,
 {
-    assert_eq!(a.len(), b.len(), "for_each_pair_chunk_in: length mismatch");
-    let n = a.len();
-    if n == 0 {
-        return;
+    if jobs.len() <= 1 {
+        return jobs.into_iter().map(f).collect();
     }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        f(0, a, b);
-        return;
-    }
-    let per = n.div_ceil(workers);
     std::thread::scope(|scope| {
-        let mut arest = a;
-        let mut brest = b;
-        let mut start = 0;
-        while !arest.is_empty() {
-            let take = per.min(arest.len());
-            let (achunk, atail) = arest.split_at_mut(take);
-            let (bchunk, btail) = brest.split_at_mut(take);
-            arest = atail;
-            brest = btail;
-            let fref = &f;
-            let first = start;
-            scope.spawn(move || fref(first, achunk, bchunk));
-            start += take;
-        }
-    });
+        let f = &f;
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|job| scope.spawn(move || f(job)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// Maps `f` over `0..n` in parallel, writing results into a `Vec`.
@@ -169,9 +154,8 @@ where
     par_map_indices_in(n, workers, f)
 }
 
-/// [`par_map_indices`] with an explicit worker count (the sharded Lloyd
-/// update passes one chosen from its input size here, its tests fixed
-/// counts). Results
+/// [`par_map_indices`] with an explicit worker count (the chunked
+/// `Aᵀ·B`/`gram` sums pass one chosen from their size here). Results
 /// are identical at any count — each index's computation is independent
 /// and lands in its own slot.
 pub fn par_map_indices_in<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
@@ -282,24 +266,29 @@ mod tests {
     }
 
     #[test]
-    fn for_each_pair_chunk_in_splits_pairs_consistently() {
-        let n = 61;
-        let fill = |start: usize, a: &mut [usize], b: &mut [f64]| {
-            for (off, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-                *x = start + off;
-                *y = (start + off) as f64 * 0.5;
+    fn map_jobs_keeps_job_order_and_owns_each_job() {
+        let mut data = vec![0usize; 61];
+        let fill = |(start, chunk): (usize, &mut [usize])| {
+            for (off, v) in chunk.iter_mut().enumerate() {
+                *v = start + off;
             }
+            chunk.len()
         };
-        let mut ra = vec![0usize; n];
-        let mut rb = vec![0.0f64; n];
-        for_each_pair_chunk_in(&mut ra, &mut rb, 1, fill);
-        for workers in [2, 4, 100] {
-            let mut a = vec![0usize; n];
-            let mut b = vec![0.0f64; n];
-            for_each_pair_chunk_in(&mut a, &mut b, workers, fill);
-            assert_eq!(a, ra, "{workers} workers");
-            assert_eq!(b, rb, "{workers} workers");
+        assert_eq!(map_jobs(vec![(0, &mut data[..])], fill), vec![61]);
+        let reference = data.clone();
+        for per in [1, 7, 30, 61] {
+            let mut out = vec![0usize; 61];
+            let jobs: Vec<_> = out
+                .chunks_mut(per)
+                .enumerate()
+                .map(|(j, c)| (j * per, c))
+                .collect();
+            let lens = map_jobs(jobs, fill);
+            assert_eq!(lens.iter().sum::<usize>(), 61, "{per} rows per job");
+            assert!(lens[..lens.len() - 1].iter().all(|&l| l == per), "{per}");
+            assert_eq!(out, reference, "{per} rows per job");
         }
+        assert!(map_jobs(Vec::<usize>::new(), |j| j).is_empty());
     }
 
     #[test]

@@ -137,6 +137,10 @@ if fresh:
     for row in ("wire/encode_q8_10000x784", "wire/decode_q8_10000x784",
                 "frame/reassemble_upload_qt"):
         assert row in names, f"codec/frame row {row} missing"
+    # The server solve at the same shape: three k = 2 restarts over the
+    # 10000 x 784 summary.
+    assert "clustering/kmeans_k2_10000x784_r3" in names, \
+        "server-solve row clustering/kmeans_k2_10000x784_r3 missing"
 assert doc["kernels"], "no kernel timings recorded"
 assert doc["assign_speedups"], "no assignment speedups recorded"
 assert doc["transb_speedups"], "no matmul_transb speedups recorded"
