@@ -137,9 +137,8 @@ fn bench_clustering(c: &mut Criterion) {
         })
     });
     // The server solve of a one-source `upload-qt` run: three restarts
-    // at k = 2 over a 10000 × 784 summary (62.7 MB, above the 2¹⁹-scalar
-    // line where its passes spread over the workers). Few samples, so
-    // the smoke run stays short.
+    // at k = 2 over a 10000 × 784 summary (62.7 MB; every pass spreads
+    // over the workers). Few samples, so the smoke run stays short.
     g.sample_size(5);
     let summary = gaussian_matrix(24, 10_000, 784, 1.0);
     g.bench_function("kmeans_k2_10000x784_r3", |bench| {

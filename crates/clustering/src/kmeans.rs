@@ -143,7 +143,8 @@ impl KMeans {
     /// * [`ClusteringError::EmptyInput`](crate::ClusteringError::EmptyInput) for an empty dataset.
     /// * [`ClusteringError::Linalg`](crate::ClusteringError::Linalg) with `LinalgError::NonFinite` if a
     ///   point holds a NaN or infinite coordinate or its squared norm
-    ///   overflows.
+    ///   overflows in the compute precision (under `Compute::F32`, a
+    ///   coordinate above about 1.8e19 is enough).
     /// * [`ClusteringError::InvalidK`](crate::ClusteringError::InvalidK) if `k` is 0 or exceeds the number of
     ///   positive-weight points.
     /// * [`ClusteringError::InvalidWeights`](crate::ClusteringError::InvalidWeights) for malformed weights.
@@ -226,7 +227,7 @@ mod tests {
             .collect();
         let mut solve = Solve::new(points, weights, km.compute).unwrap();
         for &w in workers {
-            solve.workers = w;
+            solve.workers = Some(w);
             let mut rngs: Vec<_> = (0..km.n_init).map(stream).collect();
             let mut streams: Vec<_> = rngs.iter_mut().collect();
             let seeds = kmeanspp_starts(&solve, km.k, &mut streams).unwrap();
@@ -293,8 +294,9 @@ mod tests {
 
     #[test]
     fn lockstep_restarts_agree_at_every_worker_count_above_the_parallel_threshold() {
-        // n·d ≥ 2¹⁹, where a solve's passes spread over its workers; the
-        // golden fixtures (n·d = 144,000) only reach the one-worker path.
+        // n·d ≥ 2¹⁹: every pass of this solve spreads over the process's
+        // workers, a one-center seeding pass too, with more than one
+        // 1024-row chunk per worker at 2 workers.
         let (n, d) = (2_100, 256);
         assert!(n * d >= 1 << 19);
         let noise = gaussian_matrix(3, n, d, 1.0);
@@ -350,6 +352,21 @@ mod tests {
             let mut rng = rng_from_seed(1);
             let err = kmeanspp_indices(&mut rng, &p, &w, 2, Compute::F64).unwrap_err();
             assert!(refused(err), "{what}");
+        }
+        // Finite in f64 but not in f32: 1e20² overflows f32, and 1e39 is
+        // past f32::MAX already. Only a solve in f32 refuses them.
+        for bad in [1e20, 1e39] {
+            let mut p = blobs.clone();
+            p[(17, 1)] = bad;
+            let err = KMeans::new(2)
+                .with_compute(Compute::F32)
+                .fit(&p)
+                .unwrap_err();
+            assert!(refused(err), "{bad} f32");
+            let mut rng = rng_from_seed(1);
+            let err = kmeanspp_indices(&mut rng, &p, &w, 2, Compute::F32).unwrap_err();
+            assert!(refused(err), "{bad} f32");
+            assert!(KMeans::new(2).fit(&p).is_ok(), "{bad} f64");
         }
     }
 

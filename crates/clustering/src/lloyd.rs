@@ -9,12 +9,13 @@
 //! every start's centers and, while those rows are in cache, folded into
 //! the per-start sums of its chunk. The chunks are fixed 1024-row runs,
 //! each worker takes whole chunks (on up to [`parallel::worker_count`]
-//! scoped threads, which `ekm --threads` caps, once the points hold 2¹⁹
-//! scalars), a chunk sums its rows in row order, and the chunk sums are
-//! folded in chunk order. The fold graph therefore depends only on the
-//! number of points, so the centers are **bit-identical** at every
-//! worker count, and a start's run is bitwise its run alone: a center's
-//! distance does not depend on which lane it sits in.
+//! scoped threads, which `ekm --threads` caps, once the pass's distance
+//! work, `n · d` per center it measures, reaches 2¹⁹), a chunk sums its
+//! rows in row order, and the chunk sums are folded in chunk order. The
+//! fold graph therefore depends only on the number of points, so the
+//! centers are **bit-identical** at every worker count, and a start's
+//! run is bitwise its run alone: a center's distance does not depend on
+//! which lane it sits in.
 
 use crate::cost::{validate_weights, Assignment};
 use crate::{ClusteringError, Result};
@@ -27,12 +28,12 @@ use ekm_linalg::{parallel, LinalgError, Matrix};
 /// worker count.
 const ACCUM_CHUNK: usize = 1024;
 
-/// Point scalars (`n · d`) from which every pass of a solve spreads its
-/// chunks over [`parallel::worker_count`] threads. Below it the passes
-/// run on the calling thread: spawning the workers would cost more than
-/// the pass they share (the accumulation alone breaks even near 2¹⁹
-/// scalars with two workers on a 2-vCPU x86-64 host).
-const PAR_ACCUM_SCALARS: usize = 1 << 19;
+/// Distance work of a pass (`n · d` multiply-adds per center it
+/// measures, over all its groups) from which the pass spreads its chunks
+/// over [`parallel::worker_count`] threads. Below it the pass runs on the
+/// calling thread: spawning the workers would cost more than the pass
+/// they share (two workers break even near 2¹⁹ on a 2-vCPU x86-64 host).
+const PAR_PASS_WORK: usize = 1 << 19;
 
 /// Outcome of running Lloyd's algorithm from a fixed initialization.
 #[derive(Debug, Clone)]
@@ -80,12 +81,13 @@ impl Default for LloydConfig {
 type Pass = (Assignment, Vec<f64>, Vec<f64>);
 
 /// What every pass of one solve shares: the points, prepared once
-/// (their norms are the solve's only norm pass), their weights, and the
-/// worker count of every pass.
+/// (their norms are the solve's only norm pass), and their weights.
 pub(crate) struct Solve<'a> {
     pub(crate) engine: DistanceEngine<'a>,
     pub(crate) weights: &'a [f64],
-    pub(crate) workers: usize,
+    /// A worker count for every pass, in place of the count chosen per
+    /// pass from its size (tests force counts through it).
+    pub(crate) workers: Option<usize>,
 }
 
 impl<'a> Solve<'a> {
@@ -96,8 +98,9 @@ impl<'a> Solve<'a> {
     /// * [`ClusteringError::EmptyInput`] for an empty dataset.
     /// * [`ClusteringError::Linalg`] with [`LinalgError::NonFinite`] if a
     ///   point holds a NaN or infinite coordinate or its squared norm
-    ///   overflows: its distances would read as 0 (`max(NaN, 0) = 0`).
-    ///   The engine's norms show it, so the check costs no extra pass.
+    ///   overflows in the compute precision: its distances would read
+    ///   as 0 (`max(NaN, 0) = 0`). The engine's norms show it, so the
+    ///   check costs no extra pass.
     /// * [`ClusteringError::InvalidWeights`] for malformed weights.
     pub(crate) fn new(
         points: &'a Matrix,
@@ -108,19 +111,29 @@ impl<'a> Solve<'a> {
             return Err(ClusteringError::EmptyInput);
         }
         let engine = DistanceEngine::new(points, compute);
-        if !engine.norms().iter().all(|v| v.is_finite()) {
+        if !engine.norms_are_finite() {
             return Err(LinalgError::NonFinite { op: "k-means" }.into());
         }
         validate_weights(weights, points.rows())?;
-        let workers = if points.rows().saturating_mul(points.cols()) >= PAR_ACCUM_SCALARS {
-            parallel::worker_count()
-        } else {
-            1
-        };
         Ok(Solve {
             engine,
             weights,
-            workers,
+            workers: None,
+        })
+    }
+
+    /// The worker count of a pass measuring `columns` centers: the
+    /// forced count if there is one, else every worker once the pass's
+    /// distance work (`n · d · columns`) reaches [`PAR_PASS_WORK`], else
+    /// 1. A pass is bitwise the same at any count.
+    fn pass_workers(&self, columns: usize) -> usize {
+        let (n, d) = self.engine.points().shape();
+        self.workers.unwrap_or_else(|| {
+            if n.saturating_mul(d).saturating_mul(columns) >= PAR_PASS_WORK {
+                parallel::worker_count()
+            } else {
+                1
+            }
         })
     }
 
@@ -128,9 +141,10 @@ impl<'a> Solve<'a> {
     /// (`centers` stacks groups of `k` rows), as `(labels, distances)`.
     pub(crate) fn assign(&self, centers: &Matrix, k: usize) -> Result<Vec<(Vec<usize>, Vec<f64>)>> {
         let no_fold = |_: &mut (), _, _: &[&[usize]]| {};
+        let workers = self.pass_workers(centers.rows());
         let (groups, _) =
             self.engine
-                .assign_groups(centers, k, self.workers, ACCUM_CHUNK, || (), no_fold)?;
+                .assign_groups(centers, k, workers, ACCUM_CHUNK, || (), no_fold)?;
         Ok(groups)
     }
 
@@ -165,7 +179,7 @@ impl<'a> Solve<'a> {
         let (groups, chunks) = self.engine.assign_groups(
             &stacked,
             k,
-            self.workers,
+            self.pass_workers(width),
             ACCUM_CHUNK,
             || (vec![0.0f64; width * d], vec![0.0f64; width]),
             chunk_sums,
@@ -637,7 +651,7 @@ pub(crate) mod tests {
                 .collect();
             let mut solve = Solve::new(&points, &weights, config.compute).unwrap();
             for workers in [1, 2, 4] {
-                solve.workers = workers;
+                solve.workers = Some(workers);
                 let got = lloyd_starts(&solve, inits.clone(), &config).unwrap();
                 prop_assert_eq!(got.len(), starts);
                 for (r, (g, w)) in got.iter().zip(&want).enumerate() {

@@ -13,18 +13,20 @@ use ekm_sketch::JlProjection;
 /// k-means++ / Lloyd on the summary points. The restarts run in
 /// lockstep, so the solve reads the summary once for its norms, then
 /// once per k-means++ round and once per Lloyd iteration for all
-/// restarts; above 2¹⁹ point scalars each pass spreads over the
-/// process's worker threads ([`ekm_linalg::parallel::worker_count`]),
-/// and the centers are bit-identical at every count — the summary can
-/// reach ~10⁵ points at full scale. `compute` selects the
-/// distance-kernel precision: `F64` is the bit-reproducibility
-/// reference, `F32` is faster under the accuracy contract.
+/// restarts; a pass whose distance work reaches 2¹⁹ multiply-adds
+/// spreads over the process's worker threads
+/// ([`ekm_linalg::parallel::worker_count`]), and the centers are
+/// bit-identical at every count — the summary can reach ~10⁵ points at
+/// full scale. `compute` selects the distance-kernel precision: `F64`
+/// is the bit-reproducibility reference, `F32` is faster under the
+/// accuracy contract.
 ///
 /// # Errors
 ///
 /// * [`CoreError::Linalg`] with [`LinalgError::NonFinite`] for a
-///   summary holding a NaN or infinite value (the solve finds it in its
-///   norm pass, so the check costs no pass of its own).
+///   summary holding a NaN or infinite value, or a point whose squared
+///   norm overflows in `compute` (the solve finds it in its norm pass,
+///   so the check costs no pass of its own).
 /// * Other clustering failures (empty summary, `k` larger than the
 ///   number of positive-weight points, …).
 pub fn solve_weighted_kmeans(

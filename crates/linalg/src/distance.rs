@@ -56,13 +56,12 @@
 //! is computed by an identical sequence of floating-point operations —
 //! the lane-group walk is fixed by the center count alone, and the
 //! parallel split only partitions *which thread* computes which point,
-//! never the per-point operation order. The row norms are per row too,
-//! so the engine's parallel norm pass is bitwise its serial one. The
-//! engine's `*_in` methods and `assign_groups` take an explicit worker
-//! count so tests can assert the invariance without touching the
-//! process-wide override. Tile sizes (`CENTER_TILE`, `POINT_BLOCK`) only
-//! reorder *independent* per-point work and never change any
-//! accumulation order, so retuning them is results-neutral.
+//! never the per-point operation order. The engine's `*_in` methods and
+//! `assign_groups` take an explicit worker count so tests can assert the
+//! invariance without touching the process-wide override. Tile sizes
+//! (`CENTER_TILE`, `POINT_BLOCK`) only reorder *independent* per-point
+//! work and never change any accumulation order, so retuning them is
+//! results-neutral.
 //!
 //! # Accuracy domain
 //!
@@ -247,44 +246,34 @@ fn serial_dot<T: Element>(a: &[T], b: &[T]) -> T {
     acc
 }
 
-/// Point scalars (`n · d`) from which [`DistanceEngine::new`] spreads the
-/// norm pass over [`parallel::worker_count`] threads: the threshold of
-/// the Lloyd update's chunked fold in `ekm-clustering`, below which the
-/// spawn costs more than the pass it shares.
-const PAR_SCALARS: usize = 1 << 19;
-
 /// `‖row‖²` for every row, in the kernel's accumulation order (see
-/// [`serial_dot`]), on up to `workers` threads. Four rows are processed
-/// at a time so their chains interleave for instruction-level
-/// parallelism — each row's own accumulation stays strictly
-/// left-to-right, so every value is bit-identical to `serial_dot(r, r)`
-/// at any worker count.
-fn row_norms_sq(m: &Matrix, workers: usize) -> Vec<f64> {
-    let d = m.cols();
-    let mut norms = vec![0.0; m.rows()];
-    parallel::for_each_row_chunk_in(&mut norms, 1, workers, |start, out| {
-        let data = &m.as_slice()[start * d..];
-        let mut i = 0;
-        while i + 4 <= out.len() {
-            let (r0, rest) = data[i * d..(i + 4) * d].split_at(d);
-            let (r1, rest) = rest.split_at(d);
-            let (r2, r3) = rest.split_at(d);
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0, 0.0, 0.0);
-            for j in 0..d {
-                a0 += r0[j] * r0[j];
-                a1 += r1[j] * r1[j];
-                a2 += r2[j] * r2[j];
-                a3 += r3[j] * r3[j];
-            }
-            out[i..i + 4].copy_from_slice(&[a0, a1, a2, a3]);
-            i += 4;
+/// [`serial_dot`]). Four rows are processed at a time so their chains
+/// interleave for instruction-level parallelism — each row's own
+/// accumulation stays strictly left-to-right, so every value is
+/// bit-identical to `serial_dot(r, r)`.
+fn row_norms_sq(m: &Matrix) -> Vec<f64> {
+    let (n, d) = m.shape();
+    let data = m.as_slice();
+    let mut out = Vec::with_capacity(n);
+    let mut i = 0;
+    while i + 4 <= n {
+        let (r0, rest) = data[i * d..(i + 4) * d].split_at(d);
+        let (r1, rest) = rest.split_at(d);
+        let (r2, r3) = rest.split_at(d);
+        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0, 0.0, 0.0);
+        for j in 0..d {
+            a0 += r0[j] * r0[j];
+            a1 += r1[j] * r1[j];
+            a2 += r2[j] * r2[j];
+            a3 += r3[j] * r3[j];
         }
-        for (i, o) in out.iter_mut().enumerate().skip(i) {
-            let r = m.row(start + i);
-            *o = serial_dot(r, r);
-        }
-    });
-    norms
+        out.extend_from_slice(&[a0, a1, a2, a3]);
+        i += 4;
+    }
+    for r in (i..n).map(|i| m.row(i)) {
+        out.push(serial_dot(r, r));
+    }
+    out
 }
 
 /// Validates that `points` and `centers` are non-empty and agree on
@@ -674,10 +663,7 @@ pub struct DistanceEngine<'a> {
 }
 
 impl<'a> DistanceEngine<'a> {
-    /// Prepares `points` for repeated kernel calls under `compute`. The
-    /// `f64` norm pass runs on [`parallel::worker_count`] threads once
-    /// the points hold 2¹⁹ scalars; each row's norm is bitwise the same
-    /// at any count.
+    /// Prepares `points` for repeated kernel calls under `compute`.
     pub fn new(points: &'a Matrix, compute: Compute) -> DistanceEngine<'a> {
         let f32_data = match compute {
             Compute::F64 => None,
@@ -687,14 +673,9 @@ impl<'a> DistanceEngine<'a> {
                 Some((m, norms))
             }
         };
-        let workers = if points.rows().saturating_mul(points.cols()) >= PAR_SCALARS {
-            parallel::worker_count()
-        } else {
-            1
-        };
         DistanceEngine {
             points,
-            norms: row_norms_sq(points, workers),
+            norms: row_norms_sq(points),
             f32_data,
         }
     }
@@ -713,11 +694,20 @@ impl<'a> DistanceEngine<'a> {
         self.points
     }
 
-    /// The precomputed `f64` row norms (`‖x_i‖²` in kernel order). A
-    /// row holding a NaN or infinite entry, or one whose squared norm
-    /// overflows, has a non-finite norm here.
+    /// The precomputed `f64` row norms (`‖x_i‖²` in kernel order).
     pub fn norms(&self) -> &[f64] {
         &self.norms
+    }
+
+    /// Whether every row norm the engine computes with is finite: the
+    /// `f64` norms and, under [`Compute::F32`], the `f32` ones. A row
+    /// holding a NaN or infinite entry, or one whose squared norm
+    /// overflows in either precision (an `f64` entry above about 1.8e19
+    /// already does in `f32`), fails it. Such a row's expanded distances
+    /// are NaN, which the clamp to zero would read as 0.
+    pub fn norms_are_finite(&self) -> bool {
+        let finite32 = |(_, norms): &(MatrixF32, Vec<f32>)| norms.iter().all(|v| v.is_finite());
+        self.norms.iter().all(|v| v.is_finite()) && self.f32_data.as_ref().is_none_or(finite32)
     }
 
     /// Runs a grouped pass in the engine's precision.
@@ -1042,20 +1032,13 @@ mod tests {
         // The 4-row interleave only reorders *across* rows; each row's
         // chain must stay exactly serial_dot(r, r). Sizes cover full
         // quads, remainders of 1–3, and degenerate shapes.
-        // Worker counts cut the rows at other places, and a quad may
-        // straddle a cut.
-        for (n, d) in [(16, 9), (17, 9), (18, 1), (19, 13), (3, 7), (0, 5), (27, 0)] {
+        for (n, d) in [(16, 9), (17, 9), (18, 1), (19, 13), (3, 7), (0, 5)] {
             let m = workload(n, d);
-            for workers in [1, 2, 3, 5] {
-                let fast = row_norms_sq(&m, workers);
-                assert_eq!(fast.len(), n);
-                for (i, &v) in fast.iter().enumerate() {
-                    let reference = serial_dot(m.row(i), m.row(i));
-                    assert!(
-                        v.to_bits() == reference.to_bits(),
-                        "row {i} of {n}x{d}, {workers} workers: {v} vs {reference}"
-                    );
-                }
+            let fast = row_norms_sq(&m);
+            assert_eq!(fast.len(), n);
+            for (i, &v) in fast.iter().enumerate() {
+                let reference = serial_dot(m.row(i), m.row(i));
+                assert!(v == reference, "row {i} of {n}x{d}: {v} vs {reference}");
             }
         }
     }
@@ -1218,7 +1201,7 @@ mod tests {
         for compute in [Compute::F64, Compute::F32] {
             let engine = DistanceEngine::new(&p, compute);
             assert_eq!(engine.compute(), compute);
-            assert_eq!(engine.norms(), &row_norms_sq(&p, 1)[..], "{compute}");
+            assert_eq!(engine.norms(), &row_norms_sq(&p)[..], "{compute}");
         }
     }
 
