@@ -35,7 +35,6 @@ use ekm_net::event::{EventServerBinding, EventTcpSource};
 use ekm_net::frame::{FrameAssembler, FRAME_RESP};
 use ekm_net::messages::Message;
 use ekm_net::protocol::{Command, Payload, Response, SourceEndpoint};
-use ekm_net::reactor::{Reactor, ReactorChoice, ReactorKind};
 use ekm_net::wire::Precision;
 use ekm_net::FrameBuf;
 use ekm_net::{CommandTransport, Network};
@@ -52,7 +51,7 @@ struct PerfScale {
     /// Dataset shape of the end-to-end pipeline section.
     pipeline_n: usize,
     pipeline_d: usize,
-    /// Measured command rounds per reactor backend (loopback latency).
+    /// Measured loopback command rounds of the reactor section.
     reactor_rounds: usize,
 }
 
@@ -501,24 +500,15 @@ fn transb_speedups_json(results: &[BenchResult]) -> Json {
     Json::Arr(rows)
 }
 
-/// The sleep-poll reactor parks this long when nothing moved — the
-/// wakeup-latency floor every command round used to pay, and the
-/// baseline the epoll reactor is measured against. Mirrors
-/// `ekm_net::event::POLL_BACKOFF` (200 µs).
-const SLEEP_FLOOR_NS: u64 = 200_000;
-
-/// Median per-round command latency of one reactor backend: a loopback
+/// Median per-round command latency of the event backend: a loopback
 /// `EventTcpServer`/`EventTcpSource` pair plays `rounds` tiny command
 /// rounds (9-byte payloads, so the wire cost is noise and the wakeup
-/// path dominates). Returns the median round-trip and the reactor that
-/// actually engaged (epoll may fall back to sleep on locked-down hosts).
-fn reactor_round_median(choice: ReactorChoice, rounds: usize) -> (f64, &'static str) {
+/// path dominates).
+fn reactor_round_median(rounds: usize) -> f64 {
     const FP: u64 = 0x5EED_BE2C;
     const WARMUP: usize = 32;
     let total = rounds + WARMUP;
-    let binding = EventServerBinding::bind("127.0.0.1:0")
-        .expect("bind loopback")
-        .with_reactor(choice);
+    let binding = EventServerBinding::bind("127.0.0.1:0").expect("bind loopback");
     let addr = binding.local_addr().expect("local addr");
     let executor = std::thread::spawn(move || {
         let mut src =
@@ -539,10 +529,6 @@ fn reactor_round_median(choice: ReactorChoice, rounds: usize) -> (f64, &'static 
         }
     });
     let mut server = binding.accept(1, FP).expect("accept");
-    let kind = match server.reactor_kind() {
-        ReactorKind::Epoll => "epoll",
-        ReactorKind::Sleep => "sleep",
-    };
     let mut samples = Vec::with_capacity(rounds);
     for r in 0..total {
         let t0 = Instant::now();
@@ -556,43 +542,24 @@ fn reactor_round_median(choice: ReactorChoice, rounds: usize) -> (f64, &'static 
     }
     executor.join().expect("executor thread");
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    (samples[samples.len() / 2], kind)
+    samples[samples.len() / 2]
 }
 
 /// Reactor section: per-round command latency of the event backend over
-/// real loopback TCP under the sleep-poll loop vs the epoll reactor,
-/// plus the single-write frame counter (each counted frame saved one
-/// header syscall against the old two-write wire path). The validator
-/// holds the epoll median at least 5× under the 200 µs sleep floor.
+/// real loopback TCP, plus the single-write frame counter (each counted
+/// frame saved one header syscall against the old two-write wire path).
+/// The validator holds the median to 40 µs per round.
 fn reactor_json(scale: &PerfScale) -> Json {
     let rounds = scale.reactor_rounds;
     let writes_before = ekm_net::frame::single_write_frames();
-    let epoll_available = Reactor::new(ReactorChoice::Epoll).kind() == ReactorKind::Epoll;
-    println!("group reactor (sleep-poll vs epoll, {rounds} loopback command rounds)");
-    let mut backends = Vec::new();
-    for choice in [ReactorChoice::Sleep, ReactorChoice::Epoll] {
-        let requested = match choice {
-            ReactorChoice::Epoll => "epoll",
-            ReactorChoice::Sleep => "sleep",
-        };
-        let (median, engaged) = reactor_round_median(choice, rounds);
-        println!(
-            "  {requested:<6} ({engaged:<5} engaged) median {:>10.3} us/round",
-            median / 1e3
-        );
-        backends.push(Json::Obj(vec![
-            ("reactor".into(), Json::Str(requested.into())),
-            ("engaged".into(), Json::Str(engaged.into())),
-            ("median_round_ns".into(), Json::Num(median)),
-            ("rounds".into(), Json::Int(rounds as u64)),
-        ]));
-    }
+    let median = reactor_round_median(rounds);
     let syscalls_avoided = ekm_net::frame::single_write_frames() - writes_before;
+    println!("group reactor ({rounds} loopback command rounds)");
+    println!("  median {:>10.3} us/round", median / 1e3);
     Json::Obj(vec![
-        ("sleep_floor_ns".into(), Json::Int(SLEEP_FLOOR_NS)),
-        ("epoll_available".into(), Json::Bool(epoll_available)),
+        ("median_round_ns".into(), Json::Num(median)),
+        ("rounds".into(), Json::Int(rounds as u64)),
         ("syscalls_avoided".into(), Json::Int(syscalls_avoided)),
-        ("backends".into(), Json::Arr(backends)),
     ])
 }
 
@@ -669,7 +636,7 @@ fn main() {
     let (pipelines, cache_stats) = pipelines_json(scale);
     let reactor = reactor_json(scale);
     let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str("ekm-bench-micro/v3".into())),
+        ("schema".into(), Json::Str("ekm-bench-micro/v4".into())),
         ("scale".into(), Json::Str(scale.name.into())),
         ("workers".into(), Json::Int(parallel::worker_count() as u64)),
         ("kernels".into(), kernels_json(&results)),

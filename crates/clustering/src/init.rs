@@ -122,22 +122,6 @@ pub(crate) fn kmeanspp_starts<R: Rng + ?Sized>(
     Ok(chosen)
 }
 
-/// Selects `k` initial centers (as a matrix of rows) by weighted k-means++.
-///
-/// # Errors
-///
-/// See [`kmeanspp_indices`].
-pub fn kmeanspp_centers<R: Rng + ?Sized>(
-    rng: &mut R,
-    points: &Matrix,
-    weights: &[f64],
-    k: usize,
-    compute: Compute,
-) -> Result<Matrix> {
-    let idx = kmeanspp_indices(rng, points, weights, k, compute)?;
-    Ok(points.select_rows(&idx))
-}
-
 /// Draws a batch of `count` indices i.i.d. from the current D² distribution
 /// with respect to `centers` (one adaptive-sampling round of ADK).
 ///
@@ -344,15 +328,6 @@ pub(crate) mod tests {
         let mut rng = rng_from_seed(5);
         let idx = kmeanspp_indices(&mut rng, &p, &w, 3, Compute::F64).unwrap();
         assert_eq!(idx.len(), 3);
-    }
-
-    #[test]
-    fn kmeanspp_centers_shape() {
-        let p = two_blob_points();
-        let w = vec![1.0; 100];
-        let mut rng = rng_from_seed(6);
-        let c = kmeanspp_centers(&mut rng, &p, &w, 4, Compute::F64).unwrap();
-        assert_eq!(c.shape(), (4, 2));
     }
 
     #[test]

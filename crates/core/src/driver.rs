@@ -1122,7 +1122,7 @@ fn finalize<T: CommandTransport>(
     // The solve refuses a summary holding a NaN or infinite value
     // itself, in the norm pass it makes anyway.
     let t1 = Instant::now();
-    let centers_summary = solve_weighted_kmeans(
+    let (centers_summary, _) = solve_weighted_kmeans(
         &points,
         &weights,
         params.k,

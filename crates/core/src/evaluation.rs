@@ -23,7 +23,9 @@ pub struct Reference {
 }
 
 /// Computes the reference centers/cost with a generous multi-restart
-/// solver.
+/// solver. The cost is the solve's own: the winning restart's inertia at
+/// unit weights is `cost::cost(data, &centers)` bit for bit, so no second
+/// pass over the data recomputes it.
 ///
 /// # Errors
 ///
@@ -32,8 +34,8 @@ pub fn reference(data: &Matrix, k: usize, restarts: usize, seed: u64) -> Result<
     let weights = vec![1.0; data.rows()];
     // The X* proxy is always solved in f64: it is the yardstick the
     // f32 compute path's cost-ratio contract is measured against.
-    let centers = solve_weighted_kmeans(data, &weights, k, restarts.max(1), seed, Compute::F64)?;
-    let cost = ekm_clustering::cost::cost(data, &centers)?;
+    let (centers, cost) =
+        solve_weighted_kmeans(data, &weights, k, restarts.max(1), seed, Compute::F64)?;
     Ok(Reference { centers, cost })
 }
 
@@ -88,6 +90,23 @@ mod tests {
         let r = reference(&data, 2, 5, 1).unwrap();
         assert!(r.cost < 2.0, "reference cost {}", r.cost);
         assert_eq!(r.centers.rows(), 2);
+    }
+
+    #[test]
+    fn reference_cost_is_the_cost_of_its_centers_bit_for_bit() {
+        // One shape whose solve passes stay on the calling thread, one
+        // whose passes reach the 2¹⁹ multiply-add threshold and spread.
+        for (n, d) in [(300, 12), (4000, 32)] {
+            let data = Matrix::from_fn(n, d, |i, j| {
+                let blob = (i % 3) as f64 * 6.0;
+                blob + ((i * 31 + j * 17) % 23) as f64 * 0.1
+            });
+            for seed in [1, 42] {
+                let r = reference(&data, 3, 5, seed).unwrap();
+                let cost = ekm_clustering::cost::cost(&data, &r.centers).unwrap();
+                assert_eq!(r.cost.to_bits(), cost.to_bits(), "{n}x{d} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@ use ekm_clustering::ClusteringError;
 use ekm_linalg::distance::Compute;
 use ekm_linalg::random::derive_seed;
 use ekm_linalg::{ops, LinalgError, Matrix};
-use ekm_sketch::JlProjection;
 
 /// Runs the server's `kmeans(S', w, k)` step: multi-restart weighted
 /// k-means++ / Lloyd on the summary points. The restarts run in
@@ -20,6 +19,10 @@ use ekm_sketch::JlProjection;
 /// full scale. `compute` selects the distance-kernel precision: `F64`
 /// is the bit-reproducibility reference, `F32` is faster under the
 /// accuracy contract.
+///
+/// Returns the centers and their weighted cost on `points` (the
+/// winning restart's inertia: at unit weights in `F64`, bitwise
+/// `cost::cost(points, &centers)`).
 ///
 /// # Errors
 ///
@@ -36,7 +39,7 @@ pub fn solve_weighted_kmeans(
     restarts: usize,
     seed: u64,
     compute: Compute,
-) -> Result<Matrix> {
+) -> Result<(Matrix, f64)> {
     let model = KMeans::new(k)
         .with_n_init(restarts.max(1))
         .with_seed(derive_seed(seed, 0x5EB))
@@ -50,23 +53,7 @@ pub fn solve_weighted_kmeans(
             }
             e => e.into(),
         })?;
-    Ok(model.centers)
-}
-
-/// Maps centers back through a chain of projections applied source-side:
-/// `X = X' · Π_last⁺ · … · Π_first⁺` (the paper's `π⁻¹` composition,
-/// Algorithm 3 line 8). Pass the projections in the order they were
-/// *applied*; the inverses are applied in reverse.
-///
-/// # Errors
-///
-/// Propagates pseudo-inverse and shape failures.
-pub fn lift_centers(centers: &Matrix, projections: &[&JlProjection]) -> Result<Matrix> {
-    let mut x = centers.clone();
-    for pi in projections.iter().rev() {
-        x = pi.lift(&x).map_err(CoreError::Linalg)?;
-    }
-    Ok(x)
+    Ok((model.centers, model.inertia))
 }
 
 /// Maps coordinate-space centers through an orthonormal basis back to the
@@ -83,7 +70,6 @@ pub fn lift_centers_through_basis(centers: &Matrix, basis: &Matrix) -> Result<Ma
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ekm_sketch::JlKind;
 
     #[test]
     fn solve_weighted_kmeans_finds_blobs() {
@@ -93,7 +79,7 @@ mod tests {
             vec![8.0, 8.0],
             vec![8.2, 8.0],
         ]);
-        let centers =
+        let (centers, _) =
             solve_weighted_kmeans(&points, &[1.0, 1.0, 1.0, 1.0], 2, 3, 1, Compute::F64).unwrap();
         assert_eq!(centers.shape(), (2, 2));
         let mut xs: Vec<f64> = (0..2).map(|i| centers[(i, 0)]).collect();
@@ -105,31 +91,11 @@ mod tests {
     #[test]
     fn weights_pull_centers() {
         let points = Matrix::from_rows(&[vec![0.0], vec![1.0]]);
-        let centers = solve_weighted_kmeans(&points, &[3.0, 1.0], 1, 1, 0, Compute::F64).unwrap();
+        let (centers, cost) =
+            solve_weighted_kmeans(&points, &[3.0, 1.0], 1, 1, 0, Compute::F64).unwrap();
         assert!((centers[(0, 0)] - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lift_single_projection_roundtrip() {
-        let pi = JlProjection::generate(JlKind::Gaussian, 30, 8, 3);
-        let x_prime = Matrix::from_fn(2, 8, |i, j| (i + j) as f64 * 0.2);
-        let lifted = lift_centers(&x_prime, &[&pi]).unwrap();
-        assert_eq!(lifted.shape(), (2, 30));
-        // Projecting the lifted centers returns the originals.
-        let back = pi.project(&lifted).unwrap();
-        assert!(back.approx_eq(&x_prime, 1e-8));
-    }
-
-    #[test]
-    fn lift_composed_projections_in_reverse_order() {
-        let pi1 = JlProjection::generate(JlKind::Gaussian, 40, 16, 5);
-        let pi2 = JlProjection::generate(JlKind::Gaussian, 16, 6, 6);
-        let x2 = Matrix::from_fn(3, 6, |i, j| (i * 6 + j) as f64 * 0.1);
-        let lifted = lift_centers(&x2, &[&pi1, &pi2]).unwrap();
-        assert_eq!(lifted.shape(), (3, 40));
-        // π2(π1(lifted)) == x2.
-        let fwd = pi2.project(&pi1.project(&lifted).unwrap()).unwrap();
-        assert!(fwd.approx_eq(&x2, 1e-7));
+        // 3 · 0.25² + 1 · 0.75²
+        assert!((cost - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -151,8 +117,5 @@ mod tests {
                 op: "the server solve"
             }))
         ));
-        let pi = JlProjection::generate(JlKind::Gaussian, 10, 4, 1);
-        // Wrong center dimension for lift.
-        assert!(lift_centers(&Matrix::zeros(2, 5), &[&pi]).is_err());
     }
 }

@@ -82,17 +82,6 @@ impl FssCoreset {
         let points = ops::matmul_transb(&self.coordinates, &self.basis)?;
         Coreset::new(points, self.weights.clone(), self.delta)
     }
-
-    /// The coreset restricted to coordinate space (points = coordinates,
-    /// same weights/Δ). Useful when the consumer keeps working in the
-    /// subspace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors.
-    pub fn coordinate_coreset(&self) -> Result<Coreset> {
-        Coreset::new(self.coordinates.clone(), self.weights.clone(), self.delta)
-    }
 }
 
 /// Builder for the FSS construction.
@@ -322,7 +311,12 @@ mod tests {
             .build(&data)
             .unwrap();
         let ambient = fss.to_coreset().unwrap();
-        let coords = fss.coordinate_coreset().unwrap();
+        let coords = Coreset::new(
+            fss.coordinates().clone(),
+            fss.weights().to_vec(),
+            fss.delta(),
+        )
+        .unwrap();
         // Random coordinate-space centers, lifted to ambient space.
         let xc = gaussian_matrix(77, 2, 5, 3.0);
         let xa = ops::matmul_transb(&xc, fss.basis()).unwrap();

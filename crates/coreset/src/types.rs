@@ -168,20 +168,6 @@ impl Coreset {
         }
         Coreset::new(points, weights, delta)
     }
-
-    /// Expands the coreset into an unweighted dataset by repeating each
-    /// point `round(w)` times (the footnote-5 strategy; only sensible for
-    /// small integral-ish weights — used in tests).
-    pub fn to_unweighted_rounded(&self) -> Matrix {
-        let mut indices = Vec::new();
-        for (i, &w) in self.weights.iter().enumerate() {
-            let copies = w.round().max(0.0) as usize;
-            for _ in 0..copies {
-                indices.push(i);
-            }
-        }
-        self.points.select_rows(&indices)
-    }
 }
 
 #[cfg(test)]
@@ -265,20 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn unweighted_expansion_rounds_weights() {
-        let c = Coreset::new(
-            Matrix::from_rows(&[vec![1.0], vec![2.0]]),
-            vec![2.0, 0.4],
-            0.0,
-        )
-        .unwrap();
-        let u = c.to_unweighted_rounded();
-        assert_eq!(u.rows(), 2); // 2 copies of the first, 0 of the second
-        assert_eq!(u.row(0), &[1.0]);
-        assert_eq!(u.row(1), &[1.0]);
-    }
-
-    #[test]
     fn coreset_cost_matches_duplicated_dataset() {
         let c = Coreset::new(
             Matrix::from_rows(&[vec![0.0], vec![5.0]]),
@@ -287,7 +259,8 @@ mod tests {
         )
         .unwrap();
         let x = Matrix::from_rows(&[vec![1.0]]);
-        let dup = c.to_unweighted_rounded();
+        // Each point repeated as often as its weight says.
+        let dup = Matrix::from_rows(&[vec![0.0], vec![0.0], vec![0.0], vec![5.0], vec![5.0]]);
         let dup_cost = ekm_clustering::cost::cost(&dup, &x).unwrap();
         assert!((c.cost(&x).unwrap() - dup_cost).abs() < 1e-12);
     }

@@ -72,47 +72,6 @@ where
     });
 }
 
-/// Splits the row-major buffer `data` (rows of width `row_width`, any
-/// element type) into `workers` near-equal chunks of whole rows and runs
-/// `f(first_row_index, chunk)` on each via scoped threads. Per-row
-/// results must be independent, so any split is bit-identical; the
-/// blocked distance kernels route every precision through this one
-/// splitter.
-///
-/// # Panics
-///
-/// Panics if `row_width == 0` while `data` is non-empty.
-pub fn for_each_row_chunk_in<T, F>(data: &mut [T], row_width: usize, workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert!(row_width > 0, "for_each_row_chunk_in: zero row width");
-    let n_rows = data.len() / row_width;
-    let workers = workers.clamp(1, n_rows);
-    if workers == 1 {
-        f(0, data);
-        return;
-    }
-    let rows_per = n_rows.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let mut row_start = 0;
-        while !rest.is_empty() {
-            let take_rows = rows_per.min(rest.len() / row_width);
-            let (chunk, tail) = rest.split_at_mut(take_rows * row_width);
-            let fref = &f;
-            let start = row_start;
-            scope.spawn(move || fref(start, chunk));
-            row_start += take_rows;
-            rest = tail;
-        }
-    });
-}
-
 /// Runs `f` on every job, one scoped thread per job when there are
 /// several, and returns the results in job order — the splitter behind
 /// the grouped distance pass, whose caller first cuts every group's
@@ -242,26 +201,6 @@ mod tests {
         let reference = par_map_indices_in(257, 1, |i| i * 3 + 1);
         for workers in [2, 4, 8, 300] {
             assert_eq!(par_map_indices_in(257, workers, |i| i * 3 + 1), reference);
-        }
-    }
-
-    #[test]
-    fn for_each_row_chunk_in_identical_at_every_worker_count() {
-        let width = 5;
-        let rows = 97;
-        let fill = |start: usize, chunk: &mut [f32]| {
-            for (local, row) in chunk.chunks_exact_mut(width).enumerate() {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = ((start + local) * width + j) as f32;
-                }
-            }
-        };
-        let mut reference = vec![0.0f32; rows * width];
-        for_each_row_chunk_in(&mut reference, width, 1, fill);
-        for workers in [2, 3, 8, 200] {
-            let mut out = vec![0.0f32; rows * width];
-            for_each_row_chunk_in(&mut out, width, workers, fill);
-            assert_eq!(out, reference, "{workers} workers");
         }
     }
 

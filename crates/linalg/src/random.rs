@@ -89,22 +89,6 @@ pub fn gaussian_matrix(seed: u64, rows: usize, cols: usize, sigma: f64) -> Matri
     m
 }
 
-/// Samples a `rows × cols` matrix with i.i.d. Rademacher (`±scale`) entries.
-pub fn rademacher_matrix(seed: u64, rows: usize, cols: usize, scale: f64) -> Matrix {
-    let mut rng = rng_from_seed(seed);
-    Matrix::from_fn(
-        rows,
-        cols,
-        |_, _| {
-            if rng.gen::<bool>() {
-                scale
-            } else {
-                -scale
-            }
-        },
-    )
-}
-
 /// Samples a sparse Achlioptas matrix with entries
 /// `+s` w.p. 1/6, `0` w.p. 2/3, `-s` w.p. 1/6 where `s = scale·√3`.
 ///
@@ -224,12 +208,6 @@ mod tests {
         let a = gaussian_matrix(3, 50, 50, 1.0);
         let b = gaussian_matrix(3, 50, 50, 2.0);
         assert!(b.approx_eq(&a.scaled(2.0), 1e-12));
-    }
-
-    #[test]
-    fn rademacher_entries_are_pm_scale() {
-        let m = rademacher_matrix(4, 20, 20, 0.5);
-        assert!(m.as_slice().iter().all(|&v| v == 0.5 || v == -0.5));
     }
 
     #[test]

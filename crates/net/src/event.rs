@@ -3,16 +3,14 @@
 //! After a command fan-out, responses arrive whenever each source
 //! finishes its local compute, in no fixed order. This backend therefore
 //! runs the whole server side in **one thread** with non-blocking
-//! sockets, multiplexed by a readiness [`Reactor`]: `epoll` wakes the
-//! thread the moment any connection has bytes (or the deadline-derived
-//! timeout expires), ready connections are pumped through per-source
-//! ring-buffer frame reassembly ([`crate::frame::FrameAssembler`]) into
-//! per-source inboxes, and [`EventTcpServer::recv`] drains the inbox it
-//! was asked for — so a slow source never blocks the harvest of the
-//! others, without a thread per connection and without the former
-//! 200 µs sleep-poll latency floor. Hosts without epoll (or
-//! `--reactor sleep`) fall back to the classic sweep-and-park loop
-//! behind the same interface.
+//! sockets, multiplexed by a readiness [`Reactor`]: on Linux `epoll`
+//! wakes the thread the moment any connection has bytes (or the
+//! deadline-derived timeout expires), ready connections are pumped
+//! through per-source ring-buffer frame reassembly
+//! ([`crate::frame::FrameAssembler`]) into per-source inboxes, and
+//! [`EventTcpServer::recv`] drains the inbox it was asked for — so a
+//! slow source never blocks the harvest of the others, without a thread
+//! per connection.
 //!
 //! Sources stay blocking ([`EventTcpSource`]): each one strictly
 //! alternates "read a command, compute, write the response", so there is
@@ -35,7 +33,7 @@ use crate::protocol::{
     charge_command, charge_response, Command, CommandTransport, DeadlinePolicy, EncodedCommand,
     Response, SourceEndpoint,
 };
-use crate::reactor::{park, Event, Reactor, ReactorChoice, ReactorKind};
+use crate::reactor::{park, Event, Reactor};
 use crate::{NetError, Result};
 use ekm_linalg::Matrix;
 use std::collections::VecDeque;
@@ -171,11 +169,6 @@ fn hash_matrix(m: &Matrix) -> u64 {
     h.finish()
 }
 
-/// Park between empty cycles of the *sleep* reactor only (the epoll
-/// reactor blocks in the kernel instead). This is the latency floor the
-/// reactor exists to remove; the bench harness measures against it.
-pub const POLL_BACKOFF: Duration = Duration::from_micros(200);
-
 /// Read chunks one connection may pull per pump call: a firehose
 /// connection yields the cycle after this many reads so every other
 /// ready connection gets a turn (level-triggered readiness re-reports
@@ -188,32 +181,17 @@ const PUMP_CHUNKS: usize = 32;
 #[derive(Debug)]
 pub struct EventServerBinding {
     listener: TcpListener,
-    reactor: ReactorChoice,
 }
 
 impl EventServerBinding {
     /// Binds the listening socket (`"127.0.0.1:0"` picks a free port).
-    /// The server will use the default reactor ([`ReactorChoice::Epoll`]
-    /// with graceful fallback) unless
-    /// [`with_reactor`](Self::with_reactor) overrides it.
     ///
     /// # Errors
     ///
     /// [`NetError::Transport`] on bind failure.
     pub fn bind<A: ToSocketAddrs>(addr: A) -> Result<EventServerBinding> {
         let listener = TcpListener::bind(addr).map_err(|e| transport_err("bind", e))?;
-        Ok(EventServerBinding {
-            listener,
-            reactor: ReactorChoice::default(),
-        })
-    }
-
-    /// Selects the reactor implementation the accepted server will use
-    /// (the `--reactor` CLI flag).
-    #[must_use]
-    pub fn with_reactor(mut self, choice: ReactorChoice) -> EventServerBinding {
-        self.reactor = choice;
-        self
+        Ok(EventServerBinding { listener })
     }
 
     /// The bound address (useful with port 0).
@@ -234,8 +212,9 @@ impl EventServerBinding {
     ///
     /// # Errors
     ///
-    /// [`NetError::Transport`] on socket failures, [`NetError::Handshake`]
-    /// on protocol violations.
+    /// [`NetError::Transport`] on socket failures (a refused epoll
+    /// instance included), [`NetError::Handshake`] on protocol
+    /// violations.
     pub fn accept(self, sources: usize, fp: u64) -> Result<EventTcpServer> {
         self.accept_absent(sources, fp, &[])
     }
@@ -261,7 +240,7 @@ impl EventServerBinding {
         absent: &[usize],
     ) -> Result<EventTcpServer> {
         assert!(sources > 0, "server needs at least one source");
-        let mut reactor = Reactor::new(self.reactor);
+        let mut reactor = Reactor::new()?;
         let mut conns: Vec<Option<Conn>> = (0..sources).map(|_| None).collect();
         let mut connected = 0;
         for &id in absent {
@@ -455,12 +434,6 @@ pub struct EventTcpServer {
 }
 
 impl EventTcpServer {
-    /// Which reactor implementation actually engaged (epoll, or the
-    /// sleep fallback).
-    pub fn reactor_kind(&self) -> ReactorKind {
-        self.reactor.kind()
-    }
-
     fn check(&self, source: usize) -> Result<()> {
         if source >= self.conns.len() {
             return Err(NetError::UnknownSource {
@@ -520,8 +493,7 @@ impl EventTcpServer {
     /// Writes one pre-framed buffer to a source despite the non-blocking
     /// socket: on backpressure, write interest is registered and the
     /// reactor waits for write readiness (harvesting other sources'
-    /// responses meanwhile), bounded by the I/O deadline. The sleep
-    /// fallback parks between probes exactly as the old loop did.
+    /// responses meanwhile), bounded by the I/O deadline.
     fn write_frame_to(&mut self, source: usize, buf: &[u8]) -> Result<()> {
         let deadline = deadline_in(self.deadline.io);
         let mut written = 0;
@@ -585,9 +557,7 @@ impl EventTcpServer {
                     if let Err(e) = self.sweep(Some(left)) {
                         break Err(e);
                     }
-                    if self.reactor.kind() == ReactorKind::Sleep {
-                        park(POLL_BACKOFF);
-                    }
+                    self.reactor.idle();
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => break Err(transport_err("protocol write", e)),
@@ -647,9 +617,7 @@ impl CommandTransport for EventTcpServer {
                         ),
                     });
                 }
-                if self.reactor.kind() == ReactorKind::Sleep {
-                    park(POLL_BACKOFF);
-                }
+                self.reactor.idle();
             }
         }
     }
@@ -793,10 +761,8 @@ mod tests {
 
     const FP: u64 = 0xBEEF_CAFE;
 
-    fn pair_with(sources: usize, choice: ReactorChoice) -> (EventTcpServer, Vec<EventTcpSource>) {
-        let binding = EventServerBinding::bind("127.0.0.1:0")
-            .unwrap()
-            .with_reactor(choice);
+    fn pair(sources: usize) -> (EventTcpServer, Vec<EventTcpSource>) {
+        let binding = EventServerBinding::bind("127.0.0.1:0").unwrap();
         let addr = binding.local_addr().unwrap();
         thread::scope(|scope| {
             let handles: Vec<_> = (0..sources)
@@ -815,12 +781,9 @@ mod tests {
         })
     }
 
-    fn pair(sources: usize) -> (EventTcpServer, Vec<EventTcpSource>) {
-        pair_with(sources, ReactorChoice::default())
-    }
-
-    fn roundtrip_with_charging(choice: ReactorChoice) {
-        let (mut server, mut sources) = pair_with(2, choice);
+    #[test]
+    fn command_response_roundtrip_with_charging() {
+        let (mut server, mut sources) = pair(2);
         let msg = Message::CostReport { cost: 2.5 };
         let payload = Payload::of(&msg);
         let bits = payload.bits();
@@ -865,16 +828,6 @@ mod tests {
             0,
             "Stage is control-plane"
         );
-    }
-
-    #[test]
-    fn command_response_roundtrip_with_charging() {
-        roundtrip_with_charging(ReactorChoice::default());
-    }
-
-    #[test]
-    fn command_response_roundtrip_under_the_sleep_reactor() {
-        roundtrip_with_charging(ReactorChoice::Sleep);
     }
 
     #[test]
@@ -1042,27 +995,22 @@ mod tests {
 
     #[test]
     fn missed_deadline_is_source_lost() {
-        // Both reactor kinds must map an `epoll_wait`/park timeout to
-        // the same typed loss the driver's straggler machinery expects.
-        for choice in [ReactorChoice::Epoll, ReactorChoice::Sleep] {
-            let (mut server, _sources) = pair_with(1, choice);
-            server.set_deadline(DeadlinePolicy::uniform(Duration::from_millis(20)));
-            let t0 = Instant::now();
-            // The source is alive but never answers: the command
-            // deadline trips and the driver gets a typed loss, not a
-            // hang.
-            match server.recv(0).unwrap() {
-                Response::SourceLost { reason } => {
-                    assert!(reason.contains("deadline"), "{choice:?}: {reason}")
-                }
-                other => panic!("expected SourceLost, got {other:?} ({choice:?})"),
-            }
-            let elapsed = t0.elapsed();
-            assert!(
-                elapsed >= Duration::from_millis(19) && elapsed < Duration::from_secs(5),
-                "{choice:?} deadline expiry mistimed: {elapsed:?}"
-            );
+        // The reactor's wait timeout must map to the same typed loss
+        // the driver's straggler machinery expects.
+        let (mut server, _sources) = pair(1);
+        server.set_deadline(DeadlinePolicy::uniform(Duration::from_millis(20)));
+        let t0 = Instant::now();
+        // The source is alive but never answers: the command deadline
+        // trips and the driver gets a typed loss, not a hang.
+        match server.recv(0).unwrap() {
+            Response::SourceLost { reason } => assert!(reason.contains("deadline"), "{reason}"),
+            other => panic!("expected SourceLost, got {other:?}"),
         }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed >= Duration::from_millis(19) && elapsed < Duration::from_secs(5),
+            "deadline expiry mistimed: {elapsed:?}"
+        );
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! * [`fnv`] — the streaming FNV-1a hash behind fingerprints and digests;
 //! * [`event`] — the TCP backend: one reactor thread multiplexing every
 //!   source connection, the handshake, and the end-of-run [`RunDigest`];
+//! * [`reactor`] — the readiness reactor under it: epoll on Linux, a
+//!   sweep-and-park loop where there is no epoll;
 //! * [`routing`] — replica failover routing over any backend.
 //!
 //! Every data-plane payload stays in its exact wire encoding end to end,
@@ -70,7 +72,7 @@ pub use network::{Network, NetworkStats};
 pub use protocol::{
     Command, CommandTransport, DeadlinePolicy, EncodedCommand, Payload, Response, SourceEndpoint,
 };
-pub use reactor::{Reactor, ReactorChoice, ReactorKind};
+pub use reactor::Reactor;
 pub use routing::RoutingTransport;
 
 /// Convenience result alias used across the crate.

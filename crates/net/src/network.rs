@@ -27,7 +27,6 @@ pub struct NetworkStats {
     downlink_msgs: Vec<u64>,
     uplink_by_kind: BTreeMap<&'static str, u64>,
     relay_bits: Vec<u64>,
-    relay_msgs: Vec<u64>,
     server_fold_bits: u64,
     server_fold_inputs: u64,
     /// `(gather, level) → active summary holders entering the level`.
@@ -49,7 +48,6 @@ impl NetworkStats {
             downlink_msgs: vec![0; sources],
             uplink_by_kind: BTreeMap::new(),
             relay_bits: vec![0; sources],
-            relay_msgs: vec![0; sources],
             server_fold_bits: 0,
             server_fold_inputs: 0,
             merge_levels: BTreeMap::new(),
@@ -132,7 +130,6 @@ impl NetworkStats {
     /// bit-identical to the star topology.
     pub fn charge_relay(&mut self, source: usize, bits: u64) {
         self.relay_bits[source] += bits;
-        self.relay_msgs[source] += 1;
     }
 
     /// Charges the folded root summary the server keeps as a fold input
@@ -158,11 +155,6 @@ impl NetworkStats {
     /// Total tree-topology relay bits over all sources.
     pub fn total_relay_bits(&self) -> u64 {
         self.relay_bits.iter().sum()
-    }
-
-    /// Total relay messages over all sources.
-    pub fn total_relay_messages(&self) -> u64 {
-        self.relay_msgs.iter().sum()
     }
 
     /// Data-plane bits the server actually received as fold inputs under
@@ -285,7 +277,6 @@ impl Network {
             stats.uplink_msgs[i] += run.uplink_msgs[i];
             stats.downlink_msgs[i] += run.downlink_msgs[i];
             stats.relay_bits[i] += run.relay_bits[i];
-            stats.relay_msgs[i] += run.relay_msgs[i];
         }
         for (kind, bits) in &run.uplink_by_kind {
             *stats.uplink_by_kind.entry(kind).or_insert(0) += bits;
@@ -303,11 +294,6 @@ impl Network {
     /// Read access to the accumulated statistics.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
-    }
-
-    /// Resets all counters (e.g. between Monte-Carlo runs).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetworkStats::new(self.sources);
     }
 }
 
@@ -358,9 +344,6 @@ mod tests {
         assert_eq!(stats.relay_bits(1), 10);
         assert_eq!(stats.merge_levels()[&(1, 0)], 2);
         assert_eq!(stats.replica_promotions(), 2);
-        net.reset_stats();
-        assert_eq!(net.stats().total_uplink_bits(), 0);
-        assert_eq!(net.stats().sources(), 3);
     }
 
     #[test]

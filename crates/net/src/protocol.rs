@@ -57,8 +57,7 @@ impl DeadlinePolicy {
     /// Default per-read/write socket deadline.
     pub const DEFAULT_IO: Duration = Duration::from_secs(120);
 
-    /// Default command-round deadline (the former hard-coded
-    /// [`CHANNEL_TIMEOUT`]).
+    /// Default command-round deadline.
     pub const DEFAULT_COMMAND: Duration = Duration::from_secs(600);
 
     /// A policy with both deadlines set to `d` (what `--deadline-ms`
@@ -1217,12 +1216,6 @@ pub fn charge_response(stats: &mut NetworkStats, source: usize, resp: &Response)
     }
     Ok(())
 }
-
-/// How long a channel-backend receive waits before declaring the peer
-/// gone (an executor thread that panicked drops its endpoint, which
-/// surfaces immediately; the timeout only guards genuine wedges).
-/// Alias of [`DeadlinePolicy::DEFAULT_COMMAND`].
-pub const CHANNEL_TIMEOUT: Duration = DeadlinePolicy::DEFAULT_COMMAND;
 
 /// The server half of the in-process channel backend.
 #[derive(Debug)]

@@ -1,15 +1,18 @@
 //! Readiness-based reactor for the event backend.
 //!
 //! The event server ([`crate::event`]) multiplexes every source
-//! connection in one thread. Before this module it discovered readable
-//! bytes by sweeping all sockets and sleeping 200 µs between empty
-//! sweeps — a hard-coded latency floor on every sub-millisecond round.
-//! The reactor replaces the sweep with kernel readiness notification:
-//! on Linux, `epoll` over the raw fds (via a minimal `extern "C"` shim —
-//! `epoll_create1`/`epoll_ctl`/`epoll_wait` are plain libc symbols, and
-//! the workspace is offline, so no mio/tokio); everywhere else, or when
-//! `epoll_create1` fails, a fallback that reproduces the classic
-//! sweep-and-park loop behind the same interface.
+//! connection in one thread and sleeps until a connection has bytes or
+//! a deadline is due. The build picks one readiness implementation per
+//! platform; nothing chooses at run time:
+//!
+//! * on Linux, `epoll` over the raw fds (via a minimal `extern "C"`
+//!   shim — `epoll_create1`/`epoll_ctl`/`epoll_wait` are plain libc
+//!   symbols, and the workspace is offline, so no mio/tokio);
+//! * everywhere else, a sweep: [`Reactor::wait`] reports every
+//!   registered fd as ready at once, the caller probes them with
+//!   non-blocking I/O, and [`Reactor::idle`] parks 200 µs after a cycle
+//!   that moved nothing. Test builds compile the sweep on Linux too, so
+//!   its unit test runs here.
 //!
 //! Semantics are deliberately minimal and *level-triggered*:
 //!
@@ -19,10 +22,8 @@
 //!   reporting for an already-registered fd (used only while a send is
 //!   backpressured);
 //! * [`Reactor::wait`] blocks until any registered fd is ready or the
-//!   timeout elapses, appending [`Event`]s. The sleep fallback reports
-//!   *every* registered fd as ready immediately and never blocks — the
-//!   caller probes with non-blocking I/O exactly like the old sweep,
-//!   and parks via [`park`] only when a whole cycle made no progress.
+//!   timeout elapses, appending [`Event`]s; the caller calls
+//!   [`Reactor::idle`] after a cycle that made no progress;
 //! * [`Reactor::deregister`] stops watching an fd. A closed peer keeps
 //!   a level-triggered fd permanently readable (EOF is "ready"), so the
 //!   event server must deregister a connection the moment it observes
@@ -30,59 +31,14 @@
 //!
 //! Timeouts are plain [`Duration`]s derived by the caller from
 //! [`crate::protocol::DeadlinePolicy`], so straggler deadlines keep
-//! their exact typed semantics (`SourceLost`, reissue, promote) with no
-//! spin-sleep anywhere on the hot path.
+//! their exact typed semantics (`SourceLost`, reissue, promote).
 
-use crate::event::transport_err;
-use crate::Result;
-use std::io;
-use std::os::fd::RawFd;
 use std::time::Duration;
-
-/// Which reactor implementation to use (the `--reactor` CLI flag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactorChoice {
-    /// Kernel readiness notification via `epoll`, falling back to the
-    /// sleep-poll loop if `epoll_create1` is unavailable (non-Linux
-    /// hosts, exhausted fd table, locked-down sandbox). The default on
-    /// Linux.
-    #[default]
-    Epoll,
-    /// The classic sweep-and-park loop: probe every connection, park
-    /// 200 µs when nothing moved. Kept as an escape hatch and as the
-    /// baseline the bench harness measures the reactor against.
-    Sleep,
-}
-
-impl ReactorChoice {
-    /// Parses a `--reactor` flag value.
-    ///
-    /// # Errors
-    ///
-    /// A usage message for anything other than `epoll` or `sleep`.
-    pub fn parse(s: &str) -> std::result::Result<ReactorChoice, String> {
-        match s {
-            "epoll" => Ok(ReactorChoice::Epoll),
-            "sleep" => Ok(ReactorChoice::Sleep),
-            other => Err(format!("--reactor expects epoll|sleep, got '{other}'")),
-        }
-    }
-}
-
-/// What a [`Reactor`] actually resolved to at construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReactorKind {
-    /// Kernel readiness notification; [`Reactor::wait`] blocks.
-    Epoll,
-    /// Sweep fallback; [`Reactor::wait`] returns immediately and the
-    /// caller parks between empty cycles.
-    Sleep,
-}
 
 /// One readiness notification: the token the fd was registered under,
 /// plus which directions are ready. Error/hangup conditions are folded
 /// into `readable` — the caller's next read observes the actual error
-/// or EOF, exactly as the old sweep did.
+/// or EOF.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token passed to [`Reactor::register`].
@@ -94,153 +50,85 @@ pub struct Event {
 }
 
 /// The single sleep used by every backoff/park site in this crate: the
-/// sleep reactor's empty-cycle park and the event backend's
-/// connect-retry backoff. Keeping it here means "where do we still
-/// sleep?" has a one-line answer.
+/// sweep's idle park and the event backend's connect-retry backoff.
+/// Keeping it here means "where do we still sleep?" has a one-line
+/// answer.
 pub fn park(d: Duration) {
     std::thread::sleep(d);
 }
 
-/// A readiness reactor over raw fds. See the module docs for the
-/// level-triggered contract.
-#[derive(Debug)]
-pub struct Reactor {
-    imp: Impl,
-}
+#[cfg(target_os = "linux")]
+pub use epoll::Reactor;
+#[cfg(not(target_os = "linux"))]
+pub use sweep::Reactor;
 
-#[derive(Debug)]
-enum Impl {
-    #[cfg(target_os = "linux")]
-    Epoll(sys::Epoll),
-    Sleep(SleepReactor),
-}
+#[cfg(target_os = "linux")]
+mod epoll {
+    use super::{sys, Event};
+    use crate::event::transport_err;
+    use crate::Result;
+    use std::io;
+    use std::os::fd::RawFd;
+    use std::time::Duration;
 
-impl Reactor {
-    /// Builds the reactor for `choice`, falling back to the sleep
-    /// implementation when epoll cannot be constructed (never an
-    /// error: the fallback is always available).
-    pub fn new(choice: ReactorChoice) -> Reactor {
-        #[cfg(target_os = "linux")]
-        {
-            Self::from_probe(choice, sys::Epoll::new())
+    /// A readiness reactor over raw fds: epoll on Linux. See the module
+    /// docs for the level-triggered contract.
+    #[derive(Debug)]
+    pub struct Reactor {
+        ep: sys::Epoll,
+    }
+
+    impl Reactor {
+        /// Creates the epoll instance.
+        ///
+        /// # Errors
+        ///
+        /// [`crate::NetError::Transport`] if the kernel refuses one (an
+        /// exhausted fd table, a locked-down sandbox).
+        pub fn new() -> Result<Reactor> {
+            let ep = sys::Epoll::new().map_err(|e| transport_err("reactor epoll_create1", e))?;
+            Ok(Reactor { ep })
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _ = choice;
-            Reactor {
-                imp: Impl::Sleep(SleepReactor::default()),
-            }
-        }
-    }
 
-    /// The fallback seam: `probe` is what `epoll_create1` produced.
-    /// Tests force an unavailable epoll through here; production code
-    /// reaches it via [`Reactor::new`].
-    #[cfg(target_os = "linux")]
-    fn from_probe(choice: ReactorChoice, probe: io::Result<sys::Epoll>) -> Reactor {
-        let imp = match (choice, probe) {
-            (ReactorChoice::Epoll, Ok(ep)) => Impl::Epoll(ep),
-            // Graceful fallback: a host without epoll still runs, at
-            // the sleep loop's latency floor.
-            (ReactorChoice::Epoll, Err(_)) | (ReactorChoice::Sleep, _) => {
-                Impl::Sleep(SleepReactor::default())
-            }
-        };
-        Reactor { imp }
-    }
-
-    /// Constructs a reactor whose epoll probe failed, regardless of the
-    /// host — the graceful-fallback path under test.
-    #[cfg(target_os = "linux")]
-    #[doc(hidden)]
-    pub fn with_unavailable_epoll(choice: ReactorChoice) -> Reactor {
-        Self::from_probe(
-            choice,
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll_create1 unavailable (forced by test)",
-            )),
-        )
-    }
-
-    /// Which implementation this reactor resolved to.
-    pub fn kind(&self) -> ReactorKind {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(_) => ReactorKind::Epoll,
-            Impl::Sleep(_) => ReactorKind::Sleep,
-        }
-    }
-
-    /// Starts watching `fd` for read readiness under `token`.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::NetError::Transport`] if the kernel rejects the fd.
-    pub fn register(&mut self, fd: RawFd, token: usize) -> Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(ep) => ep
+        /// Starts watching `fd` for read readiness under `token`.
+        ///
+        /// # Errors
+        ///
+        /// [`crate::NetError::Transport`] if the kernel rejects the fd.
+        pub fn register(&mut self, fd: RawFd, token: usize) -> Result<()> {
+            self.ep
                 .ctl(sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, token as u64)
-                .map_err(|e| transport_err("reactor register", e)),
-            Impl::Sleep(s) => {
-                s.slots.retain(|slot| slot.fd != fd);
-                s.slots.push(SleepSlot {
-                    fd,
-                    token,
-                    write_interest: false,
-                });
-                Ok(())
-            }
+                .map_err(|e| transport_err("reactor register", e))
         }
-    }
 
-    /// Adds (`on = true`) or removes write-readiness reporting for an
-    /// fd registered via [`Reactor::register`]. Read interest is always
-    /// kept — a backpressured send must not suspend harvesting.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::NetError::Transport`] if the fd is not registered.
-    pub fn set_write_interest(&mut self, fd: RawFd, token: usize, on: bool) -> Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(ep) => {
-                let events = if on {
-                    sys::EPOLLIN | sys::EPOLLOUT
-                } else {
-                    sys::EPOLLIN
-                };
-                ep.ctl(sys::EPOLL_CTL_MOD, fd, events, token as u64)
-                    .map_err(|e| transport_err("reactor set_write_interest", e))
-            }
-            Impl::Sleep(s) => {
-                for slot in &mut s.slots {
-                    if slot.fd == fd {
-                        slot.token = token;
-                        slot.write_interest = on;
-                        return Ok(());
-                    }
-                }
-                Err(crate::NetError::Transport {
-                    context: "reactor set_write_interest",
-                    detail: format!("fd {fd} is not registered"),
-                })
-            }
+        /// Adds (`on = true`) or removes write-readiness reporting for an
+        /// fd registered via [`Reactor::register`]. Read interest is
+        /// always kept — a backpressured send must not suspend
+        /// harvesting.
+        ///
+        /// # Errors
+        ///
+        /// [`crate::NetError::Transport`] if the fd is not registered.
+        pub fn set_write_interest(&mut self, fd: RawFd, token: usize, on: bool) -> Result<()> {
+            let events = if on {
+                sys::EPOLLIN | sys::EPOLLOUT
+            } else {
+                sys::EPOLLIN
+            };
+            self.ep
+                .ctl(sys::EPOLL_CTL_MOD, fd, events, token as u64)
+                .map_err(|e| transport_err("reactor set_write_interest", e))
         }
-    }
 
-    /// Stops watching `fd`. Must be called the moment a connection is
-    /// observed closed (see the module docs); harmless to call for an
-    /// fd that was never registered.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::NetError::Transport`] on an unexpected kernel error.
-    pub fn deregister(&mut self, fd: RawFd) -> Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(ep) => match ep.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0) {
+        /// Stops watching `fd`. Must be called the moment a connection is
+        /// observed closed (see the module docs); harmless to call for an
+        /// fd that was never registered.
+        ///
+        /// # Errors
+        ///
+        /// [`crate::NetError::Transport`] on an unexpected kernel error.
+        pub fn deregister(&mut self, fd: RawFd) -> Result<()> {
+            match self.ep.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0) {
                 Ok(()) => Ok(()),
                 // ENOENT/EBADF: already gone (the fd may have been
                 // closed, which removes it from the epoll set).
@@ -253,90 +141,147 @@ impl Reactor {
                     Ok(())
                 }
                 Err(e) => Err(transport_err("reactor deregister", e)),
-            },
-            Impl::Sleep(s) => {
-                s.slots.retain(|slot| slot.fd != fd);
-                Ok(())
             }
         }
-    }
 
-    /// Waits until at least one registered fd is ready or `timeout`
-    /// elapses, appending the ready set to `events` (which is cleared
-    /// first). `None` means wait indefinitely. The sleep fallback
-    /// reports every registered fd as ready and returns immediately —
-    /// its caller probes and then [`park`]s on an empty cycle.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::NetError::Transport`] on a kernel-level wait failure
-    /// (`EINTR` is retried internally, never surfaced).
-    pub fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> Result<()> {
-        events.clear();
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(ep) => {
-                // epoll_wait's timeout is whole milliseconds; round up
-                // so a 0.4 ms remaining deadline does not busy-loop at
-                // timeout 0, and cap each wait so a multi-minute
-                // command deadline still re-checks periodically.
-                let timeout_ms: i32 = match timeout {
-                    None => -1,
-                    Some(d) => {
-                        let ms = d.as_millis();
-                        let ms = if ms == 0 && !d.is_zero() { 1 } else { ms };
-                        ms.min(60_000) as i32
-                    }
-                };
-                let mut buf = [sys::EpollEvent::empty(); 64];
-                let n = loop {
-                    match ep.wait(&mut buf, timeout_ms) {
-                        Ok(n) => break n,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(transport_err("reactor wait", e)),
-                    }
-                };
-                for ev in &buf[..n] {
-                    let (bits, data) = ev.parts();
-                    events.push(Event {
-                        token: data as usize,
-                        // EOF, reset, and error conditions are all
-                        // "readable": the next read reports them.
-                        readable: bits
-                            & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP)
-                            != 0,
-                        writable: bits & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    });
+        /// Waits until at least one registered fd is ready or `timeout`
+        /// elapses, appending the ready set to `events` (which is
+        /// cleared first). `None` means wait indefinitely.
+        ///
+        /// # Errors
+        ///
+        /// [`crate::NetError::Transport`] on a kernel-level wait failure
+        /// (`EINTR` is retried internally, never surfaced).
+        pub fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> Result<()> {
+            events.clear();
+            // epoll_wait's timeout is whole milliseconds; round up so a
+            // 0.4 ms remaining deadline does not busy-loop at timeout 0,
+            // and cap each wait so a multi-minute command deadline still
+            // re-checks periodically.
+            let timeout_ms: i32 = match timeout {
+                None => -1,
+                Some(d) => {
+                    let ms = d.as_millis();
+                    let ms = if ms == 0 && !d.is_zero() { 1 } else { ms };
+                    ms.min(60_000) as i32
                 }
-                Ok(())
-            }
-            Impl::Sleep(s) => {
-                for slot in &s.slots {
-                    events.push(Event {
-                        token: slot.token,
-                        readable: true,
-                        writable: slot.write_interest,
-                    });
+            };
+            let mut buf = [sys::EpollEvent::empty(); 64];
+            let n = loop {
+                match self.ep.wait(&mut buf, timeout_ms) {
+                    Ok(n) => break n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(transport_err("reactor wait", e)),
                 }
-                Ok(())
+            };
+            for ev in &buf[..n] {
+                let (bits, data) = ev.parts();
+                events.push(Event {
+                    token: data as usize,
+                    // EOF, reset, and error conditions are all
+                    // "readable": the next read reports them.
+                    readable: bits
+                        & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP)
+                        != 0,
+                    writable: bits & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                });
             }
+            Ok(())
         }
+
+        /// Called after a cycle that made no progress. A no-op here:
+        /// [`Reactor::wait`] already slept in the kernel.
+        pub fn idle(&self) {}
     }
 }
 
-/// The sweep fallback: a flat registry of watched fds. [`Reactor::wait`]
-/// reports everything as ready; the caller's non-blocking probes do the
-/// actual readiness discovery, as the pre-reactor poll loop did.
-#[derive(Debug, Default)]
-struct SleepReactor {
-    slots: Vec<SleepSlot>,
-}
+/// The sweep-and-park loop for hosts without epoll: a flat registry of
+/// watched fds. [`Reactor::wait`] reports every one as ready; the
+/// caller's non-blocking probes do the actual readiness discovery.
+#[cfg(any(test, not(target_os = "linux")))]
+mod sweep {
+    use super::{park, Event};
+    use crate::Result;
+    use std::os::fd::RawFd;
+    use std::time::Duration;
 
-#[derive(Debug)]
-struct SleepSlot {
-    fd: RawFd,
-    token: usize,
-    write_interest: bool,
+    /// A readiness reactor over raw fds: the sweep, where there is no
+    /// epoll. See the module docs for the contract.
+    #[derive(Debug, Default)]
+    pub struct Reactor {
+        slots: Vec<Slot>,
+    }
+
+    #[derive(Debug)]
+    struct Slot {
+        fd: RawFd,
+        token: usize,
+        write_interest: bool,
+    }
+
+    impl Reactor {
+        /// The idle park: the wakeup latency of every round on this loop.
+        pub(super) const PARK: Duration = Duration::from_micros(200);
+
+        /// An empty registry; never fails, the sweep needs nothing from
+        /// the kernel.
+        pub fn new() -> Result<Reactor> {
+            Ok(Reactor::default())
+        }
+
+        /// Starts watching `fd` under `token`.
+        pub fn register(&mut self, fd: RawFd, token: usize) -> Result<()> {
+            self.slots.retain(|slot| slot.fd != fd);
+            self.slots.push(Slot {
+                fd,
+                token,
+                write_interest: false,
+            });
+            Ok(())
+        }
+
+        /// Adds or removes write-readiness reporting for a registered fd.
+        ///
+        /// # Errors
+        ///
+        /// [`crate::NetError::Transport`] if the fd is not registered.
+        pub fn set_write_interest(&mut self, fd: RawFd, token: usize, on: bool) -> Result<()> {
+            let slot = self
+                .slots
+                .iter_mut()
+                .find(|slot| slot.fd == fd)
+                .ok_or_else(|| crate::NetError::Transport {
+                    context: "reactor set_write_interest",
+                    detail: format!("fd {fd} is not registered"),
+                })?;
+            slot.token = token;
+            slot.write_interest = on;
+            Ok(())
+        }
+
+        /// Stops watching `fd`.
+        pub fn deregister(&mut self, fd: RawFd) -> Result<()> {
+            self.slots.retain(|slot| slot.fd != fd);
+            Ok(())
+        }
+
+        /// Reports every registered fd as readable (and writable where
+        /// asked) at once; never blocks, whatever `timeout` says.
+        pub fn wait(&mut self, _timeout: Option<Duration>, events: &mut Vec<Event>) -> Result<()> {
+            events.clear();
+            events.extend(self.slots.iter().map(|slot| Event {
+                token: slot.token,
+                readable: true,
+                writable: slot.write_interest,
+            }));
+            Ok(())
+        }
+
+        /// Called after a cycle that made no progress: parks 200 µs.
+        pub fn idle(&self) {
+            park(Self::PARK);
+        }
+    }
 }
 
 /// The epoll syscall shim. `epoll_create1`/`epoll_ctl`/`epoll_wait` are
@@ -439,7 +384,7 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::time::Instant;
@@ -452,21 +397,10 @@ mod tests {
         (a, b)
     }
 
-    #[test]
-    fn default_choice_is_epoll() {
-        assert_eq!(ReactorChoice::default(), ReactorChoice::Epoll);
-        assert_eq!(ReactorChoice::parse("epoll").unwrap(), ReactorChoice::Epoll);
-        assert_eq!(ReactorChoice::parse("sleep").unwrap(), ReactorChoice::Sleep);
-        assert!(ReactorChoice::parse("uring")
-            .unwrap_err()
-            .contains("--reactor"));
-    }
-
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_reports_readable_only_when_bytes_arrive() {
-        let mut r = Reactor::new(ReactorChoice::Epoll);
-        assert_eq!(r.kind(), ReactorKind::Epoll, "test host must have epoll");
+        let mut r = Reactor::new().unwrap();
         let (mut tx, rx) = loopback_pair();
         rx.set_nonblocking(true).unwrap();
         r.register(rx.as_raw_fd(), 7).unwrap();
@@ -485,10 +419,10 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_wakes_well_under_the_sleep_floor() {
-        // The whole point of the reactor: a byte written from another
-        // thread wakes the waiter in kernel time, not at the 200 µs
-        // park cadence.
-        let mut r = Reactor::new(ReactorChoice::Epoll);
+        // The whole point of epoll: a byte written from another thread
+        // wakes the waiter in kernel time, not at the 200 µs park
+        // cadence of the sweep.
+        let mut r = Reactor::new().unwrap();
         let (mut tx, rx) = loopback_pair();
         rx.set_nonblocking(true).unwrap();
         r.register(rx.as_raw_fd(), 0).unwrap();
@@ -509,7 +443,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn deregistered_fd_stops_reporting() {
-        let mut r = Reactor::new(ReactorChoice::Epoll);
+        let mut r = Reactor::new().unwrap();
         let (mut tx, rx) = loopback_pair();
         rx.set_nonblocking(true).unwrap();
         r.register(rx.as_raw_fd(), 3).unwrap();
@@ -527,7 +461,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn write_interest_is_opt_in_and_removable() {
-        let mut r = Reactor::new(ReactorChoice::Epoll);
+        let mut r = Reactor::new().unwrap();
         let (_tx, rx) = loopback_pair();
         rx.set_nonblocking(true).unwrap();
         r.register(rx.as_raw_fd(), 1).unwrap();
@@ -546,37 +480,9 @@ mod tests {
         assert!(events.is_empty(), "write interest not removed");
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn unavailable_epoll_falls_back_to_sleep() {
-        let mut r = Reactor::with_unavailable_epoll(ReactorChoice::Epoll);
-        assert_eq!(r.kind(), ReactorKind::Sleep);
-        // The fallback still drives I/O: it reports every registered
-        // fd and the caller's probe finds the bytes.
-        let (mut tx, mut rx) = loopback_pair();
-        rx.set_nonblocking(true).unwrap();
-        r.register(rx.as_raw_fd(), 5).unwrap();
-        tx.write_all(&[42]).unwrap();
-        let mut events = Vec::new();
-        r.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 5);
-        let mut byte = [0u8; 1];
-        loop {
-            match rx.read(&mut byte) {
-                Ok(1) => break,
-                Ok(_) => panic!("unexpected eof"),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => park(Duration::from_micros(50)),
-                Err(e) => panic!("{e}"),
-            }
-        }
-        assert_eq!(byte[0], 42);
-    }
-
-    #[test]
-    fn sleep_reactor_reports_all_registered_and_never_blocks() {
-        let mut r = Reactor::new(ReactorChoice::Sleep);
-        assert_eq!(r.kind(), ReactorKind::Sleep);
+    fn sweep_reports_all_registered_and_never_blocks() {
+        let mut r = sweep::Reactor::new().unwrap();
         let (_a1, b1) = loopback_pair();
         let (_a2, b2) = loopback_pair();
         r.register(b1.as_raw_fd(), 0).unwrap();
@@ -586,14 +492,27 @@ mod tests {
         r.wait(Some(Duration::from_secs(60)), &mut events).unwrap();
         assert!(
             t0.elapsed() < Duration::from_secs(1),
-            "sleep reactor must not block in wait"
+            "the sweep must not block in wait"
         );
         let mut tokens: Vec<usize> = events.iter().map(|e| e.token).collect();
         tokens.sort_unstable();
         assert_eq!(tokens, vec![0, 1]);
+        assert!(events.iter().all(|e| e.readable && !e.writable));
+
+        // Write interest is reported for the fd that asked for it, and
+        // an unregistered fd is refused.
+        r.set_write_interest(b2.as_raw_fd(), 1, true).unwrap();
+        assert!(r.set_write_interest(-1, 9, true).is_err());
         r.deregister(b1.as_raw_fd()).unwrap();
+        events.clear();
         r.wait(None, &mut events).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 1);
+        assert!(events[0].writable);
+
+        // The idle park is the sweep's only sleep.
+        let t0 = Instant::now();
+        r.idle();
+        assert!(t0.elapsed() >= sweep::Reactor::PARK);
     }
 }

@@ -97,11 +97,6 @@ impl RoundingQuantizer {
         f64::from_bits(sign | clamped)
     }
 
-    /// Quantizes every element of a slice into a new vector.
-    pub fn quantize_slice(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.quantize(x)).collect()
-    }
-
     /// Quantizes every entry of a matrix.
     pub fn quantize_matrix(&self, m: &Matrix) -> Matrix {
         m.map(|x| self.quantize(x))
@@ -276,16 +271,6 @@ mod tests {
                 measured <= bound * (1.0 + 1e-12),
                 "s={s}: measured {measured} > bound {bound}"
             );
-        }
-    }
-
-    #[test]
-    fn quantize_slice_and_matrix_consistent() {
-        let q = RoundingQuantizer::new(5).unwrap();
-        let m = Matrix::from_fn(3, 4, |i, j| (i as f64 + 0.37) * (j as f64 - 1.21));
-        let qm = q.quantize_matrix(&m);
-        for i in 0..3 {
-            assert_eq!(q.quantize_slice(m.row(i)), qm.row(i).to_vec());
         }
     }
 

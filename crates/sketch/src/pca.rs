@@ -113,17 +113,6 @@ impl Pca {
     pub fn lift_coordinates(&self, coords: &Matrix) -> Result<Matrix, LinalgError> {
         ops::matmul_transb(coords, &self.components)
     }
-
-    /// Residual energy of an arbitrary dataset against this basis:
-    /// `‖B − B·V_t·V_tᵀ‖²_F` computed stably as `‖B‖² − ‖B·V_t‖²`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] on column mismatch.
-    pub fn residual_sq_of(&self, data: &Matrix) -> Result<f64, LinalgError> {
-        let coords = self.coordinates(data)?;
-        Ok((data.frobenius_norm_sq() - coords.frobenius_norm_sq()).max(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -184,19 +173,6 @@ mod tests {
         let lifted = pca.lift_coordinates(&coords).unwrap();
         // For data in the subspace, lifting coordinates reconstructs it.
         assert!(lifted.approx_eq(&a, 1e-6 * (1.0 + a.frobenius_norm())));
-    }
-
-    #[test]
-    fn residual_sq_of_other_data() {
-        let train = low_rank(6, 20, 8, 2);
-        let pca = Pca::fit(&train, 2).unwrap();
-        // Same subspace → near-zero residual.
-        assert!(pca.residual_sq_of(&train).unwrap() < 1e-6);
-        // Orthogonal-ish random data → sizable residual.
-        let other = gaussian_matrix(7, 5, 8, 1.0);
-        let r = pca.residual_sq_of(&other).unwrap();
-        assert!(r > 0.1, "residual {r}");
-        assert!(r <= other.frobenius_norm_sq() + 1e-9);
     }
 
     #[test]

@@ -11,16 +11,15 @@
 #                                       # (default BENCH_micro.json) without
 #                                       # re-running the benches
 #
-# `validate` accepts bench documents (ekm-bench-micro/v1, /v2, or /v3,
-# with an optional `faults` section recording recovery-path overhead) and
+# `validate` accepts bench documents (ekm-bench-micro/v1 to /v4, with
+# an optional `faults` section recording recovery-path overhead) and
 # standalone fault-suite documents (ekm-fault-suite/v1, emitted by
 # `scripts/distributed_e2e.sh faults`), tree-topology e2e documents
 # (ekm-tree-e2e/v1, emitted by `scripts/distributed_e2e.sh tree`), and
 # replica-failover e2e documents (ekm-replica-e2e/v1, emitted by
-# `scripts/distributed_e2e.sh replica`). A
-# fresh emit from this script is held to the stricter v3-only bar
-# (including the reactor latency section); `validate` keeps accepting
-# older v1/v2 recordings.
+# `scripts/distributed_e2e.sh replica`). A fresh emit from this script
+# is held to the stricter v4-only bar (including the reactor latency
+# row); `validate` keeps accepting older v1–v3 recordings.
 #
 # Env:
 #   EKM_BENCH_JSON  override the output path (default <repo>/BENCH_micro.json)
@@ -35,9 +34,9 @@ esac
 cd "$(dirname "$0")/.."
 
 # validate_json <file> [fresh]
-#   fresh: the document was just emitted, so the transitional v1/v2
-#   bench schemas are not acceptable — it must be v3 with both compute
-#   precisions timed and the reactor section recorded.
+#   fresh: the document was just emitted, so the older bench schemas
+#   are not acceptable — it must be v4 with both compute precisions
+#   timed and the reactor row recorded.
 validate_json() {
     python3 - "$@" <<'EOF'
 import json, sys
@@ -115,13 +114,13 @@ if schema == "ekm-tree-e2e/v1":
     sys.exit(0)
 
 assert schema in ("ekm-bench-micro/v1", "ekm-bench-micro/v2",
-                  "ekm-bench-micro/v3"), schema
+                  "ekm-bench-micro/v3", "ekm-bench-micro/v4"), schema
 if fresh:
-    # A fresh emit must be v3 with the distance kernels timed in both
+    # A fresh emit must be v4 with the distance kernels timed in both
     # compute precisions and the event-backend reactor latency recorded
-    # (the v1/v2-compat paths are only for older recordings validated
-    # after the fact).
-    assert schema == "ekm-bench-micro/v3", schema
+    # (the v1–v3 paths are only for older recordings validated after
+    # the fact).
+    assert schema == "ekm-bench-micro/v4", schema
     computes = {k["compute"] for k in doc["kernels"]
                 if k["name"].startswith("distance/assign_blocked")}
     assert computes == {"f64", "f32"}, computes
@@ -145,7 +144,7 @@ assert doc["kernels"], "no kernel timings recorded"
 assert doc["assign_speedups"], "no assignment speedups recorded"
 assert doc["transb_speedups"], "no matmul_transb speedups recorded"
 assert doc["stage_cache"]["hits"] > 0, "stage cache never hit"
-if schema in ("ekm-bench-micro/v2", "ekm-bench-micro/v3"):
+if schema != "ekm-bench-micro/v1":
     for k in doc["kernels"]:
         assert k["compute"] in ("f64", "f32"), k
         assert k["workers"] >= 1, k
@@ -157,14 +156,19 @@ if schema in ("ekm-bench-micro/v2", "ekm-bench-micro/v3"):
         # The parallel-scalar comparison is either present or explicitly
         # labeled as skipped on single-worker hosts — never silently absent.
         assert "scalar_par_ns" in r or r.get("scalar_par", "").startswith("skipped"), r
+# Event-backend reactor: at most 40 us per loopback command round, with
+# the single-write wire path engaged (every counted frame saved one
+# header write syscall). A v3 recording timed a sleep-poll row too; its
+# epoll row is held to the same bar whenever the host granted epoll.
 reactor_note = ""
+if schema == "ekm-bench-micro/v4":
+    rx = doc["reactor"]
+    assert rx["syscalls_avoided"] > 0, rx
+    assert rx["rounds"] > 0, rx
+    assert 0 < rx["median_round_ns"] <= 40_000, \
+        f"reactor median {rx['median_round_ns']} ns above 40000 ns"
+    reactor_note = f", reactor {rx['median_round_ns'] / 1e3:.1f} us/round"
 if schema == "ekm-bench-micro/v3":
-    # Event-backend reactor: both backends measured over real loopback
-    # rounds, the single-write wire path engaged (every counted frame saved
-    # one header write syscall), and — when the host granted an epoll
-    # instance — the epoll median at least 5x under the 200 us
-    # sleep-poll park floor. An epoll-less host (sandbox, non-Linux)
-    # still records both rows; the sleep fallback engages for both.
     rx = doc["reactor"]
     assert rx["sleep_floor_ns"] == 200_000, rx
     assert rx["syscalls_avoided"] > 0, rx

@@ -11,9 +11,8 @@
 # source's counters are cross-checked by the server at shutdown, and
 # the round's uplink bits must equal the in-process `ekm run` of the
 # same configuration. `core` covers a named distributed pipeline, a
-# quantized `--stages` composition and a centralized pipeline, then
-# checks that `--reactor sleep` and `--reactor epoll` agree bit for
-# bit. `streaming` covers the per-source merge-and-reduce pipelines.
+# quantized `--stages` composition and a centralized pipeline.
+# `streaming` covers the per-source merge-and-reduce pipelines.
 # `faults` is the fault-injection suite: it kills a
 # source mid-stage and asserts the degraded run stays within the
 # documented cost-ratio bound, then kills the server mid-round and
@@ -143,85 +142,6 @@ if [[ "$SUITE" == "core" || "$SUITE" == "all" ]]; then
         --stages dispca,jl,qt:8,disss --dataset mixture --n 400 --d 30 --k 2 --seed 11
     run_round "centralized" 1 \
         --pipeline jl-fss-jl --dataset mnist-like --n 500 --d 196 --k 2 --seed 5
-
-    # reactor: the epoll readiness backend must be a pure scheduling
-    # change. The same protocol configuration runs once per --reactor;
-    # the legs must agree bit for bit on the digest, the saved centers,
-    # and the classic per-source ledger — how the server waits for a
-    # frame can never shape what the frame computes.
-    RXSOURCES=3
-    RXCOMMON=(--dataset mixture --n 600 --d 40 --k 2 --stages dispca,disss --seed 23)
-
-    # run_reactor_leg <reactor>: one full serve + sources round with
-    # --reactor, keeping the logs apart so the legs can be compared.
-    run_reactor_leg() {
-        local rx=$1
-        echo "=== reactor-${rx}: ${RXCOMMON[*]} (${RXSOURCES} sources, --reactor ${rx}) ==="
-        timeout --kill-after=10 "$ROUND_TIMEOUT" \
-            "$BIN" serve --listen "$ADDR" --sources "$RXSOURCES" "${RXCOMMON[@]}" \
-            --reactor "$rx" --centers-out "$LOGDIR/reactor-$rx-centers.txt" \
-            >"$LOGDIR/reactor-$rx-serve.log" 2>&1 &
-        local serve_pid=$!
-        local src_pids=()
-        for ((i = 0; i < RXSOURCES; i++)); do
-            timeout --kill-after=10 "$ROUND_TIMEOUT" \
-                "$BIN" source --connect "$ADDR" --source-id "$i" --sources "$RXSOURCES" \
-                "${RXCOMMON[@]}" --reactor "$rx" >"$LOGDIR/reactor-$rx-source-$i.log" 2>&1 &
-            src_pids+=($!)
-        done
-        local failed=0
-        for ((i = 0; i < RXSOURCES; i++)); do
-            if ! wait "${src_pids[$i]}"; then
-                echo "FAIL: reactor-${rx} source $i exited nonzero"
-                failed=1
-            fi
-        done
-        if [[ $failed -ne 0 ]]; then
-            kill "$serve_pid" 2>/dev/null || true
-        fi
-        if ! wait "$serve_pid"; then
-            echo "FAIL: reactor-${rx} serve exited nonzero"
-            failed=1
-        fi
-        sed "s/^/  $rx | /" "$LOGDIR/reactor-$rx-serve.log"
-        if [[ $failed -ne 0 ]]; then
-            for ((i = 0; i < RXSOURCES; i++)); do
-                sed "s/^/  src $i | /" "$LOGDIR/reactor-$rx-source-$i.log"
-            done
-            exit 1
-        fi
-    }
-
-    run_reactor_leg sleep
-    run_reactor_leg epoll
-
-    # The sleep leg must actually have exercised the fallback path; the
-    # epoll leg normally engages epoll, but a locked-down host may fall
-    # back — that is fine, the equivalence assertions below still bite.
-    grep -q "driving the protocol (sleep-poll reactor)" "$LOGDIR/reactor-sleep-serve.log" \
-        || { echo "FAIL: the sleep leg did not engage the sleep-poll reactor"; exit 1; }
-    if ! grep -q "driving the protocol (epoll reactor)" "$LOGDIR/reactor-epoll-serve.log"; then
-        echo "note: epoll unavailable on this host; the epoll leg ran on the sleep fallback"
-    fi
-
-    sleep_bits=$(sed -n 's/^total uplink-bits \([0-9]*\)$/\1/p' "$LOGDIR/reactor-sleep-serve.log")
-    epoll_bits=$(sed -n 's/^total uplink-bits \([0-9]*\)$/\1/p' "$LOGDIR/reactor-epoll-serve.log")
-    [[ -n "$sleep_bits" && "$sleep_bits" -gt 0 ]] \
-        || { echo "FAIL: the sleep leg reported no uplink bits"; exit 1; }
-    [[ "$epoll_bits" == "$sleep_bits" ]] \
-        || { echo "FAIL: epoll uplink ${epoll_bits} bits != sleep ${sleep_bits} bits"; exit 1; }
-    sleep_digest=$(sed -n 's/^digest \(0x[0-9a-f]*\):.*/\1/p' "$LOGDIR/reactor-sleep-serve.log")
-    epoll_digest=$(sed -n 's/^digest \(0x[0-9a-f]*\):.*/\1/p' "$LOGDIR/reactor-epoll-serve.log")
-    [[ -n "$sleep_digest" && "$epoll_digest" == "$sleep_digest" ]] \
-        || { echo "FAIL: epoll digest ${epoll_digest} != sleep ${sleep_digest}"; exit 1; }
-    cmp -s "$LOGDIR/reactor-sleep-centers.txt" "$LOGDIR/reactor-epoll-centers.txt" \
-        || { echo "FAIL: epoll centers differ from the sleep leg's"; exit 1; }
-    grep '^source .* uplink-bits' "$LOGDIR/reactor-sleep-serve.log" | sort >"$LOGDIR/bits-rx-sleep.txt"
-    grep '^source .* uplink-bits' "$LOGDIR/reactor-epoll-serve.log" | sort >"$LOGDIR/bits-rx-epoll.txt"
-    cmp -s "$LOGDIR/bits-rx-sleep.txt" "$LOGDIR/bits-rx-epoll.txt" \
-        || { echo "FAIL: per-source ledgers differ between the reactors"; \
-             diff "$LOGDIR/bits-rx-sleep.txt" "$LOGDIR/bits-rx-epoll.txt" || true; exit 1; }
-    echo "OK: epoll matched sleep bit for bit (digest $epoll_digest, $epoll_bits uplink bits)"
 fi
 
 # streaming: per-source merge-and-reduce summaries across real

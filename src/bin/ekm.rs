@@ -27,7 +27,6 @@ use edge_kmeans::data::partition::partition_uniform;
 use edge_kmeans::data::synth::GaussianMixture;
 use edge_kmeans::net::event::{self, EventServerBinding, EventTcpServer, EventTcpSource};
 use edge_kmeans::net::protocol::{Command, DeadlinePolicy, Response, SourceEndpoint};
-use edge_kmeans::net::reactor::{ReactorChoice, ReactorKind};
 use edge_kmeans::net::wire::{Compute, Precision};
 use edge_kmeans::net::{CommandTransport, NetError, NetworkStats, RoutingTransport, RunDigest};
 use edge_kmeans::prelude::*;
@@ -95,11 +94,6 @@ FLAGS (with defaults):
                         them at the sources in ceil(log2 s) rounds so
                         the server folds a single input; results are
                         bit-identical                           [star]
-    --reactor <r>       epoll | sleep: serve's readiness backend — epoll
-                        parks in the kernel until a source frame (or a
-                        deadline) is due, sleep is the portable 200 µs
-                        sweep-and-park fallback; results and ledgers are
-                        bit-identical either way               [epoll]
     --no-cache          sweep: disable the stage-output cache
     --cache-budget <b>  sweep: bound the stage cache to ~b bytes with
                         least-recently-used eviction
@@ -148,8 +142,19 @@ EXAMPLES:
     ekm eval --dataset mixture --n 600 --d 40 --k 2 --centers centers.txt
 ";
 
+/// Every flag that takes a value, one list for all commands (so `serve`
+/// and `source` accept the one flag set a deployment hands both). A flag
+/// in neither list is a usage error, never silently ignored.
+const VALUE_FLAGS: &str = "listen connect source-id pipeline stages dataset n d k sources seed \
+     quantize precision compute leaf-size threads topology cache-budget y0 deadline-ms \
+     replication journal centers-out centers reconnect crash-after-commands fail-after-commands";
+
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["no-cache", "resume"];
+const BOOLEAN_FLAGS: &str = "no-cache resume";
+
+fn listed(list: &str, name: &str) -> bool {
+    list.split_whitespace().any(|flag| flag == name)
+}
 
 #[derive(Debug)]
 struct Args {
@@ -172,10 +177,20 @@ impl Args {
                         flags,
                     });
                 }
-                if BOOLEAN_FLAGS.contains(&name) {
+                if listed(BOOLEAN_FLAGS, name) {
                     flags.insert(name.to_string(), "true".into());
                     i += 1;
                     continue;
+                }
+                if !listed(VALUE_FLAGS, name) {
+                    let valid: Vec<&str> = VALUE_FLAGS
+                        .split_whitespace()
+                        .chain(BOOLEAN_FLAGS.split_whitespace())
+                        .collect();
+                    return Err(format!(
+                        "unknown flag --{name} (valid flags: --{})",
+                        valid.join(", --")
+                    ));
                 }
                 let value = argv
                     .get(i + 1)
@@ -600,18 +615,6 @@ struct DistRun {
     fingerprint: u64,
 }
 
-/// The `--reactor` choice for the event backend. Validated wherever the
-/// flag is accepted (serve uses it, source tolerates it so both halves
-/// of an e2e script can share one flag set), and deliberately excluded
-/// from [`canonical_config`]: the reactor schedules wakeups, it never
-/// shapes the bits.
-fn reactor_choice(args: &Args) -> Result<ReactorChoice, String> {
-    match args.flags.get("reactor") {
-        None => Ok(ReactorChoice::default()),
-        Some(v) => ReactorChoice::parse(v),
-    }
-}
-
 /// The canonical configuration string hashed into the handshake
 /// fingerprint. Covers every flag that affects the run's bits.
 fn canonical_config(args: &Args, m: usize) -> Result<String, String> {
@@ -728,11 +731,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     // This process never builds the dataset — it owns the plan, the
     // sources own their shards.
-    let reactor = reactor_choice(args)?;
     let plan = prepare_dist_plan(args)?;
-    let binding = EventServerBinding::bind(addr.as_str())
-        .map_err(|e| e.to_string())?
-        .with_reactor(reactor);
+    let binding = EventServerBinding::bind(addr.as_str()).map_err(|e| e.to_string())?;
     println!(
         "listening on {} for {} source(s), pipeline {} [config {:#018x}, server-driven protocol]",
         binding.local_addr().map_err(|e| e.to_string())?,
@@ -760,12 +760,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .accept_absent(plan.m, plan.fingerprint, &absent)
         .map_err(|e| e.to_string())?;
     println!(
-        "all {} source(s) connected; driving the protocol ({} reactor)",
-        plan.m - absent.len(),
-        match net.reactor_kind() {
-            ReactorKind::Epoll => "epoll",
-            ReactorKind::Sleep => "sleep-poll",
-        }
+        "all {} source(s) connected; driving the protocol",
+        plan.m - absent.len()
     );
     let (out, stats) = drive_accepted(args, &plan, net)?;
     let digest = RunDigest::new(&stats, &out.centers);
@@ -892,10 +888,6 @@ fn cmd_source(args: &Args) -> Result<(), String> {
     args.flags
         .get("source-id")
         .ok_or("source needs --source-id <int>")?;
-    // The reactor is the server's wakeup mechanism; a source only
-    // validates the value so e2e scripts can hand both processes the
-    // same flag set.
-    reactor_choice(args)?;
     let id = args.get_usize("source-id", 0)?;
     let run = prepare_dist_run(args)?;
     if id >= run.m {
@@ -1096,6 +1088,29 @@ mod tests {
         // Trailing boolean flag is fine too.
         let a = args(&["sweep", "--no-cache"]).unwrap();
         assert!(a.flags.contains_key("no-cache"));
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_with_the_valid_list() {
+        // A misspelled flag used to be ignored: `run --quantise 8` ran
+        // the unquantized pipeline and exited 0.
+        let err = args(&["run", "--quantise", "8"]).unwrap_err();
+        assert!(err.contains("unknown flag --quantise"), "{err}");
+        assert!(err.contains("--quantize"), "{err}");
+        assert!(err.contains("--no-cache"), "{err}");
+    }
+
+    #[test]
+    fn the_accepted_flags_are_the_documented_ones() {
+        let documented: std::collections::BTreeSet<&str> = HELP
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let accepted = VALUE_FLAGS
+            .split_whitespace()
+            .chain(BOOLEAN_FLAGS.split_whitespace())
+            .collect();
+        assert_eq!(documented, accepted);
     }
 
     #[test]
@@ -1384,32 +1399,6 @@ mod tests {
         assert!(build_params(&a, 100, 10)
             .unwrap_err()
             .contains("--deadline-ms"));
-    }
-
-    #[test]
-    fn reactor_flag_parses_and_stays_out_of_the_fingerprint() {
-        assert!(matches!(
-            reactor_choice(&args(&["serve"]).unwrap()),
-            Ok(ReactorChoice::Epoll)
-        ));
-        assert!(matches!(
-            reactor_choice(&args(&["serve", "--reactor", "sleep"]).unwrap()),
-            Ok(ReactorChoice::Sleep)
-        ));
-        assert!(matches!(
-            reactor_choice(&args(&["source", "--reactor", "epoll"]).unwrap()),
-            Ok(ReactorChoice::Epoll)
-        ));
-        let err = reactor_choice(&args(&["serve", "--reactor", "uring"]).unwrap()).unwrap_err();
-        assert!(err.contains("--reactor expects epoll|sleep"), "{err}");
-        assert!(err.contains("uring"), "{err}");
-        // The reactor schedules wakeups, never the bits: an epoll
-        // server must handshake with a source launched before the flag
-        // existed, so it stays out of the fingerprint.
-        let fp = |a: &Args| event::fingerprint(&canonical_config(a, 3).unwrap());
-        let base = args(&["serve", "--n", "500"]).unwrap();
-        let sleep = args(&["serve", "--n", "500", "--reactor", "sleep"]).unwrap();
-        assert_eq!(fp(&base), fp(&sleep));
     }
 
     #[test]
