@@ -12,7 +12,7 @@
 //!   registered fd as ready at once, the caller probes them with
 //!   non-blocking I/O, and [`Reactor::idle`] parks 200 µs after a cycle
 //!   that moved nothing. Test builds compile the sweep on Linux too, so
-//!   its unit test runs here.
+//!   its unit test runs on Linux as well.
 //!
 //! Semantics are deliberately minimal and *level-triggered*:
 //!
