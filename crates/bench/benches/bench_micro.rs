@@ -3,8 +3,8 @@
 //! k-means++, and the `upload-qt` server solve), DR (JL apply), CR
 //! (sensitivity sampling / FSS), the
 //! blocked distance engine vs the scalar assignment path it replaced,
-//! and the serve-path upload: the quantized coreset codec and the
-//! reassembly of its frame.
+//! and the serve-path upload: the quantized coreset codec, the source's
+//! whole transmit and the reassembly of its frame.
 //!
 //! Besides the printed lines, the run emits the machine-readable
 //! `BENCH_micro.json` at the workspace root (see
@@ -188,20 +188,21 @@ fn bench_coreset(c: &mut Criterion) {
 }
 
 /// The serve-path upload of a 10000 × 784 source quantized at s = 8:
-/// its coreset message encoded and decoded, and its response frame
-/// reassembled from 64 KiB socket reads.
+/// its coreset message encoded and decoded, the source's whole transmit
+/// (quantize in place, encode, write the response frame), and the
+/// server's reassembly of that frame from 64 KiB socket reads.
 fn bench_wire(c: &mut Criterion) {
     let (n, d, s) = (10_000, 784, 8);
-    let points = RoundingQuantizer::new(s)
-        .expect("s in range")
-        .quantize_matrix(&gaussian_matrix(23, n, d, 1.0));
-    let msg = Message::Coreset {
+    let q = RoundingQuantizer::new(s).expect("s in range");
+    let raw = gaussian_matrix(23, n, d, 1.0);
+    let coreset = |points| Message::Coreset {
         points,
         weights: vec![1.0; n],
         delta: 0.0,
         precision: Precision::Quantized { s },
         weights_precision: Precision::Full,
     };
+    let msg = coreset(q.quantize_matrix(&raw));
     let mut g = c.benchmark_group("wire");
     g.sample_size(5);
     g.bench_function("encode_q8_10000x784", |bench| {
@@ -210,6 +211,32 @@ fn bench_wire(c: &mut Criterion) {
     let (buf, bits) = msg.encode();
     g.bench_function("decode_q8_10000x784", |bench| {
         bench.iter(|| Message::decode(black_box(&buf), bits).unwrap())
+    });
+    // The source owns its summary and moves it into the message; the
+    // bench takes it back after each write (quantizing is idempotent, so
+    // every pass does the same work). The frame lands in a buffer the
+    // size of the frame, as a socket write copies it out.
+    let mut summary = Some(raw);
+    let mut sink = Vec::with_capacity(buf.len() + 64);
+    g.bench_function("transmit_q8_10000x784", |bench| {
+        bench.iter(|| {
+            let mut points = summary.take().expect("the summary");
+            q.quantize_in_place(points.as_mut_slice());
+            let msg = coreset(points);
+            let up = Response::Up {
+                round: 1,
+                payload: Payload::of(&msg),
+                ops: 0,
+                seconds: 0.0,
+            };
+            sink.clear();
+            up.write_frame(&mut sink).expect("frame write");
+            let Message::Coreset { points, .. } = msg else {
+                unreachable!("a coreset")
+            };
+            summary = Some(points);
+            sink.len()
+        })
     });
     g.finish();
 
@@ -227,14 +254,16 @@ fn bench_wire(c: &mut Criterion) {
         bench.iter(|| {
             let mut asm = FrameAssembler::new();
             let mut wire = black_box(frame.bytes());
-            while !wire.is_empty() {
+            loop {
                 let spare = asm.spare();
                 let n = spare.len().min(64 << 10).min(wire.len());
                 spare[..n].copy_from_slice(&wire[..n]);
                 asm.commit(n);
                 wire = &wire[n..];
+                if let Some(whole) = asm.next_frame().unwrap() {
+                    break whole;
+                }
             }
-            asm.next_frame().unwrap().expect("whole frame")
         })
     });
     g.finish();

@@ -338,7 +338,7 @@ pub(crate) fn disss_local_sample(
     points = points.vstack(&bic.centers)?;
     weights.extend(center_weights);
 
-    let (wire_points, points_precision) = quantize_for_wire(&points, quantizer);
+    let (wire_points, points_precision) = quantize_for_wire(points, quantizer);
     Ok(Message::Coreset {
         points: wire_points,
         weights,

@@ -922,40 +922,30 @@ impl<'a> SourceExecutor<'a> {
             0
         };
         let t0 = Instant::now();
-        let msg = match self.weights.take() {
-            Some(weights) => {
-                let (wire, precision) = quantize_for_wire(&self.part, quantizer.as_ref());
+        // Transmission is the shard's last use: an owned summary moves
+        // into its message (quantized in place), and only a still
+        // borrowed shard pays the one copy the wire needs.
+        let points =
+            std::mem::replace(&mut self.part, Cow::Owned(Matrix::zeros(0, 0))).into_owned();
+        let msg = match (self.weights.take(), quantizer) {
+            (None, None) => Message::RawData { points },
+            (weights, quantizer) => {
+                let rows = points.rows();
+                let (points, precision) = quantize_for_wire(points, quantizer.as_ref());
+                let (weights, delta) = match weights {
+                    Some(weights) => (weights, self.delta),
+                    None => (vec![1.0; rows], 0.0),
+                };
                 Message::Coreset {
-                    points: wire,
+                    points,
                     weights,
-                    delta: self.delta,
+                    delta,
                     precision,
                     weights_precision: aux,
                 }
             }
-            None => match &quantizer {
-                Some(q) => {
-                    let (wire, precision) = quantize_for_wire(&self.part, Some(q));
-                    Message::Coreset {
-                        points: wire,
-                        weights: vec![1.0; self.part.rows()],
-                        delta: 0.0,
-                        precision,
-                        weights_precision: aux,
-                    }
-                }
-                // An owned part moves into its message; only a still
-                // borrowed shard (NR) pays the one clone the wire needs.
-                None => Message::RawData {
-                    points: std::mem::replace(&mut self.part, Cow::Owned(Matrix::zeros(0, 0)))
-                        .into_owned(),
-                },
-            },
         };
         let secs = t0.elapsed().as_secs_f64();
-        let outcome = self.emit_summary(&msg, 0, ops, secs);
-        // Transmission is the shard's last use.
-        self.part = Cow::Owned(Matrix::zeros(0, 0));
-        outcome
+        self.emit_summary(&msg, 0, ops, secs)
     }
 }

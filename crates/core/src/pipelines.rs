@@ -45,20 +45,20 @@ pub(crate) mod seeds {
     pub const JL_EXTRA_BASE: u64 = 32;
 }
 
-/// Quantizes points for the wire if a quantizer is configured; returns the
-/// payload and its [`Precision`].
+/// Quantizes points for the wire, in place, if a quantizer is
+/// configured; returns them with their [`Precision`]. The points are the
+/// sender's own summary, moved in: shipping them writes no second copy.
 pub(crate) fn quantize_for_wire(
-    points: &Matrix,
+    mut points: Matrix,
     quantizer: Option<&RoundingQuantizer>,
 ) -> (Matrix, Precision) {
     match quantizer {
-        Some(q) => (
-            q.quantize_matrix(points),
-            Precision::Quantized {
-                s: q.significant_bits(),
-            },
-        ),
-        None => (points.clone(), Precision::Full),
+        Some(q) => {
+            q.quantize_in_place(points.as_mut_slice());
+            let s = q.significant_bits();
+            (points, Precision::Quantized { s })
+        }
+        None => (points, Precision::Full),
     }
 }
 

@@ -6,15 +6,20 @@
 //! sockets, multiplexed by a readiness [`Reactor`]: on Linux `epoll`
 //! wakes the thread the moment any connection has bytes (or the
 //! deadline-derived timeout expires), ready connections are pumped
-//! through per-source ring-buffer frame reassembly
+//! through per-source frame reassembly
 //! ([`crate::frame::FrameAssembler`]) into per-source inboxes, and
 //! [`EventTcpServer::recv`] drains the inbox it was asked for — so a
 //! slow source never blocks the harvest of the others, without a thread
-//! per connection.
+//! per connection. A frame larger than the assembler's ring is read into
+//! a buffer of its own and decoded in place
+//! ([`Response::decode_owned`]): an upload's payload is written once on
+//! the server, by the reads that bring it.
 //!
 //! Sources stay blocking ([`EventTcpSource`]): each one strictly
 //! alternates "read a command, compute, write the response", so there is
-//! nothing for it to multiplex.
+//! nothing for it to multiplex. A response goes out in one vectored
+//! write, its payload straight from the executor's shared encoding
+//! ([`Response::write_frame`]).
 //!
 //! Every connection opens with a hello frame carrying a magic number,
 //! the protocol version, a role byte, the source id and count, and the
@@ -25,8 +30,8 @@
 
 use crate::fnv::Fnv;
 use crate::frame::{
-    expect_frame, note_single_write_frame, write_frame, FrameAssembler, FrameBuf, FRAME_CMD,
-    FRAME_HELLO, FRAME_RESP,
+    expect_frame, note_single_write_frame, write_frame, FrameAssembler, FRAME_CMD, FRAME_HELLO,
+    FRAME_RESP,
 };
 use crate::network::NetworkStats;
 use crate::protocol::{
@@ -357,9 +362,9 @@ impl Conn {
         }
     }
 
-    /// Reads whatever bytes are ready — directly into the reassembly
-    /// ring, at most [`PUMP_CHUNKS`] reads — and parses complete frames
-    /// into the inbox. Returns `true` if any byte arrived.
+    /// Reads whatever bytes are ready — directly into the reassembler,
+    /// at most [`PUMP_CHUNKS`] reads — and parses the frames each read
+    /// completes into the inbox. Returns `true` if any byte arrived.
     fn pump(&mut self, source: usize) -> Result<bool> {
         if self.closed {
             return Ok(false);
@@ -377,6 +382,7 @@ impl Conn {
                     self.asm.commit(n);
                     progress = true;
                     budget -= 1;
+                    parse_frames(&mut self.asm, &mut self.inbox, source)?;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -395,30 +401,35 @@ impl Conn {
                 Err(e) => return Err(transport_err("protocol read", e)),
             }
         }
-        self.parse_frames(source)?;
         Ok(progress)
     }
+}
 
-    /// Drains every complete frame currently in the ring.
-    fn parse_frames(&mut self, source: usize) -> Result<()> {
-        while let Some((kind, payload, _bits)) = self.asm.next_frame().map_err(|e| match e {
-            NetError::Transport { context, detail } => NetError::Transport {
-                context,
-                detail: format!("{detail} (from source {source})"),
-            },
-            other => other,
-        })? {
-            if kind != FRAME_RESP {
-                return Err(NetError::ProtocolViolation {
-                    context: "protocol server read",
-                    expected: "a response frame",
-                    got: format!("frame kind {kind} from source {source}"),
-                });
-            }
-            self.inbox.push_back(Response::decode(&payload)?);
+/// Drains every complete frame out of `asm` into `inbox`, decoding each
+/// in the buffer it arrived in (after every read, so the assembler's
+/// ring always has room for the next one).
+fn parse_frames(
+    asm: &mut FrameAssembler,
+    inbox: &mut VecDeque<Response>,
+    source: usize,
+) -> Result<()> {
+    while let Some((kind, payload, _bits)) = asm.next_frame().map_err(|e| match e {
+        NetError::Transport { context, detail } => NetError::Transport {
+            context,
+            detail: format!("{detail} (from source {source})"),
+        },
+        other => other,
+    })? {
+        if kind != FRAME_RESP {
+            return Err(NetError::ProtocolViolation {
+                context: "protocol server read",
+                expected: "a response frame",
+                got: format!("frame kind {kind} from source {source}"),
+            });
         }
-        Ok(())
+        inbox.push_back(Response::decode_owned(payload)?);
     }
+    Ok(())
 }
 
 /// The server end of an event-driven protocol run: every source
@@ -581,9 +592,7 @@ impl CommandTransport for EventTcpServer {
     fn send(&mut self, source: usize, cmd: &Command) -> Result<()> {
         self.check(source)?;
         charge_command(&mut self.stats, source, cmd)?;
-        let bytes = cmd.encode();
-        let frame = FrameBuf::new(FRAME_CMD, &bytes, bytes.len() * 8)?;
-        self.write_frame_to(source, frame.bytes())
+        self.write_frame_to(source, cmd.frame().bytes())
     }
 
     fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> Result<()> {
@@ -732,12 +741,11 @@ impl EventTcpSource {
 impl SourceEndpoint for EventTcpSource {
     fn recv_command(&mut self) -> Result<Command> {
         let (payload, _) = expect_frame(&mut self.stream, FRAME_CMD)?;
-        Command::decode(&payload)
+        Command::decode_owned(payload)
     }
 
     fn send_response(&mut self, resp: Response) -> Result<()> {
-        let buf = resp.encode();
-        write_frame(&mut self.stream, FRAME_RESP, &buf, buf.len() * 8)
+        resp.write_frame(&mut self.stream)
     }
 
     fn set_deadline(&mut self, policy: DeadlinePolicy) {

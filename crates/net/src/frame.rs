@@ -11,6 +11,14 @@
 //! tests (partial reads, truncation, oversized headers) run against
 //! in-memory streams; the TCP backend ([`crate::event`]) reuses it
 //! verbatim over `TcpStream`s.
+//!
+//! No frame is copied on its way through: a writer hands the header and
+//! the payload's pieces to one vectored write ([`write_frame`],
+//! [`crate::protocol::Response::write_frame`]), and the event backend's [`FrameAssembler`]
+//! reads a frame too large for its fixed ring straight into a buffer of
+//! its own, which it returns by value. Every reader's buffer grows only
+//! with the bytes that arrive, so a header alone allocates next to
+//! nothing, whatever length it claims.
 
 use crate::{NetError, Result};
 use std::io::{IoSlice, Read, Write};
@@ -115,15 +123,51 @@ fn encode_header(kind: u8, bit_len: usize) -> [u8; 9] {
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8], bit_len: usize) -> Result<()> {
     check_lengths(payload, bit_len)?;
     let header = encode_header(kind, bit_len);
-    let total = header.len() + payload.len();
-    let mut written = 0;
-    while written < total {
-        let res = if written < header.len() {
-            w.write_vectored(&[IoSlice::new(&header[written..]), IoSlice::new(payload)])
-        } else {
-            w.write(&payload[written - header.len()..])
-        };
-        match res {
+    write_vectored_frame(w, &mut [IoSlice::new(&header), IoSlice::new(payload)])
+}
+
+/// Writes one byte-granular frame whose payload is `head` followed by
+/// `tail` — byte for byte [`write_frame`] of their concatenation, without
+/// building it: the header, `head` and `tail` go out in one vectored
+/// write. What [`crate::protocol::Response::write_frame`] uses to send
+/// a payload from its own buffer behind the fields before it.
+///
+/// # Errors
+///
+/// [`NetError::Transport`] if the frame exceeds [`MAX_FRAME_BITS`], or
+/// on I/O failure.
+pub(crate) fn write_split_frame<W: Write>(
+    w: &mut W,
+    kind: u8,
+    head: &[u8],
+    tail: &[u8],
+) -> Result<()> {
+    let bit_len = (head.len() + tail.len()) * 8;
+    if bit_len as u64 > MAX_FRAME_BITS {
+        return Err(NetError::Transport {
+            context: "frame write",
+            detail: format!("payload of {bit_len} bits exceeds the {MAX_FRAME_BITS}-bit cap"),
+        });
+    }
+    let header = encode_header(kind, bit_len);
+    write_vectored_frame(
+        w,
+        &mut [
+            IoSlice::new(&header),
+            IoSlice::new(head),
+            IoSlice::new(tail),
+        ],
+    )
+}
+
+/// Writes a frame's pieces (header first) until all are out, then
+/// flushes; a frame that left in one write call is counted in
+/// [`single_write_frames`].
+fn write_vectored_frame<W: Write>(w: &mut W, mut parts: &mut [IoSlice<'_>]) -> Result<()> {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    let mut first = true;
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
             Ok(0) => {
                 return Err(NetError::Transport {
                     context: "frame write",
@@ -131,10 +175,12 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8], bit_len: usize
                 })
             }
             Ok(n) => {
-                if written == 0 && n == total && !payload.is_empty() {
+                // More than the 9-byte header: a frame with a payload.
+                if first && n == total && total > 9 {
                     SINGLE_WRITE_FRAMES.fetch_add(1, Ordering::Relaxed);
                 }
-                written += n;
+                first = false;
+                IoSlice::advance_slices(&mut parts, n);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(io_err("frame write", e)),
@@ -169,6 +215,27 @@ impl FrameBuf {
         Ok(FrameBuf { bytes })
     }
 
+    /// A byte-granular frame of `len` payload bytes that `fill` appends
+    /// behind the header: one allocation of the frame's exact size, with
+    /// no intermediate encoding to copy.
+    ///
+    /// # Panics
+    ///
+    /// If `fill` appends other than `len` bytes, or `len` bytes exceed
+    /// [`MAX_FRAME_BITS`].
+    pub(crate) fn build(kind: u8, len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> FrameBuf {
+        assert!(len as u64 <= MAX_FRAME_BITS / 8, "frame above the cap");
+        let mut bytes = Vec::with_capacity(9 + len);
+        bytes.extend_from_slice(&encode_header(kind, len * 8));
+        fill(&mut bytes);
+        assert_eq!(
+            bytes.len(),
+            9 + len,
+            "frame payload of the announced length"
+        );
+        FrameBuf { bytes }
+    }
+
     /// The wire bytes: 9-byte header followed by the payload.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
@@ -185,21 +252,47 @@ impl FrameBuf {
     }
 }
 
-/// Reassembles frames from a non-blocking byte stream through a
-/// reusable ring buffer.
+/// Reassembles frames from a non-blocking byte stream.
 ///
-/// The event backend's old path accumulated bytes in a `Vec` and
-/// `drain`ed each completed frame — an O(buffered) memmove per frame,
-/// plus repeated reallocation as rounds alternated between fat and thin
-/// payloads. The assembler reads *directly into* its ring storage
-/// ([`spare`](FrameAssembler::spare) / [`commit`](FrameAssembler::commit)),
-/// consumes parsed frames by advancing an index, and keeps its capacity
-/// across rounds.
+/// Bytes are read *directly into* the assembler's storage
+/// ([`spare`](FrameAssembler::spare) / [`commit`](FrameAssembler::commit)).
+/// A frame that fits its fixed 4 KiB ring — every control frame and the
+/// small data-plane ones — is consumed by advancing an index and copied
+/// out whole by [`next_frame`](FrameAssembler::next_frame). A larger
+/// frame is read into a buffer of its own, which `spare` hands out and
+/// `next_frame` returns by value, so its payload is written once, by the
+/// reads that bring it. That buffer grows only with the bytes that
+/// arrive (to at most twice what arrived, never past the header's
+/// claim), so the ring never grows and a header alone allocates next to
+/// nothing, whatever it claims.
+///
+/// Drain `next_frame` after every `commit`: the ring then holds at most
+/// one incomplete frame, and `spare` is never empty.
 #[derive(Debug)]
 pub struct FrameAssembler {
-    buf: Box<[u8]>,
+    ring: Box<[u8]>,
     head: usize,
     len: usize,
+    /// The frame too large for the ring, if one is arriving or waiting
+    /// for `next_frame`; the ring's bytes all come after it.
+    large: Option<LargeFrame>,
+}
+
+/// A frame too large for the ring, read into a buffer of its own.
+#[derive(Debug)]
+struct LargeFrame {
+    kind: u8,
+    bit_len: usize,
+    /// The payload bytes that arrived, then zeroed room for more.
+    payload: Vec<u8>,
+    /// How many bytes of `payload` arrived.
+    filled: usize,
+}
+
+impl LargeFrame {
+    fn complete(&self) -> bool {
+        self.filled == self.bit_len.div_ceil(8)
+    }
 }
 
 impl Default for FrameAssembler {
@@ -209,83 +302,94 @@ impl Default for FrameAssembler {
 }
 
 impl FrameAssembler {
-    const MIN_CAP: usize = 4096;
+    /// Ring capacity (a power of two: ring positions are masked).
+    const RING: usize = 4096;
+    const MASK: usize = Self::RING - 1;
 
-    /// An empty assembler with the minimum capacity.
+    /// An empty assembler.
     pub fn new() -> FrameAssembler {
         FrameAssembler {
-            buf: vec![0u8; Self::MIN_CAP].into_boxed_slice(),
+            ring: vec![0u8; Self::RING].into_boxed_slice(),
             head: 0,
             len: 0,
+            large: None,
         }
     }
 
-    /// Bytes currently buffered (parsed frames are consumed eagerly).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no bytes are buffered.
+    /// `true` when no byte is buffered (parsed frames are consumed
+    /// eagerly).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len == 0 && self.large.is_none()
     }
 
-    fn mask(&self) -> usize {
-        self.buf.len() - 1
-    }
-
-    fn grow(&mut self, needed: usize) {
-        let new_cap = needed.next_power_of_two().max(Self::MIN_CAP);
-        let mut new_buf = vec![0u8; new_cap].into_boxed_slice();
-        self.copy_out(0, &mut new_buf[..self.len]);
-        self.buf = new_buf;
-        self.head = 0;
-    }
-
-    /// A contiguous writable slice at the tail, at least one byte long
-    /// (growing the ring if it is full). Read into it, then
-    /// [`commit`](FrameAssembler::commit) the byte count; a wrapped
-    /// spare region is surfaced across successive calls, so callers
-    /// just loop read→commit until the source runs dry.
+    /// A contiguous writable slice for the next read: the rest of an
+    /// arriving large frame (grown, once full, to twice the frame's bytes
+    /// so far, at most its claim), else the ring's tail. Read into it,
+    /// then [`commit`](FrameAssembler::commit) the byte count; a wrapped
+    /// spare region is surfaced across successive calls, so callers just
+    /// loop read→commit→drain until the source runs dry.
     pub fn spare(&mut self) -> &mut [u8] {
-        if self.len == self.buf.len() {
-            self.grow(self.len + 1);
+        if let Some(large) = self.large.as_mut().filter(|large| !large.complete()) {
+            if large.filled == large.payload.len() {
+                let claim = large.bit_len.div_ceil(8);
+                let grown = (2 * (9 + large.filled)).min(claim);
+                large.payload.reserve_exact(grown - large.filled);
+                large.payload.resize(grown, 0);
+            }
+            return &mut large.payload[large.filled..];
         }
-        let tail = (self.head + self.len) & self.mask();
-        if tail >= self.head {
+        let tail = (self.head + self.len) & Self::MASK;
+        if self.len == Self::RING {
+            // Full of frames nobody drained: no room.
+            &mut []
+        } else if tail >= self.head {
             // Unwrapped data: spare runs from the tail to the end of
             // storage (a second region before `head` surfaces on the
             // next call, once this one fills).
-            &mut self.buf[tail..]
+            &mut self.ring[tail..]
         } else {
             // Wrapped data: the single spare region sits between the
             // tail and the head.
-            &mut self.buf[tail..self.head]
+            &mut self.ring[tail..self.head]
         }
     }
 
     /// Marks `n` bytes of the last [`spare`](FrameAssembler::spare)
     /// slice as filled.
     pub fn commit(&mut self, n: usize) {
-        debug_assert!(self.len + n <= self.buf.len());
-        self.len += n;
+        match self.large.as_mut().filter(|large| !large.complete()) {
+            Some(large) => {
+                debug_assert!(large.filled + n <= large.payload.len());
+                large.filled += n;
+            }
+            None => {
+                debug_assert!(self.len + n <= Self::RING);
+                self.len += n;
+                if self.large.is_none() {
+                    // A large frame at the front leaves the ring now, so
+                    // its bytes need no room there.
+                    if let Ok(Some((kind, bit_len))) = self.front() {
+                        self.take_large(kind, bit_len);
+                    }
+                }
+            }
+        }
     }
 
     fn copy_out(&self, offset: usize, dst: &mut [u8]) {
         debug_assert!(offset + dst.len() <= self.len);
-        let cap = self.buf.len();
-        let start = (self.head + offset) & (cap - 1);
-        let first = dst.len().min(cap - start);
-        dst[..first].copy_from_slice(&self.buf[start..start + first]);
+        let start = (self.head + offset) & Self::MASK;
+        let first = dst.len().min(Self::RING - start);
+        dst[..first].copy_from_slice(&self.ring[start..start + first]);
         if first < dst.len() {
             let rest = dst.len() - first;
-            dst[first..].copy_from_slice(&self.buf[..rest]);
+            dst[first..].copy_from_slice(&self.ring[..rest]);
         }
     }
 
     fn consume(&mut self, n: usize) {
         debug_assert!(n <= self.len);
-        self.head = (self.head + n) & self.mask();
+        self.head = (self.head + n) & Self::MASK;
         self.len -= n;
         if self.len == 0 {
             // Empty ring: restart at 0 so the next frame lands
@@ -294,8 +398,41 @@ impl FrameAssembler {
         }
     }
 
+    /// The header of the frame at the front of the ring, once all nine
+    /// bytes are in.
+    fn front(&self) -> Result<Option<(u8, usize)>> {
+        if self.len < 9 {
+            return Ok(None);
+        }
+        let mut header = [0u8; 9];
+        self.copy_out(0, &mut header);
+        parse_header(&header).map(Some)
+    }
+
+    /// If the front frame is too large for the ring, moves it into a
+    /// buffer of its own: every byte buffered behind its header is its
+    /// payload, as the frame is longer than the ring.
+    fn take_large(&mut self, kind: u8, bit_len: usize) -> bool {
+        let claim = bit_len.div_ceil(8);
+        if 9 + claim <= Self::RING {
+            return false;
+        }
+        let filled = self.len - 9;
+        let mut payload = vec![0u8; (2 * self.len).min(claim)];
+        self.copy_out(9, &mut payload[..filled]);
+        self.consume(self.len);
+        self.large = Some(LargeFrame {
+            kind,
+            bit_len,
+            payload,
+            filled,
+        });
+        true
+    }
+
     /// Extracts the next complete frame, if one is fully buffered,
-    /// returning `(kind, payload, bit_len)` like [`read_frame`].
+    /// returning `(kind, payload, bit_len)` like [`read_frame`]; a large
+    /// frame's own buffer is returned as it is.
     ///
     /// # Errors
     ///
@@ -303,14 +440,23 @@ impl FrameAssembler {
     /// [`MAX_FRAME_BITS`] — detected from the header alone, before the
     /// payload arrives or anything is allocated.
     pub fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>, usize)>> {
-        if self.len < 9 {
-            return Ok(None);
+        if let Some(large) = &self.large {
+            if !large.complete() {
+                return Ok(None);
+            }
+            let LargeFrame {
+                kind,
+                bit_len,
+                payload,
+                ..
+            } = self.large.take().expect("a large frame");
+            return Ok(Some((kind, payload, bit_len)));
         }
-        let mut header = [0u8; 9];
-        self.copy_out(0, &mut header);
-        let (kind, bit_len) = parse_header(&header)?;
+        let Some((kind, bit_len)) = self.front()? else {
+            return Ok(None);
+        };
         let payload_len = bit_len.div_ceil(8);
-        if self.len < 9 + payload_len {
+        if self.take_large(kind, bit_len) || self.len < 9 + payload_len {
             return Ok(None);
         }
         let mut payload = vec![0u8; payload_len];
@@ -411,14 +557,26 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    /// A reader that delivers at most one byte per `read` call — the
-    /// worst-case partial-read behavior a socket can exhibit.
+    /// A reader (or writer) that moves at most one byte per call — the
+    /// worst-case partial I/O a socket can exhibit.
     struct Trickle<R>(R);
 
     impl<R: Read> Read for Trickle<R> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             let n = buf.len().min(1);
             self.0.read(&mut buf[..n])
+        }
+    }
+
+    /// A writer that takes at most one byte per `write` call.
+    impl<W: Write> Write for Trickle<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.flush()
         }
     }
 
@@ -531,6 +689,23 @@ mod tests {
     }
 
     #[test]
+    fn a_split_frame_is_byte_for_byte_the_whole_one() {
+        let payload: Vec<u8> = (0..50).collect();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, FRAME_RESP, &payload, payload.len() * 8).unwrap();
+        for cut in 0..=payload.len() {
+            let mut split = Vec::new();
+            let (head, tail) = payload.split_at(cut);
+            write_split_frame(&mut split, FRAME_RESP, head, tail).unwrap();
+            assert_eq!(split, whole, "cut at {cut}");
+            // A writer that takes one byte per call still gets it all.
+            let mut trickled = Trickle(Vec::new());
+            write_split_frame(&mut trickled, FRAME_RESP, head, tail).unwrap();
+            assert_eq!(trickled.0, whole, "cut at {cut}");
+        }
+    }
+
+    #[test]
     fn single_write_counter_advances_on_vectored_frames() {
         let before = single_write_frames();
         let mut buf = Vec::new();
@@ -560,40 +735,97 @@ mod tests {
         assert!(asm.is_empty());
     }
 
-    #[test]
-    fn assembler_wraps_and_grows_across_many_frames() {
-        // Frames sized to never divide the ring capacity force the
-        // head through every wrap offset; a jumbo frame forces growth.
-        let mut asm = FrameAssembler::new();
-        let push = |asm: &mut FrameAssembler, bytes: &[u8]| {
-            let mut off = 0;
-            while off < bytes.len() {
-                let spare = asm.spare();
-                let n = spare.len().min(bytes.len() - off);
-                spare[..n].copy_from_slice(&bytes[off..off + n]);
-                asm.commit(n);
-                off += n;
+    /// Feeds `bytes` through `spare`/`commit` in reads of at most
+    /// `chunk` bytes, draining `next_frame` after each.
+    fn assemble(asm: &mut FrameAssembler, bytes: &[u8], chunk: usize) -> Vec<(u8, Vec<u8>, usize)> {
+        let mut frames = Vec::new();
+        let mut off = 0;
+        while off < bytes.len() {
+            let spare = asm.spare();
+            let n = spare.len().min(chunk).min(bytes.len() - off);
+            assert!(n > 0, "no room at offset {off}");
+            spare[..n].copy_from_slice(&bytes[off..off + n]);
+            asm.commit(n);
+            off += n;
+            while let Some(frame) = asm.next_frame().unwrap() {
+                frames.push(frame);
             }
-        };
+        }
+        frames
+    }
+
+    #[test]
+    fn assembler_wraps_the_ring_across_many_frames() {
+        // Frames sized to never divide the ring capacity force the
+        // head through every wrap offset.
+        let mut asm = FrameAssembler::new();
         for round in 0..200u32 {
             let payload: Vec<u8> = (0..37 + (round % 13) as usize)
                 .map(|i| (i as u32 ^ round) as u8)
                 .collect();
             let mut wire = Vec::new();
             write_frame(&mut wire, FRAME_RESP, &payload, payload.len() * 8).unwrap();
-            push(&mut asm, &wire);
-            let (kind, got, bits) = asm.next_frame().unwrap().expect("complete");
+            let frames = assemble(&mut asm, &wire, usize::MAX);
             assert_eq!(
-                (kind, bits),
-                (FRAME_RESP, payload.len() * 8),
+                frames,
+                vec![(FRAME_RESP, payload.clone(), payload.len() * 8)],
                 "round {round}"
             );
-            assert_eq!(got, payload, "round {round}");
         }
-        let jumbo: Vec<u8> = (0..64 * 1024).map(|i| i as u8).collect();
+        assert!(asm.is_empty());
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_ring_is_read_into_its_own_buffer() {
+        // Small frames around a jumbo one, in one stream: the jumbo
+        // frame leaves the ring as soon as its header is in, its own
+        // buffer grows only with the bytes that arrive (never past
+        // twice them, never past the claim), and the ring never grows.
+        let jumbo: Vec<u8> = (0..64 * 1024 + 3).map(|i| (i * 7) as u8).collect();
+        let small: Vec<u8> = (0..100).collect();
         let mut wire = Vec::new();
-        write_frame(&mut wire, FRAME_RESP, &jumbo, jumbo.len() * 8).unwrap();
-        push(&mut asm, &wire);
+        for payload in [&small, &jumbo, &small] {
+            write_frame(&mut wire, FRAME_RESP, payload, payload.len() * 8).unwrap();
+        }
+        let expected: Vec<_> = [&small, &jumbo, &small]
+            .iter()
+            .map(|p| (FRAME_RESP, p.to_vec(), p.len() * 8))
+            .collect();
+        for chunk in [1, 13, 4096, 64 << 10, usize::MAX] {
+            let mut asm = FrameAssembler::new();
+            let mut frames = Vec::new();
+            let mut off = 0;
+            while off < wire.len() {
+                let spare = asm.spare();
+                let n = spare.len().min(chunk).min(wire.len() - off);
+                spare[..n].copy_from_slice(&wire[off..off + n]);
+                asm.commit(n);
+                off += n;
+                if let Some(large) = &asm.large {
+                    let arrived = 9 + large.filled;
+                    assert!(large.payload.len() <= 2 * arrived, "chunk {chunk}");
+                    assert!(large.payload.len() <= jumbo.len(), "chunk {chunk}");
+                }
+                while let Some(frame) = asm.next_frame().unwrap() {
+                    frames.push(frame);
+                }
+                assert_eq!(asm.ring.len(), FrameAssembler::RING);
+            }
+            assert_eq!(frames, expected, "chunk {chunk}");
+            assert!(asm.is_empty());
+        }
+        // Fed whole before a single drain, as one large read would.
+        let mut asm = FrameAssembler::new();
+        let mut tail = Vec::new();
+        write_frame(&mut tail, FRAME_RESP, &jumbo, jumbo.len() * 8).unwrap();
+        let mut off = 0;
+        while off < tail.len() {
+            let spare = asm.spare();
+            let n = spare.len().min(tail.len() - off);
+            spare[..n].copy_from_slice(&tail[off..off + n]);
+            asm.commit(n);
+            off += n;
+        }
         let (_, got, _) = asm.next_frame().unwrap().expect("complete");
         assert_eq!(got, jumbo);
         assert!(asm.next_frame().unwrap().is_none());

@@ -22,6 +22,17 @@
 //! lossy about the wire format (quantization, f32 auxiliaries) shapes
 //! the computation identically on every backend.
 //!
+//! A [`Payload`] shares its bytes instead of owning them: the reissue
+//! cache, tree merge buffers and traces clone a reference count, never
+//! the encoding. Frames travel without intermediate copies too:
+//! [`Response::encode`] and [`Command::encode`] allocate their exact
+//! length once, [`Response::write_frame`] writes the frame header and
+//! fields from one small buffer and a trailing payload straight from its
+//! shared bytes in one vectored write, and the one decode routine behind
+//! [`Response::decode_owned`] / [`Command::decode_owned`] lets a payload
+//! point into the frame it arrived in ([`Response::decode`] and
+//! [`Command::decode`] copy a borrowed frame once and decode that).
+//!
 //! Backends:
 //!
 //! * [`channel_pairs`] — in-process mpsc channels, one executor thread
@@ -30,10 +41,14 @@
 //! * [`crate::event`] — a non-blocking `std::net` backend whose server
 //!   multiplexes every source connection in one poll loop.
 
+use crate::frame::{FrameBuf, FRAME_CMD, FRAME_RESP};
 use crate::messages::Message;
 use crate::network::NetworkStats;
 use crate::{NetError, Result};
+use std::io::Write;
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The one fault-tolerance knob every backend obeys: how long any single
@@ -95,9 +110,15 @@ impl Default for DeadlinePolicy {
 }
 
 /// One data-plane message, kept in its exact wire encoding.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The bytes are shared: a payload is a reference-counted buffer — its
+/// own encoding, or the whole frame it arrived in — plus where the
+/// encoding starts in it, so a clone copies no byte. Equality compares
+/// the encodings.
+#[derive(Clone)]
 pub struct Payload {
-    bytes: Vec<u8>,
+    buf: Arc<Vec<u8>>,
+    start: usize,
     bits: u64,
 }
 
@@ -105,15 +126,17 @@ impl Payload {
     /// Encodes a message into a payload.
     pub fn of(msg: &Message) -> Payload {
         let (bytes, bits) = msg.encode();
-        Payload {
-            bytes,
-            bits: bits as u64,
-        }
+        Payload::from_encoded(bytes, bits as u64)
     }
 
-    /// Wraps already-encoded bytes (used by the frame decoders).
+    /// Wraps already-encoded bytes, exactly `⌈bits/8⌉` of them.
     pub(crate) fn from_encoded(bytes: Vec<u8>, bits: u64) -> Payload {
-        Payload { bytes, bits }
+        debug_assert_eq!(bytes.len() as u64, bits.div_ceil(8));
+        Payload {
+            buf: Arc::new(bytes),
+            start: 0,
+            bits,
+        }
     }
 
     /// Decodes the carried message.
@@ -122,7 +145,7 @@ impl Payload {
     ///
     /// Wire-format decode failures.
     pub fn decode(&self) -> Result<Message> {
-        Message::decode(&self.bytes, self.bits as usize)
+        Message::decode(self.bytes(), self.bits as usize)
     }
 
     /// Exact encoded bit length — what the transport charges.
@@ -139,7 +162,7 @@ impl Payload {
     /// payloads.
     pub fn kind(&self) -> Result<&'static str> {
         let tag = self
-            .bytes
+            .bytes()
             .first()
             .copied()
             .ok_or(NetError::UnknownMessageTag { tag: 0 })?;
@@ -149,11 +172,28 @@ impl Payload {
     /// The leading wire tag byte (`0` for an empty payload) — what a
     /// tree-mode executor reports as its leaf kind without decoding.
     pub fn tag(&self) -> u8 {
-        self.bytes.first().copied().unwrap_or(0)
+        self.bytes().first().copied().unwrap_or(0)
     }
 
-    fn encoded(&self) -> (&[u8], u64) {
-        (&self.bytes, self.bits)
+    /// The encoded bytes, `⌈bits/8⌉` of them.
+    fn bytes(&self) -> &[u8] {
+        let len = (self.bits as usize).div_ceil(8);
+        &self.buf[self.start..self.start + len]
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        self.bits == other.bits && self.bytes() == other.bytes()
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Payload")
+            .field("bytes", &self.bytes())
+            .field("bits", &self.bits)
+            .finish()
     }
 }
 
@@ -433,10 +473,17 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_be_bytes());
 }
 
-fn push_payload(buf: &mut Vec<u8>, payload: &Payload) {
-    let (bytes, bits) = payload.encoded();
-    push_u64(buf, bits);
-    buf.extend_from_slice(bytes);
+/// Appends a payload field's bit length and returns its bytes: a
+/// payload is the last field of every frame that carries one, so the
+/// caller appends them, or writes them from the payload's own buffer.
+fn push_payload_head<'p>(buf: &mut Vec<u8>, payload: &'p Payload) -> &'p [u8] {
+    push_u64(buf, payload.bits);
+    payload.bytes()
+}
+
+/// Encoded length of a payload field: its bit length, then its bytes.
+fn payload_len(payload: &Payload) -> usize {
+    8 + payload.bytes().len()
 }
 
 fn push_str(buf: &mut Vec<u8>, s: &str) {
@@ -444,17 +491,23 @@ fn push_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// Reads the fields of one frame, or of a length-prefixed frame nested
+/// in it, out of a shared buffer (`frame[window]`).
 struct ByteReader<'a> {
-    buf: &'a [u8],
+    frame: &'a Arc<Vec<u8>>,
+    start: usize,
     pos: usize,
+    end: usize,
     context: &'static str,
 }
 
 impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8], context: &'static str) -> Self {
+    fn new(frame: &'a Arc<Vec<u8>>, window: Range<usize>, context: &'static str) -> Self {
         ByteReader {
-            buf,
-            pos: 0,
+            frame,
+            start: window.start,
+            pos: window.start,
+            end: window.end,
             context,
         }
     }
@@ -462,21 +515,17 @@ impl<'a> ByteReader<'a> {
     fn short(&self) -> NetError {
         NetError::Transport {
             context: self.context,
-            detail: format!("truncated frame ({} bytes)", self.buf.len()),
+            detail: format!("truncated frame ({} bytes)", self.end - self.start),
         }
     }
 
     fn u8(&mut self) -> Result<u8> {
-        let v = *self.buf.get(self.pos).ok_or_else(|| self.short())?;
-        self.pos += 1;
-        Ok(v)
+        Ok(self.bytes(1)?[0])
     }
 
     fn u64(&mut self) -> Result<u64> {
-        let end = self.pos.checked_add(8).ok_or_else(|| self.short())?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(|| self.short())?;
-        self.pos = end;
-        Ok(u64::from_be_bytes(slice.try_into().expect("8 bytes")))
+        let bytes = self.bytes(8)?;
+        Ok(u64::from_be_bytes(bytes.try_into().expect("8 bytes")))
     }
 
     fn f64(&mut self) -> Result<f64> {
@@ -484,22 +533,35 @@ impl<'a> ByteReader<'a> {
     }
 
     fn bytes(&mut self, len: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(len).ok_or_else(|| self.short())?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(|| self.short())?;
+        let end = self
+            .pos
+            .checked_add(len)
+            .filter(|&end| end <= self.end)
+            .ok_or_else(|| self.short())?;
+        let frame: &'a [u8] = self.frame;
+        let slice = &frame[self.pos..end];
         self.pos = end;
         Ok(slice)
     }
 
-    /// A length-prefixed inner frame, borrowed from the outer one.
-    fn frame(&mut self) -> Result<&'a [u8]> {
+    /// A length-prefixed inner frame: its window in the outer one.
+    fn frame(&mut self) -> Result<Range<usize>> {
         let len = self.u64()?;
-        self.bytes(usize::try_from(len).map_err(|_| self.short())?)
+        let start = self.pos;
+        self.bytes(usize::try_from(len).map_err(|_| self.short())?)?;
+        Ok(start..self.pos)
     }
 
+    /// A payload field, pointing into the frame's buffer.
     fn payload(&mut self) -> Result<Payload> {
         let bits = self.u64()?;
-        let bytes = self.bytes((bits as usize).div_ceil(8))?;
-        Ok(Payload::from_encoded(bytes.to_vec(), bits))
+        let start = self.pos;
+        self.bytes(usize::try_from(bits.div_ceil(8)).map_err(|_| self.short())?)?;
+        Ok(Payload {
+            buf: Arc::clone(self.frame),
+            start,
+            bits,
+        })
     }
 
     fn string(&mut self) -> Result<String> {
@@ -511,12 +573,12 @@ impl<'a> ByteReader<'a> {
     }
 
     fn finish(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
+        if self.pos != self.end {
             return Err(NetError::Transport {
                 context: self.context,
                 detail: format!(
                     "{} trailing bytes after a complete frame",
-                    self.buf.len() - self.pos
+                    self.end - self.pos
                 ),
             });
         }
@@ -563,18 +625,56 @@ impl Command {
         )
     }
 
-    /// Encodes the command for a socket frame.
+    /// Length of [`encode`](Self::encode)'s output, without encoding.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Command::Describe | Command::TransmitBasis | Command::Transmit => 0,
+            Command::Stage { .. }
+            | Command::Deadline { .. }
+            | Command::Resume { .. }
+            | Command::Promote { .. } => 8,
+            Command::Deliver { payload } => payload_len(payload),
+            Command::Finish { .. } => 24,
+            Command::Abort { reason } => 8 + reason.len(),
+            Command::Reissue { cmd, .. } | Command::Forward { cmd, .. } => 16 + cmd.encoded_len(),
+            Command::Replay { cmd, .. } => 24 + cmd.encoded_len(),
+            Command::MergeWith { payload, .. } => 18 + payload.as_ref().map_or(0, payload_len),
+        }
+    }
+
+    /// Encodes the command for a socket frame, in one allocation of its
+    /// exact length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        let tail = self.encode_head(&mut buf);
+        buf.extend_from_slice(tail);
+        debug_assert_eq!(buf.len(), self.encoded_len());
+        buf
+    }
+
+    /// The command's wire frame (header and encoding), built in one
+    /// allocation of its exact size.
+    pub(crate) fn frame(&self) -> FrameBuf {
+        FrameBuf::build(FRAME_CMD, self.encoded_len(), |buf| {
+            let tail = self.encode_head(buf);
+            buf.extend_from_slice(tail);
+        })
+    }
+
+    /// Appends the encoding to `buf`, all but the bytes of a trailing
+    /// payload, which it returns (empty when there is none). A wrapper's
+    /// carried frame is its last field, so its trailing payload is the
+    /// wrapper's too.
+    fn encode_head<'s>(&'s self, buf: &mut Vec<u8>) -> &'s [u8] {
         match self {
             Command::Describe => buf.push(CMD_DESCRIBE),
             Command::Stage { index } => {
                 buf.push(CMD_STAGE);
-                push_u64(&mut buf, *index as u64);
+                push_u64(buf, *index as u64);
             }
             Command::Deliver { payload } => {
                 buf.push(CMD_DELIVER);
-                push_payload(&mut buf, payload);
+                return push_payload_head(buf, payload);
             }
             Command::TransmitBasis => buf.push(CMD_TRANSMIT_BASIS),
             Command::Transmit => buf.push(CMD_TRANSMIT),
@@ -584,47 +684,44 @@ impl Command {
                 centers_hash,
             } => {
                 buf.push(CMD_FINISH);
-                push_u64(&mut buf, *uplink_bits);
-                push_u64(&mut buf, *downlink_bits);
-                push_u64(&mut buf, *centers_hash);
+                push_u64(buf, *uplink_bits);
+                push_u64(buf, *downlink_bits);
+                push_u64(buf, *centers_hash);
             }
             Command::Abort { reason } => {
                 buf.push(CMD_ABORT);
-                push_str(&mut buf, reason);
+                push_str(buf, reason);
             }
             Command::Deadline { ms } => {
                 buf.push(CMD_DEADLINE);
-                push_u64(&mut buf, *ms);
+                push_u64(buf, *ms);
             }
             Command::Reissue { round, cmd } => {
                 buf.push(CMD_REISSUE);
-                push_u64(&mut buf, *round);
-                let inner = cmd.encode();
-                push_u64(&mut buf, inner.len() as u64);
-                buf.extend_from_slice(&inner);
+                push_u64(buf, *round);
+                push_u64(buf, cmd.encoded_len() as u64);
+                return cmd.encode_head(buf);
             }
             Command::Resume { round } => {
                 buf.push(CMD_RESUME);
-                push_u64(&mut buf, *round);
+                push_u64(buf, *round);
             }
             Command::Promote { origin } => {
                 buf.push(CMD_PROMOTE);
-                push_u64(&mut buf, *origin);
+                push_u64(buf, *origin);
             }
             Command::Replay { origin, round, cmd } => {
                 buf.push(CMD_REPLAY);
-                push_u64(&mut buf, *origin);
-                push_u64(&mut buf, *round);
-                let inner = cmd.encode();
-                push_u64(&mut buf, inner.len() as u64);
-                buf.extend_from_slice(&inner);
+                push_u64(buf, *origin);
+                push_u64(buf, *round);
+                push_u64(buf, cmd.encoded_len() as u64);
+                return cmd.encode_head(buf);
             }
             Command::Forward { origin, cmd } => {
                 buf.push(CMD_FORWARD);
-                push_u64(&mut buf, *origin);
-                let inner = cmd.encode();
-                push_u64(&mut buf, inner.len() as u64);
-                buf.extend_from_slice(&inner);
+                push_u64(buf, *origin);
+                push_u64(buf, cmd.encoded_len() as u64);
+                return cmd.encode_head(buf);
             }
             Command::MergeWith {
                 gather,
@@ -636,20 +733,31 @@ impl Command {
             } => {
                 buf.push(CMD_MERGE_WITH);
                 buf.push(*gather);
-                push_u64(&mut buf, *level);
-                push_u64(&mut buf, *active);
+                push_u64(buf, *level);
+                push_u64(buf, *active);
                 let flags =
                     u8::from(payload.is_some()) | (u8::from(*emit) << 1) | (u8::from(*last) << 2);
                 buf.push(flags);
                 if let Some(p) = payload {
-                    push_payload(&mut buf, p);
+                    return push_payload_head(buf, p);
                 }
             }
         }
-        buf
+        &[]
     }
 
-    /// Decodes a command frame.
+    /// Decodes a command frame, copying it once (see
+    /// [`decode_owned`](Self::decode_owned)).
+    ///
+    /// # Errors
+    ///
+    /// See [`decode_owned`](Self::decode_owned).
+    pub fn decode(buf: &[u8]) -> Result<Command> {
+        Command::decode_owned(buf.to_vec())
+    }
+
+    /// Decodes a command frame the caller owns; a carried payload points
+    /// into it instead of being copied out.
     ///
     /// Wrappers nest only as the driver, the journal and the routing
     /// layer emit them: at most one [`Command::Forward`] around at most
@@ -662,12 +770,13 @@ impl Command {
     /// [`NetError::Transport`] on truncated or trailing bytes,
     /// [`NetError::ProtocolViolation`] on an unknown tag, a stage index
     /// above `u32::MAX`, or wrappers nested outside the grammar.
-    pub fn decode(buf: &[u8]) -> Result<Command> {
-        Command::decode_in(buf, Wrapping::None)
+    pub fn decode_owned(frame: Vec<u8>) -> Result<Command> {
+        let frame = Arc::new(frame);
+        Command::decode_in(&frame, 0..frame.len(), Wrapping::None)
     }
 
-    fn decode_in(buf: &[u8], outer: Wrapping) -> Result<Command> {
-        let mut r = ByteReader::new(buf, "command decode");
+    fn decode_in(frame: &Arc<Vec<u8>>, window: Range<usize>, outer: Wrapping) -> Result<Command> {
+        let mut r = ByteReader::new(frame, window, "command decode");
         let tag = r.u8()?;
         let nested_too_deep = match tag {
             CMD_FORWARD => outer != Wrapping::None,
@@ -709,18 +818,18 @@ impl Command {
             CMD_DEADLINE => Command::Deadline { ms: r.u64()? },
             CMD_REISSUE => Command::Reissue {
                 round: r.u64()?,
-                cmd: Box::new(Command::decode_in(r.frame()?, Wrapping::Retry)?),
+                cmd: Box::new(Command::decode_in(frame, r.frame()?, Wrapping::Retry)?),
             },
             CMD_RESUME => Command::Resume { round: r.u64()? },
             CMD_PROMOTE => Command::Promote { origin: r.u64()? },
             CMD_REPLAY => Command::Replay {
                 origin: r.u64()?,
                 round: r.u64()?,
-                cmd: Box::new(Command::decode_in(r.frame()?, Wrapping::Retry)?),
+                cmd: Box::new(Command::decode_in(frame, r.frame()?, Wrapping::Retry)?),
             },
             CMD_FORWARD => Command::Forward {
                 origin: r.u64()?,
-                cmd: Box::new(Command::decode_in(r.frame()?, Wrapping::Forward)?),
+                cmd: Box::new(Command::decode_in(frame, r.frame()?, Wrapping::Forward)?),
             },
             CMD_MERGE_WITH => {
                 let gather = r.u8()?;
@@ -784,9 +893,50 @@ impl Response {
         }
     }
 
-    /// Encodes the response for a socket frame.
+    /// Length of [`encode`](Self::encode)'s output, without encoding.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Response::Done { .. } => 40,
+            Response::Up { payload, .. } => 24 + payload_len(payload),
+            Response::Fin { .. } | Response::Replayed { .. } => 24,
+            Response::Err { reason } | Response::SourceLost { reason } => 8 + reason.len(),
+            Response::Resumed { .. } | Response::Promoted { .. } => 16,
+            Response::Forwarded { resp, .. } => 16 + resp.encoded_len(),
+            Response::Merged { payload, .. } => 18 + payload.as_ref().map_or(0, payload_len),
+        }
+    }
+
+    /// Encodes the response for a socket frame, in one allocation of its
+    /// exact length.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        let tail = self.encode_head(&mut buf);
+        buf.extend_from_slice(tail);
+        debug_assert_eq!(buf.len(), self.encoded_len());
+        buf
+    }
+
+    /// Writes the response as one [`FRAME_RESP`] frame, byte for byte
+    /// what [`crate::frame::write_frame`] writes of [`encode`](Self::encode)'s
+    /// output, without building that encoding: the frame header, the
+    /// fields and a trailing payload go out in one vectored write, the
+    /// payload straight from its shared bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Transport`] on I/O failure or a frame above
+    /// [`crate::frame::MAX_FRAME_BITS`].
+    pub fn write_frame<W: Write>(&self, w: &mut W) -> Result<()> {
+        // Every response's fields before a payload fit in 64 bytes; only
+        // a long `Err` reason grows the buffer.
+        let mut head = Vec::with_capacity(64);
+        let tail = self.encode_head(&mut head);
+        crate::frame::write_split_frame(w, FRAME_RESP, &head, tail)
+    }
+
+    /// Appends the encoding to `buf`, all but the bytes of a trailing
+    /// payload, which it returns (see [`Command::encode_head`]).
+    fn encode_head<'s>(&'s self, buf: &mut Vec<u8>) -> &'s [u8] {
         match self {
             Response::Done {
                 round,
@@ -796,11 +946,11 @@ impl Response {
                 seconds,
             } => {
                 buf.push(RESP_DONE);
-                push_u64(&mut buf, *round);
-                push_u64(&mut buf, *rows);
-                push_u64(&mut buf, *cols);
-                push_u64(&mut buf, *ops);
-                push_u64(&mut buf, seconds.to_bits());
+                push_u64(buf, *round);
+                push_u64(buf, *rows);
+                push_u64(buf, *cols);
+                push_u64(buf, *ops);
+                push_u64(buf, seconds.to_bits());
             }
             Response::Up {
                 round,
@@ -809,10 +959,10 @@ impl Response {
                 seconds,
             } => {
                 buf.push(RESP_UP);
-                push_u64(&mut buf, *round);
-                push_u64(&mut buf, *ops);
-                push_u64(&mut buf, seconds.to_bits());
-                push_payload(&mut buf, payload);
+                push_u64(buf, *round);
+                push_u64(buf, *ops);
+                push_u64(buf, seconds.to_bits());
+                return push_payload_head(buf, payload);
             }
             Response::Fin {
                 round,
@@ -820,27 +970,27 @@ impl Response {
                 downlink_bits,
             } => {
                 buf.push(RESP_FIN);
-                push_u64(&mut buf, *round);
-                push_u64(&mut buf, *uplink_bits);
-                push_u64(&mut buf, *downlink_bits);
+                push_u64(buf, *round);
+                push_u64(buf, *uplink_bits);
+                push_u64(buf, *downlink_bits);
             }
             Response::Err { reason } => {
                 buf.push(RESP_ERR);
-                push_str(&mut buf, reason);
+                push_str(buf, reason);
             }
             Response::Resumed { round, fingerprint } => {
                 buf.push(RESP_RESUMED);
-                push_u64(&mut buf, *round);
-                push_u64(&mut buf, *fingerprint);
+                push_u64(buf, *round);
+                push_u64(buf, *fingerprint);
             }
             Response::SourceLost { reason } => {
                 buf.push(RESP_SOURCE_LOST);
-                push_str(&mut buf, reason);
+                push_str(buf, reason);
             }
             Response::Promoted { origin, round } => {
                 buf.push(RESP_PROMOTED);
-                push_u64(&mut buf, *origin);
-                push_u64(&mut buf, *round);
+                push_u64(buf, *origin);
+                push_u64(buf, *round);
             }
             Response::Replayed {
                 origin,
@@ -848,16 +998,15 @@ impl Response {
                 fingerprint,
             } => {
                 buf.push(RESP_REPLAYED);
-                push_u64(&mut buf, *origin);
-                push_u64(&mut buf, *round);
-                push_u64(&mut buf, *fingerprint);
+                push_u64(buf, *origin);
+                push_u64(buf, *round);
+                push_u64(buf, *fingerprint);
             }
             Response::Forwarded { origin, resp } => {
                 buf.push(RESP_FORWARDED);
-                push_u64(&mut buf, *origin);
-                let inner = resp.encode();
-                push_u64(&mut buf, inner.len() as u64);
-                buf.extend_from_slice(&inner);
+                push_u64(buf, *origin);
+                push_u64(buf, resp.encoded_len() as u64);
+                return resp.encode_head(buf);
             }
             Response::Merged {
                 round,
@@ -867,31 +1016,44 @@ impl Response {
                 last,
             } => {
                 buf.push(RESP_MERGED);
-                push_u64(&mut buf, *round);
-                push_u64(&mut buf, *leaf_bits);
+                push_u64(buf, *round);
+                push_u64(buf, *leaf_bits);
                 buf.push(*leaf_tag);
                 let flags = u8::from(payload.is_some()) | (u8::from(*last) << 1);
                 buf.push(flags);
                 if let Some(p) = payload {
-                    push_payload(&mut buf, p);
+                    return push_payload_head(buf, p);
                 }
             }
         }
-        buf
+        &[]
     }
 
-    /// Decodes a response frame. A [`Response::Forwarded`] carries one
-    /// plain response, never another wrapper.
+    /// Decodes a response frame, copying it once (see
+    /// [`decode_owned`](Self::decode_owned)).
     ///
     /// # Errors
     ///
-    /// See [`Command::decode`].
+    /// See [`Command::decode_owned`].
     pub fn decode(buf: &[u8]) -> Result<Response> {
-        Response::decode_in(buf, false)
+        Response::decode_owned(buf.to_vec())
     }
 
-    fn decode_in(buf: &[u8], forwarded: bool) -> Result<Response> {
-        let mut r = ByteReader::new(buf, "response decode");
+    /// Decodes a response frame the caller owns; a carried payload
+    /// points into it instead of being copied out. A
+    /// [`Response::Forwarded`] carries one plain response, never another
+    /// wrapper.
+    ///
+    /// # Errors
+    ///
+    /// See [`Command::decode_owned`].
+    pub fn decode_owned(frame: Vec<u8>) -> Result<Response> {
+        let frame = Arc::new(frame);
+        Response::decode_in(&frame, 0..frame.len(), false)
+    }
+
+    fn decode_in(frame: &Arc<Vec<u8>>, window: Range<usize>, forwarded: bool) -> Result<Response> {
+        let mut r = ByteReader::new(frame, window, "response decode");
         let tag = r.u8()?;
         if forwarded && tag == RESP_FORWARDED {
             return Err(NetError::ProtocolViolation {
@@ -940,7 +1102,7 @@ impl Response {
             },
             RESP_FORWARDED => Response::Forwarded {
                 origin: r.u64()?,
-                resp: Box::new(Response::decode_in(r.frame()?, true)?),
+                resp: Box::new(Response::decode_in(frame, r.frame()?, true)?),
             },
             RESP_MERGED => {
                 let round = r.u64()?;
@@ -985,16 +1147,14 @@ impl Response {
 #[derive(Debug, Clone)]
 pub struct EncodedCommand {
     cmd: Command,
-    frame: crate::frame::FrameBuf,
+    frame: FrameBuf,
 }
 
 impl EncodedCommand {
-    /// Encodes `cmd` once into a reusable [`crate::frame::FrameBuf`]
-    /// under [`crate::frame::FRAME_CMD`].
+    /// Encodes `cmd` once into a reusable [`FrameBuf`] under
+    /// [`FRAME_CMD`].
     pub fn new(cmd: Command) -> EncodedCommand {
-        let bytes = cmd.encode();
-        let frame = crate::frame::FrameBuf::new(crate::frame::FRAME_CMD, &bytes, bytes.len() * 8)
-            .expect("command encodings are always consistent and under the frame cap");
+        let frame = cmd.frame();
         EncodedCommand { cmd, frame }
     }
 
@@ -1138,10 +1298,10 @@ pub fn charge_command(stats: &mut NetworkStats, source: usize, cmd: &Command) ->
         // carried command of a `Forward` is charged exactly as if it
         // went to the absorbed origin directly.
         Command::Promote { .. } => {
-            stats.charge_promotion((cmd.encode().len() * 8) as u64);
+            stats.charge_promotion((cmd.encoded_len() * 8) as u64);
         }
         Command::Replay { .. } => {
-            stats.charge_replay((cmd.encode().len() * 8) as u64);
+            stats.charge_replay((cmd.encoded_len() * 8) as u64);
         }
         Command::Forward { origin, cmd } => {
             charge_command(stats, *origin as usize, cmd)?;
@@ -1186,7 +1346,7 @@ pub fn charge_response(stats: &mut NetworkStats, source: usize, resp: &Response)
         // are pure recovery overhead, a forwarded response is charged
         // as if the absorbed origin sent it itself.
         Response::Promoted { .. } | Response::Replayed { .. } => {
-            stats.charge_replica_bits((resp.encode().len() * 8) as u64);
+            stats.charge_replica_bits((resp.encoded_len() * 8) as u64);
         }
         Response::Forwarded { origin, resp } => {
             charge_response(stats, *origin as usize, resp)?;

@@ -1,16 +1,18 @@
 //! Totality of the wire decoders: on any input, `Message::decode`,
-//! `Command::decode`, `Response::decode` and the frame readers
-//! (`read_frame`, `try_read_frame`, `FrameAssembler::next_frame`) return
-//! a value or a typed error, never panic, and allocate at most 8 bytes
-//! per input byte plus 1 KiB.
+//! `Command::decode`/`decode_owned`, `Response::decode`/`decode_owned`
+//! and the frame readers (`read_frame`, `try_read_frame`,
+//! `FrameAssembler::next_frame`) return a value or a typed error, never
+//! panic, and allocate at most 8 bytes per input byte plus 1 KiB.
 //!
 //! The inputs are arbitrary bytes, and valid encodings of every message
 //! kind at full, f32 and several quantized precisions, of every command
-//! and response variant, and of frame streams, each with every bit
-//! flipped in turn (tags, precision descriptors, shape, length and frame
-//! header fields, data) and truncated at every bit or byte. Allocation is
-//! measured by the counting global allocator of `support/counting_alloc.rs`,
-//! which the journal decoder's harness in `ekm-core` includes too.
+//! and response variant, and of frame streams (one with a middle frame
+//! larger than the assembler's ring, which it reads into a buffer of its
+//! own), each with every bit flipped in turn (tags, precision
+//! descriptors, shape, length and frame header fields, data) and
+//! truncated at every bit or byte. Allocation is measured by the counting
+//! global allocator of `support/counting_alloc.rs`, which the journal
+//! decoder's harness in `ekm-core` includes too.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -224,24 +226,49 @@ fn typed<T>(result: ekm_net::Result<T>, data: &[u8]) -> Option<T> {
     }
 }
 
-/// Decodes `data` as one protocol frame under the contract.
-fn protocol_checked<T>(data: &[u8], decode: fn(&[u8]) -> ekm_net::Result<T>) -> Option<T> {
-    typed(within_bound("protocol decode", data, || decode(data)), data)
+/// A protocol frame decoder: from borrowed bytes, and from an owned
+/// frame its payloads point into.
+struct Decoder<T> {
+    borrowed: fn(&[u8]) -> ekm_net::Result<T>,
+    owned: fn(Vec<u8>) -> ekm_net::Result<T>,
+}
+
+const COMMANDS: Decoder<Command> = Decoder {
+    borrowed: Command::decode,
+    owned: Command::decode_owned,
+};
+
+const RESPONSES: Decoder<Response> = Decoder {
+    borrowed: Response::decode,
+    owned: Response::decode_owned,
+};
+
+/// Decodes `data` as one protocol frame both ways, each under the
+/// contract (the owned frame is the caller's before the decode starts),
+/// and checks that they agree.
+fn protocol_checked<T: PartialEq + Debug>(data: &[u8], decoder: &Decoder<T>) -> Option<T> {
+    let borrowed = typed(
+        within_bound("protocol decode", data, || (decoder.borrowed)(data)),
+        data,
+    );
+    let frame = data.to_vec();
+    let owned = typed(
+        within_bound("owned protocol decode", data, || (decoder.owned)(frame)),
+        data,
+    );
+    assert_eq!(borrowed, owned, "{}", hex(data));
+    owned
 }
 
 /// `value`'s encoding `buf` round-trips, and each of its single-bit flips
 /// and truncations decodes to a value or a typed error.
-fn mutations_checked<T: PartialEq + Debug>(
-    value: &T,
-    buf: &[u8],
-    decode: fn(&[u8]) -> ekm_net::Result<T>,
-) {
-    assert_eq!(protocol_checked(buf, decode).as_ref(), Some(value));
+fn mutations_checked<T: PartialEq + Debug>(value: &T, buf: &[u8], decoder: &Decoder<T>) {
+    assert_eq!(protocol_checked(buf, decoder).as_ref(), Some(value));
     for i in 0..buf.len() * 8 {
-        protocol_checked(&flipped(buf, i), decode);
+        protocol_checked(&flipped(buf, i), decoder);
     }
     for cut in 0..buf.len() {
-        let short = protocol_checked(&buf[..cut], decode);
+        let short = protocol_checked(&buf[..cut], decoder);
         assert!(short.is_none(), "{value:?} cut at {cut}");
     }
 }
@@ -386,10 +413,10 @@ fn responses() -> Vec<Response> {
 #[test]
 fn commands_and_responses_roundtrip_and_survive_flips_and_truncations() {
     for cmd in commands() {
-        mutations_checked(&cmd, &cmd.encode(), Command::decode);
+        mutations_checked(&cmd, &cmd.encode(), &COMMANDS);
     }
     for resp in responses() {
-        mutations_checked(&resp, &resp.encode(), Response::decode);
+        mutations_checked(&resp, &resp.encode(), &RESPONSES);
     }
 }
 
@@ -403,8 +430,8 @@ fn arbitrary_bytes_are_total_as_commands_and_responses() {
             // A known tag, so the bytes reach the field decoders.
             data[0] = rng.gen_range(1..=14u8);
         }
-        protocol_checked(&data, Command::decode);
-        protocol_checked(&data, Response::decode);
+        protocol_checked(&data, &COMMANDS);
+        protocol_checked(&data, &RESPONSES);
     }
 }
 
@@ -483,6 +510,38 @@ fn frame_stream() -> (Vec<u8>, Vec<Frame>) {
 #[test]
 fn frame_streams_roundtrip_and_survive_flips_and_truncations() {
     let (wire, frames) = frame_stream();
+    assert_eq!(frames_checked(&wire), frames);
+    for i in 0..wire.len() * 8 {
+        frames_checked(&flipped(&wire, i));
+    }
+    for cut in 0..wire.len() {
+        let got = frames_checked(&wire[..cut]);
+        assert!(
+            got.len() < frames.len() && frames.starts_with(&got),
+            "cut at {cut}"
+        );
+    }
+}
+
+/// A valid stream whose middle frame is larger than the assembler's
+/// 4 KiB ring, between two that fit it.
+fn large_frame_stream() -> (Vec<u8>, Vec<Frame>) {
+    let large: Vec<u8> = (0..4_200u32).map(|i| (i * 31 % 251) as u8).collect();
+    let frames: Vec<Frame> = vec![
+        (FRAME_RESP, (0..40u8).collect(), 40 * 8 - 3),
+        (FRAME_RESP, large, 4_200 * 8 - 5),
+        (FRAME_CMD, vec![0xAB, 0xC0], 11),
+    ];
+    let mut wire = Vec::new();
+    for (kind, payload, bits) in &frames {
+        write_frame(&mut wire, *kind, payload, *bits).unwrap();
+    }
+    (wire, frames)
+}
+
+#[test]
+fn a_frame_larger_than_the_ring_assembles_exactly_as_read_frame_reads_it() {
+    let (wire, frames) = large_frame_stream();
     assert_eq!(frames_checked(&wire), frames);
     for i in 0..wire.len() * 8 {
         frames_checked(&flipped(&wire, i));

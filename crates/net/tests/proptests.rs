@@ -2,6 +2,7 @@
 
 use ekm_linalg::Matrix;
 use ekm_net::bitstream::{BitReader, BitWriter};
+use ekm_net::frame::{read_frame, write_frame, FRAME_RESP};
 use ekm_net::messages::Message;
 use ekm_net::protocol::{charge_response, Payload, Response};
 use ekm_net::wire::{
@@ -313,6 +314,59 @@ proptest! {
             if let Ok(m) = result {
                 prop_assert_eq!(m, msg);
             }
+        }
+    }
+
+    /// A response's vectored frame write — fields from one small buffer,
+    /// the payload from its shared bytes — is byte for byte the frame of
+    /// its encoding, for every response that carries a payload (an
+    /// upload, a merge answer with or without one, either forwarded),
+    /// and the frame decodes in place back to the response.
+    #[test]
+    fn vectored_response_frames_are_the_frames_of_their_encodings(
+        points in small_matrix(),
+        s in 1u32..=52,
+        round in 0u64..1 << 40,
+        ops in 0u64..u64::MAX,
+        leaf_bits in 0u64..u64::MAX,
+        leaf_tag in 0u8..=255,
+        flags in 0u8..8,
+    ) {
+        let q = RoundingQuantizer::new(s).unwrap();
+        let payload = Payload::of(&Message::Coreset {
+            points: q.quantize_matrix(&points),
+            weights: vec![0.5; points.rows()],
+            delta: 0.0,
+            precision: Precision::Quantized { s },
+            weights_precision: Precision::F32,
+        });
+        let up = Response::Up {
+            round,
+            payload: payload.clone(),
+            ops,
+            seconds: ops as f64 * 1e-9,
+        };
+        let merged = Response::Merged {
+            round,
+            payload: (flags & 1 != 0).then(|| payload.clone()),
+            leaf_bits,
+            leaf_tag,
+            last: flags & 2 != 0,
+        };
+        let forwarded = Response::Forwarded {
+            origin: round,
+            resp: Box::new(if flags & 4 != 0 { up.clone() } else { merged.clone() }),
+        };
+        for resp in [up, merged, forwarded] {
+            let body = resp.encode();
+            let mut expected = Vec::new();
+            write_frame(&mut expected, FRAME_RESP, &body, body.len() * 8).unwrap();
+            let mut written = Vec::new();
+            resp.write_frame(&mut written).unwrap();
+            prop_assert_eq!(&written, &expected);
+            let (kind, frame, bits) = read_frame(&mut &written[..]).unwrap();
+            prop_assert_eq!((kind, bits), (FRAME_RESP, body.len() * 8));
+            prop_assert_eq!(Response::decode_owned(frame).unwrap(), resp);
         }
     }
 }

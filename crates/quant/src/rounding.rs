@@ -73,33 +73,48 @@ impl RoundingQuantizer {
     /// carry out of the significand correctly bumps the exponent
     /// (e.g. `1.111…·2^e → 1.0·2^{e+1}`).
     pub fn quantize(&self, x: f64) -> f64 {
-        if self.s == STORED_SIGNIFICAND_BITS || x == 0.0 || !x.is_finite() {
-            return x;
-        }
-        let bits = x.to_bits();
-        let sign = bits & (1u64 << 63);
-        let magnitude = bits & !(1u64 << 63);
-        let drop = STORED_SIGNIFICAND_BITS - self.s;
-        // Round-half-away-from-zero on the magnitude: the IEEE encoding of
-        // the magnitude is monotone in its bit pattern, so integer
-        // arithmetic implements rounding, including exponent carries.
-        let half = 1u64 << (drop - 1);
-        let rounded = magnitude.saturating_add(half) & !((1u64 << drop) - 1);
-        // A carry into/through the exponent field is valid rounding unless
-        // it overflows to infinity; saturate at the largest representable
-        // quantized value in that case.
-        let clamped = if f64::from_bits(rounded).is_infinite() {
-            let max_exp_bits = (0x7FEu64) << STORED_SIGNIFICAND_BITS;
-            max_exp_bits | (((1u64 << self.s) - 1) << drop)
-        } else {
-            rounded
-        };
-        f64::from_bits(sign | clamped)
+        let mut one = [x];
+        self.quantize_in_place(&mut one);
+        one[0]
     }
 
-    /// Quantizes every entry of a matrix.
+    /// Quantizes every entry of a matrix into a new one.
     pub fn quantize_matrix(&self, m: &Matrix) -> Matrix {
-        m.map(|x| self.quantize(x))
+        let mut out = m.clone();
+        self.quantize_in_place(out.as_mut_slice());
+        out
+    }
+
+    /// Quantizes every entry of `xs` in place ([`quantize`](Self::quantize)
+    /// of each), so what a source ships is written into the summary it
+    /// already owns.
+    ///
+    /// Round-half-away-from-zero on the magnitude: the IEEE encoding of
+    /// the magnitude is monotone in its bit pattern, so integer
+    /// arithmetic implements rounding, including exponent carries (and
+    /// zero needs no case of its own: half an ulp of the kept bits
+    /// rounds it back to zero). The loop has no branches, so it
+    /// vectorizes.
+    pub fn quantize_in_place(&self, xs: &mut [f64]) {
+        if self.s == STORED_SIGNIFICAND_BITS {
+            return;
+        }
+        const SIGN: u64 = 1 << 63;
+        const INF: u64 = 0x7FF << STORED_SIGNIFICAND_BITS;
+        let drop = STORED_SIGNIFICAND_BITS - self.s;
+        let half = 1u64 << (drop - 1);
+        let kept = !((1u64 << drop) - 1);
+        // A carry into the exponent is valid rounding unless it reaches
+        // infinity; it saturates at the largest quantized value then.
+        let max = (0x7FEu64 << STORED_SIGNIFICAND_BITS) | (((1u64 << self.s) - 1) << drop);
+        for x in xs {
+            let bits = x.to_bits();
+            let magnitude = bits & !SIGN;
+            // Below 2⁶⁴ for any pattern; infinities and NaN pass through.
+            let rounded = (magnitude + half) & kept;
+            let quantized = (bits & SIGN) | if rounded >= INF { max } else { rounded };
+            *x = f64::from_bits(if magnitude >= INF { bits } else { quantized });
+        }
     }
 
     /// The paper's worst-case quantization error bound (14):

@@ -4,6 +4,27 @@ use ekm_quant::config::QtOptimizer;
 use ekm_quant::rounding::{RoundingQuantizer, STORED_SIGNIFICAND_BITS};
 use proptest::prelude::*;
 
+/// The scalar quantizer the branch-free slice loop replaced, kept as
+/// the reference it is held to bit for bit.
+fn reference_quantize(s: u32, x: f64) -> f64 {
+    if s == STORED_SIGNIFICAND_BITS || x == 0.0 || !x.is_finite() {
+        return x;
+    }
+    let bits = x.to_bits();
+    let sign = bits & (1u64 << 63);
+    let magnitude = bits & !(1u64 << 63);
+    let drop = STORED_SIGNIFICAND_BITS - s;
+    let half = 1u64 << (drop - 1);
+    let rounded = magnitude.saturating_add(half) & !((1u64 << drop) - 1);
+    let clamped = if f64::from_bits(rounded).is_infinite() {
+        let max_exp_bits = (0x7FEu64) << STORED_SIGNIFICAND_BITS;
+        max_exp_bits | (((1u64 << s) - 1) << drop)
+    } else {
+        rounded
+    };
+    f64::from_bits(sign | clamped)
+}
+
 fn finite_f64() -> impl Strategy<Value = f64> {
     prop_oneof![-1.0e12f64..1.0e12, -1.0f64..1.0, -1.0e-12f64..1.0e-12,]
 }
@@ -17,6 +38,33 @@ proptest! {
         let q = RoundingQuantizer::new(s).unwrap();
         let y = q.quantize(x);
         prop_assert!((x - y).abs() <= x.abs() * 2f64.powi(-(s as i32)) * (1.0 + 1e-12));
+    }
+
+    /// The branch-free quantizer is bitwise the branching scalar loop it
+    /// replaced on any bit pattern: zeros, subnormals, values that round
+    /// up to the largest finite one, infinities and NaN payloads
+    /// included.
+    #[test]
+    fn quantizer_is_bitwise_the_branching_reference(
+        patterns in proptest::collection::vec(
+            prop_oneof![
+                0u64..u64::MAX,
+                0u64..1 << 52,
+                0x7FE0_0000_0000_0000u64..0x7FF8_0000_0000_0000,
+                0xFFE0_0000_0000_0000u64..u64::MAX,
+            ],
+            0..64,
+        ),
+        s in 1u32..=52,
+    ) {
+        let q = RoundingQuantizer::new(s).unwrap();
+        let mut xs: Vec<f64> = patterns.iter().map(|&b| f64::from_bits(b)).collect();
+        q.quantize_in_place(&mut xs);
+        for (&b, y) in patterns.iter().zip(&xs) {
+            let want = reference_quantize(s, f64::from_bits(b)).to_bits();
+            prop_assert_eq!(y.to_bits(), want, "{:#x}", b);
+            prop_assert_eq!(q.quantize(f64::from_bits(b)).to_bits(), want, "{:#x}", b);
+        }
     }
 
     /// Γ is idempotent: Γ(Γ(x)) = Γ(x).

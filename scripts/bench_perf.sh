@@ -131,10 +131,11 @@ if fresh:
     for row in ("linalg/matmul_2000x784x392", "linalg/gram_2000x392",
                 "linalg/top_eigen_392_t33", "linalg/pinv_784x392"):
         assert row in names, f"kernel row {row} missing"
-    # The serve-path upload layers: the quantized coreset codec and the
-    # reassembly of its frame.
+    # The serve-path upload layers: the quantized coreset codec, the
+    # source's whole transmit (in-place quantize, encode, frame write)
+    # and the server's reassembly of its frame.
     for row in ("wire/encode_q8_10000x784", "wire/decode_q8_10000x784",
-                "frame/reassemble_upload_qt"):
+                "wire/transmit_q8_10000x784", "frame/reassemble_upload_qt"):
         assert row in names, f"codec/frame row {row} missing"
     # The server solve at the same shape: three k = 2 restarts over the
     # 10000 x 784 summary.

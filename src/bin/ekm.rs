@@ -35,6 +35,27 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// `println!` for the command output. A reader that stops early (`ekm
+/// help | head -1`) closes stdout; the command then ends quietly with
+/// success, as a process ended by SIGPIPE would, instead of panicking
+/// on the failed write.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
+fn say(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+        std::process::exit(0);
+    }
+}
+
 const HELP: &str = "\
 ekm — communication-efficient k-means for edge-based machine learning
 
@@ -460,7 +481,7 @@ fn report_line(
     let display = pipe.name();
     let nc = evaluation::normalized_cost(data, &out.centers, reference_cost)
         .map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "{display:<14} cost {nc:>8.4}   comm {:>10.3e}   source {:>8.4}s ({:>9.3e} ops)   summary {:>6} pts",
         out.normalized_comm(n, d),
         out.source_seconds,
@@ -505,15 +526,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let sources = args.get_usize("sources", 10)?;
     let pipelines = select_pipelines(args, &params, false)?;
     let pipe = &pipelines[0];
-    println!("dataset {n} x {d}, k = {}", params.k);
+    say!("dataset {n} x {d}, k = {}", params.k);
     let reference = evaluation::reference(&data, params.k, 5, 1).map_err(|e| e.to_string())?;
-    println!("reference cost: {:.4}\n", reference.cost);
+    say!("reference cost: {:.4}\n", reference.cost);
     let out = run_pipe(pipe, &data, sources, None)?;
     report_line(pipe, &data, &out, reference.cost)?;
-    println!("total uplink-bits {}", out.uplink_bits);
+    say!("total uplink-bits {}", out.uplink_bits);
     if let Some(path) = args.flags.get("centers-out") {
         write_centers(path, &out.centers)?;
-        println!("centers saved to {path}");
+        say!("centers saved to {path}");
     }
     Ok(())
 }
@@ -536,8 +557,8 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         ));
     }
     let cost = edge_kmeans::clustering::cost::cost(&data, &centers).map_err(|e| e.to_string())?;
-    println!("dataset {n} x {d}, centers {}", centers.rows());
-    println!("cost {cost:.17e}");
+    say!("dataset {n} x {d}, centers {}", centers.rows());
+    say!("cost {cost:.17e}");
     Ok(())
 }
 
@@ -553,9 +574,9 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let params = build_params(args, n, d)?;
     let sources = args.get_usize("sources", 10)?;
     let pipelines = select_pipelines(args, &params, true)?;
-    println!("dataset {n} x {d}, k = {}", params.k);
+    say!("dataset {n} x {d}, k = {}", params.k);
     let reference = evaluation::reference(&data, params.k, 5, 1).map_err(|e| e.to_string())?;
-    println!("reference cost: {:.4}\n", reference.cost);
+    say!("reference cost: {:.4}\n", reference.cost);
     // Stage outputs are memoized across the sweep's pipelines (shared
     // prefixes like `jl,fss` under several QT widths run once, with
     // bit-identical outputs and accounting); --no-cache turns it off.
@@ -582,7 +603,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         }
     }
     if let Some(cache) = &cache {
-        println!(
+        say!(
             "\nstage cache: {} hits, {} misses, {} evictions over {} entries \
              (~{} bytes held, hit rate {:.2})",
             cache.hits(),
@@ -733,7 +754,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // sources own their shards.
     let plan = prepare_dist_plan(args)?;
     let binding = EventServerBinding::bind(addr.as_str()).map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "listening on {} for {} source(s), pipeline {} [config {:#018x}, server-driven protocol]",
         binding.local_addr().map_err(|e| e.to_string())?,
         plan.m,
@@ -751,7 +772,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Vec::new()
     };
     if !absent.is_empty() {
-        println!(
+        say!(
             "resume: {} absorbed source(s) will not rejoin: {absent:?}",
             absent.len()
         );
@@ -759,13 +780,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let net = binding
         .accept_absent(plan.m, plan.fingerprint, &absent)
         .map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "all {} source(s) connected; driving the protocol",
         plan.m - absent.len()
     );
     let (out, stats) = drive_accepted(args, &plan, net)?;
     let digest = RunDigest::new(&stats, &out.centers);
-    println!(
+    say!(
         "{} complete: centers {}x{}, comm {:.3e}, summary {} pts",
         plan.pipe.name(),
         out.centers.rows(),
@@ -775,52 +796,55 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     );
     if let Some(rec) = &out.recovered {
         for (origin, host) in &rec.promoted {
-            println!("recovered: source {origin} re-homed onto replica host {host}");
+            say!("recovered: source {origin} re-homed onto replica host {host}");
         }
-        println!(
+        say!(
             "recovered: {} completed round(s) replayed onto replicas",
             rec.replayed_rounds
         );
     }
     if let Some(deg) = &out.degraded {
         for (i, reason) in &deg.lost_sources {
-            println!("degraded: source {i} lost ({reason})");
+            say!("degraded: source {i} lost ({reason})");
         }
-        println!(
+        say!(
             "degraded: {} of {} rows dropped, cost-ratio bound {:.6}",
-            deg.rows_lost, deg.rows_total, deg.cost_ratio_bound
+            deg.rows_lost,
+            deg.rows_total,
+            deg.cost_ratio_bound
         );
     }
     if plan.pipe.params().replication > 1 {
         // The replica control-plane counters, one per line for scripted
         // assertions (scripts/distributed_e2e.sh `replica` suite); they
         // stay out of the classic ledgers and the digest.
-        println!("replica promotions {}", stats.replica_promotions());
-        println!("replica replayed-rounds {}", stats.replayed_rounds());
-        println!("replica-bits {}", stats.replica_bits());
+        say!("replica promotions {}", stats.replica_promotions());
+        say!("replica replayed-rounds {}", stats.replayed_rounds());
+        say!("replica-bits {}", stats.replica_bits());
     }
     for i in 0..plan.m {
-        println!("source {i} uplink-bits {}", stats.uplink_bits(i));
+        say!("source {i} uplink-bits {}", stats.uplink_bits(i));
     }
-    println!("total uplink-bits {}", out.uplink_bits);
+    say!("total uplink-bits {}", out.uplink_bits);
     if plan.pipe.params().topology == Topology::Tree && plan.m > 1 {
         // The tree run's physical counters, one per line for scripted
         // assertions (scripts/distributed_e2e.sh `tree` suite).
-        println!("tree merge-rounds {}", stats.max_merge_rounds());
-        println!("tree relay-bits {}", stats.total_relay_bits());
-        println!(
+        say!("tree merge-rounds {}", stats.max_merge_rounds());
+        say!("tree relay-bits {}", stats.total_relay_bits());
+        say!(
             "tree server-fold-bits {} over {} input(s)",
             stats.server_fold_bits(),
             stats.server_fold_inputs()
         );
     }
-    println!(
+    say!(
         "digest {:#018x}: per-source counters verified across {} source(s)",
-        digest.centers_hash, plan.m
+        digest.centers_hash,
+        plan.m
     );
     if let Some(path) = args.flags.get("centers-out") {
         write_centers(path, &out.centers)?;
-        println!("centers saved to {path}");
+        say!("centers saved to {path}");
     }
     Ok(())
 }
@@ -861,7 +885,7 @@ fn drive_accepted(
     }
     .map_err(|e| e.to_string())?;
     if resume {
-        println!(
+        say!(
             "resume: replayed {} journal record(s) from {journal}",
             jnet.replayed_entries()
         );
@@ -948,7 +972,7 @@ fn cmd_source(args: &Args) -> Result<(), String> {
             Err(e) => return Err(e.to_string()),
         }
     };
-    println!(
+    say!(
         "source {id}: {} done — sent {} uplink-bits, received {} downlink-bits \
          (digest {:#018x}, counters verified by the server)",
         run.pipe.name(),
@@ -1011,9 +1035,9 @@ fn cmd_qtopt(args: &Args) -> Result<(), String> {
     };
     let report = optimizer.optimize().map_err(|e| e.to_string())?;
     let best = report.best();
-    println!("dataset {n} x {d}, k = {k}, Y0 = {y0}");
-    println!("lower bound E = {:.6}", e.lower_bound);
-    println!(
+    say!("dataset {n} x {d}, k = {k}, Y0 = {y0}");
+    say!("lower bound E = {:.6}", e.lower_bound);
+    say!(
         "optimal configuration: s* = {} significant bits (epsilon = {:.4})",
         best.s,
         best.epsilon.unwrap_or(f64::NAN)
@@ -1023,7 +1047,7 @@ fn cmd_qtopt(args: &Args) -> Result<(), String> {
         .iter()
         .filter(|c| c.epsilon.is_some())
         .count();
-    println!("{feasible}/52 bit-widths feasible under the bound");
+    say!("{feasible}/52 bit-widths feasible under the bound");
     Ok(())
 }
 
@@ -1044,7 +1068,7 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&args),
         "source" => cmd_source(&args),
         "help" => {
-            println!("{HELP}");
+            say!("{HELP}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n\n{HELP}")),

@@ -206,6 +206,53 @@ fn reissue_is_answered_from_the_executor_response_cache() {
 }
 
 #[test]
+fn a_reissued_transmit_resends_the_identical_upload_over_tcp() {
+    // The executor caches its last response, whose payload shares the
+    // encoding it uplinked: a reissued transmit goes out again, through
+    // the vectored frame write, byte for byte the first upload.
+    let pipe = pipeline("qt:8", 120, 6);
+    let shard = workload(120, 6, 4);
+    let binding = EventServerBinding::bind("127.0.0.1:0").unwrap();
+    let addr = binding.local_addr().unwrap();
+    std::thread::scope(|scope| {
+        let (stages, params) = (pipe.stages(), pipe.params());
+        let source = scope.spawn(move || {
+            let mut ep = EventTcpSource::connect(addr, 0, 1, FP, Duration::from_secs(10)).unwrap();
+            SourceExecutor::new(stages, params, 0, 1, shard).serve(&mut ep)
+        });
+        let mut net = binding.accept(1, FP).unwrap();
+        for cmd in [Command::Describe, Command::Stage { index: 0 }] {
+            net.send(0, &cmd).unwrap();
+            assert!(matches!(net.recv(0).unwrap(), Response::Done { .. }));
+        }
+        net.send(0, &Command::Transmit).unwrap();
+        let first = net.recv(0).unwrap();
+        assert!(matches!(first, Response::Up { round: 3, .. }), "{first:?}");
+        net.send(
+            0,
+            &Command::Reissue {
+                round: 3,
+                cmd: Box::new(Command::Transmit),
+            },
+        )
+        .unwrap();
+        let again = net.recv(0).unwrap();
+        assert_eq!(again.encode(), first.encode());
+        net.send(
+            0,
+            &Command::Finish {
+                uplink_bits: 0,
+                downlink_bits: 0,
+                centers_hash: 0,
+            },
+        )
+        .unwrap();
+        assert!(matches!(net.recv(0).unwrap(), Response::Fin { .. }));
+        source.join().unwrap().unwrap();
+    });
+}
+
+#[test]
 fn executor_runs_stages_only_in_plan_order() {
     // A stage command must name the next stage of the plan: skipping
     // ahead, repeating a stage or running past the end is a violation,
