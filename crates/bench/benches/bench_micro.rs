@@ -3,8 +3,9 @@
 //! k-means++, and the `upload-qt` server solve), DR (JL apply), CR
 //! (sensitivity sampling / FSS), the
 //! blocked distance engine vs the scalar assignment path it replaced,
-//! and the serve-path upload: the quantized coreset codec, the source's
-//! whole transmit and the reassembly of its frame.
+//! the serve-path upload (the quantized coreset codec, the source's
+//! whole transmit and the reassembly of its frame), and the stage
+//! cache's hit path.
 //!
 //! Besides the printed lines, the run emits the machine-readable
 //! `BENCH_micro.json` at the workspace root (see
@@ -267,6 +268,36 @@ fn bench_wire(c: &mut Criterion) {
         })
     });
     g.finish();
+}
+
+/// The stage cache's hit path on the `sweep` workload's shard (a
+/// separated mixture, 10000 × 196): one `run_cached` of `jl,fss` whose
+/// two stages both hit, so the row is the two stage keys, the two
+/// restores, and the rounds, transmit and small solve around them.
+fn bench_cache(c: &mut Criterion) {
+    let (n, d) = (10_000, 196);
+    let raw = GaussianMixture::new(n, d, 2)
+        .with_separation(4.0)
+        .with_seed(42)
+        .generate()
+        .expect("synthetic workload")
+        .points;
+    let data = normalize_paper(&raw).0;
+    let params = SummaryParams::practical(2, n, d).with_seed(42);
+    let pipe = StagePipeline::from_names("jl,fss", params).expect("stage list");
+    let mut cache = StageCache::new();
+    pipe.run_cached(&data, &mut Network::new(1), &mut cache)
+        .expect("cold run");
+    let mut g = c.benchmark_group("cache");
+    g.sample_size(10);
+    g.bench_function("hit_jl_fss_10000x196", |bench| {
+        bench.iter(|| {
+            pipe.run_cached(black_box(&data), &mut Network::new(1), &mut cache)
+                .expect("cached run")
+        })
+    });
+    g.finish();
+    assert_eq!(cache.misses(), 2, "a timed run missed the cache");
 }
 
 /// The scalar per-point assignment loop the blocked engine replaced:
@@ -659,6 +690,7 @@ fn main() {
     bench_transb(&mut c);
     bench_distance(&mut c, scale);
     bench_wire(&mut c);
+    bench_cache(&mut c);
     let results = criterion::take_results();
 
     let tile_sweep = tile_sweep_json(scale);

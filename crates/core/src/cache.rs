@@ -11,6 +11,13 @@
 //! a fingerprint of every upstream bit the stage can observe — to the
 //! snapshot of the state the stage produced.
 //!
+//! The key is built before every cacheable stage, hit or miss, so it
+//! must cost far less than the stage a hit skips. FNV-1a
+//! ([`ekm_net::fnv::Fnv`]) hashes the config, knobs, ids and shapes;
+//! the upstream points, weights and basis go in as one word-parallel
+//! [`ekm_net::fnv::digest_f64s`] each, which reads them at about memory
+//! speed.
+//!
 //! Cache hits are **bit-identical to a cold run by construction**: the
 //! key covers all inputs of the stage's computation, the snapshot stores
 //! the complete post-stage executor state (including the deterministic

@@ -791,6 +791,15 @@ fn drop_basis(st: &mut DriverState) {
     }
 }
 
+/// Sends one `Stage` command to every surviving source.
+fn send_stage<T: CommandTransport>(net: &mut RoundNet<'_, T>, idx: u32, m: usize) -> Result<()> {
+    let enc = EncodedCommand::new(Command::Stage { index: idx });
+    for i in 0..m {
+        net.send_enc(i, &enc)?;
+    }
+    Ok(())
+}
+
 /// One `Stage` command to every surviving source, responses folded as
 /// `Done`s. Returns `(max ops, max seconds, cols)` with the column count
 /// verified identical across the sources that answered.
@@ -800,10 +809,17 @@ fn local_round<T: CommandTransport>(
     m: usize,
     context: &'static str,
 ) -> Result<(u64, f64, usize)> {
-    let enc = EncodedCommand::new(Command::Stage { index: idx });
-    for i in 0..m {
-        net.send_enc(i, &enc)?;
-    }
+    send_stage(net, idx, m)?;
+    collect_done(net, m, context)
+}
+
+/// The `Done` answers to a round already sent, folded as in
+/// [`local_round`].
+fn collect_done<T: CommandTransport>(
+    net: &mut RoundNet<'_, T>,
+    m: usize,
+    context: &'static str,
+) -> Result<(u64, f64, usize)> {
     let mut ops = 0u64;
     let mut secs = 0.0f64;
     let mut cols: Option<usize> = None;
@@ -845,6 +861,9 @@ fn run_stage<T: CommandTransport>(
     match stage {
         Stage::Dr(cfg) => {
             drop_basis(st);
+            // The sources project while the server draws the same Π,
+            // which it needs only for the final lift.
+            send_stage(net, idx, m)?;
             let (stream, before_role) = jl_stream(pipe.stages(), index);
             let target = jl_target_dim(cfg, params, st.cur, before_role);
             let pi = MaybeProjection::generate(
@@ -855,7 +874,7 @@ fn run_stage<T: CommandTransport>(
             );
             st.cur = pi.target_dim();
             st.projections.push(pi);
-            let (ops, secs, cols) = local_round(net, idx, m, "jl round")?;
+            let (ops, secs, cols) = collect_done(net, m, "jl round")?;
             verify_cols(cols, st.cur, "jl round")?;
             st.source_ops += ops;
             st.source_seconds += secs;

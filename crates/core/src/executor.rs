@@ -45,7 +45,7 @@ use ekm_clustering::bicriteria::BicriteriaSolution;
 use ekm_coreset::{FssBuilder, StreamingCoreset};
 use ekm_linalg::random::derive_seed;
 use ekm_linalg::{ops, Matrix};
-use ekm_net::fnv::Fnv;
+use ekm_net::fnv::{digest_f64s, Fnv};
 use ekm_net::messages::Message;
 use ekm_net::protocol::{Command, DeadlinePolicy, Payload, Response, SourceEndpoint};
 use ekm_net::NetError;
@@ -64,6 +64,14 @@ pub(crate) fn state_fingerprint(round: u64, uplink_bits: u64, downlink_bits: u64
     h.write_u64(uplink_bits);
     h.write_u64(downlink_bits);
     h.finish()
+}
+
+/// Writes a matrix into a stage key: its shape through `h`, its entries
+/// as one [`digest_f64s`].
+fn write_matrix_digest(h: &mut Fnv, m: &Matrix) {
+    h.write_usize(m.rows());
+    h.write_usize(m.cols());
+    h.write_u64(digest_f64s(m.as_slice()));
 }
 
 /// A command this executor cannot take in its current state.
@@ -804,6 +812,11 @@ impl<'a> SourceExecutor<'a> {
     /// stage starts from. The armed quantizer is deliberately left out
     /// — no cacheable stage reads it, which is what lets compositions
     /// that differ only in QT width share a cached prefix.
+    ///
+    /// FNV-1a takes everything but the bulk data; the points, weights
+    /// and basis go in as their shapes plus a [`digest_f64s`] of their
+    /// bit patterns, so a key costs about one read of the state instead
+    /// of one serial multiply per byte of it.
     fn stage_key(&self, index: usize, stage: &Stage) -> u64 {
         let p = self.params;
         let mut h = Fnv::new();
@@ -820,12 +833,12 @@ impl<'a> SourceExecutor<'a> {
         h.write_str(p.compute.as_str());
         h.write_usize(self.id);
         h.write_usize(self.m);
-        h.write_matrix(&self.part);
+        write_matrix_digest(&mut h, &self.part);
         match &self.weights {
             None => h.write_bool(false),
             Some(w) => {
                 h.write_bool(true);
-                h.write_f64s(w);
+                h.write_u64(digest_f64s(w));
             }
         }
         h.write_u64(self.delta.to_bits());
@@ -833,7 +846,7 @@ impl<'a> SourceExecutor<'a> {
             None => h.write_bool(false),
             Some(b) => {
                 h.write_bool(true);
-                h.write_matrix(b);
+                write_matrix_digest(&mut h, b);
             }
         }
         let (stream, before_role) = jl_stream(self.stages, index);
@@ -947,5 +960,78 @@ impl<'a> SourceExecutor<'a> {
         };
         let secs = t0.elapsed().as_secs_f64();
         self.emit_summary(&msg, 0, ops, secs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Flips bit `bit` of entry `i`.
+    fn flip(vs: &mut [f64], i: usize, bit: u32) {
+        vs[i] = f64::from_bits(vs[i].to_bits() ^ (1 << bit));
+    }
+
+    #[test]
+    fn second_stage_keys_see_one_bit_of_weights_delta_and_basis() {
+        // The `jl` after an `fss` starts from coordinates, weights, Δ and
+        // a basis; set them directly and change one bit at a time.
+        let stages = Stage::parse_list("fss,jl").unwrap();
+        let params = SummaryParams::practical(2, 60, 8).with_seed(3);
+        let shard = Matrix::from_fn(60, 8, |i, j| (i * 8 + j) as f64 * 0.25 - 7.0);
+        let mut exec = SourceExecutor::new(&stages, &params, 0, 1, shard);
+        exec.part = Cow::Owned(Matrix::from_fn(40, 3, |i, j| (i + 2 * j) as f64 * 0.5));
+        exec.weights = Some((0..40).map(|i| 1.0 + i as f64 * 0.125).collect());
+        exec.delta = 2.5;
+        exec.basis = Some(Matrix::from_fn(8, 3, |i, j| (i as f64 - j as f64) * 0.1));
+        let key = |e: &SourceExecutor<'_>| e.stage_key(1, &stages[1]);
+        let base = key(&exec);
+        assert_eq!(key(&exec), base, "a key is a function of the state");
+
+        for bit in [0, 31, 51, 63] {
+            let w = exec.weights.as_mut().unwrap();
+            flip(w, 17, bit);
+            assert_ne!(key(&exec), base, "weight bit {bit}");
+            flip(exec.weights.as_mut().unwrap(), 17, bit);
+
+            exec.delta = f64::from_bits(exec.delta.to_bits() ^ (1 << bit));
+            assert_ne!(key(&exec), base, "delta bit {bit}");
+            exec.delta = f64::from_bits(exec.delta.to_bits() ^ (1 << bit));
+
+            flip(exec.basis.as_mut().unwrap().as_mut_slice(), 23, bit);
+            assert_ne!(key(&exec), base, "basis bit {bit}");
+            flip(exec.basis.as_mut().unwrap().as_mut_slice(), 23, bit);
+
+            flip(exec.part.to_mut().as_mut_slice(), 0, bit);
+            assert_ne!(key(&exec), base, "points bit {bit}");
+            flip(exec.part.to_mut().as_mut_slice(), 0, bit);
+        }
+        assert_eq!(key(&exec), base, "every flip was undone");
+
+        // A zero weight's sign.
+        exec.weights.as_mut().unwrap()[5] = 0.0;
+        let zero = key(&exec);
+        exec.weights.as_mut().unwrap()[5] = -0.0;
+        assert_ne!(key(&exec), zero, "the sign of a zero weight");
+        exec.weights.as_mut().unwrap()[5] = 1.625;
+        assert_eq!(key(&exec), base);
+
+        // The same entries under another shape, and a present versus an
+        // absent (or shorter) weight vector.
+        let reshaped = |m: &Matrix, rows, cols| Matrix::from_vec(rows, cols, m.as_slice().to_vec());
+        exec.part = Cow::Owned(reshaped(&exec.part, 20, 6));
+        assert_ne!(key(&exec), base, "points reshaped");
+        exec.part = Cow::Owned(reshaped(&exec.part, 40, 3));
+        let basis = exec.basis.take().unwrap();
+        exec.basis = Some(reshaped(&basis, 3, 8));
+        assert_ne!(key(&exec), base, "basis reshaped");
+        exec.basis = None;
+        assert_ne!(key(&exec), base, "basis dropped");
+        exec.basis = Some(basis);
+        assert_eq!(key(&exec), base);
+        let weights = exec.weights.take().unwrap();
+        assert_ne!(key(&exec), base, "weights dropped");
+        exec.weights = Some(weights[..39].to_vec());
+        assert_ne!(key(&exec), base, "one weight fewer");
     }
 }

@@ -87,11 +87,14 @@ pub enum JournalEntry {
         reason: String,
     },
     /// The driver promoted `host`'s cold replica of `origin`'s shard.
-    /// Written write-ahead: a `Lost { source: host, via_send: true }`
-    /// record *immediately* after marks the attempt as failed (after a
-    /// successful promotion the next record always concerns `origin` —
+    /// Written write-ahead: a `Lost { source: host, .. }` record
+    /// *immediately* after, on either side, marks the attempt as
+    /// failed: the promotion itself failed, or the host was lost while
+    /// the driver rebuilt the persona (a replayed round could not be
+    /// sent to it, or its acknowledgement never came). After a
+    /// successful promotion the next record always concerns `origin`:
     /// its reissue answer routes through the new host but is journaled
-    /// under the origin).
+    /// under the origin.
     Promoted {
         /// The dead source whose shard was re-homed.
         origin: u32,
@@ -321,16 +324,23 @@ fn check_source_ids(entries: &[JournalEntry], m: usize) -> Result<()> {
 }
 
 /// Whether record `k` is a failed promotion attempt, by the rule on
-/// [`JournalEntry::Promoted`] — the one statement of it [`scan`] and
-/// [`absorbed_origins`] share.
+/// [`JournalEntry::Promoted`] — the one statement of it [`scan`],
+/// [`absorbed_origins`] and replay share.
 fn failed_promotion(records: &[JournalEntry], k: usize) -> bool {
     let JournalEntry::Promoted { host, .. } = records[k] else {
         return false;
     };
-    matches!(
-        records.get(k + 1),
-        Some(JournalEntry::Lost { source, via_send: true, .. }) if *source == host
-    )
+    attempt_loss(records.get(k + 1), host).is_some()
+}
+
+/// The reason of `record` if it is the loss of `host` that ends a
+/// promotion attempt onto it (the record right after its
+/// [`JournalEntry::Promoted`]), on either side.
+fn attempt_loss(record: Option<&JournalEntry>, host: u32) -> Option<&str> {
+    match record {
+        Some(JournalEntry::Lost { source, reason, .. }) if *source == host => Some(reason),
+        _ => None,
+    }
 }
 
 /// Scans a journal for origins absorbed by a successful replica
@@ -413,9 +423,12 @@ fn scan(records: &[JournalEntry], m: usize) -> Scan {
                 let o = origin as usize;
                 suspect[o] = false;
                 // A failed attempt leaves the origin its previous host,
-                // and dead until a retry succeeds.
+                // and dead until a retry succeeds; the loss that ended
+                // it takes the host down too, on either side.
                 s.dead[o] = failed_promotion(records, k);
-                if !s.dead[o] {
+                if s.dead[o] {
+                    s.dead[host as usize] = true;
+                } else {
                     s.hosts[o] = Some(host as usize);
                 }
             }
@@ -772,7 +785,9 @@ impl<T: CommandTransport> JournalingTransport<T> {
 
     /// Write-ahead journals a promotion, then arms the routing layer
     /// below. A failed promotion appends the host's loss immediately
-    /// after the promotion record, so a replay fails the same way.
+    /// after the promotion record, so a replay fails the same way (a
+    /// host lost while the driver rebuilds the persona journals its own
+    /// loss there, through this transport's `send` or `recv`).
     fn record_promote(&mut self, origin: usize, host: usize) -> std::result::Result<(), NetError> {
         self.append(&JournalEntry::Promoted {
             origin: origin as u32,
@@ -807,9 +822,9 @@ impl<T: CommandTransport> JournalingTransport<T> {
 
     /// Consumes a journaled promotion during replay. A successful one is
     /// charged; the persona is rebuilt when reconciliation goes live. A
-    /// journaled failure (the host's send-side loss immediately after)
-    /// fails here exactly as it did live, sending the driver's health
-    /// machine down the same escalation path.
+    /// journaled failure (the host's loss immediately after, on either
+    /// side) fails here as the attempt did live, sending the driver's
+    /// health machine down the same escalation path.
     fn replay_promote(&mut self, origin: usize, host: usize) -> std::result::Result<(), NetError> {
         let Some(record) = self.records.get(self.cursor) else {
             self.reconcile()?;
@@ -831,7 +846,11 @@ impl<T: CommandTransport> JournalingTransport<T> {
                 ))
             }
         }
-        self.replay_send_loss(host)?;
+        if let Some(reason) = attempt_loss(self.records.get(self.cursor), host as u32) {
+            let err = jerr("journal replay", reason.to_string());
+            self.cursor += 1;
+            return Err(err);
+        }
         self.charge_promotion(origin, host)
     }
 
@@ -1363,5 +1382,34 @@ mod tests {
             };
             assert_eq!(scan(&records, 3), want, "case {k}");
         }
+    }
+
+    #[test]
+    fn a_loss_on_either_side_after_a_promotion_fails_the_attempt() {
+        // The host acked the promotion and was lost while the persona
+        // was rebuilt (receive side), or a replayed round could not be
+        // sent to it (send side): either way the origin stays dead and
+        // unabsorbed, and the host is degraded with it.
+        for via_send in [false, true] {
+            let records = vec![
+                cmd(0),
+                lost(0, false),
+                lost(0, false),
+                promoted(0, 1),
+                lost(1, via_send),
+            ];
+            assert!(failed_promotion(&records, 3), "via_send {via_send}");
+            let want = Scan {
+                cmds: vec![1, 0, 0],
+                resps: vec![0; 3],
+                dead: vec![true, true, false],
+                hosts: vec![None; 3],
+            };
+            assert_eq!(scan(&records, 3), want, "via_send {via_send}");
+        }
+        // Another source's loss right after does not end the attempt.
+        let records = [promoted(0, 1), lost(2, false)];
+        assert!(!failed_promotion(&records, 0));
+        assert_eq!(scan(&records, 3).hosts, [Some(1), None, None]);
     }
 }

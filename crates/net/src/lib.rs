@@ -19,7 +19,8 @@
 //! * [`network`] — the per-source bit ledger ([`NetworkStats`]) every
 //!   backend charges, and the caller-held [`Network`] that totals runs;
 //! * [`frame`] — length-prefixed framing (bit-exact lengths) for sockets;
-//! * [`fnv`] — the streaming FNV-1a hash behind fingerprints and digests;
+//! * [`fnv`] — the streaming FNV-1a hash behind fingerprints and digests,
+//!   and the word-parallel digest behind stage-cache keys;
 //! * [`event`] — the TCP backend: one reactor thread multiplexing every
 //!   source connection, the handshake, and the end-of-run [`RunDigest`];
 //! * [`reactor`] — the readiness reactor under it: epoll on Linux, a

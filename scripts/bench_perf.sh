@@ -141,6 +141,10 @@ if fresh:
     # 10000 x 784 summary.
     assert "clustering/kmeans_k2_10000x784_r3" in names, \
         "server-solve row clustering/kmeans_k2_10000x784_r3 missing"
+    # The stage cache's hit path at the sweep's shard shape: a jl,fss
+    # run whose two stages both hit.
+    assert "cache/hit_jl_fss_10000x196" in names, \
+        "stage-cache row cache/hit_jl_fss_10000x196 missing"
 assert doc["kernels"], "no kernel timings recorded"
 assert doc["assign_speedups"], "no assignment speedups recorded"
 assert doc["transb_speedups"], "no matmul_transb speedups recorded"

@@ -9,8 +9,9 @@
 # Every round runs the server-driven protocol: sources hold only their
 # shard, the server drives the plan over one event-driven thread, every
 # source's counters are cross-checked by the server at shutdown, and
-# the round's uplink bits must equal the in-process `ekm run` of the
-# same configuration. `core` covers a named distributed pipeline, a
+# the round's uplink bits and centers must equal those of the
+# in-process `ekm run` of the same configuration, the centers bit for
+# bit. `core` covers a named distributed pipeline, a
 # quantized `--stages` composition and a centralized pipeline.
 # `streaming` covers the per-source merge-and-reduce pipelines.
 # `faults` is the fault-injection suite: it kills a
@@ -49,7 +50,7 @@ fi
 
 # run_round <label> <sources> <flags...>
 #   One serve + <sources> source processes; asserts the accounting lines
-#   and bit-equality of the uplink with `ekm run`.
+#   and bit-equality of the uplink and of the centers with `ekm run`.
 run_round() {
     local label=$1
     shift
@@ -58,8 +59,10 @@ run_round() {
     local common=("$@")
 
     echo "=== ${label}: ${common[*]} (${sources} sources) ==="
+    rm -f "$LOGDIR/serve-centers.txt" "$LOGDIR/run-centers.txt"
     timeout --kill-after=10 "$ROUND_TIMEOUT" \
         "$BIN" serve --listen "$ADDR" --sources "$sources" \
+        --centers-out "$LOGDIR/serve-centers.txt" \
         "${common[@]}" >"$LOGDIR/serve.log" 2>&1 &
     local serve_pid=$!
 
@@ -118,18 +121,23 @@ run_round() {
             exit 1
         fi
     done
-    # …and the bits on the wire must equal the in-process run's for the
-    # same configuration.
+    # …and the bits on the wire and the centers must equal the
+    # in-process run's for the same configuration, the centers bit for
+    # bit.
     timeout --kill-after=10 "$ROUND_TIMEOUT" \
         "$BIN" run --sources "$sources" "${common[@]}" \
-        >"$LOGDIR/run.log" 2>&1
+        --centers-out "$LOGDIR/run-centers.txt" >"$LOGDIR/run.log" 2>&1
     local run_bits
     run_bits=$(sed -n 's/^total uplink-bits \([0-9]*\)$/\1/p' "$LOGDIR/run.log")
     if [[ "$bits" != "$run_bits" ]]; then
         echo "FAIL: TCP uplink ${bits} bits != in-process ${run_bits} bits"
         exit 1
     fi
-    echo "OK: ${label} transmitted ${bits} uplink bits, matching the in-process run"
+    if ! cmp -s "$LOGDIR/serve-centers.txt" "$LOGDIR/run-centers.txt"; then
+        echo "FAIL: TCP centers differ from the in-process run's"
+        exit 1
+    fi
+    echo "OK: ${label} transmitted ${bits} uplink bits and the in-process run's centers"
 }
 
 # core: a named distributed pipeline (Algorithm 4), a quantized

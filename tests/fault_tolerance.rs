@@ -512,6 +512,143 @@ fn crash_during_promotion_resumes_to_bit_identical_centers() {
     );
 }
 
+/// A replica host that dies on receiving its first `Replay`: it acks
+/// the promotion, then is lost while the driver rebuilds the persona.
+struct DiesOnReplay<E: SourceEndpoint>(E);
+
+impl<E: SourceEndpoint> SourceEndpoint for DiesOnReplay<E> {
+    fn recv_command(&mut self) -> Result<Command, NetError> {
+        match self.0.recv_command()? {
+            Command::Replay { .. } => Err(NetError::Transport {
+                context: "injected fault",
+                detail: "replica host killed mid-replay".to_string(),
+            }),
+            cmd => Ok(cmd),
+        }
+    }
+
+    fn send_response(&mut self, resp: Response) -> Result<(), NetError> {
+        self.0.send_response(resp)
+    }
+}
+
+#[test]
+fn a_host_lost_while_rebuilding_a_persona_resumes_as_a_failed_attempt() {
+    let n = 600;
+    let d = 20;
+    let m = 3;
+    let data = workload(n, d, 37);
+    let shards = partition_uniform(&data, m, 5).unwrap();
+    let params = SummaryParams::practical(2, n, d)
+        .with_seed(9)
+        .with_replication(2);
+    let pipe = StagePipeline::from_names("dispca,disss", params).unwrap();
+    let journal = scratch_journal("replay-loss");
+
+    // Source 1 dies after describe + stage + basis. Its one replica
+    // lives on source 2, which acks the promotion and dies on the first
+    // replayed round, so shard 1 degrades; shard 2 then fails over onto
+    // source 0.
+    let (live, live_stats) = std::thread::scope(|scope| {
+        let (hub, endpoints) = channel_pairs(m);
+        for (i, (ep, shard)) in endpoints.into_iter().zip(shards.clone()).enumerate() {
+            let stages = pipe.stages();
+            let params = pipe.params();
+            let replicas: std::collections::BTreeMap<usize, Matrix> =
+                edge_kmeans::core::params::replica_origins(i, m, 2)
+                    .into_iter()
+                    .map(|o| (o, shards[o].clone()))
+                    .collect();
+            scope.spawn(move || {
+                let mut exec =
+                    SourceExecutor::new(stages, params, i, m, shard).with_replicas(replicas);
+                let _ = match i {
+                    1 => exec.serve(&mut DyingEndpoint {
+                        inner: ep,
+                        remaining: 3,
+                    }),
+                    2 => exec.serve(&mut DiesOnReplay(ep)),
+                    _ => exec.serve(&mut { ep }),
+                };
+            });
+        }
+        let routed = edge_kmeans::net::RoutingTransport::new(hub);
+        let mut recording = JournalingTransport::record(routed, &journal, FP).unwrap();
+        let out = pipe.run_driver(&mut recording).unwrap();
+        (out, recording.stats().clone())
+    });
+    let degraded = live.degraded.as_ref().expect("shard 1 has no live replica");
+    let lost: Vec<usize> = degraded.lost_sources.iter().map(|&(i, _)| i).collect();
+    assert_eq!(lost, vec![1]);
+    let rec = live.recovered.as_ref().expect("shard 2 fails over");
+    assert_eq!(rec.promoted, vec![(2, 0)]);
+
+    // The attempt is journaled as the host's promotion followed by its
+    // receive-side loss, and it absorbed nothing.
+    use edge_kmeans::core::journal::JournalEntry;
+    let (_, entries) = edge_kmeans::core::journal::read_journal(&journal).unwrap();
+    let attempt = entries
+        .iter()
+        .position(|e| matches!(e, JournalEntry::Promoted { origin: 1, host: 2 }))
+        .expect("the promotion onto source 2 is journaled");
+    assert!(
+        matches!(
+            entries[attempt + 1],
+            JournalEntry::Lost {
+                source: 2,
+                via_send: false,
+                ..
+            }
+        ),
+        "{:?}",
+        &entries[attempt + 1]
+    );
+    let absorbed = edge_kmeans::core::journal::absorbed_origins(&journal).unwrap();
+    assert_eq!(absorbed, vec![2]);
+
+    // Resuming the whole journal replays every record, the failed
+    // attempt included, and never goes live: no executor is attached.
+    let (hub, _endpoints) = channel_pairs(m);
+    let routed = edge_kmeans::net::RoutingTransport::new(hub);
+    let mut resuming = JournalingTransport::resume(routed, &journal, FP).unwrap();
+    let resumed = pipe.run_driver(&mut resuming).unwrap();
+    let _ = std::fs::remove_file(&journal);
+
+    assert_centers_bit_identical(&resumed.centers, &live.centers);
+    // The same degradation: lost shards, rows and bound. (A replayed
+    // send-side loss words its reason through the journal, so the
+    // reason texts are not compared.)
+    let shape = |d: &edge_kmeans::core::Degradation| {
+        let lost: Vec<usize> = d.lost_sources.iter().map(|&(i, _)| i).collect();
+        (
+            lost,
+            d.rows_lost,
+            d.rows_total,
+            d.cost_ratio_bound.to_bits(),
+        )
+    };
+    let resumed_degraded = resumed.degraded.as_ref().expect("shard 1 degrades again");
+    assert_eq!(shape(resumed_degraded), shape(degraded));
+    assert_eq!(
+        resumed.recovered.as_ref().map(|r| r.promoted.clone()),
+        Some(vec![(2, 0)])
+    );
+    assert_eq!(resumed.uplink_bits, live.uplink_bits);
+    assert_eq!(resumed.downlink_bits, live.downlink_bits);
+    for i in 0..m {
+        assert_eq!(
+            resuming.stats().uplink_bits(i),
+            live_stats.uplink_bits(i),
+            "{i}"
+        );
+        assert_eq!(
+            resuming.stats().downlink_bits(i),
+            live_stats.downlink_bits(i),
+            "{i}"
+        );
+    }
+}
+
 #[test]
 fn resume_with_a_different_run_fingerprint_is_refused() {
     let n = 200;

@@ -165,3 +165,45 @@ fn interactive_stages_always_run_live() {
     assert_eq!(rows[0].digest, rows[1].digest);
     assert!(rows[1].out.uplink_bits > 0);
 }
+
+#[test]
+fn a_shard_one_bit_away_misses_every_stage_that_sees_it() {
+    let lists = ["jl,fss", "jl,fss,qt:8", "fss,qt:4"];
+    // 7 × 7 images: at 49 columns the leading jl keeps every column
+    // (the identity map), so a changed bit reaches the fss stage after
+    // it unaltered and every cacheable stage of these lists sees it.
+    let ds = MnistLike::new(800, 7).with_seed(13).generate().unwrap();
+    let mut base = normalize_paper(&ds.points).0;
+    let d = base.cols();
+    assert_eq!(params(&base).effective_jl_before(d), d);
+    base.row_mut(5)[7] = 0.0;
+    let mut signed_zero = base.clone();
+    signed_zero.row_mut(5)[7] = -0.0;
+    let mut last_bit = base.clone();
+    last_bit.row_mut(11)[3] = f64::from_bits(base.row(11)[3].to_bits() ^ 1);
+
+    for (label, shard) in [
+        ("sign of a zero", &signed_zero),
+        ("last significand bit", &last_bit),
+    ] {
+        let mut cache = StageCache::new();
+        sweep(&lists, &base, Some(&mut cache));
+        assert_eq!((cache.hits(), cache.misses()), (2, 3), "{label}: warm-up");
+
+        // Over the changed shard the warm cache must behave exactly as
+        // a cold one: jl, fss and the leading fss miss (the second list
+        // then hits what the first stored), and the outputs are those
+        // of an uncached sweep over the changed shard.
+        let cached = sweep(&lists, shard, Some(&mut cache));
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (2 + 2, 3 + 3),
+            "{label}: a stage reused the other shard's output"
+        );
+        assert_rows_identical(&cached, &sweep(&lists, shard, None));
+
+        // The unchanged shard still hits everything it stored.
+        sweep(&lists, &base, Some(&mut cache));
+        assert_eq!((cache.hits(), cache.misses()), (4 + 5, 6), "{label}");
+    }
+}
