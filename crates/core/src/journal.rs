@@ -87,14 +87,17 @@ pub enum JournalEntry {
         reason: String,
     },
     /// The driver promoted `host`'s cold replica of `origin`'s shard.
-    /// Written write-ahead: a `Lost { source: host, .. }` record
-    /// *immediately* after, on either side, marks the attempt as
-    /// failed: the promotion itself failed, or the host was lost while
-    /// the driver rebuilt the persona (a replayed round could not be
-    /// sent to it, or its acknowledgement never came). After a
-    /// successful promotion the next record always concerns `origin`:
-    /// its reissue answer routes through the new host but is journaled
-    /// under the origin.
+    /// Written write-ahead: a `Lost { source: host, .. }` record after
+    /// it, on either side, with nothing between them but `host`'s own
+    /// responses, marks the attempt as failed: the promotion itself
+    /// failed, or the host was lost while the driver rebuilt the persona
+    /// (a replayed round could not be sent to it, or its acknowledgement
+    /// never came). The host's responses are its answers to its own
+    /// round, harvested while the rebuild waited on its connection.
+    /// After a successful promotion the next other record always
+    /// concerns `origin` or is a round command: the origin's reissue
+    /// answer routes through the new host but is journaled under the
+    /// origin.
     Promoted {
         /// The dead source whose shard was re-homed.
         origin: u32,
@@ -323,24 +326,17 @@ fn check_source_ids(entries: &[JournalEntry], m: usize) -> Result<()> {
     Ok(())
 }
 
-/// Whether record `k` is a failed promotion attempt, by the rule on
-/// [`JournalEntry::Promoted`] — the one statement of it [`scan`],
-/// [`absorbed_origins`] and replay share.
-fn failed_promotion(records: &[JournalEntry], k: usize) -> bool {
+/// If record `k` is a failed promotion attempt, the index of the host's
+/// loss that failed it, by the rule on [`JournalEntry::Promoted`] — the
+/// one statement of it [`scan`], [`absorbed_origins`] and replay share.
+fn failed_promotion(records: &[JournalEntry], k: usize) -> Option<usize> {
     let JournalEntry::Promoted { host, .. } = records[k] else {
-        return false;
+        return None;
     };
-    attempt_loss(records.get(k + 1), host).is_some()
-}
-
-/// The reason of `record` if it is the loss of `host` that ends a
-/// promotion attempt onto it (the record right after its
-/// [`JournalEntry::Promoted`]), on either side.
-fn attempt_loss(record: Option<&JournalEntry>, host: u32) -> Option<&str> {
-    match record {
-        Some(JournalEntry::Lost { source, reason, .. }) if *source == host => Some(reason),
-        _ => None,
-    }
+    let own = |e: &JournalEntry| matches!(e, JournalEntry::Resp { source, .. } if *source == host);
+    let end = k + 1 + records[k + 1..].iter().take_while(|e| own(e)).count();
+    matches!(records.get(end), Some(JournalEntry::Lost { source, .. }) if *source == host)
+        .then_some(end)
 }
 
 /// Scans a journal for origins absorbed by a successful replica
@@ -365,7 +361,7 @@ pub fn absorbed_origins(path: &Path) -> Result<Vec<usize>> {
     let mut origins = Vec::new();
     for (k, e) in entries.iter().enumerate() {
         if let JournalEntry::Promoted { origin, .. } = e {
-            if !failed_promotion(&entries, k) && !origins.contains(&(*origin as usize)) {
+            if failed_promotion(&entries, k).is_none() && !origins.contains(&(*origin as usize)) {
                 origins.push(*origin as usize);
             }
         }
@@ -425,7 +421,7 @@ fn scan(records: &[JournalEntry], m: usize) -> Scan {
                 // A failed attempt leaves the origin its previous host,
                 // and dead until a retry succeeds; the loss that ended
                 // it takes the host down too, on either side.
-                s.dead[o] = failed_promotion(records, k);
+                s.dead[o] = failed_promotion(records, k).is_some();
                 if s.dead[o] {
                     s.dead[host as usize] = true;
                 } else {
@@ -481,6 +477,11 @@ pub struct JournalingTransport<T: CommandTransport> {
 fn decode_command(bytes: &[u8]) -> std::result::Result<Command, NetError> {
     Command::decode(bytes)
         .map_err(|e| jerr("journal replay", format!("corrupt command record: {e}")))
+}
+
+fn decode_response(bytes: &[u8]) -> std::result::Result<Response, NetError> {
+    Response::decode(bytes)
+        .map_err(|e| jerr("journal replay", format!("corrupt response record: {e}")))
 }
 
 impl<T: CommandTransport> JournalingTransport<T> {
@@ -740,9 +741,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
             match record {
                 JournalEntry::Resp { source: s, bytes } => {
                     let s = *s as usize;
-                    let resp = Response::decode(bytes).map_err(|e| {
-                        jerr("journal replay", format!("corrupt response record: {e}"))
-                    })?;
+                    let resp = decode_response(bytes)?;
                     self.cursor += 1;
                     charge_response(&mut self.stats, s, &resp)?;
                     if s == source {
@@ -822,9 +821,11 @@ impl<T: CommandTransport> JournalingTransport<T> {
 
     /// Consumes a journaled promotion during replay. A successful one is
     /// charged; the persona is rebuilt when reconciliation goes live. A
-    /// journaled failure (the host's loss immediately after, on either
-    /// side) fails here as the attempt did live, sending the driver's
-    /// health machine down the same escalation path.
+    /// journaled failure (see [`JournalEntry::Promoted`]) fails here as
+    /// the attempt did live, sending the driver's health machine down
+    /// the same escalation path; the host's own answers journaled
+    /// inside the attempt are charged there and buffered for the host's
+    /// next receive, where the live driver parked them.
     fn replay_promote(&mut self, origin: usize, host: usize) -> std::result::Result<(), NetError> {
         let Some(record) = self.records.get(self.cursor) else {
             self.reconcile()?;
@@ -832,10 +833,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
         };
         match record {
             JournalEntry::Promoted { origin: o, host: h }
-                if *o as usize == origin && *h as usize == host =>
-            {
-                self.cursor += 1;
-            }
+                if *o as usize == origin && *h as usize == host => {}
             other => {
                 return Err(jerr(
                     "journal replay",
@@ -846,12 +844,22 @@ impl<T: CommandTransport> JournalingTransport<T> {
                 ))
             }
         }
-        if let Some(reason) = attempt_loss(self.records.get(self.cursor), host as u32) {
-            let err = jerr("journal replay", reason.to_string());
+        let Some(end) = failed_promotion(&self.records, self.cursor) else {
             self.cursor += 1;
-            return Err(err);
+            return self.charge_promotion(origin, host);
+        };
+        for k in self.cursor + 1..end {
+            if let JournalEntry::Resp { bytes, .. } = &self.records[k] {
+                let resp = decode_response(bytes)?;
+                charge_response(&mut self.stats, host, &resp)?;
+                self.buffered[host].push_back(resp);
+            }
         }
-        self.charge_promotion(origin, host)
+        self.cursor = end + 1;
+        match &self.records[end] {
+            JournalEntry::Lost { reason, .. } => Err(jerr("journal replay", reason.clone())),
+            _ => unreachable!("failed_promotion ends at the host's loss"),
+        }
     }
 
     /// Source `i`'s journaled round commands, encoded, in order.
@@ -1398,7 +1406,11 @@ mod tests {
                 promoted(0, 1),
                 lost(1, via_send),
             ];
-            assert!(failed_promotion(&records, 3), "via_send {via_send}");
+            assert_eq!(
+                failed_promotion(&records, 3),
+                Some(4),
+                "via_send {via_send}"
+            );
             let want = Scan {
                 cmds: vec![1, 0, 0],
                 resps: vec![0; 3],
@@ -1407,9 +1419,19 @@ mod tests {
             };
             assert_eq!(scan(&records, 3), want, "via_send {via_send}");
         }
-        // Another source's loss right after does not end the attempt.
-        let records = [promoted(0, 1), lost(2, false)];
-        assert!(!failed_promotion(&records, 0));
-        assert_eq!(scan(&records, 3).hosts, [Some(1), None, None]);
+        // The host's own answers, harvested mid-rebuild, may sit between
+        // the promotion and the loss; anything else ends the attempt as
+        // a success, and so does another source's loss.
+        let records = [promoted(0, 1), resp(1), resp(1), lost(1, false)];
+        assert_eq!(failed_promotion(&records, 0), Some(3));
+        assert_eq!(scan(&records, 3).hosts, [None; 3]);
+        for records in [
+            [promoted(0, 1), resp(1), resp(0), lost(1, false)],
+            [promoted(0, 1), resp(1), cmd(1), lost(1, false)],
+            [promoted(0, 1), resp(1), lost(2, false), lost(1, false)],
+        ] {
+            assert_eq!(failed_promotion(&records, 0), None, "{records:?}");
+            assert_eq!(scan(&records, 3).hosts, [Some(1), None, None]);
+        }
     }
 }

@@ -532,120 +532,225 @@ impl<E: SourceEndpoint> SourceEndpoint for DiesOnReplay<E> {
     }
 }
 
-#[test]
-fn a_host_lost_while_rebuilding_a_persona_resumes_as_a_failed_attempt() {
-    let n = 600;
-    let d = 20;
-    let m = 3;
-    let data = workload(n, d, 37);
-    let shards = partition_uniform(&data, m, 5).unwrap();
-    let params = SummaryParams::practical(2, n, d)
-        .with_seed(9)
-        .with_replication(2);
-    let pipe = StagePipeline::from_names("dispca,disss", params).unwrap();
-    let journal = scratch_journal("replay-loss");
+/// A driver that crashes right after it sees `source`'s first loss:
+/// from then on it reaches nobody, as [`FaultInjector`] does.
+struct CrashAfterLoss<T: CommandTransport> {
+    inner: T,
+    source: usize,
+    tripped: bool,
+}
 
-    // Source 1 dies after describe + stage + basis. Its one replica
-    // lives on source 2, which acks the promotion and dies on the first
-    // replayed round, so shard 1 degrades; shard 2 then fails over onto
-    // source 0.
-    let (live, live_stats) = std::thread::scope(|scope| {
-        let (hub, endpoints) = channel_pairs(m);
-        for (i, (ep, shard)) in endpoints.into_iter().zip(shards.clone()).enumerate() {
-            let stages = pipe.stages();
-            let params = pipe.params();
-            let replicas: std::collections::BTreeMap<usize, Matrix> =
-                edge_kmeans::core::params::replica_origins(i, m, 2)
-                    .into_iter()
-                    .map(|o| (o, shards[o].clone()))
-                    .collect();
-            scope.spawn(move || {
-                let mut exec =
-                    SourceExecutor::new(stages, params, i, m, shard).with_replicas(replicas);
-                let _ = match i {
-                    1 => exec.serve(&mut DyingEndpoint {
-                        inner: ep,
-                        remaining: 3,
-                    }),
-                    2 => exec.serve(&mut DiesOnReplay(ep)),
-                    _ => exec.serve(&mut { ep }),
-                };
+impl<T: CommandTransport> CommandTransport for CrashAfterLoss<T> {
+    fn sources(&self) -> usize {
+        self.inner.sources()
+    }
+
+    fn send(&mut self, source: usize, cmd: &Command) -> Result<(), NetError> {
+        if self.tripped {
+            return Ok(());
+        }
+        self.inner.send(source, cmd)
+    }
+
+    fn recv(&mut self, source: usize) -> Result<Response, NetError> {
+        if self.tripped {
+            return Err(NetError::Transport {
+                context: "injected fault",
+                detail: "driver process crashed".to_string(),
             });
         }
-        let routed = edge_kmeans::net::RoutingTransport::new(hub);
-        let mut recording = JournalingTransport::record(routed, &journal, FP).unwrap();
-        let out = pipe.run_driver(&mut recording).unwrap();
-        (out, recording.stats().clone())
-    });
-    let degraded = live.degraded.as_ref().expect("shard 1 has no live replica");
-    let lost: Vec<usize> = degraded.lost_sources.iter().map(|&(i, _)| i).collect();
-    assert_eq!(lost, vec![1]);
-    let rec = live.recovered.as_ref().expect("shard 2 fails over");
-    assert_eq!(rec.promoted, vec![(2, 0)]);
+        let resp = self.inner.recv(source)?;
+        self.tripped = source == self.source && matches!(resp, Response::SourceLost { .. });
+        Ok(resp)
+    }
 
-    // The attempt is journaled as the host's promotion followed by its
-    // receive-side loss, and it absorbed nothing.
-    use edge_kmeans::core::journal::JournalEntry;
-    let (_, entries) = edge_kmeans::core::journal::read_journal(&journal).unwrap();
-    let attempt = entries
-        .iter()
-        .position(|e| matches!(e, JournalEntry::Promoted { origin: 1, host: 2 }))
-        .expect("the promotion onto source 2 is journaled");
-    assert!(
-        matches!(
-            entries[attempt + 1],
-            JournalEntry::Lost {
-                source: 2,
-                via_send: false,
-                ..
-            }
-        ),
-        "{:?}",
-        &entries[attempt + 1]
-    );
-    let absorbed = edge_kmeans::core::journal::absorbed_origins(&journal).unwrap();
-    assert_eq!(absorbed, vec![2]);
+    fn stats(&self) -> &NetworkStats {
+        self.inner.stats()
+    }
 
-    // Resuming the whole journal replays every record, the failed
-    // attempt included, and never goes live: no executor is attached.
-    let (hub, _endpoints) = channel_pairs(m);
-    let routed = edge_kmeans::net::RoutingTransport::new(hub);
-    let mut resuming = JournalingTransport::resume(routed, &journal, FP).unwrap();
-    let resumed = pipe.run_driver(&mut resuming).unwrap();
-    let _ = std::fs::remove_file(&journal);
+    fn promote(&mut self, origin: usize, host: usize) -> Result<(), NetError> {
+        if self.tripped {
+            return Err(NetError::Transport {
+                context: "injected fault",
+                detail: "driver process crashed".to_string(),
+            });
+        }
+        self.inner.promote(origin, host)
+    }
 
-    assert_centers_bit_identical(&resumed.centers, &live.centers);
-    // The same degradation: lost shards, rows and bound. (A replayed
-    // send-side loss words its reason through the journal, so the
-    // reason texts are not compared.)
-    let shape = |d: &edge_kmeans::core::Degradation| {
-        let lost: Vec<usize> = d.lost_sources.iter().map(|&(i, _)| i).collect();
+    fn replaying(&self) -> bool {
+        self.inner.replaying()
+    }
+}
+
+/// Runs `pipe` over fresh channel executors with replica shards on the
+/// canonical ring (r = 2): `origin` dies after describe + stage + basis,
+/// and `host`, its one replica holder, dies on the first replayed round.
+/// Returns the driver's routed end of the channels.
+fn spawn_replay_loss<'scope, 'env>(
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    pipe: &'env StagePipeline,
+    shards: &'env [Matrix],
+    origin: usize,
+    host: usize,
+) -> edge_kmeans::net::RoutingTransport<edge_kmeans::net::protocol::ChannelHub> {
+    let m = shards.len();
+    let (hub, endpoints) = channel_pairs(m);
+    for (i, ep) in endpoints.into_iter().enumerate() {
+        let replicas: std::collections::BTreeMap<usize, Matrix> =
+            edge_kmeans::core::params::replica_origins(i, m, 2)
+                .into_iter()
+                .map(|o| (o, shards[o].clone()))
+                .collect();
+        let shard = shards[i].clone();
+        scope.spawn(move || {
+            let mut exec = SourceExecutor::new(pipe.stages(), pipe.params(), i, m, shard)
+                .with_replicas(replicas);
+            let _ = if i == origin {
+                exec.serve(&mut DyingEndpoint {
+                    inner: ep,
+                    remaining: 3,
+                })
+            } else if i == host {
+                exec.serve(&mut DiesOnReplay(ep))
+            } else {
+                exec.serve(&mut { ep })
+            };
+        });
+    }
+    edge_kmeans::net::RoutingTransport::new(hub)
+}
+
+/// A degradation's lost shards, rows and bound. (A replayed send-side
+/// loss words its reason through the journal, so reason texts are left
+/// out.)
+fn degradation_shape(out: &RunOutput) -> Option<(Vec<usize>, usize, usize, u64)> {
+    out.degraded.as_ref().map(|d| {
+        let lost = d.lost_sources.iter().map(|&(i, _)| i).collect();
         (
             lost,
             d.rows_lost,
             d.rows_total,
             d.cost_ratio_bound.to_bits(),
         )
-    };
-    let resumed_degraded = resumed.degraded.as_ref().expect("shard 1 degrades again");
-    assert_eq!(shape(resumed_degraded), shape(degraded));
-    assert_eq!(
-        resumed.recovered.as_ref().map(|r| r.promoted.clone()),
-        Some(vec![(2, 0)])
-    );
-    assert_eq!(resumed.uplink_bits, live.uplink_bits);
-    assert_eq!(resumed.downlink_bits, live.downlink_bits);
-    for i in 0..m {
+    })
+}
+
+#[test]
+fn a_host_lost_while_rebuilding_a_persona_resumes_as_a_failed_attempt() {
+    use edge_kmeans::core::journal::{absorbed_origins, read_journal, JournalEntry};
+    let (n, d, m) = (600, 20, 3);
+    let data = workload(n, d, 37);
+    let shards = partition_uniform(&data, m, 5).unwrap();
+    let params = SummaryParams::practical(2, n, d)
+        .with_seed(9)
+        .with_replication(2);
+    let pipe = StagePipeline::from_names("dispca,disss", params).unwrap();
+
+    // (origin, host, the host's own replica holder). Source 1's host
+    // dies on the first replayed round; source 2's host, source 0, has
+    // answered its own round first, so its answer is journaled inside
+    // the attempt. Either way the origin's shard degrades and the
+    // host's fails over onto the third source.
+    for (origin, host, next) in [(1, 2, 0), (2, 0, 1)] {
+        let tag = format!("origin {origin}, host {host}");
+        let journal = scratch_journal("replay-loss");
+        let (live, live_stats) = std::thread::scope(|scope| {
+            let routed = spawn_replay_loss(scope, &pipe, &shards, origin, host);
+            let mut recording = JournalingTransport::record(routed, &journal, FP).unwrap();
+            let out = pipe.run_driver(&mut recording).unwrap();
+            (out, recording.stats().clone())
+        });
         assert_eq!(
-            resuming.stats().uplink_bits(i),
-            live_stats.uplink_bits(i),
-            "{i}"
+            degradation_shape(&live).map(|d| d.0),
+            Some(vec![origin]),
+            "{tag}"
         );
-        assert_eq!(
-            resuming.stats().downlink_bits(i),
-            live_stats.downlink_bits(i),
-            "{i}"
+        let rec = live
+            .recovered
+            .as_ref()
+            .expect("the host's shard fails over");
+        assert_eq!(rec.promoted, vec![(host, next)], "{tag}");
+
+        // The attempt is journaled as the promotion, then nothing but
+        // the host's own answers, then its receive-side loss; it
+        // absorbed nothing.
+        let (_, entries) = read_journal(&journal).unwrap();
+        let attempt = entries
+            .iter()
+            .position(|e| matches!(e, JournalEntry::Promoted { origin: o, host: h } if (*o, *h) == (origin as u32, host as u32)))
+            .expect("the promotion onto the host is journaled");
+        let end = attempt
+            + 1
+            + entries[attempt + 1..]
+                .iter()
+                .take_while(
+                    |e| matches!(e, JournalEntry::Resp { source, .. } if *source as usize == host),
+                )
+                .count();
+        assert!(
+            matches!(entries[end], JournalEntry::Lost { source, via_send: false, .. } if source as usize == host),
+            "{tag}: {:?}",
+            &entries[attempt..=end]
         );
+        assert_eq!(absorbed_origins(&journal).unwrap(), vec![host], "{tag}");
+
+        // Resuming the whole journal replays every record, the failed
+        // attempt included, and never goes live: no executor is attached.
+        let (hub, _endpoints) = channel_pairs(m);
+        let routed = edge_kmeans::net::RoutingTransport::new(hub);
+        let mut resuming = JournalingTransport::resume(routed, &journal, FP).unwrap();
+        let resumed = pipe.run_driver(&mut resuming).unwrap();
+        let resumed_stats = resuming.stats().clone();
+
+        // A driver that crashed right after the attempt resumes over the
+        // live executors, the dead host left out of reconciliation.
+        let crashed = std::thread::scope(|scope| {
+            let routed = spawn_replay_loss(scope, &pipe, &shards, origin, host);
+            let recording = JournalingTransport::record(routed, &journal, FP).unwrap();
+            let mut crashing = CrashAfterLoss {
+                inner: recording,
+                source: host,
+                tripped: false,
+            };
+            pipe.run_driver(&mut crashing).unwrap_err();
+            let routed = crashing.inner.into_inner();
+            let mut resuming = JournalingTransport::resume(routed, &journal, FP).unwrap();
+            let out = pipe.run_driver(&mut resuming).unwrap();
+            (out, resuming.stats().clone())
+        });
+        let _ = std::fs::remove_file(&journal);
+
+        for (leg, (out, stats)) in [
+            ("whole journal", (resumed, resumed_stats)),
+            ("crash", crashed),
+        ] {
+            assert_centers_bit_identical(&out.centers, &live.centers);
+            assert_eq!(
+                degradation_shape(&out),
+                degradation_shape(&live),
+                "{tag}, {leg}"
+            );
+            assert_eq!(
+                out.recovered.map(|r| r.promoted),
+                Some(vec![(host, next)]),
+                "{tag}, {leg}"
+            );
+            assert_eq!(out.uplink_bits, live.uplink_bits, "{tag}, {leg}");
+            assert_eq!(out.downlink_bits, live.downlink_bits, "{tag}, {leg}");
+            for i in 0..m {
+                assert_eq!(
+                    stats.uplink_bits(i),
+                    live_stats.uplink_bits(i),
+                    "{tag}, {leg}: {i}"
+                );
+                assert_eq!(
+                    stats.downlink_bits(i),
+                    live_stats.downlink_bits(i),
+                    "{tag}, {leg}: {i}"
+                );
+            }
+        }
     }
 }
 
