@@ -75,11 +75,13 @@ impl<E: SourceEndpoint> SourceEndpoint for DyingEndpoint<E> {
 }
 
 /// A driver-side transport that silently swallows every send after the
-/// first `sends_before_crash` and fails every receive from then on —
-/// the in-process stand-in for a driver process dying mid-round.
+/// first `sends_before_crash`, or after it received the first loss of
+/// `crash_after_loss_of`, and fails every receive from then on — the
+/// in-process stand-in for a driver process dying mid-round.
 struct FaultInjector<T: CommandTransport> {
     inner: T,
     sends_before_crash: usize,
+    crash_after_loss_of: Option<usize>,
 }
 
 impl<T: CommandTransport> FaultInjector<T> {
@@ -110,7 +112,11 @@ impl<T: CommandTransport> CommandTransport for FaultInjector<T> {
                 detail: "driver process crashed".to_string(),
             });
         }
-        self.inner.recv(source)
+        let resp = self.inner.recv(source)?;
+        if matches!(resp, Response::SourceLost { .. }) && self.crash_after_loss_of == Some(source) {
+            self.sends_before_crash = 0;
+        }
+        Ok(resp)
     }
 
     fn stats(&self) -> &NetworkStats {
@@ -370,6 +376,7 @@ fn crashed_driver_resumes_to_bit_identical_centers_and_stats() {
         let mut crashing = FaultInjector {
             inner: recording,
             sends_before_crash: 5,
+            crash_after_loss_of: None,
         };
         let err = pipe.run_driver(&mut crashing).unwrap_err();
         assert!(
@@ -457,6 +464,7 @@ fn crash_during_promotion_resumes_to_bit_identical_centers() {
             let mut crashing = FaultInjector {
                 inner: recording,
                 sends_before_crash: crash_after_sends,
+                crash_after_loss_of: None,
             };
             pipe.run_driver(&mut crashing).unwrap_err();
             let hub = crashing.inner.into_inner().into_inner();
@@ -529,57 +537,6 @@ impl<E: SourceEndpoint> SourceEndpoint for DiesOnReplay<E> {
 
     fn send_response(&mut self, resp: Response) -> Result<(), NetError> {
         self.0.send_response(resp)
-    }
-}
-
-/// A driver that crashes right after it sees `source`'s first loss:
-/// from then on it reaches nobody, as [`FaultInjector`] does.
-struct CrashAfterLoss<T: CommandTransport> {
-    inner: T,
-    source: usize,
-    tripped: bool,
-}
-
-impl<T: CommandTransport> CommandTransport for CrashAfterLoss<T> {
-    fn sources(&self) -> usize {
-        self.inner.sources()
-    }
-
-    fn send(&mut self, source: usize, cmd: &Command) -> Result<(), NetError> {
-        if self.tripped {
-            return Ok(());
-        }
-        self.inner.send(source, cmd)
-    }
-
-    fn recv(&mut self, source: usize) -> Result<Response, NetError> {
-        if self.tripped {
-            return Err(NetError::Transport {
-                context: "injected fault",
-                detail: "driver process crashed".to_string(),
-            });
-        }
-        let resp = self.inner.recv(source)?;
-        self.tripped = source == self.source && matches!(resp, Response::SourceLost { .. });
-        Ok(resp)
-    }
-
-    fn stats(&self) -> &NetworkStats {
-        self.inner.stats()
-    }
-
-    fn promote(&mut self, origin: usize, host: usize) -> Result<(), NetError> {
-        if self.tripped {
-            return Err(NetError::Transport {
-                context: "injected fault",
-                detail: "driver process crashed".to_string(),
-            });
-        }
-        self.inner.promote(origin, host)
-    }
-
-    fn replaying(&self) -> bool {
-        self.inner.replaying()
     }
 }
 
@@ -708,10 +665,10 @@ fn a_host_lost_while_rebuilding_a_persona_resumes_as_a_failed_attempt() {
         let crashed = std::thread::scope(|scope| {
             let routed = spawn_replay_loss(scope, &pipe, &shards, origin, host);
             let recording = JournalingTransport::record(routed, &journal, FP).unwrap();
-            let mut crashing = CrashAfterLoss {
+            let mut crashing = FaultInjector {
                 inner: recording,
-                source: host,
-                tripped: false,
+                sends_before_crash: usize::MAX,
+                crash_after_loss_of: Some(host),
             };
             pipe.run_driver(&mut crashing).unwrap_err();
             let routed = crashing.inner.into_inner();
