@@ -50,11 +50,10 @@ pub(crate) fn local_svd_summary(data: &Matrix, t: usize) -> Result<(Vec<f64>, Ma
 /// The canonical `next_2_power` pairwise merge schedule over `m` leaves:
 /// level `ℓ` merges position `i + 2^ℓ` into position `i` for every `i`
 /// that is a multiple of `2^(ℓ+1)`, giving `ceil(log2 m)` levels with the
-/// root at position 0. The schedule is order-preserving — folding
-/// concatenative summaries along it yields exactly the position-order
-/// concatenation — and it is shared verbatim by the star driver fold and
-/// the tree driver, which is what makes the two bit-identical.
-pub fn merge_schedule(m: usize) -> Vec<Vec<(usize, usize)>> {
+/// root at position 0. The disPCA fold ([`dispca_global_basis`]) merges
+/// along it, and the golden fixtures' hashes pin that order: folding the
+/// same summaries in any other shape moves the global basis.
+pub(crate) fn merge_schedule(m: usize) -> Vec<Vec<(usize, usize)>> {
     let mut levels = Vec::new();
     let mut stride = 1;
     while stride < m {
@@ -86,9 +85,9 @@ fn scaled_stack(sv: &[f64], v: &Matrix) -> Matrix {
 
 /// Passes a summary through its wire encoding at `precision`, returning
 /// exactly what a receiver would decode. Every merge output is
-/// roundtripped so that a summary computed at a source and shipped one
-/// hop equals the same summary computed server-side — the roundtrip is
-/// idempotent, so re-encoding for the next hop changes nothing.
+/// roundtripped, so a fold at `Precision::F32` works on the values the
+/// wire carries; the golden hashes pin this step with the rest of the
+/// fold.
 fn wire_roundtrip_summary(
     singular_values: Vec<f64>,
     basis: Matrix,
@@ -114,8 +113,7 @@ fn wire_roundtrip_summary(
 
 /// The canonical pairwise disPCA merge: stacks `[Σ_aV_aᵀ; Σ_bV_bᵀ]`,
 /// takes the thin SVD truncated to rank `t`, and roundtrips the result
-/// through its wire encoding. Used identically by the server-side fold
-/// and by tree-mode executors merging a peer's summary.
+/// through its wire encoding. One step of [`dispca_fold`].
 pub(crate) fn dispca_merge_pair(
     a: &(Vec<f64>, Matrix),
     b: &(Vec<f64>, Matrix),
@@ -155,10 +153,9 @@ pub(crate) fn dispca_fold(
 /// disPCA step 2, the server-side fold: pairwise-merges the summaries
 /// along the canonical [`merge_schedule`], then finalizes the single
 /// folded summary — stack `ΣVᵀ` and take the global top-`t` right
-/// singular vectors. The star driver calls it on every summary; the
-/// tree driver performs the same pairwise merges at the sources and
-/// hands it the already-folded root, so the two topologies are
-/// bit-identical by construction.
+/// singular vectors. The paper's disPCA stacks every summary for one
+/// SVD instead; this fold's pairwise shape is kept because the golden
+/// hashes pin it.
 pub(crate) fn dispca_global_basis(
     summaries: &[(Vec<f64>, Matrix)],
     t: usize,
@@ -168,72 +165,6 @@ pub(crate) fn dispca_global_basis(
     let y = scaled_stack(&sv, &v);
     let global_rank = t.min(y.rows().min(y.cols()));
     Ok(svd::top_right_singular(&y, global_rank)?.1)
-}
-
-/// Merges two encoded-and-decoded summary messages of the same kind —
-/// the executor-side counterpart of the server's fold step. SVD
-/// summaries merge through [`dispca_merge_pair`] (rank `t`); coresets
-/// and raw blocks concatenate in order, exactly matching the server's
-/// source-order `vstack`/`Coreset::merge`.
-pub(crate) fn merge_summary_messages(
-    a: Message,
-    b: Message,
-    t: usize,
-    precision: Precision,
-) -> Result<Message> {
-    match (a, b) {
-        (
-            Message::SvdSummary {
-                singular_values: sva,
-                basis: va,
-                ..
-            },
-            Message::SvdSummary {
-                singular_values: svb,
-                basis: vb,
-                ..
-            },
-        ) => {
-            let (singular_values, basis) = dispca_merge_pair(&(sva, va), &(svb, vb), t, precision)?;
-            Ok(Message::SvdSummary {
-                singular_values,
-                basis,
-                precision,
-            })
-        }
-        (
-            Message::Coreset {
-                points: pa,
-                weights: mut wa,
-                delta: da,
-                precision: prec,
-                weights_precision,
-            },
-            Message::Coreset {
-                points: pb,
-                weights: wb,
-                delta: db,
-                ..
-            },
-        ) => {
-            wa.extend_from_slice(&wb);
-            Ok(Message::Coreset {
-                points: pa.vstack(&pb)?,
-                weights: wa,
-                delta: da + db,
-                precision: prec,
-                weights_precision,
-            })
-        }
-        (Message::RawData { points: pa }, Message::RawData { points: pb }) => {
-            Ok(Message::RawData {
-                points: pa.vstack(&pb)?,
-            })
-        }
-        _ => Err(CoreError::Protocol {
-            reason: "mismatched summary kinds in pairwise merge",
-        }),
-    }
 }
 
 /// disSS step 1, the source-local bicriteria solution for source `i`

@@ -25,7 +25,7 @@
 use crate::executor::state_fingerprint;
 use crate::health::{HealthMachine, RecoveryAction};
 use crate::output::{Degradation, Recovery};
-use crate::params::{replica_holders, Topology};
+use crate::params::replica_holders;
 use crate::pipelines::seeds;
 use crate::projection::MaybeProjection;
 use crate::server::{lift_centers_through_basis, solve_weighted_kmeans};
@@ -79,18 +79,19 @@ fn expect_up(resp: Response, context: &'static str) -> Result<(Payload, u64, f64
     }
 }
 
-/// Destructures a `Merged` response, returning its optional surrendered
-/// buffer. The leaf accounting fields are the transport's business
-/// ([`ekm_net::protocol::charge_response`]), not the driver's.
-fn expect_merged(resp: Response, context: &'static str) -> Result<Option<Payload>> {
-    match resp {
-        Response::Merged { payload, .. } => Ok(payload),
-        Response::Err { reason } => Err(CoreError::Net(NetError::RemoteAbort { reason })),
-        other => Err(CoreError::Net(NetError::ProtocolViolation {
-            context,
-            expected: "a merged response",
-            got: other.name().to_string(),
-        })),
+/// The [`NetError::Transport`] context of a send-side loss replayed from
+/// a journal: its detail is the reason the live run recorded.
+pub(crate) const REPLAYED_LOSS: &str = "journal replay of a lost send";
+
+/// The reason a source lost to a failed send is recorded under. The
+/// journal records a send-side loss under this reason and fails the
+/// replayed send with it as a [`REPLAYED_LOSS`], so a resumed run's
+/// degradation record reads as the live run's.
+pub(crate) fn send_loss_reason(context: &'static str, detail: String) -> String {
+    if context == REPLAYED_LOSS {
+        detail
+    } else {
+        format!("send failed during {context}: {detail}")
     }
 }
 
@@ -187,14 +188,8 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
         if cmd.is_round() {
             self.history[i].push(cmd.clone());
         }
-        match self.inner.send(i, cmd) {
-            Ok(()) => Ok(()),
-            Err(NetError::Transport { context, detail }) => {
-                let reason = format!("send failed during {context}: {detail}");
-                self.handle_loss(i, reason).map(|_| ())
-            }
-            Err(e) => Err(CoreError::Net(e)),
-        }
+        let sent = self.inner.send(i, cmd);
+        self.after_send(i, sent)
     }
 
     /// [`send`](Self::send) over a shared encoding: a broadcast round is
@@ -207,10 +202,16 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
         if enc.command().is_round() {
             self.history[i].push(enc.command().clone());
         }
-        match self.inner.send_encoded(i, enc) {
+        let sent = self.inner.send_encoded(i, enc);
+        self.after_send(i, sent)
+    }
+
+    /// Runs the health machine over a failed send to `i`.
+    fn after_send(&mut self, i: usize, sent: std::result::Result<(), NetError>) -> Result<()> {
+        match sent {
             Ok(()) => Ok(()),
             Err(NetError::Transport { context, detail }) => {
-                let reason = format!("send failed during {context}: {detail}");
+                let reason = send_loss_reason(context, detail);
                 self.handle_loss(i, reason).map(|_| ())
             }
             Err(e) => Err(CoreError::Net(e)),
@@ -458,207 +459,23 @@ pub(crate) fn replay_rounds<T: CommandTransport>(
     Ok(())
 }
 
-/// Gather ids for [`Command::MergeWith`], one per tree-reduced phase.
-const GATHER_DISPCA: u8 = 1;
-const GATHER_DISSS: u8 = 2;
-const GATHER_TRANSMIT: u8 = 3;
-
-/// A tree position's occupant: the source currently holding the folded
-/// summary of `origins` (its own leaf plus every subtree merged in).
-struct Holder {
-    source: usize,
-    origins: Vec<usize>,
-}
-
-/// Marks every source whose summary `holder` had absorbed as lost — the
-/// data sat in a buffer that just disappeared with the holder. The
-/// holder's own source is skipped (the transport loss already marked
-/// it), as is anything already lost for its own reasons.
-fn mark_absorbed_lost<T: CommandTransport>(
-    net: &mut RoundNet<'_, T>,
-    holder: &Holder,
-) -> Result<()> {
-    for &o in &holder.origins {
-        if o != holder.source && net.alive[o] {
-            net.mark_lost(
-                o,
-                format!("summary absorbed by lost source {}", holder.source),
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// The tree topology's reduction: pairwise merges along the canonical
-/// [`distributed::merge_schedule`] over the sources that buffered a
-/// summary this gather, halving the active set each level until one
-/// root delivers the folded result — `ceil(log2 s)` merge levels plus
-/// the root emit, with the server folding a single input instead of
-/// `s`.
-///
-/// Peer traffic is routed through the server in v1 (send the emitter a
-/// bare `MergeWith`, forward its surrendered buffer to the partner), so
-/// a holder lost *after* emitting strands its summary server-side
-/// rather than losing it: stranded summaries join the root in the
-/// returned list, ordered by tree position, and the driver folds them
-/// with the same shared functions the star path uses. A holder lost
-/// *before* emitting takes every absorbed origin down with it — the
-/// degradation record then names the whole subtree.
-fn tree_gather<T: CommandTransport>(
-    net: &mut RoundNet<'_, T>,
-    responders: &[usize],
-    gather: u8,
-) -> Result<Vec<Message>> {
-    let mut positions: Vec<Option<Holder>> = responders
-        .iter()
-        .map(|&source| {
-            Some(Holder {
-                source,
-                origins: vec![source],
-            })
-        })
-        .collect();
-    // Summaries that already transited the server when their next
-    // holder died, plus (last) the root's delivery.
-    let mut finals: Vec<(usize, Payload)> = Vec::new();
-    let levels = distributed::merge_schedule(positions.len());
-    let depth = levels.len() as u64;
-    for (lvl, pairs) in levels.into_iter().enumerate() {
-        let active = positions.iter().flatten().count() as u64;
-        for (pi, pj) in pairs {
-            let Some(src) = positions[pj].take() else {
-                continue;
-            };
-            let Some(dst_source) = positions[pi].as_ref().map(|h| h.source) else {
-                // The partner is gone: the holder advances unpaired.
-                positions[pi] = Some(src);
-                continue;
-            };
-            net.send(
-                src.source,
-                &Command::MergeWith {
-                    gather,
-                    level: lvl as u64,
-                    active,
-                    payload: None,
-                    emit: true,
-                    last: false,
-                },
-            )?;
-            let Some(resp) = net.recv(src.source)? else {
-                mark_absorbed_lost(net, &src)?;
-                continue;
-            };
-            let payload = expect_merged(resp, "tree merge emit")?.ok_or(CoreError::Net(
-                NetError::ProtocolViolation {
-                    context: "tree merge emit",
-                    expected: "a surrendered merge buffer",
-                    got: "a merged response with no payload".to_string(),
-                },
-            ))?;
-            net.send(
-                dst_source,
-                &Command::MergeWith {
-                    gather,
-                    level: lvl as u64,
-                    active,
-                    payload: Some(payload.clone()),
-                    emit: false,
-                    last: false,
-                },
-            )?;
-            match net.recv(dst_source)? {
-                Some(resp) => {
-                    expect_merged(resp, "tree merge fold")?;
-                    positions[pi]
-                        .as_mut()
-                        .expect("holder checked above")
-                        .origins
-                        .extend(src.origins);
-                }
-                None => {
-                    // The destination died holding its subtree, but the
-                    // emitted summary already reached the server: it is
-                    // stranded here and joins the server-side fold.
-                    let dst = positions[pi].take().expect("holder checked above");
-                    mark_absorbed_lost(net, &dst)?;
-                    finals.push((pj, payload));
-                }
-            }
-        }
-    }
-    // The root delivers the folded tree — the server's one fold input.
-    let active = positions.iter().flatten().count() as u64;
-    if let Some(pos) = positions.iter().position(Option::is_some) {
-        let root = positions[pos].take().expect("found above");
-        net.send(
-            root.source,
-            &Command::MergeWith {
-                gather,
-                level: depth,
-                active,
-                payload: None,
-                emit: true,
-                last: true,
-            },
-        )?;
-        match net.recv(root.source)? {
-            Some(resp) => {
-                let payload = expect_merged(resp, "tree root emit")?.ok_or(CoreError::Net(
-                    NetError::ProtocolViolation {
-                        context: "tree root emit",
-                        expected: "the folded root summary",
-                        got: "a merged response with no payload".to_string(),
-                    },
-                ))?;
-                finals.push((pos, payload));
-            }
-            None => mark_absorbed_lost(net, &root)?,
-        }
-    }
-    finals.sort_by_key(|&(pos, _)| pos);
-    finals
-        .iter()
-        .map(|(_, p)| p.decode().map_err(CoreError::Net))
-        .collect()
-}
-
-/// Collects one summary phase from `responders` and hands every decoded
-/// summary to `fold`, in source order. Over the star each responder
-/// answers with its summary; in the tree topology (with more than one
-/// source) each acknowledges with a `Done` and [`tree_gather`] reduces
-/// the buffered summaries pairwise, handing `fold` the root's (plus any
-/// stranded ones). Returns the largest ops and seconds reported.
+/// Collects one summary phase from `responders`: each answers with its
+/// summary, which is decoded and handed to `fold` in source order.
+/// Returns the largest ops and seconds reported.
 fn gather_summaries<T: CommandTransport>(
     net: &mut RoundNet<'_, T>,
-    topology: Topology,
     responders: impl IntoIterator<Item = usize>,
-    gather: u8,
     context: &'static str,
     mut fold: impl FnMut(Message) -> Result<()>,
 ) -> Result<(u64, f64)> {
-    let tree = topology == Topology::Tree && net.inner.sources() > 1;
-    let mut holders = Vec::new();
     let mut ops = 0u64;
     let mut secs = 0.0f64;
     for i in responders {
         let Some(resp) = net.recv(i)? else { continue };
-        if tree {
-            let (_, _, o, s) = expect_done(resp, context)?;
-            ops = ops.max(o);
-            secs = secs.max(s);
-            holders.push(i);
-        } else {
-            let (payload, o, s) = expect_up(resp, context)?;
-            ops = ops.max(o);
-            secs = secs.max(s);
-            fold(payload.decode().map_err(CoreError::Net)?)?;
-        }
-    }
-    if tree {
-        for msg in tree_gather(net, &holders, gather)? {
-            fold(msg)?;
-        }
+        let (payload, o, s) = expect_up(resp, context)?;
+        ops = ops.max(o);
+        secs = secs.max(s);
+        fold(payload.decode().map_err(CoreError::Net)?)?;
     }
     Ok((ops, secs))
 }
@@ -910,26 +727,19 @@ fn run_stage<T: CommandTransport>(
                 net.send_enc(i, &stage_enc)?;
             }
             let mut summaries = Vec::with_capacity(m);
-            let (ops1, secs1) = gather_summaries(
-                net,
-                params.topology,
-                0..m,
-                GATHER_DISPCA,
-                "dispca summary",
-                |msg| match msg {
-                    Message::SvdSummary {
-                        singular_values,
-                        basis,
-                        ..
-                    } => {
-                        summaries.push((singular_values, basis));
-                        Ok(())
-                    }
-                    _ => Err(CoreError::Protocol {
-                        reason: "expected svd summary",
-                    }),
-                },
-            )?;
+            let (ops1, secs1) = gather_summaries(net, 0..m, "dispca summary", |msg| match msg {
+                Message::SvdSummary {
+                    singular_values,
+                    basis,
+                    ..
+                } => {
+                    summaries.push((singular_values, basis));
+                    Ok(())
+                }
+                _ => Err(CoreError::Protocol {
+                    reason: "expected svd summary",
+                }),
+            })?;
             // Step 2: the global SVD, folded along the canonical merge
             // schedule.
             let t1 = Instant::now();
@@ -1006,13 +816,8 @@ fn run_stage<T: CommandTransport>(
             }
             // Step 3: weighted samples, merged in source order.
             let mut parts = Vec::with_capacity(m);
-            let (ops2, secs2) = gather_summaries(
-                net,
-                params.topology,
-                responders,
-                GATHER_DISSS,
-                "disss sample",
-                |msg| match msg {
+            let (ops2, secs2) =
+                gather_summaries(net, responders, "disss sample", |msg| match msg {
                     Message::Coreset {
                         points,
                         weights,
@@ -1027,8 +832,7 @@ fn run_stage<T: CommandTransport>(
                     _ => Err(CoreError::Protocol {
                         reason: "expected a coreset message",
                     }),
-                },
-            )?;
+                })?;
             let t1 = Instant::now();
             let merged = Coreset::merge(parts.iter()).map_err(CoreError::Coreset)?;
             st.server_seconds += t1.elapsed().as_secs_f64();
@@ -1106,30 +910,23 @@ fn finalize<T: CommandTransport>(
             }
             let mut blocks = Vec::with_capacity(m);
             let mut weights = Vec::new();
-            let (ops, secs) = gather_summaries(
-                net,
-                params.topology,
-                0..m,
-                GATHER_TRANSMIT,
-                "summary transmit",
-                |msg| match msg {
-                    Message::RawData { points } => {
-                        weights.resize(weights.len() + points.rows(), 1.0);
-                        blocks.push(points);
-                        Ok(())
-                    }
-                    Message::Coreset {
-                        points, weights: w, ..
-                    } => {
-                        weights.extend(w);
-                        blocks.push(points);
-                        Ok(())
-                    }
-                    _ => Err(CoreError::Protocol {
-                        reason: "expected raw data or a coreset",
-                    }),
-                },
-            )?;
+            let (ops, secs) = gather_summaries(net, 0..m, "summary transmit", |msg| match msg {
+                Message::RawData { points } => {
+                    weights.resize(weights.len() + points.rows(), 1.0);
+                    blocks.push(points);
+                    Ok(())
+                }
+                Message::Coreset {
+                    points, weights: w, ..
+                } => {
+                    weights.extend(w);
+                    blocks.push(points);
+                    Ok(())
+                }
+                _ => Err(CoreError::Protocol {
+                    reason: "expected raw data or a coreset",
+                }),
+            })?;
             st.source_ops += ops;
             st.source_seconds += secs;
             let t1 = Instant::now();

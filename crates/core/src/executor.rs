@@ -30,10 +30,8 @@
 
 use crate::cache::{StageCache, StageSnapshot};
 use crate::complexity;
-use crate::distributed::{
-    disss_local_bicriteria, disss_local_sample, local_svd_summary, merge_summary_messages,
-};
-use crate::params::{SummaryParams, Topology};
+use crate::distributed::{disss_local_bicriteria, disss_local_sample, local_svd_summary};
+use crate::params::SummaryParams;
 use crate::pipelines::{quantize_for_wire, seeds};
 use crate::projection::MaybeProjection;
 use crate::stage::{
@@ -125,28 +123,6 @@ enum PendingDeliver {
     DisssAllocation { bic: BicriteriaSolution },
 }
 
-/// A summary held back for the tree topology's pairwise fold instead of
-/// being uplinked directly. The message is the *post-wire* copy (encoded
-/// and decoded once), so merging it with a peer's summary is bit-identical
-/// to the server folding the two decoded uplinks itself.
-#[derive(Debug)]
-struct MergeBuffer {
-    /// The buffered summary, exactly as a receiver would decode it.
-    msg: Message,
-    /// Truncation rank for SVD-summary merges (ignored for coresets).
-    rank: usize,
-    /// Wire size of the original leaf summary, reported on this
-    /// source's first `Merged` response so the server can keep the
-    /// classic per-source uplink ledger identical to the star run.
-    leaf_bits: u64,
-    /// Wire tag of the leaf summary (recovers the message kind).
-    leaf_tag: u8,
-    /// Message kind of the leaf summary, for the by-kind ledger.
-    leaf_kind: &'static str,
-    /// Whether `leaf_bits` has already been reported.
-    charged: bool,
-}
-
 /// One data source of a server-driven protocol run.
 #[derive(Debug)]
 pub struct SourceExecutor<'a> {
@@ -166,8 +142,6 @@ pub struct SourceExecutor<'a> {
     /// to transmit).
     handed_off: bool,
     pending: Option<PendingDeliver>,
-    /// Tree topology only: the summary awaiting pairwise merges.
-    merge: Option<MergeBuffer>,
     report: SourceRunReport,
     /// Rounds answered so far (the first command of a run is round 1).
     round: u64,
@@ -233,7 +207,6 @@ impl<'a> SourceExecutor<'a> {
             stages_run: 0,
             handed_off: false,
             pending: None,
-            merge: None,
             report: SourceRunReport::default(),
             round: 0,
             last_response: None,
@@ -490,39 +463,6 @@ impl<'a> SourceExecutor<'a> {
         }
     }
 
-    /// Sends a summary toward the server: straight up over the star
-    /// (see [`Self::up`]), or — in the tree topology with more than one
-    /// source (a single source is its own root, so it always stars) —
-    /// held back for the pairwise merge rounds behind a plain `Done`.
-    fn emit_summary(
-        &mut self,
-        msg: &Message,
-        rank: usize,
-        ops: u64,
-        seconds: f64,
-    ) -> Result<Response> {
-        let tree = self.params.topology == Topology::Tree && self.m > 1;
-        if !tree {
-            return Ok(self.up(msg, ops, seconds));
-        }
-        let payload = Payload::of(msg);
-        // The leaf's bits are booked when they are *reported* (the first
-        // `Merged` response of the gather), not here: the server charges
-        // its classic ledger at that response, and a promoted replica's
-        // replayed ledger must match the server's row at every completed
-        // round boundary.
-        let decoded = payload.decode().map_err(CoreError::Net)?;
-        self.merge = Some(MergeBuffer {
-            leaf_bits: payload.bits(),
-            leaf_tag: payload.tag(),
-            leaf_kind: msg.kind(),
-            msg: decoded,
-            rank,
-            charged: false,
-        });
-        Ok(self.done(ops, seconds))
-    }
-
     /// Refuses a transmission once disSS moved the summary to the
     /// server.
     fn require_summary(&self, context: &'static str) -> Result<()> {
@@ -612,63 +552,6 @@ impl<'a> SourceExecutor<'a> {
                     downlink_bits: self.report.downlink_bits,
                 })
             }
-            Command::MergeWith {
-                payload,
-                emit,
-                last,
-                ..
-            } => {
-                // A merge round may arrive while a deliver is pending
-                // (disPCA buffers its summary before the basis comes
-                // back), so no pending/side checks here.
-                let MergeBuffer {
-                    mut msg,
-                    rank,
-                    leaf_bits,
-                    leaf_tag,
-                    leaf_kind,
-                    charged,
-                } = self.merge.take().ok_or_else(|| {
-                    let expected = "a buffered summary awaiting the tree fold";
-                    violation("merge-with", expected, "no merge buffer on this source")
-                })?;
-                if let Some(p) = payload {
-                    let peer = p.decode().map_err(CoreError::Net)?;
-                    msg = merge_summary_messages(msg, peer, rank, self.params.precision)?;
-                }
-                // The leaf's wire size rides on the first merge response
-                // of each gather so the server can charge the classic
-                // per-source uplink ledger exactly once, star-style.
-                let (leaf_bits, leaf_tag) = if charged {
-                    (0, 0)
-                } else {
-                    // Book the one-time leaf bits in lockstep with the
-                    // server, which charges them off this response.
-                    self.report.uplink_bits += leaf_bits;
-                    *self.report.uplink_kinds.entry(leaf_kind).or_insert(0) += leaf_bits;
-                    (leaf_bits, leaf_tag)
-                };
-                let payload = if emit {
-                    Some(Payload::of(&msg))
-                } else {
-                    self.merge = Some(MergeBuffer {
-                        msg,
-                        rank,
-                        leaf_bits: 0,
-                        leaf_tag: 0,
-                        leaf_kind: "",
-                        charged: true,
-                    });
-                    None
-                };
-                Ok(Response::Merged {
-                    round: self.round,
-                    payload,
-                    leaf_bits,
-                    leaf_tag,
-                    last,
-                })
-            }
             Command::Abort { reason } => Err(CoreError::Net(NetError::RemoteAbort { reason })),
             other => Err(violation("executor step", "a known command", other.name())),
         }
@@ -696,7 +579,7 @@ impl<'a> SourceExecutor<'a> {
                     precision: self.params.precision,
                 };
                 self.pending = Some(PendingDeliver::DispcaBasis);
-                self.emit_summary(&msg, t, ops, secs)
+                Ok(self.up(&msg, ops, secs))
             }
             Stage::DisSs(_) => {
                 let seed = derive_seed(self.params.seed, seeds::FSS);
@@ -911,7 +794,7 @@ impl<'a> SourceExecutor<'a> {
                 // The summary now lives at the server.
                 self.part = Cow::Owned(Matrix::zeros(0, 0));
                 self.handed_off = true;
-                self.emit_summary(&msg, 0, ops, secs)
+                Ok(self.up(&msg, ops, secs))
             }
             (pending, msg) => {
                 let expected = match pending {
@@ -959,7 +842,7 @@ impl<'a> SourceExecutor<'a> {
             }
         };
         let secs = t0.elapsed().as_secs_f64();
-        self.emit_summary(&msg, 0, ops, secs)
+        Ok(self.up(&msg, ops, secs))
     }
 }
 

@@ -17,7 +17,7 @@
 //! Control-plane commands (`Abort`, `Deadline`, `Resume`, `Reissue`)
 //! are never journaled: they shape recovery, not the computation.
 
-use crate::driver::replay_rounds;
+use crate::driver::{replay_rounds, send_loss_reason, REPLAYED_LOSS};
 use crate::executor::state_fingerprint;
 use crate::{CoreError, Result};
 use ekm_net::frame::{try_read_frame, write_frame};
@@ -47,7 +47,7 @@ const MAGIC: u32 = 0x454b_4d4a;
 const VERSION: u16 = 1;
 
 /// The journal's file header: enough to refuse resuming a run under a
-/// different topology or configuration.
+/// different configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalHeader {
     /// Number of sources the journaled run was driving.
@@ -114,6 +114,15 @@ fn journal_io(reason: String) -> CoreError {
 /// [`CommandTransport`] methods, which speak [`NetError`].
 fn jerr(context: &'static str, detail: String) -> NetError {
     NetError::Transport { context, detail }
+}
+
+/// The reason a [`JournalEntry::Lost`] records for a failed send or
+/// promotion: the reason the driver records the loss under.
+fn send_loss_record(e: &NetError) -> String {
+    match e {
+        NetError::Transport { context, detail } => send_loss_reason(context, detail.clone()),
+        other => other.to_string(),
+    }
 }
 
 impl JournalEntry {
@@ -648,7 +657,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
                 self.append(&JournalEntry::Lost {
                     source: source as u32,
                     via_send: true,
-                    reason: e.to_string(),
+                    reason: send_loss_record(&e),
                 })?;
                 Err(e)
             }
@@ -692,8 +701,8 @@ impl<T: CommandTransport> JournalingTransport<T> {
     }
 
     /// Consumes a journaled send-side loss of `source` at the cursor, if
-    /// that is the next record: a journaled send failure replays as the
-    /// same failure.
+    /// that is the next record: a journaled send failure replays as a
+    /// failure the driver records under the live run's reason.
     fn replay_send_loss(&mut self, source: usize) -> std::result::Result<(), NetError> {
         match self.records.get(self.cursor) {
             Some(JournalEntry::Lost {
@@ -702,7 +711,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
                 reason,
             }) if *s as usize == source => {
                 self.cursor += 1;
-                Err(jerr("journal replay", reason.clone()))
+                Err(jerr(REPLAYED_LOSS, reason.clone()))
             }
             _ => Ok(()),
         }
@@ -796,7 +805,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
             self.append(&JournalEntry::Lost {
                 source: host as u32,
                 via_send: true,
-                reason: e.to_string(),
+                reason: send_loss_record(&e),
             })?;
             return Err(e);
         }
@@ -857,7 +866,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
         }
         self.cursor = end + 1;
         match &self.records[end] {
-            JournalEntry::Lost { reason, .. } => Err(jerr("journal replay", reason.clone())),
+            JournalEntry::Lost { reason, .. } => Err(jerr(REPLAYED_LOSS, reason.clone())),
             _ => unreachable!("failed_promotion ends at the host's loss"),
         }
     }

@@ -99,7 +99,7 @@ pub use executor::{SourceExecutor, SourceRunReport};
 pub use health::{Health, HealthMachine, RecoveryAction};
 pub use journal::JournalingTransport;
 pub use output::{Degradation, Recovery, RunOutput};
-pub use params::{SummaryParams, Topology};
+pub use params::SummaryParams;
 pub use stage::Stage;
 
 /// Convenience result alias used across the crate.

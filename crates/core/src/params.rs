@@ -16,47 +16,6 @@ use ekm_net::DeadlinePolicy;
 use ekm_quant::RoundingQuantizer;
 use ekm_sketch::JlKind;
 
-/// How the driver aggregates per-source summaries in the server-driven
-/// protocol. Both topologies produce bit-identical centers, digests, and
-/// per-source classic counters; they differ only in where the merge
-/// arithmetic runs and how many fold inputs reach the server.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Topology {
-    /// Every source uplinks its summary; the server folds all `s` of
-    /// them (the paper's literal model — `O(s)` server fold inputs).
-    #[default]
-    Star,
-    /// Sources pairwise-merge summaries up the canonical `next_2_power`
-    /// reduction tree in `ceil(log2 s)` rounds; one root delivers the
-    /// folded result (`O(1)` server fold inputs, `O(log s)` rounds).
-    Tree,
-}
-
-impl Topology {
-    /// The CLI token (`star` / `tree`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Topology::Star => "star",
-            Topology::Tree => "tree",
-        }
-    }
-
-    /// Parses a CLI token.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::InvalidConfig`] for unknown tokens.
-    pub fn parse(s: &str) -> crate::Result<Topology> {
-        match s {
-            "star" => Ok(Topology::Star),
-            "tree" => Ok(Topology::Tree),
-            _ => Err(crate::CoreError::InvalidConfig {
-                reason: "unknown topology (expected star or tree)",
-            }),
-        }
-    }
-}
-
 /// Tunable configuration shared by all pipelines.
 #[derive(Debug, Clone)]
 pub struct SummaryParams {
@@ -100,11 +59,6 @@ pub struct SummaryParams {
     /// keys and handshake fingerprints — it shapes *when* a run fails
     /// over, never the bits it computes.
     pub deadline: DeadlinePolicy,
-    /// Aggregation topology of the server-driven protocol (star by
-    /// default; tree runs are bit-identical to star). Part of the
-    /// handshake/journal fingerprint — a resume cannot silently switch
-    /// topologies mid-run.
-    pub topology: Topology,
     /// Shard replication factor `r` of the server-driven protocol
     /// (`1` = no replicas, today's behavior). Each shard `i` gets an
     /// owner plus `r − 1` cold replica holders at sources
@@ -179,7 +133,6 @@ impl SummaryParams {
             precision: Precision::Full,
             compute: Compute::F64,
             deadline: DeadlinePolicy::default(),
-            topology: Topology::Star,
             replication: 1,
         }
     }
@@ -266,12 +219,6 @@ impl SummaryParams {
     /// Sets the straggler deadline policy.
     pub fn with_deadline(mut self, deadline: DeadlinePolicy) -> Self {
         self.deadline = deadline;
-        self
-    }
-
-    /// Sets the aggregation topology of the server-driven protocol.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
         self
     }
 

@@ -8,7 +8,6 @@
 //! | [`Message::Basis`] | disPCA step 3 (global `V^{(t2)}`) | server → source |
 //! | [`Message::CostReport`] | disSS step 1 (`cost(P_i, X_i)`) | source → server |
 //! | [`Message::SampleAllocation`] | disSS step 2 (`s_i`) | server → source |
-//! | [`Message::Centers`] | final result delivery | server → source |
 //!
 //! Coreset point payloads honor a [`Precision`]; the remaining float
 //! payloads (weights, singular values, bases) default to full precision,
@@ -76,11 +75,6 @@ pub enum Message {
         /// `s_i` samples requested from this source.
         size: u64,
     },
-    /// Final k-means centers.
-    Centers {
-        /// The centers (`k × d`).
-        centers: Matrix,
-    },
 }
 
 const TAG_RAW: u8 = 1;
@@ -89,7 +83,7 @@ const TAG_SVD: u8 = 3;
 const TAG_BASIS: u8 = 4;
 const TAG_COST: u8 = 5;
 const TAG_ALLOC: u8 = 6;
-const TAG_CENTERS: u8 = 7;
+// 7 stays unassigned: it decodes as an unknown tag.
 
 impl Message {
     /// Exact encoded length in bits, known from the shapes alone, so
@@ -133,7 +127,6 @@ impl Message {
                 PRECISION + SHAPE + run(basis.as_slice().len(), *precision)
             }
             Message::CostReport { .. } | Message::SampleAllocation { .. } => full(1),
-            Message::Centers { centers } => SHAPE + full(centers.as_slice().len()),
         }
     }
 
@@ -181,10 +174,6 @@ impl Message {
             Message::SampleAllocation { size } => {
                 w.write_bits(TAG_ALLOC as u64, 8);
                 w.write_bits(*size, 64);
-            }
-            Message::Centers { centers } => {
-                w.write_bits(TAG_CENTERS as u64, 8);
-                encode_matrix(&mut w, centers, Precision::Full);
             }
         }
         debug_assert_eq!(w.bit_len(), self.encoded_bits());
@@ -252,9 +241,6 @@ impl Message {
             TAG_ALLOC => Ok(Message::SampleAllocation {
                 size: r.read_bits(64)?,
             }),
-            TAG_CENTERS => Ok(Message::Centers {
-                centers: decode_matrix(&mut r, Precision::Full)?,
-            }),
             other => Err(NetError::UnknownMessageTag { tag: other }),
         }
     }
@@ -269,7 +255,6 @@ impl Message {
             Message::Basis { .. } => TAG_BASIS,
             Message::CostReport { .. } => TAG_COST,
             Message::SampleAllocation { .. } => TAG_ALLOC,
-            Message::Centers { .. } => TAG_CENTERS,
         }
     }
 
@@ -285,7 +270,6 @@ impl Message {
             TAG_BASIS => Ok("basis"),
             TAG_COST => Ok("cost-report"),
             TAG_ALLOC => Ok("sample-allocation"),
-            TAG_CENTERS => Ok("centers"),
             other => Err(NetError::UnknownMessageTag { tag: other }),
         }
     }
@@ -397,9 +381,6 @@ mod tests {
                 basis: Matrix::identity(3),
                 precision: Precision::Full,
             },
-            Message::Centers {
-                centers: Matrix::from_fn(2, 5, |i, j| (i * 5 + j) as f64),
-            },
         ] {
             assert_eq!(roundtrip(&msg), msg);
         }
@@ -497,9 +478,6 @@ mod tests {
                 },
                 Message::CostReport { cost: 1.0 },
                 Message::SampleAllocation { size: 3 },
-                Message::Centers {
-                    centers: Matrix::zeros(0, 4),
-                },
             ] {
                 let (buf, bits) = msg.encode();
                 assert_eq!(bits, msg.encoded_bits(), "{msg:?}");
@@ -550,10 +528,6 @@ mod tests {
             .kind(),
             Message::CostReport { cost: 0.0 }.kind(),
             Message::SampleAllocation { size: 0 }.kind(),
-            Message::Centers {
-                centers: Matrix::zeros(1, 1),
-            }
-            .kind(),
             Message::Basis {
                 basis: Matrix::zeros(1, 1),
                 precision: Precision::Full,

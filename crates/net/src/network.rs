@@ -12,13 +12,10 @@ use std::collections::BTreeMap;
 /// Per-direction, per-source transmission counters.
 ///
 /// The classic ledgers (uplink/downlink bits, messages, by-kind) describe
-/// the *protocol* cost and are identical across aggregation topologies by
-/// construction. The tree-topology counters (`relay_*`, `server_fold_*`,
-/// `merge_levels`) describe the *physical placement* of that traffic
-/// under `--topology tree`: peer-merge payloads relayed through the
-/// server, the single folded root the server actually receives, and the
-/// per-level active sets proving the `O(log s)` round count. They stay
-/// zero/empty on star runs.
+/// the *protocol* cost. The replica-plane counters (promotions, replayed
+/// rounds, replica bits) describe the recovery traffic of promoted
+/// replicas, kept apart so a recovered run's classic ledgers equal its
+/// never-failed twin's. They stay zero on a fault-free run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     uplink_bits: Vec<u64>,
@@ -26,11 +23,6 @@ pub struct NetworkStats {
     uplink_msgs: Vec<u64>,
     downlink_msgs: Vec<u64>,
     uplink_by_kind: BTreeMap<&'static str, u64>,
-    relay_bits: Vec<u64>,
-    server_fold_bits: u64,
-    server_fold_inputs: u64,
-    /// `(gather, level) → active summary holders entering the level`.
-    merge_levels: BTreeMap<(u8, u64), u64>,
     replica_promotions: u64,
     replayed_rounds: u64,
     replica_bits: u64,
@@ -47,10 +39,6 @@ impl NetworkStats {
             uplink_msgs: vec![0; sources],
             downlink_msgs: vec![0; sources],
             uplink_by_kind: BTreeMap::new(),
-            relay_bits: vec![0; sources],
-            server_fold_bits: 0,
-            server_fold_inputs: 0,
-            merge_levels: BTreeMap::new(),
             replica_promotions: 0,
             replayed_rounds: 0,
             replica_bits: 0,
@@ -124,56 +112,6 @@ impl NetworkStats {
         self.downlink_msgs[source] += 1;
     }
 
-    /// Charges one tree-topology relay message of `bits` touching
-    /// `source` — a peer summary forwarded through the server during a
-    /// pairwise merge. Kept off the classic ledgers so those stay
-    /// bit-identical to the star topology.
-    pub fn charge_relay(&mut self, source: usize, bits: u64) {
-        self.relay_bits[source] += bits;
-    }
-
-    /// Charges the folded root summary the server keeps as a fold input
-    /// under `--topology tree` (exactly one per gather on a fault-free
-    /// run).
-    pub fn charge_server_fold(&mut self, bits: u64) {
-        self.server_fold_bits += bits;
-        self.server_fold_inputs += 1;
-    }
-
-    /// Records the active holder count entering merge level `level` of
-    /// gather `gather`. Idempotent per `(gather, level)`, so reissued or
-    /// journal-replayed commands cannot inflate the record.
-    pub fn note_merge_level(&mut self, gather: u8, level: u64, active: u64) {
-        self.merge_levels.entry((gather, level)).or_insert(active);
-    }
-
-    /// Relay bits that passed through `source` during tree merges.
-    pub fn relay_bits(&self, source: usize) -> u64 {
-        self.relay_bits[source]
-    }
-
-    /// Total tree-topology relay bits over all sources.
-    pub fn total_relay_bits(&self) -> u64 {
-        self.relay_bits.iter().sum()
-    }
-
-    /// Data-plane bits the server actually received as fold inputs under
-    /// `--topology tree` (the folded roots only).
-    pub fn server_fold_bits(&self) -> u64 {
-        self.server_fold_bits
-    }
-
-    /// Number of fold inputs the server received under `--topology tree`
-    /// (one per gather on a fault-free run, regardless of `s`).
-    pub fn server_fold_inputs(&self) -> u64 {
-        self.server_fold_inputs
-    }
-
-    /// The recorded merge levels: `(gather, level) → active holders`.
-    pub fn merge_levels(&self) -> &BTreeMap<(u8, u64), u64> {
-        &self.merge_levels
-    }
-
     /// Charges one replica-promotion control exchange of `bits`: the
     /// promote command, the replayed-round wrappers' overhead, and their
     /// acknowledgements. Kept off the classic ledgers so a recovered run
@@ -215,17 +153,6 @@ impl NetworkStats {
     pub fn replica_bits(&self) -> u64 {
         self.replica_bits
     }
-
-    /// The deepest per-gather level count (merge rounds plus the root
-    /// emit) — the number the `O(log s)` contract bounds.
-    pub fn max_merge_rounds(&self) -> u64 {
-        let mut per_gather: BTreeMap<u8, u64> = BTreeMap::new();
-        for &(gather, level) in self.merge_levels.keys() {
-            let e = per_gather.entry(gather).or_insert(0);
-            *e = (*e).max(level + 1);
-        }
-        per_gather.values().copied().max().unwrap_or(0)
-    }
 }
 
 /// A caller-held ledger for `m` data sources: the pipeline entry points
@@ -256,9 +183,7 @@ impl Network {
         self.sources
     }
 
-    /// Adds one run's counters into this ledger, source by source
-    /// (merge levels keep their first record, as
-    /// [`NetworkStats::note_merge_level`] does).
+    /// Adds one run's counters into this ledger, source by source.
     ///
     /// # Panics
     ///
@@ -276,15 +201,9 @@ impl Network {
             stats.downlink_bits[i] += run.downlink_bits[i];
             stats.uplink_msgs[i] += run.uplink_msgs[i];
             stats.downlink_msgs[i] += run.downlink_msgs[i];
-            stats.relay_bits[i] += run.relay_bits[i];
         }
         for (kind, bits) in &run.uplink_by_kind {
             *stats.uplink_by_kind.entry(kind).or_insert(0) += bits;
-        }
-        stats.server_fold_bits += run.server_fold_bits;
-        stats.server_fold_inputs += run.server_fold_inputs;
-        for (&(gather, level), &active) in &run.merge_levels {
-            stats.note_merge_level(gather, level, active);
         }
         stats.replica_promotions += run.replica_promotions;
         stats.replayed_rounds += run.replayed_rounds;
@@ -328,8 +247,6 @@ mod tests {
         run.charge_uplink(0, 10, "coreset");
         run.charge_uplink(1, 7, "cost-report");
         run.charge_downlink(1, 3);
-        run.charge_relay(1, 5);
-        run.note_merge_level(1, 0, 2);
         run.charge_promotion(9);
         let mut net = Network::new(3);
         net.absorb(&run);
@@ -341,8 +258,6 @@ mod tests {
         assert_eq!(stats.downlink_bits(1), 6);
         assert_eq!(stats.total_uplink_messages(), 4);
         assert_eq!(stats.uplink_bits_by_kind()["coreset"], 20);
-        assert_eq!(stats.relay_bits(1), 10);
-        assert_eq!(stats.merge_levels()[&(1, 0)], 2);
         assert_eq!(stats.replica_promotions(), 2);
     }
 

@@ -23,12 +23,12 @@
 //! the computation identically on every backend.
 //!
 //! A [`Payload`] shares its bytes instead of owning them: the reissue
-//! cache, tree merge buffers and traces clone a reference count, never
-//! the encoding. Frames travel without intermediate copies too:
-//! [`Response::encode`] and [`Command::encode`] allocate their exact
-//! length once, [`Response::write_frame`] writes the frame header and
-//! fields from one small buffer and a trailing payload straight from its
-//! shared bytes in one vectored write, and the one decode routine behind
+//! cache and traces clone a reference count, never the encoding. Frames
+//! travel without intermediate copies too: [`Response::encode`] and
+//! [`Command::encode`] allocate their exact length once,
+//! [`Response::write_frame`] writes the frame header and fields from one
+//! small buffer and a trailing payload straight from its shared bytes in
+//! one vectored write, and the one decode routine behind
 //! [`Response::decode_owned`] / [`Command::decode_owned`] lets a payload
 //! point into the frame it arrived in ([`Response::decode`] and
 //! [`Command::decode`] copy a borrowed frame once and decode that).
@@ -169,12 +169,6 @@ impl Payload {
         Message::kind_of_tag(tag)
     }
 
-    /// The leading wire tag byte (`0` for an empty payload) — what a
-    /// tree-mode executor reports as its leaf kind without decoding.
-    pub fn tag(&self) -> u8 {
-        self.bytes().first().copied().unwrap_or(0)
-    }
-
     /// The encoded bytes, `⌈bits/8⌉` of them.
     fn bytes(&self) -> &[u8] {
         let len = (self.bits as usize).div_ceil(8);
@@ -291,30 +285,6 @@ pub enum Command {
         /// The command the persona executes.
         cmd: Box<Command>,
     },
-    /// Tree-topology aggregation step, answered by [`Response::Merged`].
-    /// With a `payload`, the executor folds the peer's encoded summary
-    /// into its merge buffer; with `emit` set, it surrenders its buffer
-    /// in the response (`last` marks the root delivery — the single
-    /// server-side fold input). Peer summaries are routed through the
-    /// server in v1, so the relay traffic is charged here and on the
-    /// matching response, never to the star-equivalent classic ledgers.
-    MergeWith {
-        /// Which gather the merge belongs to (1 = disPCA summaries,
-        /// 2 = disSS coresets, 3 = final transmit).
-        gather: u8,
-        /// Reduction-tree level, 0-based; the root emit uses the level
-        /// one past the last merge level.
-        level: u64,
-        /// Number of summary holders still active entering this level.
-        active: u64,
-        /// A peer's encoded summary to fold into the local buffer.
-        payload: Option<Payload>,
-        /// Whether to surrender the merge buffer in the response.
-        emit: bool,
-        /// Whether the emitted buffer is the folded root bound for the
-        /// server.
-        last: bool,
-    },
 }
 
 /// A source → server protocol response.
@@ -404,26 +374,6 @@ pub enum Response {
         /// The persona's response.
         resp: Box<Response>,
     },
-    /// Answers [`Command::MergeWith`]: an optional surrendered merge
-    /// buffer plus the source's one-time leaf accounting.
-    Merged {
-        /// The executor's round counter after this command (1-based).
-        round: u64,
-        /// The surrendered merge buffer (present iff the command set
-        /// `emit`).
-        payload: Option<Payload>,
-        /// On the source's *first* `Merged` only: the encoded bit
-        /// length of its own buffered leaf summary, charged to the
-        /// classic uplink ledger under `leaf_tag`'s kind — which keeps
-        /// every per-source counter and the run digest identical to
-        /// the star topology. Zero afterwards.
-        leaf_bits: u64,
-        /// Wire tag of the leaf summary (`0` when `leaf_bits == 0`).
-        leaf_tag: u8,
-        /// Whether `payload` is the folded root (charged as the
-        /// server's single fold input rather than relay traffic).
-        last: bool,
-    },
 }
 
 const CMD_DESCRIBE: u8 = 1;
@@ -436,7 +386,7 @@ const CMD_ABORT: u8 = 7;
 const CMD_DEADLINE: u8 = 8;
 const CMD_REISSUE: u8 = 9;
 const CMD_RESUME: u8 = 10;
-const CMD_MERGE_WITH: u8 = 11;
+// 11 stays unassigned: it decodes as an unknown tag.
 const CMD_PROMOTE: u8 = 12;
 const CMD_REPLAY: u8 = 13;
 const CMD_FORWARD: u8 = 14;
@@ -447,7 +397,7 @@ const RESP_FIN: u8 = 3;
 const RESP_ERR: u8 = 4;
 const RESP_RESUMED: u8 = 5;
 const RESP_SOURCE_LOST: u8 = 6;
-const RESP_MERGED: u8 = 7;
+// 7 stays unassigned: it decodes as an unknown tag.
 const RESP_PROMOTED: u8 = 8;
 const RESP_REPLAYED: u8 = 9;
 const RESP_FORWARDED: u8 = 10;
@@ -603,7 +553,6 @@ impl Command {
             Command::Promote { .. } => "promote",
             Command::Replay { .. } => "replay",
             Command::Forward { .. } => "forward",
-            Command::MergeWith { .. } => "merge-with",
         }
     }
 
@@ -638,7 +587,6 @@ impl Command {
             Command::Abort { reason } => 8 + reason.len(),
             Command::Reissue { cmd, .. } | Command::Forward { cmd, .. } => 16 + cmd.encoded_len(),
             Command::Replay { cmd, .. } => 24 + cmd.encoded_len(),
-            Command::MergeWith { payload, .. } => 18 + payload.as_ref().map_or(0, payload_len),
         }
     }
 
@@ -722,25 +670,6 @@ impl Command {
                 push_u64(buf, *origin);
                 push_u64(buf, cmd.encoded_len() as u64);
                 return cmd.encode_head(buf);
-            }
-            Command::MergeWith {
-                gather,
-                level,
-                active,
-                payload,
-                emit,
-                last,
-            } => {
-                buf.push(CMD_MERGE_WITH);
-                buf.push(*gather);
-                push_u64(buf, *level);
-                push_u64(buf, *active);
-                let flags =
-                    u8::from(payload.is_some()) | (u8::from(*emit) << 1) | (u8::from(*last) << 2);
-                buf.push(flags);
-                if let Some(p) = payload {
-                    return push_payload_head(buf, p);
-                }
             }
         }
         &[]
@@ -831,25 +760,6 @@ impl Command {
                 origin: r.u64()?,
                 cmd: Box::new(Command::decode_in(frame, r.frame()?, Wrapping::Forward)?),
             },
-            CMD_MERGE_WITH => {
-                let gather = r.u8()?;
-                let level = r.u64()?;
-                let active = r.u64()?;
-                let flags = r.u8()?;
-                let payload = if flags & 1 != 0 {
-                    Some(r.payload()?)
-                } else {
-                    None
-                };
-                Command::MergeWith {
-                    gather,
-                    level,
-                    active,
-                    payload,
-                    emit: flags & 2 != 0,
-                    last: flags & 4 != 0,
-                }
-            }
             other => {
                 return Err(NetError::ProtocolViolation {
                     context: "command decode",
@@ -876,19 +786,16 @@ impl Response {
             Response::Promoted { .. } => "promoted",
             Response::Replayed { .. } => "replayed",
             Response::Forwarded { .. } => "forwarded",
-            Response::Merged { .. } => "merged",
         }
     }
 
     /// The round counter a [`Response::Done`]/[`Up`](Response::Up)/
-    /// [`Fin`](Response::Fin)/[`Merged`](Response::Merged) carries;
-    /// `None` for the others.
+    /// [`Fin`](Response::Fin) carries; `None` for the others.
     pub fn round(&self) -> Option<u64> {
         match self {
             Response::Done { round, .. }
             | Response::Up { round, .. }
-            | Response::Fin { round, .. }
-            | Response::Merged { round, .. } => Some(*round),
+            | Response::Fin { round, .. } => Some(*round),
             _ => None,
         }
     }
@@ -902,7 +809,6 @@ impl Response {
             Response::Err { reason } | Response::SourceLost { reason } => 8 + reason.len(),
             Response::Resumed { .. } | Response::Promoted { .. } => 16,
             Response::Forwarded { resp, .. } => 16 + resp.encoded_len(),
-            Response::Merged { payload, .. } => 18 + payload.as_ref().map_or(0, payload_len),
         }
     }
 
@@ -1008,23 +914,6 @@ impl Response {
                 push_u64(buf, resp.encoded_len() as u64);
                 return resp.encode_head(buf);
             }
-            Response::Merged {
-                round,
-                payload,
-                leaf_bits,
-                leaf_tag,
-                last,
-            } => {
-                buf.push(RESP_MERGED);
-                push_u64(buf, *round);
-                push_u64(buf, *leaf_bits);
-                buf.push(*leaf_tag);
-                let flags = u8::from(payload.is_some()) | (u8::from(*last) << 1);
-                buf.push(flags);
-                if let Some(p) = payload {
-                    return push_payload_head(buf, p);
-                }
-            }
         }
         &[]
     }
@@ -1104,24 +993,6 @@ impl Response {
                 origin: r.u64()?,
                 resp: Box::new(Response::decode_in(frame, r.frame()?, true)?),
             },
-            RESP_MERGED => {
-                let round = r.u64()?;
-                let leaf_bits = r.u64()?;
-                let leaf_tag = r.u8()?;
-                let flags = r.u8()?;
-                let payload = if flags & 1 != 0 {
-                    Some(r.payload()?)
-                } else {
-                    None
-                };
-                Response::Merged {
-                    round,
-                    payload,
-                    leaf_bits,
-                    leaf_tag,
-                    last: flags & 2 != 0,
-                }
-            }
             other => {
                 return Err(NetError::ProtocolViolation {
                     context: "response decode",
@@ -1278,11 +1149,6 @@ pub trait SourceEndpoint {
 
 /// Charges a command's data-plane payload (if any) to the downlink.
 ///
-/// A [`Command::MergeWith`] records its tree level and charges a carried
-/// peer summary to the *relay* ledger — physical merge traffic stays off
-/// the classic downlink counters, which remain bit-identical to the star
-/// topology by construction.
-///
 /// # Errors
 ///
 /// [`NetError::UnknownMessageTag`] for a malformed payload.
@@ -1307,19 +1173,6 @@ pub fn charge_command(stats: &mut NetworkStats, source: usize, cmd: &Command) ->
             charge_command(stats, *origin as usize, cmd)?;
             stats.charge_replica_bits(FORWARD_OVERHEAD_BITS);
         }
-        Command::MergeWith {
-            gather,
-            level,
-            active,
-            payload,
-            ..
-        } => {
-            stats.note_merge_level(*gather, *level, *active);
-            if let Some(p) = payload {
-                p.kind()?;
-                stats.charge_relay(source, p.bits());
-            }
-        }
         _ => {}
     }
     Ok(())
@@ -1327,15 +1180,9 @@ pub fn charge_command(stats: &mut NetworkStats, source: usize, cmd: &Command) ->
 
 /// Charges a response's data-plane payload (if any) to the uplink.
 ///
-/// A [`Response::Merged`] charges the source's one-time `leaf_bits` to
-/// the classic uplink ledger under the leaf's own kind (so per-source
-/// counters and the run digest match the star topology exactly), and
-/// books a surrendered buffer as relay traffic — or, for the folded
-/// root, as the server's single fold input.
-///
 /// # Errors
 ///
-/// [`NetError::UnknownMessageTag`] for a malformed payload or leaf tag.
+/// [`NetError::UnknownMessageTag`] for a malformed payload.
 pub fn charge_response(stats: &mut NetworkStats, source: usize, resp: &Response) -> Result<()> {
     match resp {
         Response::Up { payload, .. } => {
@@ -1351,26 +1198,6 @@ pub fn charge_response(stats: &mut NetworkStats, source: usize, resp: &Response)
         Response::Forwarded { origin, resp } => {
             charge_response(stats, *origin as usize, resp)?;
             stats.charge_replica_bits(FORWARD_OVERHEAD_BITS);
-        }
-        Response::Merged {
-            payload,
-            leaf_bits,
-            leaf_tag,
-            last,
-            ..
-        } => {
-            if *leaf_bits > 0 {
-                let kind = Message::kind_of_tag(*leaf_tag)?;
-                stats.charge_uplink(source, *leaf_bits as usize, kind);
-            }
-            if let Some(p) = payload {
-                p.kind()?;
-                if *last {
-                    stats.charge_server_fold(p.bits());
-                } else {
-                    stats.charge_relay(source, p.bits());
-                }
-            }
         }
         _ => {}
     }
@@ -1775,83 +1602,6 @@ mod tests {
             Ok(Response::SourceLost { reason }) => assert!(reason.contains("deadline")),
             other => panic!("expected SourceLost, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn merge_frames_charge_tree_counters_not_classic_ledgers() {
-        let p = payload();
-        let bits = p.bits();
-        let mut stats = NetworkStats::new(3);
-
-        // A bare emit request records the level but moves no data.
-        charge_command(
-            &mut stats,
-            1,
-            &Command::MergeWith {
-                gather: 2,
-                level: 0,
-                active: 3,
-                payload: None,
-                emit: true,
-                last: false,
-            },
-        )
-        .unwrap();
-        // Delivering a peer summary is relay traffic; a replayed or
-        // reissued level note stays idempotent.
-        charge_command(
-            &mut stats,
-            0,
-            &Command::MergeWith {
-                gather: 2,
-                level: 0,
-                active: 99,
-                payload: Some(p.clone()),
-                emit: false,
-                last: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(stats.total_downlink_bits(), 0);
-        assert_eq!(stats.relay_bits(0), bits);
-        assert_eq!(stats.merge_levels()[&(2, 0)], 3);
-        assert_eq!(stats.max_merge_rounds(), 1);
-
-        // A first Merged charges the leaf to the classic uplink under
-        // its own kind; the surrendered buffer is relay traffic…
-        charge_response(
-            &mut stats,
-            1,
-            &Response::Merged {
-                round: 4,
-                payload: Some(p.clone()),
-                leaf_bits: 100,
-                leaf_tag: 2,
-                last: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(stats.uplink_bits(1), 100);
-        assert_eq!(stats.uplink_bits_by_kind()["coreset"], 100);
-        assert_eq!(stats.relay_bits(1), bits);
-        assert_eq!(stats.server_fold_inputs(), 0);
-
-        // …while the root emit is the server's single fold input.
-        charge_response(
-            &mut stats,
-            0,
-            &Response::Merged {
-                round: 5,
-                payload: Some(p),
-                leaf_bits: 0,
-                leaf_tag: 0,
-                last: true,
-            },
-        )
-        .unwrap();
-        assert_eq!(stats.server_fold_inputs(), 1);
-        assert_eq!(stats.server_fold_bits(), bits);
-        assert_eq!(stats.total_uplink_bits(), 100);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use ekm_net::frame::{
 };
 use ekm_net::messages::Message;
 use ekm_net::protocol::{Command, Payload, Response};
-use ekm_net::wire::{encode_len, Precision};
+use ekm_net::wire::{encode_len, encode_matrix, Precision};
 use ekm_net::NetError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,9 +89,6 @@ fn messages() -> Vec<Message> {
         },
         Message::CostReport { cost: -0.0 },
         Message::SampleAllocation { size: u64::MAX },
-        Message::Centers {
-            centers: matrix(2, 3),
-        },
     ];
     for p in precisions() {
         for weights_precision in [Precision::Full, Precision::F32, p] {
@@ -173,7 +170,7 @@ fn arbitrary_bytes_are_total() {
         let mut data: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
         if len > 0 && rng.gen::<bool>() {
             // A known tag, so the bytes reach the field decoders.
-            data[0] = rng.gen_range(1..=7u8);
+            data[0] = rng.gen_range(1..=6u8);
         }
         let bit_len = rng.gen_range(0..=len * 8 + 16);
         decode_checked(&data, bit_len);
@@ -214,6 +211,47 @@ fn crafted_size_claims_are_rejected_without_allocating() {
     let (buf, bits) = w.finish();
     assert_eq!(bits, 118);
     assert!(decode_checked(&buf, bits).is_none());
+}
+
+#[test]
+fn retired_tags_are_typed_errors() {
+    // Message tag 7, followed by the matrix it once carried.
+    let mut w = BitWriter::new();
+    w.write_bits(7, 8);
+    encode_matrix(&mut w, &matrix(2, 3), Precision::Full);
+    let (buf, bits) = w.finish();
+    assert!(decode_checked(&buf, bits).is_none());
+    assert!(matches!(
+        Message::decode(&buf, bits),
+        Err(NetError::UnknownMessageTag { tag: 7 })
+    ));
+    // Command code 11 and response code 7, each followed by the fields
+    // and payload they once carried.
+    let (bytes, bits) = Message::CostReport { cost: 1.0 }.encode();
+    let mut tail = (bits as u64).to_be_bytes().to_vec();
+    tail.extend_from_slice(&bytes);
+    let mut cmd = vec![11u8, 2];
+    cmd.extend_from_slice(&1u64.to_be_bytes());
+    cmd.extend_from_slice(&3u64.to_be_bytes());
+    cmd.push(1);
+    cmd.extend_from_slice(&tail);
+    let mut resp = vec![7u8];
+    resp.extend_from_slice(&7u64.to_be_bytes());
+    resp.extend_from_slice(&1234u64.to_be_bytes());
+    resp.extend_from_slice(&[2, 1]);
+    resp.extend_from_slice(&tail);
+    assert!(protocol_checked(&cmd, &COMMANDS).is_none());
+    assert!(protocol_checked(&resp, &RESPONSES).is_none());
+    for (tag, err) in [
+        (11, Command::decode(&cmd).err()),
+        (7, Response::decode(&resp).err()),
+    ] {
+        let unknown = format!("tag {tag}");
+        assert!(
+            matches!(&err, Some(NetError::ProtocolViolation { got, .. }) if *got == unknown),
+            "{err:?}"
+        );
+    }
 }
 
 /// The value a protocol or frame decoder returned, if any; a failure
@@ -284,8 +322,7 @@ fn payload() -> Payload {
 }
 
 /// One command of every variant, payloads inside and outside wrappers,
-/// wrappers nested as deep as the grammar allows, and the merge step
-/// with and without a payload.
+/// and wrappers nested as deep as the grammar allows.
 fn commands() -> Vec<Command> {
     vec![
         Command::Describe,
@@ -324,27 +361,10 @@ fn commands() -> Vec<Command> {
                 cmd: Box::new(Command::Transmit),
             }),
         },
-        Command::MergeWith {
-            gather: 2,
-            level: 1,
-            active: 3,
-            payload: Some(payload()),
-            emit: true,
-            last: false,
-        },
-        Command::MergeWith {
-            gather: 3,
-            level: 0,
-            active: 8,
-            payload: None,
-            emit: false,
-            last: true,
-        },
     ]
 }
 
-/// One response of every variant, the merge answer with and without a
-/// payload.
+/// One response of every variant.
 fn responses() -> Vec<Response> {
     vec![
         Response::Done {
@@ -392,20 +412,6 @@ fn responses() -> Vec<Response> {
                 ops: 1,
                 seconds: 1.0,
             }),
-        },
-        Response::Merged {
-            round: 7,
-            payload: Some(payload()),
-            leaf_bits: 1234,
-            leaf_tag: 2,
-            last: true,
-        },
-        Response::Merged {
-            round: 8,
-            payload: None,
-            leaf_bits: 0,
-            leaf_tag: 0,
-            last: false,
         },
     ]
 }

@@ -169,7 +169,6 @@ proptest! {
             },
             Message::CostReport { cost },
             Message::SampleAllocation { size: points.rows() as u64 },
-            Message::Centers { centers: points.clone() },
             Message::Basis { basis: points.clone(), precision: Precision::Full },
             Message::SvdSummary {
                 singular_values: vec![1.0; points.cols()],
@@ -319,18 +318,16 @@ proptest! {
 
     /// A response's vectored frame write — fields from one small buffer,
     /// the payload from its shared bytes — is byte for byte the frame of
-    /// its encoding, for every response that carries a payload (an
-    /// upload, a merge answer with or without one, either forwarded),
-    /// and the frame decodes in place back to the response.
+    /// its encoding, for a response with a trailing payload (an upload),
+    /// one without (a done), and either forwarded, and the frame decodes
+    /// in place back to the response.
     #[test]
     fn vectored_response_frames_are_the_frames_of_their_encodings(
         points in small_matrix(),
         s in 1u32..=52,
         round in 0u64..1 << 40,
         ops in 0u64..u64::MAX,
-        leaf_bits in 0u64..u64::MAX,
-        leaf_tag in 0u8..=255,
-        flags in 0u8..8,
+        forward_up in 0u8..2,
     ) {
         let q = RoundingQuantizer::new(s).unwrap();
         let payload = Payload::of(&Message::Coreset {
@@ -346,18 +343,18 @@ proptest! {
             ops,
             seconds: ops as f64 * 1e-9,
         };
-        let merged = Response::Merged {
+        let done = Response::Done {
             round,
-            payload: (flags & 1 != 0).then(|| payload.clone()),
-            leaf_bits,
-            leaf_tag,
-            last: flags & 2 != 0,
+            rows: points.rows() as u64,
+            cols: points.cols() as u64,
+            ops,
+            seconds: ops as f64 * 1e-9,
         };
         let forwarded = Response::Forwarded {
             origin: round,
-            resp: Box::new(if flags & 4 != 0 { up.clone() } else { merged.clone() }),
+            resp: Box::new(if forward_up == 1 { up.clone() } else { done.clone() }),
         };
-        for resp in [up, merged, forwarded] {
+        for resp in [up, done, forwarded] {
             let body = resp.encode();
             let mut expected = Vec::new();
             write_frame(&mut expected, FRAME_RESP, &body, body.len() * 8).unwrap();

@@ -14,9 +14,8 @@
 # `validate` accepts bench documents (ekm-bench-micro/v1 to /v4, with
 # an optional `faults` section recording recovery-path overhead) and
 # standalone fault-suite documents (ekm-fault-suite/v1, emitted by
-# `scripts/distributed_e2e.sh faults`), tree-topology e2e documents
-# (ekm-tree-e2e/v1, emitted by `scripts/distributed_e2e.sh tree`), and
-# replica-failover e2e documents (ekm-replica-e2e/v1, emitted by
+# `scripts/distributed_e2e.sh faults`) and replica-failover e2e
+# documents (ekm-replica-e2e/v1, emitted by
 # `scripts/distributed_e2e.sh replica`). A fresh emit from this script
 # is held to the stricter v4-only bar (including the reactor latency
 # row); `validate` keeps accepting older v1–v3 recordings.
@@ -92,25 +91,6 @@ if schema == "ekm-replica-e2e/v1":
     print(f"{path} ok ({schema}): {f['promotions']} promotion(s) at r="
           f"{doc['replication']}, {f['replica_bits']} replica bits, "
           f"{r['replayed_records']} records replayed after the crash")
-    sys.exit(0)
-
-if schema == "ekm-tree-e2e/v1":
-    # Hierarchical aggregation: the tree topology must be a pure
-    # placement change (identical digest and classic uplink ledger)
-    # while bounding the merge depth and shrinking the server's fold
-    # ingest below the star run's full uplink.
-    import math
-    t = doc["tree"]
-    s = t["sources"]
-    assert s > 1, t
-    assert t["digest_matches_star"] is True, t
-    assert t["uplink_bits"] == doc["star"]["uplink_bits"], doc
-    assert 0 < t["merge_rounds"] <= math.ceil(math.log2(s)) + 1, t
-    assert t["server_fold_inputs"] >= 1, t
-    assert 0 < t["server_fold_bits"] < doc["star"]["uplink_bits"], doc
-    print(f"{path} ok ({schema}): {t['merge_rounds']} merge rounds over "
-          f"{s} sources, fold ingest {t['server_fold_bits']} < star "
-          f"uplink {doc['star']['uplink_bits']}")
     sys.exit(0)
 
 assert schema in ("ekm-bench-micro/v1", "ekm-bench-micro/v2",

@@ -4,7 +4,7 @@
 # process exits cleanly and that the run's accounting holds. Run
 # locally or from the CI `distributed-e2e` matrix:
 #
-#   cargo build --release && scripts/distributed_e2e.sh [core|streaming|faults|tree|replica|all]
+#   cargo build --release && scripts/distributed_e2e.sh [core|streaming|faults|replica|all]
 #
 # Every round runs the server-driven protocol: sources hold only their
 # shard, the server drives the plan over one event-driven thread, every
@@ -18,19 +18,22 @@
 # source mid-stage and asserts the degraded run stays within the
 # documented cost-ratio bound, then kills the server mid-round and
 # asserts `--resume` replays the journal to bit-identical centers and
-# per-source counters. `tree` runs the same configuration under
-# `--topology star` and `--topology tree` and asserts the tree leg is a
-# pure placement change: identical digest, centers, and per-source
-# uplink ledger, with at most ceil(log2 s)+1 merge rounds and a
-# server-side fold ingest strictly below the star run's uplink.
-# `replica` is the shard-replication failover suite: a killed owner
-# must be re-homed onto its ring replica with results bit-identical to
-# a never-failed twin, a dead owner plus dead replica must degrade
-# cleanly, and a server crash mid-promotion must `--resume` to the same
-# bit-identical end state. The default `all` runs everything.
+# per-source counters. `replica` is the shard-replication failover
+# suite: a killed owner must be re-homed onto its ring replica with
+# results bit-identical to a never-failed twin, a dead owner plus dead
+# replica must degrade cleanly, and a server crash mid-promotion must
+# `--resume` to the same bit-identical end state. The default `all`
+# runs everything; any other name is refused.
 set -euo pipefail
 
 SUITE=${1:-all}
+case "$SUITE" in
+    core | streaming | faults | replica | all) ;;
+    *)
+        echo "unknown suite '$SUITE' (expected core|streaming|faults|replica|all)" >&2
+        exit 2
+        ;;
+esac
 BIN=${EKM_BIN:-target/release/ekm}
 PORT=${EKM_E2E_PORT:-17071}
 ADDR="127.0.0.1:${PORT}"
@@ -301,124 +304,6 @@ json.dump(doc, open(sys.argv[1], "w"), indent=2)
 EOF
     "$(dirname "$0")/bench_perf.sh" validate "$LOGDIR/faults.json" \
         || { echo "FAIL: faults.json failed schema validation"; exit 1; }
-fi
-
-# tree: hierarchical aggregation over real TCP. The same configuration
-# runs once per topology; the tree leg must reproduce the star leg's
-# digest, centers, and classic per-source ledger bit for bit (the
-# reduction follows the server's own canonical merge schedule, so where
-# the fold runs cannot change what it computes) while its physical
-# counters prove the headline: O(log s) merge rounds and a server-side
-# fold ingest strictly below the star run's full uplink. The
-# measurements land in tree.json (schema ekm-tree-e2e/v1), validated by
-# the shared checker in scripts/bench_perf.sh.
-if [[ "$SUITE" == "tree" || "$SUITE" == "all" ]]; then
-    TSOURCES=5
-    TCOMMON=(--dataset mixture --n 750 --d 30 --k 2 --stages dispca,disss --seed 21)
-
-    # run_tree_leg <topology>: one full serve + sources round with
-    # --topology, keeping the logs apart so the legs can be compared.
-    run_tree_leg() {
-        local topo=$1
-        echo "=== tree-${topo} [protocol]: ${TCOMMON[*]} (${TSOURCES} sources, --topology ${topo}) ==="
-        timeout --kill-after=10 "$ROUND_TIMEOUT" \
-            "$BIN" serve --listen "$ADDR" --sources "$TSOURCES" "${TCOMMON[@]}" \
-            --topology "$topo" --centers-out "$LOGDIR/$topo-centers.txt" \
-            >"$LOGDIR/$topo-serve.log" 2>&1 &
-        local serve_pid=$!
-        local src_pids=()
-        for ((i = 0; i < TSOURCES; i++)); do
-            timeout --kill-after=10 "$ROUND_TIMEOUT" \
-                "$BIN" source --connect "$ADDR" --source-id "$i" --sources "$TSOURCES" \
-                "${TCOMMON[@]}" --topology "$topo" >"$LOGDIR/$topo-source-$i.log" 2>&1 &
-            src_pids+=($!)
-        done
-        local failed=0
-        for ((i = 0; i < TSOURCES; i++)); do
-            if ! wait "${src_pids[$i]}"; then
-                echo "FAIL: ${topo} source $i exited nonzero"
-                failed=1
-            fi
-        done
-        if [[ $failed -ne 0 ]]; then
-            kill "$serve_pid" 2>/dev/null || true
-        fi
-        if ! wait "$serve_pid"; then
-            echo "FAIL: ${topo} serve exited nonzero"
-            failed=1
-        fi
-        sed "s/^/  $topo | /" "$LOGDIR/$topo-serve.log"
-        if [[ $failed -ne 0 ]]; then
-            for ((i = 0; i < TSOURCES; i++)); do
-                sed "s/^/  src $i | /" "$LOGDIR/$topo-source-$i.log"
-            done
-            exit 1
-        fi
-    }
-
-    run_tree_leg star
-    run_tree_leg tree
-
-    # The tree leg is a pure placement change: same digest, same
-    # centers, same classic ledger — totalled and per source.
-    star_bits=$(sed -n 's/^total uplink-bits \([0-9]*\)$/\1/p' "$LOGDIR/star-serve.log")
-    tree_bits=$(sed -n 's/^total uplink-bits \([0-9]*\)$/\1/p' "$LOGDIR/tree-serve.log")
-    [[ -n "$star_bits" && "$star_bits" -gt 0 ]] \
-        || { echo "FAIL: the star leg reported no uplink bits"; exit 1; }
-    [[ "$tree_bits" == "$star_bits" ]] \
-        || { echo "FAIL: tree uplink ${tree_bits} bits != star ${star_bits} bits"; exit 1; }
-    star_digest=$(sed -n 's/^digest \(0x[0-9a-f]*\):.*/\1/p' "$LOGDIR/star-serve.log")
-    tree_digest=$(sed -n 's/^digest \(0x[0-9a-f]*\):.*/\1/p' "$LOGDIR/tree-serve.log")
-    [[ -n "$star_digest" && "$tree_digest" == "$star_digest" ]] \
-        || { echo "FAIL: tree digest ${tree_digest} != star ${star_digest}"; exit 1; }
-    cmp -s "$LOGDIR/star-centers.txt" "$LOGDIR/tree-centers.txt" \
-        || { echo "FAIL: tree centers differ from the star leg's"; exit 1; }
-    grep '^source .* uplink-bits' "$LOGDIR/star-serve.log" | sort >"$LOGDIR/bits-star.txt"
-    grep '^source .* uplink-bits' "$LOGDIR/tree-serve.log" | sort >"$LOGDIR/bits-tree.txt"
-    cmp -s "$LOGDIR/bits-star.txt" "$LOGDIR/bits-tree.txt" \
-        || { echo "FAIL: per-source ledgers differ between the topologies"; \
-             diff "$LOGDIR/bits-star.txt" "$LOGDIR/bits-tree.txt" || true; exit 1; }
-
-    # The tree's physical counters: bounded merge depth, a server-side
-    # fold ingest strictly below the star run's full uplink, and none
-    # of it leaking into the star leg.
-    merge_rounds=$(sed -n 's/^tree merge-rounds \([0-9]*\)$/\1/p' "$LOGDIR/tree-serve.log")
-    fold_bits=$(sed -n 's/^tree server-fold-bits \([0-9]*\) over .*/\1/p' "$LOGDIR/tree-serve.log")
-    fold_inputs=$(sed -n 's/^tree server-fold-bits [0-9]* over \([0-9]*\) input(s)$/\1/p' "$LOGDIR/tree-serve.log")
-    [[ -n "$merge_rounds" && -n "$fold_bits" && -n "$fold_inputs" ]] \
-        || { echo "FAIL: the tree leg did not report its merge counters"; exit 1; }
-    if grep -q '^tree ' "$LOGDIR/star-serve.log"; then
-        echo "FAIL: the star leg reported tree merge counters"
-        exit 1
-    fi
-    python3 -c "
-import math, sys
-sys.exit(0 if 0 < $merge_rounds <= math.ceil(math.log2($TSOURCES)) + 1 else 1)" \
-        || { echo "FAIL: $merge_rounds merge rounds exceed ceil(log2($TSOURCES))+1"; exit 1; }
-    [[ "$fold_bits" -gt 0 && "$fold_bits" -lt "$star_bits" ]] \
-        || { echo "FAIL: fold ingest ${fold_bits} not strictly below star uplink ${star_bits}"; exit 1; }
-    echo "OK: tree matched star bit for bit ($merge_rounds merge rounds, fold ingest $fold_bits < $star_bits)"
-
-    # Record the leg's measurements and hold them to the shared schema
-    # checker — the same validator CI runs on bench documents.
-    python3 - "$LOGDIR/tree.json" <<EOF
-import json, sys
-doc = {
-    "schema": "ekm-tree-e2e/v1",
-    "star": {"uplink_bits": $star_bits},
-    "tree": {
-        "sources": $TSOURCES,
-        "uplink_bits": $tree_bits,
-        "digest_matches_star": True,
-        "merge_rounds": $merge_rounds,
-        "server_fold_inputs": $fold_inputs,
-        "server_fold_bits": $fold_bits,
-    },
-}
-json.dump(doc, open(sys.argv[1], "w"), indent=2)
-EOF
-    "$(dirname "$0")/bench_perf.sh" validate "$LOGDIR/tree.json" \
-        || { echo "FAIL: tree.json failed schema validation"; exit 1; }
 fi
 
 # replica: shard replication + health-tracked failover over real TCP.

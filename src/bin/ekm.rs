@@ -109,12 +109,6 @@ FLAGS (with defaults):
     --leaf-size <int>   stream stage leaf-buffer size [2x coreset size]
     --threads <int>     cap worker threads (sharded solve, per-source
                         fan-out); 0 follows the hardware        [0]
-    --topology <t>      star | tree: summary aggregation of the
-                        server-driven protocol — star uplinks every
-                        summary to the server, tree pairwise-merges
-                        them at the sources in ceil(log2 s) rounds so
-                        the server folds a single input; results are
-                        bit-identical                           [star]
     --no-cache          sweep: disable the stage-output cache
     --cache-budget <b>  sweep: bound the stage cache to ~b bytes with
                         least-recently-used eviction
@@ -167,7 +161,7 @@ EXAMPLES:
 /// and `source` accept the one flag set a deployment hands both). A flag
 /// in neither list is a usage error, never silently ignored.
 const VALUE_FLAGS: &str = "listen connect source-id pipeline stages dataset n d k sources seed \
-     quantize precision compute leaf-size threads topology cache-budget y0 deadline-ms \
+     quantize precision compute leaf-size threads cache-budget y0 deadline-ms \
      replication journal centers-out centers reconnect crash-after-commands fail-after-commands";
 
 /// Flags that take no value.
@@ -338,15 +332,6 @@ fn build_params(args: &Args, n: usize, d: usize) -> Result<SummaryParams, String
         // Caps the sharded server solve and every per-source fan-out;
         // results are bit-identical at any setting.
         edge_kmeans::linalg::parallel::set_worker_count(threads);
-    }
-    let topology_flag = args.get_str("topology", "star");
-    match Topology::parse(&topology_flag) {
-        Ok(t) => params = params.with_topology(t),
-        Err(_) => {
-            return Err(format!(
-                "--topology expects star|tree, got '{topology_flag}'"
-            ))
-        }
     }
     let replication = args.get_usize("replication", 1)?;
     if replication == 0 {
@@ -641,7 +626,7 @@ struct DistRun {
 fn canonical_config(args: &Args, m: usize) -> Result<String, String> {
     Ok(format!(
         "dataset={};n={};d={};k={};seed={};pipeline={};stages={};quantize={};\
-         precision={};compute={};leaf-size={};sources={m};topology={};replication={}",
+         precision={};compute={};leaf-size={};sources={m};replication={}",
         args.get_str("dataset", "mnist-like"),
         args.get_usize("n", 2000)?,
         args.get_usize("d", 196)?,
@@ -653,7 +638,6 @@ fn canonical_config(args: &Args, m: usize) -> Result<String, String> {
         args.get_str("precision", "f64"),
         args.get_str("compute", "f64"),
         args.get_str("leaf-size", "-"),
-        args.get_str("topology", "star"),
         args.get_usize("replication", 1)?,
     ))
 }
@@ -826,17 +810,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         say!("source {i} uplink-bits {}", stats.uplink_bits(i));
     }
     say!("total uplink-bits {}", out.uplink_bits);
-    if plan.pipe.params().topology == Topology::Tree && plan.m > 1 {
-        // The tree run's physical counters, one per line for scripted
-        // assertions (scripts/distributed_e2e.sh `tree` suite).
-        say!("tree merge-rounds {}", stats.max_merge_rounds());
-        say!("tree relay-bits {}", stats.total_relay_bits());
-        say!(
-            "tree server-fold-bits {} over {} input(s)",
-            stats.server_fold_bits(),
-            stats.server_fold_inputs()
-        );
-    }
     say!(
         "digest {:#018x}: per-source counters verified across {} source(s)",
         digest.centers_hash,
@@ -1122,6 +1095,10 @@ mod tests {
         assert!(err.contains("unknown flag --quantise"), "{err}");
         assert!(err.contains("--quantize"), "{err}");
         assert!(err.contains("--no-cache"), "{err}");
+        // A removed flag is refused like a misspelled one.
+        let err = args(&["run", "--topology", "tree"]).unwrap_err();
+        assert!(err.contains("unknown flag --topology"), "{err}");
+        assert!(err.contains("--replication"), "{err}");
     }
 
     #[test]
@@ -1316,25 +1293,6 @@ mod tests {
         // --threads does not shape the bits, so it stays out.
         let threads = args(&["serve", "--n", "500", "--threads", "2"]).unwrap();
         assert_eq!(fp(&base), fp(&threads));
-    }
-
-    #[test]
-    fn topology_flag_reaches_params_and_fingerprint() {
-        let a = args(&["run"]).unwrap();
-        assert_eq!(build_params(&a, 100, 10).unwrap().topology, Topology::Star);
-        let a = args(&["run", "--topology", "tree"]).unwrap();
-        assert_eq!(build_params(&a, 100, 10).unwrap().topology, Topology::Tree);
-        let a = args(&["run", "--topology", "ring"]).unwrap();
-        assert!(build_params(&a, 100, 10).unwrap_err().contains("ring"));
-        // Both ends must agree on the topology: a tree server would
-        // issue MergeWith rounds a star source rejects, so it is part
-        // of the handshake (and journal-resume) fingerprint.
-        let fp = |a: &Args| event::fingerprint(&canonical_config(a, 3).unwrap());
-        let star = args(&["serve", "--n", "500"]).unwrap();
-        let tree = args(&["serve", "--n", "500", "--topology", "tree"]).unwrap();
-        assert_ne!(fp(&star), fp(&tree));
-        let explicit = args(&["serve", "--n", "500", "--topology", "star"]).unwrap();
-        assert_eq!(fp(&star), fp(&explicit));
     }
 
     #[test]

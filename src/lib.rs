@@ -68,7 +68,7 @@ pub use ekm_sketch as sketch;
 pub mod prelude {
     pub use ekm_clustering::kmeans::KMeans;
     pub use ekm_core::evaluation;
-    pub use ekm_core::params::{SummaryParams, Topology};
+    pub use ekm_core::params::SummaryParams;
     pub use ekm_core::pipelines::{Bklw, BklwJl, Fss, FssJl, JlBklw, JlFss, JlFssJl, NoReduction};
     pub use ekm_core::{
         RunOutput, SourceExecutor, SourceRunReport, Stage, StageCache, StagePipeline,

@@ -2,8 +2,7 @@
 //! `--quantize 8`, `--precision f32` and `--compute f32`, the stage
 //! compositions `jl,fss,qt:6,jl`, `jl,dispca,qt:9,disss`,
 //! `jl,stream,qt:8`, `stream,jl`, `stream` and (at `--precision f32`)
-//! `jl,stream`, and jl-bklw and `jl,stream,qt:8` under
-//! `--topology tree`, all on one small Gaussian mixture.
+//! `jl,stream`, all on one small Gaussian mixture.
 //!
 //! Each case runs twice: through the `ekm run` path
 //! (`StagePipeline::run_channel_detailed`, which owns its shards) and
@@ -17,8 +16,6 @@
 //!   `summary_points`;
 //! * `tests/golden/ledgers.txt` — every source's uplink and downlink
 //!   bits and the uplink bits by message kind.
-//!
-//! A tree-topology case must equal its star twin field for field.
 //!
 //! Equivalence tests compare two execution paths of today's code, so a
 //! change that moves both sides together passes them; these rows pin
@@ -45,12 +42,6 @@ const D: usize = 96;
 const K: usize = 2;
 const SEED: u64 = 42;
 const SOURCES: usize = 4;
-
-/// Tree-topology cases and the star cases they must equal.
-const TREE_TWINS: [(&str, &str); 2] = [
-    ("jl-bklw+tree", "jl-bklw"),
-    ("jl,stream,qt:8+tree", "jl,stream,qt:8"),
-];
 
 fn dataset() -> Matrix {
     let raw = GaussianMixture::new(N, D, K)
@@ -92,13 +83,9 @@ fn cases() -> Vec<(String, StagePipeline)> {
         cases.push((list.to_string(), named(list, base.clone())));
     }
     cases.push(("jl,stream+f32".to_string(), named("jl,stream", f32_wire)));
-    let f32_compute = base.clone().with_compute(Compute::F32);
+    let f32_compute = base.with_compute(Compute::F32);
     for name in ["jl-fss-jl", "jl-bklw"] {
         cases.push((format!("{name}+c32"), named(name, f32_compute.clone())));
-    }
-    let tree = base.with_topology(Topology::Tree);
-    for (case, star) in TREE_TWINS {
-        cases.push((case.to_string(), named(star, tree.clone())));
     }
     cases
 }
@@ -207,10 +194,6 @@ fn pipelines_match_golden_fixtures() {
         .iter()
         .map(|(name, pipe)| (name.clone(), run_case(name, pipe, &data)))
         .collect();
-    for (tree, star) in TREE_TWINS {
-        let find = |name: &str| &records.iter().find(|(n, _)| n == name).unwrap().1;
-        assert_eq!(find(tree), find(star), "{tree} differs from {star}");
-    }
     let failures: Vec<String> = [
         drift(PIPELINES, &pipelines_file(&records)),
         drift(LEDGERS, &ledgers_file(&records)),

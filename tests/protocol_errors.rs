@@ -470,12 +470,10 @@ fn driver_validation_aborts_sources_with_the_reason() {
     });
 }
 
-/// A source endpoint that swaps the payload of its `nth` summary-carrying
-/// response of kind `carrier` (an `Up`, or a `Merged` surrendering its
-/// buffer) for a cost report: a well-formed message of the wrong kind.
+/// A source endpoint that swaps the payload of its `nth` `Up` response
+/// for a cost report: a well-formed message of the wrong kind.
 struct WrongKind<E> {
     inner: E,
-    carrier: &'static str,
     nth: usize,
     seen: usize,
 }
@@ -486,18 +484,10 @@ impl<E: SourceEndpoint> SourceEndpoint for WrongKind<E> {
     }
 
     fn send_response(&mut self, mut resp: Response) -> Result<(), NetError> {
-        let carrier = resp.name() == self.carrier;
-        if let Response::Up { payload, .. }
-        | Response::Merged {
-            payload: Some(payload),
-            ..
-        } = &mut resp
-        {
-            if carrier {
-                self.seen += 1;
-                if self.seen == self.nth {
-                    *payload = Payload::of(&Message::CostReport { cost: 1.0 });
-                }
+        if let Response::Up { payload, .. } = &mut resp {
+            self.seen += 1;
+            if self.seen == self.nth {
+                *payload = Payload::of(&Message::CostReport { cost: 1.0 });
             }
         }
         self.inner.send_response(resp)
@@ -508,45 +498,16 @@ impl<E: SourceEndpoint> SourceEndpoint for WrongKind<E> {
 fn a_summary_of_the_wrong_kind_is_a_typed_protocol_error() {
     let data = workload(200, 12, 7);
     let shards = partition_uniform(&data, 2, 3).unwrap();
-    // (stages, topology, the response carrying the summary, which of
-    // source 0's to swap, the driver's reason). The third `Up` of
-    // dispca,disss is the disSS sample, after the SVD summary and the
-    // cost report; under the tree topology source 0 is the root, and
-    // its one surrendered buffer is the folded tree. A run in which the
-    // carrier never comes completes, and `unwrap_err` fails the case.
-    for (list, topology, carrier, nth, reason) in [
-        (
-            "dispca,disss",
-            Topology::Star,
-            "up",
-            1,
-            "expected svd summary",
-        ),
-        (
-            "dispca,disss",
-            Topology::Star,
-            "up",
-            3,
-            "expected a coreset message",
-        ),
-        (
-            "jl",
-            Topology::Star,
-            "up",
-            1,
-            "expected raw data or a coreset",
-        ),
-        (
-            "jl,stream",
-            Topology::Tree,
-            "merged",
-            1,
-            "expected raw data or a coreset",
-        ),
+    // (stages, which of source 0's uploads to swap, the driver's
+    // reason). The third `Up` of dispca,disss is the disSS sample, after
+    // the SVD summary and the cost report. A run in which that upload
+    // never comes completes, and `unwrap_err` fails the case.
+    for (list, nth, reason) in [
+        ("dispca,disss", 1, "expected svd summary"),
+        ("dispca,disss", 3, "expected a coreset message"),
+        ("jl", 1, "expected raw data or a coreset"),
     ] {
-        let params = SummaryParams::practical(2, 200, 12)
-            .with_seed(5)
-            .with_topology(topology);
+        let params = SummaryParams::practical(2, 200, 12).with_seed(5);
         let pipe = StagePipeline::from_names(list, params).unwrap();
         let err = std::thread::scope(|scope| {
             // The hub lives in this closure, so a failed assertion
@@ -558,7 +519,6 @@ fn a_summary_of_the_wrong_kind_is_a_typed_protocol_error() {
                 scope.spawn(move || {
                     let mut endpoint = WrongKind {
                         inner,
-                        carrier,
                         nth,
                         seen: 0,
                     };
@@ -571,7 +531,7 @@ fn a_summary_of_the_wrong_kind_is_a_typed_protocol_error() {
         });
         assert!(
             matches!(err, CoreError::Protocol { reason: r } if r == reason),
-            "{list} ({topology:?}), {carrier} {nth}: {err:?}"
+            "{list}, up {nth}: {err:?}"
         );
     }
 }

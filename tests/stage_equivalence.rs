@@ -2,13 +2,16 @@
 //! explicit `--stages`-style list, must reproduce its named
 //! constructor's `RunOutput` *exactly* — the same `uplink_bits` to the
 //! bit, the same centers to the last ulp, and the same per-source
-//! network statistics — and reruns must be deterministic. The named
-//! pipelines' results themselves are pinned in `tests/golden/`.
+//! network statistics — and reruns must be deterministic. The
+//! distributed protocols must also give the same run through the
+//! library entry point and the channel backend at every source count.
+//! The named pipelines' results themselves are pinned in
+//! `tests/golden/`.
 
 use edge_kmeans::data::mnist_like::MnistLike;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::partition::partition_uniform;
-use edge_kmeans::net::NetworkStats;
+use edge_kmeans::net::{NetworkStats, RunDigest};
 use edge_kmeans::prelude::*;
 
 const SOURCES: usize = 6;
@@ -195,6 +198,44 @@ fn stream_composes_with_every_downstream_stage_the_engine_accepts() {
             ok,
             "{list}: acceptance changed"
         );
+    }
+}
+
+/// `run_shards` (executors borrowing the caller's shards) against
+/// `run_channel_detailed` (executors owning theirs) at every source
+/// count from 1 to 9, non-powers of two included, where the disPCA fold
+/// leaves positions unpaired: centers to the bit, the run digest, every
+/// ledger, op counts, summary size, and each executor's own report
+/// against its row of the server's ledger.
+#[test]
+fn channel_runs_match_library_runs_at_every_source_count() {
+    let data = workload(9);
+    let p = params(&data, false);
+    for list in ["dispca,disss", "jl,dispca,qt:8,disss", "jl,stream,qt"] {
+        let pipe = StagePipeline::from_names(list, p.clone()).unwrap();
+        for m in 1..=9 {
+            let label = format!("{list}/{m}");
+            let shards = partition_uniform(&data, m, pipe.params().seed).unwrap();
+            let mut net = Network::new(m);
+            let library = pipe.run_shards(&shards, &mut net).unwrap();
+            let (channel, stats, reports) = pipe.run_channel_detailed(shards).unwrap();
+            assert_eq!(
+                RunDigest::new(net.stats(), &library.centers),
+                RunDigest::new(&stats, &channel.centers),
+                "{label}: digest"
+            );
+            assert_eq!(library.source_ops, channel.source_ops, "{label}: ops");
+            assert_eq!(reports.len(), m, "{label}: reports");
+            for (i, report) in reports.iter().enumerate() {
+                assert_eq!(report.uplink_bits, stats.uplink_bits(i), "{label}: {i} up");
+                assert_eq!(
+                    report.downlink_bits,
+                    stats.downlink_bits(i),
+                    "{label}: {i} down"
+                );
+            }
+            assert_identical(&label, (library, net.stats().clone()), (channel, stats));
+        }
     }
 }
 
