@@ -83,7 +83,8 @@ pub enum JournalEntry {
         source: u32,
         /// True when the loss surfaced on the send path.
         via_send: bool,
-        /// Transport-provided explanation.
+        /// The reason the driver records the loss under: a failed
+        /// send's, or the `SourceLost` answer's.
         reason: String,
     },
     /// The driver promoted `host`'s cold replica of `origin`'s shard.
