@@ -4,8 +4,8 @@
 //! (sensitivity sampling / FSS), the
 //! blocked distance engine vs the scalar assignment path it replaced,
 //! the serve-path upload (the quantized coreset codec, the source's
-//! whole transmit and the reassembly of its frame), and the stage
-//! cache's hit path.
+//! whole transmit and the reassembly of its frame), the stage cache's
+//! hit path, and the dataset build (mixture draw and normalization).
 //!
 //! Besides the printed lines, the run emits the machine-readable
 //! `BENCH_micro.json` at the workspace root (see
@@ -298,6 +298,25 @@ fn bench_cache(c: &mut Criterion) {
     });
     g.finish();
     assert_eq!(cache.misses(), 2, "a timed run missed the cache");
+}
+
+/// The dataset build of the MNIST-shaped end-to-end workloads: the
+/// separated 10000 × 784 mixture drawn (the Box–Muller phase on the
+/// workers), then normalized as the paper's §7.1 does (two passes).
+fn bench_data(c: &mut Criterion) {
+    let mixture = GaussianMixture::new(10_000, 784, 2)
+        .with_separation(4.0)
+        .with_seed(42);
+    let mut g = c.benchmark_group("data");
+    g.sample_size(5);
+    g.bench_function("mixture_10000x784", |bench| {
+        bench.iter(|| black_box(&mixture).generate().expect("mixture"))
+    });
+    let raw = mixture.generate().expect("mixture").points;
+    g.bench_function("normalize_10000x784", |bench| {
+        bench.iter(|| normalize_paper(black_box(&raw)))
+    });
+    g.finish();
 }
 
 /// The scalar per-point assignment loop the blocked engine replaced:
@@ -691,6 +710,7 @@ fn main() {
     bench_distance(&mut c, scale);
     bench_wire(&mut c);
     bench_cache(&mut c);
+    bench_data(&mut c);
     let results = criterion::take_results();
 
     let tile_sweep = tile_sweep_json(scale);

@@ -20,10 +20,16 @@ pub const MAGIC_LABELS: u32 = 0x0000_0801;
 /// Parses an IDX image tensor from a reader into an `n × (rows·cols)`
 /// matrix with intensities scaled to `[0, 1]`.
 ///
+/// The header's sizes are checked for overflow, and the payload buffer
+/// grows only with the bytes that arrive, so a header claiming more than
+/// the input holds costs no more memory than the input does. An image
+/// has at least one pixel, so every row returned was read.
+///
 /// # Errors
 ///
 /// * [`DataError::Io`] on read failures.
-/// * [`DataError::Format`] on a bad magic number or truncated payload.
+/// * [`DataError::Format`] on a bad magic number, an image of no pixels,
+///   a size overflowing `usize`, or a truncated payload.
 pub fn read_idx_images<R: Read>(mut reader: R) -> Result<Matrix> {
     let magic = read_u32(&mut reader)?;
     if magic != MAGIC_IMAGES {
@@ -34,16 +40,24 @@ pub fn read_idx_images<R: Read>(mut reader: R) -> Result<Matrix> {
     let n = read_u32(&mut reader)? as usize;
     let rows = read_u32(&mut reader)? as usize;
     let cols = read_u32(&mut reader)? as usize;
-    let d = rows * cols;
-    let mut buf = vec![0u8; n * d];
-    reader.read_exact(&mut buf).map_err(|e| DataError::Format {
-        reason: format!("truncated image payload: {e}"),
-    })?;
+    let (d, len) = rows
+        .checked_mul(cols)
+        .and_then(|d| Some((d, n.checked_mul(d)?)))
+        .ok_or_else(|| DataError::Format {
+            reason: format!("image tensor {n}x{rows}x{cols} overflows usize"),
+        })?;
+    if d == 0 {
+        return Err(DataError::Format {
+            reason: format!("image tensor {n}x{rows}x{cols} has no pixels"),
+        });
+    }
+    let buf = read_payload(reader, len, "image")?;
     let data: Vec<f64> = buf.iter().map(|&b| b as f64 / 255.0).collect();
     Ok(Matrix::from_vec(n, d, data))
 }
 
-/// Parses an IDX label tensor.
+/// Parses an IDX label tensor, growing its buffer only with the bytes
+/// that arrive.
 ///
 /// # Errors
 ///
@@ -56,11 +70,7 @@ pub fn read_idx_labels<R: Read>(mut reader: R) -> Result<Vec<u8>> {
         });
     }
     let n = read_u32(&mut reader)? as usize;
-    let mut buf = vec![0u8; n];
-    reader.read_exact(&mut buf).map_err(|e| DataError::Format {
-        reason: format!("truncated label payload: {e}"),
-    })?;
-    Ok(buf)
+    read_payload(reader, n, "label")
 }
 
 /// Loads `train-images-idx3-ubyte` from `dir`.
@@ -72,6 +82,19 @@ pub fn load_mnist_train_images<P: AsRef<Path>>(dir: P) -> Result<Matrix> {
     let path = dir.as_ref().join("train-images-idx3-ubyte");
     let file = std::fs::File::open(path)?;
     read_idx_images(std::io::BufReader::new(file))
+}
+
+/// Reads the `len`-byte payload of a `what` tensor into a buffer that
+/// grows with the bytes read, never past what the reader holds.
+fn read_payload<R: Read>(reader: R, len: usize, what: &str) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    reader.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(DataError::Format {
+            reason: format!("truncated {what} payload: {} of {len} bytes", buf.len()),
+        });
+    }
+    Ok(buf)
 }
 
 fn read_u32<R: Read>(reader: &mut R) -> Result<u32> {

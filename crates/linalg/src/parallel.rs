@@ -7,6 +7,14 @@
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Entries at which a one-pass elementwise loop over a buffer splits it
+/// across the workers: the Box–Muller transform of
+/// [`crate::random::fill_standard_normal`], and the dataset build's
+/// mixture and normalization passes. 2²⁰ keeps every JL projection draw
+/// of the benchmark workloads (784 × 392 at most) on the calling thread
+/// and sends every dataset draw (10000 × 196 at least) to the workers.
+pub const PAR_ENTRIES_THRESHOLD: usize = 1 << 20;
+
 /// Process-wide worker-count override (0 = follow the hardware).
 static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 

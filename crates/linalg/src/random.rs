@@ -9,7 +9,18 @@
 //!
 //! Gaussian variates use the Box–Muller transform (the `rand_distr` crate is
 //! not on the dependency allow-list).
+//!
+//! [`fill_standard_normal`] runs in two phases. The first, on the calling
+//! thread, draws the uniforms in stream order and parks each pair's `u1`
+//! and `u2` in that pair's two output slots. The second turns every pair
+//! in place into `r·cos θ` and `r·sin θ`; it is nearly all of the work
+//! (`ln`, `sqrt`, `cos`, `sin`), and from
+//! [`PAR_ENTRIES_THRESHOLD`](crate::parallel::PAR_ENTRIES_THRESHOLD)
+//! entries up it runs on the workers over pair-aligned chunks. Each output
+//! depends only on its own pair, so the result is bitwise the one-pass
+//! serial loop at any worker count, with no buffer besides the output.
 
+use crate::parallel;
 use crate::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,37 +56,50 @@ pub fn rng_from_seed(seed: u64) -> StdRng {
 /// pair every call for simplicity (callers needing bulk normals should use
 /// [`fill_standard_normal`]).
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Guard against ln(0).
-    let u1: f64 = loop {
-        let u: f64 = rng.gen();
-        if u > f64::MIN_POSITIVE {
-            break u;
-        }
-    };
+    let u1 = log_safe_uniform(rng);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Fills a slice with i.i.d. standard-normal variates (Box–Muller pairs).
+/// Draws a Box–Muller `u1`: a uniform, redrawn until it exceeds
+/// `f64::MIN_POSITIVE` (guards against `ln(0)`).
+fn log_safe_uniform<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    loop {
+        let u: f64 = rng.gen();
+        if u > f64::MIN_POSITIVE {
+            break u;
+        }
+    }
+}
+
+/// Fills a slice with i.i.d. standard-normal variates (Box–Muller pairs),
+/// in the two phases of the module docs: bitwise the same variates, and
+/// the same draws from `rng`, at any worker count.
 pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    let mut i = 0;
-    while i + 1 < out.len() {
-        let u1: f64 = loop {
-            let u: f64 = rng.gen();
-            if u > f64::MIN_POSITIVE {
-                break u;
-            }
-        };
-        let u2: f64 = rng.gen();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = std::f64::consts::TAU * u2;
-        out[i] = r * theta.cos();
-        out[i + 1] = r * theta.sin();
-        i += 2;
+    let parallel = out.len() >= parallel::PAR_ENTRIES_THRESHOLD;
+    fill_standard_normal_with(rng, out, parallel);
+}
+
+/// [`fill_standard_normal`], its second phase on the workers when
+/// `parallel` is set.
+fn fill_standard_normal_with<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64], parallel: bool) {
+    let mut pairs = out.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        pair[0] = log_safe_uniform(rng);
+        pair[1] = rng.gen();
     }
-    if i < out.len() {
-        out[i] = standard_normal(rng);
+    if let [last] = pairs.into_remainder() {
+        *last = standard_normal(rng);
     }
+    let even = out.len() & !1;
+    parallel::for_each_row_chunk(&mut out[..even], 2, parallel, |_, chunk| {
+        for pair in chunk.chunks_exact_mut(2) {
+            let r = (-2.0 * pair[0].ln()).sqrt();
+            let theta = std::f64::consts::TAU * pair[1];
+            pair[0] = r * theta.cos();
+            pair[1] = r * theta.sin();
+        }
+    });
 }
 
 /// Samples a `rows × cols` matrix with i.i.d. `N(0, sigma²)` entries.
@@ -157,6 +181,116 @@ fn cumulative_weights(weights: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// The one-pass loop [`fill_standard_normal`] ran before its two
+    /// phases, kept as the reference it must match bit for bit.
+    fn reference_fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+        let mut i = 0;
+        while i + 1 < out.len() {
+            let u1: f64 = loop {
+                let u: f64 = rng.gen();
+                if u > f64::MIN_POSITIVE {
+                    break u;
+                }
+            };
+            let u2: f64 = rng.gen();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = std::f64::consts::TAU * u2;
+            out[i] = r * theta.cos();
+            out[i + 1] = r * theta.sin();
+            i += 2;
+        }
+        if i < out.len() {
+            out[i] = standard_normal(rng);
+        }
+    }
+
+    /// A seeded stream whose draw `i < 8` reads 0 where bit `i` of
+    /// `zeros` is set: the uniform 0.0, which the rejection loop
+    /// discards as a pair's first draw and keeps as its second (θ = 0).
+    struct Scripted {
+        zeros: u8,
+        drawn: u32,
+        rest: StdRng,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            let v = self.rest.next_u64();
+            let zero = self.drawn < 8 && (self.zeros >> self.drawn) & 1 == 1;
+            self.drawn += 1;
+            if zero {
+                0
+            } else {
+                v
+            }
+        }
+    }
+
+    /// `len` entries drawn by `fill` from the scripted stream, as bits,
+    /// and the stream's next draw: two fills agree on both only if they
+    /// made the same variates from the same draws.
+    fn drawn(
+        len: usize,
+        zeros: u8,
+        seed: u64,
+        fill: fn(&mut Scripted, &mut [f64]),
+    ) -> (Vec<u64>, u64) {
+        let mut rng = Scripted {
+            zeros,
+            drawn: 0,
+            rest: rng_from_seed(seed),
+        };
+        let mut out = vec![0.0; len];
+        fill(&mut rng, &mut out);
+        (out.iter().map(|v| v.to_bits()).collect(), rng.next_u64())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn fill_is_bitwise_the_one_pass_loop(
+            len in prop_oneof![0usize..10, 10usize..600],
+            zeros in 0u8..32,
+            seed in 0u64..10_000,
+        ) {
+            let want = drawn(len, zeros, seed, reference_fill_standard_normal);
+            prop_assert!(
+                drawn(len, zeros, seed, fill_standard_normal) == want,
+                "len {} zeros {:#b} seed {}", len, zeros, seed
+            );
+            // The second phase split over pair-aligned chunks, as above
+            // the threshold.
+            for workers in [1, 2, 4] {
+                parallel::set_worker_count(workers);
+                let got = drawn(len, zeros, seed, |rng, out| {
+                    fill_standard_normal_with(rng, out, true)
+                });
+                prop_assert!(got == want, "len {} zeros {:#b} seed {} at {} workers",
+                    len, zeros, seed, workers);
+            }
+            parallel::set_worker_count(0);
+        }
+    }
+
+    #[test]
+    fn fill_is_bitwise_the_one_pass_loop_on_both_sides_of_the_threshold() {
+        let t = parallel::PAR_ENTRIES_THRESHOLD;
+        for len in [t - 1, t, t + 1, t + 7] {
+            let want = drawn(len, 0b1, 5, reference_fill_standard_normal);
+            for workers in [1, 2, 4] {
+                parallel::set_worker_count(workers);
+                assert!(
+                    drawn(len, 0b1, 5, fill_standard_normal) == want,
+                    "len {len} at {workers} workers"
+                );
+            }
+            parallel::set_worker_count(0);
+        }
+    }
 
     #[test]
     fn derive_seed_deterministic_and_distinct() {

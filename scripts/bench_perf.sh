@@ -125,6 +125,10 @@ if fresh:
     # run whose two stages both hit.
     assert "cache/hit_jl_fss_10000x196" in names, \
         "stage-cache row cache/hit_jl_fss_10000x196 missing"
+    # The dataset build of the MNIST-shaped workloads: the mixture draw
+    # and the paper's normalization.
+    for row in ("data/mixture_10000x784", "data/normalize_10000x784"):
+        assert row in names, f"dataset-build row {row} missing"
 assert doc["kernels"], "no kernel timings recorded"
 assert doc["assign_speedups"], "no assignment speedups recorded"
 assert doc["transb_speedups"], "no matmul_transb speedups recorded"
