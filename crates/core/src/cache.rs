@@ -3,17 +3,17 @@
 //! `ekm sweep` runs many stage compositions over the *same* dataset, and
 //! compositions routinely share a prefix — e.g. `jl,fss` under every QT
 //! width. The source-local stages (`jl`, `fss`, `stream`) are pure,
-//! seed-deterministic functions of (stage config, shared parameters,
+//! seed-deterministic functions of (stage kind, shared parameters,
 //! the source's position, the source's upstream state), so each
 //! [`crate::SourceExecutor`] can memoize them across pipelines: a
-//! [`StageCache`] maps a 64-bit key — stage config ⊕ the JL seed stream
+//! [`StageCache`] maps a 64-bit key — stage kind ⊕ the JL seed stream
 //! its plan position gives it ⊕ parameter knobs ⊕ source id and count ⊕
 //! a fingerprint of every upstream bit the stage can observe — to the
 //! snapshot of the state the stage produced.
 //!
 //! The key is built before every cacheable stage, hit or miss, so it
 //! must cost far less than the stage a hit skips. FNV-1a
-//! ([`ekm_net::fnv::Fnv`]) hashes the config, knobs, ids and shapes;
+//! ([`ekm_net::fnv::Fnv`]) hashes the stage, knobs, ids and shapes;
 //! the upstream points, weights and basis go in as one word-parallel
 //! [`ekm_net::fnv::digest_f64s`] each, which reads them at about memory
 //! speed.
@@ -46,9 +46,9 @@ pub(crate) struct StageSnapshot {
 }
 
 impl StageSnapshot {
-    /// Approximate heap footprint of the snapshot, for the LRU budget.
-    /// Matrices and weight vectors dominate; per-entry bookkeeping is
-    /// charged a small flat overhead.
+    /// Approximate heap footprint of the snapshot. Matrices and weight
+    /// vectors dominate; per-entry bookkeeping is charged a small flat
+    /// overhead.
     fn approx_bytes(&self) -> usize {
         let matrix_bytes = |m: &Matrix| m.rows() * m.cols() * 8 + 64;
         let mut bytes = 128 + matrix_bytes(&self.part);
@@ -70,9 +70,9 @@ impl StageSnapshot {
 /// call of the sweep, and shared prefixes are computed once; outputs and
 /// bit accounting are bit-identical to uncached runs. Every executor
 /// looks up its own shard, so a run over `m` sources counts `m` lookups
-/// per cacheable stage. Those executors run concurrently, so under a
-/// byte budget the eviction order (and with it the hit count) of a
-/// multi-source run can vary from run to run; the outputs cannot.
+/// per cacheable stage. The cache holds every snapshot it stores until
+/// [`clear`](StageCache::clear) or drop: a sweep runs over one dataset,
+/// so it holds one snapshot per distinct stage prefix and source.
 ///
 /// # Example
 ///
@@ -97,40 +97,17 @@ impl StageSnapshot {
 /// ```
 #[derive(Debug, Default)]
 pub struct StageCache {
-    entries: HashMap<u64, CacheEntry>,
-    /// Optional byte budget; `None` caches without bound.
-    budget: Option<usize>,
+    entries: HashMap<u64, StageSnapshot>,
     /// Approximate bytes currently held.
     held_bytes: usize,
-    /// Monotonic recency clock (bumped on every lookup hit and store).
-    tick: u64,
     hits: u64,
     misses: u64,
-    evictions: u64,
-}
-
-#[derive(Debug)]
-struct CacheEntry {
-    snapshot: StageSnapshot,
-    bytes: usize,
-    last_used: u64,
 }
 
 impl StageCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> StageCache {
         StageCache::default()
-    }
-
-    /// An empty cache that evicts least-recently-used entries whenever
-    /// the held snapshots exceed `budget` bytes (approximate footprint;
-    /// a single snapshot larger than the budget is still admitted alone,
-    /// so sweeps degrade to cold behavior rather than failing).
-    pub fn with_budget(budget: usize) -> StageCache {
-        StageCache {
-            budget: Some(budget),
-            ..StageCache::default()
-        }
     }
 
     /// Number of stage executions answered from the cache.
@@ -142,11 +119,6 @@ impl StageCache {
     /// stored).
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of entries evicted to stay under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Approximate bytes of snapshot data currently held.
@@ -181,56 +153,19 @@ impl StageCache {
         self.held_bytes = 0;
     }
 
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
     pub(crate) fn lookup(&mut self, key: u64) -> Option<StageSnapshot> {
-        let tick = self.touch();
-        if let Some(entry) = self.entries.get_mut(&key) {
-            entry.last_used = tick;
+        if let Some(snapshot) = self.entries.get(&key) {
             self.hits += 1;
-            return Some(entry.snapshot.clone());
+            return Some(snapshot.clone());
         }
         self.misses += 1;
         None
     }
 
     pub(crate) fn store(&mut self, key: u64, snapshot: StageSnapshot) {
-        let tick = self.touch();
-        let bytes = snapshot.approx_bytes();
-        if let Some(old) = self.entries.insert(
-            key,
-            CacheEntry {
-                snapshot,
-                bytes,
-                last_used: tick,
-            },
-        ) {
-            self.held_bytes -= old.bytes;
-        }
-        self.held_bytes += bytes;
-        self.enforce_budget(key);
-    }
-
-    /// Evicts least-recently-used entries until the budget holds.
-    /// `just_stored` is never evicted in its own store (otherwise a
-    /// snapshot above the budget would thrash forever).
-    fn enforce_budget(&mut self, just_stored: u64) {
-        let Some(budget) = self.budget else { return };
-        while self.held_bytes > budget && self.entries.len() > 1 {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != just_stored)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { return };
-            if let Some(entry) = self.entries.remove(&victim) {
-                self.held_bytes -= entry.bytes;
-                self.evictions += 1;
-            }
+        self.held_bytes += snapshot.approx_bytes();
+        if let Some(old) = self.entries.insert(key, snapshot) {
+            self.held_bytes -= old.approx_bytes();
         }
     }
 }
@@ -269,41 +204,19 @@ mod tests {
     }
 
     #[test]
-    fn budget_evicts_least_recently_used() {
-        let one = snapshot(100).approx_bytes();
-        // Room for two snapshots, not three.
-        let mut cache = StageCache::with_budget(2 * one + one / 2);
-        cache.store(1, snapshot(100));
-        cache.store(2, snapshot(100));
-        assert_eq!(cache.evictions(), 0);
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup(1).is_some());
-        cache.store(3, snapshot(100));
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup(2).is_none(), "LRU entry evicted");
-        assert!(cache.lookup(1).is_some());
-        assert!(cache.lookup(3).is_some());
-        assert!(cache.held_bytes() <= 2 * one + one / 2);
-    }
-
-    #[test]
-    fn oversized_snapshot_is_admitted_alone() {
-        let mut cache = StageCache::with_budget(8);
-        cache.store(1, snapshot(1000));
-        assert_eq!(cache.len(), 1, "a single oversized entry is kept");
-        cache.store(2, snapshot(1000));
-        assert_eq!(cache.len(), 1, "storing another evicts the previous");
-        assert!(cache.lookup(2).is_some());
-        assert!(cache.lookup(1).is_none());
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
+    fn the_cache_holds_every_snapshot_it_stores() {
         let mut cache = StageCache::new();
         for key in 0..64 {
             cache.store(key, snapshot(50));
         }
         assert_eq!(cache.len(), 64);
-        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.held_bytes(), 64 * snapshot(50).approx_bytes());
+        // A store under a held key replaces the entry and its bytes.
+        cache.store(0, snapshot(1));
+        assert_eq!(cache.len(), 64);
+        assert_eq!(
+            cache.held_bytes(),
+            63 * snapshot(50).approx_bytes() + snapshot(1).approx_bytes()
+        );
     }
 }

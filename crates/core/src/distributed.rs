@@ -516,12 +516,7 @@ mod tests {
         assert!(Bklw::new(p.clone()).run_shards(&parts, &mut net).is_err());
         // Zero disSS budget.
         let mut net4 = Network::new(4);
-        let zero = StagePipeline::new(
-            vec![Stage::DisSs(crate::stage::DisSsStage {
-                sample_size: Some(0),
-            })],
-            p,
-        );
+        let zero = StagePipeline::new(vec![Stage::disss()], p.with_coreset_size(0));
         assert!(zero.run_shards(&parts, &mut net4).is_err());
     }
 

@@ -29,7 +29,7 @@ use crate::params::replica_holders;
 use crate::pipelines::seeds;
 use crate::projection::MaybeProjection;
 use crate::server::{lift_centers_through_basis, solve_weighted_kmeans};
-use crate::stage::{check_plan, dispca_rank, disss_budget, jl_stream, jl_target_dim, Stage};
+use crate::stage::{check_plan, jl_stream, jl_target_dim, Stage};
 use crate::{distributed, CoreError, Result, RunOutput, StagePipeline};
 use ekm_coreset::Coreset;
 use ekm_linalg::random::derive_seed;
@@ -125,8 +125,6 @@ struct RoundNet<'a, T: CommandTransport> {
     /// Responses harvested out of turn (a host answering its own round
     /// while the driver was mid-promotion on its connection).
     parked: Vec<std::collections::VecDeque<Response>>,
-    /// Completed rounds replayed onto promoted personas.
-    replayed_rounds: u64,
     /// False until the describe round completes.
     degradable: bool,
 }
@@ -143,7 +141,6 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
                 .map(|i| HealthMachine::new(replica_holders(i, m, replication)))
                 .collect(),
             parked: vec![std::collections::VecDeque::new(); m],
-            replayed_rounds: 0,
             degradable: false,
         }
     }
@@ -304,7 +301,6 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
             Some(inflight),
             &mut self.parked,
         )?;
-        self.replayed_rounds += answered.len() as u64;
         self.reissue(i)
     }
 
@@ -325,10 +321,10 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
         )
     }
 
-    /// The recovery record for the run, or `None` if no promotion
-    /// happened. Only sources still alive at the end count as recovered
-    /// — a promoted-then-degraded source belongs to the degradation
-    /// record — but replayed rounds are counted for every attempt.
+    /// The recovery record for the run, or `None` if no source ended it
+    /// absorbed by a replica. Only sources still alive at the end count
+    /// as recovered — a promoted-then-degraded source belongs to the
+    /// degradation record.
     fn recovery(&self) -> Option<Recovery> {
         let promoted: Vec<(usize, usize)> = self
             .health
@@ -337,13 +333,7 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
             .filter(|&(i, _)| self.alive[i])
             .filter_map(|(i, h)| h.host().map(|host| (i, host)))
             .collect();
-        if promoted.is_empty() && self.replayed_rounds == 0 {
-            return None;
-        }
-        Some(Recovery {
-            promoted,
-            replayed_rounds: self.replayed_rounds,
-        })
+        (!promoted.is_empty()).then_some(Recovery { promoted })
     }
 
     /// The degradation record for the run, or `None` if every source
@@ -676,13 +666,13 @@ fn run_stage<T: CommandTransport>(
     let params = pipe.params();
     let idx = index as u32;
     match stage {
-        Stage::Dr(cfg) => {
+        Stage::Dr(_) => {
             drop_basis(st);
             // The sources project while the server draws the same Π,
             // which it needs only for the final lift.
             send_stage(net, idx, m)?;
             let (stream, before_role) = jl_stream(pipe.stages(), index);
-            let target = jl_target_dim(cfg, params, st.cur, before_role);
+            let target = jl_target_dim(params, st.cur, before_role);
             let pi = MaybeProjection::generate(
                 params.jl_kind,
                 st.cur,
@@ -718,9 +708,9 @@ fn run_stage<T: CommandTransport>(
             st.source_ops += ops;
             st.source_seconds += secs;
         }
-        Stage::DisPca(cfg) => {
+        Stage::DisPca(_) => {
             drop_basis(st);
-            let t = dispca_rank(cfg, params, st.cur);
+            let t = params.effective_pca_dim(st.cur);
             // Step 1: local SVD summaries, folded in source order.
             let stage_enc = EncodedCommand::new(Command::Stage { index: idx });
             for i in 0..m {
@@ -773,8 +763,8 @@ fn run_stage<T: CommandTransport>(
             st.source_ops += ops1 + ops2;
             st.source_seconds += secs1 + secs2;
         }
-        Stage::DisSs(cfg) => {
-            let budget = disss_budget(cfg, params);
+        Stage::DisSs(_) => {
+            let budget = params.coreset_size;
             // Step 1: bicriteria cost reports.
             let stage_enc = EncodedCommand::new(Command::Stage { index: idx });
             for i in 0..m {

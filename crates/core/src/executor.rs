@@ -34,10 +34,7 @@ use crate::distributed::{disss_local_bicriteria, disss_local_sample, local_svd_s
 use crate::params::SummaryParams;
 use crate::pipelines::{quantize_for_wire, seeds};
 use crate::projection::MaybeProjection;
-use crate::stage::{
-    check_plan, dispca_rank, fss_dims, jl_stream, jl_target_dim, resolve_quantizer, stream_plan,
-    FssStage, JlStage, Stage, StreamStage,
-};
+use crate::stage::{check_plan, jl_stream, jl_target_dim, resolve_quantizer, stream_plan, Stage};
 use crate::{CoreError, Result};
 use ekm_clustering::bicriteria::BicriteriaSolution;
 use ekm_coreset::{FssBuilder, StreamingCoreset};
@@ -565,10 +562,10 @@ impl<'a> SourceExecutor<'a> {
                 self.quantizer = Some(resolve_quantizer(cfg, self.params)?);
                 Ok(self.done(0, 0.0))
             }
-            Stage::DisPca(cfg) => {
+            Stage::DisPca(_) => {
                 self.lift_out_of_basis()?;
                 let cur = self.part.cols();
-                let t = dispca_rank(cfg, self.params, cur);
+                let t = self.params.effective_pca_dim(cur);
                 let t0 = Instant::now();
                 let (singular_values, v) = local_svd_summary(&self.part, t)?;
                 let ops = complexity::svd(self.part.rows(), cur);
@@ -611,9 +608,9 @@ impl<'a> SourceExecutor<'a> {
         }
         let t0 = Instant::now();
         let ops = match stage {
-            Stage::Dr(cfg) => self.apply_jl(index, cfg)?,
-            Stage::Cr(cfg) => self.apply_fss(cfg)?,
-            Stage::Stream(cfg) => self.apply_stream(cfg)?,
+            Stage::Dr(_) => self.apply_jl(index)?,
+            Stage::Cr(_) => self.apply_fss()?,
+            Stage::Stream(_) => self.apply_stream()?,
             _ => unreachable!("only source-local stages reach run_local"),
         };
         let seconds = t0.elapsed().as_secs_f64();
@@ -627,11 +624,11 @@ impl<'a> SourceExecutor<'a> {
     /// DR stage `index`: the seeded JL projection of the shard (zero
     /// communication; the server regenerates the matrix from the shared
     /// seed to lift the centers back).
-    fn apply_jl(&mut self, index: usize, cfg: &JlStage) -> Result<u64> {
+    fn apply_jl(&mut self, index: usize) -> Result<u64> {
         self.lift_out_of_basis()?;
         let cur = self.part.cols();
         let (stream, before_role) = jl_stream(self.stages, index);
-        let target = jl_target_dim(cfg, self.params, cur, before_role);
+        let target = jl_target_dim(self.params, cur, before_role);
         let pi = MaybeProjection::generate(
             self.params.jl_kind,
             cur,
@@ -645,15 +642,14 @@ impl<'a> SourceExecutor<'a> {
 
     /// CR stage: the FSS coreset of a single source's shard —
     /// coordinates, weights and Δ, plus the basis to transmit.
-    fn apply_fss(&mut self, cfg: &FssStage) -> Result<u64> {
+    fn apply_fss(&mut self) -> Result<u64> {
         self.lift_out_of_basis()?;
         let k = self.params.k;
         let cur = self.part.cols();
-        let (t, size) = fss_dims(cfg, self.params, cur);
         let ops = complexity::fss(self.part.rows(), cur, k);
         let fss = FssBuilder::new(k)
-            .with_pca_dim(t)
-            .with_sample_size(size)
+            .with_pca_dim(self.params.effective_pca_dim(cur))
+            .with_sample_size(self.params.coreset_size)
             .with_seed(derive_seed(self.params.seed, seeds::FSS))
             .with_compute(self.params.compute)
             .build(&self.part)?;
@@ -667,9 +663,9 @@ impl<'a> SourceExecutor<'a> {
     /// Streaming CR stage: the shard goes through a merge-and-reduce
     /// [`StreamingCoreset`] seeded from this source's own stream, with
     /// the global sample budget split evenly across the sources.
-    fn apply_stream(&mut self, cfg: &StreamStage) -> Result<u64> {
+    fn apply_stream(&mut self) -> Result<u64> {
         let k = self.params.k;
-        let (leaf, per_source) = stream_plan(cfg, self.params, self.m);
+        let (leaf, per_source) = stream_plan(self.params, self.m);
         let ops = complexity::stream(self.part.rows(), self.part.cols(), k, leaf);
         let stream_seed = derive_seed(self.params.seed, seeds::STREAM);
         let mut stream = StreamingCoreset::new(k, leaf, per_source)

@@ -44,10 +44,9 @@ impl Degradation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovery {
     /// `(origin, promoted host)` for every source that finished the run
-    /// absorbed by a replica.
+    /// absorbed by a replica. The rounds replayed onto promoted personas
+    /// are the transport's count, `NetworkStats::replayed_rounds`.
     pub promoted: Vec<(usize, usize)>,
-    /// Completed rounds replayed onto promoted personas.
-    pub replayed_rounds: u64,
 }
 
 /// The result of one end-to-end pipeline run.

@@ -3,8 +3,9 @@
 //! The paper's theorems fix every size as a function of `(n, d, k, ε, δ)`
 //! with large constants; its experiments instead tune sizes so all
 //! algorithms reach a similar empirical error (§7.2.1). [`SummaryParams`]
-//! carries the tuned knobs, and [`SummaryParams::practical`] derives
-//! defaults from the scaled-down formulas:
+//! carries the tuned knobs — it is the one place a stage size is set —
+//! and [`SummaryParams::practical`] derives defaults from the
+//! scaled-down formulas:
 //!
 //! * coreset size `⌈25·k·ln n⌉` (clamped),
 //! * FSS/disPCA intrinsic dimension `t = k + ⌈4k/ε²⌉ − 1` (Theorem 5.1),
@@ -23,8 +24,6 @@ pub struct SummaryParams {
     pub k: usize,
     /// Error parameter ε (drives derived dimensions).
     pub epsilon: f64,
-    /// Failure probability δ.
-    pub delta: f64,
     /// Sensitivity-sampling coreset size.
     pub coreset_size: usize,
     /// FSS / disPCA intrinsic dimension `t` (`t1 = t2`).
@@ -90,8 +89,9 @@ pub fn replica_origins(holder: usize, m: usize, replication: usize) -> Vec<usize
 
 impl SummaryParams {
     /// Practical defaults for a dataset of `n` points in `d` dimensions,
-    /// with `ε = 0.5`, `δ = 0.1` — the regime the paper's experiments
-    /// operate in.
+    /// with `ε = 0.5` — the regime the paper's experiments operate in.
+    /// The theorems' failure probability δ is folded into the tuned
+    /// constants of the scaled-down formulas, so no field carries it.
     ///
     /// # Panics
     ///
@@ -99,7 +99,6 @@ impl SummaryParams {
     pub fn practical(k: usize, n: usize, d: usize) -> Self {
         assert!(k > 0 && n > 0 && d > 0, "k, n, d must be positive");
         let epsilon = 0.5;
-        let delta = 0.1;
         let coreset_size = ekm_coreset::size::practical_fss_sample_size(n, k, 25.0);
         let pca_dim = ekm_sketch::dims::theorem51_pca_dim(k, epsilon).min(d);
         // The pre-CR projection controls the quality of the final center
@@ -118,7 +117,6 @@ impl SummaryParams {
         SummaryParams {
             k,
             epsilon,
-            delta,
             coreset_size,
             pca_dim,
             jl_dim_before: jl_before,
@@ -254,11 +252,6 @@ impl SummaryParams {
                 reason: "epsilon outside (0,1)",
             });
         }
-        if !(self.delta > 0.0 && self.delta < 1.0) {
-            return Err(crate::CoreError::InvalidConfig {
-                reason: "delta outside (0,1)",
-            });
-        }
         if self.stream_leaf_size == 0 {
             return Err(crate::CoreError::InvalidConfig {
                 reason: "stream leaf size is zero",
@@ -379,7 +372,7 @@ mod tests {
         bad.epsilon = 1.0;
         assert!(bad.validate(100, 10).is_err());
         let mut bad = p;
-        bad.delta = 0.0;
+        bad.epsilon = f64::NAN;
         assert!(bad.validate(100, 10).is_err());
     }
 

@@ -12,12 +12,18 @@
 //! JL stage's seed stream and role (read off its position), every
 //! resolved dimension — and so agree on them without communicating.
 //!
+//! A stage names a step, not its sizes: every JL dimension, PCA rank,
+//! coreset size and leaf size comes from the run's
+//! [`SummaryParams`], which derives them from `(n, d, k, ε)`. The one
+//! per-stage setting is a QT stage's width (`qt:<bits>`), so one sweep
+//! can compare widths.
+//!
 //! | Token | Stage | Effect on the summary state |
 //! |---|---|---|
 //! | `jl` | [`Stage::Dr`] | seeded JL projection of the working points (zero communication) |
 //! | `fss` | [`Stage::Cr`] | FSS coreset: points → (coordinates, weights, Δ) + a basis to transmit |
 //! | `stream` | [`Stage::Stream`] | merge-and-reduce streaming coreset per source (each source summarizes while collecting) |
-//! | `qt` | [`Stage::Qt`] | arms the rounding quantizer for subsequent coreset-point transmissions |
+//! | `qt`, `qt:<bits>` | [`Stage::Qt`] | arms the rounding quantizer (the parameters' or a `<bits>`-bit one) for subsequent coreset-point transmissions |
 //! | `dispca` | [`Stage::DisPca`] | distributed PCA round: local SVD summaries up, global basis down |
 //! | `disss` | [`Stage::DisSs`] | distributed sensitivity sampling: the summary moves to the server |
 
@@ -30,37 +36,23 @@ use ekm_quant::RoundingQuantizer;
 /// explicit width (`qt:<s>`) and the parameters carry no quantizer.
 pub const DEFAULT_QT_BITS: u32 = 10;
 
-/// Configuration of a JL (DR) stage.
-///
-/// The target dimension defaults to the parameters' pre-CR formula for a
-/// leading projection and the post-CR formula otherwise (matching
-/// Algorithms 1–3); `dim` pins it explicitly.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JlStage {
-    /// Explicit target dimension (overrides the positional default).
-    pub dim: Option<usize>,
-}
+/// A JL (DR) stage. Its target dimension follows from its plan
+/// position: the parameters' pre-CR dimension for a leading projection,
+/// the post-CR one otherwise (matching Algorithms 1–3).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JlStage;
 
-/// Configuration of an FSS (CR) stage.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FssStage {
-    /// Explicit coreset size (defaults to `SummaryParams::coreset_size`).
-    pub sample_size: Option<usize>,
-    /// Explicit PCA/intrinsic dimension (defaults to the clamped
-    /// `SummaryParams::pca_dim`).
-    pub pca_dim: Option<usize>,
-}
+/// An FSS (CR) stage: `SummaryParams::coreset_size` points in the
+/// clamped `SummaryParams::pca_dim` dimensions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FssStage;
 
-/// Configuration of a streaming (merge-and-reduce) CR stage.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StreamStage {
-    /// Explicit leaf-buffer size (defaults to
-    /// `SummaryParams::stream_leaf_size`).
-    pub leaf_size: Option<usize>,
-    /// Explicit *global* sample budget, split evenly across the data
-    /// sources (defaults to `SummaryParams::coreset_size`).
-    pub sample_size: Option<usize>,
-}
+/// A streaming (merge-and-reduce) CR stage: leaves of
+/// `SummaryParams::stream_leaf_size` rows, and the global
+/// `SummaryParams::coreset_size` budget split evenly across the data
+/// sources.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamStage;
 
 /// Configuration of a QT stage.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -70,21 +62,15 @@ pub struct QuantStage {
     pub quantizer: Option<RoundingQuantizer>,
 }
 
-/// Configuration of a disPCA stage.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DisPcaStage {
-    /// Explicit summary rank `t1 = t2` (defaults to the clamped
-    /// `SummaryParams::pca_dim`).
-    pub rank: Option<usize>,
-}
+/// A disPCA stage: summary rank `t1 = t2` is the clamped
+/// `SummaryParams::pca_dim`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DisPcaStage;
 
-/// Configuration of a disSS stage.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DisSsStage {
-    /// Explicit global sample budget (defaults to
-    /// `SummaryParams::coreset_size`).
-    pub sample_size: Option<usize>,
-}
+/// A disSS stage: the global sample budget is
+/// `SummaryParams::coreset_size`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DisSsStage;
 
 /// One step of a summary pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,27 +97,19 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// A JL stage with positional-default dimensions.
+    /// A JL stage.
     pub fn jl() -> Stage {
-        Stage::Dr(JlStage::default())
+        Stage::Dr(JlStage)
     }
 
-    /// An FSS stage with parameter-default sizes.
+    /// An FSS stage.
     pub fn fss() -> Stage {
-        Stage::Cr(FssStage::default())
+        Stage::Cr(FssStage)
     }
 
-    /// A streaming merge-and-reduce stage with parameter-default sizes.
+    /// A streaming merge-and-reduce stage.
     pub fn stream() -> Stage {
-        Stage::Stream(StreamStage::default())
-    }
-
-    /// A streaming stage with an explicit leaf-buffer size.
-    pub fn stream_leaf(leaf_size: usize) -> Stage {
-        Stage::Stream(StreamStage {
-            leaf_size: Some(leaf_size.max(1)),
-            sample_size: None,
-        })
+        Stage::Stream(StreamStage)
     }
 
     /// A QT stage using the parameters' quantizer (or the default width).
@@ -150,14 +128,14 @@ impl Stage {
         }))
     }
 
-    /// A disPCA stage with parameter-default rank.
+    /// A disPCA stage.
     pub fn dispca() -> Stage {
-        Stage::DisPca(DisPcaStage::default())
+        Stage::DisPca(DisPcaStage)
     }
 
-    /// A disSS stage with parameter-default budget.
+    /// A disSS stage.
     pub fn disss() -> Stage {
-        Stage::DisSs(DisSsStage::default())
+        Stage::DisSs(DisSsStage)
     }
 
     /// The display token used in pipeline names ("JL+FSS+QT").
@@ -180,8 +158,8 @@ impl Stage {
         matches!(self, Stage::DisPca(_) | Stage::DisSs(_) | Stage::Stream(_))
     }
 
-    /// Parses one CLI token (`jl`, `fss`, `stream`, `stream:<leaf>`,
-    /// `qt`, `qt:<s>`, `dispca`, `disss`).
+    /// Parses one CLI token (`jl`, `fss`, `stream`, `qt`, `qt:<s>`,
+    /// `dispca`, `disss`).
     ///
     /// # Errors
     ///
@@ -202,14 +180,6 @@ impl Stage {
                         token: token.to_string(),
                     })?;
                     return Stage::qt_bits(s);
-                }
-                if let Some(leaf) = t.strip_prefix("stream:") {
-                    let leaf: usize = leaf.parse().ok().filter(|&l| l > 0).ok_or(
-                        CoreError::InvalidStageName {
-                            token: token.to_string(),
-                        },
-                    )?;
-                    return Ok(Stage::stream_leaf(leaf));
                 }
                 Err(CoreError::InvalidStageName {
                     token: token.to_string(),
@@ -240,7 +210,7 @@ impl Stage {
 
     /// The valid `--stages` vocabulary, for error messages and `--help`.
     pub fn vocabulary() -> &'static str {
-        "jl, fss, stream, stream:<leaf>, qt, qt:<bits>, dispca, disss"
+        "jl, fss, stream, qt, qt:<bits>, dispca, disss"
     }
 }
 
@@ -282,8 +252,9 @@ pub fn display_name(stages: &[Stage]) -> String {
 ///
 /// [`CoreError::InvalidConfig`] for a second coreset stage (`fss` or
 /// `stream`), `fss` over several sources, `dispca`/`disss` after a
-/// coreset stage, any stage after `disss`, or a zero disSS budget; the
-/// quantizer's error for a `qt` stage whose quantizer does not resolve.
+/// coreset stage, or any stage after `disss`; the quantizer's error for
+/// a `qt` stage whose quantizer does not resolve. (A zero sample budget
+/// is `SummaryParams::validate`'s to refuse.)
 pub(crate) fn check_plan(stages: &[Stage], params: &SummaryParams, m: usize) -> Result<()> {
     let (mut coreset, mut handed_off) = (false, false);
     for stage in stages {
@@ -299,7 +270,6 @@ pub(crate) fn check_plan(stages: &[Stage], params: &SummaryParams, m: usize) -> 
             }
             Stage::DisPca(_) if coreset => Some("dispca after a coreset stage is unsupported"),
             Stage::DisSs(_) if coreset => Some("disss after a coreset stage is unsupported"),
-            Stage::DisSs(cfg) if disss_budget(cfg, params) == 0 => Some("zero disSS sample budget"),
             Stage::Qt(cfg) => resolve_quantizer(cfg, params).map(|_| None)?,
             _ => None,
         };
@@ -334,50 +304,22 @@ pub(crate) fn jl_stream(stages: &[Stage], index: usize) -> (u64, bool) {
     }
 }
 
-/// Resolves a JL stage's target dimension (the one formula the server
-/// driver and the source executors must agree on); `before_role` comes
-/// from [`jl_stream`].
-pub(crate) fn jl_target_dim(
-    cfg: &JlStage,
-    params: &SummaryParams,
-    cur: usize,
-    before_role: bool,
-) -> usize {
-    match cfg.dim {
-        Some(dim) => dim.clamp(1, cur),
-        None if before_role => params.effective_jl_before(cur),
-        None => params.effective_jl_after(cur),
+/// A JL stage's target dimension (the one formula the server driver
+/// and the source executors must agree on); `before_role` comes from
+/// [`jl_stream`].
+pub(crate) fn jl_target_dim(params: &SummaryParams, cur: usize, before_role: bool) -> usize {
+    if before_role {
+        params.effective_jl_before(cur)
+    } else {
+        params.effective_jl_after(cur)
     }
 }
 
-/// Resolves an FSS stage's `(pca_dim, sample_size)`.
-pub(crate) fn fss_dims(cfg: &FssStage, params: &SummaryParams, cur: usize) -> (usize, usize) {
-    (
-        cfg.pca_dim
-            .map(|t| t.clamp(1, cur))
-            .unwrap_or_else(|| params.effective_pca_dim(cur)),
-        cfg.sample_size.unwrap_or(params.coreset_size),
-    )
-}
-
-/// Resolves a disPCA stage's summary rank `t1 = t2`.
-pub(crate) fn dispca_rank(cfg: &DisPcaStage, params: &SummaryParams, cur: usize) -> usize {
-    cfg.rank
-        .map(|t| t.clamp(1, cur))
-        .unwrap_or_else(|| params.effective_pca_dim(cur))
-}
-
-/// Resolves a streaming stage's `(leaf_size, per-source budget)` for `m`
-/// data sources (the global budget splits evenly, disSS-style).
-pub(crate) fn stream_plan(cfg: &StreamStage, params: &SummaryParams, m: usize) -> (usize, usize) {
-    let leaf = cfg.leaf_size.unwrap_or(params.stream_leaf_size).max(1);
-    let budget = cfg.sample_size.unwrap_or(params.coreset_size);
-    (leaf, budget.div_ceil(m).max(params.k).max(1))
-}
-
-/// Resolves a disSS stage's global sample budget.
-pub(crate) fn disss_budget(cfg: &DisSsStage, params: &SummaryParams) -> usize {
-    cfg.sample_size.unwrap_or(params.coreset_size)
+/// A streaming stage's `(leaf_size, per-source budget)` for `m` data
+/// sources (the global budget splits evenly, disSS-style).
+pub(crate) fn stream_plan(params: &SummaryParams, m: usize) -> (usize, usize) {
+    let leaf = params.stream_leaf_size.max(1);
+    (leaf, params.coreset_size.div_ceil(m).max(params.k).max(1))
 }
 
 /// Resolves the effective quantizer of a QT stage against the shared
@@ -412,14 +354,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(Stage::parse("stream").unwrap(), Stage::stream());
-        match Stage::parse("STREAM:128").unwrap() {
-            Stage::Stream(StreamStage {
-                leaf_size: Some(leaf),
-                sample_size: None,
-            }) => assert_eq!(leaf, 128),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(Stage::parse("STREAM").unwrap(), Stage::stream());
     }
 
     #[test]
@@ -432,6 +367,10 @@ mod tests {
         let err = Stage::parse("frobnicate").unwrap_err();
         assert!(err.to_string().contains("frobnicate"));
         assert!(err.to_string().contains("jl"));
+        // A stage carries no size: the leaf size is `--leaf-size`'s.
+        let err = Stage::parse("stream:128").unwrap_err().to_string();
+        assert!(err.contains("unknown stage 'stream:128'"), "{err}");
+        assert!(err.contains(Stage::vocabulary()), "{err}");
     }
 
     #[test]
@@ -517,14 +456,7 @@ mod tests {
                 (got, want) => panic!("{list} over {m}: got {got:?}, want {want:?}"),
             }
         }
-        // A zero disSS budget is refused; the empty plan is fine.
-        let zero = [Stage::DisSs(DisSsStage {
-            sample_size: Some(0),
-        })];
-        assert!(matches!(
-            check_plan(&zero, &params, 2),
-            Err(CoreError::InvalidConfig { reason }) if reason.starts_with("zero disSS")
-        ));
+        // The empty plan is fine.
         assert!(check_plan(&[], &params, 4).is_ok());
     }
 

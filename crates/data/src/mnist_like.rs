@@ -98,8 +98,8 @@ impl MnistLike {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::InvalidParameter`] for zero sizes or negative
-    /// noise.
+    /// Returns [`DataError::InvalidParameter`] for zero sizes or a
+    /// negative or non-finite noise, intensity jitter or style strength.
     pub fn generate(&self) -> Result<LabeledDataset> {
         if self.n == 0 || self.side == 0 {
             return Err(DataError::InvalidParameter {
@@ -107,10 +107,14 @@ impl MnistLike {
                 reason: "must be positive",
             });
         }
-        if self.noise < 0.0 || self.intensity_jitter < 0.0 || self.style_strength < 0.0 {
+        let valid_scale = |x: f64| x.is_finite() && x >= 0.0;
+        if !valid_scale(self.noise)
+            || !valid_scale(self.intensity_jitter)
+            || !valid_scale(self.style_strength)
+        {
             return Err(DataError::InvalidParameter {
                 name: "noise/intensity_jitter/style_strength",
-                reason: "must be nonnegative",
+                reason: "must be finite and nonnegative",
             });
         }
         let d = self.dim();
@@ -264,6 +268,17 @@ mod tests {
     fn invalid_parameters_error() {
         assert!(MnistLike::new(0, 8).generate().is_err());
         assert!(MnistLike::new(8, 0).generate().is_err());
-        assert!(MnistLike::new(8, 8).with_noise(-0.1).generate().is_err());
+        for bad in [-0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for g in [
+                MnistLike::new(4, 4).with_noise(bad),
+                MnistLike::new(4, 4).with_intensity_jitter(bad),
+                MnistLike::new(4, 4).with_style_strength(bad),
+            ] {
+                assert!(
+                    matches!(g.generate(), Err(DataError::InvalidParameter { .. })),
+                    "{g:?}"
+                );
+            }
+        }
     }
 }

@@ -39,15 +39,9 @@ pub fn partition_uniform(data: &Matrix, parts: usize, seed: u64) -> Result<Vec<M
 ///
 /// # Errors
 ///
-/// Returns [`DataError::InvalidParameter`] for invalid `parts` or
-/// non-positive `skew`.
+/// Returns [`DataError::InvalidParameter`] for invalid `parts` or a
+/// `skew` that is not finite and positive.
 pub fn partition_skewed(data: &Matrix, parts: usize, skew: f64, seed: u64) -> Result<Vec<Matrix>> {
-    if skew <= 0.0 {
-        return Err(DataError::InvalidParameter {
-            name: "skew",
-            reason: "must be positive",
-        });
-    }
     let indices = partition_indices(data.rows(), parts, seed, Some(skew))?;
     Ok(indices.iter().map(|idx| data.select_rows(idx)).collect())
 }
@@ -57,13 +51,19 @@ pub fn partition_skewed(data: &Matrix, parts: usize, skew: f64, seed: u64) -> Re
 ///
 /// # Errors
 ///
-/// See [`partition_uniform`].
+/// See [`partition_uniform`] and [`partition_skewed`].
 pub fn partition_indices(
     n: usize,
     parts: usize,
     seed: u64,
     skew: Option<f64>,
 ) -> Result<Vec<Vec<usize>>> {
+    if skew.is_some_and(|s| !(s.is_finite() && s > 0.0)) {
+        return Err(DataError::InvalidParameter {
+            name: "skew",
+            reason: "must be finite and positive",
+        });
+    }
     if parts == 0 || parts > n {
         return Err(DataError::InvalidParameter {
             name: "parts",
@@ -204,7 +204,15 @@ mod tests {
         let data = Matrix::from_fn(5, 1, |i, _| i as f64);
         assert!(partition_uniform(&data, 0, 0).is_err());
         assert!(partition_uniform(&data, 6, 0).is_err());
-        assert!(partition_skewed(&data, 2, 0.0, 0).is_err());
-        assert!(partition_skewed(&data, 2, -1.0, 0).is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    partition_skewed(&data, 2, bad, 0),
+                    Err(DataError::InvalidParameter { name: "skew", .. })
+                ),
+                "{bad}"
+            );
+            assert!(partition_indices(5, 2, 0, Some(bad)).is_err(), "{bad}");
+        }
     }
 }

@@ -67,7 +67,7 @@ COMMANDS:
     sweep    run every pipeline on one dataset (the Figure 1 comparison);
              stage outputs are memoized across pipelines, so compositions
              sharing a prefix (e.g. jl,fss under several QT widths)
-             compute it once — outputs are bit-identical either way
+             compute it once — outputs are bit-identical to lone runs
     qtopt    run the Section 6.3 quantizer-configuration optimizer
     serve    run the server of a distributed deployment over real TCP:
              drives the server-side protocol over every connected source
@@ -89,9 +89,9 @@ FLAGS (with defaults):
                         bklw | jl-bklw | bklw-jl    [jl-fss-jl]
     --stages <list>     run an arbitrary DR/CR/QT composition instead of
                         a named pipeline: comma-separated stages from
-                        jl, fss, stream, stream:<leaf>, qt, qt:<bits>,
-                        dispca, disss (e.g. --stages jl,stream,qt); for
-                        sweep, several compositions joined with ';'
+                        jl, fss, stream, qt, qt:<bits>, dispca, disss
+                        (e.g. --stages jl,stream,qt); for sweep,
+                        several compositions joined with ';'
     --dataset <name>    mnist-like | neurips-like | mixture   [mnist-like]
     --n <int>           dataset cardinality                    [2000]
     --d <int>           dataset dimensionality (mixture/neurips) [196]
@@ -109,9 +109,6 @@ FLAGS (with defaults):
     --leaf-size <int>   stream stage leaf-buffer size [2x coreset size]
     --threads <int>     cap worker threads (sharded solve, per-source
                         fan-out); 0 follows the hardware        [0]
-    --no-cache          sweep: disable the stage-output cache
-    --cache-budget <b>  sweep: bound the stage cache to ~b bytes with
-                        least-recently-used eviction
     --y0 <float>        qtopt error budget                     [2.0]
 
 FAULT TOLERANCE (serve/source, protocol mode):
@@ -161,11 +158,11 @@ EXAMPLES:
 /// and `source` accept the one flag set a deployment hands both). A flag
 /// in neither list is a usage error, never silently ignored.
 const VALUE_FLAGS: &str = "listen connect source-id pipeline stages dataset n d k sources seed \
-     quantize precision compute leaf-size threads cache-budget y0 deadline-ms \
+     quantize precision compute leaf-size threads y0 deadline-ms \
      replication journal centers-out centers reconnect crash-after-commands fail-after-commands";
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &str = "no-cache resume";
+const BOOLEAN_FLAGS: &str = "resume";
 
 fn listed(list: &str, name: &str) -> bool {
     list.split_whitespace().any(|flag| flag == name)
@@ -548,12 +545,6 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    // --cache-budget shapes a cache that --no-cache removes: honoring
-    // one silently would surprise, so the combination is a usage error —
-    // rejected before any dataset work.
-    if args.flags.contains_key("no-cache") && args.flags.contains_key("cache-budget") {
-        return Err("--cache-budget conflicts with --no-cache: the stage cache is disabled".into());
-    }
     let data = build_dataset(args)?;
     let (n, d) = data.shape();
     let params = build_params(args, n, d)?;
@@ -564,41 +555,27 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     say!("reference cost: {:.4}\n", reference.cost);
     // Stage outputs are memoized across the sweep's pipelines (shared
     // prefixes like `jl,fss` under several QT widths run once, with
-    // bit-identical outputs and accounting); --no-cache turns it off.
-    let mut cache = if args.flags.contains_key("no-cache") {
-        None
-    } else if args.flags.contains_key("cache-budget") {
-        let budget = args.get_usize("cache-budget", 0)?;
-        if budget == 0 {
-            return Err("--cache-budget expects a positive byte count".into());
-        }
-        Some(StageCache::with_budget(budget))
-    } else {
-        Some(StageCache::new())
-    };
+    // bit-identical outputs and accounting).
+    let mut cache = StageCache::new();
     // Keep sweeping after a failure so the table stays comparable, but
     // report every failure and exit nonzero if any pipeline failed.
     let mut failures = Vec::new();
     for pipe in &pipelines {
-        let run = run_pipe(pipe, &data, sources, cache.as_mut())
+        let run = run_pipe(pipe, &data, sources, Some(&mut cache))
             .and_then(|out| report_line(pipe, &data, &out, reference.cost));
         if let Err(e) = run {
             eprintln!("{:<14} error: {e}", pipe.name());
             failures.push(pipe.name());
         }
     }
-    if let Some(cache) = &cache {
-        say!(
-            "\nstage cache: {} hits, {} misses, {} evictions over {} entries \
-             (~{} bytes held, hit rate {:.2})",
-            cache.hits(),
-            cache.misses(),
-            cache.evictions(),
-            cache.len(),
-            cache.held_bytes(),
-            cache.hit_rate()
-        );
-    }
+    say!(
+        "\nstage cache: {} hits, {} misses over {} entries (~{} bytes held, hit rate {:.2})",
+        cache.hits(),
+        cache.misses(),
+        cache.len(),
+        cache.held_bytes(),
+        cache.hit_rate()
+    );
     if failures.is_empty() {
         Ok(())
     } else {
@@ -784,7 +761,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
         say!(
             "recovered: {} completed round(s) replayed onto replicas",
-            rec.replayed_rounds
+            stats.replayed_rounds()
         );
     }
     if let Some(deg) = &out.degraded {
@@ -1079,12 +1056,12 @@ mod tests {
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let a = args(&["sweep", "--no-cache", "--n", "500"]).unwrap();
-        assert_eq!(a.get_str("no-cache", "false"), "true");
+        let a = args(&["serve", "--resume", "--n", "500"]).unwrap();
+        assert_eq!(a.get_str("resume", "false"), "true");
         assert_eq!(a.get_usize("n", 0).unwrap(), 500);
         // Trailing boolean flag is fine too.
-        let a = args(&["sweep", "--no-cache"]).unwrap();
-        assert!(a.flags.contains_key("no-cache"));
+        let a = args(&["serve", "--resume"]).unwrap();
+        assert!(a.flags.contains_key("resume"));
     }
 
     #[test]
@@ -1094,11 +1071,20 @@ mod tests {
         let err = args(&["run", "--quantise", "8"]).unwrap_err();
         assert!(err.contains("unknown flag --quantise"), "{err}");
         assert!(err.contains("--quantize"), "{err}");
-        assert!(err.contains("--no-cache"), "{err}");
+        assert!(err.contains("--resume"), "{err}");
         // A removed flag is refused like a misspelled one.
-        let err = args(&["run", "--topology", "tree"]).unwrap_err();
-        assert!(err.contains("unknown flag --topology"), "{err}");
-        assert!(err.contains("--replication"), "{err}");
+        for removed in [
+            &["run", "--topology", "tree"][..],
+            &["sweep", "--no-cache"],
+            &["sweep", "--cache-budget", "1000"],
+        ] {
+            let err = args(removed).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag {}", removed[1])),
+                "{err}"
+            );
+            assert!(err.contains("--replication"), "{err}");
+        }
     }
 
     #[test]
@@ -1177,6 +1163,11 @@ mod tests {
         let err = select_pipelines(&a, &test_params(), false).unwrap_err();
         assert!(err.contains("warp"), "{err}");
         assert!(err.contains("dispca"), "{err}");
+        // A stage carries no size: the leaf size is --leaf-size's.
+        let a = args(&["run", "--stages", "stream:128,jl"]).unwrap();
+        let err = select_pipelines(&a, &test_params(), false).unwrap_err();
+        assert!(err.contains("unknown stage 'stream:128'"), "{err}");
+        assert!(err.contains(Stage::vocabulary()), "{err}");
     }
 
     #[test]
@@ -1224,7 +1215,7 @@ mod tests {
             pipes[0].is_distributed(),
             "stream pipelines shard over --sources"
         );
-        let a = args(&["run", "--stages", "stream:128,jl"]).unwrap();
+        let a = args(&["run", "--stages", "stream,jl"]).unwrap();
         let pipes = select_pipelines(&a, &test_params(), false).unwrap();
         assert_eq!(pipes[0].name(), "STREAM+JL");
     }
@@ -1252,7 +1243,7 @@ mod tests {
         // 'f64' while producing identical bits.
         let a = args(&["run", "--precision", "full"]).unwrap();
         assert!(build_params(&a, 100, 10).is_err());
-        // --leaf-size must be positive, like the stream:<leaf> token.
+        // --leaf-size must be positive.
         let a = args(&["run", "--leaf-size", "0"]).unwrap();
         assert!(build_params(&a, 100, 10)
             .unwrap_err()
@@ -1293,16 +1284,6 @@ mod tests {
         // --threads does not shape the bits, so it stays out.
         let threads = args(&["serve", "--n", "500", "--threads", "2"]).unwrap();
         assert_eq!(fp(&base), fp(&threads));
-    }
-
-    #[test]
-    fn sweep_rejects_cache_tier_flags_with_no_cache() {
-        // --no-cache plus a cache-shaping flag used to silently ignore
-        // the latter; it is a usage error, rejected before any work.
-        let a = args(&["sweep", "--no-cache", "--cache-budget", "1000"]).unwrap();
-        let err = cmd_sweep(&a).unwrap_err();
-        assert!(err.contains("--cache-budget"), "{err}");
-        assert!(err.contains("--no-cache"), "{err}");
     }
 
     #[test]

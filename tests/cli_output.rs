@@ -1,8 +1,16 @@
-//! The `ekm` binary's behavior on its output streams: a reader that
-//! closes stdout early (`ekm help | head -1`) must end the command
-//! quietly, not with a panic.
+//! The `ekm` binary run as a process: a reader that closes stdout early
+//! (`ekm help | head -1`) must end the command quietly, not with a
+//! panic, and `ekm sweep` must run its whole table through one stage
+//! cache.
 
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
+
+fn ekm(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ekm"))
+        .args(args)
+        .output()
+        .expect("ekm starts")
+}
 
 #[test]
 fn a_closed_stdout_ends_the_command_quietly() {
@@ -17,4 +25,59 @@ fn a_closed_stdout_ends_the_command_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
+
+#[test]
+fn sweep_runs_every_composition_through_one_stage_cache() {
+    let out = ekm(&[
+        "sweep",
+        "--dataset",
+        "mixture",
+        "--n",
+        "400",
+        "--d",
+        "16",
+        "--k",
+        "2",
+        "--sources",
+        "2",
+        "--stages",
+        "jl,fss,qt:6;jl,stream,qt",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    // The seven default pipelines plus the two --stages extras.
+    let rows = stdout.lines().filter(|l| l.contains("   comm ")).count();
+    assert_eq!(rows, 9, "{stdout}");
+    let cache = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("stage cache: "))
+        .unwrap_or_else(|| panic!("no stage cache line:\n{stdout}"));
+    let hits: u64 = cache
+        .split_whitespace()
+        .next()
+        .and_then(|h| h.parse().ok())
+        .unwrap_or_else(|| panic!("unreadable stage cache line: {cache}"));
+    assert!(hits > 0, "the shared jl,fss prefix never hit: {cache}");
+}
+
+#[test]
+fn removed_settings_are_refused() {
+    for (args, refusal) in [
+        (&["sweep", "--no-cache"][..], "unknown flag --no-cache"),
+        (
+            &["sweep", "--cache-budget", "1000"],
+            "unknown flag --cache-budget",
+        ),
+        (
+            &["run", "--stages", "stream:128", "--n", "40", "--d", "4"],
+            "unknown stage 'stream:128' (valid stages: jl, fss, stream, qt",
+        ),
+    ] {
+        let out = ekm(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(refusal), "{args:?}: {stderr}");
+    }
 }

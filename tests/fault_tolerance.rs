@@ -289,7 +289,6 @@ fn promoted_replica_keeps_the_run_bit_identical() {
             .as_ref()
             .expect("run must record the recovery");
         assert_eq!(rec.promoted, vec![(1, 2)], "{list}");
-        assert!(rec.replayed_rounds > 0, "{list}");
 
         assert_centers_bit_identical(&out.centers, &clean.centers);
         assert_eq!(out.uplink_bits, clean.uplink_bits, "{list}: uplink");
@@ -311,7 +310,7 @@ fn promoted_replica_keeps_the_run_bit_identical() {
         // digest (classic ledgers + centers) is unperturbed by it.
         assert_eq!(stats.replica_promotions(), 1, "{list}");
         assert!(stats.replica_bits() > 0, "{list}");
-        assert_eq!(stats.replayed_rounds(), rec.replayed_rounds, "{list}");
+        assert!(stats.replayed_rounds() > 0, "{list}");
         assert_eq!(
             edge_kmeans::net::RunDigest::new(&stats, &out.centers),
             edge_kmeans::net::RunDigest::new(&clean_stats, &clean.centers),
@@ -670,11 +669,7 @@ fn a_host_lost_while_rebuilding_a_persona_resumes_as_a_failed_attempt() {
             assert_centers_bit_identical(&out.centers, &live.centers);
             // Lost shards with their reasons, rows and bound.
             assert_eq!(out.degraded, live.degraded, "{tag}, {leg}");
-            assert_eq!(
-                out.recovered.map(|r| r.promoted),
-                Some(vec![(host, next)]),
-                "{tag}, {leg}"
-            );
+            assert_eq!(out.recovered, live.recovered, "{tag}, {leg}");
             assert_eq!(out.uplink_bits, live.uplink_bits, "{tag}, {leg}");
             assert_eq!(out.downlink_bits, live.downlink_bits, "{tag}, {leg}");
             for i in 0..m {

@@ -131,28 +131,6 @@ fn cached_sweep_covers_streaming_shards() {
 }
 
 #[test]
-fn budget_bounded_sweep_stays_bit_identical_under_eviction() {
-    // A cache squeezed hard enough to evict on every store must still
-    // produce bit-identical outputs — evictions only cost recomputation.
-    let data = workload(9);
-    let lists = ["jl,fss,qt:4", "jl,fss,qt:8", "jl,fss,qt:8,jl"];
-    let mut tight = StageCache::with_budget(1);
-    let cached = sweep(&lists, &data, Some(&mut tight));
-    let uncached = sweep(&lists, &data, None);
-    assert_rows_identical(&cached, &uncached);
-    assert!(tight.evictions() > 0, "the 1-byte budget must evict");
-    assert!(tight.held_bytes() > 0, "one oversized entry is admitted");
-
-    // A budget big enough for everything behaves like the unbounded
-    // cache: same hit pattern, no evictions.
-    let mut roomy = StageCache::with_budget(1 << 30);
-    let roomy_rows = sweep(&lists, &data, Some(&mut roomy));
-    assert_rows_identical(&roomy_rows, &uncached);
-    assert_eq!(roomy.evictions(), 0);
-    assert_eq!(roomy.misses(), 3, "jl, fss, trailing jl");
-}
-
-#[test]
 fn interactive_stages_always_run_live() {
     // disPCA/disSS traffic must flow through the transport on every
     // run — the cache holds only source-side stage outputs, so a
