@@ -17,22 +17,34 @@
 //! * `tests/golden/ledgers.txt` — every source's uplink and downlink
 //!   bits and the uplink bits by message kind.
 //!
+//! `tests/golden/rounds.txt` pins the driver's rounds themselves: the
+//! journal of `jl,dispca,qt:9,disss` at four sources and of `jl-fss`
+//! (whose basis travels in its own round) at one, a line per command
+//! sent and response taken, in the order the driver took them. A
+//! resumed run compares the driver's sends with these records byte for
+//! byte, so a reordered round would strand every existing journal even
+//! where the centers and ledgers stay put.
+//!
 //! Equivalence tests compare two execution paths of today's code, so a
 //! change that moves both sides together passes them; these rows pin
 //! the results themselves. On drift the test prints the files as they
 //! would read now: a change meant to move results commits that text,
 //! and the diff shows in review what moved.
 
+use edge_kmeans::core::journal::{read_journal, JournalEntry, JournalingTransport};
 use edge_kmeans::core::pipelines;
 use edge_kmeans::data::normalize::normalize_paper;
 use edge_kmeans::data::partition::partition_uniform;
 use edge_kmeans::data::synth::GaussianMixture;
+use edge_kmeans::net::fnv::Fnv;
+use edge_kmeans::net::protocol::{channel_pairs, Command, Response};
 use edge_kmeans::net::wire::Compute;
 use edge_kmeans::net::{NetworkStats, RunDigest};
 use edge_kmeans::prelude::*;
 
 const PIPELINES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/pipelines.txt");
 const LEDGERS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/ledgers.txt");
+const ROUNDS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/rounds.txt");
 
 // The shape: small enough to keep the suite quick, large enough that
 // every SVD route runs (tall shards and FSS inputs, wide disPCA stacks
@@ -121,14 +133,19 @@ fn record(out: &RunOutput, stats: &NetworkStats, sources: usize) -> Record {
     Record { row, ledger }
 }
 
-/// Runs one case through both entry points, checks they agree, and
-/// returns the record.
-fn run_case(name: &str, pipe: &StagePipeline, data: &Matrix) -> Record {
-    let shards = if pipe.is_distributed() {
+/// The case's shards: `SOURCES` for a distributed pipeline, else one.
+fn shards(pipe: &StagePipeline, data: &Matrix) -> Vec<Matrix> {
+    if pipe.is_distributed() {
         partition_uniform(data, SOURCES, pipe.params().seed).unwrap()
     } else {
         vec![data.clone()]
-    };
+    }
+}
+
+/// Runs one case through both entry points, checks they agree, and
+/// returns the record.
+fn run_case(name: &str, pipe: &StagePipeline, data: &Matrix) -> Record {
+    let shards = shards(pipe, data);
     let m = shards.len();
     let mut net = Network::new(m);
     let library = pipe.run_shards(&shards, &mut net).unwrap();
@@ -170,6 +187,95 @@ fn ledgers_file(records: &[(String, Record)]) -> String {
     text
 }
 
+/// The journal of one run of `pipe` over the channel backend.
+fn journal(name: &str, pipe: &StagePipeline, shards: Vec<Matrix>) -> Vec<JournalEntry> {
+    let m = shards.len();
+    let path = std::env::temp_dir().join(format!(
+        "ekm-golden-rounds-{}-{}.journal",
+        std::process::id(),
+        name.replace([',', ':'], "_")
+    ));
+    std::thread::scope(|scope| {
+        let (hub, endpoints) = channel_pairs(m);
+        for (i, (mut ep, shard)) in endpoints.into_iter().zip(shards).enumerate() {
+            let (stages, params) = (pipe.stages(), pipe.params());
+            scope.spawn(move || SourceExecutor::new(stages, params, i, m, shard).serve(&mut ep));
+        }
+        let mut net = JournalingTransport::record(hub, &path, 0).unwrap();
+        pipe.run_driver(&mut net).unwrap();
+    });
+    let (_, entries) = read_journal(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    entries
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.write_bytes(bytes);
+    h.finish()
+}
+
+/// One journal record as a fixture line. A response's `seconds` is wall
+/// time, so it is left out; an uplink payload is hashed on its wire
+/// bytes under a zeroed header.
+fn round_line(entry: &JournalEntry) -> String {
+    match entry {
+        JournalEntry::Cmd { source, bytes } => {
+            let cmd = Command::decode(bytes).unwrap();
+            format!("{source} cmd  {:<15} {:#018x}", cmd.name(), fnv(bytes))
+        }
+        JournalEntry::Resp { source, bytes } => {
+            let resp = Response::decode(bytes).unwrap();
+            let round = resp.round().map_or("-".to_string(), |r| r.to_string());
+            let detail = match &resp {
+                Response::Done {
+                    rows, cols, ops, ..
+                } => format!("{rows}x{cols} ops {ops}"),
+                Response::Up { payload, ops, .. } => {
+                    let wire = Response::Up {
+                        round: 0,
+                        payload: payload.clone(),
+                        ops: 0,
+                        seconds: 0.0,
+                    };
+                    format!(
+                        "ops {ops} {} {} bits {:#018x}",
+                        payload.kind().unwrap(),
+                        payload.bits(),
+                        fnv(&wire.encode())
+                    )
+                }
+                Response::Fin {
+                    uplink_bits,
+                    downlink_bits,
+                    ..
+                } => format!("up {uplink_bits} down {downlink_bits}"),
+                other => format!("{other:?}"),
+            };
+            format!(
+                "{source} resp {:<15} round {round:<3} {detail}",
+                resp.name()
+            )
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+fn rounds_file(journals: &[(String, Vec<JournalEntry>)]) -> String {
+    let mut text = format!(
+        "# ekm golden rounds: the journals of two runs of pipelines.txt over the channel \
+         backend, one line per record in the order the driver sent and received\n\
+         # {:<20} {}\n",
+        "case", "source record name round detail"
+    );
+    for (name, entries) in journals {
+        for entry in entries {
+            text.push_str(&format!("{name:<22} {}\n", round_line(entry)));
+        }
+    }
+    text
+}
+
 fn drift(path: &str, actual: &str) -> Option<String> {
     let expected = std::fs::read_to_string(path).unwrap();
     if actual == expected {
@@ -202,4 +308,20 @@ fn pipelines_match_golden_fixtures() {
     .flatten()
     .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+#[test]
+fn driver_rounds_match_golden_fixture() {
+    let data = dataset();
+    let journals: Vec<(String, Vec<JournalEntry>)> = cases()
+        .into_iter()
+        .filter(|(name, _)| name == "jl-fss" || name == "jl,dispca,qt:9,disss")
+        .map(|(name, pipe)| {
+            let entries = journal(&name, &pipe, shards(&pipe, &data));
+            (name, entries)
+        })
+        .collect();
+    if let Some(failure) = drift(ROUNDS, &rounds_file(&journals)) {
+        panic!("{failure}");
+    }
 }
