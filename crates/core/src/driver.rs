@@ -17,6 +17,17 @@
 //! (`stage::jl_stream`, which the executors read too), exactly
 //! like the paper's "shared randomness" remark prescribes.
 //!
+//! Every phase is one or more rounds, and every round has the same two
+//! halves. `RoundNet::broadcast` encodes a command once and sends it to
+//! every live source; the two per-source commands (a disSS sample
+//! allocation and `TransmitBasis`) go through the same `RoundNet::send`.
+//! `collect` then receives the live sources' answers in source order,
+//! hands each to the phase's fold, and books the round's largest ops and
+//! seconds: the one place the sources' work reaches the run totals. A
+//! resumed journal compares the driver's sends with its records byte for
+//! byte, so the order of every send and receive is part of the protocol
+//! (`tests/golden/rounds.txt` pins it).
+//!
 //! The in-process entry points of [`StagePipeline`] wire the driver to
 //! executor threads (one per shard, each holding only its shard); the
 //! event-driven TCP backend ([`ekm_net::event`]) runs the same driver
@@ -41,17 +52,11 @@ use ekm_net::protocol::{
 use ekm_net::{NetError, NetworkStats, RunDigest};
 use std::time::Instant;
 
-/// Destructures a `Done` response; maps executor errors and type
-/// mismatches to typed failures.
-fn expect_done(resp: Response, context: &'static str) -> Result<(u64, u64, u64, f64)> {
+/// Destructures a `Done` response into its shard shape; maps executor
+/// errors and type mismatches to typed failures.
+fn expect_done(resp: Response, context: &'static str) -> Result<(u64, u64)> {
     match resp {
-        Response::Done {
-            rows,
-            cols,
-            ops,
-            seconds,
-            ..
-        } => Ok((rows, cols, ops, seconds)),
+        Response::Done { rows, cols, .. } => Ok((rows, cols)),
         Response::Err { reason } => Err(CoreError::Net(NetError::RemoteAbort { reason })),
         other => Err(CoreError::Net(NetError::ProtocolViolation {
             context,
@@ -61,15 +66,10 @@ fn expect_done(resp: Response, context: &'static str) -> Result<(u64, u64, u64, 
     }
 }
 
-/// Destructures an `Up` response.
-fn expect_up(resp: Response, context: &'static str) -> Result<(Payload, u64, f64)> {
+/// Decodes an `Up` response's message.
+fn expect_up(resp: Response, context: &'static str) -> Result<Message> {
     match resp {
-        Response::Up {
-            payload,
-            ops,
-            seconds,
-            ..
-        } => Ok((payload, ops, seconds)),
+        Response::Up { payload, .. } => payload.decode().map_err(CoreError::Net),
         Response::Err { reason } => Err(CoreError::Net(NetError::RemoteAbort { reason })),
         other => Err(CoreError::Net(NetError::ProtocolViolation {
             context,
@@ -145,6 +145,10 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
         }
     }
 
+    fn sources(&self) -> usize {
+        self.alive.len()
+    }
+
     fn survivors(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
     }
@@ -178,34 +182,14 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
     /// Sends to `i` unless it is already lost. A transport failure runs
     /// the health machine (reissue → promote → degrade); every other
     /// error kind propagates.
-    fn send(&mut self, i: usize, cmd: &Command) -> Result<()> {
-        if !self.alive[i] {
-            return Ok(());
-        }
-        if cmd.is_round() {
-            self.history[i].push(cmd.clone());
-        }
-        let sent = self.inner.send(i, cmd);
-        self.after_send(i, sent)
-    }
-
-    /// [`send`](Self::send) over a shared encoding: a broadcast round is
-    /// encoded once and every live source gets the same bytes. History
-    /// and loss handling are identical to a per-source send.
-    fn send_enc(&mut self, i: usize, enc: &EncodedCommand) -> Result<()> {
+    fn send(&mut self, i: usize, enc: &EncodedCommand) -> Result<()> {
         if !self.alive[i] {
             return Ok(());
         }
         if enc.command().is_round() {
             self.history[i].push(enc.command().clone());
         }
-        let sent = self.inner.send_encoded(i, enc);
-        self.after_send(i, sent)
-    }
-
-    /// Runs the health machine over a failed send to `i`.
-    fn after_send(&mut self, i: usize, sent: std::result::Result<(), NetError>) -> Result<()> {
-        match sent {
+        match self.inner.send_encoded(i, enc) {
             Ok(()) => Ok(()),
             Err(NetError::Transport { context, detail }) => {
                 let reason = send_loss_reason(context, detail);
@@ -213,6 +197,16 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
             }
             Err(e) => Err(CoreError::Net(e)),
         }
+    }
+
+    /// Encodes `cmd` once and sends the same bytes to every live source,
+    /// in source order: the one way a round goes out.
+    fn broadcast(&mut self, cmd: Command) -> Result<()> {
+        let enc = EncodedCommand::new(cmd);
+        for i in 0..self.sources() {
+            self.send(i, &enc)?;
+        }
+        Ok(())
     }
 
     /// Receives source `i`'s answer to the current round, or `None` when
@@ -449,30 +443,10 @@ pub(crate) fn replay_rounds<T: CommandTransport>(
     Ok(())
 }
 
-/// Collects one summary phase from `responders`: each answers with its
-/// summary, which is decoded and handed to `fold` in source order.
-/// Returns the largest ops and seconds reported.
-fn gather_summaries<T: CommandTransport>(
-    net: &mut RoundNet<'_, T>,
-    responders: impl IntoIterator<Item = usize>,
-    context: &'static str,
-    mut fold: impl FnMut(Message) -> Result<()>,
-) -> Result<(u64, f64)> {
-    let mut ops = 0u64;
-    let mut secs = 0.0f64;
-    for i in responders {
-        let Some(resp) = net.recv(i)? else { continue };
-        let (payload, o, s) = expect_up(resp, context)?;
-        ops = ops.max(o);
-        secs = secs.max(s);
-        fold(payload.decode().map_err(CoreError::Net)?)?;
-    }
-    Ok((ops, secs))
-}
-
 /// The driver's plan-derived shadow of the sources' state: the working
 /// dimension, basis and coreset bookkeeping, and the projection chain
 /// the final lift inverts — never the data.
+#[derive(Default)]
 struct DriverState {
     /// Working-space dimensionality (updated from verified responses).
     cur: usize,
@@ -491,6 +465,62 @@ struct DriverState {
     source_seconds: f64,
     server_seconds: f64,
     source_ops: u64,
+}
+
+/// Receives the answer of every live source in `from`, in source order,
+/// and hands each to `fold` with its source id: the one way a round
+/// comes back. The round's largest ops and seconds are booked to `st`,
+/// the one place the sources' work reaches the run totals.
+fn collect<T: CommandTransport>(
+    net: &mut RoundNet<'_, T>,
+    st: &mut DriverState,
+    from: impl IntoIterator<Item = usize>,
+    mut fold: impl FnMut(usize, Response) -> Result<()>,
+) -> Result<()> {
+    let mut ops = 0u64;
+    let mut secs = 0.0f64;
+    for i in from {
+        let Some(resp) = net.recv(i)? else { continue };
+        let (o, s) = match resp {
+            Response::Done { ops, seconds, .. } | Response::Up { ops, seconds, .. } => {
+                (ops, seconds)
+            }
+            _ => (0, 0.0),
+        };
+        ops = ops.max(o);
+        secs = secs.max(s);
+        fold(i, resp)?;
+    }
+    st.source_ops += ops;
+    st.source_seconds += secs;
+    Ok(())
+}
+
+/// Collects a round of `Done`s from every live source and returns the
+/// column count, verified identical across the sources that answered.
+fn collect_done<T: CommandTransport>(
+    net: &mut RoundNet<'_, T>,
+    st: &mut DriverState,
+    context: &'static str,
+) -> Result<usize> {
+    let mut cols: Option<usize> = None;
+    collect(net, st, 0..net.sources(), |i, resp| {
+        let c = expect_done(resp, context)?.1 as usize;
+        match cols {
+            Some(expected) if c != expected => Err(CoreError::Net(NetError::ProtocolViolation {
+                context,
+                expected: "every source in the same working dimension",
+                got: format!("source {i} reports {c} columns, an earlier source {expected}"),
+            })),
+            _ => {
+                cols = Some(c);
+                Ok(())
+            }
+        }
+    })?;
+    cols.ok_or(CoreError::Protocol {
+        reason: "no surviving source answered the round",
+    })
 }
 
 /// Runs the pipeline plan as the protocol server over `net`.
@@ -539,23 +569,18 @@ fn drive<T: CommandTransport>(pipe: &StagePipeline, net: &mut T) -> Result<RunOu
     }
 
     let mut rnet = RoundNet::new(net, params.replication);
+    let mut st = DriverState::default();
 
     // Round 0: every source describes its shard, and the driver
-    // validates the shapes before any stage runs. Loss
-    // here is unrecoverable — a shard of unknown size cannot be dropped
-    // within a quantified bound.
-    let describe = EncodedCommand::new(Command::Describe);
-    for i in 0..m {
-        rnet.send_enc(i, &describe)?;
-    }
+    // validates the shapes before any stage runs. Loss here is
+    // unrecoverable — a shard of unknown size cannot be dropped within
+    // a quantified bound — so every source answers.
+    rnet.broadcast(Command::Describe)?;
     let mut rows = vec![0u64; m];
     let mut d = 0usize;
-    for (i, row) in rows.iter_mut().enumerate() {
-        let resp = rnet.recv(i)?.ok_or(CoreError::Protocol {
-            reason: "a source was lost during the describe round",
-        })?;
-        let (r, c, _, _) = expect_done(resp, "describe round")?;
-        *row = r;
+    collect(&mut rnet, &mut st, 0..m, |i, resp| {
+        let (r, c) = expect_done(resp, "describe round")?;
+        rows[i] = r;
         if i == 0 {
             d = c as usize;
         } else if c as usize != d {
@@ -563,29 +588,20 @@ fn drive<T: CommandTransport>(pipe: &StagePipeline, net: &mut T) -> Result<RunOu
                 reason: "shards disagree on dimensionality",
             });
         }
-    }
+        Ok(())
+    })?;
     let total_n: usize = rows.iter().map(|&r| r as usize).sum();
     params.validate(total_n, d)?;
     check_plan(pipe.stages(), params, m)?;
     rnet.degradable = true;
-
-    let mut st = DriverState {
-        cur: d,
-        has_basis: false,
-        basis_parent: d,
-        server_basis: None,
-        server_summary: None,
-        projections: Vec::new(),
-        source_seconds: 0.0,
-        server_seconds: 0.0,
-        source_ops: 0,
-    };
+    st.cur = d;
+    st.basis_parent = d;
 
     for (idx, stage) in pipe.stages().iter().enumerate() {
-        run_stage(pipe, &mut rnet, &mut st, idx, stage, m)?;
+        run_stage(pipe, &mut rnet, &mut st, idx, stage)?;
     }
 
-    finalize(pipe, &mut rnet, st, m, up0, down0, &rows)
+    finalize(pipe, &mut rnet, st, up0, down0, &rows)
 }
 
 /// Drops the driver's basis bookkeeping, mirroring the executors'
@@ -598,79 +614,25 @@ fn drop_basis(st: &mut DriverState) {
     }
 }
 
-/// Sends one `Stage` command to every surviving source.
-fn send_stage<T: CommandTransport>(net: &mut RoundNet<'_, T>, idx: u32, m: usize) -> Result<()> {
-    let enc = EncodedCommand::new(Command::Stage { index: idx });
-    for i in 0..m {
-        net.send_enc(i, &enc)?;
-    }
-    Ok(())
-}
-
-/// One `Stage` command to every surviving source, responses folded as
-/// `Done`s. Returns `(max ops, max seconds, cols)` with the column count
-/// verified identical across the sources that answered.
-fn local_round<T: CommandTransport>(
-    net: &mut RoundNet<'_, T>,
-    idx: u32,
-    m: usize,
-    context: &'static str,
-) -> Result<(u64, f64, usize)> {
-    send_stage(net, idx, m)?;
-    collect_done(net, m, context)
-}
-
-/// The `Done` answers to a round already sent, folded as in
-/// [`local_round`].
-fn collect_done<T: CommandTransport>(
-    net: &mut RoundNet<'_, T>,
-    m: usize,
-    context: &'static str,
-) -> Result<(u64, f64, usize)> {
-    let mut ops = 0u64;
-    let mut secs = 0.0f64;
-    let mut cols: Option<usize> = None;
-    for i in 0..m {
-        let Some(resp) = net.recv(i)? else { continue };
-        let (_, c, o, s) = expect_done(resp, context)?;
-        match cols {
-            None => cols = Some(c as usize),
-            Some(expected) if c as usize != expected => {
-                return Err(CoreError::Net(NetError::ProtocolViolation {
-                    context,
-                    expected: "every source in the same working dimension",
-                    got: format!("source {i} reports {c} columns, an earlier source {expected}"),
-                }));
-            }
-            Some(_) => {}
-        }
-        ops = ops.max(o);
-        secs = secs.max(s);
-    }
-    let cols = cols.ok_or(CoreError::Protocol {
-        reason: "no surviving source answered the round",
-    })?;
-    Ok((ops, secs, cols))
-}
-
 /// Runs the plan's stage `index`; [`check_plan`] already vetted the
-/// composition.
+/// composition. Every stage opens with a `Stage` round.
 fn run_stage<T: CommandTransport>(
     pipe: &StagePipeline,
     net: &mut RoundNet<'_, T>,
     st: &mut DriverState,
     index: usize,
     stage: &Stage,
-    m: usize,
 ) -> Result<()> {
     let params = pipe.params();
-    let idx = index as u32;
+    let m = net.sources();
+    net.broadcast(Command::Stage {
+        index: index as u32,
+    })?;
     match stage {
         Stage::Dr(_) => {
             drop_basis(st);
             // The sources project while the server draws the same Π,
             // which it needs only for the final lift.
-            send_stage(net, idx, m)?;
             let (stream, before_role) = jl_stream(pipe.stages(), index);
             let target = jl_target_dim(params, st.cur, before_role);
             let pi = MaybeProjection::generate(
@@ -681,54 +643,43 @@ fn run_stage<T: CommandTransport>(
             );
             st.cur = pi.target_dim();
             st.projections.push(pi);
-            let (ops, secs, cols) = collect_done(net, m, "jl round")?;
+            let cols = collect_done(net, st, "jl round")?;
             verify_cols(cols, st.cur, "jl round")?;
-            st.source_ops += ops;
-            st.source_seconds += secs;
         }
         Stage::Cr(_) => {
             drop_basis(st);
             // The resolved dims are the executor's business; the driver
             // only records the space change the response reports.
             st.basis_parent = st.cur;
-            let (ops, secs, cols) = local_round(net, idx, m, "fss round")?;
-            st.cur = cols;
+            st.cur = collect_done(net, st, "fss round")?;
             st.has_basis = true;
-            st.source_ops += ops;
-            st.source_seconds += secs;
         }
         Stage::Stream(_) => {
-            let (ops, secs, cols) = local_round(net, idx, m, "stream round")?;
+            let cols = collect_done(net, st, "stream round")?;
             verify_cols(cols, st.cur, "stream round")?;
-            st.source_ops += ops;
-            st.source_seconds += secs;
         }
         Stage::Qt(_) => {
-            let (ops, secs, _) = local_round(net, idx, m, "qt round")?;
-            st.source_ops += ops;
-            st.source_seconds += secs;
+            collect_done(net, st, "qt round")?;
         }
         Stage::DisPca(_) => {
             drop_basis(st);
             let t = params.effective_pca_dim(st.cur);
             // Step 1: local SVD summaries, folded in source order.
-            let stage_enc = EncodedCommand::new(Command::Stage { index: idx });
-            for i in 0..m {
-                net.send_enc(i, &stage_enc)?;
-            }
             let mut summaries = Vec::with_capacity(m);
-            let (ops1, secs1) = gather_summaries(net, 0..m, "dispca summary", |msg| match msg {
-                Message::SvdSummary {
-                    singular_values,
-                    basis,
-                    ..
-                } => {
-                    summaries.push((singular_values, basis));
-                    Ok(())
+            collect(net, st, 0..m, |_, resp| {
+                match expect_up(resp, "dispca summary")? {
+                    Message::SvdSummary {
+                        singular_values,
+                        basis,
+                        ..
+                    } => {
+                        summaries.push((singular_values, basis));
+                        Ok(())
+                    }
+                    _ => Err(CoreError::Protocol {
+                        reason: "expected svd summary",
+                    }),
                 }
-                _ => Err(CoreError::Protocol {
-                    reason: "expected svd summary",
-                }),
             })?;
             // Step 2: the global SVD, folded along the canonical merge
             // schedule.
@@ -738,76 +689,55 @@ fn run_stage<T: CommandTransport>(
             // Step 3: broadcast; the basis payload (the fattest frame
             // of the protocol) is encoded exactly once, and each source
             // projects onto its decoded copy and reports the new shape.
-            let deliver = EncodedCommand::new(Command::Deliver {
+            net.broadcast(Command::Deliver {
                 payload: Payload::of(&Message::Basis {
                     basis: basis.clone(),
                     precision: params.precision,
                 }),
-            });
-            for i in 0..m {
-                net.send_enc(i, &deliver)?;
-            }
-            let mut ops2 = 0u64;
-            let mut secs2 = 0.0f64;
-            for i in 0..m {
-                let Some(resp) = net.recv(i)? else { continue };
-                let (_, c, o, s) = expect_done(resp, "dispca projection")?;
-                verify_cols(c as usize, basis.cols(), "dispca projection")?;
-                ops2 = ops2.max(o);
-                secs2 = secs2.max(s);
-            }
+            })?;
+            collect(net, st, 0..m, |_, resp| {
+                let (_, c) = expect_done(resp, "dispca projection")?;
+                verify_cols(c as usize, basis.cols(), "dispca projection")
+            })?;
             st.basis_parent = st.cur;
             st.cur = basis.cols();
             st.server_basis = Some(basis);
             st.has_basis = true;
-            st.source_ops += ops1 + ops2;
-            st.source_seconds += secs1 + secs2;
         }
         Stage::DisSs(_) => {
-            let budget = params.coreset_size;
-            // Step 1: bicriteria cost reports.
-            let stage_enc = EncodedCommand::new(Command::Stage { index: idx });
-            for i in 0..m {
-                net.send_enc(i, &stage_enc)?;
-            }
-            // Responders are tracked by id: a lost source drops out of
-            // the allocation fold, and its budget share is redistributed
-            // over the survivors by the same proportional rule.
+            // Step 1: bicriteria cost reports. Responders are tracked by
+            // id: a lost source drops out of the allocation fold, and
+            // its budget share is redistributed over the survivors by
+            // the same proportional rule.
             let mut responders = Vec::with_capacity(m);
             let mut costs = Vec::with_capacity(m);
-            let mut ops1 = 0u64;
-            let mut secs1 = 0.0f64;
-            for i in 0..m {
-                let Some(resp) = net.recv(i)? else { continue };
-                let (payload, o, s) = expect_up(resp, "disss cost report")?;
-                ops1 = ops1.max(o);
-                secs1 = secs1.max(s);
-                match payload.decode().map_err(CoreError::Net)? {
+            collect(net, st, 0..m, |i, resp| {
+                match expect_up(resp, "disss cost report")? {
                     Message::CostReport { cost } => {
                         responders.push(i);
                         costs.push(cost);
+                        Ok(())
                     }
-                    _ => {
-                        return Err(CoreError::Protocol {
-                            reason: "expected cost report",
-                        })
-                    }
+                    _ => Err(CoreError::Protocol {
+                        reason: "expected cost report",
+                    }),
                 }
-            }
+            })?;
             // Step 2: proportional allocation (shared fold).
-            let allocations = distributed::disss_allocations(&costs, budget);
+            let allocations = distributed::disss_allocations(&costs, params.coreset_size);
             for (&i, &s_i) in responders.iter().zip(allocations.iter()) {
+                let size = s_i as u64;
                 net.send(
                     i,
-                    &Command::Deliver {
-                        payload: Payload::of(&Message::SampleAllocation { size: s_i as u64 }),
-                    },
+                    &EncodedCommand::new(Command::Deliver {
+                        payload: Payload::of(&Message::SampleAllocation { size }),
+                    }),
                 )?;
             }
             // Step 3: weighted samples, merged in source order.
             let mut parts = Vec::with_capacity(m);
-            let (ops2, secs2) =
-                gather_summaries(net, responders, "disss sample", |msg| match msg {
+            collect(net, st, responders, |_, resp| {
+                match expect_up(resp, "disss sample")? {
                     Message::Coreset {
                         points,
                         weights,
@@ -822,13 +752,12 @@ fn run_stage<T: CommandTransport>(
                     _ => Err(CoreError::Protocol {
                         reason: "expected a coreset message",
                     }),
-                })?;
+                }
+            })?;
             let t1 = Instant::now();
             let merged = Coreset::merge(parts.iter()).map_err(CoreError::Coreset)?;
             st.server_seconds += t1.elapsed().as_secs_f64();
             st.server_summary = Some((merged.points().clone(), merged.weights().to_vec()));
-            st.source_ops += ops1 + ops2;
-            st.source_seconds += secs1 + secs2;
         }
     }
     Ok(())
@@ -865,60 +794,58 @@ fn finalize<T: CommandTransport>(
     pipe: &StagePipeline,
     net: &mut RoundNet<'_, T>,
     mut st: DriverState,
-    m: usize,
     up0: u64,
     down0: u64,
     rows: &[u64],
 ) -> Result<RunOutput> {
     let params = pipe.params();
+    let m = net.sources();
     let (points, weights) = match st.server_summary.take() {
         Some(summary) => summary,
         None => {
             // An FSS basis travels first; the server keeps the decoded
             // copy for the final lift.
             if st.has_basis && st.server_basis.is_none() {
-                net.send(0, &Command::TransmitBasis)?;
-                let resp = net.recv(0)?.ok_or(CoreError::Protocol {
-                    reason: "the basis-holding source was lost before transmitting it",
-                })?;
-                let (payload, _, _) = expect_up(resp, "basis transmit")?;
-                match payload.decode().map_err(CoreError::Net)? {
-                    Message::Basis { basis, .. } => {
-                        check_finite(&basis, "the basis lift")?;
-                        st.server_basis = Some(basis);
-                    }
-                    _ => {
-                        return Err(CoreError::Protocol {
+                net.send(0, &EncodedCommand::new(Command::TransmitBasis))?;
+                let mut basis = None;
+                collect(net, &mut st, [0], |_, resp| {
+                    match expect_up(resp, "basis transmit")? {
+                        Message::Basis { basis: b, .. } => {
+                            check_finite(&b, "the basis lift")?;
+                            basis = Some(b);
+                            Ok(())
+                        }
+                        _ => Err(CoreError::Protocol {
                             reason: "expected a basis message",
-                        })
+                        }),
                     }
-                }
+                })?;
+                st.server_basis = Some(basis.ok_or(CoreError::Protocol {
+                    reason: "the basis-holding source was lost before transmitting it",
+                })?);
             }
-            let transmit = EncodedCommand::new(Command::Transmit);
-            for i in 0..m {
-                net.send_enc(i, &transmit)?;
-            }
+            net.broadcast(Command::Transmit)?;
             let mut blocks = Vec::with_capacity(m);
             let mut weights = Vec::new();
-            let (ops, secs) = gather_summaries(net, 0..m, "summary transmit", |msg| match msg {
-                Message::RawData { points } => {
-                    weights.resize(weights.len() + points.rows(), 1.0);
-                    blocks.push(points);
-                    Ok(())
+            collect(net, &mut st, 0..m, |_, resp| {
+                match expect_up(resp, "summary transmit")? {
+                    Message::RawData { points } => {
+                        weights.resize(weights.len() + points.rows(), 1.0);
+                        blocks.push(points);
+                        Ok(())
+                    }
+                    Message::Coreset {
+                        points, weights: w, ..
+                    } => {
+                        weights.extend(w);
+                        blocks.push(points);
+                        Ok(())
+                    }
+                    _ => Err(CoreError::Protocol {
+                        reason: "expected raw data or a coreset",
+                    }),
                 }
-                Message::Coreset {
-                    points, weights: w, ..
-                } => {
-                    weights.extend(w);
-                    blocks.push(points);
-                    Ok(())
-                }
-                _ => Err(CoreError::Protocol {
-                    reason: "expected raw data or a coreset",
-                }),
             })?;
-            st.source_ops += ops;
-            st.source_seconds += secs;
             let t1 = Instant::now();
             let stacked = Matrix::vstack_all(blocks)?;
             st.server_seconds += t1.elapsed().as_secs_f64();
@@ -947,43 +874,38 @@ fn finalize<T: CommandTransport>(
 
     // Shutdown: announce the digest; every source answers with the
     // traffic it observed itself, which must equal the server's
-    // per-source ledger — the non-replicated integrity check.
+    // per-source ledger — the non-replicated integrity check. A `Fin`
+    // carries no payload, so the ledger holds still over the round and
+    // the reports are checked once it is in.
     let digest = RunDigest::new(net.stats(), &centers);
-    let finish = EncodedCommand::new(Command::Finish {
+    net.broadcast(Command::Finish {
         uplink_bits: digest.uplink_bits,
         downlink_bits: digest.downlink_bits,
         centers_hash: digest.centers_hash,
-    });
-    for i in 0..m {
-        net.send_enc(i, &finish)?;
-    }
-    for i in 0..m {
-        let Some(resp) = net.recv(i)? else { continue };
-        match resp {
-            Response::Fin {
-                uplink_bits,
-                downlink_bits,
-                ..
-            } => {
-                if uplink_bits != net.stats().uplink_bits(i)
-                    || downlink_bits != net.stats().downlink_bits(i)
-                {
-                    return Err(CoreError::Net(NetError::Divergence {
-                        source: i,
-                        direction: "counter report",
-                    }));
-                }
-            }
-            Response::Err { reason } => {
-                return Err(CoreError::Net(NetError::RemoteAbort { reason }))
-            }
-            other => {
-                return Err(CoreError::Net(NetError::ProtocolViolation {
-                    context: "finish round",
-                    expected: "a fin response",
-                    got: other.name().to_string(),
-                }))
-            }
+    })?;
+    let mut reports = Vec::with_capacity(m);
+    collect(net, &mut st, 0..m, |i, resp| match resp {
+        Response::Fin {
+            uplink_bits,
+            downlink_bits,
+            ..
+        } => {
+            reports.push((i, uplink_bits, downlink_bits));
+            Ok(())
+        }
+        Response::Err { reason } => Err(CoreError::Net(NetError::RemoteAbort { reason })),
+        other => Err(CoreError::Net(NetError::ProtocolViolation {
+            context: "finish round",
+            expected: "a fin response",
+            got: other.name().to_string(),
+        })),
+    })?;
+    for (i, up, down) in reports {
+        if up != net.stats().uplink_bits(i) || down != net.stats().downlink_bits(i) {
+            return Err(CoreError::Net(NetError::Divergence {
+                source: i,
+                direction: "counter report",
+            }));
         }
     }
 
