@@ -381,7 +381,9 @@ fn read_centers(path: &str) -> Result<Matrix, String> {
     let [rows, cols] = dims[..] else {
         return Err(format!("bad header in {path}: '{header}'"));
     };
-    let mut data = Vec::with_capacity(rows * cols);
+    // The buffer grows only with values actually read: the header's
+    // product may overflow or dwarf the file.
+    let mut data = Vec::new();
     for (i, line) in lines.enumerate() {
         for tok in line.split_whitespace() {
             let bits = u64::from_str_radix(tok, 16)
@@ -389,7 +391,7 @@ fn read_centers(path: &str) -> Result<Matrix, String> {
             data.push(f64::from_bits(bits));
         }
     }
-    if data.len() != rows * cols {
+    if rows.checked_mul(cols) != Some(data.len()) {
         return Err(format!(
             "{path} holds {} values, expected {rows}x{cols}",
             data.len()
@@ -475,43 +477,39 @@ fn report_line(
 
 /// Runs one pipeline in process: one executor thread per source, each
 /// holding only its shard (borrowed, never copied), the driver folding
-/// their responses on this thread.
+/// their responses on this thread. A centralized pipeline's one source
+/// holds the whole dataset.
 fn run_pipe(
     pipe: &StagePipeline,
     data: &Matrix,
     sources: usize,
     cache: Option<&mut StageCache>,
 ) -> Result<RunOutput, String> {
-    Ok(if pipe.is_distributed() {
-        let shards =
-            partition_uniform(data, sources, pipe.params().seed).map_err(|e| e.to_string())?;
-        let mut net = Network::new(sources);
-        match cache {
-            Some(cache) => pipe.run_shards_cached(&shards, &mut net, cache),
-            None => pipe.run_shards(&shards, &mut net),
-        }
-        .map_err(|e| e.to_string())?
+    let parts;
+    let shards = if pipe.is_distributed() {
+        parts = partition_uniform(data, sources, pipe.params().seed).map_err(|e| e.to_string())?;
+        &parts[..]
     } else {
-        let mut net = Network::new(1);
-        match cache {
-            Some(cache) => pipe.run_cached(data, &mut net, cache),
-            None => pipe.run(data, &mut net),
-        }
-        .map_err(|e| e.to_string())?
-    })
+        std::slice::from_ref(data)
+    };
+    let mut net = Network::new(shards.len());
+    match cache {
+        Some(cache) => pipe.run_shards_cached(shards, &mut net, cache),
+        None => pipe.run_shards(shards, &mut net),
+    }
+    .map_err(|e| e.to_string())
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
+    let plan = plan(args, false)?;
+    let pipe = &plan.pipes[0];
+    let k = pipe.params().k;
     let data = build_dataset(args)?;
     let (n, d) = data.shape();
-    let params = build_params(args, n, d)?;
-    let sources = args.get_usize("sources", 10)?;
-    let pipelines = select_pipelines(args, &params, false)?;
-    let pipe = &pipelines[0];
-    say!("dataset {n} x {d}, k = {}", params.k);
-    let reference = evaluation::reference(&data, params.k, 5, 1).map_err(|e| e.to_string())?;
+    say!("dataset {n} x {d}, k = {k}");
+    let reference = evaluation::reference(&data, k, 5, 1).map_err(|e| e.to_string())?;
     say!("reference cost: {:.4}\n", reference.cost);
-    let out = run_pipe(pipe, &data, sources, None)?;
+    let out = run_pipe(pipe, &data, plan.sources, None)?;
     report_line(pipe, &data, &out, reference.cost)?;
     say!("total uplink-bits {}", out.uplink_bits);
     if let Some(path) = args.flags.get("centers-out") {
@@ -545,13 +543,12 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let Plan { pipes, sources, .. } = plan(args, true)?;
+    let k = pipes[0].params().k;
     let data = build_dataset(args)?;
     let (n, d) = data.shape();
-    let params = build_params(args, n, d)?;
-    let sources = args.get_usize("sources", 10)?;
-    let pipelines = select_pipelines(args, &params, true)?;
-    say!("dataset {n} x {d}, k = {}", params.k);
-    let reference = evaluation::reference(&data, params.k, 5, 1).map_err(|e| e.to_string())?;
+    say!("dataset {n} x {d}, k = {k}");
+    let reference = evaluation::reference(&data, k, 5, 1).map_err(|e| e.to_string())?;
     say!("reference cost: {:.4}\n", reference.cost);
     // Stage outputs are memoized across the sweep's pipelines (shared
     // prefixes like `jl,fss` under several QT widths run once, with
@@ -560,7 +557,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     // Keep sweeping after a failure so the table stays comparable, but
     // report every failure and exit nonzero if any pipeline failed.
     let mut failures = Vec::new();
-    for pipe in &pipelines {
+    for pipe in &pipes {
         let run = run_pipe(pipe, &data, sources, Some(&mut cache))
             .and_then(|out| report_line(pipe, &data, &out, reference.cost));
         if let Err(e) = run {
@@ -582,20 +579,55 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         Err(format!(
             "{} of {} pipelines failed: {}",
             failures.len(),
-            pipelines.len(),
+            pipes.len(),
             failures.join(", ")
         ))
     }
 }
 
-/// Everything both ends of a distributed deployment derive from the
-/// shared CLI flags: the pipeline, the per-source shards, and the
-/// configuration fingerprint presented during the TCP handshake.
-struct DistRun {
-    pipe: StagePipeline,
-    parts: Vec<Matrix>,
-    m: usize,
-    fingerprint: u64,
+/// What `run`, `sweep`, `serve` and `source` derive from the flags
+/// before any data is built or any socket bound: the dataset shape the
+/// flags describe, the pipelines (one, or a sweep's table) and
+/// `--sources`. A bad flag is refused here, in microseconds, not after
+/// the dataset build or the reference solve.
+struct Plan {
+    n: usize,
+    d: usize,
+    pipes: Vec<StagePipeline>,
+    sources: usize,
+}
+
+fn plan(args: &Args, sweep: bool) -> Result<Plan, String> {
+    let (n, d) = dataset_shape(args)?;
+    let sources = args.get_usize("sources", 10)?;
+    for (flag, default) in [("n", 2000), ("d", 196), ("k", 2), ("sources", 10)] {
+        if args.get_usize(flag, default)? == 0 {
+            return Err(format!("--{flag} expects a positive integer"));
+        }
+    }
+    let params = build_params(args, n, d)?;
+    let pipes = select_pipelines(args, &params, sweep)?;
+    Ok(Plan {
+        n,
+        d,
+        pipes,
+        sources,
+    })
+}
+
+impl Plan {
+    /// The deployment of `serve` and `source`: its one pipeline, the
+    /// sources it runs on (`--sources` for a distributed pipeline, one
+    /// for a centralized one) and the handshake fingerprint.
+    fn deployment(&self, args: &Args) -> Result<(&StagePipeline, usize, u64), String> {
+        let pipe = &self.pipes[0];
+        let m = if pipe.is_distributed() {
+            self.sources
+        } else {
+            1
+        };
+        Ok((pipe, m, event::fingerprint(&canonical_config(args, m)?)))
+    }
 }
 
 /// The canonical configuration string hashed into the handshake
@@ -619,45 +651,15 @@ fn canonical_config(args: &Args, m: usize) -> Result<String, String> {
     ))
 }
 
-/// What an `ekm source` process derives from the shared CLI flags: the
-/// plan, every source's shard (it keeps its own plus the replica
-/// shards its ring position assigns it), and the handshake fingerprint.
-fn prepare_dist_run(args: &Args) -> Result<DistRun, String> {
-    let data = build_dataset(args)?;
-    let (n, d) = data.shape();
-    let params = build_params(args, n, d)?;
-    let sources = args.get_usize("sources", 10)?;
-    let pipe = select_pipelines(args, &params, false)?
-        .into_iter()
-        .next()
-        .expect("one pipeline selected");
-    let (parts, m) = if pipe.is_distributed() {
-        let shards =
-            partition_uniform(&data, sources, pipe.params().seed).map_err(|e| e.to_string())?;
-        (shards, sources)
+/// The shards of a deployment's `m` sources: a distributed pipeline's
+/// uniform parts, or the whole dataset, uncopied, for a centralized
+/// pipeline's one source.
+fn deployment_shards(data: Matrix, pipe: &StagePipeline, m: usize) -> Result<Vec<Matrix>, String> {
+    if pipe.is_distributed() {
+        partition_uniform(&data, m, pipe.params().seed).map_err(|e| e.to_string())
     } else {
-        // Centralized pipelines have a single data source holding the
-        // whole dataset.
-        (vec![data], 1)
-    };
-    let fingerprint = event::fingerprint(&canonical_config(args, m)?);
-    Ok(DistRun {
-        pipe,
-        parts,
-        m,
-        fingerprint,
-    })
-}
-
-/// What the *server* of a deployment derives from the shared CLI flags:
-/// the plan, the source count, and the handshake fingerprint — never the
-/// data.
-struct DistPlan {
-    pipe: StagePipeline,
-    m: usize,
-    fingerprint: u64,
-    n: usize,
-    d: usize,
+        Ok(vec![data])
+    }
 }
 
 /// The dataset shape the flags describe, without generating the data
@@ -674,25 +676,6 @@ fn dataset_shape(args: &Args) -> Result<(usize, usize), String> {
         "neurips-like" | "mixture" => Ok((n, d)),
         other => Err(format!("unknown dataset '{other}'")),
     }
-}
-
-fn prepare_dist_plan(args: &Args) -> Result<DistPlan, String> {
-    let (n, d) = dataset_shape(args)?;
-    let params = build_params(args, n, d)?;
-    let sources = args.get_usize("sources", 10)?;
-    let pipe = select_pipelines(args, &params, false)?
-        .into_iter()
-        .next()
-        .expect("one pipeline selected");
-    let m = if pipe.is_distributed() { sources } else { 1 };
-    let fingerprint = event::fingerprint(&canonical_config(args, m)?);
-    Ok(DistPlan {
-        pipe,
-        m,
-        fingerprint,
-        n,
-        d,
-    })
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
@@ -713,14 +696,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     // This process never builds the dataset — it owns the plan, the
     // sources own their shards.
-    let plan = prepare_dist_plan(args)?;
+    let plan = plan(args, false)?;
+    let (pipe, m, fingerprint) = plan.deployment(args)?;
     let binding = EventServerBinding::bind(addr.as_str()).map_err(|e| e.to_string())?;
     say!(
-        "listening on {} for {} source(s), pipeline {} [config {:#018x}, server-driven protocol]",
+        "listening on {} for {m} source(s), pipeline {} [config {fingerprint:#018x}, server-driven protocol]",
         binding.local_addr().map_err(|e| e.to_string())?,
-        plan.m,
-        plan.pipe.name(),
-        plan.fingerprint
+        pipe.name(),
     );
     // A resumed run's journal may record replica promotions: those
     // origins' owners are dead and their rounds run through a host's
@@ -739,17 +721,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         );
     }
     let net = binding
-        .accept_absent(plan.m, plan.fingerprint, &absent)
+        .accept_absent(m, fingerprint, &absent)
         .map_err(|e| e.to_string())?;
     say!(
         "all {} source(s) connected; driving the protocol",
-        plan.m - absent.len()
+        m - absent.len()
     );
-    let (out, stats) = drive_accepted(args, &plan, net)?;
+    let (out, stats) = drive_accepted(args, pipe, fingerprint, net)?;
     let digest = RunDigest::new(&stats, &out.centers);
     say!(
         "{} complete: centers {}x{}, comm {:.3e}, summary {} pts",
-        plan.pipe.name(),
+        pipe.name(),
         out.centers.rows(),
         out.centers.cols(),
         out.normalized_comm(plan.n, plan.d),
@@ -775,7 +757,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             deg.cost_ratio_bound
         );
     }
-    if plan.pipe.params().replication > 1 {
+    if pipe.params().replication > 1 {
         // The replica control-plane counters, one per line for scripted
         // assertions (scripts/distributed_e2e.sh `replica` suite); they
         // stay out of the classic ledgers and the digest.
@@ -783,14 +765,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         say!("replica replayed-rounds {}", stats.replayed_rounds());
         say!("replica-bits {}", stats.replica_bits());
     }
-    for i in 0..plan.m {
+    for i in 0..m {
         say!("source {i} uplink-bits {}", stats.uplink_bits(i));
     }
     say!("total uplink-bits {}", out.uplink_bits);
     say!(
-        "digest {:#018x}: per-source counters verified across {} source(s)",
+        "digest {:#018x}: per-source counters verified across {m} source(s)",
         digest.centers_hash,
-        plan.m
     );
     if let Some(path) = args.flags.get("centers-out") {
         write_centers(path, &out.centers)?;
@@ -806,7 +787,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// resumed run's counters cover the replayed rounds too).
 fn drive_accepted(
     args: &Args,
-    plan: &DistPlan,
+    pipe: &StagePipeline,
+    fingerprint: u64,
     net: EventTcpServer,
 ) -> Result<(RunOutput, NetworkStats), String> {
     let resume = args.flags.contains_key("resume");
@@ -820,18 +802,15 @@ fn drive_accepted(
     let Some(journal) = args.flags.get("journal") else {
         // cmd_serve rejected --resume / --crash-after-commands without
         // --journal before any socket was bound.
-        let out = plan
-            .pipe
-            .run_driver(&mut routed)
-            .map_err(|e| e.to_string())?;
+        let out = pipe.run_driver(&mut routed).map_err(|e| e.to_string())?;
         let stats = routed.stats().clone();
         return Ok((out, stats));
     };
     let path = Path::new(journal);
     let mut jnet = if resume {
-        JournalingTransport::resume(routed, path, plan.fingerprint)
+        JournalingTransport::resume(routed, path, fingerprint)
     } else {
-        JournalingTransport::record(routed, path, plan.fingerprint)
+        JournalingTransport::record(routed, path, fingerprint)
     }
     .map_err(|e| e.to_string())?;
     if resume {
@@ -848,7 +827,7 @@ fn drive_accepted(
             }
         }));
     }
-    let out = plan.pipe.run_driver(&mut jnet).map_err(|e| e.to_string())?;
+    let out = pipe.run_driver(&mut jnet).map_err(|e| e.to_string())?;
     let stats = jnet.stats().clone();
     Ok((out, stats))
 }
@@ -863,44 +842,39 @@ fn cmd_source(args: &Args) -> Result<(), String> {
         .get("source-id")
         .ok_or("source needs --source-id <int>")?;
     let id = args.get_usize("source-id", 0)?;
-    let run = prepare_dist_run(args)?;
-    if id >= run.m {
-        return Err(format!(
-            "--source-id {id} out of range for {} source(s)",
-            run.m
-        ));
+    let plan = plan(args, false)?;
+    let (pipe, m, fingerprint) = plan.deployment(args)?;
+    if id >= m {
+        return Err(format!("--source-id {id} out of range for {m} source(s)"));
     }
     // Keep this source's shard (plus the cold replica shards its ring
     // position assigns it) and answer the server's commands.
-    let replication = run.pipe.params().replication;
+    let mut parts = deployment_shards(build_dataset(args)?, pipe, m)?;
     let replicas: std::collections::BTreeMap<usize, Matrix> =
-        edge_kmeans::core::params::replica_origins(id, run.m, replication)
+        edge_kmeans::core::params::replica_origins(id, m, pipe.params().replication)
             .into_iter()
-            .map(|origin| (origin, run.parts[origin].clone()))
+            .map(|origin| (origin, parts[origin].clone()))
             .collect();
-    let shard = run
-        .parts
-        .into_iter()
-        .nth(id)
-        .expect("source id within shard range");
+    let shard = parts.swap_remove(id);
+    drop(parts);
     let reconnect = args.get_u64("reconnect", 0)?;
     let mut fail_after = args.get_u64("fail-after-commands", 0)?;
     let connect_window = Duration::from_secs(if reconnect > 0 { reconnect } else { 30 });
     // One executor for the process lifetime: across reconnects it keeps
     // its round counter and response cache, so a restarted driver's
     // replayed rounds are answered from the cache without recomputation.
-    let mut executor = SourceExecutor::new(run.pipe.stages(), run.pipe.params(), id, run.m, shard)
-        .with_replicas(replicas);
+    let mut executor =
+        SourceExecutor::new(pipe.stages(), pipe.params(), id, m, shard).with_replicas(replicas);
     let report = loop {
         // The connect retry backoff follows the run's deadline policy:
         // a tight --deadline-ms run probes faster than the default.
         let mut endpoint = EventTcpSource::connect_with_policy(
             addr.as_str(),
             id,
-            run.m,
-            run.fingerprint,
+            m,
+            fingerprint,
             connect_window,
-            run.pipe.params().deadline,
+            pipe.params().deadline,
         )
         .map_err(|e| e.to_string())?;
         let served = if fail_after > 0 {
@@ -925,7 +899,7 @@ fn cmd_source(args: &Args) -> Result<(), String> {
     say!(
         "source {id}: {} done — sent {} uplink-bits, received {} downlink-bits \
          (digest {:#018x}, counters verified by the server)",
-        run.pipe.name(),
+        pipe.name(),
         report.uplink_bits,
         report.downlink_bits,
         report.centers_hash
@@ -1324,9 +1298,12 @@ mod tests {
             "16",
         ])
         .unwrap();
-        let run = prepare_dist_run(&a).unwrap();
-        assert_eq!(run.m, 3);
-        assert_eq!(run.parts.len(), 3);
+        let shards = |a: &Args| {
+            let plan = plan(a, false).unwrap();
+            let (pipe, m, _) = plan.deployment(a).unwrap();
+            deployment_shards(build_dataset(a).unwrap(), pipe, m).unwrap()
+        };
+        assert_eq!(shards(&a).len(), 3);
         let a = args(&[
             "serve",
             "--pipeline",
@@ -1339,9 +1316,9 @@ mod tests {
             "16",
         ])
         .unwrap();
-        let run = prepare_dist_run(&a).unwrap();
-        assert_eq!((run.m, run.parts.len()), (1, 1));
-        assert_eq!(run.parts[0].rows(), 90);
+        let parts = shards(&a);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].rows(), 90);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The `ekm` binary run as a process: a reader that closes stdout early
 //! (`ekm help | head -1`) must end the command quietly, not with a
-//! panic, and `ekm sweep` must run its whole table through one stage
-//! cache.
+//! panic; `ekm sweep` must run its whole table through one stage
+//! cache; a bad flag is refused with a typed message before any data is
+//! built or any socket bound; and `ekm eval` refuses a centers file
+//! whose header promises more values than it holds.
 
 use std::process::{Command, Output, Stdio};
 
@@ -80,4 +82,114 @@ fn removed_settings_are_refused() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(refusal), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn bad_flags_are_refused_before_any_data_or_socket() {
+    for (args, refusal) in [
+        (
+            &[
+                "run",
+                "--stages",
+                "warp",
+                "--n",
+                "100000",
+                "--d",
+                "196",
+                "--dataset",
+                "mixture",
+            ][..],
+            "unknown stage 'warp'",
+        ),
+        (
+            &[
+                "run",
+                "--sources",
+                "0",
+                "--pipeline",
+                "bklw",
+                "--n",
+                "100000",
+            ],
+            "--sources expects a positive integer",
+        ),
+        (
+            &["run", "--k", "0", "--dataset", "mnist-like"],
+            "--k expects a positive integer",
+        ),
+        (
+            &["sweep", "--d", "0", "--dataset", "mixture"],
+            "--d expects a positive integer",
+        ),
+        (
+            &[
+                "source",
+                "--connect",
+                "127.0.0.1:1",
+                "--source-id",
+                "0",
+                "--k",
+                "0",
+            ],
+            "--k expects a positive integer",
+        ),
+        (
+            &["serve", "--listen", "127.0.0.1:0", "--k", "0"],
+            "--k expects a positive integer",
+        ),
+        (
+            &["serve", "--listen", "127.0.0.1:0", "--n", "0"],
+            "--n expects a positive integer",
+        ),
+        (
+            &[
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--sources",
+                "0",
+                "--pipeline",
+                "bklw",
+            ],
+            "--sources expects a positive integer",
+        ),
+    ] {
+        let out = ekm(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(refusal), "{args:?}: {stderr}");
+        // Nothing was built, solved or bound: no dataset line, no
+        // reference cost, no listening address.
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn eval_refuses_a_header_larger_than_its_file() {
+    let path = std::env::temp_dir().join(format!("ekm-eval-header-{}.txt", std::process::id()));
+    // The first header once asked for an 8 PB buffer before reading a
+    // value; the second's product wraps to zero in release builds.
+    for header in ["1000000000000 1000", "2305843009213693952 8"] {
+        std::fs::write(&path, format!("{header}\n")).unwrap();
+        let out = ekm(&[
+            "eval",
+            "--centers",
+            path.to_str().unwrap(),
+            "--dataset",
+            "mixture",
+            "--n",
+            "40",
+            "--d",
+            "4",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{header}: {stderr}");
+        let (rows, cols) = header.split_once(' ').unwrap();
+        assert!(
+            stderr.contains(&format!("holds 0 values, expected {rows}x{cols}")),
+            "{header}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
 }
