@@ -588,8 +588,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 /// What `run`, `sweep`, `serve` and `source` derive from the flags
 /// before any data is built or any socket bound: the dataset shape the
 /// flags describe, the pipelines (one, or a sweep's table) and
-/// `--sources`. A bad flag is refused here, in microseconds, not after
-/// the dataset build or the reference solve.
+/// `--sources`. A bad flag is refused here, not after the dataset build
+/// or the reference solve.
 struct Plan {
     n: usize,
     d: usize,
