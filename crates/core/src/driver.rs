@@ -874,25 +874,29 @@ fn finalize<T: CommandTransport>(
 
     // Shutdown: announce the digest; every source answers with the
     // traffic it observed itself, which must equal the server's
-    // per-source ledger — the non-replicated integrity check. A `Fin`
-    // carries no payload, so the ledger holds still over the round and
-    // the reports are checked once it is in.
+    // per-source ledger — the non-replicated integrity check. Neither
+    // `Finish` nor `Fin` carries a payload, and a promotion charges only
+    // the replica plane, so the ledger read before the round is the one
+    // each report must match.
     let digest = RunDigest::new(net.stats(), &centers);
     net.broadcast(Command::Finish {
         uplink_bits: digest.uplink_bits,
         downlink_bits: digest.downlink_bits,
         centers_hash: digest.centers_hash,
     })?;
-    let mut reports = Vec::with_capacity(m);
+    let ledger: Vec<(u64, u64)> = (0..m)
+        .map(|i| (net.stats().uplink_bits(i), net.stats().downlink_bits(i)))
+        .collect();
     collect(net, &mut st, 0..m, |i, resp| match resp {
         Response::Fin {
             uplink_bits,
             downlink_bits,
             ..
-        } => {
-            reports.push((i, uplink_bits, downlink_bits));
-            Ok(())
-        }
+        } if (uplink_bits, downlink_bits) == ledger[i] => Ok(()),
+        Response::Fin { .. } => Err(CoreError::Net(NetError::Divergence {
+            source: i,
+            direction: "counter report",
+        })),
         Response::Err { reason } => Err(CoreError::Net(NetError::RemoteAbort { reason })),
         other => Err(CoreError::Net(NetError::ProtocolViolation {
             context: "finish round",
@@ -900,14 +904,6 @@ fn finalize<T: CommandTransport>(
             got: other.name().to_string(),
         })),
     })?;
-    for (i, up, down) in reports {
-        if up != net.stats().uplink_bits(i) || down != net.stats().downlink_bits(i) {
-            return Err(CoreError::Net(NetError::Divergence {
-                source: i,
-                direction: "counter report",
-            }));
-        }
-    }
 
     let degraded = net.degradation(rows, params.epsilon);
     let recovered = net.recovery();

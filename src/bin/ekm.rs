@@ -600,8 +600,12 @@ struct Plan {
 fn plan(args: &Args, sweep: bool) -> Result<Plan, String> {
     let (n, d) = dataset_shape(args)?;
     let sources = args.get_usize("sources", 10)?;
-    for (flag, default) in [("n", 2000), ("d", 196), ("k", 2), ("sources", 10)] {
-        if args.get_usize(flag, default)? == 0 {
+    if sources == 0 {
+        return Err("--sources expects a positive integer".into());
+    }
+    // An absent flag reads 1 here: only a given zero is refused.
+    for flag in ["n", "d", "k"] {
+        if args.get_usize(flag, 1)? == 0 {
             return Err(format!("--{flag} expects a positive integer"));
         }
     }
@@ -1298,12 +1302,14 @@ mod tests {
             "16",
         ])
         .unwrap();
-        let shards = |a: &Args| {
+        let deploy = |a: &Args| {
             let plan = plan(a, false).unwrap();
             let (pipe, m, _) = plan.deployment(a).unwrap();
-            deployment_shards(build_dataset(a).unwrap(), pipe, m).unwrap()
+            let parts = deployment_shards(build_dataset(a).unwrap(), pipe, m).unwrap();
+            (m, parts)
         };
-        assert_eq!(shards(&a).len(), 3);
+        let (m, parts) = deploy(&a);
+        assert_eq!((m, parts.len()), (3, 3));
         let a = args(&[
             "serve",
             "--pipeline",
@@ -1316,8 +1322,8 @@ mod tests {
             "16",
         ])
         .unwrap();
-        let parts = shards(&a);
-        assert_eq!(parts.len(), 1);
+        let (m, parts) = deploy(&a);
+        assert_eq!((m, parts.len()), (1, 1));
         assert_eq!(parts[0].rows(), 90);
     }
 

@@ -3,8 +3,9 @@
 //! answers with the wrong frame type is a typed violation, a stale
 //! configuration fingerprint fails the handshake, a missed command
 //! deadline is reissued once and then degraded around — on both the
-//! in-process channel backend and the event-driven TCP backend — and
-//! journal records round-trip bitwise (with truncated tails as typed
+//! in-process channel backend and the event-driven TCP backend — a
+//! finish-round counter report off the server's ledger is a divergence,
+//! and journal records round-trip bitwise (with truncated tails as typed
 //! errors, not panics).
 
 use edge_kmeans::core::executor::SourceExecutor;
@@ -602,6 +603,79 @@ fn a_non_finite_summary_is_a_typed_error_not_a_panic() {
             "{list}: {err:?}"
         );
     }
+}
+
+/// A source endpoint that passes its `Fin` through `rewrite`.
+struct RewriteFin<E> {
+    inner: E,
+    rewrite: fn(Response) -> Response,
+}
+
+impl<E: SourceEndpoint> SourceEndpoint for RewriteFin<E> {
+    fn recv_command(&mut self) -> Result<Command, NetError> {
+        self.inner.recv_command()
+    }
+
+    fn send_response(&mut self, resp: Response) -> Result<(), NetError> {
+        let resp = match resp {
+            fin @ Response::Fin { .. } => (self.rewrite)(fin),
+            other => other,
+        };
+        self.inner.send_response(resp)
+    }
+}
+
+#[test]
+fn a_miscounted_fin_is_named_before_later_sources_answer() {
+    // Source 0 reports one uplink bit more than the server's ledger
+    // holds for it; source 1 answers the finish round with an error.
+    // The driver checks each report as it comes in, so the run fails
+    // with source 0's divergence, not source 1's abort.
+    let rewrites: [fn(Response) -> Response; 2] = [
+        |fin| match fin {
+            Response::Fin {
+                round,
+                uplink_bits,
+                downlink_bits,
+            } => Response::Fin {
+                round,
+                uplink_bits: uplink_bits + 1,
+                downlink_bits,
+            },
+            other => other,
+        },
+        |_| Response::Err {
+            reason: "source 1 gave up".into(),
+        },
+    ];
+    let pipe = pipeline("dispca,disss", 200, 12);
+    let data = workload(200, 12, 7);
+    let shards = partition_uniform(&data, 2, 3).unwrap();
+    let err = std::thread::scope(|scope| {
+        // The hub lives in this closure, so a failed assertion hangs up
+        // on the executors instead of leaving them waiting.
+        let (mut hub, endpoints) = channel_pairs(2);
+        let sources = endpoints.into_iter().zip(&shards).zip(rewrites);
+        for (i, ((inner, shard), rewrite)) in sources.enumerate() {
+            let (stages, params) = (pipe.stages(), pipe.params());
+            scope.spawn(move || {
+                let mut endpoint = RewriteFin { inner, rewrite };
+                let _ =
+                    SourceExecutor::new(stages, params, i, 2, shard.clone()).serve(&mut endpoint);
+            });
+        }
+        pipe.run_driver(&mut hub).unwrap_err()
+    });
+    assert!(
+        matches!(
+            err,
+            CoreError::Net(NetError::Divergence {
+                source: 0,
+                direction: "counter report",
+            })
+        ),
+        "{err:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
