@@ -10,9 +10,16 @@
 //! row feeds R rows, and one broadcast of `a_ik` feeds W columns. Rows
 //! of `A` are split across scoped workers above a size threshold (see
 //! [`crate::parallel`]). [`gram`] adds `GRAM_ROWS` rows per pass over
-//! each chunk's partial instead of one, and
-//! [`Cholesky::solve_matrix`](crate::cholesky::Cholesky::solve_matrix)
-//! substitutes across all right-hand sides at once.
+//! each chunk's partial instead of one.
+//!
+//! Each worker packs its rows a group at a time: up to `GROUP_BLOCKS`
+//! R-row blocks, fewer when their packed `A` would pass `GROUP_BYTES`.
+//! Every block of the group then runs against one panel before any
+//! runs against the next, so a panel (`k × W`, 100 KB at `k = 784`) is
+//! fetched into L2 once per group and read from there by the group's
+//! other blocks. Running each block against every panel in turn would
+//! fetch all of them once per block, and the JL product's Π alone
+//! (25 panels, 2.5 MB) is larger than a 2 MB L2.
 //!
 //! # Bit identity
 //!
@@ -20,8 +27,9 @@
 //! output element still gets exactly the floating-point operations of
 //! the plain `i-k-j` loop, in its order: an accumulator starts at `+0`
 //! and adds `a_ik·b_kj` for `k` ascending (in [`gram`], row `i`'s term
-//! before row `i+1`'s, over the same fixed chunks and fold). R, W,
-//! `GRAM_ROWS` and the worker count are therefore results-neutral.
+//! before row `i+1`'s, over the same fixed chunks and fold). R, W, the
+//! group size, `GRAM_ROWS` and the worker count are therefore
+//! results-neutral.
 //!
 //! The zero skip is per block: a k-step is skipped only when `a_ik` is
 //! zero in all R rows, which keeps the saving on all-zero columns such
@@ -39,7 +47,7 @@ use crate::parallel;
 use crate::{LinalgError, Matrix, Result};
 
 /// Minimum number of multiply-adds before a kernel bothers spawning threads.
-const PAR_FLOPS_THRESHOLD: usize = 1 << 22;
+pub(crate) const PAR_FLOPS_THRESHOLD: usize = 1 << 22;
 
 /// Fixed row-chunk granularity of the [`chunked_row_sum`] accumulation
 /// fold behind [`matmul_transa`] and [`gram`]. A constant (rather than
@@ -59,6 +67,17 @@ const KERNEL_ROWS: usize = 6;
 
 /// Columns per packed panel of the right operand (W). Results-neutral.
 const PANEL_WIDTH: usize = 16;
+
+/// Row blocks of `A` packed together and run against each panel in
+/// turn, so a panel is fetched once per group, not once per block.
+/// Results-neutral.
+const GROUP_BLOCKS: usize = 16;
+
+/// Bound on a group's packed `A` (a step index and R coefficients per
+/// k-step and block): a long `k` packs fewer blocks per group, never
+/// fewer than one. At `k = 784` a group holds all `GROUP_BLOCKS`, about
+/// 0.7 MB. Results-neutral.
+const GROUP_BYTES: usize = 1 << 20;
 
 /// Rows of `A` [`gram`] adds per pass over a chunk's partial.
 /// Results-neutral.
@@ -147,8 +166,9 @@ impl Panels {
         Panels { k, m, data }
     }
 
-    /// `A ·` (this operand), one R-row block of `A` at a time against
-    /// every panel; workers take disjoint row ranges.
+    /// `A ·` (this operand): a group of R-row blocks of `A` is packed,
+    /// then every block of the group runs against one panel before the
+    /// next panel; workers take disjoint row ranges.
     fn product(&self, a: &Matrix) -> Matrix {
         let (n, k, m) = (a.rows(), self.k, self.m);
         debug_assert_eq!(a.cols(), k);
@@ -156,22 +176,38 @@ impl Panels {
         if k == 0 {
             return c;
         }
+        let group = group_blocks(k);
         parallel::for_each_row_chunk(
             c.as_mut_slice(),
             m,
             n * k * m >= PAR_FLOPS_THRESHOLD,
             |row_start, rows_chunk| {
-                let mut steps = Vec::with_capacity(k);
-                let mut coefs = Vec::with_capacity(k);
-                for (blk, cblock) in rows_chunk.chunks_mut(KERNEL_ROWS * m).enumerate() {
-                    let first = row_start + blk * KERNEL_ROWS;
-                    pack_block(a, first, cblock.len() / m, &mut steps, &mut coefs);
+                let group = group.min((rows_chunk.len() / m).div_ceil(KERNEL_ROWS));
+                let mut steps = Vec::with_capacity(group * k);
+                let mut coefs = Vec::with_capacity(group * k);
+                let mut ends = Vec::with_capacity(group);
+                let group_len = group * KERNEL_ROWS * m;
+                for (g, cgroup) in rows_chunk.chunks_mut(group_len).enumerate() {
+                    let first = row_start + g * group * KERNEL_ROWS;
+                    let rows = cgroup.len() / m;
+                    steps.clear();
+                    coefs.clear();
+                    ends.clear();
+                    for r in (0..rows).step_by(KERNEL_ROWS) {
+                        let height = KERNEL_ROWS.min(rows - r);
+                        pack_block(a, first + r, height, &mut steps, &mut coefs);
+                        ends.push(steps.len());
+                    }
                     for (p, panel) in self.data.chunks_exact(k * PANEL_WIDTH).enumerate() {
-                        let acc = micro_kernel(&steps, &coefs, panel);
                         let col = p * PANEL_WIDTH;
                         let width = PANEL_WIDTH.min(m - col);
-                        for (crow, arow) in cblock.chunks_exact_mut(m).zip(&acc) {
-                            crow[col..col + width].copy_from_slice(&arow[..width]);
+                        let mut start = 0;
+                        for (cblock, &end) in cgroup.chunks_mut(KERNEL_ROWS * m).zip(&ends) {
+                            let acc = micro_kernel(&steps[start..end], &coefs[start..end], panel);
+                            for (crow, arow) in cblock.chunks_exact_mut(m).zip(&acc) {
+                                crow[col..col + width].copy_from_slice(&arow[..width]);
+                            }
+                            start = end;
                         }
                     }
                 }
@@ -181,7 +217,14 @@ impl Panels {
     }
 }
 
-/// Gathers rows `first..first + rows` of `A` (`rows ≤ R`) column by
+/// Row blocks per group at inner dimension `k`: [`GROUP_BLOCKS`], or
+/// as many as [`GROUP_BYTES`] holds when that is fewer, and at least one.
+fn group_blocks(k: usize) -> usize {
+    let step_bytes = std::mem::size_of::<(usize, [f64; KERNEL_ROWS])>();
+    (GROUP_BYTES / (k.max(1) * step_bytes)).clamp(1, GROUP_BLOCKS)
+}
+
+/// Appends rows `first..first + rows` of `A` (`rows ≤ R`), column by
 /// column: `steps` receives, in ascending order, every `k` at which one
 /// of the rows is nonzero, and `coefs` that column's R values, padded
 /// with `+0` past `rows`.
@@ -192,8 +235,6 @@ fn pack_block(
     steps: &mut Vec<usize>,
     coefs: &mut Vec<[f64; KERNEL_ROWS]>,
 ) {
-    steps.clear();
-    coefs.clear();
     let mut block = [&[][..]; KERNEL_ROWS];
     for (r, slot) in block.iter_mut().enumerate().take(rows) {
         *slot = a.row(first + r);
@@ -528,10 +569,12 @@ mod tests {
         Matrix::from_vec(d, d, c)
     }
 
-    /// Row and column counts straddling the register block's height R
-    /// and width W.
-    fn straddling_dims() -> [usize; 12] {
+    /// Row and column counts straddling the register block's height R,
+    /// its width W and a group of R-row blocks (G·R rows; the proptests'
+    /// `k ≤ 40` packs whole groups).
+    fn straddling_dims() -> [usize; 16] {
         let (r, w) = (KERNEL_ROWS, PANEL_WIDTH);
+        let g = group_blocks(40) * r;
         [
             1,
             2,
@@ -545,6 +588,10 @@ mod tests {
             2 * w - 1,
             2 * w + 1,
             3 * r + w,
+            g - 1,
+            g,
+            g + 1,
+            2 * g + r / 2,
         ]
     }
 
@@ -575,9 +622,9 @@ mod tests {
 
         #[test]
         fn products_are_bitwise_the_reference(
-            ni in 0usize..12,
+            ni in 0usize..16,
             k in 0usize..=40,
-            mi in 0usize..12,
+            mi in 0usize..16,
             kind in 0u8..4,
             seed in 0u64..10_000,
         ) {
@@ -617,23 +664,37 @@ mod tests {
     fn blocked_kernels_are_bitwise_the_reference_at_every_worker_count() {
         // Past PAR_FLOPS_THRESHOLD (1001·70·77 ≈ 5.4M, 2500·48·48 ≈ 5.8M),
         // ragged against R, W and GRAM_ROWS, with partly zero blocks.
-        let a = case(1001, 70, 3, 11);
-        let b = case(70, 77, 1, 12);
-        let bt = b.transpose();
+        // Then row counts around one and two groups of R-row blocks
+        // (95·200·231 ≈ 4.4M is past the threshold too), and a k so
+        // long that GROUP_BYTES cuts the group short.
+        let gr = group_blocks(200) * KERNEL_ROWS;
+        let mut shapes = vec![(1001, 70, 77)];
+        shapes.extend([gr - 1, gr, gr + 1, 2 * gr + KERNEL_ROWS / 2].map(|n| (n, 200, 231)));
+        shapes.push((250, 3000, 20));
+        assert!(group_blocks(3000) < GROUP_BLOCKS);
+        for (seed, &(n, k, m)) in (11..).step_by(2).zip(&shapes) {
+            assert!(n * k * m >= PAR_FLOPS_THRESHOLD, "{n}x{k}x{m}");
+            let a = case(n, k, 3, seed);
+            let b = case(k, m, 1, seed + 1);
+            let bt = b.transpose();
+            let want = [
+                bits(&reference_matmul(&a, &b)),
+                bits(&reference_matmul_transb(&a, &bt)),
+            ];
+            for workers in [1, 2, 4, 8] {
+                parallel::set_worker_count(workers);
+                let got = [
+                    bits(&matmul(&a, &b).unwrap()),
+                    bits(&matmul_transb(&a, &bt).unwrap()),
+                ];
+                assert!(got == want, "{n}x{k}x{m}, {workers} workers");
+            }
+        }
         let g = case(2500, 48, 3, 13);
-        let want = [
-            bits(&reference_matmul(&a, &b)),
-            bits(&reference_matmul_transb(&a, &bt)),
-            bits(&reference_gram(&g)),
-        ];
+        let want = bits(&reference_gram(&g));
         for workers in [1, 2, 4, 8] {
             parallel::set_worker_count(workers);
-            let got = [
-                bits(&matmul(&a, &b).unwrap()),
-                bits(&matmul_transb(&a, &bt).unwrap()),
-                bits(&gram(&g)),
-            ];
-            assert!(got == want, "{workers} workers");
+            assert!(bits(&gram(&g)) == want, "gram, {workers} workers");
         }
         parallel::set_worker_count(0);
     }

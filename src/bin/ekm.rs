@@ -528,6 +528,9 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         .get("centers")
         .ok_or("eval needs --centers <path>")?;
     let centers = read_centers(path)?;
+    if centers.rows() == 0 {
+        return Err(format!("{path} holds no centers"));
+    }
     let data = build_dataset(args)?;
     let (n, d) = data.shape();
     if centers.cols() != d {
@@ -610,6 +613,12 @@ fn plan(args: &Args, sweep: bool) -> Result<Plan, String> {
         }
     }
     let params = build_params(args, n, d)?;
+    if params.k > n {
+        return Err(format!(
+            "--k {} exceeds --n {n}: k-means needs at least k points",
+            params.k
+        ));
+    }
     let pipes = select_pipelines(args, &params, sweep)?;
     Ok(Plan {
         n,

@@ -2,10 +2,13 @@
 //! (`ekm help | head -1`) must end the command quietly, not with a
 //! panic; `ekm sweep` must run its whole table through one stage
 //! cache; a bad flag is refused with a typed message before any data is
-//! built or any socket bound; and `ekm eval` refuses a centers file
-//! whose header promises more values than it holds.
+//! built or any socket bound (a `--k` above `--n` too); and `ekm eval`
+//! refuses a centers file whose header promises more values than it
+//! holds, or no centers at all.
 
+use std::io::BufRead;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn ekm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ekm"))
@@ -163,6 +166,142 @@ fn bad_flags_are_refused_before_any_data_or_socket() {
         // reference cost, no listening address.
         assert!(stdout.is_empty(), "{args:?}: {stdout}");
     }
+}
+
+/// Runs `ekm` like [`ekm`], but kills it if it has not exited within
+/// 60 s: a `serve` that gets past its plan waits for its sources.
+fn ekm_bounded(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ekm"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ekm starts");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("ekm waits").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("ekm output")
+}
+
+#[test]
+fn k_above_n_is_refused_before_any_data_or_socket() {
+    for args in [
+        &[
+            "run",
+            "--k",
+            "100001",
+            "--n",
+            "100000",
+            "--d",
+            "196",
+            "--dataset",
+            "mixture",
+            "--pipeline",
+            "nr",
+        ][..],
+        &[
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--k",
+            "101",
+            "--n",
+            "100",
+            "--dataset",
+            "mixture",
+            "--pipeline",
+            "nr",
+            "--sources",
+            "1",
+        ],
+    ] {
+        let out = ekm_bounded(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stdout}{stderr}");
+        assert!(stderr.contains("exceeds --n"), "{args:?}: {stderr}");
+        // No dataset line, no listening address.
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
+
+    // k = n is still a plan: the run clusters its 40 points, and the
+    // server binds and waits for its source.
+    let out = ekm(&[
+        "run",
+        "--k",
+        "40",
+        "--n",
+        "40",
+        "--d",
+        "4",
+        "--dataset",
+        "mixture",
+        "--pipeline",
+        "nr",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(stdout.starts_with("dataset 40 x 4"), "{stdout}");
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_ekm"))
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--k",
+            "100",
+            "--n",
+            "100",
+            "--dataset",
+            "mixture",
+            "--pipeline",
+            "nr",
+            "--sources",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("ekm starts");
+    let mut line = String::new();
+    let read =
+        std::io::BufReader::new(serve.stdout.take().expect("piped stdout")).read_line(&mut line);
+    let _ = serve.kill();
+    let _ = serve.wait();
+    read.expect("serve's first line");
+    assert!(line.starts_with("listening on 127.0.0.1:"), "{line}");
+}
+
+#[test]
+fn eval_refuses_a_centers_file_of_no_rows() {
+    let path = std::env::temp_dir().join(format!("ekm-eval-empty-{}.txt", std::process::id()));
+    std::fs::write(&path, "0 4\n").unwrap();
+    let file = path.to_str().unwrap();
+    let out = ekm(&[
+        "eval",
+        "--centers",
+        file,
+        "--dataset",
+        "mixture",
+        "--n",
+        "40",
+        "--d",
+        "4",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(
+        stderr.contains(&format!("{file} holds no centers")),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "{stdout}");
 }
 
 #[test]
