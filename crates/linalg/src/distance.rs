@@ -21,11 +21,14 @@
 //! dimension, and each group is reduced with a fixed `[T; LANES]`
 //! accumulator array that lives in registers for the whole dimension
 //! walk. Every accumulator receives its products strictly left to right
-//! over the dimensions — the same association as `serial_dot` — and a
-//! lane is one center, so no horizontal sum ever mixes accumulation
-//! orders. The compiler turns the 8-wide lane loop into plain vector
-//! FMA-free SIMD in both `f64` and `f32`; the `f32` path doubles the
-//! effective vector width and halves memory traffic.
+//! over the dimensions, each step one fused multiply-add
+//! ([`Element::mul_add`], rounded once) — the same chain as
+//! `serial_dot` — and a lane is one center, so no horizontal sum ever
+//! mixes accumulation orders. The compiler turns the 8-wide lane loop
+//! into vector FMAs in both `f64` and `f32`; the `f32` path doubles the
+//! effective vector width and halves memory traffic. The fused step is
+//! correctly rounded, so a build for a CPU without FMA units (libm's
+//! `fma`) gets the same bits, only slower.
 //!
 //! The kernel is generic over the [`Element`] scalar trait so one tiled
 //! implementation serves both precisions. [`DistanceEngine`] is the one
@@ -78,9 +81,11 @@
 //! should translate it toward the origin first (k-means distances are
 //! translation invariant) or use the scalar `ops::sq_dist` path.
 //!
-//! Exact self-distance is preserved at any magnitude
-//! (`‖x‖² + ‖x‖² − 2⟨x,x⟩ = 0` exactly because norms and inner products
-//! share one accumulation order — see `serial_dot`), and tiny negative
+//! Exact self-distance is preserved at any magnitude: norms and inner
+//! products run one chain of fused steps in one order (see
+//! `serial_dot`), and a fused step adds the exact product, in which
+//! `x_k·c_k` and `c_k·x_k` are the same number. So `⟨x, x⟩` is bitwise
+//! `‖x‖²` and `‖x‖² + ‖x‖² − 2⟨x,x⟩` is exactly 0. Tiny negative
 //! rounding residues are clamped to zero so D² sampling weights stay
 //! valid.
 //!
@@ -166,7 +171,8 @@ impl std::fmt::Display for Compute {
 ///
 /// Implementations must be plain IEEE floats: the determinism argument
 /// (left-to-right accumulation, order fixed by layout alone) relies on
-/// `+`/`*` being deterministic pure functions of their operands.
+/// `+`, `*` and [`Element::mul_add`] being deterministic pure functions
+/// of their operands.
 pub trait Element:
     Copy
     + PartialOrd
@@ -192,6 +198,9 @@ pub trait Element:
     /// `max(self, 0)` — clamps the tiny negative residues of the
     /// expansion form so D² weights stay valid.
     fn max_zero(self) -> Self;
+    /// `self·a + b` with one rounding (IEEE 754 `fusedMultiplyAdd`): the
+    /// accumulation step of every dot product in this module.
+    fn mul_add(self, a: Self, b: Self) -> Self;
 }
 
 impl Element for f64 {
@@ -210,6 +219,10 @@ impl Element for f64 {
     #[inline]
     fn max_zero(self) -> f64 {
         self.max(0.0)
+    }
+    #[inline]
+    fn mul_add(self, a: f64, b: f64) -> f64 {
+        f64::mul_add(self, a, b)
     }
 }
 
@@ -230,18 +243,23 @@ impl Element for f32 {
     fn max_zero(self) -> f32 {
         self.max(0.0)
     }
+    #[inline]
+    fn mul_add(self, a: f32, b: f32) -> f32 {
+        f32::mul_add(self, a, b)
+    }
 }
 
-/// Plain left-to-right dot product — the exact accumulation order of
-/// every per-center lane accumulator in [`lane_dots`], so norms computed
-/// here are bitwise consistent with the kernel's inner products (which
-/// is what makes `‖x − x‖²` collapse to exactly zero after expansion).
+/// Plain left-to-right dot product, one fused multiply-add per step —
+/// the exact chain of every per-center lane accumulator in
+/// [`lane_dots`], so norms computed here are bitwise consistent with the
+/// kernel's inner products (which is what makes `‖x − x‖²` collapse to
+/// exactly zero after expansion).
 #[inline]
 fn serial_dot<T: Element>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len(), "serial_dot: length mismatch");
     let mut acc = T::ZERO;
     for (&x, &y) in a.iter().zip(b) {
-        acc = acc + x * y;
+        acc = x.mul_add(y, acc);
     }
     acc
 }
@@ -262,10 +280,10 @@ fn row_norms_sq(m: &Matrix) -> Vec<f64> {
         let (r2, r3) = rest.split_at(d);
         let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0, 0.0, 0.0);
         for j in 0..d {
-            a0 += r0[j] * r0[j];
-            a1 += r1[j] * r1[j];
-            a2 += r2[j] * r2[j];
-            a3 += r3[j] * r3[j];
+            a0 = r0[j].mul_add(r0[j], a0);
+            a1 = r1[j].mul_add(r1[j], a1);
+            a2 = r2[j].mul_add(r2[j], a2);
+            a3 = r3[j].mul_add(r3[j], a3);
         }
         out.extend_from_slice(&[a0, a1, a2, a3]);
         i += 4;
@@ -436,7 +454,7 @@ fn lane_dots<T: Element>(x: &[T], strip: &[T]) -> [T; LANES] {
     let mut acc = [T::ZERO; LANES];
     for (&xk, row) in x.iter().zip(strip.chunks_exact(LANES)) {
         for (a, &cv) in acc.iter_mut().zip(row) {
-            *a = *a + xk * cv;
+            *a = xk.mul_add(cv, *a);
         }
     }
     acc
@@ -454,7 +472,7 @@ fn lane_dots4<T: Element>(xs: &[&[T]; UNROLL], strip: &[T]) -> [[T; LANES]; UNRO
         for (accp, x) in acc.iter_mut().zip(xs) {
             let xk = x[kk];
             for (a, &cv) in accp.iter_mut().zip(row) {
-                *a = *a + xk * cv;
+                *a = xk.mul_add(cv, *a);
             }
         }
     }
@@ -1031,16 +1049,40 @@ mod tests {
     fn row_norms_are_bitwise_serial_dots() {
         // The 4-row interleave only reorders *across* rows; each row's
         // chain must stay exactly serial_dot(r, r). Sizes cover full
-        // quads, remainders of 1–3, and degenerate shapes.
+        // quads, remainders of 1–3, and degenerate shapes. `workload`'s
+        // eighths square and add exactly, so Gaussian rows, whose steps
+        // round, check that every chain is fused too.
         for (n, d) in [(16, 9), (17, 9), (18, 1), (19, 13), (3, 7), (0, 5)] {
-            let m = workload(n, d);
-            let fast = row_norms_sq(&m);
-            assert_eq!(fast.len(), n);
-            for (i, &v) in fast.iter().enumerate() {
-                let reference = serial_dot(m.row(i), m.row(i));
-                assert!(v == reference, "row {i} of {n}x{d}: {v} vs {reference}");
+            let gaussian = crate::random::gaussian_matrix(n as u64, n, d, 1.0);
+            for m in [workload(n, d), gaussian] {
+                let fast = row_norms_sq(&m);
+                assert_eq!(fast.len(), n);
+                for (i, &v) in fast.iter().enumerate() {
+                    let reference = serial_dot(m.row(i), m.row(i));
+                    assert!(v == reference, "row {i} of {n}x{d}: {v} vs {reference}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn dot_steps_are_fused_in_both_precisions() {
+        // −1, then (1 + e)·(1 − e) = 1 − e²: fused, exactly −e²; the
+        // product rounded first is 1 and the sum 0. e² sits below half
+        // an ulp of 1 in each precision.
+        let e = 2f64.powi(-30);
+        let want = -(e * e);
+        let x = [-1.0, 1.0 + e];
+        assert_eq!(serial_dot(&x, &[1.0, 1.0 - e]), want);
+        let strip: Vec<f64> = [1.0, 1.0 - e]
+            .iter()
+            .flat_map(|&v| std::iter::repeat_n(v, LANES))
+            .collect();
+        assert_eq!(lane_dots(&x, &strip), [want; LANES]);
+        let dots = lane_dots4(&[&x[..]; UNROLL], &strip);
+        assert_eq!(dots, [[want; LANES]; UNROLL]);
+        let e = 2f32.powi(-13);
+        assert_eq!(serial_dot(&[-1.0f32, 1.0 + e], &[1.0, 1.0 - e]), -(e * e));
     }
 
     #[test]

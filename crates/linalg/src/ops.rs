@@ -26,22 +26,35 @@
 //! Blocking only decides which independent outputs share a load. Every
 //! output element still gets exactly the floating-point operations of
 //! the plain `i-k-j` loop, in its order: an accumulator starts at `+0`
-//! and adds `a_ik·b_kj` for `k` ascending (in [`gram`], row `i`'s term
-//! before row `i+1`'s, over the same fixed chunks and fold). R, W, the
-//! group size, `GRAM_ROWS` and the worker count are therefore
-//! results-neutral.
+//! and takes one fused multiply-add per step, `acc = a_ik·b_kj + acc`
+//! rounded once (`f64::mul_add`), for `k` ascending (in [`gram`], row
+//! `i`'s term before row `i+1`'s, over the same fixed chunks and fold).
+//! R, W, the group size, `GRAM_ROWS` and the worker count are therefore
+//! results-neutral. IEEE 754's fused multiply-add is correctly rounded,
+//! so a build for a CPU without FMA units, which calls libm's `fma`,
+//! gets the same bits, only slower.
 //!
 //! The zero skip is per block: a k-step is skipped only when `a_ik` is
 //! zero in all R rows, which keeps the saving on all-zero columns such
 //! as normalized MNIST's border pixels. Inside a mixed block a zero
-//! `a_ik` adds `a_ik·b_kj = ±0`. A sum is `−0` only when both addends
-//! are (round-to-nearest gives `x + (−x) = +0`), so an accumulator that
-//! starts at `+0` never becomes `−0`, and adding `±0` leaves it bitwise
-//! unchanged, exactly as skipping would.
-//! That needs a finite `b_kj`, since `0·∞` is NaN: the kernels are
-//! bitwise the plain loop for finite right operands, and every caller
-//! passes one (JL matrices, PCA bases, eigenvectors, pseudo-inverses;
-//! finite data for [`gram`]).
+//! `a_ik` adds the exact product `a_ik·b_kj = ±0`, which leaves a
+//! nonzero or `+0` accumulator bitwise unchanged, exactly as skipping
+//! would, but turns a `−0` into `+0` when the product is `+0`. A fused
+//! accumulator started at `+0` reaches `−0` only when a step's exact
+//! sum is negative and underflows to zero: `fma(−1e-200, 1e-200, +0)`
+//! is `−0`, while exact cancellation gives `+0`. (Two roundings never
+//! reach `−0` from `+0`: a product that rounds to `−0` adds to `+0` as
+//! `+0`.) So [`matmul`] and [`matmul_transb`] are bitwise the plain
+//! fused loop, except that an output whose exact sum underflows may
+//! differ in the sign of its zero. [`gram`] and [`matmul_transa`] have
+//! no such exception: their chunk fold adds every partial to `+0`,
+//! which turns a `−0` partial into `+0`. No caller's data comes near
+//! it: normalized data, JL entries, PCA bases and pseudo-inverses are
+//! all far above `2⁻¹⁰⁷⁵`.
+//! All of this needs a finite `b_kj`, since `0·∞` is NaN: the kernels
+//! are bitwise the plain loop for finite right operands, and every
+//! caller passes one (JL matrices, PCA bases, eigenvectors,
+//! pseudo-inverses; finite data for [`gram`]).
 
 use crate::parallel;
 use crate::{LinalgError, Matrix, Result};
@@ -86,8 +99,9 @@ const GRAM_ROWS: usize = 8;
 /// Computes the product `A · B`.
 ///
 /// Register-blocked (see the module docs): bitwise the plain `i-k-j`
-/// loop with its `a_ik == 0` skip for finite `B`, and bitwise invariant
-/// across worker counts.
+/// loop of fused multiply-adds with its `a_ik == 0` skip for finite `B`
+/// (up to the sign of an output whose exact sum underflows to zero),
+/// and bitwise invariant across worker counts.
 ///
 /// # Errors
 ///
@@ -119,10 +133,11 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 ///
 /// Packs `Bᵀ` straight into the panels of [`matmul`] and runs the same
 /// micro-kernel, so each output element adds `a_ik·b_jk` for `k`
-/// ascending. This is the product behind every center lift (`X = X'·Vᵀ`,
-/// the `lift_out_of_basis` re-expansions, the pseudo-inverse lifts).
-/// Bitwise the plain loop for finite `B`, and bitwise invariant across
-/// worker counts.
+/// ascending, one fused multiply-add per step. This is the product
+/// behind every center lift (`X = X'·Vᵀ`, the `lift_out_of_basis`
+/// re-expansions, the pseudo-inverse lifts). Bitwise the plain loop for
+/// finite `B` (with [`matmul`]'s signed-zero exception), and bitwise
+/// invariant across worker counts.
 ///
 /// # Errors
 ///
@@ -252,8 +267,8 @@ fn pack_block(
 }
 
 /// The `R × W` outputs of one row block against one panel: each
-/// accumulator starts at `+0` and adds `a_ik·b_kj` over `steps` in
-/// ascending `k`.
+/// accumulator starts at `+0` and takes `acc = a_ik·b_kj + acc`, one
+/// fused multiply-add, over `steps` in ascending `k`.
 fn micro_kernel(
     steps: &[usize],
     coefs: &[[f64; KERNEL_ROWS]],
@@ -265,7 +280,7 @@ fn micro_kernel(
         let brow = &rows[kk];
         for (accrow, &aik) in acc.iter_mut().zip(col) {
             for (cv, &bv) in accrow.iter_mut().zip(brow) {
-                *cv += aik * bv;
+                *cv = aik.mul_add(bv, *cv);
             }
         }
     }
@@ -274,8 +289,9 @@ fn micro_kernel(
 
 /// Computes `Aᵀ · B`.
 ///
-/// The rank-1 accumulation over rows runs through `chunked_row_sum`,
-/// so the result is **bitwise invariant across worker counts**.
+/// The rank-1 accumulation over rows, one fused multiply-add per term,
+/// runs through `chunked_row_sum`, so the result is **bitwise invariant
+/// across worker counts**.
 ///
 /// # Errors
 ///
@@ -300,7 +316,7 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Result<Matrix> {
                 }
                 let prow = &mut p[j * db..(j + 1) * db];
                 for (pv, &bv) in prow.iter_mut().zip(brow) {
-                    *pv += aij * bv;
+                    *pv = aij.mul_add(bv, *pv);
                 }
             }
         }
@@ -314,9 +330,10 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// its work: the row partials accumulate only the upper triangle, fold
 /// over the same chunks, and the folded upper triangle is mirrored once.
 /// The lower element `(l, j)` of the full product adds `a_il·a_ij` where
-/// the upper `(j, l)` adds `a_ij·a_il`: IEEE multiplication commutes, and
-/// the products that only one of the two zero-skips drops are exact
-/// zeros, which leave a sum started at `+0` unchanged.
+/// the upper `(j, l)` adds `a_ij·a_il`: the exact product a fused step
+/// adds commutes, and the products that only one of the two zero-skips
+/// drops are exact zeros. Those can change a partial only in the sign of
+/// a zero, which the fold, adding every partial to `+0`, erases.
 ///
 /// Within a chunk, `GRAM_ROWS` rows share each pass over the partial:
 /// every partial element adds their terms in row order, and row `j` of
@@ -356,7 +373,7 @@ fn gram_block(p: &mut [f64], d: usize, block: &[&[f64]; GRAM_ROWS]) {
         for (l, pv) in prow.iter_mut().enumerate() {
             let mut v = *pv;
             for (&arj, tail) in coef.iter().zip(&tails) {
-                v += arj * tail[l];
+                v = arj.mul_add(tail[l], v);
             }
             *pv = v;
         }
@@ -483,8 +500,8 @@ mod tests {
         m.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The `i-k-j` loop [`matmul`] ran before register blocking, kept as
-    /// the reference the kernel must match bit for bit.
+    /// The `i-k-j` loop [`matmul`] ran before register blocking, with its
+    /// step fused, kept as the reference the kernel must match bit for bit.
     fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let (n, m) = (a.rows(), b.cols());
         let mut c = Matrix::zeros(n, m);
@@ -497,7 +514,7 @@ mod tests {
                 }
                 let brow = &bs[kk * m..(kk + 1) * m];
                 for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += aik * bv;
+                    *cv = aik.mul_add(bv, *cv);
                 }
             }
         }
@@ -505,7 +522,8 @@ mod tests {
     }
 
     /// The tiled loop [`matmul_transb`] ran before it shared the
-    /// micro-kernel: 32-row tiles of `B` transposed once, `i-k-j` inside.
+    /// micro-kernel: 32-row tiles of `B` transposed once, `i-k-j` inside,
+    /// with its step fused.
     fn reference_matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
         const TILE: usize = 32;
         let (n, k, m) = (a.rows(), a.cols(), b.rows());
@@ -536,7 +554,7 @@ mod tests {
                     }
                     let trow = &tile[kk * width..(kk + 1) * width];
                     for (cv, &bv) in cslice.iter_mut().zip(trow) {
-                        *cv += aik * bv;
+                        *cv = aik.mul_add(bv, *cv);
                     }
                 }
             }
@@ -544,7 +562,8 @@ mod tests {
         c
     }
 
-    /// The one-row-per-pass [`gram`] loop, over the same chunk fold.
+    /// The one-row-per-pass [`gram`] loop, with its step fused, over the
+    /// same chunk fold.
     fn reference_gram(a: &Matrix) -> Matrix {
         let (n, d) = a.shape();
         let mut c = chunked_row_sum(n, d * d, n * d * d, |p, rows| {
@@ -556,7 +575,7 @@ mod tests {
                     }
                     let prow = &mut p[j * d + j..(j + 1) * d];
                     for (pv, &al) in prow.iter_mut().zip(&arow[j..]) {
-                        *pv += aij * al;
+                        *pv = aij.mul_add(al, *pv);
                     }
                 }
             }
@@ -697,6 +716,51 @@ mod tests {
             assert!(bits(&gram(&g)) == want, "gram, {workers} workers");
         }
         parallel::set_worker_count(0);
+    }
+
+    #[test]
+    fn each_step_is_one_fused_multiply_add() {
+        // −1, then (1 + 2⁻³⁰)·(1 − 2⁻³⁰) = 1 − 2⁻⁶⁰: fused, the sum is
+        // exactly −2⁻⁶⁰; rounding the product to 1 first would give 0.
+        let (up, down) = (1.0 + 2f64.powi(-30), 1.0 - 2f64.powi(-30));
+        let want = -(2f64.powi(-60));
+        let a = mat(&[&[-1.0, up]]);
+        let b = mat(&[&[1.0], &[down]]);
+        assert_eq!(matmul(&a, &b).unwrap()[(0, 0)], want);
+        assert_eq!(matmul_transb(&a, &b.transpose()).unwrap()[(0, 0)], want);
+        let g = gram(&mat(&[&[-1.0, 1.0], &[up, down]]));
+        assert_eq!((g[(0, 1)], g[(1, 0)]), (want, want));
+        let t = matmul_transa(&mat(&[&[-1.0], &[up]]), &mat(&[&[1.0], &[down]])).unwrap();
+        assert_eq!(t[(0, 0)], want);
+    }
+
+    #[test]
+    fn an_underflowing_sum_may_differ_only_in_the_sign_of_its_zero() {
+        // (−1e-200)·(1e-200) underflows: fused onto +0 it gives −0. The
+        // plain fused loop skips row 0's zero at k = 1 and keeps −0; the
+        // blocked kernel runs that step for row 1's sake and adds
+        // 0·1 = +0, which turns it into +0.
+        let a = mat(&[&[-1e-200, 0.0], &[1.0, 1.0]]);
+        let b = mat(&[&[1e-200], &[1.0]]);
+        let bt = b.transpose();
+        for (got, want) in [
+            (matmul(&a, &b).unwrap(), reference_matmul(&a, &b)),
+            (
+                matmul_transb(&a, &bt).unwrap(),
+                reference_matmul_transb(&a, &bt),
+            ),
+        ] {
+            assert_eq!(want[(0, 0)].to_bits(), (-0.0f64).to_bits());
+            assert_eq!(got[(0, 0)].to_bits(), 0.0f64.to_bits());
+            assert_eq!(got[(1, 0)].to_bits(), want[(1, 0)].to_bits());
+        }
+        // gram's padding rows flip such a −0 in a partial too, but the
+        // chunk fold adds every partial to +0, so no output is −0.
+        let row = mat(&[&[-1e-200, 1e-200]]);
+        let g = gram(&row);
+        assert_eq!(g[(0, 1)].to_bits(), 0.0f64.to_bits());
+        assert_eq!(bits(&g), bits(&reference_gram(&row)));
+        assert_eq!(bits(&g), bits(&matmul_transa(&row, &row).unwrap()));
     }
 
     #[test]

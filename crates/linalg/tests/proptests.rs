@@ -144,7 +144,8 @@ proptest! {
     /// The lane-accumulator kernel is bit-identical, at worker counts
     /// {1,2,4,8}, to the pre-lane blocked kernel's arithmetic: the
     /// norm-expansion form with one serial left-to-right dot product
-    /// per term, argmin with strict `<` in increasing center order.
+    /// per term, each step one fused multiply-add, argmin with strict
+    /// `<` in increasing center order.
     #[test]
     fn lane_kernel_bitwise_matches_serial_expansion(
         p in matrix_strategy(600, 11),
@@ -152,7 +153,7 @@ proptest! {
         k in 1usize..50,
     ) {
         let serial = |a: &[f64], b: &[f64]| -> f64 {
-            a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
+            a.iter().zip(b).fold(0.0, |acc, (x, y)| x.mul_add(*y, acc))
         };
         let c = ekm_linalg::random::gaussian_matrix(seed, k, p.cols(), 5.0);
         let mut ref_labels = vec![0usize; p.rows()];

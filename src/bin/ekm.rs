@@ -107,8 +107,9 @@ FLAGS (with defaults):
                         bit-reproducibility reference, f32 trades
                         ~1e-2 relative accuracy for speed       [f64]
     --leaf-size <int>   stream stage leaf-buffer size [2x coreset size]
-    --threads <int>     cap worker threads (sharded solve, per-source
-                        fan-out); 0 follows the hardware        [0]
+    --threads <int>     worker threads of the kernels, the sharded
+                        solve and the per-source fan-out, capped
+                        at the hardware's; 0 follows it        [0]
     --y0 <float>        qtopt error budget                     [2.0]
 
 FAULT TOLERANCE (serve/source, protocol mode):
@@ -297,6 +298,13 @@ fn build_dataset(args: &Args) -> Result<Matrix, String> {
     Ok(normalize_paper(&raw).0)
 }
 
+/// The worker count `--threads <requested>` installs: at most the
+/// hardware's `available` threads, since a kernel starts up to that many
+/// threads per call and more than the cores run no faster.
+fn thread_cap(requested: usize, available: usize) -> usize {
+    requested.min(available)
+}
+
 fn build_params(args: &Args, n: usize, d: usize) -> Result<SummaryParams, String> {
     let k = args.get_usize("k", 2)?;
     let seed = args.get_u64("seed", 42)?;
@@ -328,7 +336,8 @@ fn build_params(args: &Args, n: usize, d: usize) -> Result<SummaryParams, String
     if threads > 0 {
         // Caps the sharded server solve and every per-source fan-out;
         // results are bit-identical at any setting.
-        edge_kmeans::linalg::parallel::set_worker_count(threads);
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        edge_kmeans::linalg::parallel::set_worker_count(thread_cap(threads, hardware));
     }
     let replication = args.get_usize("replication", 1)?;
     if replication == 0 {
@@ -644,10 +653,13 @@ impl Plan {
 }
 
 /// The canonical configuration string hashed into the handshake
-/// fingerprint. Covers every flag that affects the run's bits.
+/// fingerprint. Covers every flag that affects the run's bits, and the
+/// kernels' arithmetic (`arith=fused`: every product and distance step
+/// is one fused multiply-add), so a server, source or journal whose
+/// kernels round differently is refused instead of mixed in.
 fn canonical_config(args: &Args, m: usize) -> Result<String, String> {
     Ok(format!(
-        "dataset={};n={};d={};k={};seed={};pipeline={};stages={};quantize={};\
+        "arith=fused;dataset={};n={};d={};k={};seed={};pipeline={};stages={};quantize={};\
          precision={};compute={};leaf-size={};sources={m};replication={}",
         args.get_str("dataset", "mnist-like"),
         args.get_usize("n", 2000)?,
@@ -1283,6 +1295,25 @@ mod tests {
             .contains("--connect"));
         let a = args(&["source", "--connect", "127.0.0.1:1"]).unwrap();
         assert!(cmd_source(&a).unwrap_err().contains("--source-id"));
+    }
+
+    #[test]
+    fn fingerprint_names_the_fused_kernel_arithmetic() {
+        // Builds whose kernels rounded each product separately hashed
+        // the same flags without the arithmetic token; their journals
+        // and processes must not match this build's.
+        let a = args(&["serve", "--n", "500"]).unwrap();
+        let config = canonical_config(&a, 2).unwrap();
+        assert!(config.starts_with("arith=fused;"), "{config}");
+        let unfused = config.strip_prefix("arith=fused;").unwrap();
+        assert_ne!(event::fingerprint(&config), event::fingerprint(unfused));
+    }
+
+    #[test]
+    fn threads_are_capped_at_the_hardware() {
+        assert_eq!(thread_cap(10_000, 2), 2);
+        assert_eq!(thread_cap(2, 2), 2);
+        assert_eq!(thread_cap(4, 8), 4);
     }
 
     #[test]
