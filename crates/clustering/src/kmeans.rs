@@ -24,15 +24,6 @@ pub struct KMeansModel {
 }
 
 impl KMeansModel {
-    /// Predicts the nearest-center label for each row of `points`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assignment errors (empty input, dimension mismatch).
-    pub fn predict(&self, points: &Matrix) -> Result<Vec<usize>> {
-        Ok(crate::cost::assign(points, &self.centers)?.labels)
-    }
-
     /// k-means cost of `points` against this model's centers.
     ///
     /// # Errors
@@ -59,7 +50,6 @@ impl KMeansModel {
 pub struct KMeans {
     k: usize,
     max_iter: usize,
-    tol: f64,
     n_init: usize,
     seed: u64,
     compute: Compute,
@@ -67,13 +57,12 @@ pub struct KMeans {
 
 impl KMeans {
     /// Creates a configuration for `k` clusters with the defaults
-    /// `max_iter = 100`, `tol = 1e-7`, `n_init = 3`, `seed = 0`,
-    /// `compute = F64`.
+    /// `max_iter = 100`, `n_init = 3`, `seed = 0`, `compute = F64`; the
+    /// convergence tolerance is [`LloydConfig`]'s.
     pub fn new(k: usize) -> Self {
         KMeans {
             k,
             max_iter: 100,
-            tol: 1e-7,
             n_init: 3,
             seed: 0,
             compute: Compute::F64,
@@ -83,12 +72,6 @@ impl KMeans {
     /// Sets the maximum Lloyd iterations per restart.
     pub fn with_max_iter(mut self, max_iter: usize) -> Self {
         self.max_iter = max_iter;
-        self
-    }
-
-    /// Sets the relative-improvement convergence tolerance.
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
         self
     }
 
@@ -160,8 +143,8 @@ impl KMeans {
             .collect();
         let config = LloydConfig {
             max_iter: self.max_iter,
-            tol: self.tol,
             compute: self.compute,
+            ..LloydConfig::default()
         };
         let mut best: Option<LloydOutcome> = None;
         for out in lloyd_starts(&solve, inits, &config)? {
@@ -209,8 +192,8 @@ mod tests {
     ) {
         let config = LloydConfig {
             max_iter: km.max_iter,
-            tol: km.tol,
             compute: km.compute,
+            ..LloydConfig::default()
         };
         let stream = |r: usize| rng_from_seed(derive_seed(km.seed, r as u64));
         let want: Vec<(Vec<usize>, LloydOutcome)> = (0..km.n_init)
@@ -458,11 +441,9 @@ mod tests {
     }
 
     #[test]
-    fn predict_and_score() {
+    fn score_is_the_training_inertia() {
         let p = three_blobs(10);
         let model = KMeans::new(3).with_seed(1).fit(&p).unwrap();
-        let labels = model.predict(&p).unwrap();
-        assert_eq!(labels, model.labels);
         let s = model.score(&p).unwrap();
         assert!((s - model.inertia).abs() < 1e-9);
     }
@@ -490,7 +471,7 @@ mod tests {
 
     #[test]
     fn builder_accessors() {
-        let km = KMeans::new(4).with_max_iter(7).with_tol(0.5).with_n_init(0);
+        let km = KMeans::new(4).with_max_iter(7).with_n_init(0);
         assert_eq!(km.k(), 4);
         // n_init clamps to >= 1.
         let p = three_blobs(5);

@@ -229,7 +229,9 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
                 Ok(resp) => {
                     if let Some(r) = resp.round() {
                         if r < self.rounds(i) {
-                            // A duplicate from before the reissue.
+                            // A later copy of an answered round (the
+                            // transport charged it nothing) or a
+                            // misbehaving source's stale frame.
                             continue;
                         }
                     }

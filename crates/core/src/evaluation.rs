@@ -57,19 +57,6 @@ pub fn normalized_cost(data: &Matrix, centers: &Matrix, reference_cost: f64) -> 
     }
 }
 
-/// Builds the empirical CDF of a sample: returns `(sorted value, CDF)`
-/// pairs — the format of the paper's Figure 1/2 curves.
-pub fn empirical_cdf(values: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite metric values"));
-    let n = sorted.len().max(1) as f64;
-    sorted
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, (i + 1) as f64 / n))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,19 +120,5 @@ mod tests {
         assert_eq!(normalized_cost(&data, &exact, 0.0).unwrap(), 1.0);
         let off = Matrix::from_rows(&[vec![2.0, 2.0]]);
         assert!(normalized_cost(&data, &off, 0.0).unwrap().is_infinite());
-    }
-
-    #[test]
-    fn cdf_properties() {
-        let cdf = empirical_cdf(&[3.0, 1.0, 2.0, 2.0]);
-        assert_eq!(cdf.len(), 4);
-        assert_eq!(cdf[0], (1.0, 0.25));
-        assert_eq!(cdf[3], (3.0, 1.0));
-        // Monotone in both coordinates.
-        for w in cdf.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 > w[0].1);
-        }
-        assert!(empirical_cdf(&[]).is_empty());
     }
 }

@@ -381,8 +381,8 @@ pub fn absorbed_origins(path: &Path) -> Result<Vec<usize>> {
 }
 
 /// What a journal's records establish per source, read off them in one
-/// pass by [`scan`]. A recording transport starts from the scan of no
-/// records, and `resps` keeps counting as live responses are journaled.
+/// pass by [`scan`] for reconciliation (a recording transport's is the
+/// scan of no records).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Scan {
     /// Round commands journaled per source.
@@ -614,29 +614,18 @@ impl<T: CommandTransport> JournalingTransport<T> {
             .map_err(|err| jerr("journal sync", err.to_string()))
     }
 
-    fn record_send(&mut self, source: usize, cmd: &Command) -> std::result::Result<(), NetError> {
-        self.record_send_parts(source, cmd, None)
-    }
-
-    /// [`record_send`](Self::record_send) with an optional pre-encoded
-    /// command: the journal bytes come from the shared encoding
-    /// (byte-identical to `cmd.encode()` by construction) and the wire
-    /// write shares the frame, so a broadcast round encodes once for
-    /// the journal *and* every source.
-    fn record_send_parts(
+    /// Journals a round command write-ahead (its shared encoding's
+    /// bytes), charges it, and sends the same frame on.
+    fn record_send(
         &mut self,
         source: usize,
-        cmd: &Command,
-        enc: Option<&EncodedCommand>,
+        enc: &EncodedCommand,
     ) -> std::result::Result<(), NetError> {
+        let cmd = enc.command();
         if cmd.is_round() {
-            let bytes = match enc {
-                Some(enc) => enc.encoded().to_vec(),
-                None => cmd.encode(),
-            };
             self.append(&JournalEntry::Cmd {
                 source: source as u32,
-                bytes,
+                bytes: enc.encoded().to_vec(),
             })?;
             self.cmds_appended += 1;
             let n = self.cmds_appended;
@@ -647,22 +636,16 @@ impl<T: CommandTransport> JournalingTransport<T> {
         // Round payloads and the replica plane (`Promote`/`Replay`)
         // both charge; recovery control frames are no-ops inside.
         charge_command(&mut self.stats, source, cmd)?;
-        let sent = match enc {
-            Some(enc) => self.inner.send_encoded(source, enc),
-            None => self.inner.send(source, cmd),
-        };
-        match sent {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Journal the failure so a replay fails the same way.
-                self.append(&JournalEntry::Lost {
-                    source: source as u32,
-                    via_send: true,
-                    reason: send_loss_record(&e),
-                })?;
-                Err(e)
-            }
+        if let Err(e) = self.inner.send_encoded(source, enc) {
+            // Journal the failure so a replay fails the same way.
+            self.append(&JournalEntry::Lost {
+                source: source as u32,
+                via_send: true,
+                reason: send_loss_record(&e),
+            })?;
+            return Err(e);
         }
+        Ok(())
     }
 
     fn record_recv(&mut self, source: usize) -> std::result::Result<Response, NetError> {
@@ -677,24 +660,22 @@ impl<T: CommandTransport> JournalingTransport<T> {
             }
             Response::Resumed { .. } => {}
             // Replica-plane acknowledgements carry no round number, so
-            // the stale check below would journal them and desync the
-            // response counts on a later resume: charge-only, and a
-            // resume rebuilds the persona from the command records.
+            // every one counts as a first answer; journaling them would
+            // desync the response counts on a later resume: charge-only,
+            // and a resume rebuilds the persona from the command records.
             Response::Promoted { .. } | Response::Replayed { .. } => {
                 charge_response(&mut self.stats, source, &resp)?;
             }
+            // Only a round's first answer is charged and journaled: a
+            // later copy (surfaced by a reissue race) is dropped by the
+            // driver, and journaling it would desync the counts on a
+            // later resume.
             other => {
-                // A duplicate of an already-answered round (surfaced by
-                // a reissue race) is dropped by the driver — journaling
-                // it would desync the counts on a later resume.
-                let stale = matches!(other.round(), Some(r) if r <= self.scan.resps[source]);
-                if !stale {
+                if charge_response(&mut self.stats, source, other)? {
                     self.append(&JournalEntry::Resp {
                         source: source as u32,
                         bytes: other.encode(),
                     })?;
-                    self.scan.resps[source] += 1;
-                    charge_response(&mut self.stats, source, other)?;
                 }
             }
         }
@@ -718,15 +699,22 @@ impl<T: CommandTransport> JournalingTransport<T> {
         }
     }
 
-    fn replay_send(&mut self, source: usize, cmd: &Command) -> std::result::Result<(), NetError> {
+    /// Verifies a round command against the journal, by its encoded
+    /// bytes, instead of sending it.
+    fn replay_send(
+        &mut self,
+        source: usize,
+        enc: &EncodedCommand,
+    ) -> std::result::Result<(), NetError> {
         let Some(record) = self.records.get(self.cursor) else {
             self.reconcile()?;
-            return self.record_send(source, cmd);
+            return self.record_send(source, enc);
         };
+        let cmd = enc.command();
         if cmd.is_round() {
             match record {
                 JournalEntry::Cmd { source: s, bytes }
-                    if *s as usize == source && *bytes == cmd.encode() =>
+                    if *s as usize == source && *bytes == enc.encoded() =>
                 {
                     self.cursor += 1;
                     charge_command(&mut self.stats, source, cmd)?;
@@ -796,7 +784,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
     /// below. A failed promotion appends the host's loss immediately
     /// after the promotion record, so a replay fails the same way (a
     /// host lost while the driver rebuilds the persona journals its own
-    /// loss there, through this transport's `send` or `recv`).
+    /// loss there, through this transport's `send_encoded` or `recv`).
     fn record_promote(&mut self, origin: usize, host: usize) -> std::result::Result<(), NetError> {
         self.append(&JournalEntry::Promoted {
             origin: origin as u32,
@@ -826,7 +814,8 @@ impl<T: CommandTransport> JournalingTransport<T> {
             &mut self.stats,
             host,
             &Response::Promoted { origin, round: 0 },
-        )
+        )?;
+        Ok(())
     }
 
     /// Consumes a journaled promotion during replay. A successful one is
@@ -1060,24 +1049,14 @@ impl<T: CommandTransport> CommandTransport for JournalingTransport<T> {
         self.inner.sources()
     }
 
-    fn send(&mut self, source: usize, cmd: &Command) -> std::result::Result<(), NetError> {
-        match self.mode {
-            Mode::Record => self.record_send(source, cmd),
-            Mode::Replay => self.replay_send(source, cmd),
-        }
-    }
-
     fn send_encoded(
         &mut self,
         source: usize,
         enc: &EncodedCommand,
     ) -> std::result::Result<(), NetError> {
         match self.mode {
-            Mode::Record => self.record_send_parts(source, enc.command(), Some(enc)),
-            // Replay never touches the wire; the byte comparison against
-            // the journaled record is the cold path, so re-encoding is
-            // fine there.
-            Mode::Replay => self.replay_send(source, enc.command()),
+            Mode::Record => self.record_send(source, enc),
+            Mode::Replay => self.replay_send(source, enc),
         }
     }
 
@@ -1194,7 +1173,11 @@ mod tests {
         fn sources(&self) -> usize {
             self.0.sources()
         }
-        fn send(&mut self, _: usize, _: &Command) -> std::result::Result<(), NetError> {
+        fn send_encoded(
+            &mut self,
+            _: usize,
+            _: &EncodedCommand,
+        ) -> std::result::Result<(), NetError> {
             unreachable!("resume must not send")
         }
         fn recv(&mut self, _: usize) -> std::result::Result<Response, NetError> {

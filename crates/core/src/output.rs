@@ -24,17 +24,6 @@ pub struct Degradation {
     pub cost_ratio_bound: f64,
 }
 
-impl Degradation {
-    /// Fraction of the dataset the dropped sources held.
-    pub fn frac_lost(&self) -> f64 {
-        if self.rows_total == 0 {
-            0.0
-        } else {
-            self.rows_lost as f64 / self.rows_total as f64
-        }
-    }
-}
-
 /// How a run absorbed source losses *without* losing data: every listed
 /// source died mid-run but a promoted replica answered its remaining
 /// rounds from a replayed copy of its shard, so the centers, digest,
@@ -118,7 +107,6 @@ mod tests {
             rows_total: 600,
             cost_ratio_bound: (1.0 + 0.5) / (1.0 - 200.0 / 600.0),
         };
-        assert!((d.frac_lost() - 1.0 / 3.0).abs() < 1e-12);
         assert!((d.cost_ratio_bound - 2.25).abs() < 1e-12);
     }
 }

@@ -141,12 +141,6 @@ impl SummaryParams {
         self
     }
 
-    /// Sets the error parameter and rederives nothing (explicit knobs win).
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
-
     /// Sets the coreset size.
     pub fn with_coreset_size(mut self, size: usize) -> Self {
         self.coreset_size = size;
@@ -310,7 +304,6 @@ mod tests {
     fn builders_apply() {
         let p = SummaryParams::practical(2, 1000, 50)
             .with_seed(9)
-            .with_epsilon(0.3)
             .with_coreset_size(77)
             .with_pca_dim(5)
             .with_jl_dim_before(20)
@@ -318,7 +311,6 @@ mod tests {
             .with_jl_kind(JlKind::Achlioptas)
             .with_kmeans_restarts(0);
         assert_eq!(p.seed, 9);
-        assert_eq!(p.epsilon, 0.3);
         assert_eq!(p.coreset_size, 77);
         assert_eq!(p.pca_dim, 5);
         assert_eq!(p.jl_dim_before, 20);

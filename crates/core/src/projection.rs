@@ -43,11 +43,6 @@ impl MaybeProjection {
         }
     }
 
-    /// `true` when this is a genuine reduction.
-    pub fn is_reducing(&self) -> bool {
-        matches!(self, MaybeProjection::Jl(_))
-    }
-
     /// Applies the projection to a dataset.
     ///
     /// # Errors
@@ -81,19 +76,19 @@ mod tests {
     #[test]
     fn degenerates_to_identity_at_full_dim() {
         let p = MaybeProjection::generate(JlKind::Gaussian, 10, 10, 1);
-        assert!(!p.is_reducing());
+        assert!(matches!(p, MaybeProjection::Identity { dim: 10 }));
         assert_eq!(p.target_dim(), 10);
         let m = Matrix::from_fn(3, 10, |i, j| (i * 10 + j) as f64);
         assert!(p.project(&m).unwrap().approx_eq(&m, 0.0));
         assert!(p.lift(&m).unwrap().approx_eq(&m, 0.0));
         let over = MaybeProjection::generate(JlKind::Gaussian, 10, 50, 1);
-        assert!(!over.is_reducing());
+        assert!(matches!(over, MaybeProjection::Identity { dim: 10 }));
     }
 
     #[test]
     fn reduces_when_target_smaller() {
         let p = MaybeProjection::generate(JlKind::Gaussian, 20, 5, 2);
-        assert!(p.is_reducing());
+        assert!(matches!(p, MaybeProjection::Jl(_)));
         assert_eq!(p.target_dim(), 5);
         let m = Matrix::from_fn(4, 20, |i, j| (i + j) as f64);
         let proj = p.project(&m).unwrap();

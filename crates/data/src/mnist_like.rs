@@ -18,6 +18,21 @@ use rand::Rng;
 /// Number of prototype classes (digits 0–9).
 pub const N_CLASSES: usize = 10;
 
+/// Per-pixel deformation noise amplitude.
+const NOISE: f64 = 0.15;
+
+/// Per-image multiplicative intensity jitter `j`: each image scales its
+/// prototype by `α ~ U(1−j, 1+j)`, modeling stroke-width/style variation
+/// — this is what gives the stand-in realistic within-class variance.
+const INTENSITY_JITTER: f64 = 0.35;
+
+/// Per-image "style" strength `s`: each image mixes in every other
+/// prototype with a coefficient `~ U(−s, s)`. This puts within-class
+/// scatter along the same low-dimensional subspace the class means span
+/// — like real handwriting, where most per-image variance is shared
+/// stroke structure, not isotropic pixel noise.
+const STYLE_STRENGTH: f64 = 0.25;
+
 /// The paper-scale configuration: 60000 images, 28×28 pixels.
 pub fn paper_scale() -> MnistLike {
     MnistLike::new(60_000, 28)
@@ -39,48 +54,13 @@ pub fn paper_scale() -> MnistLike {
 pub struct MnistLike {
     n: usize,
     side: usize,
-    noise: f64,
-    intensity_jitter: f64,
-    style_strength: f64,
     seed: u64,
 }
 
 impl MnistLike {
     /// Creates a generator for `n` images on a `side × side` pixel grid.
     pub fn new(n: usize, side: usize) -> Self {
-        MnistLike {
-            n,
-            side,
-            noise: 0.15,
-            intensity_jitter: 0.35,
-            style_strength: 0.25,
-            seed: 0,
-        }
-    }
-
-    /// Per-pixel deformation noise amplitude (default 0.15).
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// Per-image multiplicative intensity jitter `j`: each image scales
-    /// its prototype by `α ~ U(1−j, 1+j)`, modeling stroke-width/style
-    /// variation — this is what gives the stand-in realistic within-class
-    /// variance (default 0.35).
-    pub fn with_intensity_jitter(mut self, jitter: f64) -> Self {
-        self.intensity_jitter = jitter;
-        self
-    }
-
-    /// Per-image "style" strength `s`: each image mixes in every other
-    /// prototype with a coefficient `~ U(−s, s)`. This puts within-class
-    /// scatter along the same low-dimensional subspace the class means
-    /// span — like real handwriting, where most per-image variance is
-    /// shared stroke structure, not isotropic pixel noise (default 0.25).
-    pub fn with_style_strength(mut self, strength: f64) -> Self {
-        self.style_strength = strength;
-        self
+        MnistLike { n, side, seed: 0 }
     }
 
     /// RNG seed.
@@ -98,23 +78,12 @@ impl MnistLike {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::InvalidParameter`] for zero sizes or a
-    /// negative or non-finite noise, intensity jitter or style strength.
+    /// Returns [`DataError::InvalidParameter`] for zero sizes.
     pub fn generate(&self) -> Result<LabeledDataset> {
         if self.n == 0 || self.side == 0 {
             return Err(DataError::InvalidParameter {
                 name: "n/side",
                 reason: "must be positive",
-            });
-        }
-        let valid_scale = |x: f64| x.is_finite() && x >= 0.0;
-        if !valid_scale(self.noise)
-            || !valid_scale(self.intensity_jitter)
-            || !valid_scale(self.style_strength)
-        {
-            return Err(DataError::InvalidParameter {
-                name: "noise/intensity_jitter/style_strength",
-                reason: "must be finite and nonnegative",
             });
         }
         let d = self.dim();
@@ -125,14 +94,14 @@ impl MnistLike {
         for i in 0..self.n {
             let class = rng.gen_range(0..N_CLASSES);
             labels.push(class);
-            let alpha = 1.0 + (rng.gen::<f64>() - 0.5) * 2.0 * self.intensity_jitter;
+            let alpha = 1.0 + (rng.gen::<f64>() - 0.5) * 2.0 * INTENSITY_JITTER;
             // Style mixture coefficients for the other prototypes.
             let betas: Vec<f64> = (0..N_CLASSES)
                 .map(|c| {
                     if c == class {
                         0.0
                     } else {
-                        (rng.gen::<f64>() - 0.5) * 2.0 * self.style_strength
+                        (rng.gen::<f64>() - 0.5) * 2.0 * STYLE_STRENGTH
                     }
                 })
                 .collect();
@@ -144,7 +113,7 @@ impl MnistLike {
                         v += b * prototypes[(c, j)];
                     }
                 }
-                let noise = (rng.gen::<f64>() - 0.5) * 2.0 * self.noise;
+                let noise = (rng.gen::<f64>() - 0.5) * 2.0 * NOISE;
                 *x = (v + noise).clamp(0.0, 1.0);
             }
         }
@@ -237,11 +206,7 @@ mod tests {
     #[test]
     fn classes_are_separable_by_kmeans_cost() {
         // k-means with 10 centers should do far better than 1 center.
-        let ds = MnistLike::new(300, 10)
-            .with_noise(0.02)
-            .with_seed(5)
-            .generate()
-            .unwrap();
+        let ds = MnistLike::new(300, 10).with_seed(5).generate().unwrap();
         let k10 = ekm_clustering::kmeans::KMeans::new(10)
             .with_seed(1)
             .fit(&ds.points)
@@ -268,17 +233,5 @@ mod tests {
     fn invalid_parameters_error() {
         assert!(MnistLike::new(0, 8).generate().is_err());
         assert!(MnistLike::new(8, 0).generate().is_err());
-        for bad in [-0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for g in [
-                MnistLike::new(4, 4).with_noise(bad),
-                MnistLike::new(4, 4).with_intensity_jitter(bad),
-                MnistLike::new(4, 4).with_style_strength(bad),
-            ] {
-                assert!(
-                    matches!(g.generate(), Err(DataError::InvalidParameter { .. })),
-                    "{g:?}"
-                );
-            }
-        }
     }
 }

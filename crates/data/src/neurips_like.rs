@@ -21,6 +21,12 @@ use ekm_linalg::random::{derive_seed, rng_from_seed};
 use ekm_linalg::Matrix;
 use rand::Rng;
 
+/// Number of latent topics (word clusters).
+const TOPICS: usize = 12;
+
+/// Expected fraction of nonzero entries.
+const DENSITY: f64 = 0.06;
+
 /// The paper-scale configuration: 11463 words × 5812 papers.
 pub fn paper_scale() -> NeurIpsLike {
     NeurIpsLike::new(11_463, 5_812)
@@ -43,8 +49,6 @@ pub fn paper_scale() -> NeurIpsLike {
 pub struct NeurIpsLike {
     n_words: usize,
     n_papers: usize,
-    n_topics: usize,
-    density: f64,
     seed: u64,
 }
 
@@ -55,22 +59,8 @@ impl NeurIpsLike {
         NeurIpsLike {
             n_words,
             n_papers,
-            n_topics: 12,
-            density: 0.06,
             seed: 0,
         }
-    }
-
-    /// Number of latent topics (word clusters).
-    pub fn with_topics(mut self, n_topics: usize) -> Self {
-        self.n_topics = n_topics.max(1);
-        self
-    }
-
-    /// Expected fraction of nonzero entries.
-    pub fn with_density(mut self, density: f64) -> Self {
-        self.density = density;
-        self
     }
 
     /// RNG seed.
@@ -83,8 +73,7 @@ impl NeurIpsLike {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::InvalidParameter`] for empty shapes or a
-    /// density outside `(0, 1]`.
+    /// Returns [`DataError::InvalidParameter`] for empty shapes.
     pub fn generate(&self) -> Result<LabeledDataset> {
         if self.n_words == 0 || self.n_papers == 0 {
             return Err(DataError::InvalidParameter {
@@ -92,13 +81,7 @@ impl NeurIpsLike {
                 reason: "must be positive",
             });
         }
-        if !(self.density > 0.0 && self.density <= 1.0) {
-            return Err(DataError::InvalidParameter {
-                name: "density",
-                reason: "must lie in (0, 1]",
-            });
-        }
-        let t = self.n_topics;
+        let t = TOPICS;
 
         // Paper topic mixtures: each paper has one dominant topic plus a
         // uniform background.
@@ -117,7 +100,7 @@ impl NeurIpsLike {
             labels.push(topic);
             let row = points.row_mut(w);
             for (j, x) in row.iter_mut().enumerate() {
-                if rng.gen::<f64>() >= self.density {
+                if rng.gen::<f64>() >= DENSITY {
                     continue;
                 }
                 // Words appear ~2.5× more often in papers of their topic
@@ -176,43 +159,43 @@ mod tests {
 
     #[test]
     fn topic_structure_visible_in_counts() {
-        // Words of the same topic should co-occur in the same papers more
-        // than words of different topics: compare within-topic vs
-        // cross-topic row correlations via dot products.
-        let ds = NeurIpsLike::new(300, 200)
-            .with_topics(4)
-            .with_density(0.3)
+        // Words of one topic are counted higher in the same papers (their
+        // topic's). Summed over many words, two disjoint halves of one
+        // topic's words peak on the same papers, another topic's words
+        // elsewhere: compare within-topic vs cross-topic correlations of
+        // the per-paper count profiles of the even and the odd words.
+        let (words, papers) = (600, 2400);
+        let ds = NeurIpsLike::new(words, papers)
             .with_seed(4)
             .generate()
             .unwrap();
-        let mut same = (0.0, 0usize);
-        let mut diff = (0.0, 0usize);
-        for a in (0..250).step_by(7) {
-            for b in (a + 1..300).step_by(11) {
-                // Skip the Zipf head so frequency differences don't mask
-                // the topic signal.
-                if a < 20 || b < 20 {
-                    continue;
-                }
-                let na = ekm_linalg::ops::norm(ds.points.row(a));
-                let nb = ekm_linalg::ops::norm(ds.points.row(b));
-                if na == 0.0 || nb == 0.0 {
-                    continue;
-                }
-                let cos = ekm_linalg::ops::dot(ds.points.row(a), ds.points.row(b)) / (na * nb);
-                if ds.labels[a] == ds.labels[b] {
-                    same.0 += cos;
-                    same.1 += 1;
-                } else {
-                    diff.0 += cos;
-                    diff.1 += 1;
-                }
+        let mut profiles = vec![vec![0.0; papers]; 2 * TOPICS];
+        // Skip the Zipf head so frequency differences don't mask the
+        // topic signal.
+        for w in 20..words {
+            let profile = &mut profiles[2 * ds.labels[w] + w % 2];
+            for (acc, x) in profile.iter_mut().zip(ds.points.row(w)) {
+                *acc += x;
             }
         }
-        let same_mean = same.0 / same.1 as f64;
-        let diff_mean = diff.0 / diff.1 as f64;
+        for profile in &mut profiles {
+            let mean = profile.iter().sum::<f64>() / papers as f64;
+            profile.iter_mut().for_each(|x| *x -= mean);
+        }
+        let corr = |a: &[f64], b: &[f64]| {
+            ekm_linalg::ops::dot(a, b) / (ekm_linalg::ops::norm(a) * ekm_linalg::ops::norm(b))
+        };
+        let (mut same, mut diff) = (0.0, 0.0);
+        for t in 0..TOPICS {
+            same += corr(&profiles[2 * t], &profiles[2 * t + 1]);
+            for u in (0..TOPICS).filter(|&u| u != t) {
+                diff += corr(&profiles[2 * t], &profiles[2 * u + 1]);
+            }
+        }
+        let same_mean = same / TOPICS as f64;
+        let diff_mean = diff / (TOPICS * (TOPICS - 1)) as f64;
         assert!(
-            same_mean > diff_mean + 0.02,
+            same_mean > diff_mean + 0.01,
             "within-topic {same_mean} vs cross-topic {diff_mean}"
         );
     }
@@ -232,7 +215,5 @@ mod tests {
     fn invalid_parameters_error() {
         assert!(NeurIpsLike::new(0, 5).generate().is_err());
         assert!(NeurIpsLike::new(5, 0).generate().is_err());
-        assert!(NeurIpsLike::new(5, 5).with_density(0.0).generate().is_err());
-        assert!(NeurIpsLike::new(5, 5).with_density(1.5).generate().is_err());
     }
 }

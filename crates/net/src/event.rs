@@ -35,8 +35,8 @@ use crate::frame::{
 };
 use crate::network::NetworkStats;
 use crate::protocol::{
-    charge_command, charge_response, Command, CommandTransport, DeadlinePolicy, EncodedCommand,
-    Response, SourceEndpoint,
+    charge_command, charge_response, check_source, Command, CommandTransport, DeadlinePolicy,
+    EncodedCommand, Response, SourceEndpoint,
 };
 use crate::reactor::{park, Event, Reactor};
 use crate::{NetError, Result};
@@ -445,16 +445,6 @@ pub struct EventTcpServer {
 }
 
 impl EventTcpServer {
-    fn check(&self, source: usize) -> Result<()> {
-        if source >= self.conns.len() {
-            return Err(NetError::UnknownSource {
-                source,
-                sources: self.conns.len(),
-            });
-        }
-        Ok(())
-    }
-
     /// Pumps one connection and, the moment it is observed closed,
     /// deregisters its fd — a closed fd stays level-triggered-readable
     /// forever, so leaving it registered would spin every later wait.
@@ -589,20 +579,14 @@ impl CommandTransport for EventTcpServer {
         self.conns.len()
     }
 
-    fn send(&mut self, source: usize, cmd: &Command) -> Result<()> {
-        self.check(source)?;
-        charge_command(&mut self.stats, source, cmd)?;
-        self.write_frame_to(source, cmd.frame().bytes())
-    }
-
     fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> Result<()> {
-        self.check(source)?;
+        check_source(source, self.sources())?;
         charge_command(&mut self.stats, source, enc.command())?;
         self.write_frame_to(source, enc.frame_bytes())
     }
 
     fn recv(&mut self, source: usize) -> Result<Response> {
-        self.check(source)?;
+        check_source(source, self.sources())?;
         let deadline = deadline_in(self.deadline.command);
         loop {
             if let Some(resp) = self.conns[source].inbox.pop_front() {

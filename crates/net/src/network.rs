@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 /// rounds, replica bits) describe the recovery traffic of promoted
 /// replicas, kept apart so a recovered run's classic ledgers equal its
 /// never-failed twin's. They stay zero on a fault-free run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct NetworkStats {
     uplink_bits: Vec<u64>,
     downlink_bits: Vec<u64>,
@@ -26,7 +26,28 @@ pub struct NetworkStats {
     replica_promotions: u64,
     replayed_rounds: u64,
     replica_bits: u64,
+    /// The last round each source answered, by which
+    /// [`crate::protocol::charge_response`] tells a round's first answer
+    /// from a later copy: bookkeeping, not a counter, so equality
+    /// ignores it and [`Network::absorb`] leaves it alone.
+    pub(crate) answered: Vec<u64>,
 }
+
+/// Two ledgers are equal when their counters are.
+impl PartialEq for NetworkStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.uplink_bits == other.uplink_bits
+            && self.downlink_bits == other.downlink_bits
+            && self.uplink_msgs == other.uplink_msgs
+            && self.downlink_msgs == other.downlink_msgs
+            && self.uplink_by_kind == other.uplink_by_kind
+            && self.replica_promotions == other.replica_promotions
+            && self.replayed_rounds == other.replayed_rounds
+            && self.replica_bits == other.replica_bits
+    }
+}
+
+impl Eq for NetworkStats {}
 
 impl NetworkStats {
     /// Zeroed counters for `sources` sources. Public so replaying
@@ -42,6 +63,7 @@ impl NetworkStats {
             replica_promotions: 0,
             replayed_rounds: 0,
             replica_bits: 0,
+            answered: vec![0; sources],
         }
     }
 

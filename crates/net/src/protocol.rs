@@ -600,15 +600,6 @@ impl Command {
         buf
     }
 
-    /// The command's wire frame (header and encoding), built in one
-    /// allocation of its exact size.
-    pub(crate) fn frame(&self) -> FrameBuf {
-        FrameBuf::build(FRAME_CMD, self.encoded_len(), |buf| {
-            let tail = self.encode_head(buf);
-            buf.extend_from_slice(tail);
-        })
-    }
-
     /// Appends the encoding to `buf`, all but the bytes of a trailing
     /// payload, which it returns (empty when there is none). A wrapper's
     /// carried frame is its last field, so its trailing payload is the
@@ -1006,15 +997,11 @@ impl Response {
     }
 }
 
-/// A [`Command`] encoded exactly once: the driver builds one of these
-/// for a broadcast round and hands the *same* pre-framed bytes to every
-/// source, instead of re-running the bit-packing encoder per recipient.
-///
-/// The original command rides along because every layer above the wire
-/// still needs it — statistics charging inspects the variant, `RoundNet`
-/// pushes it into replay history, the journal records its bytes, and
-/// non-socket backends simply deliver it (their
-/// [`CommandTransport::send_encoded`] default ignores the frame).
+/// A [`Command`] encoded exactly once, the form every send takes: the
+/// driver hands one round's pre-framed bytes to every source. The socket
+/// backend writes the frame and the journal records its encoding; the
+/// command rides along for charging, replay history, the routing layer's
+/// [`Command::Forward`] and the channel backend, which delivers it as is.
 #[derive(Debug, Clone)]
 pub struct EncodedCommand {
     cmd: Command,
@@ -1022,10 +1009,13 @@ pub struct EncodedCommand {
 }
 
 impl EncodedCommand {
-    /// Encodes `cmd` once into a reusable [`FrameBuf`] under
-    /// [`FRAME_CMD`].
+    /// Encodes `cmd` once into its wire frame (header and encoding) under
+    /// [`FRAME_CMD`], in one allocation of the frame's exact size.
     pub fn new(cmd: Command) -> EncodedCommand {
-        let frame = cmd.frame();
+        let frame = FrameBuf::build(FRAME_CMD, cmd.encoded_len(), |buf| {
+            let tail = cmd.encode_head(buf);
+            buf.extend_from_slice(tail);
+        });
         EncodedCommand { cmd, frame }
     }
 
@@ -1053,29 +1043,32 @@ impl EncodedCommand {
 /// downlink and [`Response::Up`] payloads to the uplink as the frames
 /// pass through ([`charge_command`] / [`charge_response`] do exactly
 /// that), so the driver never touches the counters itself.
+///
+/// Each transport implements one send, [`send_encoded`](Self::send_encoded),
+/// so every layer sees a command as the same encoded bytes;
+/// [`send`](Self::send) encodes a lone control frame on the way in.
 pub trait CommandTransport {
     /// Number of sources.
     fn sources(&self) -> usize;
 
-    /// Sends `cmd` to source `source`.
+    /// Sends the encoded command `enc` to source `source`.
     ///
     /// # Errors
     ///
-    /// Transport failures (a disconnected source surfaces here as a
+    /// [`NetError::UnknownSource`] for a source outside the run, and
+    /// transport failures (a disconnected source surfaces here as a
     /// typed [`NetError::Transport`], never a hang).
-    fn send(&mut self, source: usize, cmd: &Command) -> Result<()>;
+    fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> Result<()>;
 
-    /// Sends a pre-encoded command, sharing one encoding across a
-    /// fan-out. Must be observationally identical to
-    /// `send(source, enc.command())` — same charging, same wire bytes —
-    /// which is exactly what this default does; socket backends
-    /// override it to write the shared frame without re-encoding.
+    /// Encodes `cmd` and sends it to source `source`: the path of the
+    /// control frames the driver and the recovery layers send one at a
+    /// time.
     ///
     /// # Errors
     ///
-    /// See [`CommandTransport::send`].
-    fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> Result<()> {
-        self.send(source, enc.command())
+    /// See [`CommandTransport::send_encoded`].
+    fn send(&mut self, source: usize, cmd: &Command) -> Result<()> {
+        self.send_encoded(source, &EncodedCommand::new(cmd.clone()))
     }
 
     /// Receives the next response from source `source`. Backends may
@@ -1178,12 +1171,23 @@ pub fn charge_command(stats: &mut NetworkStats, source: usize, cmd: &Command) ->
     Ok(())
 }
 
-/// Charges a response's data-plane payload (if any) to the uplink.
+/// Charges a response's data-plane payload (if any) to the uplink if it
+/// is its round's first answer, and returns whether it was. A later
+/// answer to a round `source` already answered (the cached copy a
+/// reissue draws after the late original arrived) is charged nothing:
+/// the source counted that upload once. A response without a round
+/// number always counts as a first answer.
 ///
 /// # Errors
 ///
 /// [`NetError::UnknownMessageTag`] for a malformed payload.
-pub fn charge_response(stats: &mut NetworkStats, source: usize, resp: &Response) -> Result<()> {
+pub fn charge_response(stats: &mut NetworkStats, source: usize, resp: &Response) -> Result<bool> {
+    if let Some(round) = resp.round() {
+        if round <= stats.answered[source] {
+            return Ok(false);
+        }
+        stats.answered[source] = round;
+    }
     match resp {
         Response::Up { payload, .. } => {
             let kind = payload.kind()?;
@@ -1196,10 +1200,20 @@ pub fn charge_response(stats: &mut NetworkStats, source: usize, resp: &Response)
             stats.charge_replica_bits((resp.encoded_len() * 8) as u64);
         }
         Response::Forwarded { origin, resp } => {
-            charge_response(stats, *origin as usize, resp)?;
+            if !charge_response(stats, *origin as usize, resp)? {
+                return Ok(false);
+            }
             stats.charge_replica_bits(FORWARD_OVERHEAD_BITS);
         }
         _ => {}
+    }
+    Ok(true)
+}
+
+/// Refuses a source id outside a transport of `sources` sources.
+pub(crate) fn check_source(source: usize, sources: usize) -> Result<()> {
+    if source >= sources {
+        return Err(NetError::UnknownSource { source, sources });
     }
     Ok(())
 }
@@ -1255,28 +1269,16 @@ pub fn channel_pairs(m: usize) -> (ChannelHub, Vec<ChannelEndpoint>) {
     )
 }
 
-impl ChannelHub {
-    fn check(&self, source: usize) -> Result<()> {
-        if source >= self.to_sources.len() {
-            return Err(NetError::UnknownSource {
-                source,
-                sources: self.to_sources.len(),
-            });
-        }
-        Ok(())
-    }
-}
-
 impl CommandTransport for ChannelHub {
     fn sources(&self) -> usize {
         self.to_sources.len()
     }
 
-    fn send(&mut self, source: usize, cmd: &Command) -> Result<()> {
-        self.check(source)?;
-        charge_command(&mut self.stats, source, cmd)?;
+    fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> Result<()> {
+        check_source(source, self.sources())?;
+        charge_command(&mut self.stats, source, enc.command())?;
         self.to_sources[source]
-            .send(cmd.clone())
+            .send(enc.command().clone())
             .map_err(|_| NetError::Transport {
                 context: "channel send",
                 detail: format!("source {source} hung up"),
@@ -1284,7 +1286,7 @@ impl CommandTransport for ChannelHub {
     }
 
     fn recv(&mut self, source: usize) -> Result<Response> {
-        self.check(source)?;
+        check_source(source, self.sources())?;
         let resp = match self.from_sources[source].recv_timeout(self.deadline.command) {
             Ok(resp) => resp,
             // A vanished or stalled executor is a *typed* loss the driver

@@ -16,7 +16,9 @@
 //! than the one awaited is parked in a per-source pending queue and
 //! handed out on that origin's next receive.
 
-use crate::protocol::{Command, CommandTransport, DeadlinePolicy, EncodedCommand, Response};
+use crate::protocol::{
+    check_source, Command, CommandTransport, DeadlinePolicy, EncodedCommand, Response,
+};
 use crate::{NetError, NetworkStats, Result};
 use std::collections::VecDeque;
 
@@ -43,24 +45,9 @@ impl<T: CommandTransport> RoutingTransport<T> {
         }
     }
 
-    /// The promoted host answering for `origin`, if any.
-    pub fn route_of(&self, origin: usize) -> Option<usize> {
-        self.route.get(origin).copied().flatten()
-    }
-
     /// Recovers the wrapped transport.
     pub fn into_inner(self) -> T {
         self.inner
-    }
-
-    fn check(&self, source: usize) -> Result<()> {
-        if source >= self.route.len() {
-            return Err(NetError::UnknownSource {
-                source,
-                sources: self.route.len(),
-            });
-        }
-        Ok(())
     }
 
     /// Parks `resp` on the queue of the source it answers for.
@@ -79,33 +66,25 @@ impl<T: CommandTransport> CommandTransport for RoutingTransport<T> {
         self.inner.sources()
     }
 
-    fn send(&mut self, source: usize, cmd: &Command) -> Result<()> {
-        self.check(source)?;
+    fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> Result<()> {
+        check_source(source, self.sources())?;
         match self.route[source] {
-            None => self.inner.send(source, cmd),
-            Some(host) => self.inner.send(
+            // The shared encoding survives only the common un-routed
+            // path; a routed origin's command travels to its host wrapped
+            // in `Forward`, which is a frame of its own.
+            None => self.inner.send_encoded(source, enc),
+            Some(host) => self.inner.send_encoded(
                 host,
-                &Command::Forward {
+                &EncodedCommand::new(Command::Forward {
                     origin: source as u64,
-                    cmd: Box::new(cmd.clone()),
-                },
+                    cmd: Box::new(enc.command().clone()),
+                }),
             ),
         }
     }
 
-    fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> Result<()> {
-        self.check(source)?;
-        match self.route[source] {
-            // The shared encoding survives only the common un-routed
-            // path; a routed origin's command must be re-wrapped in
-            // `Forward`, which is a different frame anyway.
-            None => self.inner.send_encoded(source, enc),
-            Some(_) => self.send(source, enc.command()),
-        }
-    }
-
     fn recv(&mut self, source: usize) -> Result<Response> {
-        self.check(source)?;
+        check_source(source, self.sources())?;
         loop {
             if let Some(resp) = self.pending[source].pop_front() {
                 return Ok(resp);
@@ -135,8 +114,8 @@ impl<T: CommandTransport> CommandTransport for RoutingTransport<T> {
     }
 
     fn promote(&mut self, origin: usize, host: usize) -> Result<()> {
-        self.check(origin)?;
-        self.check(host)?;
+        check_source(origin, self.sources())?;
+        check_source(host, self.sources())?;
         if origin == host || self.route[host].is_some() {
             return Err(NetError::ProtocolViolation {
                 context: "promote",
@@ -257,7 +236,7 @@ mod tests {
                 .unwrap();
         });
         routed.promote(0, 1).unwrap();
-        assert_eq!(routed.route_of(0), Some(1));
+        assert_eq!(routed.route[0], Some(1));
         routed.send(0, &Command::Describe).unwrap();
         let resp = routed.recv(0).unwrap();
         assert!(matches!(resp, Response::Done { rows: 7, .. }));

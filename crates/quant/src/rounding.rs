@@ -16,9 +16,6 @@ pub const EXPONENT_BITS: u32 = 11;
 /// Number of *stored* significand bits in an IEEE-754 double.
 pub const STORED_SIGNIFICAND_BITS: u32 = 52;
 
-/// Total bits of an unquantized double (the paper's `b₀ = 64`).
-pub const FULL_SCALAR_BITS: u32 = 64;
-
 /// The rounding-based quantizer Γ with `s` significant bits.
 ///
 /// # Example

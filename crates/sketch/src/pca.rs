@@ -61,11 +61,6 @@ impl Pca {
         })
     }
 
-    /// Number of components `t`.
-    pub fn n_components(&self) -> usize {
-        self.components.cols()
-    }
-
     /// The component basis `V_t` (`d × t`, orthonormal columns).
     pub fn components(&self) -> &Matrix {
         &self.components
@@ -179,7 +174,7 @@ mod tests {
     fn t_clamped_to_rank() {
         let a = gaussian_matrix(8, 5, 12, 1.0); // min(n,d)=5
         let pca = Pca::fit(&a, 100).unwrap();
-        assert_eq!(pca.n_components(), 5);
+        assert_eq!(pca.components().cols(), 5);
     }
 
     #[test]

@@ -257,6 +257,36 @@ impl Args {
     }
 }
 
+/// The flags that shape a run's data and bits, each read here, with its
+/// default (the value `HELP` shows), and nowhere else.
+struct RunFlags {
+    dataset: String,
+    n: usize,
+    d: usize,
+    k: usize,
+    seed: u64,
+    pipeline: String,
+    precision: String,
+    compute: String,
+    replication: usize,
+}
+
+impl RunFlags {
+    fn read(args: &Args) -> Result<RunFlags, String> {
+        Ok(RunFlags {
+            dataset: args.get_str("dataset", "mnist-like"),
+            n: args.get_usize("n", 2000)?,
+            d: args.get_usize("d", 196)?,
+            k: args.get_usize("k", 2)?,
+            seed: args.get_u64("seed", 42)?,
+            pipeline: args.get_str("pipeline", "jl-fss-jl"),
+            precision: args.get_str("precision", "f64"),
+            compute: args.get_str("compute", "f64"),
+            replication: args.get_usize("replication", 1)?,
+        })
+    }
+}
+
 /// The mnist-like pixel-grid side for a requested dimensionality — one
 /// derivation shared by `build_dataset` (sources) and `dataset_shape`
 /// (the data-less protocol server), so the two ends can never disagree
@@ -266,10 +296,9 @@ fn mnist_side(d: usize) -> usize {
 }
 
 fn build_dataset(args: &Args) -> Result<Matrix, String> {
-    let n = args.get_usize("n", 2000)?;
-    let d = args.get_usize("d", 196)?;
-    let seed = args.get_u64("seed", 42)?;
-    let raw = match args.get_str("dataset", "mnist-like").as_str() {
+    let flags = RunFlags::read(args)?;
+    let (n, d, seed) = (flags.n, flags.d, flags.seed);
+    let raw = match flags.dataset.as_str() {
         "mnist-like" => {
             MnistLike::new(n, mnist_side(d))
                 .with_seed(seed)
@@ -285,8 +314,7 @@ fn build_dataset(args: &Args) -> Result<Matrix, String> {
                 .points
         }
         "mixture" => {
-            let k = args.get_usize("k", 2)?;
-            GaussianMixture::new(n, d, k)
+            GaussianMixture::new(n, d, flags.k)
                 .with_separation(4.0)
                 .with_seed(seed)
                 .generate()
@@ -306,8 +334,14 @@ fn thread_cap(requested: usize, available: usize) -> usize {
 }
 
 fn build_params(args: &Args, n: usize, d: usize) -> Result<SummaryParams, String> {
-    let k = args.get_usize("k", 2)?;
-    let seed = args.get_u64("seed", 42)?;
+    let RunFlags {
+        k,
+        seed,
+        precision,
+        compute,
+        replication,
+        ..
+    } = RunFlags::read(args)?;
     let mut params = SummaryParams::practical(k, n, d).with_seed(seed);
     if let Some(bits) = args.flags.get("quantize") {
         let s: u32 = bits
@@ -315,15 +349,14 @@ fn build_params(args: &Args, n: usize, d: usize) -> Result<SummaryParams, String
             .map_err(|_| format!("--quantize expects bits, got '{bits}'"))?;
         params = params.with_quantizer(RoundingQuantizer::new(s).map_err(|e| e.to_string())?);
     }
-    match args.get_str("precision", "f64").as_str() {
+    match precision.as_str() {
         "f64" => {}
         "f32" => params = params.with_precision(Precision::F32),
         other => return Err(format!("--precision expects f64|f32, got '{other}'")),
     }
-    let compute_flag = args.get_str("compute", "f64");
-    match Compute::parse(&compute_flag) {
+    match Compute::parse(&compute) {
         Some(c) => params = params.with_compute(c),
-        None => return Err(format!("--compute expects f64|f32, got '{compute_flag}'")),
+        None => return Err(format!("--compute expects f64|f32, got '{compute}'")),
     }
     if args.flags.contains_key("leaf-size") {
         let leaf = args.get_usize("leaf-size", 0)?;
@@ -339,7 +372,6 @@ fn build_params(args: &Args, n: usize, d: usize) -> Result<SummaryParams, String
         let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
         edge_kmeans::linalg::parallel::set_worker_count(thread_cap(threads, hardware));
     }
-    let replication = args.get_usize("replication", 1)?;
     if replication == 0 {
         return Err("--replication expects a positive replica count".into());
     }
@@ -446,10 +478,7 @@ fn select_pipelines(
     } else if let Some(list) = stages_flag {
         pipes.push(composition_from(list, params)?);
     } else {
-        pipes.push(resolve_named(
-            &args.get_str("pipeline", "jl-fss-jl"),
-            params,
-        )?);
+        pipes.push(resolve_named(&RunFlags::read(args)?.pipeline, params)?);
     }
     Ok(pipes)
 }
@@ -610,14 +639,14 @@ struct Plan {
 }
 
 fn plan(args: &Args, sweep: bool) -> Result<Plan, String> {
-    let (n, d) = dataset_shape(args)?;
+    let flags = RunFlags::read(args)?;
+    let (n, d) = dataset_shape(&flags)?;
     let sources = args.get_usize("sources", 10)?;
     if sources == 0 {
         return Err("--sources expects a positive integer".into());
     }
-    // An absent flag reads 1 here: only a given zero is refused.
-    for flag in ["n", "d", "k"] {
-        if args.get_usize(flag, 1)? == 0 {
+    for (flag, value) in [("n", flags.n), ("d", flags.d), ("k", flags.k)] {
+        if value == 0 {
             return Err(format!("--{flag} expects a positive integer"));
         }
     }
@@ -658,21 +687,22 @@ impl Plan {
 /// is one fused multiply-add), so a server, source or journal whose
 /// kernels round differently is refused instead of mixed in.
 fn canonical_config(args: &Args, m: usize) -> Result<String, String> {
+    let flags = RunFlags::read(args)?;
     Ok(format!(
         "arith=fused;dataset={};n={};d={};k={};seed={};pipeline={};stages={};quantize={};\
          precision={};compute={};leaf-size={};sources={m};replication={}",
-        args.get_str("dataset", "mnist-like"),
-        args.get_usize("n", 2000)?,
-        args.get_usize("d", 196)?,
-        args.get_usize("k", 2)?,
-        args.get_u64("seed", 42)?,
-        args.get_str("pipeline", "jl-fss-jl"),
+        flags.dataset,
+        flags.n,
+        flags.d,
+        flags.k,
+        flags.seed,
+        flags.pipeline,
         args.get_str("stages", "-"),
         args.get_str("quantize", "-"),
-        args.get_str("precision", "f64"),
-        args.get_str("compute", "f64"),
+        flags.precision,
+        flags.compute,
         args.get_str("leaf-size", "-"),
-        args.get_usize("replication", 1)?,
+        flags.replication,
     ))
 }
 
@@ -690,10 +720,9 @@ fn deployment_shards(data: Matrix, pipe: &StagePipeline, m: usize) -> Result<Vec
 /// The dataset shape the flags describe, without generating the data
 /// (the protocol server holds no shard; it only needs `n × d` for the
 /// normalized-communication metric and the parameter derivations).
-fn dataset_shape(args: &Args) -> Result<(usize, usize), String> {
-    let n = args.get_usize("n", 2000)?;
-    let d = args.get_usize("d", 196)?;
-    match args.get_str("dataset", "mnist-like").as_str() {
+fn dataset_shape(flags: &RunFlags) -> Result<(usize, usize), String> {
+    let (n, d) = (flags.n, flags.d);
+    match flags.dataset.as_str() {
         "mnist-like" => {
             let side = mnist_side(d);
             Ok((n, side * side))
@@ -965,13 +994,12 @@ impl<E: SourceEndpoint> SourceEndpoint for FailingEndpoint<'_, E> {
 }
 
 fn cmd_qtopt(args: &Args) -> Result<(), String> {
+    let RunFlags { k, seed, .. } = RunFlags::read(args)?;
     let data = build_dataset(args)?;
     let (n, d) = data.shape();
-    let k = args.get_usize("k", 2)?;
     let y0 = args.get_f64("y0", 2.0)?;
     let weights = vec![1.0; n];
-    let e = cost_lower_bound(&data, &weights, k, 0.1, args.get_u64("seed", 42)?)
-        .map_err(|e| e.to_string())?;
+    let e = cost_lower_bound(&data, &weights, k, 0.1, seed).map_err(|e| e.to_string())?;
     let optimizer = QtOptimizer {
         n,
         d,

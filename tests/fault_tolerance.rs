@@ -10,7 +10,7 @@ use edge_kmeans::core::CoreError;
 use edge_kmeans::data::partition::partition_uniform;
 use edge_kmeans::data::synth::GaussianMixture;
 use edge_kmeans::net::protocol::{
-    channel_pairs, Command, CommandTransport, Response, SourceEndpoint,
+    channel_pairs, Command, CommandTransport, EncodedCommand, Response, SourceEndpoint,
 };
 use edge_kmeans::net::{NetError, NetworkStats};
 use edge_kmeans::prelude::*;
@@ -95,14 +95,14 @@ impl<T: CommandTransport> CommandTransport for FaultInjector<T> {
         self.inner.sources()
     }
 
-    fn send(&mut self, source: usize, cmd: &Command) -> Result<(), NetError> {
+    fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> Result<(), NetError> {
         if self.tripped() {
             // The crashed driver reaches nobody — not even with the
             // abort broadcast `run_driver` fires on the way down.
             return Ok(());
         }
         self.sends_before_crash -= 1;
-        self.inner.send(source, cmd)
+        self.inner.send_encoded(source, enc)
     }
 
     fn recv(&mut self, source: usize) -> Result<Response, NetError> {

@@ -10,7 +10,8 @@
 
 use edge_kmeans::core::executor::SourceExecutor;
 use edge_kmeans::core::journal::{
-    read_entry, read_header, write_header, JournalEntry, JournalHeader,
+    read_entry, read_header, read_journal, write_header, JournalEntry, JournalHeader,
+    JournalingTransport,
 };
 use edge_kmeans::core::CoreError;
 use edge_kmeans::data::partition::partition_uniform;
@@ -21,10 +22,11 @@ use edge_kmeans::net::messages::Message;
 use edge_kmeans::net::protocol::{
     channel_pairs, Command, CommandTransport, DeadlinePolicy, Response, SourceEndpoint,
 };
-use edge_kmeans::net::{NetError, Payload};
+use edge_kmeans::net::{NetError, NetworkStats, Payload};
 use edge_kmeans::prelude::*;
 use proptest::prelude::*;
 use std::io::Cursor;
+use std::path::Path;
 use std::time::Duration;
 
 const FP: u64 = 0x0DD5_EED5;
@@ -138,6 +140,140 @@ fn missed_deadline_is_reissued_once_then_degraded_around() {
     let record = out.degraded.expect("the stalled source must be dropped");
     assert_eq!(record.lost_sources.len(), 1);
     assert_eq!(record.lost_sources[0].0, 1);
+}
+
+/// A source endpoint that holds its first `Up` until the driver's
+/// `Reissue` of that round has arrived: the original answer comes late,
+/// after the command deadline, and the executor then answers the reissue
+/// from its cache, a second copy of the round.
+struct LateFirstUp<E> {
+    inner: E,
+    delayed: bool,
+    reissue: Option<Command>,
+}
+
+impl<E: SourceEndpoint> SourceEndpoint for LateFirstUp<E> {
+    fn recv_command(&mut self) -> Result<Command, NetError> {
+        match self.reissue.take() {
+            Some(cmd) => Ok(cmd),
+            None => self.inner.recv_command(),
+        }
+    }
+
+    fn send_response(&mut self, resp: Response) -> Result<(), NetError> {
+        if matches!(resp, Response::Up { .. }) && !std::mem::replace(&mut self.delayed, true) {
+            let cmd = self.inner.recv_command()?;
+            if !matches!(cmd, Command::Reissue { .. }) {
+                return Err(NetError::ProtocolViolation {
+                    context: "late answer",
+                    expected: "a reissue of the held round",
+                    got: format!("{cmd:?}"),
+                });
+            }
+            self.reissue = Some(cmd);
+        }
+        self.inner.send_response(resp)
+    }
+
+    fn set_deadline(&mut self, policy: DeadlinePolicy) {
+        self.inner.set_deadline(policy);
+    }
+}
+
+/// Serves `shard` as the one source of `pipe` through a [`LateFirstUp`]
+/// endpoint.
+fn serve_late<E: SourceEndpoint>(pipe: &StagePipeline, shard: Matrix, inner: E) {
+    let mut endpoint = LateFirstUp {
+        inner,
+        delayed: false,
+        reissue: None,
+    };
+    let _ = SourceExecutor::new(pipe.stages(), pipe.params(), 0, 1, shard).serve(&mut endpoint);
+}
+
+/// Runs the driver over `net`, journaled to `journal` if given, and
+/// returns its output and the ledger the driver checked the sources'
+/// counter reports against.
+fn drive<T: CommandTransport>(
+    pipe: &StagePipeline,
+    mut net: T,
+    journal: Option<&Path>,
+) -> (RunOutput, NetworkStats) {
+    match journal {
+        Some(path) => {
+            let mut net = JournalingTransport::record(net, path, FP).unwrap();
+            let out = pipe.run_driver(&mut net).unwrap();
+            (out, net.stats().clone())
+        }
+        None => {
+            let out = pipe.run_driver(&mut net).unwrap();
+            (out, net.stats().clone())
+        }
+    }
+}
+
+/// `jl,fss` on one source whose first upload answers late, over loopback
+/// TCP or channels, un-journaled and journaled: every run completes
+/// undegraded with the undelayed twin's centers and ledger, and the
+/// journal holds one response per round.
+fn a_late_answer_is_charged_once(tcp: bool) {
+    let (n, d) = (200, 12);
+    let params = SummaryParams::practical(2, n, d)
+        .with_seed(5)
+        .with_deadline(DeadlinePolicy::uniform(Duration::from_millis(200)));
+    let pipe = StagePipeline::from_names("jl,fss", params).unwrap();
+    let data = workload(n, d, 8);
+    let (twin, twin_stats, _) = pipe.run_channel_detailed(vec![data.clone()]).unwrap();
+    let journal = std::env::temp_dir().join(format!(
+        "ekm-late-answer-{}-{tcp}.journal",
+        std::process::id()
+    ));
+    for path in [None, Some(journal.as_path())] {
+        let (out, stats) = std::thread::scope(|scope| {
+            let (pipe, shard) = (&pipe, data.clone());
+            if tcp {
+                let binding = EventServerBinding::bind("127.0.0.1:0").unwrap();
+                let addr = binding.local_addr().unwrap();
+                scope.spawn(move || {
+                    let ep = EventTcpSource::connect(addr, 0, 1, FP, Duration::from_secs(10));
+                    serve_late(pipe, shard, ep.unwrap())
+                });
+                drive(pipe, binding.accept(1, FP).unwrap(), path)
+            } else {
+                // The hub lives in this closure, so a failed run hangs
+                // up on the executor instead of leaving it waiting.
+                let (hub, mut endpoints) = channel_pairs(1);
+                let ep = endpoints.pop().unwrap();
+                scope.spawn(move || serve_late(pipe, shard, ep));
+                drive(pipe, hub, path)
+            }
+        });
+        let label = format!("tcp {tcp}, journal {}", path.is_some());
+        assert!(out.degraded.is_none(), "{label}: {:?}", out.degraded);
+        assert_eq!(out.centers.as_slice(), twin.centers.as_slice(), "{label}");
+        assert_eq!(stats, twin_stats, "{label}");
+    }
+    let (_, entries) = read_journal(&journal).unwrap();
+    let _ = std::fs::remove_file(&journal);
+    let rounds: Vec<u64> = entries
+        .iter()
+        .filter_map(|e| match e {
+            JournalEntry::Resp { bytes, .. } => Response::decode(bytes).unwrap().round(),
+            _ => None,
+        })
+        .collect();
+    let once: Vec<u64> = (1..=rounds.len() as u64).collect();
+    assert_eq!(rounds, once, "one journaled response per round");
+}
+
+#[test]
+fn a_late_answer_is_charged_once_over_channels() {
+    a_late_answer_is_charged_once(false);
+}
+
+#[test]
+fn a_late_answer_is_charged_once_over_tcp() {
+    a_late_answer_is_charged_once(true);
 }
 
 #[test]
