@@ -95,6 +95,16 @@ pub(crate) fn send_loss_reason(context: &'static str, detail: String) -> String 
     }
 }
 
+/// Whether a recovery step failed, which escalates the loss it answered;
+/// a journal failure is never a source's and ends the run instead.
+fn failed(step: std::result::Result<(), NetError>) -> Result<bool> {
+    match step {
+        Ok(()) => Ok(false),
+        Err(e @ NetError::Journal { .. }) => Err(e.into()),
+        Err(_) => Ok(true),
+    }
+}
+
 /// Per-source liveness bookkeeping layered over the raw transport — the
 /// driver's straggler-handling seam.
 ///
@@ -181,7 +191,7 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
 
     /// Sends to `i` unless it is already lost. A transport failure runs
     /// the health machine (reissue → promote → degrade); every other
-    /// error kind propagates.
+    /// error kind, a journal failure included, propagates.
     fn send(&mut self, i: usize, enc: &EncodedCommand) -> Result<()> {
         if !self.alive[i] {
             return Ok(());
@@ -195,7 +205,7 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
                 let reason = send_loss_reason(context, detail);
                 self.handle_loss(i, reason).map(|_| ())
             }
-            Err(e) => Err(CoreError::Net(e)),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -238,7 +248,7 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
                     self.health[i].on_response();
                     return Ok(Some(resp));
                 }
-                Err(e) => return Err(CoreError::Net(e)),
+                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -257,14 +267,14 @@ impl<'a, T: CommandTransport> RoundNet<'a, T> {
         loop {
             match action {
                 RecoveryAction::Reissue => {
-                    if self.reissue(i).is_ok() {
+                    if !failed(self.reissue(i))? {
                         return Ok(true);
                     }
                     // The reissue could not even be sent: escalate.
                     action = self.health[i].on_loss();
                 }
                 RecoveryAction::Promote { host } => {
-                    if self.alive[host] && self.promote(i, host).is_ok() {
+                    if self.alive[host] && !failed(self.promote(i, host))? {
                         return Ok(true);
                     }
                     action = self.health[i].on_promotion_failed();

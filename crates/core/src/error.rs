@@ -31,9 +31,12 @@ pub enum CoreError {
         /// The offending token.
         token: String,
     },
-    /// The command-round journal is unusable: corrupt records, a
-    /// configuration mismatch, or a replay that diverged from the
-    /// driver's deterministic command sequence.
+    /// The command-round journal failed, which ends the run: an
+    /// unreadable, corrupt or foreign file, a configuration mismatch, a
+    /// failed append, flush or sync, a replay that diverged from the
+    /// driver's deterministic command sequence, or live executors that
+    /// do not match the records. Failures met through the transport
+    /// arrive as [`ekm_net::NetError::Journal`] and convert to this.
     Journal {
         /// Explanation.
         reason: String,
@@ -93,7 +96,10 @@ impl From<ekm_coreset::CoresetError> for CoreError {
 
 impl From<ekm_net::NetError> for CoreError {
     fn from(e: ekm_net::NetError) -> Self {
-        CoreError::Net(e)
+        match e {
+            ekm_net::NetError::Journal { reason } => CoreError::Journal { reason },
+            e => CoreError::Net(e),
+        }
     }
 }
 

@@ -39,23 +39,6 @@ pub enum RecoveryAction {
     Degrade,
 }
 
-/// Health state of one source, as the driver sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Health {
-    /// Answering normally.
-    Healthy,
-    /// Missed one deadline; a reissue is in flight.
-    Suspect,
-    /// Dead, but `host`'s persona answers for it — the run recovers
-    /// bit-identically.
-    Absorbed {
-        /// The promoted replica holder.
-        host: usize,
-    },
-    /// Dead with no surviving replica: degraded.
-    Dead,
-}
-
 /// The per-source machine. See the module docs for the transition
 /// diagram.
 #[derive(Debug, Clone)]
@@ -76,19 +59,6 @@ impl HealthMachine {
             host: None,
             suspect: false,
             dead: false,
-        }
-    }
-
-    /// The source's current health.
-    pub fn state(&self) -> Health {
-        if self.dead {
-            Health::Dead
-        } else if let Some(host) = self.host {
-            Health::Absorbed { host }
-        } else if self.suspect {
-            Health::Suspect
-        } else {
-            Health::Healthy
         }
     }
 
@@ -149,11 +119,9 @@ mod tests {
     #[test]
     fn unreplicated_machine_reissues_once_then_degrades() {
         let mut h = HealthMachine::new(vec![]);
-        assert_eq!(h.state(), Health::Healthy);
         assert_eq!(h.on_loss(), RecoveryAction::Reissue);
-        assert_eq!(h.state(), Health::Suspect);
         assert_eq!(h.on_loss(), RecoveryAction::Degrade);
-        assert_eq!(h.state(), Health::Dead);
+        assert_eq!(h.host(), None);
         assert_eq!(h.on_loss(), RecoveryAction::Degrade);
     }
 
@@ -162,7 +130,6 @@ mod tests {
         let mut h = HealthMachine::new(vec![]);
         assert_eq!(h.on_loss(), RecoveryAction::Reissue);
         h.on_response();
-        assert_eq!(h.state(), Health::Healthy);
         assert_eq!(h.on_loss(), RecoveryAction::Reissue);
     }
 
@@ -171,14 +138,15 @@ mod tests {
         let mut h = HealthMachine::new(vec![3, 4]);
         assert_eq!(h.on_loss(), RecoveryAction::Reissue);
         assert_eq!(h.on_loss(), RecoveryAction::Promote { host: 3 });
-        assert_eq!(h.state(), Health::Absorbed { host: 3 });
+        assert_eq!(h.host(), Some(3));
         // The promoted host dies too: reissue once, then the next ring
         // entry.
         assert_eq!(h.on_loss(), RecoveryAction::Reissue);
         assert_eq!(h.on_loss(), RecoveryAction::Promote { host: 4 });
         assert_eq!(h.on_loss(), RecoveryAction::Reissue);
         assert_eq!(h.on_loss(), RecoveryAction::Degrade);
-        assert_eq!(h.state(), Health::Dead);
+        assert_eq!(h.host(), None);
+        assert_eq!(h.on_loss(), RecoveryAction::Degrade);
     }
 
     #[test]
@@ -189,6 +157,7 @@ mod tests {
         assert_eq!(h.on_promotion_failed(), RecoveryAction::Promote { host: 2 });
         assert_eq!(h.on_promotion_failed(), RecoveryAction::Promote { host: 3 });
         assert_eq!(h.on_promotion_failed(), RecoveryAction::Degrade);
-        assert_eq!(h.state(), Health::Dead);
+        assert_eq!(h.host(), None);
+        assert_eq!(h.on_loss(), RecoveryAction::Degrade);
     }
 }

@@ -16,6 +16,13 @@
 //!
 //! Control-plane commands (`Abort`, `Deadline`, `Resume`, `Reissue`)
 //! are never journaled: they shape recovery, not the computation.
+//!
+//! The journal's own failures (a failed append, flush or sync, a corrupt
+//! record, a replay that diverges from the records, executors that do
+//! not match them) are [`NetError::Journal`], which the driver never
+//! takes for a source's loss: they end the run. A source lost while
+//! reconciling is left to the driver, which meets the loss on its next
+//! send or receive there and escalates it as it does a live one.
 
 use crate::driver::{replay_rounds, send_loss_reason, REPLAYED_LOSS};
 use crate::executor::state_fingerprint;
@@ -25,7 +32,7 @@ use ekm_net::protocol::{
     charge_command, charge_response, Command, CommandTransport, DeadlinePolicy, EncodedCommand,
     Response,
 };
-use ekm_net::{NetError, NetworkStats};
+use ekm_net::{NetError, NetworkStats, Result as NetResult};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -111,10 +118,10 @@ fn journal_io(reason: String) -> CoreError {
     CoreError::Journal { reason }
 }
 
-/// A transport-level journal failure: surfaced through the
-/// [`CommandTransport`] methods, which speak [`NetError`].
-fn jerr(context: &'static str, detail: String) -> NetError {
-    NetError::Transport { context, detail }
+/// A journal failure surfaced through the [`CommandTransport`] methods,
+/// which speak [`NetError`].
+fn jerr(reason: String) -> NetError {
+    NetError::Journal { reason }
 }
 
 /// The reason a [`JournalEntry::Lost`] records for a failed send or
@@ -132,7 +139,7 @@ impl JournalEntry {
     /// # Errors
     ///
     /// I/O failures, as [`NetError::Transport`].
-    pub fn write_to<W: Write>(&self, w: &mut W) -> std::result::Result<(), NetError> {
+    pub fn write_to<W: Write>(&self, w: &mut W) -> NetResult<()> {
         let (kind, payload) = match self {
             JournalEntry::Cmd { source, bytes } => (JOURNAL_CMD, prefixed(*source, bytes)),
             JournalEntry::Resp { source, bytes } => (JOURNAL_RESP, prefixed(*source, bytes)),
@@ -153,6 +160,30 @@ impl JournalEntry {
         };
         let bits = payload.len() * 8;
         write_frame(w, kind, &payload, bits)
+    }
+
+    /// Names the record for an error message by its kind, its source,
+    /// the name of the frame it holds and its length, instead of printing
+    /// its bytes.
+    fn describe(&self) -> String {
+        let (kind, source, name, len) = match self {
+            JournalEntry::Cmd { source, bytes } => (
+                "command",
+                source,
+                Command::decode(bytes).map(|c| c.name()),
+                bytes.len(),
+            ),
+            JournalEntry::Resp { source, bytes } => (
+                "response",
+                source,
+                Response::decode(bytes).map(|r| r.name()),
+                bytes.len(),
+            ),
+            JournalEntry::Lost { source, reason, .. } => ("loss", source, Ok("lost"), reason.len()),
+            JournalEntry::Promoted { origin, .. } => ("promotion", origin, Ok("promoted"), 4),
+        };
+        let name = name.unwrap_or("undecodable");
+        format!("a {kind} record of source {source} ({name}, {len} bytes)")
     }
 }
 
@@ -216,10 +247,7 @@ fn parse_entry(kind: u8, payload: &[u8]) -> Result<JournalEntry> {
 /// # Errors
 ///
 /// I/O failures, as [`NetError::Transport`].
-pub fn write_header<W: Write>(
-    w: &mut W,
-    header: &JournalHeader,
-) -> std::result::Result<(), NetError> {
+pub fn write_header<W: Write>(w: &mut W, header: &JournalHeader) -> NetResult<()> {
     let mut p = Vec::with_capacity(18);
     p.extend_from_slice(&MAGIC.to_be_bytes());
     p.extend_from_slice(&VERSION.to_be_bytes());
@@ -484,14 +512,23 @@ pub struct JournalingTransport<T: CommandTransport> {
     hook: Option<Box<dyn FnMut(u64) + Send>>,
 }
 
-fn decode_command(bytes: &[u8]) -> std::result::Result<Command, NetError> {
-    Command::decode(bytes)
-        .map_err(|e| jerr("journal replay", format!("corrupt command record: {e}")))
+fn decode_command(bytes: &[u8]) -> NetResult<Command> {
+    Command::decode(bytes).map_err(|e| jerr(format!("corrupt command record: {e}")))
 }
 
-fn decode_response(bytes: &[u8]) -> std::result::Result<Response, NetError> {
-    Response::decode(bytes)
-        .map_err(|e| jerr("journal replay", format!("corrupt response record: {e}")))
+fn decode_response(bytes: &[u8]) -> NetResult<Response> {
+    Response::decode(bytes).map_err(|e| jerr(format!("corrupt response record: {e}")))
+}
+
+/// Passes a loss met while reconciling to the driver: whether `step`
+/// failed on a lost source, which reconciliation then leaves alone. Any
+/// other failure ends the run.
+fn lost(step: NetResult<()>) -> NetResult<bool> {
+    match step {
+        Ok(()) => Ok(false),
+        Err(NetError::Transport { .. }) => Ok(true),
+        Err(e) => Err(e),
+    }
 }
 
 impl<T: CommandTransport> JournalingTransport<T> {
@@ -504,23 +541,15 @@ impl<T: CommandTransport> JournalingTransport<T> {
     pub fn record(inner: T, path: &Path, fingerprint: u64) -> Result<Self> {
         let file = File::create(path)
             .map_err(|e| journal_io(format!("cannot create journal {}: {e}", path.display())))?;
-        let mut writer = BufWriter::new(file);
-        write_header(
-            &mut writer,
-            &JournalHeader {
-                sources: inner.sources() as u32,
-                fingerprint,
-            },
-        )
-        .map_err(|e| journal_io(format!("cannot write journal header: {e}")))?;
-        writer
-            .flush()
-            .map_err(|e| journal_io(format!("cannot flush journal header: {e}")))?;
-        writer
-            .get_ref()
-            .sync_data()
-            .map_err(|e| journal_io(format!("cannot sync journal header: {e}")))?;
-        Ok(Self::build(inner, writer, Vec::new(), Mode::Record))
+        let header = JournalHeader {
+            sources: inner.sources() as u32,
+            fingerprint,
+        };
+        let mut journal = Self::build(inner, BufWriter::new(file), Vec::new(), Mode::Record);
+        write_header(&mut journal.writer, &header)
+            .map_err(|e| journal_io(format!("cannot write journal header: {e}")))?;
+        journal.sync()?;
+        Ok(journal)
     }
 
     /// Opens an existing journal for deterministic resumption. The file
@@ -598,29 +627,40 @@ impl<T: CommandTransport> JournalingTransport<T> {
         self.inner
     }
 
-    fn append(&mut self, e: &JournalEntry) -> std::result::Result<(), NetError> {
+    fn append(&mut self, e: &JournalEntry) -> NetResult<()> {
         e.write_to(&mut self.writer)
-            .map_err(|err| jerr("journal append", err.to_string()))?;
-        self.writer
-            .flush()
-            .map_err(|err| jerr("journal append", err.to_string()))?;
-        // Durability, not just visibility: a record the write-ahead
-        // discipline relies on must survive a power loss, so every
-        // record boundary is synced. A crash mid-append leaves at most
-        // one torn tail record, truncated away on resume.
-        self.writer
-            .get_ref()
-            .sync_data()
-            .map_err(|err| jerr("journal sync", err.to_string()))
+            .map_err(|err| jerr(format!("cannot append a record: {err}")))?;
+        self.sync()
+    }
+
+    /// Flushes and syncs what was written. Durability, not just
+    /// visibility: a record the write-ahead discipline relies on must
+    /// survive a power loss, so every record boundary is synced. A crash
+    /// mid-append leaves at most one torn tail record, truncated away on
+    /// resume.
+    fn sync(&mut self) -> NetResult<()> {
+        (self.writer.flush())
+            .and_then(|()| self.writer.get_ref().sync_data())
+            .map_err(|err| jerr(format!("cannot flush and sync a record: {err}")))
+    }
+
+    /// Charges `resp` from source `i` and journals it if it is its
+    /// round's first answer; returns whether it was.
+    fn journal_response(&mut self, i: usize, resp: &Response) -> NetResult<bool> {
+        let first = charge_response(&mut self.stats, i, resp)?;
+        if first {
+            self.append(&JournalEntry::Resp {
+                source: i as u32,
+                bytes: resp.encode(),
+            })?;
+            self.scan.resps[i] += 1;
+        }
+        Ok(first)
     }
 
     /// Journals a round command write-ahead (its shared encoding's
     /// bytes), charges it, and sends the same frame on.
-    fn record_send(
-        &mut self,
-        source: usize,
-        enc: &EncodedCommand,
-    ) -> std::result::Result<(), NetError> {
+    fn record_send(&mut self, source: usize, enc: &EncodedCommand) -> NetResult<()> {
         let cmd = enc.command();
         if cmd.is_round() {
             self.append(&JournalEntry::Cmd {
@@ -648,7 +688,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
         Ok(())
     }
 
-    fn record_recv(&mut self, source: usize) -> std::result::Result<Response, NetError> {
+    fn record_recv(&mut self, source: usize) -> NetResult<Response> {
         let resp = self.inner.recv(source)?;
         match &resp {
             Response::SourceLost { reason } => {
@@ -671,41 +711,17 @@ impl<T: CommandTransport> JournalingTransport<T> {
             // driver, and journaling it would desync the counts on a
             // later resume.
             other => {
-                if charge_response(&mut self.stats, source, other)? {
-                    self.append(&JournalEntry::Resp {
-                        source: source as u32,
-                        bytes: other.encode(),
-                    })?;
-                }
+                self.journal_response(source, other)?;
             }
         }
         Ok(resp)
     }
 
-    /// Consumes a journaled send-side loss of `source` at the cursor, if
-    /// that is the next record: a journaled send failure replays as a
-    /// failure the driver records under the live run's reason.
-    fn replay_send_loss(&mut self, source: usize) -> std::result::Result<(), NetError> {
-        match self.records.get(self.cursor) {
-            Some(JournalEntry::Lost {
-                source: s,
-                via_send: true,
-                reason,
-            }) if *s as usize == source => {
-                self.cursor += 1;
-                Err(jerr(REPLAYED_LOSS, reason.clone()))
-            }
-            _ => Ok(()),
-        }
-    }
-
     /// Verifies a round command against the journal, by its encoded
-    /// bytes, instead of sending it.
-    fn replay_send(
-        &mut self,
-        source: usize,
-        enc: &EncodedCommand,
-    ) -> std::result::Result<(), NetError> {
+    /// bytes, instead of sending it. A journaled send-side loss of
+    /// `source` right after it replays as a failure the driver records
+    /// under the live run's reason.
+    fn replay_send(&mut self, source: usize, enc: &EncodedCommand) -> NetResult<()> {
         let Some(record) = self.records.get(self.cursor) else {
             self.reconcile()?;
             return self.record_send(source, enc);
@@ -720,21 +736,32 @@ impl<T: CommandTransport> JournalingTransport<T> {
                     charge_command(&mut self.stats, source, cmd)?;
                 }
                 other => {
-                    return Err(jerr(
-                        "journal replay",
-                        format!(
-                            "driver sent {} to source {source} but the journal holds {other:?} \
-                             — the run diverged from its journal",
-                            cmd.name()
-                        ),
-                    ))
+                    return Err(jerr(format!(
+                        "driver sent {} to source {source} but the journal holds {} — the run \
+                         diverged from its journal",
+                        cmd.name(),
+                        other.describe()
+                    )))
                 }
             }
         }
-        self.replay_send_loss(source)
+        match self.records.get(self.cursor) {
+            Some(JournalEntry::Lost {
+                source: s,
+                via_send: true,
+                reason,
+            }) if *s as usize == source => {
+                self.cursor += 1;
+                Err(NetError::Transport {
+                    context: REPLAYED_LOSS,
+                    detail: reason.clone(),
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
-    fn replay_recv(&mut self, source: usize) -> std::result::Result<Response, NetError> {
+    fn replay_recv(&mut self, source: usize) -> NetResult<Response> {
         while let Some(record) = self.records.get(self.cursor) {
             match record {
                 JournalEntry::Resp { source: s, bytes } => {
@@ -763,13 +790,11 @@ impl<T: CommandTransport> JournalingTransport<T> {
                     });
                 }
                 other => {
-                    return Err(jerr(
-                        "journal replay",
-                        format!(
-                            "driver expects a response from source {source} but the journal \
-                             holds {other:?} — the run diverged from its journal"
-                        ),
-                    ))
+                    return Err(jerr(format!(
+                        "driver expects a response from source {source} but the journal holds \
+                         {} — the run diverged from its journal",
+                        other.describe()
+                    )))
                 }
             }
         }
@@ -785,7 +810,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
     /// after the promotion record, so a replay fails the same way (a
     /// host lost while the driver rebuilds the persona journals its own
     /// loss there, through this transport's `send_encoded` or `recv`).
-    fn record_promote(&mut self, origin: usize, host: usize) -> std::result::Result<(), NetError> {
+    fn record_promote(&mut self, origin: usize, host: usize) -> NetResult<()> {
         self.append(&JournalEntry::Promoted {
             origin: origin as u32,
             host: host as u32,
@@ -803,11 +828,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
 
     /// Mirrors the Promote/Promoted exchange, which the routing layer
     /// consumes below this transport, in this transport's own ledger.
-    fn charge_promotion(
-        &mut self,
-        origin: usize,
-        host: usize,
-    ) -> std::result::Result<(), NetError> {
+    fn charge_promotion(&mut self, origin: usize, host: usize) -> NetResult<()> {
         let origin = origin as u64;
         charge_command(&mut self.stats, host, &Command::Promote { origin })?;
         charge_response(
@@ -825,7 +846,7 @@ impl<T: CommandTransport> JournalingTransport<T> {
     /// the same escalation path; the host's own answers journaled
     /// inside the attempt are charged there and buffered for the host's
     /// next receive, where the live driver parked them.
-    fn replay_promote(&mut self, origin: usize, host: usize) -> std::result::Result<(), NetError> {
+    fn replay_promote(&mut self, origin: usize, host: usize) -> NetResult<()> {
         let Some(record) = self.records.get(self.cursor) else {
             self.reconcile()?;
             return self.record_promote(origin, host);
@@ -834,13 +855,11 @@ impl<T: CommandTransport> JournalingTransport<T> {
             JournalEntry::Promoted { origin: o, host: h }
                 if *o as usize == origin && *h as usize == host => {}
             other => {
-                return Err(jerr(
-                    "journal replay",
-                    format!(
-                        "driver promoted source {origin} onto {host} but the journal holds \
-                         {other:?} — the run diverged from its journal"
-                    ),
-                ))
+                return Err(jerr(format!(
+                    "driver promoted source {origin} onto {host} but the journal holds {} — the \
+                     run diverged from its journal",
+                    other.describe()
+                )))
             }
         }
         let Some(end) = failed_promotion(&self.records, self.cursor) else {
@@ -856,7 +875,10 @@ impl<T: CommandTransport> JournalingTransport<T> {
         }
         self.cursor = end + 1;
         match &self.records[end] {
-            JournalEntry::Lost { reason, .. } => Err(jerr(REPLAYED_LOSS, reason.clone())),
+            JournalEntry::Lost { reason, .. } => Err(NetError::Transport {
+                context: REPLAYED_LOSS,
+                detail: reason.clone(),
+            }),
             _ => unreachable!("failed_promotion ends at the host's loss"),
         }
     }
@@ -875,51 +897,40 @@ impl<T: CommandTransport> JournalingTransport<T> {
     /// reconciles through its host's connection: each is promoted onto
     /// its last host again and rebuilt by [`replay_rounds`] over this
     /// transport in record mode, as a live promotion rebuilds one.
-    ///
-    /// Each executor kept its round counter and response cache across
-    /// the driver crash. `Resume { round: r }` (with `r` = responses we
-    /// hold from it) makes it report its own round and a fingerprint of
-    /// its state. Three cases per source:
-    ///
-    /// 1. No pending command: the fingerprint must match our replayed
-    ///    ledger — bit-identical recovery, nothing recomputed.
-    /// 2. Pending command, executor already ran it: its response was in
-    ///    flight when the driver died. Over channels it is still queued
-    ///    and drained here; over TCP a `Reissue` makes the executor
-    ///    resend its cached response. Either way the response is
-    ///    journaled, charged, and buffered for the driver's next recv.
-    /// 3. Pending command the executor never received (the driver died
-    ///    between append and send): `Reissue` executes it fresh.
-    ///
     /// Commands are re-sent from the records, released at the end.
-    fn reconcile(&mut self) -> std::result::Result<(), NetError> {
+    ///
+    /// A source lost on the way (a failed send or a `SourceLost`, during
+    /// a rebuild too) is left alone; the driver meets the loss on its
+    /// next send or receive there and escalates it like a live one.
+    fn reconcile(&mut self) -> NetResult<()> {
         self.mode = Mode::Record;
         let m = self.inner.sources();
         for origin in 0..m {
             let Some(host) = self.scan.hosts[origin].filter(|_| !self.scan.dead[origin]) else {
                 continue;
             };
-            self.inner.promote(origin, host)?;
             let mut answered = self
                 .journaled_commands(origin)
                 .map(decode_command)
-                .collect::<std::result::Result<Vec<_>, _>>()?;
+                .collect::<NetResult<Vec<_>>>()?;
             let inflight = (self.scan.cmds[origin] > self.scan.resps[origin])
                 .then(|| answered.pop())
                 .flatten();
             // The host's own answers are parked behind those replay
             // already buffered, and stay there if the rebuild fails.
             let mut parked = std::mem::replace(&mut self.buffered, vec![VecDeque::new(); m]);
-            let rebuilt = replay_rounds(
-                self,
-                origin,
-                host,
-                &answered,
-                inflight.as_ref(),
-                &mut parked,
-            );
+            let rebuilt = self.inner.promote(origin, host).and_then(|()| {
+                replay_rounds(
+                    self,
+                    origin,
+                    host,
+                    &answered,
+                    inflight.as_ref(),
+                    &mut parked,
+                )
+            });
             self.buffered = parked;
-            rebuilt?;
+            self.scan.dead[origin] = lost(rebuilt)?;
         }
         for i in 0..m {
             if !self.scan.dead[i] {
@@ -930,117 +941,81 @@ impl<T: CommandTransport> JournalingTransport<T> {
         Ok(())
     }
 
-    fn reconcile_source(&mut self, i: usize) -> std::result::Result<(), NetError> {
-        self.inner.send(
-            i,
-            &Command::Resume {
-                round: self.scan.resps[i],
-            },
-        )?;
-        let mut awaiting_resumed = true;
-        let mut reissued = false;
-        loop {
-            match self.inner.recv(i)? {
-                Response::Resumed { round, fingerprint } => {
-                    awaiting_resumed = false;
-                    let pending = self.scan.cmds[i] > self.scan.resps[i];
-                    if pending {
-                        if round != self.scan.cmds[i] && round != self.scan.resps[i] {
-                            return Err(jerr(
-                                "journal replay",
-                                format!(
-                                    "source {i} resumed at round {round}, journal expects \
-                                     {} or {}",
-                                    self.scan.resps[i], self.scan.cmds[i]
-                                ),
-                            ));
-                        }
-                        if reissued {
-                            return Err(jerr(
-                                "journal replay",
-                                format!("reissue did not resolve source {i}'s pending round"),
-                            ));
-                        }
-                        let bytes = self.journaled_commands(i).next_back();
-                        let cmd = decode_command(bytes.expect("pending implies a command"))?;
-                        self.inner.send(
-                            i,
-                            &Command::Reissue {
-                                round: self.scan.cmds[i],
-                                cmd: Box::new(cmd),
-                            },
-                        )?;
-                        reissued = true;
-                    } else {
-                        if round != self.scan.resps[i] {
-                            return Err(jerr(
-                                "journal replay",
-                                format!(
-                                    "source {i} resumed at round {round}, journal holds {}",
-                                    self.scan.resps[i]
-                                ),
-                            ));
-                        }
-                        let want = state_fingerprint(
-                            round,
-                            self.stats.uplink_bits(i),
-                            self.stats.downlink_bits(i),
-                        );
-                        if fingerprint != want {
-                            return Err(jerr(
-                                "journal replay",
-                                format!(
-                                    "source {i} state fingerprint {fingerprint:#x} does not \
-                                     match the replayed ledger {want:#x}"
-                                ),
-                            ));
-                        }
-                        return Ok(());
-                    }
-                }
-                Response::SourceLost { reason } => {
-                    return Err(jerr(
-                        "journal replay",
-                        format!("source {i} unreachable during resume: {reason}"),
-                    ))
-                }
-                resp => match resp.round() {
-                    Some(r) if self.scan.cmds[i] > self.scan.resps[i] && r == self.scan.cmds[i] => {
-                        // The pre-crash (or reissued) answer to the
-                        // pending round: journal it, charge it now, and
-                        // buffer it for the driver.
-                        self.append(&JournalEntry::Resp {
-                            source: i as u32,
-                            bytes: resp.encode(),
-                        })?;
-                        charge_response(&mut self.stats, i, &resp)?;
-                        self.scan.resps[i] += 1;
-                        self.buffered[i].push_back(resp);
-                        if !awaiting_resumed {
-                            // The reissue consumed the first Resumed;
-                            // ask again so the fingerprint still gets
-                            // verified.
-                            self.inner.send(
-                                i,
-                                &Command::Resume {
-                                    round: self.scan.resps[i],
-                                },
-                            )?;
-                            awaiting_resumed = true;
-                        }
-                    }
-                    Some(r) if r <= self.scan.resps[i] => {
-                        // A duplicate of an already-journaled response.
-                    }
-                    _ => {
-                        return Err(jerr(
-                            "journal replay",
-                            format!("unexpected {} from source {i} during resume", resp.name()),
-                        ))
-                    }
-                },
+    /// Brings source `i` to the journal's boundary in at most two
+    /// exchanges. The executor kept its round counter and response cache
+    /// across the driver crash. A pending round is reissued: the executor
+    /// answers from its cache, or runs the command if it never arrived.
+    /// Then one `Resume` checks the executor's round and the fingerprint
+    /// of its ledger against the replayed one. A source whose last round
+    /// is `Finish` is done once that round is answered: it (or its host's
+    /// persona) is gone, and the driver's finish round checks its
+    /// counters.
+    fn reconcile_source(&mut self, i: usize) -> NetResult<()> {
+        let round = self.scan.cmds[i];
+        let last = self.journaled_commands(i).next_back();
+        let last = last.map(decode_command).transpose()?;
+        if round > self.scan.resps[i] {
+            let cmd = Box::new(last.clone().expect("a pending round has a command"));
+            match self.exchange(i, Command::Reissue { round, cmd })? {
+                None => return Ok(()),
+                Some(resp) if resp.round() == Some(round) => {}
+                Some(other) => return Err(mismatch(i, &other)),
             }
         }
+        if matches!(last, Some(Command::Finish { .. })) {
+            return Ok(());
+        }
+        match self.exchange(i, Command::Resume { round })? {
+            None => Ok(()),
+            Some(Response::Resumed {
+                round: r,
+                fingerprint,
+            }) => {
+                let (up, down) = (self.stats.uplink_bits(i), self.stats.downlink_bits(i));
+                let want = state_fingerprint(round, up, down);
+                if (r, fingerprint) == (round, want) {
+                    return Ok(());
+                }
+                Err(jerr(format!(
+                    "source {i} resumed at round {r} with state fingerprint {fingerprint:#x}; \
+                     the journal holds round {round}, fingerprint {want:#x}"
+                )))
+            }
+            Some(other) => Err(mismatch(i, &other)),
+        }
+    }
+
+    /// Sends `cmd` to reconciling source `i` and takes its first answer
+    /// that is not a later copy of a journaled round. A round's first
+    /// answer is journaled, charged and buffered for the driver on the
+    /// way. `None` when the source is lost.
+    fn exchange(&mut self, i: usize, cmd: Command) -> NetResult<Option<Response>> {
+        if lost(self.inner.send(i, &cmd))? {
+            return Ok(None);
+        }
+        loop {
+            match self.inner.recv(i)? {
+                Response::SourceLost { .. } => return Ok(None),
+                resp if resp.round().is_none() => return Ok(Some(resp)),
+                resp => {
+                    if self.journal_response(i, &resp)? {
+                        self.buffered[i].push_back(resp.clone());
+                        return Ok(Some(resp));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A reconciling source's answer that the journal cannot account for.
+fn mismatch(i: usize, resp: &Response) -> NetError {
+    match resp {
+        Response::Err { reason } => jerr(format!("source {i} failed during resume: {reason}")),
+        other => jerr(format!(
+            "unexpected {} from source {i} during resume",
+            other.name()
+        )),
     }
 }
 
@@ -1049,18 +1024,14 @@ impl<T: CommandTransport> CommandTransport for JournalingTransport<T> {
         self.inner.sources()
     }
 
-    fn send_encoded(
-        &mut self,
-        source: usize,
-        enc: &EncodedCommand,
-    ) -> std::result::Result<(), NetError> {
+    fn send_encoded(&mut self, source: usize, enc: &EncodedCommand) -> NetResult<()> {
         match self.mode {
             Mode::Record => self.record_send(source, enc),
             Mode::Replay => self.replay_send(source, enc),
         }
     }
 
-    fn recv(&mut self, source: usize) -> std::result::Result<Response, NetError> {
+    fn recv(&mut self, source: usize) -> NetResult<Response> {
         if let Some(resp) = self.buffered[source].pop_front() {
             return Ok(resp);
         }
@@ -1078,7 +1049,7 @@ impl<T: CommandTransport> CommandTransport for JournalingTransport<T> {
         self.inner.set_deadline(policy);
     }
 
-    fn promote(&mut self, origin: usize, host: usize) -> std::result::Result<(), NetError> {
+    fn promote(&mut self, origin: usize, host: usize) -> NetResult<()> {
         match self.mode {
             Mode::Record => self.record_promote(origin, host),
             Mode::Replay => self.replay_promote(origin, host),
@@ -1249,6 +1220,29 @@ mod tests {
                 }
             }
             std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_failed_append_ends_the_run_as_a_journal_failure() {
+        let path =
+            std::env::temp_dir().join(format!("ekm-read-only-{}.journal", std::process::id()));
+        std::fs::write(&path, b"").unwrap();
+        let read_only = BufWriter::new(File::open(&path).unwrap());
+        // The executors never run: the first append fails before any
+        // round reaches them.
+        let (hub, _endpoints) = ekm_net::protocol::channel_pairs(2);
+        let mut net = JournalingTransport::build(hub, read_only, Vec::new(), Mode::Record);
+        let pipe =
+            crate::StagePipeline::from_names("jl", crate::SummaryParams::practical(2, 40, 4))
+                .unwrap();
+        let err = pipe.run_driver(&mut net).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        match err {
+            CoreError::Journal { reason } => {
+                assert!(reason.starts_with("cannot append a record"), "{reason}")
+            }
+            other => panic!("expected a journal failure, got {other:?}"),
         }
     }
 

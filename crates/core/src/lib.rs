@@ -96,7 +96,7 @@ pub use driver::run_driver;
 pub use engine::StagePipeline;
 pub use error::CoreError;
 pub use executor::{SourceExecutor, SourceRunReport};
-pub use health::{Health, HealthMachine, RecoveryAction};
+pub use health::{HealthMachine, RecoveryAction};
 pub use journal::JournalingTransport;
 pub use output::{Degradation, Recovery, RunOutput};
 pub use params::SummaryParams;

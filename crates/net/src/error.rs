@@ -70,6 +70,13 @@ pub enum NetError {
         /// The failure as reported by (or sent to) the peer.
         reason: String,
     },
+    /// A transport layer's write-ahead journal failed: an append, flush
+    /// or sync, a corrupt record, or a replay that diverged from the
+    /// records. Never a source's loss: the run ends.
+    Journal {
+        /// Explanation.
+        reason: String,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -110,6 +117,7 @@ impl fmt::Display for NetError {
             NetError::RemoteAbort { reason } => {
                 write!(f, "remote end aborted the run: {reason}")
             }
+            NetError::Journal { reason } => write!(f, "journal failure: {reason}"),
         }
     }
 }
