@@ -3,14 +3,16 @@
 //!
 //! * disPCA (`dispca` stage) — distributed PCA \[11\]/\[35\]: each
 //!   source sends its top-`t1` local SVD summary `(Σ_i^{(t1)},
-//!   V_i^{(t1)})`; the server stacks `Y = [Σ_1V_1ᵀ; …; Σ_mV_mᵀ]`,
-//!   computes a global SVD, and broadcasts the top-`t2` right singular
-//!   vectors back.
+//!   V_i^{(t1)})`; the server folds the summaries pairwise (stack
+//!   `[Σ_aV_aᵀ; Σ_bV_bᵀ]`, keep the top-`t` SVD) to one, takes its
+//!   top-`t2` right singular vectors, and broadcasts them back.
 //! * disSS (`disss` stage) — distributed sensitivity sampling \[4\]:
 //!   sources report local bicriteria costs, the server allocates the
 //!   global sample budget proportionally, sources reply with D²-sampled
-//!   points plus their bicriteria centers, weighted to match
-//!   per-cluster counts.
+//!   points plus their bicriteria centers, weighted by the \[4\]
+//!   deterministic-total rule of
+//!   [`ekm_coreset::sensitivity::deterministic_total`] (the FSS
+//!   sampler's own), so every cluster carries exactly its point count.
 //! * [`Bklw`] — the state-of-the-art baseline \[27\]: disPCA + disSS.
 //! * [`JlBklw`] — **Algorithm 4**: every source applies the shared-seed JL
 //!   projection first, shrinking the disPCA summaries from `O(kd/ε²)` to
@@ -28,6 +30,7 @@ use crate::pipelines::quantize_for_wire;
 use crate::{CoreError, Result};
 use ekm_clustering::bicriteria::{bicriteria, BicriteriaConfig};
 use ekm_clustering::cost::assign_engine;
+use ekm_coreset::sensitivity::deterministic_total;
 use ekm_linalg::distance::DistanceEngine;
 use ekm_linalg::random::{derive_seed, rng_from_seed, sample_weighted_indices};
 use ekm_linalg::{svd, Matrix};
@@ -45,30 +48,6 @@ pub(crate) fn local_svd_summary(data: &Matrix, t: usize) -> Result<(Vec<f64>, Ma
     let max_rank = data.rows().min(data.cols());
     let t = t.min(max_rank);
     Ok(svd::top_right_singular(data, t)?)
-}
-
-/// The canonical `next_2_power` pairwise merge schedule over `m` leaves:
-/// level `ℓ` merges position `i + 2^ℓ` into position `i` for every `i`
-/// that is a multiple of `2^(ℓ+1)`, giving `ceil(log2 m)` levels with the
-/// root at position 0. The disPCA fold ([`dispca_global_basis`]) merges
-/// along it, and the golden fixtures' hashes pin that order: folding the
-/// same summaries in any other shape moves the global basis.
-pub(crate) fn merge_schedule(m: usize) -> Vec<Vec<(usize, usize)>> {
-    let mut levels = Vec::new();
-    let mut stride = 1;
-    while stride < m {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < m {
-            if i + stride < m {
-                pairs.push((i, i + stride));
-            }
-            i += 2 * stride;
-        }
-        levels.push(pairs);
-        stride *= 2;
-    }
-    levels
 }
 
 /// `Σ Vᵀ` of one summary — the (rank × d) block disPCA stacks.
@@ -126,36 +105,34 @@ pub(crate) fn dispca_merge_pair(
     wire_roundtrip_summary(sv, v, precision)
 }
 
-/// Folds the summaries along [`merge_schedule`] down to a single summary.
+/// Folds the summaries to one: the leading ones, as many as the
+/// largest power of two below their count, fold on their own, the rest
+/// likewise, and the two results merge. The golden fixtures' hashes pin
+/// this tree: folding the same summaries in any other shape moves the
+/// global basis.
 pub(crate) fn dispca_fold(
     summaries: &[(Vec<f64>, Matrix)],
     t: usize,
     precision: Precision,
 ) -> Result<(Vec<f64>, Matrix)> {
-    let mut slots: Vec<Option<(Vec<f64>, Matrix)>> = summaries.iter().cloned().map(Some).collect();
-    for level in merge_schedule(slots.len()) {
-        for (i, j) in level {
-            let (a, b) = (slots[i].take(), slots[j].take());
-            if let (Some(a), Some(b)) = (a, b) {
-                slots[i] = Some(dispca_merge_pair(&a, &b, t, precision)?);
-            }
+    match summaries {
+        [] => Err(CoreError::Protocol {
+            reason: "disPCA fold of zero summaries",
+        }),
+        [one] => Ok(one.clone()),
+        _ => {
+            let (head, tail) = summaries.split_at(summaries.len().next_power_of_two() / 2);
+            let head = dispca_fold(head, t, precision)?;
+            dispca_merge_pair(&head, &dispca_fold(tail, t, precision)?, t, precision)
         }
     }
-    slots
-        .into_iter()
-        .next()
-        .flatten()
-        .ok_or(CoreError::Protocol {
-            reason: "disPCA fold of zero summaries",
-        })
 }
 
-/// disPCA step 2, the server-side fold: pairwise-merges the summaries
-/// along the canonical [`merge_schedule`], then finalizes the single
-/// folded summary — stack `ΣVᵀ` and take the global top-`t` right
-/// singular vectors. The paper's disPCA stacks every summary for one
-/// SVD instead; this fold's pairwise shape is kept because the golden
-/// hashes pin it.
+/// disPCA step 2, the server-side fold: folds the summaries to one
+/// ([`dispca_fold`]), then finalizes it — stack `ΣVᵀ` and take the
+/// global top-`t` right singular vectors. The paper's disPCA stacks
+/// every summary for one SVD instead; this fold's pairwise shape is
+/// kept because the golden hashes pin it.
 pub(crate) fn dispca_global_basis(
     summaries: &[(Vec<f64>, Matrix)],
     t: usize,
@@ -206,9 +183,10 @@ pub(crate) fn disss_allocations(costs: &[f64], sample_size: usize) -> Vec<usize>
 
 /// disSS step 3, the source-local sample construction for source `i`:
 /// D²-samples `s_i` points against the bicriteria solution, weights them
-/// (with the overshoot-safe per-cluster scheme), appends the bicriteria
-/// centers, and builds the (possibly quantized) coreset message exactly
-/// as it goes on the wire.
+/// by the \[4\] deterministic-total rule over the clusters of the
+/// assignment they were drawn from, appends the bicriteria centers, and
+/// builds the (possibly quantized) coreset message exactly as it goes on
+/// the wire.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn disss_local_sample(
     shard: &Matrix,
@@ -221,53 +199,20 @@ pub(crate) fn disss_local_sample(
     compute: Compute,
 ) -> Result<Message> {
     let a = assign_engine(&DistanceEngine::new(shard, compute), &bic.centers)?;
-    let n_clusters = bic.centers.rows();
-    let cluster_sizes: Vec<f64> = {
-        let sizes = a.cluster_sizes(n_clusters);
-        sizes.iter().map(|&s| s as f64).collect()
-    };
+    let sizes = a.cluster_weights(bic.centers.rows(), &vec![1.0; shard.rows()]);
 
     // D² sampling ∝ cost({p}, X_i); weight cost_i/(s_i·q(p)) =
     // (cost_total/s)·1/cost(p) by proportional allocation.
-    let (mut points, mut weights) = if s_i > 0 && bic.cost > 0.0 {
+    let drawn = if s_i > 0 && bic.cost > 0.0 {
         let mut rng = rng_from_seed(derive_seed(seed, 200 + i as u64));
-        let drawn = sample_weighted_indices(&mut rng, &a.distances_sq, s_i);
-        let pts = shard.select_rows(&drawn);
-        let w: Vec<f64> = drawn
-            .iter()
-            .map(|&p| bic.cost / (s_i as f64 * a.distances_sq[p]))
-            .collect();
-        (pts, w)
+        sample_weighted_indices(&mut rng, &a.distances_sq, s_i)
     } else {
-        (Matrix::zeros(0, shard.cols()), Vec::new())
+        Vec::new()
     };
-
-    // Bicriteria centers weighted to match per-cluster point counts
-    // (with the same overshoot-safe scheme as the [4] sampler).
-    let mut absorbed = vec![0.0f64; n_clusters];
-    let labels_of_drawn: Vec<usize> = (0..points.rows())
-        .map(|r| {
-            // The sample's cluster is its nearest bicriteria center.
-            ekm_clustering::cost::nearest_center(points.row(r), &bic.centers).0
-        })
+    let weights = (drawn.iter())
+        .map(|&p| bic.cost / (s_i as f64 * a.distances_sq[p]))
         .collect();
-    for (r, &c) in labels_of_drawn.iter().enumerate() {
-        absorbed[c] += weights[r];
-    }
-    let mut center_weights = vec![0.0f64; n_clusters];
-    let mut scale = vec![1.0f64; n_clusters];
-    for c in 0..n_clusters {
-        if absorbed[c] > cluster_sizes[c] {
-            scale[c] = cluster_sizes[c] / absorbed[c];
-        } else {
-            center_weights[c] = cluster_sizes[c] - absorbed[c];
-        }
-    }
-    for (r, &c) in labels_of_drawn.iter().enumerate() {
-        weights[r] *= scale[c];
-    }
-    points = points.vstack(&bic.centers)?;
-    weights.extend(center_weights);
+    let (points, weights) = deterministic_total(shard, &drawn, weights, &a, &sizes, &bic.centers)?;
 
     let (wire_points, points_precision) = quantize_for_wire(points, quantizer);
     Ok(Message::Coreset {
@@ -355,6 +300,48 @@ mod tests {
             })
             .collect();
         Coreset::merge(samples.iter()).unwrap()
+    }
+
+    /// The level loop the recursive fold replaced: level `ℓ` merges
+    /// position `i + 2^ℓ` into position `i` for every `i` that is a
+    /// multiple of `2^(ℓ+1)`, over `ceil(log2 m)` levels, and the root
+    /// ends at position 0.
+    fn level_fold(
+        summaries: &[(Vec<f64>, Matrix)],
+        t: usize,
+        precision: Precision,
+    ) -> (Vec<f64>, Matrix) {
+        let mut slots: Vec<_> = summaries.iter().cloned().map(Some).collect();
+        let mut stride = 1;
+        while stride < slots.len() {
+            let mut i = 0;
+            while i + stride < slots.len() {
+                let (a, b) = (slots[i].take().unwrap(), slots[i + stride].take().unwrap());
+                slots[i] = Some(dispca_merge_pair(&a, &b, t, precision).unwrap());
+                i += 2 * stride;
+            }
+            stride *= 2;
+        }
+        slots[0].take().unwrap()
+    }
+
+    #[test]
+    fn the_recursive_fold_is_the_level_loop_bit_for_bit() {
+        let parts = shards(&workload(9 * 40, 12, 12), 9);
+        let summaries: Vec<_> = (parts.iter())
+            .map(|p| local_svd_summary(p, 4).unwrap())
+            .collect();
+        let bits = |(sv, v): &(Vec<f64>, Matrix)| {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (bits(sv), v.shape(), bits(v.as_slice()))
+        };
+        for precision in [Precision::Full, Precision::F32] {
+            for m in 1..=9 {
+                let got = dispca_fold(&summaries[..m], 4, precision).unwrap();
+                let want = level_fold(&summaries[..m], 4, precision);
+                assert_eq!(bits(&got), bits(&want), "{m} summaries at {precision:?}");
+            }
+        }
     }
 
     #[test]

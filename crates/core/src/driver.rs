@@ -616,16 +616,6 @@ fn drive<T: CommandTransport>(pipe: &StagePipeline, net: &mut T) -> Result<RunOu
     finalize(pipe, &mut rnet, st, up0, down0, &rows)
 }
 
-/// Drops the driver's basis bookkeeping, mirroring the executors'
-/// `lift_out_of_basis` (the sources re-expand into the parent space).
-fn drop_basis(st: &mut DriverState) {
-    if st.has_basis {
-        st.cur = st.basis_parent;
-        st.has_basis = false;
-        st.server_basis = None;
-    }
-}
-
 /// Runs the plan's stage `index`; [`check_plan`] already vetted the
 /// composition. Every stage opens with a `Stage` round.
 fn run_stage<T: CommandTransport>(
@@ -640,9 +630,15 @@ fn run_stage<T: CommandTransport>(
     net.broadcast(Command::Stage {
         index: index as u32,
     })?;
+    // The sources re-expand into the basis' parent space; the driver's
+    // basis bookkeeping goes with it.
+    if stage.re_expands_basis() && st.has_basis {
+        st.cur = st.basis_parent;
+        st.has_basis = false;
+        st.server_basis = None;
+    }
     match stage {
         Stage::Dr(_) => {
-            drop_basis(st);
             // The sources project while the server draws the same Π,
             // which it needs only for the final lift.
             let (stream, before_role) = jl_stream(pipe.stages(), index);
@@ -659,7 +655,6 @@ fn run_stage<T: CommandTransport>(
             verify_cols(cols, st.cur, "jl round")?;
         }
         Stage::Cr(_) => {
-            drop_basis(st);
             // The resolved dims are the executor's business; the driver
             // only records the space change the response reports.
             st.basis_parent = st.cur;
@@ -674,7 +669,6 @@ fn run_stage<T: CommandTransport>(
             collect_done(net, st, "qt round")?;
         }
         Stage::DisPca(_) => {
-            drop_basis(st);
             let t = params.effective_pca_dim(st.cur);
             // Step 1: local SVD summaries, folded in source order.
             let mut summaries = Vec::with_capacity(m);
@@ -693,8 +687,7 @@ fn run_stage<T: CommandTransport>(
                     }),
                 }
             })?;
-            // Step 2: the global SVD, folded along the canonical merge
-            // schedule.
+            // Step 2: the global SVD over the pairwise fold.
             let t1 = Instant::now();
             let basis = distributed::dispca_global_basis(&summaries, t, params.precision)?;
             st.server_seconds += t1.elapsed().as_secs_f64();

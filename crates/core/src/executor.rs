@@ -483,7 +483,7 @@ impl<'a> SourceExecutor<'a> {
     }
 
     /// Re-expresses the shard in the basis' parent space and drops the
-    /// basis (what a stage that needs plain points does first).
+    /// basis (what a stage that works on plain points does first).
     fn lift_out_of_basis(&mut self) -> Result<()> {
         if let Some(basis) = self.basis.take() {
             self.part = Cow::Owned(ops::matmul_transb(&self.part, &basis)?);
@@ -554,50 +554,15 @@ impl<'a> SourceExecutor<'a> {
         }
     }
 
+    /// Runs stage `index`. A source-local stage (`jl`, `fss`, `stream`)
+    /// goes through the stage cache when one is attached, keyed by the
+    /// state it starts from; a stage that works on plain points
+    /// ([`Stage::re_expands_basis`]) first lifts the shard out of its
+    /// basis.
     fn run_stage(&mut self, index: usize, stage: &Stage) -> Result<Response> {
-        let k = self.params.k;
-        match stage {
-            Stage::Dr(_) | Stage::Cr(_) | Stage::Stream(_) => self.run_local(index, stage),
-            Stage::Qt(cfg) => {
-                self.quantizer = Some(resolve_quantizer(cfg, self.params)?);
-                Ok(self.done(0, 0.0))
-            }
-            Stage::DisPca(_) => {
-                self.lift_out_of_basis()?;
-                let cur = self.part.cols();
-                let t = self.params.effective_pca_dim(cur);
-                let t0 = Instant::now();
-                let (singular_values, v) = local_svd_summary(&self.part, t)?;
-                let ops = complexity::svd(self.part.rows(), cur);
-                let secs = t0.elapsed().as_secs_f64();
-                let msg = Message::SvdSummary {
-                    singular_values,
-                    basis: v,
-                    precision: self.params.precision,
-                };
-                self.pending = Some(PendingDeliver::DispcaBasis);
-                Ok(self.up(&msg, ops, secs))
-            }
-            Stage::DisSs(_) => {
-                let seed = derive_seed(self.params.seed, seeds::FSS);
-                let t0 = Instant::now();
-                let bic =
-                    disss_local_bicriteria(&self.part, k, seed, self.id, self.params.compute)?;
-                let ops = complexity::bicriteria(self.part.rows(), self.part.cols(), k);
-                let secs = t0.elapsed().as_secs_f64();
-                let cost = bic.cost;
-                self.pending = Some(PendingDeliver::DisssAllocation { bic });
-                Ok(self.up(&Message::CostReport { cost }, ops, secs))
-            }
-        }
-    }
-
-    /// Runs the source-local stage `index` (`jl`, `fss`, `stream`),
-    /// through the stage cache when one is attached.
-    fn run_local(&mut self, index: usize, stage: &Stage) -> Result<Response> {
-        let cached = self
-            .cache
-            .map(|cache| (cache, self.stage_key(index, stage)));
+        let cacheable = matches!(stage, Stage::Dr(_) | Stage::Cr(_) | Stage::Stream(_));
+        let cached =
+            (self.cache.filter(|_| cacheable)).map(|cache| (cache, self.stage_key(index, stage)));
         if let Some((cache, key)) = cached {
             let hit = lock(cache).lookup(key);
             if let Some(snap) = hit {
@@ -607,11 +572,42 @@ impl<'a> SourceExecutor<'a> {
             }
         }
         let t0 = Instant::now();
+        if stage.re_expands_basis() {
+            self.lift_out_of_basis()?;
+        }
+        let k = self.params.k;
         let ops = match stage {
             Stage::Dr(_) => self.apply_jl(index)?,
             Stage::Cr(_) => self.apply_fss()?,
             Stage::Stream(_) => self.apply_stream()?,
-            _ => unreachable!("only source-local stages reach run_local"),
+            Stage::Qt(cfg) => {
+                self.quantizer = Some(resolve_quantizer(cfg, self.params)?);
+                return Ok(self.done(0, 0.0));
+            }
+            Stage::DisPca(_) => {
+                let cur = self.part.cols();
+                let t = self.params.effective_pca_dim(cur);
+                let (singular_values, v) = local_svd_summary(&self.part, t)?;
+                let ops = complexity::svd(self.part.rows(), cur);
+                let secs = t0.elapsed().as_secs_f64();
+                let msg = Message::SvdSummary {
+                    singular_values,
+                    basis: v,
+                    precision: self.params.precision,
+                };
+                self.pending = Some(PendingDeliver::DispcaBasis);
+                return Ok(self.up(&msg, ops, secs));
+            }
+            Stage::DisSs(_) => {
+                let seed = derive_seed(self.params.seed, seeds::FSS);
+                let bic =
+                    disss_local_bicriteria(&self.part, k, seed, self.id, self.params.compute)?;
+                let ops = complexity::bicriteria(self.part.rows(), self.part.cols(), k);
+                let secs = t0.elapsed().as_secs_f64();
+                let cost = bic.cost;
+                self.pending = Some(PendingDeliver::DisssAllocation { bic });
+                return Ok(self.up(&Message::CostReport { cost }, ops, secs));
+            }
         };
         let seconds = t0.elapsed().as_secs_f64();
         if let Some((cache, key)) = cached {
@@ -625,7 +621,6 @@ impl<'a> SourceExecutor<'a> {
     /// communication; the server regenerates the matrix from the shared
     /// seed to lift the centers back).
     fn apply_jl(&mut self, index: usize) -> Result<u64> {
-        self.lift_out_of_basis()?;
         let cur = self.part.cols();
         let (stream, before_role) = jl_stream(self.stages, index);
         let target = jl_target_dim(self.params, cur, before_role);
@@ -643,7 +638,6 @@ impl<'a> SourceExecutor<'a> {
     /// CR stage: the FSS coreset of a single source's shard —
     /// coordinates, weights and Δ, plus the basis to transmit.
     fn apply_fss(&mut self) -> Result<u64> {
-        self.lift_out_of_basis()?;
         let k = self.params.k;
         let cur = self.part.cols();
         let ops = complexity::fss(self.part.rows(), cur, k);

@@ -9,7 +9,10 @@
 //! given the same plan walks the records to the exact pre-crash state:
 //! its sends are verified byte-for-byte against them with no wire I/O,
 //! and responses, losses and promotions replay as journaled, charged to
-//! this transport's own [`NetworkStats`]. When the records run out, the
+//! this transport's own [`NetworkStats`]. A response replays wherever
+//! it was journaled, even past later commands (a reissued answer that a
+//! resume journaled after the round's other commands), so a resumed run
+//! that crashes resumes again. When the records run out, the
 //! transport reconciles with the live executors from what one scan of
 //! the records found, rebuilds each absorbed origin's persona with the
 //! routine a live promotion runs, and goes live.
@@ -717,32 +720,45 @@ impl<T: CommandTransport> JournalingTransport<T> {
         Ok(resp)
     }
 
+    /// The one step replay takes before it reads a record: every
+    /// journaled response at the cursor is charged and buffered for its
+    /// source's next receive, and the cursor moves past them. Responses
+    /// land out of driver order when a live promotion harvested a host's
+    /// own answer mid-replay, or a resume reissued a pending round;
+    /// wherever they lie, each is charged once and the driver takes it
+    /// in its own order.
+    fn pass_responses(&mut self) -> NetResult<()> {
+        while let Some(JournalEntry::Resp { source, bytes }) = self.records.get(self.cursor) {
+            let (s, resp) = (*source as usize, decode_response(bytes)?);
+            charge_response(&mut self.stats, s, &resp)?;
+            self.buffered[s].push_back(resp);
+            self.cursor += 1;
+        }
+        Ok(())
+    }
+
     /// Verifies a round command against the journal, by its encoded
     /// bytes, instead of sending it. A journaled send-side loss of
     /// `source` right after it replays as a failure the driver records
     /// under the live run's reason.
     fn replay_send(&mut self, source: usize, enc: &EncodedCommand) -> NetResult<()> {
-        let Some(record) = self.records.get(self.cursor) else {
-            self.reconcile()?;
-            return self.record_send(source, enc);
-        };
+        self.pass_responses()?;
         let cmd = enc.command();
-        if cmd.is_round() {
-            match record {
-                JournalEntry::Cmd { source: s, bytes }
-                    if *s as usize == source && *bytes == enc.encoded() =>
-                {
-                    self.cursor += 1;
-                    charge_command(&mut self.stats, source, cmd)?;
-                }
-                other => {
-                    return Err(jerr(format!(
-                        "driver sent {} to source {source} but the journal holds {} — the run \
-                         diverged from its journal",
-                        cmd.name(),
-                        other.describe()
-                    )))
-                }
+        match self.records.get(self.cursor) {
+            None => {
+                self.reconcile()?;
+                return self.record_send(source, enc);
+            }
+            Some(_) if !cmd.is_round() => {}
+            Some(JournalEntry::Cmd { source: s, bytes })
+                if *s as usize == source && *bytes == enc.encoded() =>
+            {
+                self.cursor += 1;
+                charge_command(&mut self.stats, source, cmd)?;
+            }
+            Some(other) => {
+                let call = format!("sent {} to source {source}", cmd.name());
+                return Err(diverged(&call, other));
             }
         }
         match self.records.get(self.cursor) {
@@ -762,46 +778,32 @@ impl<T: CommandTransport> JournalingTransport<T> {
     }
 
     fn replay_recv(&mut self, source: usize) -> NetResult<Response> {
-        while let Some(record) = self.records.get(self.cursor) {
-            match record {
-                JournalEntry::Resp { source: s, bytes } => {
-                    let s = *s as usize;
-                    let resp = decode_response(bytes)?;
-                    self.cursor += 1;
-                    charge_response(&mut self.stats, s, &resp)?;
-                    if s == source {
-                        return Ok(resp);
-                    }
-                    // Another source's answer, harvested out of driver
-                    // order during a live promotion (the host answering
-                    // its own round mid-replay): charged at the same
-                    // journal position, buffered for that source's own
-                    // receive.
-                    self.buffered[s].push_back(resp);
-                }
-                JournalEntry::Lost {
-                    source: s,
-                    via_send: false,
-                    reason,
-                } if *s as usize == source => {
-                    self.cursor += 1;
-                    return Ok(Response::SourceLost {
-                        reason: reason.clone(),
-                    });
-                }
-                other => {
-                    return Err(jerr(format!(
-                        "driver expects a response from source {source} but the journal holds \
-                         {} — the run diverged from its journal",
-                        other.describe()
-                    )))
+        self.pass_responses()?;
+        if let Some(resp) = self.buffered[source].pop_front() {
+            return Ok(resp);
+        }
+        match self.records.get(self.cursor) {
+            None => {
+                self.reconcile()?;
+                match self.buffered[source].pop_front() {
+                    Some(resp) => Ok(resp),
+                    None => self.record_recv(source),
                 }
             }
-        }
-        self.reconcile()?;
-        match self.buffered[source].pop_front() {
-            Some(resp) => Ok(resp),
-            None => self.record_recv(source),
+            Some(JournalEntry::Lost {
+                source: s,
+                via_send: false,
+                reason,
+            }) if *s as usize == source => {
+                self.cursor += 1;
+                Ok(Response::SourceLost {
+                    reason: reason.clone(),
+                })
+            }
+            Some(other) => {
+                let call = format!("expects a response from source {source}");
+                Err(diverged(&call, other))
+            }
         }
     }
 
@@ -844,43 +846,36 @@ impl<T: CommandTransport> JournalingTransport<T> {
     /// journaled failure (see [`JournalEntry::Promoted`]) fails here as
     /// the attempt did live, sending the driver's health machine down
     /// the same escalation path; the host's own answers journaled
-    /// inside the attempt are charged there and buffered for the host's
-    /// next receive, where the live driver parked them.
+    /// inside the attempt are charged and buffered for its next receive
+    /// by the replay step, as the live driver parked them.
     fn replay_promote(&mut self, origin: usize, host: usize) -> NetResult<()> {
-        let Some(record) = self.records.get(self.cursor) else {
-            self.reconcile()?;
-            return self.record_promote(origin, host);
-        };
-        match record {
-            JournalEntry::Promoted { origin: o, host: h }
+        self.pass_responses()?;
+        match self.records.get(self.cursor) {
+            None => {
+                self.reconcile()?;
+                return self.record_promote(origin, host);
+            }
+            Some(JournalEntry::Promoted { origin: o, host: h })
                 if *o as usize == origin && *h as usize == host => {}
-            other => {
-                return Err(jerr(format!(
-                    "driver promoted source {origin} onto {host} but the journal holds {} — the \
-                     run diverged from its journal",
-                    other.describe()
-                )))
+            Some(other) => {
+                let call = format!("promoted source {origin} onto {host}");
+                return Err(diverged(&call, other));
             }
         }
-        let Some(end) = failed_promotion(&self.records, self.cursor) else {
-            self.cursor += 1;
+        let failed = failed_promotion(&self.records, self.cursor).is_some();
+        self.cursor += 1;
+        if !failed {
             return self.charge_promotion(origin, host);
+        }
+        self.pass_responses()?;
+        let Some(JournalEntry::Lost { reason, .. }) = self.records.get(self.cursor) else {
+            unreachable!("failed_promotion ends at the host's loss");
         };
-        for k in self.cursor + 1..end {
-            if let JournalEntry::Resp { bytes, .. } = &self.records[k] {
-                let resp = decode_response(bytes)?;
-                charge_response(&mut self.stats, host, &resp)?;
-                self.buffered[host].push_back(resp);
-            }
-        }
-        self.cursor = end + 1;
-        match &self.records[end] {
-            JournalEntry::Lost { reason, .. } => Err(NetError::Transport {
-                context: REPLAYED_LOSS,
-                detail: reason.clone(),
-            }),
-            _ => unreachable!("failed_promotion ends at the host's loss"),
-        }
+        self.cursor += 1;
+        Err(NetError::Transport {
+            context: REPLAYED_LOSS,
+            detail: reason.clone(),
+        })
     }
 
     /// Source `i`'s journaled round commands, encoded, in order.
@@ -1006,6 +1001,15 @@ impl<T: CommandTransport> JournalingTransport<T> {
             }
         }
     }
+}
+
+/// The driver's `call` that `record` does not match: the run diverged
+/// from its journal.
+fn diverged(call: &str, record: &JournalEntry) -> NetError {
+    jerr(format!(
+        "driver {call} but the journal holds {} — the run diverged from its journal",
+        record.describe()
+    ))
 }
 
 /// A reconciling source's answer that the journal cannot account for.

@@ -158,6 +158,16 @@ impl Stage {
         matches!(self, Stage::DisPca(_) | Stage::DisSs(_) | Stage::Stream(_))
     }
 
+    /// `true` for stages that work on plain points: a source holding
+    /// coordinates in a basis (after `fss` or `dispca`) re-expands them
+    /// into the basis' parent space before such a stage runs, and the
+    /// driver drops its copy of the basis to match. `stream`, `qt` and
+    /// `disss` run on the coordinates, and the final lift re-expands
+    /// their summary.
+    pub fn re_expands_basis(&self) -> bool {
+        matches!(self, Stage::Dr(_) | Stage::Cr(_) | Stage::DisPca(_))
+    }
+
     /// Parses one CLI token (`jl`, `fss`, `stream`, `qt`, `qt:<s>`,
     /// `dispca`, `disss`).
     ///
@@ -416,6 +426,24 @@ mod tests {
         assert!(!Stage::jl().is_distributed());
         assert!(!Stage::fss().is_distributed());
         assert!(!Stage::qt().is_distributed());
+    }
+
+    #[test]
+    fn plain_point_stages_re_expand_a_basis() {
+        for (token, want) in [
+            ("jl", true),
+            ("fss", true),
+            ("dispca", true),
+            ("stream", false),
+            ("qt", false),
+            ("disss", false),
+        ] {
+            assert_eq!(
+                Stage::parse(token).unwrap().re_expands_basis(),
+                want,
+                "{token}"
+            );
+        }
     }
 
     #[test]

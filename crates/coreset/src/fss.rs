@@ -12,10 +12,9 @@
 //! scalars (Theorem 4.1's `O(kd/ε²)` communication cost comes from the
 //! `d·t` basis term; replacing PCA with a JL projection removes it).
 
-use crate::sensitivity::{SensitivitySampler, WeightMode};
+use crate::sensitivity::SensitivitySampler;
 use crate::types::Coreset;
 use crate::{CoresetError, Result};
-use ekm_clustering::bicriteria::BicriteriaConfig;
 use ekm_linalg::distance::Compute;
 use ekm_linalg::{ops, Matrix};
 use ekm_sketch::Pca;
@@ -106,8 +105,6 @@ pub struct FssBuilder {
     pca_dim: usize,
     sample_size: usize,
     seed: u64,
-    weight_mode: WeightMode,
-    bicriteria: Option<BicriteriaConfig>,
     compute: Compute,
 }
 
@@ -121,8 +118,6 @@ impl FssBuilder {
             pca_dim: 2 * k + 2,
             sample_size: 50 * k,
             seed: 0,
-            weight_mode: WeightMode::DeterministicTotal,
-            bicriteria: None,
             compute: Compute::F64,
         }
     }
@@ -145,21 +140,8 @@ impl FssBuilder {
         self
     }
 
-    /// Sets the weighting mode of the sensitivity sampler.
-    pub fn with_weight_mode(mut self, mode: WeightMode) -> Self {
-        self.weight_mode = mode;
-        self
-    }
-
-    /// Overrides the bicriteria configuration of the sampler.
-    pub fn with_bicriteria(mut self, config: BicriteriaConfig) -> Self {
-        self.bicriteria = Some(config);
-        self
-    }
-
-    /// Sets the compute precision of the sensitivity-sampling step
-    /// ([`Compute::F64`] by default). An explicit bicriteria override
-    /// keeps its own compute for the bicriteria solve.
+    /// Sets the compute precision of the sensitivity-sampling step, its
+    /// bicriteria solve included ([`Compute::F64`] by default).
     pub fn with_compute(mut self, compute: Compute) -> Self {
         self.compute = compute;
         self
@@ -195,14 +177,11 @@ impl FssBuilder {
         // 2. Sensitivity sampling in the subspace. Distances between
         //    subspace points are identical in coordinate and ambient
         //    representations, so sampling in coordinates is exact.
-        let mut sampler = SensitivitySampler::new(self.k, self.sample_size)
+        //    The sampler's deterministic-total mode keeps Σw = n.
+        let sampled = SensitivitySampler::new(self.k, self.sample_size)
             .with_seed(self.seed)
-            .with_weight_mode(self.weight_mode)
-            .with_compute(self.compute);
-        if let Some(b) = &self.bicriteria {
-            sampler = sampler.with_bicriteria(b.clone());
-        }
-        let sampled = sampler.sample(&coords, None)?;
+            .with_compute(self.compute)
+            .sample(&coords, None)?;
 
         Ok(FssCoreset {
             coordinates: sampled.points().clone(),

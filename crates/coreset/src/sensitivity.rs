@@ -14,14 +14,17 @@
 //! Two weight modes are provided:
 //!
 //! * **Plain** — exactly the above (expected total weight `n`);
-//! * **Deterministic-total** (the \[4\] variant used by disSS, paper
-//!   footnote 8) — the bicriteria centers join the coreset and absorb the
-//!   leftover weight of their clusters so `Σ w = n` holds *exactly*.
+//! * **Deterministic-total** (the \[4\] variant, paper footnote 8) — the
+//!   bicriteria centers join the coreset and absorb the leftover weight
+//!   of their clusters so `Σ w = n` holds *exactly*. [`deterministic_total`]
+//!   states that rule once: the sampler calls it, and so does disSS
+//!   (`ekm_core::distributed`), over its own bicriteria solution and D²
+//!   draw.
 
 use crate::types::Coreset;
 use crate::{CoresetError, Result};
-use ekm_clustering::bicriteria::{bicriteria, BicriteriaConfig, BicriteriaSolution};
-use ekm_clustering::cost::{assign_engine, validate_weights};
+use ekm_clustering::bicriteria::{bicriteria, BicriteriaConfig};
+use ekm_clustering::cost::{assign_engine, validate_weights, Assignment};
 use ekm_linalg::distance::{Compute, DistanceEngine};
 use ekm_linalg::random::{derive_seed, rng_from_seed, sample_weighted_indices};
 use ekm_linalg::Matrix;
@@ -59,7 +62,6 @@ pub struct SensitivitySampler {
     sample_size: usize,
     seed: u64,
     weight_mode: WeightMode,
-    bicriteria: BicriteriaConfig,
     compute: Compute,
 }
 
@@ -73,15 +75,14 @@ impl SensitivitySampler {
             sample_size,
             seed: 0,
             weight_mode: WeightMode::DeterministicTotal,
-            bicriteria: BicriteriaConfig::default(),
             compute: Compute::F64,
         }
     }
 
-    /// Sets the RNG seed.
+    /// Sets the RNG seed (the bicriteria solve draws from a stream
+    /// derived from it).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self.bicriteria.seed = derive_seed(seed, 0xB1C);
         self
     }
 
@@ -91,19 +92,10 @@ impl SensitivitySampler {
         self
     }
 
-    /// Overrides the bicriteria configuration. The override carries its
-    /// own [`Compute`] for the bicriteria stage; the sampler's assignment
-    /// still follows [`SensitivitySampler::with_compute`].
-    pub fn with_bicriteria(mut self, config: BicriteriaConfig) -> Self {
-        self.bicriteria = config;
-        self
-    }
-
     /// Sets the compute precision of both the bicriteria solve and the
     /// sensitivity assignment ([`Compute::F64`] by default).
     pub fn with_compute(mut self, compute: Compute) -> Self {
         self.compute = compute;
-        self.bicriteria.compute = compute;
         self
     }
 
@@ -141,45 +133,29 @@ impl SensitivitySampler {
             return Coreset::new(points.clone(), w.to_vec(), 0.0);
         }
 
-        let bic = bicriteria(points, w, self.k, &self.bicriteria)?;
-        self.sample_with_bicriteria(points, w, &bic)
-    }
-
-    /// Builds a coreset re-using an already-computed bicriteria solution
-    /// (disSS computes it separately to report `cost(P_i, X_i)` first).
-    ///
-    /// # Errors
-    ///
-    /// See [`SensitivitySampler::sample`].
-    pub fn sample_with_bicriteria(
-        &self,
-        points: &Matrix,
-        weights: &[f64],
-        bic: &BicriteriaSolution,
-    ) -> Result<Coreset> {
-        if self.sample_size == 0 {
-            return Err(CoresetError::InvalidSampleSize { requested: 0 });
-        }
-        let n = points.rows();
-        validate_weights(weights, n).map_err(CoresetError::Clustering)?;
+        let config = BicriteriaConfig {
+            seed: derive_seed(self.seed, 0xB1C),
+            compute: self.compute,
+            ..BicriteriaConfig::default()
+        };
+        let bic = bicriteria(points, w, self.k, &config)?;
 
         // One blocked-kernel assignment serves the cluster weights, the
         // total cost, and the per-point sensitivity terms below.
         let a = assign_engine(&DistanceEngine::new(points, self.compute), &bic.centers)?;
-        let n_clusters = bic.centers.rows();
-        let cluster_w = a.cluster_weights(n_clusters, weights);
-        let total_cost = a.weighted_cost(weights);
+        let cluster_w = a.cluster_weights(bic.centers.rows(), w);
+        let total_cost = a.weighted_cost(w);
 
         // Sensitivity upper bounds.
         let sens: Vec<f64> = (0..n)
             .map(|i| {
                 let cost_term = if total_cost > 0.0 {
-                    weights[i] * a.distances_sq[i] / total_cost
+                    w[i] * a.distances_sq[i] / total_cost
                 } else {
                     0.0
                 };
                 let cluster_term = if cluster_w[a.labels[i]] > 0.0 {
-                    weights[i] / cluster_w[a.labels[i]]
+                    w[i] / cluster_w[a.labels[i]]
                 } else {
                     0.0
                 };
@@ -193,41 +169,68 @@ impl SensitivitySampler {
         let drawn = sample_weighted_indices(&mut rng, &sens, m);
 
         // Unbiased weights per drawn copy: w(p)·Σσ/(m·σ(p)).
-        let mut samp_points = points.select_rows(&drawn);
-        let mut samp_weights: Vec<f64> = drawn
+        let unbiased: Vec<f64> = drawn
             .iter()
-            .map(|&i| weights[i] * sens_total / (m as f64 * sens[i]))
+            .map(|&i| w[i] * sens_total / (m as f64 * sens[i]))
             .collect();
-
-        if self.weight_mode == WeightMode::DeterministicTotal {
-            // Per-cluster weight matching (the [4] scheme): within each
-            // bicriteria cluster b, the samples plus the cluster's center
-            // must carry exactly W_b. If the raw unbiased sample weights
-            // overshoot W_b they are scaled down to W_b and the center gets
-            // zero; otherwise the center absorbs the exact remainder. This
-            // keeps every weight nonnegative and Σw = Σ_b W_b = n exactly.
-            let mut absorbed = vec![0.0f64; n_clusters];
-            for (pos, &i) in drawn.iter().enumerate() {
-                absorbed[a.labels[i]] += samp_weights[pos];
-            }
-            let mut center_weights = vec![0.0f64; n_clusters];
-            let mut scale = vec![1.0f64; n_clusters];
-            for c in 0..n_clusters {
-                if absorbed[c] > cluster_w[c] {
-                    scale[c] = cluster_w[c] / absorbed[c];
-                } else {
-                    center_weights[c] = cluster_w[c] - absorbed[c];
-                }
-            }
-            for (pos, &i) in drawn.iter().enumerate() {
-                samp_weights[pos] *= scale[a.labels[i]];
-            }
-            samp_points = samp_points.vstack(&bic.centers)?;
-            samp_weights.extend(center_weights);
+        if self.weight_mode == WeightMode::Plain {
+            return Coreset::new(points.select_rows(&drawn), unbiased, 0.0);
         }
-
-        Coreset::new(samp_points, samp_weights, 0.0)
+        let (samples, weights) =
+            deterministic_total(points, &drawn, unbiased, &a, &cluster_w, &bic.centers)?;
+        Coreset::new(samples, weights, 0.0)
     }
+}
+
+/// The \[4\] deterministic-total weighting, the one statement of it
+/// that [`SensitivitySampler`] and disSS share: within each bicriteria
+/// cluster `b`, the drawn samples plus `b`'s center carry exactly the
+/// cluster's weight `W_b`. Samples whose unbiased weights overshoot
+/// `W_b` are scaled down to it and the center gets zero; otherwise the
+/// center takes the exact remainder. Every weight stays nonnegative and
+/// `Σw = Σ_b W_b`.
+///
+/// `drawn` are the rows of `points` drawn (with repeats) from
+/// `assignment`, `weights` their unbiased weights, and
+/// `cluster_weights` the `W_b` of `centers`' rows. Each sample counts
+/// in the cluster the assignment put it in. Returns the drawn points
+/// with the centers stacked under them, and their weights.
+///
+/// # Errors
+///
+/// Shape errors when `centers` and `points` differ in dimension.
+///
+/// # Panics
+///
+/// Panics if a drawn row is outside the assignment, or the assignment
+/// names a cluster outside `cluster_weights` or `centers`.
+pub fn deterministic_total(
+    points: &Matrix,
+    drawn: &[usize],
+    mut weights: Vec<f64>,
+    assignment: &Assignment,
+    cluster_weights: &[f64],
+    centers: &Matrix,
+) -> Result<(Matrix, Vec<f64>)> {
+    let labels = &assignment.labels;
+    let mut absorbed = vec![0.0f64; centers.rows()];
+    for (&p, &w) in drawn.iter().zip(&weights) {
+        absorbed[labels[p]] += w;
+    }
+    let mut center_weights = vec![0.0f64; centers.rows()];
+    let mut scale = vec![1.0f64; centers.rows()];
+    for c in 0..centers.rows() {
+        if absorbed[c] > cluster_weights[c] {
+            scale[c] = cluster_weights[c] / absorbed[c];
+        } else {
+            center_weights[c] = cluster_weights[c] - absorbed[c];
+        }
+    }
+    for (&p, w) in drawn.iter().zip(&mut weights) {
+        *w *= scale[labels[p]];
+    }
+    weights.extend(center_weights);
+    Ok((points.select_rows(drawn).vstack(centers)?, weights))
 }
 
 #[cfg(test)]
@@ -260,6 +263,60 @@ mod tests {
                 c.total_weight()
             );
         }
+    }
+
+    #[test]
+    fn deterministic_total_gives_each_cluster_exactly_its_weight() {
+        // Two clusters of weight 4 and 6 around centers 0 and 10.
+        let points = Matrix::from_rows(&[
+            vec![0.5],
+            vec![1.0],
+            vec![-1.0],
+            vec![10.0],
+            vec![11.0],
+            vec![9.0],
+        ]);
+        let assignment = Assignment {
+            labels: vec![0, 0, 0, 1, 1, 1],
+            distances_sq: vec![0.25, 1.0, 1.0, 0.0, 1.0, 1.0],
+        };
+        let cluster_w = [4.0, 6.0];
+        let centers = Matrix::from_rows(&[vec![0.0], vec![10.0]]);
+        // Each cluster's total over its samples (by label) plus its
+        // center (the row after the samples with its index).
+        let per_cluster = |drawn: &[usize], w: &[f64]| {
+            let mut totals = [0.0; 2];
+            for (r, &wr) in w.iter().enumerate() {
+                let c = (drawn.get(r)).map_or_else(|| r - drawn.len(), |&p| assignment.labels[p]);
+                totals[c] += wr;
+            }
+            totals
+        };
+
+        // Cluster 0 overshoots (point 1 drawn twice at 4 > 4): its samples
+        // halve and its center gets nothing. Cluster 1 undershoots (1.5 <
+        // 6): its center takes the remainder.
+        let drawn = [1, 4, 1];
+        let (pts, w) = deterministic_total(
+            &points,
+            &drawn,
+            vec![4.0, 1.5, 4.0],
+            &assignment,
+            &cluster_w,
+            &centers,
+        )
+        .unwrap();
+        assert_eq!(w, [2.0, 1.5, 2.0, 0.0, 4.5]);
+        assert_eq!(per_cluster(&drawn, &w), cluster_w);
+        assert_eq!(pts, points.select_rows(&drawn).vstack(&centers).unwrap());
+
+        // An empty draw: the centers carry every cluster's weight.
+        let (pts, w) =
+            deterministic_total(&points, &[], Vec::new(), &assignment, &cluster_w, &centers)
+                .unwrap();
+        assert_eq!(w, cluster_w);
+        assert_eq!(per_cluster(&[], &w), cluster_w);
+        assert_eq!(pts, centers);
     }
 
     #[test]

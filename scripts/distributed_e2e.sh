@@ -18,7 +18,8 @@
 # source mid-stage and asserts the degraded run stays within the
 # documented cost-ratio bound, then kills the server mid-round and
 # asserts `--resume` replays the journal to bit-identical centers and
-# per-source counters. `replica` is the shard-replication failover
+# per-source counters, once after one crash and once after the resumed
+# server crashed too. `replica` is the shard-replication failover
 # suite: a killed owner must be re-homed onto its ring replica with
 # results bit-identical to a never-failed twin, a dead owner plus dead
 # replica must degrade cleanly, and a server crash mid-promotion must
@@ -172,9 +173,10 @@ fi
 # the survivors within the paper's (1+eps)/(1-frac_lost) cost-ratio
 # bound. Round B kills the *server* mid-round and asserts a restarted
 # `serve --resume` replays its journal to centers and per-source
-# counters bit-identical to a clean twin's. The measurements land in
-# faults.json (schema ekm-fault-suite/v1), validated by the shared
-# checker in scripts/bench_perf.sh.
+# counters bit-identical to a clean twin's. Round C crashes the server,
+# then its resume, and holds the second resume to the same twin. The
+# measurements land in faults.json (schema ekm-fault-suite/v1),
+# validated by the shared checker in scripts/bench_perf.sh.
 if [[ "$SUITE" == "faults" || "$SUITE" == "all" ]]; then
     FCOMMON=(--dataset mixture --n 600 --d 40 --k 2 --stages dispca,disss --seed 9 --sources 3)
 
@@ -281,6 +283,49 @@ if [[ "$SUITE" == "faults" || "$SUITE" == "all" ]]; then
         || { echo "FAIL: resumed per-source counters differ from the clean twin's"; \
              diff "$LOGDIR/bits-resumed.txt" "$LOGDIR/bits-twin.txt" || true; exit 1; }
     echo "OK: resume replayed $replayed record(s) to bit-identical centers and counters (${resume_ms} ms)"
+
+    echo "=== fault-resume-twice [protocol]: ${FCOMMON[*]} (server killed, resumed, killed again) ==="
+    # The first crash leaves the first stage round pending on two
+    # sources; the resume journals their reissued answers after that
+    # round's command records, then crashes again two commands later.
+    # The second resume must replay past those answers to the twin.
+    TWICE="$LOGDIR/twice.journal"
+    timeout --kill-after=10 "$ROUND_TIMEOUT" \
+        "$BIN" serve --listen "$ADDR" "${FCOMMON[@]}" --journal "$TWICE" \
+        --crash-after-commands 5 >"$LOGDIR/twice-serve1.log" 2>&1 &
+    serve_pid=$!
+    src_pids=()
+    for i in 0 1 2; do
+        timeout --kill-after=10 "$ROUND_TIMEOUT" \
+            "$BIN" source --connect "$ADDR" --source-id "$i" "${FCOMMON[@]}" \
+            --reconnect 120 >"$LOGDIR/twice-source-$i.log" 2>&1 &
+        src_pids+=($!)
+    done
+    if wait "$serve_pid"; then
+        echo "FAIL: the first serve exited zero — the crash never fired"
+        exit 1
+    fi
+    if timeout --kill-after=10 "$ROUND_TIMEOUT" \
+        "$BIN" serve --listen "$ADDR" "${FCOMMON[@]}" --journal "$TWICE" --resume \
+        --crash-after-commands 2 >"$LOGDIR/twice-serve2.log" 2>&1; then
+        echo "FAIL: the first resume exited zero — its crash never fired"
+        exit 1
+    fi
+    timeout --kill-after=10 "$ROUND_TIMEOUT" \
+        "$BIN" serve --listen "$ADDR" "${FCOMMON[@]}" --journal "$TWICE" --resume \
+        --centers-out "$LOGDIR/twice-centers.txt" >"$LOGDIR/twice-serve3.log" 2>&1 \
+        || { echo "FAIL: the second resume failed"; sed 's/^/  serve3 | /' "$LOGDIR/twice-serve3.log"; exit 1; }
+    for i in 0 1 2; do
+        wait "${src_pids[$i]}" || { echo "FAIL: source $i did not survive two server crashes"; exit 1; }
+    done
+    sed 's/^/  serve3 | /' "$LOGDIR/twice-serve3.log"
+    cmp -s "$LOGDIR/twice-centers.txt" "$LOGDIR/twin-centers.txt" \
+        || { echo "FAIL: twice-resumed centers differ from the clean twin's"; exit 1; }
+    grep "uplink-bits" "$LOGDIR/twice-serve3.log" | sort >"$LOGDIR/bits-twice.txt"
+    cmp -s "$LOGDIR/bits-twice.txt" "$LOGDIR/bits-twin.txt" \
+        || { echo "FAIL: twice-resumed per-source counters differ from the clean twin's"; \
+             diff "$LOGDIR/bits-twice.txt" "$LOGDIR/bits-twin.txt" || true; exit 1; }
+    echo "OK: a run crashed twice resumed to bit-identical centers and counters"
 
     # Record the suite's measurements and hold them to the shared
     # schema checker — the same validator CI runs on bench documents.

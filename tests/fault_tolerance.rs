@@ -412,6 +412,89 @@ fn crashed_driver_resumes_to_bit_identical_centers_and_stats() {
 }
 
 #[test]
+fn a_resumed_run_that_crashes_again_resumes_again() {
+    let (n, d, m) = (600, 20, 3);
+    let pipe = pipeline("dispca,disss", n, d);
+    let data = workload(n, d, 17);
+    let shards = partition_uniform(&data, m, 5).unwrap();
+    let (clean, clean_stats, _) = pipe.run_channel_detailed(shards.clone()).unwrap();
+
+    // The driver crashes after `first` sends, its resume after `second`
+    // (the replayed ones included), and a third attempt resumes over the
+    // same executors. A first crash inside a broadcast leaves a round
+    // pending; the first resume journals its reissued answer between
+    // that round's command records, where the second resume meets it.
+    let mut failures = Vec::new();
+    for (first, second) in [
+        (3, 5),
+        (4, 6),
+        (5, 8),
+        (6, 9),
+        (7, 12),
+        (8, 16),
+        (10, 14),
+        (12, 15),
+    ] {
+        let tag = format!("crashes after {first} then {second} sends");
+        let journal = scratch_journal("twice");
+        let third = std::thread::scope(|scope| {
+            let (hub, endpoints) = channel_pairs(m);
+            for (i, (mut ep, shard)) in endpoints.into_iter().zip(shards.clone()).enumerate() {
+                let (stages, params) = (pipe.stages(), pipe.params());
+                scope
+                    .spawn(move || SourceExecutor::new(stages, params, i, m, shard).serve(&mut ep));
+            }
+            let mut crashing = FaultInjector {
+                inner: JournalingTransport::record(hub, &journal, FP).unwrap(),
+                sends_before_crash: first,
+                crash_after_loss_of: None,
+            };
+            pipe.run_driver(&mut crashing).unwrap_err();
+            let hub = crashing.inner.into_inner();
+            let mut crashing = FaultInjector {
+                inner: JournalingTransport::resume(hub, &journal, FP).unwrap(),
+                sends_before_crash: second,
+                crash_after_loss_of: None,
+            };
+            let second_attempt = pipe.run_driver(&mut crashing);
+            assert!(
+                second_attempt.is_err(),
+                "{tag}: the second crash never fired"
+            );
+            let hub = crashing.inner.into_inner();
+            let mut resuming = JournalingTransport::resume(hub, &journal, FP).unwrap();
+            let out = pipe.run_driver(&mut resuming);
+            out.map(|out| (out, resuming.stats().clone()))
+        });
+        let _ = std::fs::remove_file(&journal);
+        let (out, stats) = match third {
+            Ok(third) => third,
+            Err(e) => {
+                failures.push(format!("{tag}: the third attempt failed: {e}"));
+                continue;
+            }
+        };
+        let same_centers = out.centers.shape() == clean.centers.shape()
+            && (out.centers.as_slice().iter())
+                .zip(clean.centers.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+        if !same_centers || out.degraded.is_some() {
+            failures.push(format!("{tag}: centers differ or the run degraded"));
+        }
+        if out.summary_points != clean.summary_points {
+            failures.push(format!("{tag}: summary points differ"));
+        }
+        for i in 0..m {
+            let bits = |s: &NetworkStats| (s.uplink_bits(i), s.downlink_bits(i));
+            if bits(&stats) != bits(&clean_stats) {
+                failures.push(format!("{tag}: source {i}'s bits differ"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
 fn crash_during_promotion_resumes_to_bit_identical_centers() {
     let n = 600;
     let d = 20;
